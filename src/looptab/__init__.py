@@ -32,9 +32,7 @@ from .loops import (
     EventFingerprint,
     LoopParams,
     LoopSpan,
-    build_correlative_matrix,
     extract_loops,
-    find_repetitions,
     fingerprint_sequence,
     splice_loop,
 )

@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
+from urllib.parse import quote
 
 import requests
 
@@ -111,9 +112,10 @@ class CsvFeaturesProvider:
 class HttpFeaturesProvider:
     """Generic HTTP provider.
 
-    ``endpoint_template`` is formatted with ``artist`` and ``title``; the
-    endpoint must answer JSON with valence/energy/mode fields. The bearer
-    token is read from the environment variable named by ``token_env``.
+    ``endpoint_template`` is formatted with ``artist`` and ``title``, each
+    percent-encoded as one path segment or query value; the endpoint must
+    answer JSON with valence/energy/mode fields. The bearer token is read
+    from the environment variable named by ``token_env``.
     """
 
     def __init__(self, endpoint_template: str, token_env: str = "LOOPTAB_FEATURES_TOKEN",
@@ -124,7 +126,8 @@ class HttpFeaturesProvider:
         self.timeout = timeout
 
     def lookup(self, artist: str, title: str) -> AnnotationRecord | None:
-        url = self.endpoint_template.format(artist=artist, title=title)
+        url = self.endpoint_template.format(artist=quote(artist, safe=""),
+                                           title=quote(title, safe=""))
         headers = {}
         tok = os.environ.get(self.token_env)
         if tok:

@@ -247,16 +247,20 @@ def cmd_eval_loops(args) -> int:
 def _numeric_columns(path) -> list[list[float]]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        rows = [row for row in reader if row]
-    header = rows[0]
+        rows = [(reader.line_num, row) for row in reader if row]
     try:
-        float(header[0])
-        data = rows
+        float(rows[0][1][0])
     except ValueError:
-        data = rows[1:]
-    if not data:
+        rows = rows[1:]  # a header row
+    except IndexError:
+        pass  # an empty file
+    if not rows:
         raise ValueError("no data rows")
-    return [[float(row[j]) for row in data] for j in range(len(data[0]))]
+    width = len(rows[0][1])
+    for line, row in rows:
+        if len(row) != width:
+            raise ValueError(f"{path}: line {line} has {len(row)} values, expected {width}")
+    return [[float(row[j]) for _, row in rows] for j in range(width)]
 
 
 def cmd_eval_stats(args) -> int:

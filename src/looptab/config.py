@@ -2,10 +2,9 @@
 
 Defaults match the published constants: loop extraction thresholds
 (min repetition notes 4, min repetition beats 2, loop bars 4..4) and the
-inference tempo thresholds (happy >= 150 BPM, sad <= 100 BPM). The
-Transformer-XL training constants are carried as documentation for
-external neural generator plugins only; the built-in generator is the
-n-gram model.
+inference tempo thresholds (happy >= 150 BPM, sad <= 100 BPM). Unknown
+top-level keys are ignored, so documents with sections that were later
+removed (such as ``paths``) still load.
 """
 
 from __future__ import annotations
@@ -23,17 +22,6 @@ from .tension import SpiralParams
 CONFIG_FORMAT = "looptab-config"
 CONFIG_VERSION = 1
 
-# Reference constants for external Transformer-XL plugins; unused by the
-# built-in generator.
-NEURAL_TRAINING_REFERENCE = {
-    "epochs": 100,
-    "batch_size": 8,
-    "learning_rate": 0.0002,
-    "optimizer": "adamw",
-    "inference_checkpoint_epoch": 20,
-}
-
-
 @dataclass(frozen=True)
 class GeneratorConfig:
     order: int = 4
@@ -44,17 +32,7 @@ class GeneratorConfig:
 
 
 @dataclass(frozen=True)
-class PathsConfig:
-    scores: str = "scores"
-    annotations: str = "annotations.csv"
-    corpus: str = "corpus.txt"
-    models: str = "models"
-    reports: str = "reports"
-
-
-@dataclass(frozen=True)
 class PipelineConfig:
-    paths: PathsConfig = PathsConfig()
     loop_params: LoopParams = LoopParams()
     spiral_params: SpiralParams = SpiralParams()
     generator: GeneratorConfig = GeneratorConfig()
@@ -90,7 +68,6 @@ def _build(cls, doc: dict):
 
 
 _SECTION_TYPES = {
-    "paths": PathsConfig,
     "loop_params": LoopParams,
     "spiral_params": SpiralParams,
     "generator": GeneratorConfig,

@@ -1,25 +1,22 @@
-"""Repeat detection via a correlative matrix and bar-aligned loop extraction.
+"""Bar-aligned loop extraction.
 
 The score is flattened into a sequence of onset fingerprints (all tracks
-merged). A diagonal run of length L ending at matrix cell (i, j) means the
-L events ending at i repeat verbatim at j. Loop spans are repeats whose
-both occurrence starts fall on a bar boundary; the loop body is the bar
-range between the two starts.
+merged). A loop is a repeat whose two occurrences both start on a bar
+boundary, ``min_loop_bars`` to ``max_loop_bars`` bars apart; the loop body
+is the bar range between the two starts. Only those bar pairs are tried,
+at one pass over the events per distinct tick lag between them, so no
+song is too long to search.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
 from .score import Score
 from .tokens import TICKS_PER_QUARTER
-
-log = logging.getLogger(__name__)
-
-MAX_MATRIX_EVENTS = 4096
 
 
 @dataclass(frozen=True)
@@ -96,90 +93,56 @@ def fingerprint_sequence(score: Score) -> list[EventFingerprint]:
     return seq
 
 
-def build_correlative_matrix(seq: list[EventFingerprint]) -> np.ndarray:
-    """Upper-triangular match-length matrix.
+def _match_lengths(onsets: np.ndarray, ids: np.ndarray, lag: int) -> np.ndarray:
+    """Forward match length from every event against the event ``lag`` ticks later.
 
-    M[i][j] (i < j) counts the length of the fingerprint match ending at
-    (i, j); sequences beyond MAX_MATRIX_EVENTS events are truncated with a
-    warning to bound the O(n^2) memory.
+    Equal fingerprints carry equal gaps, so a match keeps the same tick lag
+    all along; the partner of event i is the onset at ``onsets[i] + lag``.
     """
-    if len(seq) > MAX_MATRIX_EVENTS:
-        log.warning("fingerprint sequence truncated from %d to %d events",
-                    len(seq), MAX_MATRIX_EVENTS)
-        seq = seq[:MAX_MATRIX_EVENTS]
-    n = len(seq)
-    m = np.zeros((n, n), dtype=np.int32)
-    for j in range(1, n):
-        for i in range(j):
-            if seq[i] == seq[j]:
-                m[i, j] = m[i - 1, j - 1] + 1 if i > 0 else 1
-    return m
-
-
-def _segment_ticks(seq: list[EventFingerprint], start: int, length: int) -> int:
-    return sum(seq[t].gap for t in range(start, start + length))
-
-
-def _maximal_runs(matrix: np.ndarray):
-    """Yield (first_start, second_start, length) for every maximal diagonal run."""
-    n = matrix.shape[0]
-    for j in range(1, n):
-        for i in range(j):
-            v = int(matrix[i, j])
-            if v == 0:
-                continue
-            if i + 1 < n and j + 1 < n and matrix[i + 1, j + 1] > 0:
-                continue  # run continues; not maximal here
-            yield (i - v + 1, j - v + 1, v)
-
-
-def find_repetitions(matrix: np.ndarray, seq: list[EventFingerprint],
-                     params: LoopParams = DEFAULT_PARAMS) -> list[tuple[int, int, int]]:
-    """Maximal repeats meeting the event-count and beat-duration thresholds."""
-    min_ticks = params.min_rep_beats * TICKS_PER_QUARTER
-    out = []
-    for first, second, length in _maximal_runs(matrix):
-        if length >= params.min_rep_notes and _segment_ticks(seq, first, length) >= min_ticks:
-            out.append((first, second, length))
-    return sorted(out)
+    n = len(onsets)
+    target = onsets + lag
+    partner = np.minimum(np.searchsorted(onsets, target), n - 1)
+    match = (onsets[partner] == target) & (ids[partner] == ids)
+    index = np.arange(n)
+    first_miss = np.minimum.accumulate(np.where(match, n, index)[::-1])[::-1]
+    return first_miss - index
 
 
 def extract_loops(score: Score, params: LoopParams = DEFAULT_PARAMS) -> list[LoopSpan]:
     """Bar-aligned loop spans of a regularized score.
 
-    For every repeat position pair (a, b) inside a maximal run where both
-    onsets sit exactly on a bar boundary, the remaining match from (a, b)
-    must still satisfy the repetition thresholds; the loop body is then
-    bars [bar(a), bar(b)) and is kept when its bar count lies within
-    [min_loop_bars, max_loop_bars]. Repeats starting off the bar grid are
-    discarded, not shifted.
+    For every pair of bars s and s + k with k in [min_loop_bars,
+    max_loop_bars] whose starts both hold an onset, the fingerprints are
+    matched forward from the two onsets; when the match meets the
+    repetition thresholds (events and beats), bars [s, s + k) are a loop.
+    Repeats starting off the bar grid are discarded, not shifted.
     """
     seq = fingerprint_sequence(score)
     offsets = bar_offsets(score)
-    boundary = set(offsets[:-1])
-    matrix = build_correlative_matrix(seq)
+    interned: dict[EventFingerprint, int] = {}
+    ids = np.array([interned.setdefault(f, len(interned)) for f in seq], dtype=np.int64)
+    onsets = np.array([f.onset for f in seq], dtype=np.int64)
+    ticks = list(accumulate((f.gap for f in seq), initial=0))
+    at_index = {f.onset: i for i, f in enumerate(seq)}
     min_ticks = params.min_rep_beats * TICKS_PER_QUARTER
+    n_bars = len(score.measures)
 
-    found: dict[tuple[int, int], int] = {}
-    for first, second, length in _maximal_runs(matrix):
-        d = second - first
-        for off in range(length):
-            a = first + off
-            remaining = length - off
-            if remaining < params.min_rep_notes:
-                break
-            fa, fb = seq[a], seq[a + d]
-            if fa.onset not in boundary or fb.onset not in boundary:
+    runs: dict[int, np.ndarray] = {}
+    spans = []
+    for s in range(n_bars):
+        a = at_index.get(offsets[s])
+        if a is None:
+            continue
+        for e in range(s + params.min_loop_bars, min(s + params.max_loop_bars, n_bars - 1) + 1):
+            if offsets[e] not in at_index:
                 continue
-            if _segment_ticks(seq, a, remaining) < min_ticks:
-                continue
-            bars = fb.bar - fa.bar
-            if not params.min_loop_bars <= bars <= params.max_loop_bars:
-                continue
-            span = (fa.bar, fa.bar + bars)
-            found[span] = max(found.get(span, 0), remaining)
+            lag = offsets[e] - offsets[s]
+            if lag not in runs:
+                runs[lag] = _match_lengths(onsets, ids, lag)
+            length = int(runs[lag][a])
+            if length >= params.min_rep_notes and ticks[a + length] - ticks[a] >= min_ticks:
+                spans.append(LoopSpan(s, e, length))
 
-    spans = sorted(LoopSpan(s, e, n) for (s, e), n in found.items())
     if not params.allow_overlap:
         kept: list[LoopSpan] = []
         for span in spans:

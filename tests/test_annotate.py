@@ -7,6 +7,7 @@ from looptab.annotate import (
     AnnotationRecord,
     CsvFeaturesProvider,
     FeatureThresholds,
+    HttpFeaturesProvider,
     build_corpus,
     compute_thresholds,
     feature_thresholds_from_json,
@@ -163,6 +164,23 @@ def test_csv_provider_lookup_normalizes(tmp_path):
     provider = CsvFeaturesProvider(path)
     assert provider.lookup("my  band", "the song") is not None
     assert provider.lookup("my band", "other") is None
+
+
+class RecordingSession:
+    def __init__(self):
+        self.urls = []
+
+    def get(self, url, headers=None, timeout=None):
+        self.urls.append(url)
+        return type("Reply", (), {"status_code": 404})()
+
+
+def test_http_provider_quotes_artist_and_title():
+    session = RecordingSession()
+    provider = HttpFeaturesProvider("https://features.test/{artist}/{title}?q={title}",
+                                    session=session)
+    assert provider.lookup("AC/DC", "Rock & Roll") is None
+    assert session.urls == ["https://features.test/AC%2FDC/Rock%20%26%20Roll?q=Rock%20%26%20Roll"]
 
 
 class FlakyProvider:

@@ -250,6 +250,18 @@ def test_annotate_without_source_exits_1(capsys):
     capsys.readouterr()
 
 
+
+def test_eval_stats_ragged_csv_exits_1(tmp_path, capsys):
+    data = tmp_path / "ragged.csv"
+    data.write_text("a,b\n1,2\n3\n4,5\n")
+    assert run("eval-stats", "--method", "wilcoxon", "--input", str(data)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 3 has 1 values" in err
+    assert err.count("\n") == 1
+    data.write_text("")
+    assert run("eval-stats", "--method", "wilcoxon", "--input", str(data)) == 1
+    assert capsys.readouterr().err == "error: no data rows\n"
+
 # helpers ---------------------------------------------------------------------
 
 def test_atomic_write_replaces_and_cleans_up(tmp_path):

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from looptab.config import (
-    NEURAL_TRAINING_REFERENCE,
     PipelineConfig,
     config_from_json,
     config_to_json,
@@ -28,6 +27,7 @@ def test_json_round_trip():
 def test_partial_document_fills_defaults():
     doc = {"format": "looptab-config", "version": 1,
            "happy_tempo_min": 140,
+           "paths": {"scores": "scores", "corpus": "corpus.txt"},
            "loop_params": {"min_loop_bars": 2, "max_loop_bars": 8}}
     cfg = config_from_json(json.dumps(doc))
     assert cfg.happy_tempo_min == 140
@@ -51,10 +51,3 @@ def test_load_config_file(tmp_path):
     path.write_text(config_to_json(PipelineConfig(seed=9)))
     assert load_config(path).seed == 9
 
-
-def test_neural_reference_constants():
-    assert NEURAL_TRAINING_REFERENCE["epochs"] == 100
-    assert NEURAL_TRAINING_REFERENCE["batch_size"] == 8
-    assert NEURAL_TRAINING_REFERENCE["learning_rate"] == 0.0002
-    assert NEURAL_TRAINING_REFERENCE["optimizer"] == "adamw"
-    assert NEURAL_TRAINING_REFERENCE["inference_checkpoint_epoch"] == 20

@@ -1,7 +1,6 @@
 import random
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from looptab.loops import (
@@ -10,9 +9,7 @@ from looptab.loops import (
     LoopParams,
     LoopSpan,
     bar_offsets,
-    build_correlative_matrix,
     extract_loops,
-    find_repetitions,
     fingerprint_sequence,
     splice_loop,
 )
@@ -58,67 +55,6 @@ def test_bar_offsets():
     assert bar_offsets(score) == [0, BAR, 2 * BAR, 3 * BAR]
 
 
-# correlative matrix ----------------------------------------------------------
-
-def test_matrix_abab():
-    seq = [fp("a"), fp("b"), fp("a"), fp("b")]
-    m = build_correlative_matrix(seq)
-    assert m[0, 2] == 1
-    assert m[1, 3] == 2
-    assert m[0, 1] == 0 and m[0, 3] == 0
-
-
-def test_matrix_aaaa():
-    m = build_correlative_matrix([fp("a")] * 4)
-    assert m[0, 1] == 1
-    assert m[1, 2] == 2
-    assert m[2, 3] == 3
-    assert m[0, 3] == 1
-
-
-def test_matrix_recurrence_property():
-    rng = random.Random(4)
-    seq = [fp(rng.choice("ab")) for _ in range(30)]
-    m = build_correlative_matrix(seq)
-    for j in range(1, len(seq)):
-        for i in range(j):
-            if seq[i] != seq[j]:
-                assert m[i, j] == 0
-            elif i == 0:
-                assert m[i, j] == 1
-            else:
-                assert m[i, j] == m[i - 1, j - 1] + 1
-
-
-def test_matrix_truncation_warns(monkeypatch, caplog):
-    import looptab.loops as loops_mod
-    monkeypatch.setattr(loops_mod, "MAX_MATRIX_EVENTS", 8)
-    with caplog.at_level("WARNING"):
-        m = build_correlative_matrix([fp("a")] * 12)
-    assert m.shape == (8, 8)
-    assert any("truncated" in r.message for r in caplog.records)
-
-
-# repetitions -----------------------------------------------------------------
-
-def test_find_repetitions_thresholds():
-    seq = [fp(c) for c in "abcdabcd"]
-    m = build_correlative_matrix(seq)
-    reps = find_repetitions(m, seq)
-    assert (0, 4, 4) in reps
-    # too few events
-    seq = [fp(c) for c in "abxaby"]
-    assert find_repetitions(build_correlative_matrix(seq), seq) == []
-
-
-def test_find_repetitions_beat_threshold():
-    # 4 matching events but only 4 * 240 = 960 ticks < 2 beats
-    seq = [fp(c, gap=240) for c in "abcdabcd"]
-    m = build_correlative_matrix(seq)
-    assert find_repetitions(m, seq) == []
-    assert find_repetitions(m, seq, LoopParams(min_rep_beats=1)) == [(0, 4, 4)]
-
-
 # loop extraction -------------------------------------------------------------
 
 def blocks(rng, labels="ABC", n_events=4):
@@ -151,7 +87,8 @@ def test_offgrid_repeat_is_discarded():
         measures.append(Measure(index=i, events=events))
     score = Score(measures=tuple(measures))
     seq = fingerprint_sequence(score)
-    assert find_repetitions(build_correlative_matrix(seq), seq)
+    assert seq[:4] == seq[4:8] and seq[4].onset - seq[0].onset == 2 * BAR
+    assert not {f.onset for f in seq} & set(bar_offsets(score))
     assert extract_loops(score) == []
 
 
@@ -183,19 +120,44 @@ def oracle_loops(score: Score, params: LoopParams = DEFAULT_PARAMS) -> list[Loop
     return sorted(LoopSpan(s, e, n) for (s, e), n in found.items())
 
 
+def random_params(rng) -> LoopParams:
+    min_bars = rng.randint(1, 7)
+    return LoopParams(min_rep_notes=rng.randint(1, 6), min_rep_beats=rng.randint(1, 8),
+                      min_loop_bars=min_bars, max_loop_bars=rng.randint(min_bars, 7))
+
+
 def test_extract_matches_oracle_on_planted_repeats():
     rng = random.Random(99)
-    for trial in range(200):
+    for trial in range(300):
         labels = "AB" if rng.random() < 0.5 else "ABC"
         b = blocks(rng, labels, n_events=rng.randint(2, 5))
-        n = rng.randint(5, 12)
+        n = rng.randint(5, 16)
         seq = "".join(rng.choice(labels) for _ in range(n))
         if rng.random() < 0.5:
             # plant an exact 4-bar repeat
             i = rng.randint(0, max(0, n - 8))
             seq = seq[:i + 4] + seq[i:i + 4] + seq[i + 8:]
         score = score_from_blocks(b, seq)
-        assert extract_loops(score) == oracle_loops(score), f"trial {trial}: {seq}"
+        params = DEFAULT_PARAMS if trial % 4 == 0 else random_params(rng)
+        assert extract_loops(score, params) == oracle_loops(score, params), \
+            f"trial {trial}: {seq} {params}"
+
+
+def test_extract_matches_oracle_on_long_song():
+    # 1,000 bars and ~4.8k onset events, a 4-bar repeat planted every 16
+    # bars: loops late in a long song are found like the early ones
+    rng = random.Random(11)
+    labels = [chr(0x100 + i) for i in range(48)]
+    b = {c: bar_block(rng, rng.choice((4, 5))) for c in labels}
+    seq = ""
+    for _ in range(64):
+        head = "".join(rng.choice(labels) for _ in range(4))
+        seq += head + head + "".join(rng.choice(labels) for _ in range(8))
+    score = score_from_blocks(b, seq[:1000])
+    assert len(fingerprint_sequence(score)) > 4096
+    spans = extract_loops(score)
+    assert spans == oracle_loops(score)
+    assert set(range(0, 1000, 16)) <= {span.start_bar for span in spans}
 
 
 def test_extract_transposition_invariant():
