@@ -238,6 +238,8 @@ class CorpusResult:
     skipped_no_annotation: int = 0
     skipped_no_loops: int = 0
     failed_files: int = 0
+    feature_thresholds: FeatureThresholds | None = None
+    tension_thresholds: tension_mod.TensionThresholds | None = None  # None: no loop found
 
 
 def feature_thresholds_to_json(thresholds: FeatureThresholds) -> str:
@@ -265,20 +267,18 @@ def build_corpus(score_dir: str | Path,
                  annotations: Sequence[AnnotationRecord],
                  loop_params: loops_mod.LoopParams = loops_mod.DEFAULT_PARAMS,
                  spiral_params: tension_mod.SpiralParams = tension_mod.DEFAULT_PARAMS,
-                 corpus_path: str | Path | None = None,
-                 tension_thresholds_path: str | Path | None = None,
-                 feature_thresholds_path: str | Path | None = None,
                  ) -> tuple[list[str], CorpusResult]:
     """End-to-end corpus construction.
 
     For every annotated ``*.tokens`` file: regularize to 4/4, extract loops,
     splice them, compute tension per loop, fit global quartiles over all
     spliced bars, discretize, inject song and bar controls, and emit one
-    token line per loop. Deterministic given identical inputs.
+    token line per loop. Deterministic given identical inputs. The result
+    carries the counts and both fitted thresholds; nothing is written.
     """
     by_key = {_normalize_key(r.artist, r.title): r for r in annotations}
     thresholds = compute_thresholds(annotations)
-    result = CorpusResult()
+    result = CorpusResult(feature_thresholds=thresholds)
 
     spliced: list[tuple[AnnotationRecord, Score]] = []
     for path in sorted(Path(score_dir).glob("*.tokens")):
@@ -305,22 +305,11 @@ def build_corpus(score_dir: str | Path,
     profiles = [tension_mod.compute_tension_profile(s, spiral_params) for _, s in spliced]
     lines: list[str] = []
     if profiles:
-        tension_thresholds = tension_mod.fit_tension_thresholds(profiles)
+        result.tension_thresholds = tension_mod.fit_tension_thresholds(profiles)
         for (rec, loop_score), profile in zip(spliced, profiles):
-            leveled = tension_mod.discretize_profile(profile, tension_thresholds)
+            leveled = tension_mod.discretize_profile(profile, result.tension_thresholds)
             stream = strip_controls(score_to_tokens(loop_score, include_artist=False))
             line = inject_controls(stream, song_control_tokens(rec, thresholds), leveled)
             lines.append(render_tokens(line))
-    else:
-        tension_thresholds = None
     result.lines = len(lines)
-
-    if corpus_path is not None:
-        Path(corpus_path).write_text("".join(l + "\n" for l in lines), encoding="utf-8")
-    if tension_thresholds_path is not None and tension_thresholds is not None:
-        Path(tension_thresholds_path).write_text(
-            tension_mod.thresholds_to_json(tension_thresholds), encoding="utf-8")
-    if feature_thresholds_path is not None:
-        Path(feature_thresholds_path).write_text(
-            feature_thresholds_to_json(thresholds), encoding="utf-8")
     return lines, result

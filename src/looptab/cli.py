@@ -48,19 +48,20 @@ def atomic_write(path: str | Path, text: str) -> None:
         raise
 
 
-def _read_scores(directory: str | Path):
+def _token_files(directory: str | Path) -> list[Path]:
     paths = sorted(Path(directory).glob("*.tokens"))
     if not paths:
         raise ValueError(f"no *.tokens files in {directory}")
-    for path in paths:
+    return paths
+
+
+def _read_scores(directory: str | Path):
+    for path in _token_files(directory):
         yield path, tokens_to_score(parse_tokens(path.read_text(encoding="utf-8")))
 
 
 def _read_streams(directory: str | Path) -> list[list[str]]:
-    paths = sorted(Path(directory).glob("*.tokens"))
-    if not paths:
-        raise ValueError(f"no *.tokens files in {directory}")
-    return [path.read_text(encoding="utf-8").split() for path in paths]
+    return [path.read_text(encoding="utf-8").split() for path in _token_files(directory)]
 
 
 def label_free(tokens: list[str]) -> list[str]:
@@ -78,7 +79,10 @@ def cmd_annotate(args) -> int:
         else:
             raise ValueError("--songs requires --provider-csv or --provider-url")
         with open(args.songs, newline="", encoding="utf-8") as fh:
-            songs = [(row["artist"], row["title"]) for row in csv.DictReader(fh)]
+            reader = csv.DictReader(fh)
+            if not {"artist", "title"} <= set(reader.fieldnames or ()):
+                raise ValueError(f"{args.songs}: songs CSV needs artist and title columns")
+            songs = [(row["artist"], row["title"]) for row in reader]
         records, misses = annotate_mod.fetch_annotations(provider, songs)
         log.info("annotated %d songs, %d misses", len(records), len(misses))
         if args.out_annotations:
@@ -135,14 +139,18 @@ def cmd_loops(args) -> int:
 def cmd_corpus(args) -> int:
     config = load_config(args.config)
     annotations = annotate_mod.load_annotations(args.annotations)
-    _, result = annotate_mod.build_corpus(
+    lines, result = annotate_mod.build_corpus(
         args.scores, annotations,
         loop_params=config.loop_params,
         spiral_params=config.spiral_params,
-        corpus_path=args.out,
-        tension_thresholds_path=args.out_tension_thresholds,
-        feature_thresholds_path=args.out_feature_thresholds,
     )
+    atomic_write(args.out, "".join(l + "\n" for l in lines))
+    if args.out_tension_thresholds and result.tension_thresholds is not None:
+        atomic_write(args.out_tension_thresholds,
+                     tension_mod.thresholds_to_json(result.tension_thresholds))
+    if args.out_feature_thresholds:
+        atomic_write(args.out_feature_thresholds,
+                     annotate_mod.feature_thresholds_to_json(result.feature_thresholds))
     log.info("corpus: %d lines from %d songs (skipped: %d unannotated, %d loop-free, %d failed)",
              result.lines, result.songs_used, result.skipped_no_annotation,
              result.skipped_no_loops, result.failed_files)
@@ -177,7 +185,6 @@ def cmd_generate(args) -> int:
             max_bars=gen_cfg.max_bars,
             temperature=args.temperature if args.temperature is not None else gen_cfg.temperature,
             rng_seed=args.seed + i,
-            mask_tempo=args.ablate != "psychology",
         )
         stream = generate_mod.sample_sequence(model, prompt, constraints)
         if args.ablate == "tension":

@@ -3,8 +3,8 @@
 Defaults match the published constants: loop extraction thresholds
 (min repetition notes 4, min repetition beats 2, loop bars 4..4) and the
 inference tempo thresholds (happy >= 150 BPM, sad <= 100 BPM). Unknown
-top-level keys are ignored, so documents with sections that were later
-removed (such as ``paths``) still load.
+top-level keys are ignored, so documents with fields that were later
+removed (such as ``paths`` or ``seed``) still load.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ class PipelineConfig:
     classifier: ClassifierConfig = ClassifierConfig()
     happy_tempo_min: int = HAPPY_TEMPO_MIN
     sad_tempo_max: int = SAD_TEMPO_MAX
-    seed: int = 0
 
 
 def _to_plain(obj):

@@ -16,6 +16,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from . import loops as loops_mod
+from .generate import HAPPY_TEMPO_MIN, SAD_TEMPO_MAX
 from .score import Score
 
 TRUNCATE_TOKENS = 768
@@ -42,9 +43,9 @@ def _tempo_bucket(raw: str) -> str | None:
     if not raw.startswith("tempo:"):
         return None
     bpm = int(raw.split(":", 1)[1])
-    if bpm < 100:
+    if bpm < SAD_TEMPO_MAX:
         return TEMPO_BUCKETS[0]
-    if bpm < 150:
+    if bpm < HAPPY_TEMPO_MIN:
         return TEMPO_BUCKETS[1]
     return TEMPO_BUCKETS[2]
 

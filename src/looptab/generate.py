@@ -1,11 +1,14 @@
 """Emotion prompts and constrained sampling from a pluggable generator.
 
 The built-in reference generator is a backoff add-alpha n-gram over corpus
-token lines. During sampling, tempo tokens incompatible with the target
-emotion are masked and the distribution renormalized: happy requires
-tempo >= 150 BPM, sad requires tempo <= 100 BPM; the 100..150 gap is never
-emitted under either emotion. External generators plug in over a
-line-delimited JSON stdio protocol.
+token lines. Sampling has one path: at every step, tempo tokens
+incompatible with the target emotion are masked and the distribution
+renormalized (happy requires tempo >= 150 BPM, sad requires tempo <= 100
+BPM; the 100..150 gap is never emitted under either emotion), then the
+structurally invalid tokens are masked and one token is drawn. The masks
+depend only on the vocabulary and the constraints, so each sample builds
+them once. External generators plug in over a line-delimited JSON stdio
+protocol.
 """
 
 from __future__ import annotations
@@ -55,8 +58,10 @@ def ablated_prompt(emotion: str, missing: str | None) -> list[Token]:
     """Prompt with one feature group removed.
 
     ``missing`` is one of None (full prompt), ``emotion_labels`` (drop
-    valence/arousal), ``psychology`` (drop mode; tempo goes unmasked) or
-    ``tension`` (full prompt; bar controls are stripped downstream).
+    valence/arousal), ``psychology`` (drop mode) or ``tension`` (full
+    prompt; bar controls are stripped downstream). The prompt only
+    conditions the model: sampling enforces the emotion's tempo bound
+    under every ablation.
     """
     prompt = build_prompt(emotion)
     if missing in (None, "tension"):
@@ -77,7 +82,6 @@ class SamplingConstraints:
     max_bars: int = 64
     temperature: float = 1.0
     rng_seed: int = 0
-    mask_tempo: bool = True  # False switches to rejection sampling
 
     def __post_init__(self):
         if self.emotion not in ("happy", "sad"):
@@ -151,52 +155,22 @@ def train_generator(corpus_lines: Sequence[str], order: int = 4, alpha: float = 
     return NGramModel(order, alpha, sorted(vocab), counts)
 
 
-def _tempo_value(raw: str) -> int | None:
-    if raw.startswith("tempo:"):
-        try:
-            return int(raw.split(":", 1)[1])
-        except ValueError:
-            return None
-    return None
-
-
-def mask_tempo(distribution: np.ndarray, constraints: SamplingConstraints,
-               vocabulary: Sequence[str]) -> np.ndarray:
-    """Zero inadmissible tempo tokens and renormalize.
+def mask_tempo(distribution: np.ndarray, admissible: np.ndarray) -> np.ndarray:
+    """Zero the tokens outside the boolean ``admissible`` vector (the
+    inadmissible tempi) and renormalize.
 
     Relative probabilities of the remaining tokens are untouched. If the
-    entire mass sat on inadmissible tempi, no admissible tempo exists in
-    the vocabulary and sampling cannot continue.
+    entire mass sat on inadmissible tempi, sampling cannot continue.
     """
-    masked = distribution.copy()
-    for i, raw in enumerate(vocabulary):
-        bpm = _tempo_value(raw)
-        if bpm is not None and not constraints.tempo_admissible(bpm):
-            masked[i] = 0.0
+    masked = np.where(admissible, distribution, 0.0)
     total = masked.sum()
     if total <= 0.0:
-        raise SamplingError("no admissible tempo in vocabulary")
+        raise SamplingError("the model puts all its mass on inadmissible tempi")
     return masked / total
 
 
 _PRE_MEASURE_BLOCKED = (TokenCategory.NOTE, TokenCategory.WAIT,
                         TokenCategory.EFFECT, TokenCategory.BAR_CONTROL)
-
-
-def _structural_mask(vocab_tokens: list[Token], seen_measure: bool) -> np.ndarray:
-    """Keep sampled streams decodable: no events before the first bar, no
-    song-level tokens after it."""
-    keep = np.ones(len(vocab_tokens), dtype=bool)
-    for i, t in enumerate(vocab_tokens):
-        if not seen_measure:
-            if t.category in _PRE_MEASURE_BLOCKED:
-                keep[i] = False
-        else:
-            if t.category is TokenCategory.SONG_CONTROL:
-                keep[i] = False
-            elif t.category is TokenCategory.HEADER and t.fields.get("key") in ("start", "artist"):
-                keep[i] = False
-    return keep
 
 
 def sample_sequence(model: GeneratorModel, prompt: Sequence[Token],
@@ -205,7 +179,10 @@ def sample_sequence(model: GeneratorModel, prompt: Sequence[Token],
 
     Deterministic for a fixed ``rng_seed``; stops at ``end`` or at the
     token/bar budget. The output always starts with the prompt tokens and
-    never carries a tempo violating the emotion constraint.
+    never carries a tempo violating the emotion constraint. Each step
+    renormalizes the model's distribution over the admissible tempi, then
+    over the structurally valid tokens (no events before the first bar, no
+    song-level tokens after it), and draws once.
     """
     vocab = model.vocabulary
     vocab_tokens = [token(r) for r in vocab]
@@ -213,6 +190,15 @@ def sample_sequence(model: GeneratorModel, prompt: Sequence[Token],
     for t in prompt:
         if t.raw not in vocab_set:
             raise ValueError(f"prompt token {t.raw!r} not in model vocabulary")
+    admissible = np.array([t.fields.get("key") != "tempo"
+                           or constraints.tempo_admissible(t.fields["value"])
+                           for t in vocab_tokens], dtype=bool)
+    structural = (  # indexed by seen_measure
+        np.array([t.category not in _PRE_MEASURE_BLOCKED for t in vocab_tokens], dtype=bool),
+        np.array([t.category is not TokenCategory.SONG_CONTROL
+                  and t.fields.get("key") not in ("start", "artist")
+                  for t in vocab_tokens], dtype=bool),
+    )
     rng = np.random.default_rng(constraints.rng_seed)
     out = [t.raw for t in prompt]
     bars = sum(1 for t in prompt if t.category is TokenCategory.STRUCTURE)
@@ -220,35 +206,24 @@ def sample_sequence(model: GeneratorModel, prompt: Sequence[Token],
 
     while len(out) < constraints.max_tokens:
         probs = np.asarray(model.next_token_distribution(out), dtype=float)
-        if constraints.mask_tempo:
-            probs = mask_tempo(probs, constraints, vocab)
-        keep = _structural_mask(vocab_tokens, seen_measure)
-        probs = np.where(keep, probs, 0.0)
+        probs = mask_tempo(probs, admissible)
+        probs = np.where(structural[seen_measure], probs, 0.0)
         total = probs.sum()
         if total <= 0.0:
             break
         probs = probs / total
 
-        while True:
-            if constraints.temperature < 1e-6:
-                choice = int(np.argmax(probs))
-            else:
-                if constraints.temperature != 1.0:
-                    shaped = probs ** (1.0 / constraints.temperature)
-                    shaped /= shaped.sum()
-                else:
-                    shaped = probs
-                choice = int(rng.choice(len(vocab), p=shaped))
-            raw = vocab[choice]
-            bpm = _tempo_value(raw)
-            if constraints.mask_tempo or bpm is None or constraints.tempo_admissible(bpm):
-                break
-            # rejection mode: resample on an inadmissible tempo
-
-        if raw == "end":
-            out.append(raw)
-            break
+        if constraints.temperature < 1e-6:
+            choice = int(np.argmax(probs))
+        else:
+            if constraints.temperature != 1.0:
+                probs = probs ** (1.0 / constraints.temperature)
+                probs /= probs.sum()
+            choice = int(rng.choice(len(vocab), p=probs))
+        raw = vocab[choice]
         out.append(raw)
+        if raw == "end":
+            break
         if raw == "new_measure":
             bars += 1
             seen_measure = True

@@ -73,9 +73,7 @@ class TensionProfile:
         return len(self.cloud_diameter)
 
     def feature(self, name: str) -> tuple[float, ...]:
-        return getattr(self, {"cloud_diameter": "cloud_diameter",
-                              "cloud_momentum": "cloud_momentum",
-                              "tensile_strain": "tensile_strain"}[name])
+        return getattr(self, name)
 
 
 @dataclass(frozen=True)

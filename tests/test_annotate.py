@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -230,25 +231,38 @@ def write_song(tmp_path, name, sequence, blocks, tempo=120):
         render_tokens(score_to_tokens(score, include_artist=False)) + "\n")
 
 
-def test_build_corpus_end_to_end(tmp_path):
+def test_build_corpus_end_to_end(tmp_path, monkeypatch):
+    from looptab import cli
+    from looptab.tension import thresholds_from_json
+
+    written = []
+    atomic_write = cli.atomic_write
+    monkeypatch.setattr(cli, "atomic_write",
+                        lambda path, text: (written.append(Path(path).name),
+                                            atomic_write(path, text)))
+
     rng = random.Random(21)
     blocks = {c: bar_block(rng, 4) for c in "ABC"}
-    write_song(tmp_path, "looped", "ABCAABCA", blocks, tempo=160)
-    write_song(tmp_path, "unlooped", "ABC", blocks)
-    write_song(tmp_path, "unannotated", "ABCAABCA", blocks)
+    scores, out = tmp_path / "scores", tmp_path / "out"
+    scores.mkdir()
+    out.mkdir()
+    write_song(scores, "looped", "ABCAABCA", blocks, tempo=160)
+    write_song(scores, "unlooped", "ABC", blocks)
+    write_song(scores, "unannotated", "ABCAABCA", blocks)
     annotations = [
         rec(0.9, 0.9, "major", artist="", title="looped"),
         rec(0.1, 0.1, "minor", artist="", title="unlooped"),
     ]
-    lines, result = build_corpus(
-        tmp_path, annotations,
-        corpus_path=tmp_path / "corpus.txt",
-        tension_thresholds_path=tmp_path / "tension.json",
-        feature_thresholds_path=tmp_path / "features.json")
-    assert result.songs_used == 1
-    assert result.skipped_no_loops == 1
-    assert result.skipped_no_annotation == 1
-    assert result.lines == len(lines) >= 1
+    save_annotations(annotations, tmp_path / "annotations.csv")
+    assert cli.main(["corpus", "--scores", str(scores),
+                 "--annotations", str(tmp_path / "annotations.csv"),
+                 "--out", str(out / "corpus.txt"),
+                 "--out-tension-thresholds", str(out / "tension.json"),
+                 "--out-feature-thresholds", str(out / "features.json")]) == 0
+    assert sorted(written) == sorted(p.name for p in out.iterdir()) == \
+        ["corpus.txt", "features.json", "tension.json"]
+    lines = (out / "corpus.txt").read_text().splitlines()
+    assert len(lines) >= 1
     for line in lines:
         assert line.startswith("valence:high arousal:high mode:major "
                                "time_signature:4 tempo:160 start new_measure")
@@ -257,10 +271,16 @@ def test_build_corpus_end_to_end(tmp_path):
         for m in score.measures:
             features = {t.fields["feature"] for t in m.bar_controls}
             assert features == {"cloud_diameter", "cloud_momentum", "tensile_strain"}
-    assert (tmp_path / "corpus.txt").read_text().splitlines() == lines
-    feature_thresholds_from_json((tmp_path / "features.json").read_text())
-    from looptab.tension import thresholds_from_json
-    thresholds_from_json((tmp_path / "tension.json").read_text())
+    assert feature_thresholds_from_json((out / "features.json").read_text()) == \
+        compute_thresholds(annotations)
+    thresholds_from_json((out / "tension.json").read_text())
+
+    same, result = build_corpus(scores, annotations)
+    assert same == lines
+    assert result.songs_used == 1
+    assert result.skipped_no_loops == 1
+    assert result.skipped_no_annotation == 1
+    assert result.lines == len(lines)
 
 
 def test_build_corpus_is_deterministic(tmp_path):

@@ -62,6 +62,18 @@ def test_annotate_with_csv_provider(workspace, tmp_path):
     assert "bright_one" in cache.read_text()
 
 
+@pytest.mark.parametrize("header", ["artist,name\nx,y\n", "title\ny\n", ""])
+def test_annotate_songs_csv_without_artist_or_title_exits_1(workspace, tmp_path, capsys,
+                                                            header):
+    songs = tmp_path / "songs.csv"
+    songs.write_text(header)
+    assert run("annotate", "--songs", str(songs),
+               "--provider-csv", str(workspace / "annotations.csv")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "artist" in err and "title" in err
+    assert err.count("\n") == 1
+
+
 def test_tension_command(workspace, tmp_path):
     out = tmp_path / "tension.csv"
     assert run("tension", "--scores", str(workspace / "scores"),

@@ -27,6 +27,7 @@ def test_json_round_trip():
 def test_partial_document_fills_defaults():
     doc = {"format": "looptab-config", "version": 1,
            "happy_tempo_min": 140,
+           "seed": 9,
            "paths": {"scores": "scores", "corpus": "corpus.txt"},
            "loop_params": {"min_loop_bars": 2, "max_loop_bars": 8}}
     cfg = config_from_json(json.dumps(doc))
@@ -48,6 +49,6 @@ def test_load_config_none_gives_defaults():
 
 def test_load_config_file(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(config_to_json(PipelineConfig(seed=9)))
-    assert load_config(path).seed == 9
+    path.write_text(config_to_json(PipelineConfig(sad_tempo_max=90)))
+    assert load_config(path).sad_tempo_max == 90
 

@@ -1,11 +1,16 @@
+import hashlib
 import json
 import os
+import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import looptab
+from looptab.cli import main
 from looptab.generate import (
     CONTROL_VOCAB,
     HAPPY_TEMPO_MIN,
@@ -23,7 +28,7 @@ from looptab.generate import (
     train_generator,
 )
 from looptab.score import tokens_to_score
-from looptab.tokens import TokenCategory
+from looptab.tokens import parse_tokens
 
 
 def make_line(tempo, notes=("clean0:note:s1:f0", "clean0:note:s1:f2"), emotion="happy"):
@@ -139,9 +144,10 @@ def test_tempo_admissibility_bounds():
 
 
 def test_mask_preserves_relative_probabilities():
-    vocab = ["tempo:90", "tempo:160", "clean0:note:s1:f0", "wait:480"]
+    # tempo:90, tempo:160, clean0:note:s1:f0, wait:480 under the happy bound
+    admissible = np.array([False, True, True, True])
     dist = np.array([0.4, 0.2, 0.3, 0.1])
-    masked = mask_tempo(dist, SamplingConstraints(emotion="happy"), vocab)
+    masked = mask_tempo(dist, admissible)
     assert masked[0] == 0.0
     assert abs(masked.sum() - 1.0) < 1e-12
     for i, j in ((1, 2), (2, 3)):
@@ -149,10 +155,9 @@ def test_mask_preserves_relative_probabilities():
 
 
 def test_mask_with_no_admissible_tempo_raises():
-    vocab = ["tempo:90", "tempo:100"]
     dist = np.array([0.5, 0.5])
     with pytest.raises(SamplingError):
-        mask_tempo(dist, SamplingConstraints(emotion="happy"), vocab)
+        mask_tempo(dist, np.array([False, False]))
 
 
 def test_constraint_validation():
@@ -193,12 +198,14 @@ def test_happy_and_sad_tempo_constraints_hold():
                     assert check(int(raw.split(":")[1])), (emotion, raw)
 
 
-def test_rejection_sampling_also_respects_constraints():
+def test_psychology_ablated_sampling_respects_constraints():
     model = train_generator(CORPUS)
+    prompt = ablated_prompt("sad", "psychology")
     for seed in range(10):
-        for raw in sample_raws(model, "sad", rng_seed=seed, mask_tempo=False, max_bars=8):
-            if raw.startswith("tempo:"):
-                assert int(raw.split(":")[1]) <= SAD_TEMPO_MAX
+        constraints = SamplingConstraints(emotion="sad", rng_seed=seed, max_bars=8)
+        for t in sample_sequence(model, prompt, constraints):
+            if t.fields.get("key") == "tempo":
+                assert t.fields["value"] <= SAD_TEMPO_MAX
 
 
 def test_sampled_streams_decode_to_scores():
@@ -223,6 +230,84 @@ def test_prompt_must_be_in_vocabulary():
     from looptab.tokens import token
     with pytest.raises(ValueError, match="vocabulary"):
         sample_sequence(model, [token("artist:nobody")], SamplingConstraints())
+
+
+# golden CLI outputs ------------------------------------------------------------
+
+# sha256 over gen_0000..gen_0004 (seeds 0-4) of `generate --count 5 --seed 0`
+# on a model trained from CORPUS; frozen before the masks were precomputed.
+GOLDEN = [
+    ("happy", (),
+     "45ca494a0f22701c5928d8d4b3509adb3fa9b73ae70dd6e8b2357e1062bfff0a"),
+    ("sad", (),
+     "fddb2b925cd5c5cb0c3c8f6c951a67e78e74c7a0ad456bd1151fbe46b759c3ca"),
+    ("happy", ("--ablate", "emotion_labels"),
+     "8a4566df15bfb0b9e8b593d4d2079bf16d9f9e0b9c65bd7e067dd6611291f69b"),
+    ("sad", ("--ablate", "emotion_labels"),
+     "92d8943c5ebe8488381e508938a155b1b46af45c7c610435c4cb70a66a5770ac"),
+    ("happy", ("--ablate", "tension"),
+     "2f4fe751f6f3ee9468328bc4060d37b6a43f02c03f0ca5bde0bf42e6597e8a33"),
+    ("sad", ("--ablate", "tension"),
+     "c825910c05375b92349d729ac71a85e341ba628456cfdfa4153593992c76a16e"),
+    ("happy", ("--temperature", "0.7"),
+     "51bb52b105d3c999727df9822a4cc363a6fe97479b8b69448b6ef688255eac31"),
+    ("sad", ("--temperature", "0"),
+     "fe57597c6b912973a1d963dbfd20b0572efa4fc01925652165b7dc4ff0e4d717"),
+]
+
+
+@pytest.fixture(scope="module")
+def corpus_model(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    corpus = root / "corpus.txt"
+    corpus.write_text("".join(line + "\n" for line in CORPUS))
+    model = root / "model.json"
+    assert main(["train-gen", "--corpus", str(corpus), "--out", str(model)]) == 0
+    return model
+
+
+def generate_files(model, out_dir, emotion, *extra):
+    assert main(["generate", "--model", str(model), "--emotion", emotion, "--count", "5",
+                 "--seed", "0", *extra, "--out-dir", str(out_dir)]) == 0
+    return sorted(out_dir.glob("*.tokens"))
+
+
+@pytest.mark.parametrize("emotion,extra,digest", GOLDEN)
+def test_generate_matches_golden_hash(corpus_model, tmp_path, emotion, extra, digest):
+    h = hashlib.sha256()
+    for f in generate_files(corpus_model, tmp_path, emotion, *extra):
+        h.update(f.name.encode() + b"\0" + f.read_bytes())
+    assert h.hexdigest() == digest
+
+
+def test_psychology_ablation_outputs_parse_within_tempo_bound(corpus_model, tmp_path):
+    for emotion in ("happy", "sad"):
+        for f in generate_files(corpus_model, tmp_path / emotion, emotion,
+                                "--ablate", "psychology"):
+            stream = parse_tokens(f.read_text())
+            tokens_to_score(stream)
+            for t in stream:
+                if t.fields.get("key") == "tempo":
+                    bpm = t.fields["value"]
+                    assert bpm >= HAPPY_TEMPO_MIN if emotion == "happy" else bpm <= SAD_TEMPO_MAX
+
+
+def test_greedy_psychology_ablation_terminates(corpus_model, tmp_path):
+    # Greedy decoding after the mode-free sad prompt: the argmax tempo is
+    # tempo:160 (ties break toward the lowest vocabulary index), which the
+    # sad constraint forbids.
+    env = dict(os.environ, PYTHONPATH=str(Path(looptab.__file__).parents[1]))
+    argv = [sys.executable, "-m", "looptab.cli", "generate", "--model", str(corpus_model),
+            "--emotion", "sad", "--temperature", "0", "--ablate", "psychology",
+            "--out-dir", str(tmp_path)]
+    try:
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("greedy psychology-ablated sampling did not terminate")
+    assert proc.returncode == 0, proc.stderr
+    tempi = [int(raw[6:]) for raw in (tmp_path / "gen_0000.tokens").read_text().split()
+             if raw.startswith("tempo:")]
+    assert tempi and all(bpm <= SAD_TEMPO_MAX for bpm in tempi)
 
 
 # external generator protocol -------------------------------------------------
