@@ -22,6 +22,7 @@ import requests
 
 from . import loops as loops_mod
 from . import tension as tension_mod
+from .atomic import atomic_open
 from .score import Score, regularize_meter, score_to_tokens, tokens_to_score
 from .tokens import Token, TokenCategory, control_token, parse_tokens, render_tokens
 
@@ -172,7 +173,7 @@ def fetch_annotations(provider: AudioFeaturesProvider,
 
 
 def save_annotations(records: Iterable[AnnotationRecord], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["artist", "title", "valence", "energy", "mode"])
         for r in records:

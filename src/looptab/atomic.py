@@ -1,0 +1,38 @@
+"""Whole-file writes that never leave a partial file behind.
+
+The text goes to a new sibling of the target, which is renamed over the
+target only once every byte is written; on any failure the sibling is
+removed and the previous target, if any, is left as it was.
+"""
+
+from __future__ import annotations
+
+import os
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Iterator, TextIO
+
+
+def _new_sibling(path: Path) -> tuple[int, Path]:
+    """Create an empty file next to ``path``. Unlike ``tempfile.mkstemp``
+    (mode 0600) it asks for mode 0666, so the umask sets the mode exactly
+    as for a file that ``open`` creates."""
+    while True:
+        tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            continue
+
+
+@contextmanager
+def atomic_open(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """Open a UTF-8 text stream that replaces ``path`` when the block ends."""
+    fd, tmp = _new_sibling(Path(path))
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

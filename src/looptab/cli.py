@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 from . import annotate as annotate_mod
@@ -21,6 +20,7 @@ from . import generate as generate_mod
 from . import loops as loops_mod
 from . import stats as stats_mod
 from . import tension as tension_mod
+from .atomic import atomic_open
 from .config import GeneratorConfig, load_config
 from .score import regularize_meter, tokens_to_score
 from .tokens import TokenCategory, parse_tokens, render_tokens
@@ -36,16 +36,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def atomic_write(path: str | Path, text: str) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def _token_files(directory: str | Path) -> list[Path]:
@@ -176,17 +168,17 @@ def cmd_generate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     gen_cfg: GeneratorConfig = config.generator
+    constraints = generate_mod.SamplingConstraints(
+        emotion=args.emotion,
+        tempo_upper=config.happy_tempo_min,
+        tempo_lower=config.sad_tempo_max,
+        max_tokens=args.max_tokens if args.max_tokens else gen_cfg.max_tokens,
+        max_bars=gen_cfg.max_bars,
+        temperature=args.temperature if args.temperature is not None else gen_cfg.temperature,
+    )
     for i in range(args.count):
-        constraints = generate_mod.SamplingConstraints(
-            emotion=args.emotion,
-            tempo_upper=config.happy_tempo_min,
-            tempo_lower=config.sad_tempo_max,
-            max_tokens=args.max_tokens if args.max_tokens else gen_cfg.max_tokens,
-            max_bars=gen_cfg.max_bars,
-            temperature=args.temperature if args.temperature is not None else gen_cfg.temperature,
-            rng_seed=args.seed + i,
-        )
-        stream = generate_mod.sample_sequence(model, prompt, constraints)
+        stream = generate_mod.sample_sequence(
+            model, prompt, dataclasses.replace(constraints, rng_seed=args.seed + i))
         if args.ablate == "tension":
             stream = [t for t in stream if t.category is not TokenCategory.BAR_CONTROL]
         atomic_write(out_dir / f"gen_{i:04d}.tokens", render_tokens(stream) + "\n")

@@ -50,6 +50,21 @@ def test_load_annotations_round_trip(tmp_path):
     assert load_annotations(path) == records
 
 
+def test_failed_annotation_save_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "ann.csv"
+    save_annotations([rec(artist="Band", title="Kept")], path)
+    before = path.read_bytes()
+
+    def records():
+        yield rec(artist="Band", title="Lost")
+        raise RuntimeError("provider went away")
+
+    with pytest.raises(RuntimeError):
+        save_annotations(records(), path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_load_annotations_numeric_mode_alias(tmp_path):
     path = tmp_path / "ann.csv"
     path.write_text("artist,title,valence,energy,mode\na,t,0.5,0.5,1\nb,u,0.5,0.5,0\n")

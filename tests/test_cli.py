@@ -282,6 +282,9 @@ def test_atomic_write_replaces_and_cleans_up(tmp_path):
     atomic_write(target, "two")
     assert target.read_text() == "two"
     assert list(tmp_path.iterdir()) == [target]
+    plain = tmp_path / "plain.txt"
+    plain.write_text("x")
+    assert target.stat().st_mode == plain.stat().st_mode  # the umask sets both
 
 
 def test_label_free_strips_only_labels():

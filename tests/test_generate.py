@@ -129,6 +129,79 @@ def test_load_model_rejects_foreign_json(tmp_path):
         load_model(path)
 
 
+def model_doc(**changes):
+    doc = {"format": "looptab-ngram", "version": 1, "order": 2, "alpha": 0.01,
+           "vocabulary": ["a", "b", "end"],
+           "counts": [[[], {"a": 2, "b": 1}], [["a"], {"b": 2}], [["b"], {"end": 1}]]}
+    doc.update(changes)
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+MALFORMED_MODELS = {
+    "header_only": {"format": "looptab-ngram", "version": 1},
+    "no_counts": model_doc(counts=None),
+    "no_vocabulary": model_doc(vocabulary=None),
+    "no_order": model_doc(order=None),
+    "no_alpha": model_doc(alpha=None),
+    "not_an_object": ["looptab-ngram"],
+    "newer_version": model_doc(version=2),
+    "order_text": model_doc(order="4"),
+    "alpha_text": model_doc(alpha="0.01"),
+    "vocabulary_not_list": model_doc(vocabulary="a b end"),
+    "vocabulary_not_text": model_doc(vocabulary=["a", "b", "end", 7]),
+    "vocabulary_repeats": model_doc(vocabulary=["a", "b", "end", "a"]),
+    "counts_not_list": model_doc(counts={"a": {"b": 1}}),
+    "entry_not_pair": model_doc(counts=[[[], {"a": 1}, "extra"]]),
+    "entry_text": model_doc(counts=["ab"]),
+    "context_not_list": model_doc(counts=[["a", {"b": 1}]]),
+    "context_object": model_doc(counts=[[{"a": 1}, {"b": 1}]]),
+    "order_one": model_doc(order=1),
+    "continuation_not_object": model_doc(counts=[[["a"], ["b", 1]]]),
+    "continuation_empty": model_doc(counts=[[["a"], {}]]),
+    "count_zero": model_doc(counts=[[["a"], {"b": 0}]]),
+    "count_negative": model_doc(counts=[[["a"], {"b": -1}]]),
+    "count_fraction": model_doc(counts=[[["a"], {"b": 1.5}]]),
+    "count_boolean": model_doc(counts=[[["a"], {"b": True}]]),
+    "count_text": model_doc(counts=[[["a"], {"b": "1"}]]),
+    "context_token_unknown": model_doc(counts=[[["zzz"], {"b": 1}]]),
+    "context_token_not_text": model_doc(counts=[[[1], {"b": 1}]]),
+    "continuation_unknown": model_doc(counts=[[[], {"a": 1}], [["a"], {"zzz": 3}]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_MODELS))
+def test_load_model_rejects_malformed_document(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(MALFORMED_MODELS[name]))
+    with pytest.raises(ValueError, match=name):
+        load_model(path)
+
+
+def test_load_model_accepts_the_well_formed_document(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_doc()))
+    model = load_model(path)
+    assert model.counts[("a",)] == {"b": 2}
+
+
+def test_generate_with_malformed_model_exits_1(tmp_path, capsys):
+    header_only = tmp_path / "header_only.json"
+    header_only.write_text(json.dumps(MALFORMED_MODELS["header_only"]))
+    # a trained model whose counts name a token outside its vocabulary
+    unknown = tmp_path / "unknown_token.json"
+    save_model(train_generator(CORPUS), unknown)
+    doc = json.loads(unknown.read_text())
+    for ctx, continuations in doc["counts"]:
+        continuations["zzz"] = 1
+    unknown.write_text(json.dumps(doc))
+    for path in (header_only, unknown):
+        assert main(["generate", "--model", str(path), "--emotion", "happy",
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and path.name in err
+        assert err.count("\n") == 1
+
+
 # tempo masking ---------------------------------------------------------------
 
 def test_tempo_admissibility_bounds():
@@ -336,3 +409,114 @@ def test_external_generator_round_trip(tmp_path):
         assert probs[gen.index["end"]] == 1.0
     finally:
         gen.close()
+
+
+BAD_REPLY_CHILD = textwrap.dedent("""\
+    import json, sys
+    vocab = ["valence:high", "arousal:high", "mode:major", "time_signature:4",
+             "new_measure", "end"]
+    print(json.dumps({"vocab": vocab}), flush=True)
+    for line in sys.stdin:
+        print(sys.argv[1], flush=True)
+""")
+
+BAD_REPLIES = {
+    "no_probs": '{"p": {"end": 1.0}}',
+    "not_an_object": '[1.0, 0.0]',
+    "probs_not_an_object": '{"probs": [1.0, 0.0]}',
+    "unknown_token": '{"probs": {"zzz": 1.0}}',
+    "negative": '{"probs": {"end": -0.5, "new_measure": 1.5}}',
+    "nan": '{"probs": {"end": NaN}}',
+    "infinite": '{"probs": {"end": Infinity}}',
+    "text": '{"probs": {"end": "1.0"}}',
+    "blank_line": '',
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_REPLIES))
+def test_external_generator_rejects_malformed_reply(tmp_path, name):
+    script = tmp_path / "child.py"
+    script.write_text(BAD_REPLY_CHILD)
+    gen = ExternalGenerator([sys.executable, str(script), BAD_REPLIES[name]])
+    try:
+        with pytest.raises(SamplingError):
+            gen.next_token_distribution(["new_measure"])
+    finally:
+        gen.close()
+
+
+@pytest.mark.parametrize("child", [
+    "print('{}')",
+    "print('{\"vocab\": \"end\"}')",
+    "print('{\"vocab\": [\"end\", \"end\"]}')",
+    "print('not json')",
+    "pass",
+])
+def test_external_generator_rejects_malformed_handshake(child):
+    with pytest.raises(SamplingError):
+        ExternalGenerator([sys.executable, "-c", child])
+
+
+def test_external_generator_exiting_without_reply_raises_sampling_error():
+    child = "import sys; print('{\"vocab\": [\"end\"]}', flush=True); sys.stdin.readline()"
+    gen = ExternalGenerator([sys.executable, "-c", child])
+    try:
+        with pytest.raises(SamplingError, match="closed"):
+            gen.next_token_distribution(["end"])
+        gen._proc.wait(timeout=10)
+        with pytest.raises(SamplingError, match="exited"):  # nothing reads the requests now
+            gen.next_token_distribution(["end"])
+    finally:
+        gen.close()
+
+
+def test_external_generator_reply_error_exits_1(tmp_path, monkeypatch, capsys):
+    script = tmp_path / "child.py"
+    script.write_text(BAD_REPLY_CHILD)
+    gen = ExternalGenerator([sys.executable, str(script), BAD_REPLIES["unknown_token"]])
+    monkeypatch.setattr(looptab.generate, "load_model", lambda path: gen)
+    try:
+        assert main(["generate", "--model", "external", "--emotion", "happy",
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    finally:
+        gen.close()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "zzz" in err and err.count("\n") == 1
+
+
+# one generate run ------------------------------------------------------------
+
+def test_generate_count_parses_the_vocabulary_once(tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus.txt"
+    # an artist of its own gives this test a vocabulary no other test samples from
+    corpus.write_text("".join(line + "\n" for line in CORPUS) + "artist:reuse_check end\n")
+    model = tmp_path / "model.json"
+    assert main(["train-gen", "--corpus", str(corpus), "--out", str(model)]) == 0
+    vocab_size = len(json.loads(model.read_text())["vocabulary"])
+
+    parsed = []
+    real_token = looptab.generate.token
+    monkeypatch.setattr(looptab.generate, "token", lambda raw: parsed.append(raw) or real_token(raw))
+    assert main(["generate", "--model", str(model), "--emotion", "happy", "--count", "8",
+                 "--seed", "3", "--out-dir", str(tmp_path / "batch")]) == 0
+    assert vocab_size <= len(parsed) <= vocab_size + 8
+    monkeypatch.undo()
+
+    for i in range(8):
+        single = tmp_path / f"single{i}"
+        assert main(["generate", "--model", str(model), "--emotion", "happy",
+                     "--seed", str(3 + i), "--out-dir", str(single)]) == 0
+        assert ((tmp_path / "batch" / f"gen_{i:04d}.tokens").read_bytes()
+                == (single / "gen_0000.tokens").read_bytes())
+
+
+def test_failed_model_save_keeps_the_previous_file(tmp_path):
+    model = train_generator(CORPUS)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    before = path.read_bytes()
+    model.counts[("~last",)] = {"end": object()}  # sorts last; not serializable
+    with pytest.raises(TypeError):
+        save_model(model, path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
