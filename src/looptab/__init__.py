@@ -10,8 +10,6 @@ from .score import (
     Score,
     StructureError,
     regularize_meter,
-    score_from_json,
-    score_to_json,
     score_to_tokens,
     tokens_to_score,
 )
@@ -20,7 +18,6 @@ from .tension import (
     SpiralParams,
     TensionProfile,
     TensionThresholds,
-    center_of_effect,
     compute_tension_profile,
     discretize_profile,
     estimate_key,

@@ -23,12 +23,10 @@ import requests
 from . import loops as loops_mod
 from . import tension as tension_mod
 from .atomic import atomic_open
-from .score import Score, regularize_meter, score_to_tokens, tokens_to_score
+from .score import Score, regularize_meter, score_to_tokens, token_files, tokens_to_score
 from .tokens import Token, TokenCategory, control_token, parse_tokens, render_tokens
 
 log = logging.getLogger(__name__)
-
-SONG_CONTROL_ORDER = ("valence", "arousal", "mode")
 
 
 class AnnotationError(ValueError):
@@ -147,12 +145,21 @@ class HttpFeaturesProvider:
         )
 
 
+def _retryable(exc: Exception) -> bool:
+    """Transport errors, HTTP 5xx and 429 may pass on a second try; an
+    invalid record or another 4xx will not."""
+    if isinstance(exc, requests.HTTPError) and exc.response is not None:
+        status = exc.response.status_code
+        return status == 429 or not 400 <= status < 500
+    return isinstance(exc, OSError)
+
+
 def fetch_annotations(provider: AudioFeaturesProvider,
                       songs: Sequence[tuple[str, str]],
                       retries: int = 3,
                       backoff: float = 0.5) -> tuple[list[AnnotationRecord], list[tuple[str, str]]]:
-    """Look up every (artist, title); transport failures retry with
-    exponential backoff before counting as a miss."""
+    """Look up every (artist, title). A failed lookup counts as a miss;
+    transport errors, HTTP 5xx and 429 first retry with exponential backoff."""
     records, misses = [], []
     for artist, title in songs:
         rec = None
@@ -160,11 +167,11 @@ def fetch_annotations(provider: AudioFeaturesProvider,
             try:
                 rec = provider.lookup(artist, title)
                 break
-            except Exception as exc:  # transport failure
-                if attempt + 1 == retries:
+            except Exception as exc:
+                if attempt + 1 == retries or not _retryable(exc):
                     log.warning("lookup failed for %s - %s: %s", artist, title, exc)
-                else:
-                    time.sleep(backoff * (2 ** attempt))
+                    break
+                time.sleep(backoff * (2 ** attempt))
         if rec is None:
             misses.append((artist, title))
         else:
@@ -260,10 +267,6 @@ def feature_thresholds_from_json(text: str) -> FeatureThresholds:
     return FeatureThresholds(doc["valence_median"], doc["arousal_median"])
 
 
-def _song_key_for_file(path: Path, score: Score) -> tuple[str, str]:
-    return (score.artist or "", score.title or path.stem)
-
-
 def build_corpus(score_dir: str | Path,
                  annotations: Sequence[AnnotationRecord],
                  loop_params: loops_mod.LoopParams = loops_mod.DEFAULT_PARAMS,
@@ -271,10 +274,13 @@ def build_corpus(score_dir: str | Path,
                  ) -> tuple[list[str], CorpusResult]:
     """End-to-end corpus construction.
 
-    For every annotated ``*.tokens`` file: regularize to 4/4, extract loops,
-    splice them, compute tension per loop, fit global quartiles over all
-    spliced bars, discretize, inject song and bar controls, and emit one
-    token line per loop. Deterministic given identical inputs. The result
+    For every annotated ``*.tokens`` file (the song is matched on its
+    artist header and file stem): regularize to 4/4, extract loops, splice
+    them, compute tension per loop, fit global quartiles over all spliced
+    bars, discretize, inject song and bar controls, and emit one token line
+    per loop. Each loop's key is estimated over that loop alone, since the
+    loop is what the generator learns from; ``looptab tension`` uses the
+    whole song instead. Deterministic given identical inputs. The result
     carries the counts and both fitted thresholds; nothing is written.
     """
     by_key = {_normalize_key(r.artist, r.title): r for r in annotations}
@@ -282,15 +288,14 @@ def build_corpus(score_dir: str | Path,
     result = CorpusResult(feature_thresholds=thresholds)
 
     spliced: list[tuple[AnnotationRecord, Score]] = []
-    for path in sorted(Path(score_dir).glob("*.tokens")):
+    for path in token_files(score_dir):
         try:
             score = tokens_to_score(parse_tokens(path.read_text(encoding="utf-8")))
         except ValueError as exc:
             log.error("skipping %s: %s", path.name, exc)
             result.failed_files += 1
             continue
-        artist, title = _song_key_for_file(path, score)
-        rec = by_key.get(_normalize_key(artist, title))
+        rec = by_key.get(_normalize_key(score.artist or "", path.stem))
         if rec is None:
             result.skipped_no_annotation += 1
             continue

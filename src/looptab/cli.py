@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import logging
 import sys
@@ -22,7 +23,7 @@ from . import stats as stats_mod
 from . import tension as tension_mod
 from .atomic import atomic_open
 from .config import GeneratorConfig, load_config
-from .score import regularize_meter, tokens_to_score
+from .score import regularize_meter, token_files, tokens_to_score
 from .tokens import TokenCategory, parse_tokens, render_tokens
 
 log = logging.getLogger("looptab")
@@ -40,20 +41,13 @@ def atomic_write(path: str | Path, text: str) -> None:
         fh.write(text)
 
 
-def _token_files(directory: str | Path) -> list[Path]:
-    paths = sorted(Path(directory).glob("*.tokens"))
-    if not paths:
-        raise ValueError(f"no *.tokens files in {directory}")
-    return paths
-
-
 def _read_scores(directory: str | Path):
-    for path in _token_files(directory):
+    for path in token_files(directory):
         yield path, tokens_to_score(parse_tokens(path.read_text(encoding="utf-8")))
 
 
 def _read_streams(directory: str | Path) -> list[list[str]]:
-    return [path.read_text(encoding="utf-8").split() for path in _token_files(directory)]
+    return [path.read_text(encoding="utf-8").split() for path in token_files(directory)]
 
 
 def label_free(tokens: list[str]) -> list[str]:
@@ -94,6 +88,8 @@ def cmd_annotate(args) -> int:
 
 
 def cmd_tension(args) -> int:
+    """Per-bar tension of every song, each against the key estimated over
+    the whole song; ``looptab corpus`` estimates it per spliced loop."""
     config = load_config(args.config)
     profiles = []
     names = []
@@ -300,7 +296,9 @@ def cmd_survey(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared."""
     parser = _Parser(prog="looptab",
                      description="Emotion-annotated loop corpora, conditional generation "
                                  "and evaluation for symbolic tablature.")

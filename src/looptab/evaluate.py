@@ -16,6 +16,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from . import loops as loops_mod
+from .atomic import atomic_open
 from .generate import HAPPY_TEMPO_MIN, SAD_TEMPO_MAX
 from .score import Score
 
@@ -89,7 +90,7 @@ class LinearTokenClassifier:
         return self.score(tokens) > HIGH_CUT
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             json.dump({
                 "format": "looptab-linear-classifier",
                 "version": 1,

@@ -41,15 +41,13 @@ DEFAULT_PARAMS = LoopParams()
 class EventFingerprint:
     """All notes sharing one onset plus the gap to the next onset.
 
-    Equality covers the note set and the gap only; bar/beat bookkeeping is
-    excluded so transposed copies at different positions still compare.
+    Equality covers the note set and the gap only; the onset is excluded
+    so copies at different positions still compare.
     """
 
     notes: tuple[tuple[str, int, int], ...]  # (track, midi, duration), sorted
     gap: int
     onset: int = field(compare=False)
-    bar: int = field(compare=False)
-    beat: float = field(compare=False)
 
 
 @dataclass(frozen=True, order=True)
@@ -70,25 +68,20 @@ def bar_offsets(score: Score) -> list[int]:
 def fingerprint_sequence(score: Score) -> list[EventFingerprint]:
     offsets = bar_offsets(score)
     onsets: dict[int, list[tuple[str, int, int]]] = {}
-    onset_bar: dict[int, int] = {}
     for m in score.measures:
         base = offsets[m.index]
         for ev in m.events:
             at = base + ev.onset
             onsets.setdefault(at, []).append((ev.track, ev.midi_pitch, ev.duration))
-            onset_bar[at] = m.index
     ordered = sorted(onsets)
     end = offsets[-1]
     seq = []
     for i, at in enumerate(ordered):
         nxt = ordered[i + 1] if i + 1 < len(ordered) else end
-        bar = onset_bar[at]
         seq.append(EventFingerprint(
             notes=tuple(sorted(onsets[at])),
             gap=max(nxt - at, 0),
             onset=at,
-            bar=bar,
-            beat=(at - offsets[bar]) / TICKS_PER_QUARTER,
         ))
     return seq
 

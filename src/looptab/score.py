@@ -16,13 +16,14 @@ rendered canonically (durations snap back to the gap rule on reparse).
 from __future__ import annotations
 
 import dataclasses
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 
 from .tokens import (
     NEW_MEASURE,
     START,
     END,
+    GUITAR_TRACKS,
     TICKS_PER_QUARTER,
     Token,
     TokenCategory,
@@ -38,15 +39,8 @@ from .tokens import (
 GUITAR_TUNING = (64, 59, 55, 50, 45, 40)
 BASS_TUNING = (43, 38, 33, 28)
 
-DEFAULT_TUNINGS = {
-    "distorted0": GUITAR_TUNING,
-    "distorted1": GUITAR_TUNING,
-    "distorted2": GUITAR_TUNING,
-    "clean0": GUITAR_TUNING,
-    "clean1": GUITAR_TUNING,
-    "leads": GUITAR_TUNING,
-    "bass": BASS_TUNING,
-}
+# One tuning for every note track of the token grammar.
+DEFAULT_TUNINGS = dict.fromkeys(GUITAR_TRACKS, GUITAR_TUNING) | {"bass": BASS_TUNING}
 
 DEFAULT_TEMPO = 120
 DEFAULT_TS = (4, 4)
@@ -103,33 +97,23 @@ class Measure:
 @dataclass(frozen=True)
 class Score:
     artist: str | None = None
-    title: str | None = None
     header_tempo: int = DEFAULT_TEMPO
     header_time_signature: int = 4
     song_controls: tuple[Token, ...] = ()
     measures: tuple[Measure, ...] = ()
-    tunings: tuple[tuple[str, tuple[int, ...]], ...] = tuple(sorted(DEFAULT_TUNINGS.items()))
-
-    @property
-    def tuning_table(self) -> dict[str, tuple[int, ...]]:
-        return dict(self.tunings)
-
-    def note_count(self) -> int:
-        return sum(len(m.events) for m in self.measures)
 
 
 def _sort_key(ev: NoteEvent):
     return (ev.onset, ev.track, ev.midi_pitch, ev.string or 0)
 
 
-def tokens_to_score(stream: list[Token], tunings: dict[str, tuple[int, ...]] | None = None) -> Score:
+def tokens_to_score(stream: list[Token]) -> Score:
     """Decode a token stream into a :class:`Score`.
 
     Song controls and header tokens must precede the first ``new_measure``;
     a note before the first measure or a string number outside the track's
     tuning raises :class:`StructureError`.
     """
-    table = dict(tunings) if tunings is not None else dict(DEFAULT_TUNINGS)
     artist = None
     header_tempo = DEFAULT_TEMPO
     header_ts = 4
@@ -222,9 +206,7 @@ def tokens_to_score(stream: list[Token], tunings: dict[str, tuple[int, ...]] | N
             if track == "drums":
                 pending.append(("drums", None, None, tok.fields["midi"], []))
             else:
-                tuning = table.get(track)
-                if tuning is None:
-                    raise StructureError(f"token {i}: no tuning for track {track!r}")
+                tuning = DEFAULT_TUNINGS[track]
                 string = tok.fields["string"]
                 if string > len(tuning):
                     raise StructureError(
@@ -251,7 +233,6 @@ def tokens_to_score(stream: list[Token], tunings: dict[str, tuple[int, ...]] | N
         header_time_signature=header_ts,
         song_controls=tuple(song_controls),
         measures=tuple(measures),
-        tunings=tuple(sorted(table.items())),
     )
 
 
@@ -347,74 +328,11 @@ def regularize_meter(score: Score) -> Score:
     return dataclasses.replace(score, header_time_signature=4, measures=tuple(new_measures))
 
 
-# JSON interchange format mirroring the Score type.
 
-def score_to_json(score: Score) -> str:
-    doc = {
-        "format": "looptab-score",
-        "version": 1,
-        "artist": score.artist,
-        "title": score.title,
-        "tempo": score.header_tempo,
-        "time_signature": score.header_time_signature,
-        "song_controls": [t.raw for t in score.song_controls],
-        "tunings": {track: list(t) for track, t in score.tunings},
-        "measures": [
-            {
-                "index": m.index,
-                "time_signature": list(m.time_signature),
-                "tempo_bpm": m.tempo_bpm,
-                "bar_controls": [t.raw for t in m.bar_controls],
-                "events": [
-                    {
-                        "track": e.track,
-                        "onset": e.onset,
-                        "duration": e.duration,
-                        "midi_pitch": e.midi_pitch,
-                        "string": e.string,
-                        "fret": e.fret,
-                        "effects": list(e.effects),
-                    }
-                    for e in m.events
-                ],
-            }
-            for m in score.measures
-        ],
-    }
-    return json.dumps(doc, indent=2)
-
-
-def score_from_json(text: str) -> Score:
-    doc = json.loads(text)
-    if doc.get("format") != "looptab-score":
-        raise ValueError("not a looptab score document")
-    measures = tuple(
-        Measure(
-            index=md["index"],
-            time_signature=tuple(md["time_signature"]),
-            tempo_bpm=md["tempo_bpm"],
-            bar_controls=tuple(token(r) for r in md.get("bar_controls", [])),
-            events=tuple(
-                NoteEvent(
-                    track=ed["track"],
-                    onset=ed["onset"],
-                    duration=ed["duration"],
-                    midi_pitch=ed["midi_pitch"],
-                    string=ed.get("string"),
-                    fret=ed.get("fret"),
-                    effects=tuple(ed.get("effects", [])),
-                )
-                for ed in md["events"]
-            ),
-        )
-        for md in doc["measures"]
-    )
-    return Score(
-        artist=doc.get("artist"),
-        title=doc.get("title"),
-        header_tempo=doc.get("tempo", DEFAULT_TEMPO),
-        header_time_signature=doc.get("time_signature", 4),
-        song_controls=tuple(token(r) for r in doc.get("song_controls", [])),
-        measures=measures,
-        tunings=tuple(sorted((k, tuple(v)) for k, v in doc.get("tunings", {}).items())),
-    )
+def token_files(directory: str | Path) -> list[Path]:
+    """The ``*.tokens`` files of a song directory, sorted by name; a
+    directory holding none is an error."""
+    paths = sorted(Path(directory).glob("*.tokens"))
+    if not paths:
+        raise ValueError(f"no *.tokens files in {directory}")
+    return paths

@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .score import Score
+from .tokens import TENSION_FEATURES
 
 DEFAULT_HEIGHT = math.sqrt(2.0 / 15.0)
 DEFAULT_WEIGHTS = (0.536, 0.274, 0.190)
@@ -28,9 +30,6 @@ DEFAULT_WEIGHTS = (0.536, 0.274, 0.190)
 # sin/cos of k*pi/2 for integer k, kept exact
 _SIN = (0.0, 1.0, 0.0, -1.0)
 _COS = (1.0, 0.0, -1.0, 0.0)
-
-FEATURE_NAMES = ("cloud_diameter", "cloud_momentum", "tensile_strain")
-LEVELS = ("q1", "q2", "q3", "q4")
 
 
 @dataclass(frozen=True)
@@ -84,9 +83,6 @@ class TensionThresholds:
     cloud_momentum: tuple[float, float, float]
     tensile_strain: tuple[float, float, float]
 
-    def feature(self, name: str) -> tuple[float, float, float]:
-        return getattr(self, name)
-
 
 def fifth_index_of_pitch(midi_pitch: int) -> int:
     """Unique k in [-5, 6] with 7k = pitch class (mod 12)."""
@@ -121,16 +117,6 @@ def coe_of_indices(weighted: Iterable[tuple[int, float]],
     if total == 0.0:
         return None
     return (acc[0] / total, acc[1] / total, acc[2] / total)
-
-
-def center_of_effect(notes: Iterable[tuple[int, int]],
-                     params: SpiralParams = DEFAULT_PARAMS) -> tuple[float, float, float] | None:
-    """Duration-weighted center of effect of (midi_pitch, duration) pairs.
-
-    Returns None for an empty cloud; callers map that to the empty-bar
-    conventions (diameter/momentum/strain 0).
-    """
-    return coe_of_indices(((fifth_index_of_pitch(p), d) for p, d in notes), params)
 
 
 def cloud_diameter_of_indices(ks: Iterable[int], params: SpiralParams = DEFAULT_PARAMS) -> float:
@@ -173,34 +159,30 @@ def key_coe(tonic_k: int, mode: str, params: SpiralParams = DEFAULT_PARAMS) -> t
     return tuple(sum(w * c[i] for w, c in zip(weights, chords)) for i in range(3))
 
 
-def _score_note_weights(score: Score) -> list[tuple[int, float]]:
-    out = []
-    for m in score.measures:
-        for ev in m.events:
-            if ev.track == "drums":
-                continue
-            out.append((fifth_index_of_pitch(ev.midi_pitch), float(ev.duration)))
-    return out
+@lru_cache(maxsize=None)
+def _key_candidates(params: SpiralParams) -> tuple[KeyEstimate, ...]:
+    """The 24 candidate keys in tie-break order: tonics -5..6, major before minor."""
+    return tuple(KeyEstimate(tonic, mode, key_coe(tonic, mode, params))
+                 for tonic in range(-5, 7) for mode in ("major", "minor"))
 
 
-def estimate_key(score: Score, params: SpiralParams = DEFAULT_PARAMS) -> KeyEstimate:
-    """Key whose center lies closest to the whole-piece center of effect.
+def estimate_key(clouds: Sequence[Sequence[tuple[int, float]]],
+                 params: SpiralParams = DEFAULT_PARAMS) -> KeyEstimate:
+    """Key whose center lies closest to the center of effect of all the bar
+    clouds together (see :func:`bar_clouds`).
 
     Candidates are the 12 tonics in [-5, 6] crossed with major/minor; ties
     break toward the lowest tonic index, major before minor.
     """
-    weighted = _score_note_weights(score)
-    if not weighted:
+    piece = coe_of_indices((note for cloud in clouds for note in cloud), params)
+    if piece is None:
         raise ValueError("no notes")
-    piece = coe_of_indices(weighted, params)
-    best = None
-    for tonic in range(-5, 7):
-        for mode in ("major", "minor"):
-            center = key_coe(tonic, mode, params)
-            d = _distance(piece, center)
-            if best is None or d < best[0] - 1e-12:
-                best = (d, tonic, mode, center)
-    return KeyEstimate(tonic_fifth_index=best[1], mode=best[2], center=best[3])
+    best, best_d = None, None
+    for candidate in _key_candidates(params):
+        d = _distance(piece, candidate.center)
+        if best is None or d < best_d - 1e-12:
+            best, best_d = candidate, d
+    return best
 
 
 def bar_clouds(score: Score) -> list[list[tuple[int, float]]]:
@@ -237,16 +219,15 @@ def tension_from_clouds(clouds: Sequence[Sequence[tuple[int, float]]],
     return TensionProfile(tuple(cds), tuple(cms), tuple(tss))
 
 
-def compute_tension_profile(score: Score,
-                            params: SpiralParams = DEFAULT_PARAMS,
-                            key: KeyEstimate | None = None) -> TensionProfile:
+def compute_tension_profile(score: Score, params: SpiralParams = DEFAULT_PARAMS) -> TensionProfile:
+    """Tension of every bar of ``score`` against the key estimated over the
+    whole of ``score``; a score without pitched notes has strain 0."""
     clouds = bar_clouds(score)
-    if key is None:
-        try:
-            key = estimate_key(score, params)
-        except ValueError:
-            key = None
-    return tension_from_clouds(clouds, key.center if key else None, params)
+    try:
+        key_center = estimate_key(clouds, params).center
+    except ValueError:
+        key_center = None
+    return tension_from_clouds(clouds, key_center, params)
 
 
 def fit_tension_thresholds(profiles: Iterable[TensionProfile]) -> TensionThresholds:
@@ -255,15 +236,15 @@ def fit_tension_thresholds(profiles: Iterable[TensionProfile]) -> TensionThresho
     Quantiles use linear interpolation between order statistics; at least
     4 pooled bar values are required.
     """
-    pooled = {name: [] for name in FEATURE_NAMES}
+    pooled = {name: [] for name in TENSION_FEATURES}
     for prof in profiles:
-        for name in FEATURE_NAMES:
+        for name in TENSION_FEATURES:
             pooled[name].extend(prof.feature(name))
     n = len(pooled["cloud_diameter"])
     if n < 4:
         raise ValueError(f"need at least 4 bar values to fit quartiles, got {n}")
     out = {}
-    for name in FEATURE_NAMES:
+    for name in TENSION_FEATURES:
         q1, med, q3 = np.quantile(np.asarray(pooled[name], dtype=float),
                                   [0.25, 0.5, 0.75], method="linear")
         out[name] = (float(q1), float(med), float(q3))

@@ -2,7 +2,9 @@ import random
 from pathlib import Path
 
 import pytest
+import requests
 
+from looptab import annotate
 from looptab.annotate import (
     AnnotationError,
     AnnotationRecord,
@@ -233,6 +235,38 @@ def test_fetch_annotations_gives_up_after_retries():
     records, misses = fetch_annotations(provider, [("a", "t")], retries=3, backoff=0.0)
     assert records == [] and misses == [("a", "t")]
     assert provider.calls == 3
+
+
+def http_error(status):
+    response = requests.Response()
+    response.status_code = status
+    return requests.HTTPError(f"{status}", response=response)
+
+
+@pytest.mark.parametrize("error,calls", [
+    (AnnotationError("valence 1.5 outside [0, 1]"), 1),
+    (http_error(401), 1),
+    (http_error(403), 1),
+    (http_error(429), 3),
+    (http_error(503), 3),
+    (requests.ConnectionError("reset"), 3),
+    (requests.Timeout("slow"), 3),
+])
+def test_fetch_annotations_retries_only_transient_errors(monkeypatch, error, calls):
+    sleeps = []
+    monkeypatch.setattr(annotate.time, "sleep", sleeps.append)
+
+    class Failing:
+        lookups = 0
+
+        def lookup(self, artist, title):
+            self.lookups += 1
+            raise error
+
+    provider = Failing()
+    assert fetch_annotations(provider, [("a", "t")], retries=3) == ([], [("a", "t")])
+    assert provider.lookups == calls
+    assert len(sleeps) == calls - 1
 
 
 # corpus building -------------------------------------------------------------

@@ -4,8 +4,16 @@ from dataclasses import replace
 
 import pytest
 
+from looptab import cli
 from looptab.cli import atomic_write, label_free, main
-from looptab.score import score_to_tokens
+from looptab.loops import LoopSpan, extract_loops, splice_loop
+from looptab.score import NoteEvent, score_to_tokens, tokens_to_score
+from looptab.tension import (
+    TensionProfile,
+    compute_tension_profile,
+    fit_tension_thresholds,
+    thresholds_from_json,
+)
 from looptab.tokens import parse_tokens, render_tokens
 
 from util import bar_block, score_from_blocks
@@ -250,17 +258,75 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_validation_error_exits_1(tmp_path, capsys):
+def test_validation_error_exits_1(workspace, tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert run("loops", "--scores", str(empty), "--out", str(tmp_path / "o.jsonl")) == 1
-    capsys.readouterr()
+    assert run("tension", "--scores", str(empty), "--out-csv", str(tmp_path / "t.csv")) == 1
+    assert run("corpus", "--scores", str(empty), "--out", str(tmp_path / "c.txt"),
+               "--annotations", str(workspace / "annotations.csv")) == 1
+    assert capsys.readouterr().err == f"error: no *.tokens files in {empty}\n" * 3
+    assert list(tmp_path.iterdir()) == [empty]
 
 
 def test_annotate_without_source_exits_1(capsys):
     assert run("annotate") == 1
     capsys.readouterr()
 
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    cli.build_parser.cache_clear()
+    built = []
+    add_subparsers = cli._Parser.add_subparsers
+    monkeypatch.setattr(cli._Parser, "add_subparsers",
+                        lambda self, **kw: built.append(self) or add_subparsers(self, **kw))
+    assert run("annotate") == 1
+    assert run("annotate") == 1
+    assert len(built) == 1
+    capsys.readouterr()
+
+
+def arpeggio_bar(*pitches):
+    """Four quarter notes on clean0, strings 3 and 5."""
+    return [NoteEvent("clean0", i * 960, 960, p, 3 if p >= 55 else 5, p - (55 if p >= 55 else 45))
+            for i, p in enumerate(pitches)]
+
+
+def test_key_scope_is_the_song_for_tension_and_the_loop_for_corpus(tmp_path):
+    """`looptab tension` estimates the key over each whole song, `looptab
+    corpus` over each spliced loop. The song's key is C major; its loops on
+    the F# major bars have another key."""
+    scores = tmp_path / "scores"
+    scores.mkdir()
+    blocks = {"A": arpeggio_bar(60, 64, 67, 72), "B": arpeggio_bar(55, 59, 62, 67),
+              "C": arpeggio_bar(53, 57, 60, 65), "D": arpeggio_bar(60, 64, 67, 64),
+              "E": arpeggio_bar(66, 70, 73, 78), "F": arpeggio_bar(61, 65, 68, 73),
+              "G": arpeggio_bar(59, 63, 66, 71), "H": arpeggio_bar(54, 58, 61, 66)}
+    write_song(scores, "song", "ABCDABCDEFGHEFGH", blocks, 120)
+    score = tokens_to_score(parse_tokens((scores / "song.tokens").read_text()))
+    ann = tmp_path / "annotations.csv"
+    ann.write_text("artist,title,valence,energy,mode\n,song,0.9,0.9,major\n")
+    assert run("tension", "--scores", str(scores), "--out-csv", str(tmp_path / "t.csv")) == 0
+    assert run("corpus", "--scores", str(scores), "--annotations", str(ann),
+               "--out", str(tmp_path / "c.txt"),
+               "--out-tension-thresholds", str(tmp_path / "th.json")) == 0
+
+    per_song = compute_tension_profile(score).tensile_strain
+    per_window = [v for i in range(0, 16, 4)
+                  for v in compute_tension_profile(
+                      splice_loop(score, LoopSpan(i, i + 4, 0))).tensile_strain]
+    assert list(per_song) != per_window
+    rows = [r.split(",") for r in (tmp_path / "t.csv").read_text().splitlines()[1:]]
+    assert [r[4] for r in rows] == [f"{v:.9g}" for v in per_song]
+
+    spans = extract_loops(score)
+    per_loop = fit_tension_thresholds(
+        compute_tension_profile(splice_loop(score, span)) for span in spans)
+    song_key = [v for span in spans for v in per_song[span.start_bar:span.end_bar]]
+    assert fit_tension_thresholds([TensionProfile(song_key, song_key, song_key)]
+                                  ).tensile_strain != per_loop.tensile_strain
+    written = thresholds_from_json((tmp_path / "th.json").read_text())
+    assert written.tensile_strain == per_loop.tensile_strain
 
 
 def test_eval_stats_ragged_csv_exits_1(tmp_path, capsys):
@@ -273,6 +339,7 @@ def test_eval_stats_ragged_csv_exits_1(tmp_path, capsys):
     data.write_text("")
     assert run("eval-stats", "--method", "wilcoxon", "--input", str(data)) == 1
     assert capsys.readouterr().err == "error: no data rows\n"
+
 
 # helpers ---------------------------------------------------------------------
 

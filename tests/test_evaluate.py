@@ -127,6 +127,18 @@ def test_classifier_save_load(tmp_path):
         assert abs(loaded.score(s) - clf.score(s)) < 1e-12
 
 
+def test_failed_classifier_save_keeps_the_previous_file(tmp_path):
+    clf = LinearTokenClassifier(["a", "b"], np.array([1.0, -1.0]), 0.5)
+    path = tmp_path / "valence.json"
+    clf.save(path)
+    before = path.read_bytes()
+    clf.holdout_accuracy = object()  # written last; not serializable
+    with pytest.raises(TypeError):
+        clf.save(path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
 # metrics ---------------------------------------------------------------------
 
 def test_emotion_metrics_arithmetic():

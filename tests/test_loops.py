@@ -21,15 +21,15 @@ from util import BAR, bar_block, score_from_blocks
 QUARTER = TICKS_PER_QUARTER
 
 
-def fp(label: str, gap: int = QUARTER, onset: int = 0, bar: int = 0) -> EventFingerprint:
+def fp(label: str, gap: int = QUARTER, onset: int = 0) -> EventFingerprint:
     return EventFingerprint(notes=(("clean0", 60 + ord(label) - ord("a"), gap),),
-                            gap=gap, onset=onset, bar=bar, beat=0.0)
+                            gap=gap, onset=onset)
 
 
 # fingerprints ----------------------------------------------------------------
 
 def test_fingerprint_equality_ignores_position():
-    assert fp("a", onset=0, bar=0) == fp("a", onset=7680, bar=2)
+    assert fp("a", onset=0) == fp("a", onset=7680)
 
 
 def test_fingerprint_equality_includes_gap():
@@ -47,7 +47,7 @@ def test_fingerprint_sequence_merges_tracks_and_sorts():
     assert seq[0].notes == (("bass", 40, 960), ("distorted0", 52, 960))
     assert seq[0].gap == 960
     assert seq[1].gap == 2880  # runs to the end of the bar
-    assert seq[1].beat == 1.0
+    assert [f.onset for f in seq] == [0, 960]
 
 
 def test_bar_offsets():

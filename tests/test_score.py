@@ -8,8 +8,6 @@ from looptab.score import (
     Score,
     StructureError,
     regularize_meter,
-    score_from_json,
-    score_to_json,
     score_to_tokens,
     tokens_to_score,
 )
@@ -140,14 +138,8 @@ def test_regularize_idempotent_and_preserves_notes():
         score = random_score(rng, numerators=(2, 3, 4, 5, 6))
         once = regularize_meter(score)
         assert regularize_meter(once) == once
-        assert once.note_count() == score.note_count()
+        count = lambda s: sum(len(m.events) for m in s.measures)
+        assert count(once) == count(score)
         assert all(m.capacity == 3840 for m in once.measures)
         total = lambda s: sum(e.duration for m in s.measures for e in m.events)
         assert total(once) == total(score)
-
-
-def test_json_round_trip():
-    rng = random.Random(11)
-    for _ in range(20):
-        score = random_score(rng, vary_tempo=True)
-        assert score_from_json(score_to_json(score)) == score

@@ -9,7 +9,7 @@ from looptab.tension import (
     DEFAULT_PARAMS,
     SpiralParams,
     TensionThresholds,
-    center_of_effect,
+    bar_clouds,
     cloud_diameter_of_indices,
     coe_of_indices,
     compute_tension_profile,
@@ -66,29 +66,33 @@ def test_pitch_positions():
     assert pitch_position(4) == (0.0, 1.0, 4 * H)
 
 
+C, G = fifth_index_of_pitch(60), fifth_index_of_pitch(67)
+
+
 def test_center_of_effect_single_note():
-    assert center_of_effect([(60, 480)]) == pitch_position(0)
+    assert coe_of_indices([(C, 480)]) == pitch_position(0)
 
 
 def test_center_of_effect_midpoint_and_weights():
-    mid = center_of_effect([(60, 480), (67, 480)])
+    mid = coe_of_indices([(C, 480), (G, 480)])
     expect = tuple((a + b) / 2 for a, b in zip(pitch_position(0), pitch_position(1)))
     assert dist(mid, expect) < 1e-12
-    weighted = center_of_effect([(60, 1440), (67, 480)])
+    weighted = coe_of_indices([(C, 1440), (G, 480)])
     expect = tuple(0.75 * a + 0.25 * b for a, b in zip(pitch_position(0), pitch_position(1)))
     assert dist(weighted, expect) < 1e-12
 
 
 def test_center_of_effect_empty_is_none():
-    assert center_of_effect([]) is None
+    assert coe_of_indices([]) is None
 
 
 def test_coe_scale_invariant():
     rng = random.Random(3)
     for _ in range(50):
-        notes = [(rng.randint(40, 80), rng.randint(1, 2000)) for _ in range(5)]
-        a = center_of_effect(notes)
-        b = center_of_effect([(p, d * 7) for p, d in notes])
+        notes = [(fifth_index_of_pitch(rng.randint(40, 80)), rng.randint(1, 2000))
+                 for _ in range(5)]
+        a = coe_of_indices(notes)
+        b = coe_of_indices([(k, d * 7) for k, d in notes])
         assert dist(a, b) < 1e-9
 
 
@@ -96,19 +100,19 @@ def test_coe_scale_invariant():
 
 def test_c_major_triads_estimate_c_major():
     score = make_score([[(60, 960), (64, 960), (67, 960)]] * 4)
-    key = estimate_key(score)
+    key = estimate_key(bar_clouds(score))
     assert (key.tonic_fifth_index, key.mode) == (0, "major")
 
 
 def test_a_minor_triads_estimate_a_minor():
     score = make_score([[(57, 960), (60, 960), (64, 960)]] * 4)
-    key = estimate_key(score)
+    key = estimate_key(bar_clouds(score))
     assert (key.tonic_fifth_index, key.mode) == (3, "minor")
 
 
 def test_empty_score_raises():
     with pytest.raises(ValueError, match="no notes"):
-        estimate_key(Score())
+        estimate_key(bar_clouds(Score()))
 
 
 def test_key_estimate_duration_scale_invariant():
@@ -116,8 +120,8 @@ def test_key_estimate_duration_scale_invariant():
     for _ in range(20):
         bars = [[(rng.randint(48, 72), rng.randint(100, 1000)) for _ in range(3)]
                 for _ in range(3)]
-        k1 = estimate_key(make_score(bars))
-        k2 = estimate_key(make_score([[(p, d * 13) for p, d in bar] for bar in bars]))
+        k1 = estimate_key(bar_clouds(make_score(bars)))
+        k2 = estimate_key(bar_clouds(make_score([[(p, d * 13) for p, d in bar] for bar in bars])))
         assert (k1.tonic_fifth_index, k1.mode) == (k2.tonic_fifth_index, k2.mode)
 
 
