@@ -135,7 +135,11 @@ class HttpFeaturesProvider:
         if resp.status_code == 404:
             return None
         resp.raise_for_status()
-        doc = resp.json()
+        try:
+            doc = resp.json()
+        except requests.JSONDecodeError as exc:
+            # requests makes this an OSError, which would be retried
+            raise AnnotationError(f"reply is not JSON: {exc}") from None
         return AnnotationRecord(
             artist=artist,
             title=title,

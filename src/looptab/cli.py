@@ -43,7 +43,11 @@ def atomic_write(path: str | Path, text: str) -> None:
 
 def _read_scores(directory: str | Path):
     for path in token_files(directory):
-        yield path, tokens_to_score(parse_tokens(path.read_text(encoding="utf-8")))
+        try:
+            score = tokens_to_score(parse_tokens(path.read_text(encoding="utf-8")))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        yield path, score
 
 
 def _read_streams(directory: str | Path) -> list[list[str]]:

@@ -25,6 +25,7 @@ from .tokens import (
     END,
     GUITAR_TRACKS,
     TICKS_PER_QUARTER,
+    TOKEN_CACHE_SIZE,
     Token,
     TokenCategory,
     TENSION_FEATURES,
@@ -107,6 +108,41 @@ def _sort_key(ev: NoteEvent):
     return (ev.onset, ev.track, ev.midi_pitch, ev.string or 0)
 
 
+# Module names for the categories: reading an Enum member off its class
+# costs ~0.1 us, which tokens_to_score would pay several times per token.
+_NOTE, _WAIT, _STRUCTURE, _EFFECT, _BAR_CONTROL, _HEADER, _SONG_CONTROL = (
+    TokenCategory.NOTE, TokenCategory.WAIT, TokenCategory.STRUCTURE, TokenCategory.EFFECT,
+    TokenCategory.BAR_CONTROL, TokenCategory.HEADER, TokenCategory.SONG_CONTROL)
+
+# (track, string, fret, midi) of note tokens decoded so far, keyed on the
+# raw string. Canonical spellings number 1,368: (6 guitar tracks x 6
+# strings + bass x 4 strings) x 31 frets + 128 drums. Zero-padded numbers
+# (``s01``) spell more, so the table stops growing at TOKEN_CACHE_SIZE.
+_NOTES: dict[str, tuple[str, int | None, int | None, int]] = {}
+
+
+def _decode_note(tok: Token, index: int) -> tuple[str, int | None, int | None, int]:
+    """Decode a note token into ``_NOTES``. A string the track lacks or a
+    pitch above MIDI 127 raises :class:`StructureError` and is not stored."""
+    fields = tok.fields
+    track = fields["track"]
+    if track == "drums":
+        note = ("drums", None, None, fields["midi"])
+    else:
+        tuning = DEFAULT_TUNINGS[track]
+        string, fret = fields["string"], fields["fret"]
+        if string > len(tuning):
+            raise StructureError(
+                f"token {index}: string {string} does not exist on {track} ({len(tuning)} strings)")
+        midi = tuning[string - 1] + fret
+        if midi > 127:
+            raise StructureError(f"token {index}: pitch {midi} above midi range")
+        note = (track, string, fret, midi)
+    if len(_NOTES) < TOKEN_CACHE_SIZE:
+        _NOTES[tok.raw] = note
+    return note
+
+
 def tokens_to_score(stream: list[Token]) -> Score:
     """Decode a token stream into a :class:`Score`.
 
@@ -161,14 +197,36 @@ def tokens_to_score(stream: list[Token]) -> Score:
     for i, tok in enumerate(stream):
         if ended:
             raise StructureError(f"token {i} ({tok.raw!r}) after end")
+        # branches in order of frequency
         cat = tok.category
-        if cat is TokenCategory.STRUCTURE:
+        if cat is _NOTE:
+            if not in_measure:
+                raise StructureError(f"token {i}: note {tok.raw!r} before first new_measure")
+            if cursor > pending_onset and pending:
+                close_pending(cursor)
+            if not pending:
+                pending_onset = cursor
+            note = _NOTES.get(tok.raw) or _decode_note(tok, i)
+            pending.append((*note, []))
+        elif cat is _WAIT:
+            if not in_measure:
+                raise StructureError(f"token {i}: wait before first new_measure")
+            cursor += tok.fields["ticks"]
+        elif cat is _STRUCTURE:
             if in_measure:
                 close_measure()
             in_measure = True
             measure_tempo = running_tempo
             measure_ts = running_ts
-        elif cat is TokenCategory.HEADER:
+        elif cat is _EFFECT:
+            if pending:
+                pending[-1][4].append(tok.fields["name"])
+            # effects without a preceding note are tolerated and dropped
+        elif cat is _BAR_CONTROL:
+            if not in_measure:
+                raise StructureError(f"token {i}: bar control {tok.raw!r} before first measure")
+            bar_controls.append(tok)
+        elif cat is _HEADER:
             key = tok.fields.get("key")
             if key == "end":
                 ended = True
@@ -187,42 +245,10 @@ def tokens_to_score(stream: list[Token]) -> Score:
             elif key == "start":
                 if in_measure:
                     raise StructureError(f"token {i}: start token after first measure")
-        elif cat is TokenCategory.SONG_CONTROL:
+        elif cat is _SONG_CONTROL:
             if in_measure:
                 raise StructureError(f"token {i}: song control {tok.raw!r} after first measure")
             song_controls.append(tok)
-        elif cat is TokenCategory.BAR_CONTROL:
-            if not in_measure:
-                raise StructureError(f"token {i}: bar control {tok.raw!r} before first measure")
-            bar_controls.append(tok)
-        elif cat is TokenCategory.NOTE:
-            if not in_measure:
-                raise StructureError(f"token {i}: note {tok.raw!r} before first new_measure")
-            if cursor > pending_onset and pending:
-                close_pending(cursor)
-            if not pending:
-                pending_onset = cursor
-            track = tok.fields["track"]
-            if track == "drums":
-                pending.append(("drums", None, None, tok.fields["midi"], []))
-            else:
-                tuning = DEFAULT_TUNINGS[track]
-                string = tok.fields["string"]
-                if string > len(tuning):
-                    raise StructureError(
-                        f"token {i}: string {string} does not exist on {track} ({len(tuning)} strings)")
-                midi = tuning[string - 1] + tok.fields["fret"]
-                if midi > 127:
-                    raise StructureError(f"token {i}: pitch {midi} above midi range")
-                pending.append((track, string, tok.fields["fret"], midi, []))
-        elif cat is TokenCategory.WAIT:
-            if not in_measure:
-                raise StructureError(f"token {i}: wait before first new_measure")
-            cursor += tok.fields["ticks"]
-        elif cat is TokenCategory.EFFECT:
-            if pending:
-                pending[-1][4].append(tok.fields["name"])
-            # effects without a preceding note are tolerated and dropped
 
     if in_measure:
         close_measure()

@@ -1,6 +1,7 @@
 """Token grammar for the tablature text format.
 
-A stream is a sequence of whitespace/newline separated ASCII tokens.
+A stream is a sequence of whitespace/newline separated ASCII tokens;
+every number in a token is written in ASCII digits.
 The grammar covers header tokens (``artist:<str>``, ``tempo:<int>``,
 ``time_signature:<int>``, ``start``, ``end``), song-level controls
 (``valence:high|low``, ``arousal:high|low``, ``mode:major|minor``),
@@ -8,13 +9,21 @@ the bar boundary marker ``new_measure``, bar-level tension controls
 (``cloud_diameter:q1..q4`` etc.), per-track note tokens
 (``distorted0:note:s4:f7``, ``drums:note:38``), ``wait:<ticks>`` and
 pass-through note effects (``nfx:<name>``).
+
+A corpus repeats a few hundred distinct token strings many thousand
+times, so :func:`token` classifies each distinct string once per process
+(a bounded LRU cache) and hands out one shared :class:`Token` per string;
+its ``fields`` are therefore a read-only mapping. Malformed strings are
+never cached.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 TICKS_PER_QUARTER = 960
@@ -30,7 +39,12 @@ TENSION_FEATURES = ("cloud_diameter", "cloud_momentum", "tensile_strain")
 TENSION_LEVELS = ("q1", "q2", "q3", "q4")
 
 _NFX_RE = re.compile(r"[A-Za-z0-9_.\-]+$")
-_NOTE_TAIL_RE = re.compile(r"note:s(\d+):f(\d+)$")
+_NOTE_TAIL_RE = re.compile(r"note:s([0-9]+):f([0-9]+)$")
+
+# Distinct token strings classified by :func:`token` and kept for reuse.
+TOKEN_CACHE_SIZE = 1 << 14
+
+_NO_FIELDS = MappingProxyType({})
 
 
 class TokenCategory(enum.Enum):
@@ -56,24 +70,35 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class Token:
-    """One classified token. ``raw`` round-trips exactly."""
+    """One classified token. ``raw`` round-trips exactly; ``fields`` is a
+    read-only copy of the mapping given, since :func:`token` shares one
+    instance among every occurrence of its string."""
 
     category: TokenCategory
     raw: str
-    fields: Mapping = field(default_factory=dict, compare=False, repr=False)
+    fields: Mapping = field(default_factory=lambda: _NO_FIELDS, compare=False, repr=False)
+
+    def __post_init__(self):
+        if not isinstance(self.fields, MappingProxyType):
+            object.__setattr__(self, "fields", MappingProxyType(dict(self.fields)))
 
     def render(self) -> str:
         return self.raw
 
 
 def _int_field(value: str, what: str) -> int:
-    if not value.isdigit():
+    if not (value.isascii() and value.isdigit()):
         raise ParseError(f"{what} must be a non-negative integer, got {value!r}")
     return int(value)
 
 
+@functools.lru_cache(maxsize=TOKEN_CACHE_SIZE)
 def token(raw: str) -> Token:
-    """Classify a single raw token, raising :class:`ParseError` if malformed."""
+    """Classify a single raw token, raising :class:`ParseError` if malformed.
+
+    Cached: equal strings give the same :class:`Token`; a failure is not
+    cached. ``token.__wrapped__`` is the uncached classifier.
+    """
     if raw == "new_measure":
         return Token(TokenCategory.STRUCTURE, raw)
     if raw in ("start", "end"):

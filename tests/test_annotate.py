@@ -251,6 +251,7 @@ def http_error(status):
     (http_error(503), 3),
     (requests.ConnectionError("reset"), 3),
     (requests.Timeout("slow"), 3),
+    ("<html>", 1),  # an HTTP 200 reply whose body is not JSON
 ])
 def test_fetch_annotations_retries_only_transient_errors(monkeypatch, error, calls):
     sleeps = []
@@ -263,9 +264,23 @@ def test_fetch_annotations_retries_only_transient_errors(monkeypatch, error, cal
             self.lookups += 1
             raise error
 
-    provider = Failing()
+    class Replying:
+        lookups = 0
+
+        def get(self, url, headers=None, timeout=None):
+            self.lookups += 1
+            reply = requests.Response()
+            reply.status_code = 200
+            reply._content = error.encode()
+            return reply
+
+    if isinstance(error, str):
+        session = Replying()
+        provider = HttpFeaturesProvider("https://features.test/{artist}/{title}", session=session)
+    else:
+        provider = session = Failing()
     assert fetch_annotations(provider, [("a", "t")], retries=3) == ([], [("a", "t")])
-    assert provider.lookups == calls
+    assert session.lookups == calls
     assert len(sleeps) == calls - 1
 
 

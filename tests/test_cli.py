@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from dataclasses import replace
@@ -7,7 +8,7 @@ import pytest
 from looptab import cli
 from looptab.cli import atomic_write, label_free, main
 from looptab.loops import LoopSpan, extract_loops, splice_loop
-from looptab.score import NoteEvent, score_to_tokens, tokens_to_score
+from looptab.score import NoteEvent, Score, score_to_tokens, tokens_to_score
 from looptab.tension import (
     TensionProfile,
     compute_tension_profile,
@@ -16,7 +17,7 @@ from looptab.tension import (
 )
 from looptab.tokens import parse_tokens, render_tokens
 
-from util import bar_block, score_from_blocks
+from util import bar_block, random_measure, score_from_blocks
 
 
 def write_song(directory, name, sequence, blocks, tempo):
@@ -267,6 +268,15 @@ def test_validation_error_exits_1(workspace, tmp_path, capsys):
                "--annotations", str(workspace / "annotations.csv")) == 1
     assert capsys.readouterr().err == f"error: no *.tokens files in {empty}\n" * 3
     assert list(tmp_path.iterdir()) == [empty]
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "song.tokens").write_text("start new_measure wait:0\n")
+    assert run("eval-loops", "--generations", str(bad)) == 1
+    assert run("loops", "--scores", str(bad), "--out", str(tmp_path / "o.jsonl")) == 1
+    assert run("tension", "--scores", str(bad), "--out-csv", str(tmp_path / "t.csv")) == 1
+    line = f"error: {bad / 'song.tokens'}: token 2 ('wait:0'): wait ticks must be > 0\n"
+    assert capsys.readouterr().err == line * 3
+    assert sorted(tmp_path.iterdir()) == [bad, empty]
 
 
 def test_annotate_without_source_exits_1(capsys):
@@ -357,3 +367,71 @@ def test_atomic_write_replaces_and_cleans_up(tmp_path):
 def test_label_free_strips_only_labels():
     toks = ["valence:high", "arousal:low", "mode:major", "tempo:160", "start"]
     assert label_free(toks) == ["mode:major", "tempo:160", "start"]
+
+
+def golden_songs(directory):
+    """Ten seeded songs, each with a planted repeat: bar-block songs with
+    tempo changes, and random songs with drums, effects, an artist header
+    and 3/4 or 5/4 bars. The last song has no annotation."""
+    rng = random.Random(2024)
+
+    def bars(n):
+        return [random_measure(rng, 0, rng.choice((3, 4, 4, 4, 4, 5)),
+                               rng.choice((90, 120, 160))) for _ in range(n)]
+
+    rows = ["artist,title,valence,energy,mode"]
+    for i in range(10):
+        if i % 2:
+            measures = bars(rng.randint(0, 2)) + bars(4) * rng.randint(2, 3) + bars(1)
+            score = Score(artist=rng.choice((None, "band")),
+                          header_tempo=measures[0].tempo_bpm,
+                          header_time_signature=measures[0].time_signature[0],
+                          measures=tuple(replace(m, index=j) for j, m in enumerate(measures)))
+        else:
+            blocks = {c: bar_block(rng, rng.randint(2, 8)) for c in "ABCD"}
+            loop = "".join(rng.choice("ABCD") for _ in range(rng.randint(1, 4)))
+            sequence = "".join(rng.choice("ABCD") for _ in range(rng.randint(0, 3)))
+            sequence += loop * rng.randint(2, 4) + rng.choice(("", "D", "CA"))
+            score = score_from_blocks(blocks, sequence)
+            tempi = [rng.choice((70, 96, 120, 150, 200)) for _ in score.measures]
+            score = replace(score, header_tempo=tempi[0], measures=tuple(
+                replace(m, tempo_bpm=t) for m, t in zip(score.measures, tempi)))
+        (directory / f"song{i}.tokens").write_text(render_tokens(score_to_tokens(score)) + "\n")
+        if i < 9:
+            rows.append(f"{score.artist or ''},song{i},{rng.random():.3f},{rng.random():.3f},"
+                        f"{rng.choice(('major', 'minor'))}")
+    return "\n".join(rows) + "\n"
+
+
+# sha256 over (file name, NUL, bytes) of each output, in argument order.
+SONG_PATH_GOLDEN = {
+    "corpus": "04c12fd7fccbd26fad180f843b1c8da4467aba9c7d896b43a5d5137a975b0c58",
+    "loops": "5b63dd0b369843e1796631fd7e5c92d87c17aff8262c79d59a6205eab1e9c0bc",
+    "tension": "acbd8e1b6040d6c37649e45404ba8f8c190a92b1730cde23ef204ab712cb573f",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SONG_PATH_GOLDEN))
+def test_song_path_matches_golden_hash(tmp_path, command):
+    scores = tmp_path / "scores"
+    scores.mkdir()
+    annotations = tmp_path / "annotations.csv"
+    annotations.write_text(golden_songs(scores))
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "tension":
+        files = [out / "tension.csv", out / "thresholds.json"]
+        argv = ["--out-csv", str(files[0]), "--out-thresholds", str(files[1])]
+    elif command == "loops":
+        files = [out / "loops.jsonl"]
+        argv = ["--out", str(files[0])]
+    else:
+        files = [out / "corpus.txt", out / "tension.json", out / "features.json"]
+        argv = ["--annotations", str(annotations), "--out", str(files[0]),
+                "--out-tension-thresholds", str(files[1]),
+                "--out-feature-thresholds", str(files[2])]
+    assert run(command, "--scores", str(scores), *argv) == 0
+    h = hashlib.sha256()
+    for f in files:
+        h.update(f.name.encode() + b"\0" + f.read_bytes())
+    assert h.hexdigest() == SONG_PATH_GOLDEN[command]

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from looptab import score as score_mod
 from looptab.score import (
     Measure,
     NoteEvent,
@@ -42,6 +43,23 @@ def test_note_before_measure_is_structural_error():
 def test_fret_on_nonexistent_string():
     with pytest.raises(StructureError):
         tokens_to_score(parse_tokens("start new_measure bass:note:s5:f0 wait:480"))
+
+
+def test_note_off_the_strings_fails_at_its_index_every_time():
+    for text, index in (("start new_measure bass:note:s5:f0 wait:480", 2),
+                        ("start new_measure wait:480 bass:note:s5:f0", 3)):
+        with pytest.raises(StructureError,
+                           match=rf"^token {index}: string 5 does not exist on bass"):
+            tokens_to_score(parse_tokens(text))
+    assert "bass:note:s5:f0" not in score_mod._NOTES
+
+
+def test_note_table_stops_growing_at_its_bound(monkeypatch):
+    monkeypatch.setattr(score_mod, "TOKEN_CACHE_SIZE", len(score_mod._NOTES))
+    score = tokens_to_score(parse_tokens("start new_measure clean0:note:s001:f0007 wait:480"))
+    (ev,) = score.measures[0].events
+    assert (ev.string, ev.fret, ev.midi_pitch) == (1, 7, 71)
+    assert "clean0:note:s001:f0007" not in score_mod._NOTES
 
 
 def test_durations_follow_gap_rule():

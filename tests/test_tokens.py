@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from looptab.score import Score, StructureError, tokens_to_score
 from looptab.tokens import (
     ParseError,
     Token,
@@ -117,3 +118,87 @@ def test_any_valid_stream_round_trips(raws):
 @given(valid_tokens)
 def test_single_token_render_is_identity(raw):
     assert token(raw).render() == raw
+
+
+@pytest.mark.parametrize("raw", [
+    "wait:\u00b2", "drums:note:\u00b3", "tempo:\uff11\uff12\uff10", "time_signature:\u0664",
+    "distorted0:note:s\u0663:f\u0663", "bass:note:s2:f\u0663",
+])
+def test_numbers_take_ascii_digits_only(raw):
+    with pytest.raises(ParseError) as exc:
+        parse_tokens(f"start {raw}")
+    assert (exc.value.index, exc.value.token) == (1, raw)
+
+
+def test_fields_are_read_only():
+    t = token("wait:480")
+    with pytest.raises(TypeError):
+        t.fields["ticks"] = 1
+    given = {"ticks": 480}
+    t = Token(TokenCategory.WAIT, "wait:480", given)
+    given["ticks"] = 1
+    assert t.fields == {"ticks": 480}
+    assert Token(TokenCategory.STRUCTURE, "new_measure").fields == {}
+
+
+def test_equal_strings_share_one_token():
+    a, b = parse_tokens("wait:480 wait:480")
+    assert a is b is token("wait:480")
+
+
+def test_failures_are_not_cached():
+    token.cache_clear()
+    for text, index in (("new_measure wait:0", 1), ("start new_measure wait:480 wait:0", 3)):
+        with pytest.raises(ParseError) as exc:
+            parse_tokens(text)
+        assert (exc.value.index, exc.value.token) == (index, "wait:0")
+        assert str(exc.value) == f"token {index} ('wait:0'): wait ticks must be > 0"
+    # wait:0 misses both times and is not kept; new_measure hits the second time
+    info = token.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 5, 3)
+
+
+def test_each_distinct_string_is_classified_once():
+    raws = ["new_measure", "clean0:note:s2:f5", "wait:240", "nfx:vibrato"]
+    text = " ".join(raws[i % 3 + (i % 7 == 0)] for i in range(200))
+    token.cache_clear()
+    stream = parse_tokens(text)
+    info = token.cache_info()
+    assert len(stream) == 200
+    assert (info.misses, info.hits) == (len(set(text.split())), 200 - len(set(text.split())))
+
+
+# Token text near the grammar: valid tokens, near misses and free text.
+near_tokens = st.builds(
+    "{}:{}".format,
+    st.sampled_from(("tempo", "wait", "time_signature", "drums:note", "nfx", "artist",
+                     "valence", "mode", "cloud_momentum", "leads:note", "bass:note", "frob")),
+    st.text(alphabet="0123456789sf:q-_.\u00b2\u0663\uff11abhilnorw", max_size=8))
+token_text = st.builds(
+    "{} {}".format,
+    st.sampled_from(("", "start new_measure")),
+    st.lists(st.one_of(valid_tokens, near_tokens, st.text(max_size=10)), max_size=30
+             ).map(" ".join))
+
+
+@given(token_text)
+def test_interned_parse_matches_the_uncached_classifier(text):
+    classify = token.__wrapped__
+    try:
+        stream = parse_tokens(text)
+    except ParseError as exc:
+        raws = text.split()
+        index = exc.index
+        for raw in raws[:index]:
+            classify(raw)
+        with pytest.raises(ParseError):
+            classify(raws[index])
+        assert exc.token == raws[index]
+        return
+    expected = [classify(raw) for raw in text.split()]
+    assert [(t.category, t.raw, dict(t.fields)) for t in stream] == \
+        [(t.category, t.raw, dict(t.fields)) for t in expected]
+    try:
+        assert isinstance(tokens_to_score(stream), Score)
+    except (ParseError, StructureError):
+        pass
