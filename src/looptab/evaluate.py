@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from functools import cached_property
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -51,26 +52,31 @@ def _tempo_bucket(raw: str) -> str | None:
     return TEMPO_BUCKETS[2]
 
 
-def token_features(tokens: Sequence[str], feature_names: Sequence[str],
+def token_features(tokens: Sequence[str], columns: Mapping[str, int],
                    truncate: int = TRUNCATE_TOKENS) -> np.ndarray:
-    """Normalized unigram counts plus tempo-bucket indicators.
+    """Normalized unigram counts plus tempo-bucket indicators, over the
+    feature columns ``{name: column}`` (see :func:`feature_columns`).
 
     Order-free by construction: permuting the tokens leaves the vector
     unchanged. Streams are truncated to the first ``truncate`` tokens.
     """
     window = list(tokens[:truncate])
-    index = {name: i for i, name in enumerate(feature_names)}
-    x = np.zeros(len(feature_names), dtype=float)
+    x = np.zeros(len(columns), dtype=float)
     for raw in window:
-        i = index.get(raw)
+        i = columns.get(raw)
         if i is not None:
             x[i] += 1.0
         bucket = _tempo_bucket(raw)
-        if bucket is not None and bucket in index:
-            x[index[bucket]] += 1.0
+        if bucket is not None and bucket in columns:
+            x[columns[bucket]] += 1.0
     if window:
         x /= len(window)
     return x
+
+
+def feature_columns(feature_names: Sequence[str]) -> dict[str, int]:
+    """The column of each feature name, built once per classifier."""
+    return {name: i for i, name in enumerate(feature_names)}
 
 
 @dataclass
@@ -81,8 +87,12 @@ class LinearTokenClassifier:
     truncate: int = TRUNCATE_TOKENS
     holdout_accuracy: float | None = None
 
+    @cached_property
+    def columns(self) -> dict[str, int]:
+        return feature_columns(self.feature_names)
+
     def score(self, tokens: Sequence[str]) -> float:
-        x = token_features(tokens, self.feature_names, self.truncate)
+        x = token_features(tokens, self.columns, self.truncate)
         z = float(np.dot(self.weights, x) + self.bias)
         return 1.0 / (1.0 + np.exp(-z))
 
@@ -124,7 +134,8 @@ def train_classifier(streams: Sequence[Sequence[str]], labels: Sequence[bool],
         raise ValueError("need at least 2 examples per class")
 
     names = sorted({raw for s in streams for raw in s[:config.truncate]} | set(TEMPO_BUCKETS))
-    x = np.stack([token_features(s, names, config.truncate) for s in streams])
+    columns = feature_columns(names)
+    x = np.stack([token_features(s, columns, config.truncate) for s in streams])
 
     rng = np.random.default_rng(config.seed)
     perm = rng.permutation(len(streams))

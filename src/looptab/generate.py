@@ -9,12 +9,13 @@ structurally invalid tokens are masked and one token is drawn. The masks
 and the parsed vocabulary depend only on the vocabulary, the emotion and
 the tempo bounds, so all samples of a ``generate`` run share them.
 
-The n-gram counts are plain dicts, ``context tuple -> {token: count}``,
-with the continuations of a context in order of first occurrence; the
-first lookup that backs off to a context caches its continuations as an
-index array and their probabilities. The
-model file format (``looptab-ngram`` version 1) is unchanged: contexts in
-sorted order, each with its continuations in that order. External
+The n-gram counts are compressed sparse rows of integer vocabulary ids,
+and every row's probabilities are computed once, when the model is built
+or loaded. The model file (``looptab-ngram`` version 2) stores the
+vocabulary once and the rows as five flat integer columns; a version-1
+file is rejected with a request to re-run ``train-gen``. A draw takes the
+same float operations as ``Generator.choice`` without re-checking the
+distribution, so it picks the same token for the same seed. External
 generators plug in over a line-delimited JSON stdio protocol.
 """
 
@@ -48,6 +49,10 @@ CONTROL_VOCAB = (
     "cloud_momentum:q1", "cloud_momentum:q2", "cloud_momentum:q3", "cloud_momentum:q4",
     "tensile_strain:q1", "tensile_strain:q2", "tensile_strain:q3", "tensile_strain:q4",
 )
+
+
+# The n-gram counts as compressed sparse rows (see NGramModel).
+COLUMNS = ("context_lengths", "context_tokens", "row_ptr", "tokens", "counts")
 
 
 class SamplingError(RuntimeError):
@@ -117,14 +122,15 @@ class NGramModel:
     order k-1 supplies counts; add-alpha smoothing keeps every vocabulary
     token's probability positive.
 
-    ``counts`` maps a context tuple to ``{token: count}``. The first lookup
-    that backs off to a context turns its counts into an index array and
-    the matching probabilities, kept for every later lookup, so ``counts``
-    must not change once sampled from.
+    The counts are compressed sparse rows over vocabulary ids, one row per
+    context: context ``r`` is the next ``context_lengths[r]`` ids of
+    ``context_tokens``, and its continuations are
+    ``tokens[row_ptr[r]:row_ptr[r + 1]]`` with their ``counts``. Every
+    row's probabilities are computed once, here; the arrays are read-only.
     """
 
     def __init__(self, order: int, alpha: float, vocabulary: list[str],
-                 counts: dict[tuple[str, ...], dict[str, int]]):
+                 context_lengths, context_tokens, row_ptr, tokens, counts):
         if order < 2:
             raise ValueError("order must be >= 2")
         if alpha <= 0:
@@ -133,34 +139,67 @@ class NGramModel:
         self.alpha = alpha
         self.vocabulary = list(vocabulary)
         self.index = {t: i for i, t in enumerate(self.vocabulary)}
-        self.counts = counts
-        self._tables: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray, float]] = {}
+        for name, column in zip(COLUMNS, (context_lengths, context_tokens, row_ptr, tokens, counts)):
+            column = np.array(column, dtype=np.int64)
+            column.setflags(write=False)
+            setattr(self, name, column)
+        self._check_columns()
+        self._rows = self._context_rows()
+        if len(self._rows) != len(self.context_lengths):
+            raise ValueError("a context appears twice")
+        self._bounds = self.row_ptr.tolist()
 
-    def _table(self, ctx: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, float]:
-        """(indices of the continuations of ``ctx``, their probabilities,
-        the probability of every other token).
+        # (alpha + n) / denominator and alpha / denominator are the very floats
+        # that filling with alpha, adding the counts and dividing would give.
+        # The row sums are exact integers.
+        v = len(self.vocabulary)
+        cumulative = np.concatenate(([0], np.cumsum(self.counts)))
+        denominators = cumulative[self.row_ptr[1:]] - cumulative[self.row_ptr[:-1]] + alpha * v
+        self._seen = (alpha + self.counts) / np.repeat(denominators, np.diff(self.row_ptr))
+        self._unseen = (alpha / denominators).tolist()
+        self._uniform = alpha / (alpha * v)  # no row, not even the empty context's
 
-        ``(alpha + n) / denominator`` and ``alpha / denominator`` are the
-        very floats that filling with alpha, adding the counts and dividing
-        would give.
-        """
-        counter = self.counts.get(ctx, {})
-        denominator = sum(counter.values()) + self.alpha * len(self.vocabulary)
-        indices = np.fromiter(map(self.index.__getitem__, counter), dtype=np.intp,
-                              count=len(counter))
-        counts = np.fromiter(counter.values(), dtype=float, count=len(counter))
-        return indices, (self.alpha + counts) / denominator, self.alpha / denominator
+    def _check_columns(self) -> None:
+        lengths, row_ptr, counts = self.context_lengths, self.row_ptr, self.counts
+        v = len(self.vocabulary)
+        if len(self.tokens) != len(counts) or len(row_ptr) != len(lengths) + 1:
+            raise ValueError("column lengths disagree: need len(tokens) == len(counts) "
+                             "and one more row_ptr than context_lengths")
+        if row_ptr[0] != 0 or row_ptr[-1] != len(counts) or np.any(np.diff(row_ptr) <= 0):
+            raise ValueError("row_ptr must start at 0, strictly increase and end at len(tokens)")
+        if np.any(counts < 1):
+            raise ValueError("counts must be >= 1")
+        for ids in (self.context_tokens, self.tokens):
+            if np.any((ids < 0) | (ids >= v)):
+                raise ValueError(f"token ids must lie in [0, {v})")
+        if np.any((lengths < 0) | (lengths >= self.order)) or lengths.sum() != len(self.context_tokens):
+            raise ValueError(f"context lengths must lie in [0, {self.order - 1}] "
+                             "and sum to len(context_tokens)")
+
+    def _context_rows(self) -> dict[tuple[str, ...], int]:
+        """``{context: row}``, built one context length at a time."""
+        lengths = self.context_lengths
+        starts = np.cumsum(lengths) - lengths
+        words = np.array(self.vocabulary, dtype=object)
+        rows = {}
+        for n in range(self.order):
+            (members,) = np.nonzero(lengths == n)
+            ids = [self.context_tokens[starts[members] + j] for j in range(n)]
+            keys = zip(*(words[column].tolist() for column in ids)) if n else [()] * len(members)
+            rows.update(zip(keys, members.tolist()))
+        return rows
 
     def next_token_distribution(self, context: Sequence[str]) -> np.ndarray:
         ctx = tuple(context[-(self.order - 1):])
-        while ctx and ctx not in self.counts:
+        rows = self._rows
+        while ctx and ctx not in rows:
             ctx = ctx[1:]
-        table = self._tables.get(ctx)
-        if table is None:
-            table = self._tables[ctx] = self._table(ctx)
-        indices, seen, unseen = table
-        probs = np.full(len(self.vocabulary), unseen)
-        probs[indices] = seen
+        row = rows.get(ctx)
+        if row is None:
+            return np.full(len(self.vocabulary), self._uniform)
+        start, stop = self._bounds[row], self._bounds[row + 1]
+        probs = np.full(len(self.vocabulary), self._unseen[row])
+        probs[self.tokens[start:stop]] = self._seen[start:stop]
         return probs
 
 
@@ -169,7 +208,8 @@ def train_generator(corpus_lines: Sequence[str], order: int = 4, alpha: float = 
 
     Every line is terminated with ``end`` before counting; the vocabulary
     is the corpus tokens plus all control tokens and ``end``. Each n-gram
-    length is counted in one pass over every line; the continuations of a
+    length is counted in one pass over every line. Contexts are rows in
+    order of length, then of first occurrence; the continuations of a
     context keep the order of their first occurrence.
     """
     sequences = [line.split() for line in corpus_lines if line.strip()]
@@ -183,25 +223,42 @@ def train_generator(corpus_lines: Sequence[str], order: int = 4, alpha: float = 
         vocab.update(seq)
         for n, counter in enumerate(grams, 1):
             counter.update(zip(*(seq[i:] for i in range(n))))
-    counts: dict[tuple[str, ...], dict[str, int]] = {}
-    for counter in grams:
-        for gram, n in counter.items():
-            counts.setdefault(gram[:-1], {})[gram[-1]] = n
-    return NGramModel(order, alpha, sorted(vocab), counts)
+    del sequences
+    vocabulary = sorted(vocab)
+    index = {t: i for i, t in enumerate(vocabulary)}
+    # Streamed into arrays, and the counters dropped before the model is
+    # built, so that no two copies of the counts are alive at once.
+    size = sum(map(len, grams))
+    rows: dict[tuple[str, ...], int] = {}  # context -> row, in order of first occurrence
+    gram_rows = np.fromiter((rows.setdefault(gram[:-1], len(rows))
+                             for counter in grams for gram in counter), np.int64, size)
+    tokens = np.fromiter((index[gram[-1]] for counter in grams for gram in counter), np.int64, size)
+    counts = np.fromiter((n for counter in grams for n in counter.values()), np.int64, size)
+    del grams
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    context_tokens = np.fromiter((index[t] for ctx in rows for t in ctx), np.int64,
+                                 int(lengths.sum()))
+    del rows
+    by_row = np.argsort(gram_rows, kind="stable")
+    return NGramModel(order, alpha, vocabulary, lengths, context_tokens,
+                      np.concatenate(([0], np.cumsum(np.bincount(gram_rows)))),
+                      tokens[by_row], counts[by_row])
 
 
-def mask_tempo(distribution: np.ndarray, admissible: np.ndarray) -> np.ndarray:
-    """Zero the tokens outside the boolean ``admissible`` vector (the
-    inadmissible tempi) and renormalize.
+def mask_tempo(distribution: np.ndarray, admissible: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Zero the tokens outside the ``admissible`` vector (the inadmissible
+    tempi; boolean or 0/1 floats) and renormalize, into ``out`` if given.
 
     Relative probabilities of the remaining tokens are untouched. If the
     entire mass sat on inadmissible tempi, sampling cannot continue.
     """
-    masked = np.where(admissible, distribution, 0.0)
+    masked = np.multiply(distribution, admissible, out=out)
     total = masked.sum()
     if total <= 0.0:
         raise SamplingError("the model puts all its mass on inadmissible tempi")
-    return masked / total
+    masked /= total
+    return masked
 
 
 _PRE_MEASURE_BLOCKED = (TokenCategory.NOTE, TokenCategory.WAIT,
@@ -211,7 +268,8 @@ _PRE_MEASURE_BLOCKED = (TokenCategory.NOTE, TokenCategory.WAIT,
 @lru_cache(maxsize=8)
 def _sampling_tables(vocab: tuple[str, ...], emotion: str, tempo_upper: int, tempo_lower: int):
     """The vocabulary's parsed tokens, the tempo-admissible vector and the
-    two structural masks (before and after the first ``new_measure``).
+    two structural masks (before and after the first ``new_measure``), the
+    masks as read-only 0/1 floats.
 
     They depend on nothing else, so every sample of a ``generate`` run
     shares them.
@@ -221,16 +279,43 @@ def _sampling_tables(vocab: tuple[str, ...], emotion: str, tempo_upper: int, tem
                                  tempo_lower=tempo_lower)
     admissible = np.array([t.fields.get("key") != "tempo"
                            or bounds.tempo_admissible(t.fields["value"])
-                           for t in tokens], dtype=bool)
+                           for t in tokens], dtype=float)
     structural = (  # indexed by seen_measure
-        np.array([t.category not in _PRE_MEASURE_BLOCKED for t in tokens], dtype=bool),
+        np.array([t.category not in _PRE_MEASURE_BLOCKED for t in tokens], dtype=float),
         np.array([t.category is not TokenCategory.SONG_CONTROL
                   and t.fields.get("key") not in ("start", "artist")
-                  for t in tokens], dtype=bool),
+                  for t in tokens], dtype=float),
     )
     for mask in (admissible, *structural):
         mask.setflags(write=False)
     return tokens, frozenset(vocab), admissible, structural
+
+
+def _sharpen(probs: np.ndarray, inverse_temperature: float, out: np.ndarray) -> np.ndarray:
+    """``probs ** inverse_temperature``, renormalized, into ``out``.
+
+    At a tiny temperature every power can underflow to zero; only then are
+    the powers taken of ``probs / probs.max()``, whose largest entry is 1.
+    """
+    np.power(probs, inverse_temperature, out=out)
+    total = out.sum()
+    if not 0.0 < total < math.inf:
+        np.divide(probs, probs.max(), out=out)
+        out **= inverse_temperature
+        total = out.sum()
+    out /= total
+    return out
+
+
+def _draw(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """The index ``rng.choice(len(probs), p=probs)`` draws, by the same
+    float operations (a cumulative sum divided by its last entry, searched
+    with one ``rng.random()``) but without its checks of ``probs``, which
+    is overwritten. ``np.add.accumulate`` is ``cumsum`` without its
+    wrappers."""
+    np.add.accumulate(probs, out=probs)
+    probs /= probs[-1]
+    return int(probs.searchsorted(rng.random(), side="right"))
 
 
 def sample_sequence(model: GeneratorModel, prompt: Sequence[Token],
@@ -242,7 +327,8 @@ def sample_sequence(model: GeneratorModel, prompt: Sequence[Token],
     never carries a tempo violating the emotion constraint. Each step
     renormalizes the model's distribution over the admissible tempi, then
     over the structurally valid tokens (no events before the first bar, no
-    song-level tokens after it), and draws once.
+    song-level tokens after it), and draws once, in two buffers reused by
+    every step.
     """
     vocab = model.vocabulary
     vocab_tokens, vocab_set, admissible, structural = _sampling_tables(
@@ -255,23 +341,22 @@ def sample_sequence(model: GeneratorModel, prompt: Sequence[Token],
     out = [t.raw for t in prompt]
     bars = sum(1 for t in prompt if t.category is TokenCategory.STRUCTURE)
     seen_measure = bars > 0
+    probs, sharpened = np.empty(len(vocab)), np.empty(len(vocab))
 
     while len(out) < constraints.max_tokens:
-        probs = np.asarray(model.next_token_distribution(out), dtype=float)
-        probs = mask_tempo(probs, admissible)
-        probs = np.where(structural[seen_measure], probs, 0.0)
+        mask_tempo(model.next_token_distribution(out), admissible, out=probs)
+        probs *= structural[seen_measure]
         total = probs.sum()
         if total <= 0.0:
             break
-        probs = probs / total
+        probs /= total
 
         if constraints.temperature < 1e-6:
             choice = int(np.argmax(probs))
+        elif constraints.temperature == 1.0:
+            choice = _draw(probs, rng)
         else:
-            if constraints.temperature != 1.0:
-                probs = probs ** (1.0 / constraints.temperature)
-                probs /= probs.sum()
-            choice = int(rng.choice(len(vocab), p=probs))
+            choice = _draw(_sharpen(probs, 1.0 / constraints.temperature, sharpened), rng)
         raw = vocab[choice]
         out.append(raw)
         stream.append(vocab_tokens[choice])
@@ -289,72 +374,49 @@ def sample_sequence(model: GeneratorModel, prompt: Sequence[Token],
 # Model persistence: versioned JSON document.
 
 MODEL_FORMAT = "looptab-ngram"
-MODEL_VERSION = 1
-MODEL_KEYS = ("format", "version", "order", "alpha", "vocabulary", "counts")
-SAVE_BATCH = 1024  # contexts per json.dumps call
+MODEL_VERSION = 2
+MODEL_KEYS = ("format", "version", "order", "alpha", "vocabulary") + COLUMNS
 
 
 def save_model(model: NGramModel, path) -> None:
-    """Write the model document in sorted context order, a batch of
-    contexts at a time, replacing ``path`` only once the whole document is
-    written. The bytes equal ``json.dumps`` of the whole document."""
-    head = json.dumps({
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "order": model.order,
-        "alpha": model.alpha,
-        "vocabulary": model.vocabulary,
-    })
-    contexts = sorted(model.counts)
+    """Write the model document with one ``json.dumps``, replacing ``path``
+    only once the whole document is written. The encoder turns one column
+    at a time into a list, so the columns are never all lists at once."""
+    doc = {"format": MODEL_FORMAT, "version": MODEL_VERSION, "order": model.order,
+           "alpha": model.alpha, "vocabulary": model.vocabulary}
+    doc.update((name, getattr(model, name)) for name in COLUMNS)
     with atomic_open(path) as fh:
-        fh.write(head[:-1] + ', "counts": [')
-        for start in range(0, len(contexts), SAVE_BATCH):
-            batch = [[ctx, model.counts[ctx]] for ctx in contexts[start:start + SAVE_BATCH]]
-            fh.write((", " if start else "") + json.dumps(batch)[1:-1])
-        fh.write("]}")
+        fh.write(json.dumps(doc, separators=(",", ":"), default=np.ndarray.tolist))
 
 
 def load_model(path) -> NGramModel:
     """Read a model document, raising ``ValueError`` naming ``path`` if it
-    is not a well-formed looptab n-gram model."""
+    is not a well-formed version-2 looptab n-gram model."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a looptab n-gram model file")
+    if "version" in doc and doc["version"] != MODEL_VERSION:
+        raise ValueError(f"{path}: model version {doc['version']!r} is not {MODEL_VERSION}; "
+                         "re-run train-gen to rebuild the model")
     missing = [key for key in MODEL_KEYS if key not in doc]
     if missing:
         raise ValueError(f"{path}: model document lacks {', '.join(missing)}")
-    if doc["version"] != MODEL_VERSION:
-        raise ValueError(f"{path}: model version {doc['version']!r} is not {MODEL_VERSION}")
     order, alpha, vocab = doc["order"], doc["alpha"], doc["vocabulary"]
     if type(order) is not int or type(alpha) not in (int, float) or not math.isfinite(alpha):
         raise ValueError(f"{path}: order must be an integer and alpha a number")
     if (not isinstance(vocab, list) or not set(map(type, vocab)) <= {str}
             or len(set(vocab)) != len(vocab)):
         raise ValueError(f"{path}: vocabulary must be a list of distinct strings")
-    counts, used, shapes, value_types = {}, set(), set(), set()
+    columns = [doc[name] for name in COLUMNS]
+    if not all(isinstance(c, list) and set(map(type, c)) <= {int} for c in columns):
+        raise ValueError(f"{path}: {', '.join(COLUMNS)} must be lists of integers")
+    if sum(doc["counts"]) >= 2 ** 53:  # beyond, row sums are no longer exact floats
+        raise ValueError(f"{path}: counts must sum to less than 2**53")
     try:
-        if not isinstance(doc["counts"], list):
-            raise TypeError
-        for ctx, continuations in doc["counts"]:
-            shapes.add((type(ctx), type(continuations)))
-            counts[tuple(ctx)] = continuations
-            used.update(ctx)
-            used.update(continuations)
-            value_types.update(map(type, continuations.values()))
-            if min(continuations.values()) < 1:
-                raise ValueError
-        well_formed = shapes <= {(list, dict)} and value_types <= {int}
-    except (TypeError, ValueError, AttributeError):
-        well_formed = False
-    if not well_formed:
-        raise ValueError(f"{path}: counts must be a list of [context, {{token: positive int}}] pairs")
-    unknown = used - set(vocab)
-    if unknown:
-        raise ValueError(f"{path}: counts name tokens outside the vocabulary: "
-                         f"{', '.join(map(repr, sorted(unknown, key=str)[:5]))}")
-    try:
-        return NGramModel(order, alpha, vocab, counts)
+        return NGramModel(order, alpha, vocab, *columns)
+    except OverflowError:
+        raise ValueError(f"{path}: column integers must fit in 64 bits") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -38,8 +38,8 @@ NOTE_TRACKS = GUITAR_TRACKS + ("bass",)
 TENSION_FEATURES = ("cloud_diameter", "cloud_momentum", "tensile_strain")
 TENSION_LEVELS = ("q1", "q2", "q3", "q4")
 
-_NFX_RE = re.compile(r"[A-Za-z0-9_.\-]+$")
-_NOTE_TAIL_RE = re.compile(r"note:s([0-9]+):f([0-9]+)$")
+_NFX_RE = re.compile(r"[A-Za-z0-9_.\-]+")
+_NOTE_TAIL_RE = re.compile(r"note:s([0-9]+):f([0-9]+)")
 
 # Distinct token strings classified by :func:`token` and kept for reuse.
 TOKEN_CACHE_SIZE = 1 << 14
@@ -96,9 +96,12 @@ def _int_field(value: str, what: str) -> int:
 def token(raw: str) -> Token:
     """Classify a single raw token, raising :class:`ParseError` if malformed.
 
-    Cached: equal strings give the same :class:`Token`; a failure is not
-    cached. ``token.__wrapped__`` is the uncached classifier.
+    A token holds no whitespace, since streams are split on it. Cached:
+    equal strings give the same :class:`Token`; a failure is not cached.
+    ``token.__wrapped__`` is the uncached classifier.
     """
+    if raw.split() != [raw]:
+        raise ParseError(f"a token holds no whitespace, got {raw!r}")
     if raw == "new_measure":
         return Token(TokenCategory.STRUCTURE, raw)
     if raw in ("start", "end"):
@@ -136,7 +139,7 @@ def token(raw: str) -> Token:
             raise ParseError(f"{head} level must be one of {TENSION_LEVELS}, got {rest!r}")
         return Token(TokenCategory.BAR_CONTROL, raw, {"feature": head, "level": rest})
     if head == "nfx":
-        if not _NFX_RE.match(rest):
+        if not _NFX_RE.fullmatch(rest):
             raise ParseError(f"malformed effect name {rest!r}")
         return Token(TokenCategory.EFFECT, raw, {"name": rest})
     if head == "drums":
@@ -148,7 +151,7 @@ def token(raw: str) -> Token:
             raise ParseError(f"drum midi {midi} outside [0, 127]")
         return Token(TokenCategory.NOTE, raw, {"track": "drums", "midi": midi})
     if head in NOTE_TRACKS:
-        m = _NOTE_TAIL_RE.match(rest)
+        m = _NOTE_TAIL_RE.fullmatch(rest)
         if not m:
             raise ParseError(f"malformed note token {raw!r}")
         string, fret = int(m.group(1)), int(m.group(2))

@@ -8,6 +8,7 @@ from looptab.evaluate import (
     LinearTokenClassifier,
     SurveyError,
     emotion_metrics,
+    feature_columns,
     likert_to_signed,
     load_survey_csv,
     loop_metric,
@@ -40,32 +41,46 @@ class FixedModel:
 
 def test_token_features_counts_and_normalizes():
     names = ["a", "b", "tempo_fast"]
-    x = token_features(["a", "a", "b", "tempo:160"], names)
+    x = token_features(["a", "a", "b", "tempo:160"], feature_columns(names))
     assert np.allclose(x, [2 / 4, 1 / 4, 1 / 4])
 
 
 def test_token_features_permutation_invariant():
     rng = random.Random(1)
     tokens = ["a"] * 3 + ["b"] * 5 + ["tempo:90"] * 2
-    names = ["a", "b", "tempo_slow", "tempo_mid"]
-    base = token_features(tokens, names)
+    columns = feature_columns(["a", "b", "tempo_slow", "tempo_mid"])
+    base = token_features(tokens, columns)
     rng.shuffle(tokens)
-    assert np.array_equal(token_features(tokens, names), base)
+    assert np.array_equal(token_features(tokens, columns), base)
 
 
 def test_token_features_truncation():
-    names = ["a", "b"]
+    columns = feature_columns(["a", "b"])
     tokens = ["a"] * 10 + ["b"] * 10
-    x = token_features(tokens, names, truncate=10)
+    x = token_features(tokens, columns, truncate=10)
     assert np.allclose(x, [1.0, 0.0])
 
 
 def test_tempo_buckets():
-    names = ["tempo_slow", "tempo_mid", "tempo_fast"]
-    assert np.argmax(token_features(["tempo:99"], names)) == 0
-    assert np.argmax(token_features(["tempo:100"], names)) == 1
-    assert np.argmax(token_features(["tempo:149"], names)) == 1
-    assert np.argmax(token_features(["tempo:150"], names)) == 2
+    columns = feature_columns(["tempo_slow", "tempo_mid", "tempo_fast"])
+    assert np.argmax(token_features(["tempo:99"], columns)) == 0
+    assert np.argmax(token_features(["tempo:100"], columns)) == 1
+    assert np.argmax(token_features(["tempo:149"], columns)) == 1
+    assert np.argmax(token_features(["tempo:150"], columns)) == 2
+
+
+def test_classifier_builds_its_columns_once(monkeypatch):
+    rng = random.Random(7)
+    clf = train_classifier(synth_streams(rng, 10, ["a", "b"], 160)
+                           + synth_streams(rng, 10, ["x", "y"], 80), [True] * 10 + [False] * 10)
+    built = []
+    real = feature_columns
+    monkeypatch.setattr("looptab.evaluate.feature_columns",
+                        lambda names: built.append(names) or real(names))
+    for s in synth_streams(rng, 5, ["a", "x"], 120):
+        clf.score(s)
+    assert len(built) == 1
+    assert clf.columns == {name: i for i, name in enumerate(clf.feature_names)}
 
 
 # classifier ------------------------------------------------------------------

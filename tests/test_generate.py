@@ -1,15 +1,18 @@
+import contextlib
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import looptab
+from looptab import generate
 from looptab.cli import main
 from looptab.generate import (
     CONTROL_VOCAB,
@@ -130,69 +133,115 @@ def test_load_model_rejects_foreign_json(tmp_path):
 
 
 def model_doc(**changes):
-    doc = {"format": "looptab-ngram", "version": 1, "order": 2, "alpha": 0.01,
+    # contexts (), ("a",), ("b",); vocabulary ids a=0, b=1, end=2
+    doc = {"format": "looptab-ngram", "version": 2, "order": 2, "alpha": 0.01,
            "vocabulary": ["a", "b", "end"],
-           "counts": [[[], {"a": 2, "b": 1}], [["a"], {"b": 2}], [["b"], {"end": 1}]]}
+           "context_lengths": [0, 1, 1], "context_tokens": [0, 1],
+           "row_ptr": [0, 2, 3, 4], "tokens": [0, 1, 1, 2], "counts": [2, 1, 2, 1]}
     doc.update(changes)
     return {k: v for k, v in doc.items() if v is not None}
 
 
-MALFORMED_MODELS = {
-    "header_only": {"format": "looptab-ngram", "version": 1},
-    "no_counts": model_doc(counts=None),
-    "no_vocabulary": model_doc(vocabulary=None),
-    "no_order": model_doc(order=None),
-    "no_alpha": model_doc(alpha=None),
-    "not_an_object": ["looptab-ngram"],
-    "newer_version": model_doc(version=2),
-    "order_text": model_doc(order="4"),
-    "alpha_text": model_doc(alpha="0.01"),
-    "vocabulary_not_list": model_doc(vocabulary="a b end"),
-    "vocabulary_not_text": model_doc(vocabulary=["a", "b", "end", 7]),
-    "vocabulary_repeats": model_doc(vocabulary=["a", "b", "end", "a"]),
-    "counts_not_list": model_doc(counts={"a": {"b": 1}}),
-    "entry_not_pair": model_doc(counts=[[[], {"a": 1}, "extra"]]),
-    "entry_text": model_doc(counts=["ab"]),
-    "context_not_list": model_doc(counts=[["a", {"b": 1}]]),
-    "context_object": model_doc(counts=[[{"a": 1}, {"b": 1}]]),
-    "order_one": model_doc(order=1),
-    "continuation_not_object": model_doc(counts=[[["a"], ["b", 1]]]),
-    "continuation_empty": model_doc(counts=[[["a"], {}]]),
-    "count_zero": model_doc(counts=[[["a"], {"b": 0}]]),
-    "count_negative": model_doc(counts=[[["a"], {"b": -1}]]),
-    "count_fraction": model_doc(counts=[[["a"], {"b": 1.5}]]),
-    "count_boolean": model_doc(counts=[[["a"], {"b": True}]]),
-    "count_text": model_doc(counts=[[["a"], {"b": "1"}]]),
-    "context_token_unknown": model_doc(counts=[[["zzz"], {"b": 1}]]),
-    "context_token_not_text": model_doc(counts=[[[1], {"b": 1}]]),
-    "continuation_unknown": model_doc(counts=[[[], {"a": 1}], [["a"], {"zzz": 3}]]),
+MALFORMED_MODELS = {  # name: (document, the reason the error line gives)
+    "header_only": ({"format": "looptab-ngram", "version": 2}, "lacks order"),
+    "no_counts": (model_doc(counts=None), "lacks counts"),
+    "no_row_ptr": (model_doc(row_ptr=None), "lacks row_ptr"),
+    "no_vocabulary": (model_doc(vocabulary=None), "lacks vocabulary"),
+    "no_order": (model_doc(order=None), "lacks order"),
+    "no_alpha": (model_doc(alpha=None), "lacks alpha"),
+    "not_an_object": (["looptab-ngram"], "not a looptab n-gram model"),
+    "newer_version": (model_doc(version=3), "version 3 is not 2"),
+    "order_text": (model_doc(order="4"), "order must be an integer"),
+    "alpha_text": (model_doc(alpha="0.01"), "alpha a number"),
+    "vocabulary_not_list": (model_doc(vocabulary="a b end"), "vocabulary must be"),
+    "vocabulary_not_text": (model_doc(vocabulary=["a", "b", "end", 7]), "vocabulary must be"),
+    "vocabulary_repeats": (model_doc(vocabulary=["a", "b", "end", "a"]), "vocabulary must be"),
+    "counts_not_list": (model_doc(counts={"a": 2}), "must be lists of integers"),
+    "context_not_list": (model_doc(context_tokens="a b"), "must be lists of integers"),
+    "context_object": (model_doc(context_lengths={"a": 1}), "must be lists of integers"),
+    "order_one": (model_doc(order=1), "order must be >= 2"),
+    "count_zero": (model_doc(counts=[2, 0, 2, 1]), "counts must be >= 1"),
+    "count_negative": (model_doc(counts=[2, -1, 2, 1]), "counts must be >= 1"),
+    "count_fraction": (model_doc(counts=[2, 1.5, 2, 1]), "must be lists of integers"),
+    "count_boolean": (model_doc(counts=[2, True, 2, 1]), "must be lists of integers"),
+    "count_text": (model_doc(counts=[2, "1", 2, 1]), "must be lists of integers"),
+    "count_huge": (model_doc(counts=[2, 2 ** 53, 2, 1]), "less than 2\\*\\*53"),
+    "count_past_64_bits": (model_doc(counts=[2, 1, 2 ** 64, -(2 ** 64)]), "fit in 64 bits"),
+    "context_token_unknown": (model_doc(context_tokens=[0, 3]), "ids must lie in"),
+    "context_token_negative": (model_doc(context_tokens=[0, -1]), "ids must lie in"),
+    "context_token_text": (model_doc(context_tokens=[0, "b"]), "must be lists of integers"),
+    "continuation_unknown": (model_doc(tokens=[0, 1, 1, 3]), "ids must lie in"),
+    "token_id_text": (model_doc(tokens=["a", "b", "b", "end"]), "must be lists of integers"),
+    "continuation_empty": (model_doc(row_ptr=[0, 2, 2, 4]), "strictly increase"),
+    "row_ptr_decreasing": (model_doc(row_ptr=[0, 3, 2, 4]), "strictly increase"),
+    "row_ptr_not_from_zero": (model_doc(row_ptr=[1, 2, 3, 4]), "start at 0"),
+    "row_ptr_short_of_tokens": (model_doc(row_ptr=[0, 2, 3, 3]), "end at len"),
+    "row_ptr_missing_a_row": (model_doc(row_ptr=[0, 2, 4]), "column lengths disagree"),
+    "length_mismatch": (model_doc(counts=[2, 1, 2]), "column lengths disagree"),
+    "context_lengths_sum": (model_doc(context_lengths=[0, 1, 2]), "sum to len"),
+    "context_duplicate": (model_doc(context_tokens=[0, 0]), "appears twice"),
+    "context_too_long": (model_doc(context_lengths=[0, 1, 2], context_tokens=[0, 0, 1]),
+                         r"lie in \[0, 1\]"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_MODELS))
-def test_load_model_rejects_malformed_document(tmp_path, name):
+def test_load_model_rejects_malformed_document(tmp_path, capsys, name):
+    doc, reason = MALFORMED_MODELS[name]
     path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(MALFORMED_MODELS[name]))
-    with pytest.raises(ValueError, match=name):
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"{name}.json: .*{reason}"):
         load_model(path)
+    assert main(["generate", "--model", str(path), "--emotion", "happy",
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 def test_load_model_accepts_the_well_formed_document(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model_doc()))
     model = load_model(path)
-    assert model.counts[("a",)] == {"b": 2}
+    v = 3
+    assert model.vocabulary == ["a", "b", "end"]
+    np.testing.assert_array_equal(model.next_token_distribution(["a"]),
+                                  [0.01 / (2 + 0.01 * v), 2.01 / (2 + 0.01 * v),
+                                   0.01 / (2 + 0.01 * v)])
+    np.testing.assert_array_equal(model.next_token_distribution(["end"]),
+                                  [2.01 / (3 + 0.01 * v), 1.01 / (3 + 0.01 * v),
+                                   0.01 / (3 + 0.01 * v)])
+
+
+def test_model_without_the_empty_context_backs_off_to_uniform(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_doc(context_lengths=[1, 1], context_tokens=[0, 1],
+                                         row_ptr=[0, 1, 2], tokens=[1, 2], counts=[2, 1])))
+    model = load_model(path)
+    np.testing.assert_array_equal(model.next_token_distribution(["end"]),
+                                  np.full(3, 0.01 / (0 + 0.01 * 3)))
+    assert model.next_token_distribution(["a"])[1] == 2.01 / (2 + 0.01 * 3)
+
+
+def test_version_1_model_is_rejected_with_a_request_to_retrain(tmp_path, capsys):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"format": "looptab-ngram", "version": 1, "order": 2,
+                                "alpha": 0.01, "vocabulary": ["a", "end"],
+                                "counts": [[[], {"a": 1, "end": 1}]]}))
+    assert main(["generate", "--model", str(path), "--emotion", "happy",
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {path}: model version 1 ") and "re-run train-gen" in err
 
 
 def test_generate_with_malformed_model_exits_1(tmp_path, capsys):
     header_only = tmp_path / "header_only.json"
-    header_only.write_text(json.dumps(MALFORMED_MODELS["header_only"]))
-    # a trained model whose counts name a token outside its vocabulary
+    header_only.write_text(json.dumps(MALFORMED_MODELS["header_only"][0]))
+    # a trained model whose last continuation is a token outside its vocabulary
     unknown = tmp_path / "unknown_token.json"
     save_model(train_generator(CORPUS), unknown)
     doc = json.loads(unknown.read_text())
-    for ctx, continuations in doc["counts"]:
-        continuations["zzz"] = 1
+    doc["tokens"][-1] = len(doc["vocabulary"])
     unknown.write_text(json.dumps(doc))
     for path in (header_only, unknown):
         assert main(["generate", "--model", str(path), "--emotion", "happy",
@@ -303,6 +352,68 @@ def test_prompt_must_be_in_vocabulary():
     from looptab.tokens import token
     with pytest.raises(ValueError, match="vocabulary"):
         sample_sequence(model, [token("artist:nobody")], SamplingConstraints())
+
+
+def random_distributions(rng, count):
+    """Vectors with exact zeros and masses down to ~1e-300, summing to 1."""
+    for _ in range(count):
+        v = int(rng.integers(1, 900))
+        p = rng.random(v) ** rng.choice([1, 8, 60])
+        p[rng.random(v) < 0.3] = 0.0
+        p[rng.random(v) < 0.05] *= 1e-300
+        if p.sum() <= 0.0:
+            p[int(rng.integers(v))] = 1.0
+        yield p / p.sum()
+
+
+@pytest.mark.parametrize("temperature", [0.7, 1.0, 1.5])
+def test_in_place_draw_equals_generator_choice(temperature):
+    rng = np.random.default_rng(11)
+    for p in random_distributions(rng, 400):
+        seed = int(rng.integers(1 << 32))
+        reference, mine = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            q = p
+            if temperature != 1.0:  # the draw before it was done in place
+                q = p ** (1.0 / temperature)
+                q /= q.sum()
+            expected = int(reference.choice(len(q), p=q))
+            buf = p.copy()
+            if temperature != 1.0:
+                buf = generate._sharpen(buf, 1.0 / temperature, np.empty_like(buf))
+            assert generate._draw(buf, mine) == expected
+
+
+class FixedUniform:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_draw_never_lands_on_a_token_without_mass():
+    # a uniform number equal to a cumulative sum moves past the tokens
+    # without mass, as in Generator.choice
+    assert generate._draw(np.array([0.0, 0.0, 1.0]), FixedUniform(0.0)) == 2
+    assert generate._draw(np.array([0.5, 0.0, 0.5]), FixedUniform(0.5)) == 2
+
+
+def test_tiny_temperature_draws_a_most_likely_token(corpus_model, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["generate", "--model", str(corpus_model), "--emotion", "sad",
+                     "--count", "3", "--temperature", "0.00001",
+                     "--out-dir", str(tmp_path)]) == 0
+    model = load_model(corpus_model)
+    _, _, admissible, structural = generate._sampling_tables(
+        tuple(model.vocabulary), "sad", HAPPY_TEMPO_MIN, SAD_TEMPO_MAX)
+    for f in sorted(tmp_path.glob("*.tokens")):
+        raws = f.read_text().split()
+        for i in range(len(build_prompt("sad")), len(raws)):
+            p = mask_tempo(model.next_token_distribution(raws[:i]), admissible)
+            p = p * structural["new_measure" in raws[:i]]
+            assert p[model.index[raws[i]]] == p.max(), (f.name, i, raws[i])
 
 
 # golden CLI outputs ------------------------------------------------------------
@@ -510,13 +621,24 @@ def test_generate_count_parses_the_vocabulary_once(tmp_path, monkeypatch):
                 == (single / "gen_0000.tokens").read_bytes())
 
 
-def test_failed_model_save_keeps_the_previous_file(tmp_path):
+def test_failed_model_save_keeps_the_previous_file(tmp_path, monkeypatch):
     model = train_generator(CORPUS)
     path = tmp_path / "model.json"
     save_model(model, path)
     before = path.read_bytes()
-    model.counts[("~last",)] = {"end": object()}  # sorts last; not serializable
-    with pytest.raises(TypeError):
-        save_model(model, path)
+    real_open = looptab.generate.atomic_open
+
+    @contextlib.contextmanager
+    def disk_full_halfway(target):
+        with real_open(target) as fh:
+            class Half:
+                def write(self, text):
+                    fh.write(text[:len(text) // 2])
+                    raise OSError(28, "No space left on device")
+            yield Half()
+
+    monkeypatch.setattr(looptab.generate, "atomic_open", disk_full_halfway)
+    with pytest.raises(OSError):
+        save_model(train_generator(CORPUS[:1]), path)
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]

@@ -1,5 +1,5 @@
 """The n-gram model against the code it replaced: the nested counting
-loop, ``json.dumps`` of the whole document and the per-token ``Counter``
+loop, the document built from those counts and the per-token ``Counter``
 loop of ``next_token_distribution``."""
 
 import json
@@ -8,12 +8,11 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from looptab import generate
 from looptab.generate import (
+    COLUMNS,
     CONTROL_VOCAB,
     MODEL_FORMAT,
     MODEL_VERSION,
@@ -48,14 +47,37 @@ def oracle_counts(corpus_lines, order):
 
 
 def oracle_document(model, counts):
+    """Contexts by length, then first occurrence; ids index the vocabulary."""
+    index = {t: i for i, t in enumerate(model.vocabulary)}
+    rows = sorted(counts.items(), key=lambda item: len(item[0]))  # stable
+    row_ptr = [0]
+    for _, counter in rows:
+        row_ptr.append(row_ptr[-1] + len(counter))
     return json.dumps({
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "order": model.order,
         "alpha": model.alpha,
         "vocabulary": model.vocabulary,
-        "counts": [[list(ctx), dict(counter)] for ctx, counter in sorted(counts.items())],
-    })
+        "context_lengths": [len(ctx) for ctx, _ in rows],
+        "context_tokens": [index[t] for ctx, _ in rows for t in ctx],
+        "row_ptr": row_ptr,
+        "tokens": [index[t] for _, counter in rows for t in counter],
+        "counts": [n for _, counter in rows for n in counter.values()],
+    }, separators=(",", ":"))
+
+
+def model_counts(model):
+    """The model's columns as ``{context: {token: count}}``."""
+    vocab = model.vocabulary
+    ids = iter(model.context_tokens.tolist())
+    counts = {}
+    for r, n in enumerate(model.context_lengths.tolist()):
+        ctx = tuple(vocab[next(ids)] for _ in range(n))
+        span = slice(model.row_ptr[r], model.row_ptr[r + 1])
+        counts[ctx] = {vocab[t]: int(c)
+                       for t, c in zip(model.tokens[span], model.counts[span])}
+    return counts
 
 
 def oracle_distribution(model, counts, context):
@@ -84,9 +106,12 @@ def saved_bytes(model) -> bytes:
 def test_counts_equal_the_nested_loop_in_token_order(lines, order):
     model = train_generator(lines, order=order)
     expected = oracle_counts(lines, order)
-    assert model.counts.keys() == expected.keys()
+    counts = model_counts(model)
+    assert counts.keys() == expected.keys()
     for ctx, counter in expected.items():
-        assert list(model.counts[ctx].items()) == list(counter.items()), ctx
+        assert list(counts[ctx].items()) == list(counter.items()), ctx
+    for name in COLUMNS:
+        assert not getattr(model, name).flags.writeable, name
     assert model.vocabulary == sorted(set(CONTROL_VOCAB) | {"end"}
                                       | {t for line in lines for t in line.split()})
 
@@ -112,16 +137,6 @@ def test_load_then_save_round_trips_byte_identically(lines, order):
 def test_distribution_is_bit_equal_to_the_counter_loop(lines, order, alpha, queries):
     model = train_generator(lines, order=order, alpha=alpha)
     counts = oracle_counts(lines, order)
-    for context in queries + queries:  # the second pass reads the cached tables
+    for context in queries + queries:  # the second pass must not differ
         np.testing.assert_allclose(model.next_token_distribution(context),
                                    oracle_distribution(model, counts, context), rtol=0, atol=0)
-
-
-@pytest.mark.parametrize("batch", [1, 7, generate.SAVE_BATCH])
-def test_saved_bytes_are_independent_of_the_batch_size(monkeypatch, batch):
-    rng = np.random.default_rng(5)
-    lines = [" ".join(rng.choice(SYMBOLS, size=int(rng.integers(1, 30)))) for _ in range(40)]
-    model = train_generator(lines, order=4)
-    assert len(model.counts) > 7 * 3
-    monkeypatch.setattr(generate, "SAVE_BATCH", batch)
-    assert saved_bytes(model) == oracle_document(model, oracle_counts(lines, 4)).encode()

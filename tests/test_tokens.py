@@ -2,11 +2,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from looptab.score import Score, StructureError, tokens_to_score
+from looptab.score import Score, StructureError, score_to_tokens, tokens_to_score
 from looptab.tokens import (
     ParseError,
     Token,
     TokenCategory,
+    header_token,
     parse_tokens,
     render_tokens,
     token,
@@ -72,10 +73,27 @@ def test_grammar_coverage(raw, category):
     "cloud_diameter:q5", "tensile_strain:high",
     "distorted0:note:s4:f31", "distorted0:note:f7", "drums:note:200",
     "banana", "nfx:", ":", "distorted9:note:s1:f0",
+    "nfx:palm_mute!", "leads:note:s1:f2x",
 ])
 def test_rejected_tokens(raw):
     with pytest.raises(ParseError):
         token(raw)
+
+
+@pytest.mark.parametrize("raw", [
+    "nfx:abc\n", "leads:note:s1:f2\n", "artist:my band", "artist:my\tband", " wait:480",
+    "wait:480\u00a0", "new_measure\n", "",
+])
+def test_tokens_hold_no_whitespace(raw):
+    with pytest.raises(ParseError):
+        token(raw)
+
+
+def test_an_artist_with_a_space_is_rejected_before_rendering():
+    with pytest.raises(ParseError):
+        header_token("artist", "my band")
+    with pytest.raises(ParseError):
+        score_to_tokens(Score(artist="my band"))
 
 
 def test_unknown_effect_names_pass_through():
