@@ -12,19 +12,21 @@ import csv
 import json
 import logging
 import os
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 from urllib.parse import quote
-
-import requests
 
 from . import loops as loops_mod
 from . import tension as tension_mod
 from .atomic import atomic_open
 from .score import Score, regularize_meter, score_to_tokens, token_files, tokens_to_score
 from .tokens import Token, TokenCategory, control_token, parse_tokens, render_tokens
+
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -119,6 +121,8 @@ class HttpFeaturesProvider:
 
     def __init__(self, endpoint_template: str, token_env: str = "LOOPTAB_FEATURES_TOKEN",
                  session: requests.Session | None = None, timeout: float = 10.0):
+        import requests  # here, not when the package is imported
+
         self.endpoint_template = endpoint_template
         self.token_env = token_env
         self.session = session or requests.Session()
@@ -137,8 +141,8 @@ class HttpFeaturesProvider:
         resp.raise_for_status()
         try:
             doc = resp.json()
-        except requests.JSONDecodeError as exc:
-            # requests makes this an OSError, which would be retried
+        except ValueError as exc:
+            # requests' JSONDecodeError, also an OSError, which would be retried
             raise AnnotationError(f"reply is not JSON: {exc}") from None
         return AnnotationRecord(
             artist=artist,
@@ -152,7 +156,8 @@ class HttpFeaturesProvider:
 def _retryable(exc: Exception) -> bool:
     """Transport errors, HTTP 5xx and 429 may pass on a second try; an
     invalid record or another 4xx will not."""
-    if isinstance(exc, requests.HTTPError) and exc.response is not None:
+    requests = sys.modules.get("requests")  # only HttpFeaturesProvider imports it
+    if requests and isinstance(exc, requests.HTTPError) and exc.response is not None:
         status = exc.response.status_code
         return status == 429 or not 400 <= status < 500
     return isinstance(exc, OSError)

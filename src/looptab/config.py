@@ -4,17 +4,18 @@ Defaults match the published constants: loop extraction thresholds
 (min repetition notes 4, min repetition beats 2, loop bars 4..4) and the
 inference tempo thresholds (happy >= 150 BPM, sad <= 100 BPM). Unknown
 top-level keys are ignored, so documents with fields that were later
-removed (such as ``paths`` or ``seed``) still load.
+removed (such as ``paths`` or ``seed``) still load. A field of the wrong
+JSON type is a ``ValueError`` naming the file.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from .evaluate import ClassifierConfig
+from .evaluate import ClassifierConfig, is_finite_number
 from .generate import HAPPY_TEMPO_MIN, SAD_TEMPO_MAX
 from .loops import LoopParams
 from .tension import SpiralParams
@@ -41,55 +42,58 @@ class PipelineConfig:
     sad_tempo_max: int = SAD_TEMPO_MAX
 
 
-def _to_plain(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _to_plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, tuple):
-        return list(obj)
-    return obj
-
-
 def config_to_json(config: PipelineConfig) -> str:
-    doc = {"format": CONFIG_FORMAT, "version": CONFIG_VERSION, **_to_plain(config)}
+    doc = {"format": CONFIG_FORMAT, "version": CONFIG_VERSION, **dataclasses.asdict(config)}
     return json.dumps(doc, indent=2)
 
 
-def _build(cls, doc: dict):
+def _checked(name: str, value, default):
+    """``value`` if it has the JSON type of ``default`` (a list for a tuple),
+    else a ``ValueError`` naming the field."""
+    if isinstance(default, bool):
+        ok, kind = type(value) is bool, "true or false"
+    elif isinstance(default, int):
+        ok, kind = type(value) is int, "an integer"
+    elif isinstance(default, float):
+        ok, kind = is_finite_number(value), "a finite number"
+    else:
+        ok = (isinstance(value, list) and len(value) == len(default)
+              and all(map(is_finite_number, value)))
+        kind = f"a list of {len(default)} finite numbers"
+    if not ok:
+        raise ValueError(f"{name} must be {kind}")
+    return tuple(value) if isinstance(default, tuple) else value
+
+
+def _build(cls, doc: dict, prefix: str = ""):
+    """``cls`` from the fields of ``doc`` that it names, each type-checked;
+    sections become their own dataclasses."""
     kwargs = {}
     for f in dataclasses.fields(cls):
-        if f.name not in doc:
-            continue
-        value = doc[f.name]
-        if isinstance(value, list):
-            value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-        kwargs[f.name] = value
+        if f.name in doc:
+            value, default = doc[f.name], f.default
+            if dataclasses.is_dataclass(default):
+                if not isinstance(value, dict):
+                    raise ValueError(f"{prefix}{f.name} must be a JSON object")
+                kwargs[f.name] = _build(type(default), value, f"{prefix}{f.name}.")
+            else:
+                kwargs[f.name] = _checked(prefix + f.name, value, default)
     return cls(**kwargs)
 
 
-_SECTION_TYPES = {
-    "loop_params": LoopParams,
-    "spiral_params": SpiralParams,
-    "generator": GeneratorConfig,
-    "classifier": ClassifierConfig,
-}
-
-
-def config_from_json(text: str) -> PipelineConfig:
+def config_from_json(text: str, source: str = "config") -> PipelineConfig:
+    """Parse a config document, raising ``ValueError`` naming ``source`` if
+    it is not a looptab config or a field has the wrong type."""
     doc = json.loads(text)
-    if doc.get("format") != CONFIG_FORMAT:
-        raise ValueError("not a looptab config document")
-    kwargs = {}
-    for f in dataclasses.fields(PipelineConfig):
-        if f.name not in doc:
-            continue
-        if f.name in _SECTION_TYPES:
-            kwargs[f.name] = _build(_SECTION_TYPES[f.name], doc[f.name])
-        else:
-            kwargs[f.name] = doc[f.name]
-    return PipelineConfig(**kwargs)
+    try:
+        if not isinstance(doc, dict) or doc.get("format") != CONFIG_FORMAT:
+            raise ValueError("not a looptab config document")
+        return _build(PipelineConfig, doc)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def load_config(path: str | Path | None) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
-    return config_from_json(Path(path).read_text(encoding="utf-8"))
+    return config_from_json(Path(path).read_text(encoding="utf-8"), source=str(path))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Protocol, Sequence
@@ -74,6 +75,11 @@ def token_features(tokens: Sequence[str], columns: Mapping[str, int],
     return x
 
 
+def is_finite_number(value) -> bool:
+    """A JSON number (not a boolean) that is neither NaN nor infinite."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
 def feature_columns(feature_names: Sequence[str]) -> dict[str, int]:
     """The column of each feature name, built once per classifier."""
     return {name: i for i, name in enumerate(feature_names)}
@@ -113,12 +119,23 @@ class LinearTokenClassifier:
 
     @classmethod
     def load(cls, path) -> "LinearTokenClassifier":
+        """Read a classifier document, raising ``ValueError`` naming
+        ``path`` if it is not a well-formed looptab classifier."""
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        if doc.get("format") != "looptab-linear-classifier":
-            raise ValueError("not a looptab classifier file")
-        return cls(doc["feature_names"], np.asarray(doc["weights"]), doc["bias"],
-                   doc.get("truncate", TRUNCATE_TOKENS), doc.get("holdout_accuracy"))
+        if not isinstance(doc, dict) or doc.get("format") != "looptab-linear-classifier":
+            raise ValueError(f"{path}: not a looptab classifier file")
+        names, weights = doc.get("feature_names"), doc.get("weights")
+        if not isinstance(names, list) or not set(map(type, names)) <= {str}:
+            raise ValueError(f"{path}: feature_names must be a list of strings")
+        if (not isinstance(weights, list) or len(weights) != len(names)
+                or not all(map(is_finite_number, weights))):
+            raise ValueError(f"{path}: weights must be one finite number per feature name")
+        bias, truncate = doc.get("bias"), doc.get("truncate", TRUNCATE_TOKENS)
+        if not is_finite_number(bias) or type(truncate) is not int or truncate < 1:
+            raise ValueError(f"{path}: bias must be a finite number and truncate an integer >= 1")
+        return cls(names, np.asarray(weights, dtype=float), bias, truncate,
+                   doc.get("holdout_accuracy"))
 
 
 def train_classifier(streams: Sequence[Sequence[str]], labels: Sequence[bool],

@@ -1,13 +1,13 @@
-"""Emotion prompts and constrained sampling from a pluggable generator.
+"""Emotion prompts and constrained sampling from the n-gram generator.
 
-The built-in reference generator is a backoff add-alpha n-gram over corpus
-token lines. Sampling has one path: at every step, tempo tokens
-incompatible with the target emotion are masked and the distribution
-renormalized (happy requires tempo >= 150 BPM, sad requires tempo <= 100
-BPM; the 100..150 gap is never emitted under either emotion), then the
-structurally invalid tokens are masked and one token is drawn. The masks
-and the parsed vocabulary depend only on the vocabulary, the emotion and
-the tempo bounds, so all samples of a ``generate`` run share them.
+The generator is a backoff add-alpha n-gram over corpus token lines.
+Sampling has one path: at every step, tempo tokens incompatible with the
+target emotion are masked and the distribution renormalized (happy
+requires tempo >= 150 BPM, sad requires tempo <= 100 BPM; the 100..150
+gap is never emitted under either emotion), then the structurally
+invalid tokens are masked and one token is drawn. The masks and the
+parsed vocabulary depend only on the vocabulary, the emotion and the
+tempo bounds, so all samples of a ``generate`` run share them.
 
 The n-gram counts are compressed sparse rows of integer vocabulary ids,
 and every row's probabilities are computed once, when the model is built
@@ -15,20 +15,17 @@ or loaded. The model file (``looptab-ngram`` version 2) stores the
 vocabulary once and the rows as five flat integer columns; a version-1
 file is rejected with a request to re-run ``train-gen``. A draw takes the
 same float operations as ``Generator.choice`` without re-checking the
-distribution, so it picks the same token for the same seed. External
-generators plug in over a line-delimited JSON stdio protocol.
+distribution, so it picks the same token for the same seed.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
-import subprocess
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -109,12 +106,6 @@ class SamplingConstraints:
         if self.emotion == "happy":
             return bpm >= self.tempo_upper
         return bpm <= self.tempo_lower
-
-
-class GeneratorModel(Protocol):
-    vocabulary: list[str]
-
-    def next_token_distribution(self, context: Sequence[str]) -> np.ndarray: ...
 
 
 class NGramModel:
@@ -318,7 +309,7 @@ def _draw(probs: np.ndarray, rng: np.random.Generator) -> int:
     return int(probs.searchsorted(rng.random(), side="right"))
 
 
-def sample_sequence(model: GeneratorModel, prompt: Sequence[Token],
+def sample_sequence(model: NGramModel, prompt: Sequence[Token],
                     constraints: SamplingConstraints) -> list[Token]:
     """Autoregressive sampling seeded by the prompt.
 
@@ -420,69 +411,3 @@ def load_model(path) -> NGramModel:
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
-
-class ExternalGenerator:
-    """Generator subprocess speaking line-delimited JSON over stdio.
-
-    On startup the child prints ``{"vocab": [...]}``; each request line
-    ``{"context": [...]}`` is answered with ``{"probs": {token: p}}``.
-    """
-
-    def __init__(self, command: Sequence[str]):
-        self._proc = subprocess.Popen(
-            list(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-        try:
-            handshake = self._read()
-            vocab = handshake.get("vocab") if isinstance(handshake, dict) else None
-            if (not isinstance(vocab, list) or not set(map(type, vocab)) <= {str}
-                    or len(set(vocab)) != len(vocab)):
-                raise SamplingError("external generator handshake has no vocab list "
-                                    "of distinct strings")
-        except SamplingError:
-            self._proc.kill()
-            self.close()
-            raise
-        self.vocabulary = vocab
-        self.index = {t: i for i, t in enumerate(self.vocabulary)}
-
-    def _read(self):
-        line = self._proc.stdout.readline()
-        if not line:
-            raise SamplingError("external generator closed its output")
-        try:
-            return json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SamplingError(f"external generator reply is not JSON: {exc}") from None
-
-    def next_token_distribution(self, context: Sequence[str]) -> np.ndarray:
-        """The child's reply as a vector over the vocabulary; a reply that
-        is missing, names a token outside the vocabulary, or carries a
-        negative or non-finite probability raises ``SamplingError``."""
-        try:
-            self._proc.stdin.write(json.dumps({"context": list(context)}) + "\n")
-            self._proc.stdin.flush()
-        except BrokenPipeError:
-            raise SamplingError("external generator exited") from None
-        reply = self._read()
-        given = reply.get("probs") if isinstance(reply, dict) else None
-        if not isinstance(given, dict):
-            raise SamplingError("external generator reply has no probs object")
-        unknown = given.keys() - self.index.keys()
-        if unknown:
-            raise SamplingError("external generator reply names tokens outside its vocabulary: "
-                                + ", ".join(map(repr, sorted(unknown)[:5])))
-        if not set(map(type, given.values())) <= {int, float}:
-            raise SamplingError("external generator probabilities must be numbers")
-        values = np.fromiter(given.values(), dtype=float, count=len(given))
-        if not np.all(np.isfinite(values) & (values >= 0.0)):
-            raise SamplingError("external generator probabilities must be finite and >= 0")
-        probs = np.zeros(len(self.vocabulary), dtype=float)
-        probs[[self.index[tok] for tok in given]] = values
-        return probs
-
-    def close(self) -> None:
-        """Close both pipes and wait for the child to exit."""
-        with contextlib.suppress(BrokenPipeError):  # unsent bytes to a child that exited
-            self._proc.stdin.close()
-        self._proc.stdout.close()
-        self._proc.wait(timeout=5)

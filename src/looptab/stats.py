@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-EXACT_WILCOXON_MAX_N = 12
+import numpy as np
+
+EXACT_WILCOXON_MAX_N = 50  # 2**50 sign assignments still fit int64 counts
 _GAMMA_EPS = 1e-14
 _GAMMA_MAX_ITER = 10_000
 
@@ -113,10 +116,11 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> StatTestResu
     """Two-sided Wilcoxon signed-rank test on paired samples.
 
     Zero differences are dropped; the statistic is W = min(W+, W-) over
-    midranked absolute differences. For n <= 12 the p-value is exact
-    (enumeration of all sign assignments), otherwise a tie-corrected,
-    continuity-corrected normal approximation is used. The normal z is
-    reported in both cases.
+    midranked absolute differences. For n <= EXACT_WILCOXON_MAX_N the
+    p-value is exact: the share of the 2^n sign assignments whose
+    min(W+, W-) is at most W, counted by rank sum over doubled (so
+    integer) midranks. Above it, a tie-corrected, continuity-corrected
+    normal approximation is used. The normal z is reported in both cases.
     """
     if len(a) != len(b):
         raise ValueError("paired samples must have equal length")
@@ -127,30 +131,27 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> StatTestResu
     if n < 5:
         raise ValueError(f"need at least 5 nonzero differences, got {n}")
     absd = [abs(d) for d in diffs]
-    ranks = _midranks(absd)
-    w_plus = sum(r for r, d in zip(ranks, diffs) if d > 0)
-    w_minus = sum(r for r, d in zip(ranks, diffs) if d < 0)
-    w = min(w_plus, w_minus)
+    doubled = [int(2 * r) for r in _midranks(absd)]  # midranks are multiples of 1/2
+    w_doubled = min(sum(r for r, d in zip(doubled, diffs) if d > 0),
+                    sum(r for r, d in zip(doubled, diffs) if d < 0))
+    w = w_doubled / 2.0
 
     mean = n * (n + 1) / 4.0
-    tie_counts: dict[float, int] = {}
-    for v in absd:
-        tie_counts[v] = tie_counts.get(v, 0) + 1
-    tie_term = sum(t ** 3 - t for t in tie_counts.values()) / 48.0
+    tie_term = sum(t ** 3 - t for t in Counter(absd).values()) / 48.0
     var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
     if var <= 0:
         raise DegenerateDataError("zero variance (all ranks tied away)")
     z = (w - mean + 0.5) / math.sqrt(var)  # w <= mean, correct toward the mean
 
     if n <= EXACT_WILCOXON_MAX_N:
-        count = 0
-        for signs in itertools.product((1, -1), repeat=n):
-            wp = sum(r for r, s in zip(ranks, signs) if s > 0)
-            wm = sum(ranks) - wp
-            if min(wp, wm) <= w + 1e-12:
-                count += 1
-        p = count / 2.0 ** n
-        return StatTestResult(w, min(p, 1.0), n, "wilcoxon", z_value=z, exact=True)
+        total = n * (n + 1)  # the doubled ranks' sum
+        ways = np.zeros(total + 1, dtype=np.int64)  # ways[s]: sign assignments with doubled W+ = s
+        ways[0] = 1
+        for r in doubled:
+            ways[r:] = ways[r:] + ways[:-r]
+        sums = np.arange(total + 1)
+        count = int(ways[np.minimum(sums, total - sums) <= w_doubled].sum())
+        return StatTestResult(w, count / 2.0 ** n, n, "wilcoxon", z_value=z, exact=True)
     p = min(2.0 * normal_cdf(z), 1.0)
     return StatTestResult(w, p, n, "wilcoxon", z_value=z, exact=False)
 
@@ -177,10 +178,7 @@ def friedman(groups: Sequence[Sequence[float]]) -> StatTestResult:
         ranks = _midranks(row)
         for j, r in enumerate(ranks):
             col_rank_sums[j] += r
-        counts: dict[float, int] = {}
-        for v in row:
-            counts[v] = counts.get(v, 0) + 1
-        tie_sum += sum(t ** 3 - t for t in counts.values())
+        tie_sum += sum(t ** 3 - t for t in Counter(row).values())
 
     chi2 = (12.0 / (n * k * (k + 1))) * sum(r * r for r in col_rank_sums) - 3.0 * n * (k + 1)
     correction = 1.0 - tie_sum / (n * k * (k * k - 1))

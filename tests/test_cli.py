@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import looptab
 from looptab import cli
 from looptab.cli import atomic_write, label_free, main
 from looptab.loops import LoopSpan, extract_loops, splice_loop
@@ -211,6 +216,16 @@ def test_eval_stats_wilcoxon(tmp_path, capsys):
     assert doc["exact"] is True
 
 
+def test_eval_stats_wilcoxon_is_exact_at_listening_test_size(tmp_path, capsys):
+    rng = random.Random(4)
+    data = tmp_path / "paired.csv"
+    data.write_text("a,b\n" + "".join(f"{rng.uniform(0, 2)},{rng.uniform(0, 1.5)}\n"
+                                      for _ in range(50)))
+    assert run("eval-stats", "--method", "wilcoxon", "--input", str(data)) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["n"] == 50 and doc["exact"] is True and 0.0 < doc["p_value"] < 1.0
+
+
 def test_eval_stats_friedman(tmp_path, capsys):
     data = tmp_path / "groups.csv"
     data.write_text("g1,g2,g3\n" + "1.0,2.0,3.0\n" * 3)
@@ -277,6 +292,52 @@ def test_validation_error_exits_1(workspace, tmp_path, capsys):
     line = f"error: {bad / 'song.tokens'}: token 2 ('wait:0'): wait ticks must be > 0\n"
     assert capsys.readouterr().err == line * 3
     assert sorted(tmp_path.iterdir()) == [bad, empty]
+
+
+MALFORMED_CONFIGS = {
+    "array": "[]",
+    "section_array": '{"format": "looptab-config", "loop_params": [4, 2, 4, 4]}',
+    "int_as_text": '{"format": "looptab-config", "loop_params": {"min_rep_notes": "4"}}',
+    "flag_as_int": '{"format": "looptab-config", "loop_params": {"allow_overlap": 1}}',
+    "int_as_float": '{"format": "looptab-config", "happy_tempo_min": 150.5}',
+    "short_triple": '{"format": "looptab-config", "spiral_params": {"key_weights": [0.5, 0.5]}}',
+    "nan": '{"format": "looptab-config", "generator": {"temperature": NaN}}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CONFIGS))
+def test_malformed_config_exits_1(workspace, tmp_path, capsys, name):
+    config = tmp_path / "config.json"
+    config.write_text(MALFORMED_CONFIGS[name])
+    assert run("--config", str(config), "loops", "--scores", str(workspace / "scores"),
+               "--out", str(tmp_path / "loops.jsonl")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [config]
+
+
+MALFORMED_CLASSIFIERS = {
+    "array": lambda doc: [doc],
+    "no_feature_names": lambda doc: {k: v for k, v in doc.items() if k != "feature_names"},
+    "no_weights": lambda doc: {k: v for k, v in doc.items() if k != "weights"},
+    "feature_name_not_text": lambda doc: {**doc, "feature_names": doc["feature_names"][:-1] + [7]},
+    "weights_short": lambda doc: {**doc, "weights": doc["weights"][1:]},
+    "weight_text": lambda doc: {**doc, "weights": ["0.5"] * len(doc["weights"])},
+    "bias_null": lambda doc: {**doc, "bias": None},
+    "truncate_zero": lambda doc: {**doc, "truncate": 0},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CLASSIFIERS))
+def test_malformed_classifier_exits_1(workspace, classifiers, tmp_path, capsys, name):
+    doc = json.loads((classifiers / "valence.json").read_text())
+    bad = tmp_path / "valence.json"
+    bad.write_text(json.dumps(MALFORMED_CLASSIFIERS[name](doc)))
+    assert run("eval-emotion", "--happy", str(workspace / "scores"),
+               "--sad", str(workspace / "scores"), "--valence-model", str(bad),
+               "--arousal-model", str(classifiers / "arousal.json")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
 
 
 def test_annotate_without_source_exits_1(capsys):
@@ -349,6 +410,15 @@ def test_eval_stats_ragged_csv_exits_1(tmp_path, capsys):
     data.write_text("")
     assert run("eval-stats", "--method", "wilcoxon", "--input", str(data)) == 1
     assert capsys.readouterr().err == "error: no data rows\n"
+
+
+def test_importing_the_cli_loads_neither_requests_nor_subprocess():
+    code = "import sys, looptab.cli; print(sorted({'requests', 'subprocess'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(looptab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # helpers ---------------------------------------------------------------------

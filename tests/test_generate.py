@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import textwrap
 import warnings
 from pathlib import Path
 
@@ -16,10 +15,9 @@ from looptab import generate
 from looptab.cli import main
 from looptab.generate import (
     CONTROL_VOCAB,
+    HAPPY_PROMPT,
     HAPPY_TEMPO_MIN,
     SAD_TEMPO_MAX,
-    ExternalGenerator,
-    NGramModel,
     SamplingConstraints,
     SamplingError,
     ablated_prompt,
@@ -494,105 +492,27 @@ def test_greedy_psychology_ablation_terminates(corpus_model, tmp_path):
     assert tempi and all(bpm <= SAD_TEMPO_MAX for bpm in tempi)
 
 
-# external generator protocol -------------------------------------------------
+# sampling errors --------------------------------------------------------------
 
-CHILD = textwrap.dedent("""\
-    import json, sys
-    vocab = ["clean0:note:s1:f0", "wait:3840", "new_measure", "end"]
-    print(json.dumps({"vocab": vocab}), flush=True)
-    for line in sys.stdin:
-        req = json.loads(line)
-        n = len(req["context"])
-        probs = {"end": 1.0} if n >= 6 else {"new_measure": 1.0}
-        print(json.dumps({"probs": probs}), flush=True)
-""")
+class TempoOnlyModel:
+    """A model that puts all its mass on a tempo the happy bound forbids."""
+    vocabulary = [*HAPPY_PROMPT, "new_measure", "tempo:120", "end"]
+
+    def next_token_distribution(self, context):
+        probs = np.zeros(len(self.vocabulary))
+        probs[self.vocabulary.index("tempo:120")] = 1.0
+        return probs
 
 
-def test_external_generator_round_trip(tmp_path):
-    script = tmp_path / "child.py"
-    script.write_text(CHILD)
-    gen = ExternalGenerator([sys.executable, str(script)])
-    try:
-        assert gen.vocabulary == ["clean0:note:s1:f0", "wait:3840", "new_measure", "end"]
-        probs = gen.next_token_distribution(["a", "b"])
-        assert probs[gen.index["new_measure"]] == 1.0
-        probs = gen.next_token_distribution(list("abcdefg"))
-        assert probs[gen.index["end"]] == 1.0
-    finally:
-        gen.close()
-
-
-BAD_REPLY_CHILD = textwrap.dedent("""\
-    import json, sys
-    vocab = ["valence:high", "arousal:high", "mode:major", "time_signature:4",
-             "new_measure", "end"]
-    print(json.dumps({"vocab": vocab}), flush=True)
-    for line in sys.stdin:
-        print(sys.argv[1], flush=True)
-""")
-
-BAD_REPLIES = {
-    "no_probs": '{"p": {"end": 1.0}}',
-    "not_an_object": '[1.0, 0.0]',
-    "probs_not_an_object": '{"probs": [1.0, 0.0]}',
-    "unknown_token": '{"probs": {"zzz": 1.0}}',
-    "negative": '{"probs": {"end": -0.5, "new_measure": 1.5}}',
-    "nan": '{"probs": {"end": NaN}}',
-    "infinite": '{"probs": {"end": Infinity}}',
-    "text": '{"probs": {"end": "1.0"}}',
-    "blank_line": '',
-}
-
-
-@pytest.mark.parametrize("name", sorted(BAD_REPLIES))
-def test_external_generator_rejects_malformed_reply(tmp_path, name):
-    script = tmp_path / "child.py"
-    script.write_text(BAD_REPLY_CHILD)
-    gen = ExternalGenerator([sys.executable, str(script), BAD_REPLIES[name]])
-    try:
-        with pytest.raises(SamplingError):
-            gen.next_token_distribution(["new_measure"])
-    finally:
-        gen.close()
-
-
-@pytest.mark.parametrize("child", [
-    "print('{}')",
-    "print('{\"vocab\": \"end\"}')",
-    "print('{\"vocab\": [\"end\", \"end\"]}')",
-    "print('not json')",
-    "pass",
-])
-def test_external_generator_rejects_malformed_handshake(child):
-    with pytest.raises(SamplingError):
-        ExternalGenerator([sys.executable, "-c", child])
-
-
-def test_external_generator_exiting_without_reply_raises_sampling_error():
-    child = "import sys; print('{\"vocab\": [\"end\"]}', flush=True); sys.stdin.readline()"
-    gen = ExternalGenerator([sys.executable, "-c", child])
-    try:
-        with pytest.raises(SamplingError, match="closed"):
-            gen.next_token_distribution(["end"])
-        gen._proc.wait(timeout=10)
-        with pytest.raises(SamplingError, match="exited"):  # nothing reads the requests now
-            gen.next_token_distribution(["end"])
-    finally:
-        gen.close()
-
-
-def test_external_generator_reply_error_exits_1(tmp_path, monkeypatch, capsys):
-    script = tmp_path / "child.py"
-    script.write_text(BAD_REPLY_CHILD)
-    gen = ExternalGenerator([sys.executable, str(script), BAD_REPLIES["unknown_token"]])
-    monkeypatch.setattr(looptab.generate, "load_model", lambda path: gen)
-    try:
-        assert main(["generate", "--model", "external", "--emotion", "happy",
-                     "--out-dir", str(tmp_path / "out")]) == 1
-    finally:
-        gen.close()
+def test_all_mass_on_inadmissible_tempi_exits_1(tmp_path, monkeypatch, capsys):
+    # An n-gram with alpha > 0 leaves mass on every token, so only a stub
+    # model reaches this error.
+    monkeypatch.setattr(looptab.generate, "load_model", lambda path: TempoOnlyModel())
+    assert main(["generate", "--model", "stub", "--emotion", "happy",
+                 "--out-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "zzz" in err and err.count("\n") == 1
+    assert err == "error: the model puts all its mass on inadmissible tempi\n"
+    assert not list((tmp_path / "out").iterdir())
 
 
 # one generate run ------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from looptab.stats import (
+    EXACT_WILCOXON_MAX_N,
     DegenerateDataError,
     chi2_sf,
     friedman,
@@ -120,6 +122,55 @@ def test_wilcoxon_handles_tied_magnitudes():
     # all |d| tied: midrank 3.5 each, W- = 3.5
     assert res.statistic == 3.5
     assert 0.0 < res.p_value <= 1.0
+
+
+def enumerated_p(a, b):
+    """The exact two-sided p by enumerating all 2^n sign assignments."""
+    diffs = [x - y for x, y in zip(a, b) if x != y]
+    mags = sorted(abs(d) for d in diffs)
+    ranks = [(mags.index(abs(d)) + len(mags) - mags[::-1].index(abs(d)) + 1) / 2.0 for d in diffs]
+    w = min(sum(r for r, d in zip(ranks, diffs) if d > 0),
+            sum(r for r, d in zip(ranks, diffs) if d < 0))
+    count = 0
+    for signs in itertools.product((1, -1), repeat=len(diffs)):
+        wp = sum(r for r, s in zip(ranks, signs) if s > 0)
+        if min(wp, sum(ranks) - wp) <= w:
+            count += 1
+    return count / 2.0 ** len(diffs)
+
+
+def test_wilcoxon_exact_p_equals_enumeration_with_ties():
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(5, 12)
+        magnitudes = [rng.choice((0.5, 1.0, 2.0, 3.0)) for _ in range(3)]
+        a = [rng.choice(magnitudes) * rng.choice((1, -1)) for _ in range(n)]
+        try:
+            res = wilcoxon_signed_rank(a, [0.0] * n)
+        except DegenerateDataError:
+            continue  # every magnitude tied and the variance gone
+        assert res.exact
+        assert res.p_value == enumerated_p(a, [0.0] * n)
+
+
+@pytest.mark.parametrize("n", [5, 6, 12, 13, 20, 30, 49, 50])
+def test_wilcoxon_exact_p_matches_scipy(n):
+    scipy_stats = pytest.importorskip("scipy.stats")
+    rng = random.Random(n)
+    for shift in (0.0, 0.3, 0.8):
+        a = [rng.uniform(-1, 1) + shift for _ in range(n)]
+        res = wilcoxon_signed_rank(a, [0.0] * n)
+        ref = scipy_stats.wilcoxon(a, method="exact")
+        assert res.exact and res.statistic == ref.statistic
+        assert abs(res.p_value - ref.pvalue) <= 1e-12
+
+
+def test_wilcoxon_is_exact_up_to_the_cap_then_normal():
+    assert EXACT_WILCOXON_MAX_N == 50
+    rng = random.Random(5)
+    for n, exact in ((EXACT_WILCOXON_MAX_N, True), (EXACT_WILCOXON_MAX_N + 1, False)):
+        res = wilcoxon_signed_rank([rng.uniform(-1, 1) for _ in range(n)], [0.0] * n)
+        assert res.exact is exact and 0.0 < res.p_value <= 1.0
 
 
 @given(st.lists(st.floats(-100, 100), min_size=6, max_size=25),
