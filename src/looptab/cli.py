@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -165,17 +166,19 @@ def cmd_generate(args) -> int:
     config = load_config(args.config)
     model = generate_mod.load_model(args.model)
     prompt = generate_mod.ablated_prompt(args.emotion, args.ablate)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     gen_cfg: GeneratorConfig = config.generator
     constraints = generate_mod.SamplingConstraints(
         emotion=args.emotion,
         tempo_upper=config.happy_tempo_min,
         tempo_lower=config.sad_tempo_max,
-        max_tokens=args.max_tokens if args.max_tokens else gen_cfg.max_tokens,
+        max_tokens=args.max_tokens if args.max_tokens is not None else gen_cfg.max_tokens,
         max_bars=gen_cfg.max_bars,
         temperature=args.temperature if args.temperature is not None else gen_cfg.temperature,
     )
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):
         stream = generate_mod.sample_sequence(
             model, prompt, dataclasses.replace(constraints, rng_seed=args.seed + i))
@@ -244,6 +247,7 @@ def cmd_eval_loops(args) -> int:
 
 
 def _numeric_columns(path) -> list[list[float]]:
+    """The columns of a CSV of finite numbers, after an optional header row."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         rows = [(reader.line_num, row) for row in reader if row]
@@ -254,12 +258,22 @@ def _numeric_columns(path) -> list[list[float]]:
     except IndexError:
         pass  # an empty file
     if not rows:
-        raise ValueError("no data rows")
+        raise ValueError(f"{path}: no data rows")
     width = len(rows[0][1])
     for line, row in rows:
         if len(row) != width:
             raise ValueError(f"{path}: line {line} has {len(row)} values, expected {width}")
-    return [[float(row[j]) for _, row in rows] for j in range(width)]
+    columns = [[] for _ in range(width)]
+    for line, row in rows:
+        for column, cell in zip(columns, row):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: line {line} has {cell!r}, not a finite number")
+            column.append(value)
+    return columns
 
 
 def cmd_eval_stats(args) -> int:

@@ -2,30 +2,36 @@
 
 The generator is a backoff add-alpha n-gram over corpus token lines.
 Sampling has one path: at every step, tempo tokens incompatible with the
-target emotion are masked and the distribution renormalized (happy
-requires tempo >= 150 BPM, sad requires tempo <= 100 BPM; the 100..150
-gap is never emitted under either emotion), then the structurally
-invalid tokens are masked and one token is drawn. The masks and the
-parsed vocabulary depend only on the vocabulary, the emotion and the
-tempo bounds, so all samples of a ``generate`` run share them.
+target emotion are masked (happy requires tempo >= 150 BPM, sad requires
+tempo <= 100 BPM; the 100..150 gap is never emitted under either
+emotion), then the structurally invalid tokens are masked and one token
+is drawn from what is left. The masks and the parsed vocabulary depend
+only on the vocabulary, the emotion and the tempo bounds, so all samples
+of a ``generate`` run share them.
 
 The n-gram counts are compressed sparse rows of integer vocabulary ids,
 and every row's probabilities are computed once, when the model is built
 or loaded. The model file (``looptab-ngram`` version 2) stores the
 vocabulary once and the rows as five flat integer columns; a version-1
-file is rejected with a request to re-run ``train-gen``. A draw takes the
-same float operations as ``Generator.choice`` without re-checking the
-distribution, so it picks the same token for the same seed.
+file is rejected with a request to re-run ``train-gen``.
+
+A distribution is sparse: the ids of one row, their probabilities, and
+one probability shared by every token the row does not list. A step
+masks and draws from that triple in time proportional to the row's
+length, not the vocabulary's: the unlisted mass is one constant times the
+number of admissible unlisted tokens, and a draw that lands in it picks
+one of them from the sorted admissible ids, skipping the listed ones.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,6 +56,15 @@ CONTROL_VOCAB = (
 
 # The n-gram counts as compressed sparse rows (see NGramModel).
 COLUMNS = ("context_lengths", "context_tokens", "row_ptr", "tokens", "counts")
+
+# A sparse next-token distribution: listed vocabulary ids, their
+# probabilities, and the probability of each token not listed.
+Distribution = tuple[np.ndarray, np.ndarray, float]
+# A masked one: listed ids, their weights, the weight of each admissible
+# token not listed, and how many of those there are. Not normalized.
+Masked = tuple[np.ndarray, np.ndarray, float, int]
+_NO_IDS = np.zeros(0, dtype=np.int64)
+_NO_PROBS = np.zeros(0)
 
 
 class SamplingError(RuntimeError):
@@ -99,8 +114,13 @@ class SamplingConstraints:
     def __post_init__(self):
         if self.emotion not in ("happy", "sad"):
             raise ValueError("emotion must be happy or sad")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        # 0 ** 0 == 1: at an infinite temperature masked tokens would get
+        # mass back, and NaN compares false with every threshold.
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError(f"temperature must be a finite number >= 0, got {self.temperature}")
+        if self.max_tokens < 1 or self.max_bars < 1:
+            raise ValueError(f"max_tokens and max_bars must be >= 1, got {self.max_tokens} "
+                             f"and {self.max_bars}")
 
     def tempo_admissible(self, bpm: int) -> bool:
         if self.emotion == "happy":
@@ -147,6 +167,7 @@ class NGramModel:
         cumulative = np.concatenate(([0], np.cumsum(self.counts)))
         denominators = cumulative[self.row_ptr[1:]] - cumulative[self.row_ptr[:-1]] + alpha * v
         self._seen = (alpha + self.counts) / np.repeat(denominators, np.diff(self.row_ptr))
+        self._seen.setflags(write=False)
         self._unseen = (alpha / denominators).tolist()
         self._uniform = alpha / (alpha * v)  # no row, not even the empty context's
 
@@ -180,18 +201,21 @@ class NGramModel:
             rows.update(zip(keys, members.tolist()))
         return rows
 
-    def next_token_distribution(self, context: Sequence[str]) -> np.ndarray:
+    def next_token_distribution(self, context: Sequence[str]) -> Distribution:
+        """The sparse distribution after ``context``: the ids of the longest
+        seen context suffix's row, their probabilities, and the probability
+        of every token the row does not list. Without any row (a model
+        lacking the empty context) no id is listed and every token has the
+        same probability. The arrays are read-only views of the model."""
         ctx = tuple(context[-(self.order - 1):])
         rows = self._rows
         while ctx and ctx not in rows:
             ctx = ctx[1:]
         row = rows.get(ctx)
         if row is None:
-            return np.full(len(self.vocabulary), self._uniform)
+            return _NO_IDS, _NO_PROBS, self._uniform
         start, stop = self._bounds[row], self._bounds[row + 1]
-        probs = np.full(len(self.vocabulary), self._unseen[row])
-        probs[self.tokens[start:stop]] = self._seen[start:stop]
-        return probs
+        return self.tokens[start:stop], self._seen[start:stop], self._unseen[row]
 
 
 def train_generator(corpus_lines: Sequence[str], order: int = 4, alpha: float = 0.01) -> NGramModel:
@@ -236,31 +260,53 @@ def train_generator(corpus_lines: Sequence[str], order: int = 4, alpha: float = 
                       tokens[by_row], counts[by_row])
 
 
-def mask_tempo(distribution: np.ndarray, admissible: np.ndarray,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """Zero the tokens outside the ``admissible`` vector (the inadmissible
-    tempi; boolean or 0/1 floats) and renormalize, into ``out`` if given.
+def mask_tempo(distribution: Distribution, admissible: np.ndarray,
+               admissible_count: int) -> Distribution:
+    """Zero the listed tokens outside ``admissible`` in a sparse
+    ``(indices, probs, rest)`` distribution: ``admissible`` is 0/1 over the
+    vocabulary, 0 on the inadmissible tempi, with ``admissible_count`` ones.
 
-    Relative probabilities of the remaining tokens are untouched. If the
-    entire mass sat on inadmissible tempi, sampling cannot continue.
+    The listed probabilities are multiplied by their mask entries into a
+    new array; ``rest``, the probability of each unlisted token, is
+    unchanged, since the caller counts the unlisted tokens it admits.
+    Nothing is renormalized, so relative probabilities are untouched. If
+    the entire mass sat on inadmissible tempi, sampling cannot continue.
     """
-    masked = np.multiply(distribution, admissible, out=out)
-    total = masked.sum()
-    if total <= 0.0:
+    indices, probs, rest = distribution
+    keep = admissible[indices]
+    weights = probs * keep
+    # With fewer listed ids than admissible tokens, one admissible token is unlisted.
+    unlisted_mass = rest > 0.0 and (len(indices) < admissible_count
+                                    or np.count_nonzero(keep) < admissible_count)
+    if not unlisted_mass and not weights.any():
         raise SamplingError("the model puts all its mass on inadmissible tempi")
-    masked /= total
-    return masked
+    return indices, weights, rest
 
 
 _PRE_MEASURE_BLOCKED = (TokenCategory.NOTE, TokenCategory.WAIT,
                         TokenCategory.EFFECT, TokenCategory.BAR_CONTROL)
 
 
+class _Tables(NamedTuple):
+    tokens: tuple[Token, ...]       # the parsed vocabulary
+    vocab_set: frozenset[str]
+    admissible: np.ndarray          # 0 on the inadmissible tempi, else 1
+    admissible_count: int
+    # By seen_measure: admissible x structurally valid as 0/1 floats, the
+    # ids of its ones in ascending order, and each vocabulary id's position
+    # among those ids (the vocabulary size where the mask is 0).
+    masks: tuple[np.ndarray, ...]
+    mask_ids: tuple[np.ndarray, ...]
+    ranks: tuple[np.ndarray, ...]
+
+
 @lru_cache(maxsize=8)
-def _sampling_tables(vocab: tuple[str, ...], emotion: str, tempo_upper: int, tempo_lower: int):
-    """The vocabulary's parsed tokens, the tempo-admissible vector and the
-    two structural masks (before and after the first ``new_measure``), the
-    masks as read-only 0/1 floats.
+def _sampling_tables(vocab: tuple[str, ...], emotion: str, tempo_upper: int,
+                     tempo_lower: int) -> _Tables:
+    """The vocabulary's parsed tokens, the tempo-admissible vector, and for
+    each structural state (before and after the first ``new_measure``) the
+    tokens both tempo-admissible and structurally valid, as read-only
+    vocabulary-sized arrays.
 
     They depend on nothing else, so every sample of a ``generate`` run
     shares them.
@@ -271,86 +317,129 @@ def _sampling_tables(vocab: tuple[str, ...], emotion: str, tempo_upper: int, tem
     admissible = np.array([t.fields.get("key") != "tempo"
                            or bounds.tempo_admissible(t.fields["value"])
                            for t in tokens], dtype=float)
-    structural = (  # indexed by seen_measure
-        np.array([t.category not in _PRE_MEASURE_BLOCKED for t in tokens], dtype=float),
-        np.array([t.category is not TokenCategory.SONG_CONTROL
-                  and t.fields.get("key") not in ("start", "artist")
-                  for t in tokens], dtype=float),
+    masks = (
+        admissible * [t.category not in _PRE_MEASURE_BLOCKED for t in tokens],
+        admissible * [t.category is not TokenCategory.SONG_CONTROL
+                      and t.fields.get("key") not in ("start", "artist") for t in tokens],
     )
-    for mask in (admissible, *structural):
-        mask.setflags(write=False)
-    return tokens, frozenset(vocab), admissible, structural
+    mask_ids = tuple(np.flatnonzero(mask) for mask in masks)
+    ranks = tuple(np.where(mask, np.cumsum(mask, dtype=np.int64) - 1, len(vocab))
+                  for mask in masks)
+    for array in (admissible, *masks, *mask_ids, *ranks):
+        array.setflags(write=False)
+    return _Tables(tokens, frozenset(vocab), admissible, int(np.count_nonzero(admissible)),
+                   masks, mask_ids, ranks)
 
 
-def _sharpen(probs: np.ndarray, inverse_temperature: float, out: np.ndarray) -> np.ndarray:
-    """``probs ** inverse_temperature``, renormalized, into ``out``.
+def _nth_unlisted(ids: np.ndarray, ranks: np.ndarray, listed: np.ndarray, n: int) -> int:
+    """The ``n``-th (from 0) of the ascending ``ids`` not among ``listed``;
+    ``ranks`` gives every vocabulary id's position in ``ids``, or a
+    position past its end."""
+    for position in sorted(ranks[listed].tolist()):
+        if position > n:
+            break
+        n += 1
+    return int(ids[n])
 
-    At a tiny temperature every power can underflow to zero; only then are
-    the powers taken of ``probs / probs.max()``, whose largest entry is 1.
+
+def _masked(distribution: Distribution, tables: _Tables, seen_measure: bool) -> Masked | None:
+    """The step's distribution masked to the admissible tempi and then to
+    the structurally valid tokens, or None if no valid token has mass."""
+    indices, weights, rest = mask_tempo(distribution, tables.admissible,
+                                        tables.admissible_count)
+    keep = tables.masks[seen_measure][indices]
+    weights *= keep
+    unlisted = len(tables.mask_ids[seen_measure]) - int(np.count_nonzero(keep))
+    if rest * unlisted <= 0.0 and not weights.any():
+        return None
+    return indices, weights, rest, unlisted
+
+
+def _sharpen(masked: Masked, inverse_temperature: float) -> Masked:
+    """The weights and ``rest`` to the power ``inverse_temperature``.
+
+    At a tiny temperature the powers can underflow; only when their total
+    is zero or subnormal are they taken of the values over the largest one,
+    which becomes 1.
     """
-    np.power(probs, inverse_temperature, out=out)
-    total = out.sum()
-    if not 0.0 < total < math.inf:
-        np.divide(probs, probs.max(), out=out)
-        out **= inverse_temperature
-        total = out.sum()
-    out /= total
-    return out
+    indices, weights, rest, unlisted = masked
+    if not unlisted:
+        rest = 0.0  # it weighs nothing, so it must not set the scale
+    powers, rest_power = weights ** inverse_temperature, rest ** inverse_temperature
+    if not powers.sum() + rest_power * unlisted >= sys.float_info.min:
+        top = max(weights.max(initial=0.0), rest)
+        powers = (weights / top) ** inverse_temperature
+        rest_power = (rest / top) ** inverse_temperature
+    return indices, powers, rest_power, unlisted
 
 
-def _draw(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """The index ``rng.choice(len(probs), p=probs)`` draws, by the same
-    float operations (a cumulative sum divided by its last entry, searched
-    with one ``rng.random()``) but without its checks of ``probs``, which
-    is overwritten. ``np.add.accumulate`` is ``cumsum`` without its
-    wrappers."""
-    np.add.accumulate(probs, out=probs)
-    probs /= probs[-1]
-    return int(probs.searchsorted(rng.random(), side="right"))
+def _choose(masked: Masked, ids: np.ndarray, ranks: np.ndarray, u: float) -> int:
+    """The id that ``u``, uniform in [0, 1), picks: the listed ids come
+    first, in row order, then the unlisted ones of ``ids`` in ascending
+    order (``ranks`` as for :func:`_nth_unlisted`)."""
+    indices, weights, rest, unlisted = masked
+    cumulative = np.add.accumulate(weights)
+    listed = float(cumulative[-1]) if len(cumulative) else 0.0
+    u *= listed + rest * unlisted
+    if u < listed:
+        return int(indices[cumulative.searchsorted(u, side="right")])
+    # rounding may carry u to the very end of the unlisted mass
+    return _nth_unlisted(ids, ranks, indices, min(int((u - listed) / rest), unlisted - 1))
+
+
+def _argmax(masked: Masked, ids: np.ndarray, ranks: np.ndarray) -> int:
+    """The lowest id of the largest weight, as ``np.argmax`` picks from the
+    dense vector; the first unlisted id stands for all the unlisted ones."""
+    indices, weights, rest, unlisted = masked
+    top = weights.max(initial=0.0)
+    choice = int(indices[weights == top].min()) if top > 0.0 else None
+    if unlisted and rest >= top:
+        first = _nth_unlisted(ids, ranks, indices, 0)
+        choice = first if choice is None or rest > top else min(choice, first)
+    return choice
 
 
 def sample_sequence(model: NGramModel, prompt: Sequence[Token],
                     constraints: SamplingConstraints) -> list[Token]:
     """Autoregressive sampling seeded by the prompt.
 
-    Deterministic for a fixed ``rng_seed``; stops at ``end`` or at the
-    token/bar budget. The output always starts with the prompt tokens and
-    never carries a tempo violating the emotion constraint. Each step
-    renormalizes the model's distribution over the admissible tempi, then
-    over the structurally valid tokens (no events before the first bar, no
-    song-level tokens after it), and draws once, in two buffers reused by
-    every step.
+    Deterministic for a fixed ``rng_seed``; stops at ``end``, at the
+    token/bar budget, or when no structurally valid token has mass. The
+    output always starts with the prompt tokens and never carries a tempo
+    violating the emotion constraint. Each step masks the model's sparse
+    distribution to the admissible tempi and the structurally valid tokens
+    (no events before the first bar, no song-level tokens after it) and
+    draws once with one uniform number, in time proportional to the row's
+    length. Greedy decoding (a temperature below 1e-6) takes the lowest id
+    of the largest masked probability.
     """
     vocab = model.vocabulary
-    vocab_tokens, vocab_set, admissible, structural = _sampling_tables(
-        tuple(vocab), constraints.emotion, constraints.tempo_upper, constraints.tempo_lower)
+    tables = _sampling_tables(tuple(vocab), constraints.emotion, constraints.tempo_upper,
+                              constraints.tempo_lower)
     for t in prompt:
-        if t.raw not in vocab_set:
+        if t.raw not in tables.vocab_set:
             raise ValueError(f"prompt token {t.raw!r} not in model vocabulary")
     rng = np.random.default_rng(constraints.rng_seed)
     stream = list(prompt)
     out = [t.raw for t in prompt]
     bars = sum(1 for t in prompt if t.category is TokenCategory.STRUCTURE)
     seen_measure = bars > 0
-    probs, sharpened = np.empty(len(vocab)), np.empty(len(vocab))
+    temperature = constraints.temperature
 
     while len(out) < constraints.max_tokens:
-        mask_tempo(model.next_token_distribution(out), admissible, out=probs)
-        probs *= structural[seen_measure]
-        total = probs.sum()
-        if total <= 0.0:
-            break
-        probs /= total
-
-        if constraints.temperature < 1e-6:
-            choice = int(np.argmax(probs))
-        elif constraints.temperature == 1.0:
-            choice = _draw(probs, rng)
+        masked = _masked(model.next_token_distribution(out), tables, seen_measure)
+        if masked is None:
+            break  # the structural dead end
+        ids, ranks = tables.mask_ids[seen_measure], tables.ranks[seen_measure]
+        if temperature < 1e-6:
+            choice = _argmax(masked, ids, ranks)
         else:
-            choice = _draw(_sharpen(probs, 1.0 / constraints.temperature, sharpened), rng)
+            if temperature != 1.0:
+                masked = _sharpen(masked, 1.0 / temperature)
+            choice = _choose(masked, ids, ranks, rng.random())
         raw = vocab[choice]
         out.append(raw)
-        stream.append(vocab_tokens[choice])
+        stream.append(tables.tokens[choice])
         if raw == "end":
             break
         if raw == "new_measure":

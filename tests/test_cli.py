@@ -409,7 +409,31 @@ def test_eval_stats_ragged_csv_exits_1(tmp_path, capsys):
     assert err.count("\n") == 1
     data.write_text("")
     assert run("eval-stats", "--method", "wilcoxon", "--input", str(data)) == 1
-    assert capsys.readouterr().err == "error: no data rows\n"
+    assert capsys.readouterr().err == f"error: {data}: no data rows\n"
+    data.write_text("a,b\n")
+    assert run("eval-stats", "--method", "wilcoxon", "--input", str(data)) == 1
+    assert capsys.readouterr().err == f"error: {data}: no data rows\n"
+
+
+@pytest.mark.parametrize("method", ["wilcoxon", "friedman", "pairwise"])
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999", "abc"])
+def test_eval_stats_cell_that_is_not_a_finite_number_exits_1(tmp_path, capsys, method, cell):
+    # a NaN difference used to be ranked as nonzero: wilcoxon printed p = 0.03125
+    data = tmp_path / "paired.csv"
+    data.write_text("a,b,c\n1,0,2\n2,0,3\n3,0,1\n4,0,5\n5,0,4\n" + f"0,{cell},1\n")
+    assert run("eval-stats", "--method", method, "--input", str(data),
+               "--out", str(tmp_path / "stats.json")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}: line 7 ") and repr(cell) in err
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [data]
+
+
+def test_eval_stats_non_finite_first_row_is_data_and_rejected(tmp_path, capsys):
+    data = tmp_path / "paired.csv"
+    data.write_text("nan,0\n1,0\n")
+    assert run("eval-stats", "--method", "wilcoxon", "--input", str(data)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {data}: line 1 ")
 
 
 def test_importing_the_cli_loads_neither_requests_nor_subprocess():

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -30,6 +31,8 @@ from looptab.generate import (
 )
 from looptab.score import tokens_to_score
 from looptab.tokens import parse_tokens
+
+from util import dense
 
 
 def make_line(tempo, notes=("clean0:note:s1:f0", "clean0:note:s1:f2"), emotion="happy"):
@@ -70,10 +73,14 @@ def test_ablated_prompts():
 
 # n-gram model ----------------------------------------------------------------
 
+def dense_next(model, context):
+    return dense(model.next_token_distribution(context), len(model.vocabulary))
+
+
 def test_bigram_probability_formula():
     model = train_generator(["a b a b"], order=2, alpha=0.01)
     v = len(model.vocabulary)
-    probs = model.next_token_distribution(["a"])
+    probs = dense_next(model, ["a"])
     expected = (2 + 0.01) / (2 + 0.01 * v)
     assert abs(probs[model.index["b"]] - expected) < 1e-12
     # unseen continuation gets pure smoothing mass
@@ -84,14 +91,14 @@ def test_bigram_probability_formula():
 def test_backoff_to_shorter_context():
     model = train_generator(["a b c", "x b d"], order=3, alpha=0.01)
     # context ("q", "b") unseen; falls back to ("b",) which saw c and d once each
-    probs = model.next_token_distribution(["q", "b"])
+    probs = dense_next(model, ["q", "b"])
     assert abs(probs[model.index["c"]] - probs[model.index["d"]]) < 1e-12
     assert probs[model.index["c"]] > probs[model.index["a"]]
 
 
 def test_empty_context_uses_unigram_counts():
     model = train_generator(["a a a b"], order=3, alpha=0.01)
-    probs = model.next_token_distribution([])
+    probs = dense_next(model, [])
     # counts a:3, b:1, end:1 (the line terminator)
     assert probs[model.index["a"]] > probs[model.index["b"]] > 0
     assert abs(probs[model.index["b"]] - probs[model.index["end"]]) < 1e-12
@@ -119,8 +126,7 @@ def test_model_save_load_round_trip(tmp_path):
     loaded = load_model(path)
     assert loaded.vocabulary == model.vocabulary
     ctx = ["tempo:160", "start"]
-    assert np.allclose(loaded.next_token_distribution(ctx),
-                       model.next_token_distribution(ctx), atol=0, rtol=0)
+    assert np.allclose(dense_next(loaded, ctx), dense_next(model, ctx), atol=0, rtol=0)
 
 
 def test_load_model_rejects_foreign_json(tmp_path):
@@ -202,10 +208,10 @@ def test_load_model_accepts_the_well_formed_document(tmp_path):
     model = load_model(path)
     v = 3
     assert model.vocabulary == ["a", "b", "end"]
-    np.testing.assert_array_equal(model.next_token_distribution(["a"]),
+    np.testing.assert_array_equal(dense_next(model, ["a"]),
                                   [0.01 / (2 + 0.01 * v), 2.01 / (2 + 0.01 * v),
                                    0.01 / (2 + 0.01 * v)])
-    np.testing.assert_array_equal(model.next_token_distribution(["end"]),
+    np.testing.assert_array_equal(dense_next(model, ["end"]),
                                   [2.01 / (3 + 0.01 * v), 1.01 / (3 + 0.01 * v),
                                    0.01 / (3 + 0.01 * v)])
 
@@ -215,9 +221,19 @@ def test_model_without_the_empty_context_backs_off_to_uniform(tmp_path):
     path.write_text(json.dumps(model_doc(context_lengths=[1, 1], context_tokens=[0, 1],
                                          row_ptr=[0, 1, 2], tokens=[1, 2], counts=[2, 1])))
     model = load_model(path)
-    np.testing.assert_array_equal(model.next_token_distribution(["end"]),
-                                  np.full(3, 0.01 / (0 + 0.01 * 3)))
-    assert model.next_token_distribution(["a"])[1] == 2.01 / (2 + 0.01 * 3)
+    indices, probs, rest = model.next_token_distribution(["end"])
+    assert len(indices) == len(probs) == 0 and rest == 0.01 / (0 + 0.01 * 3)
+    assert dense_next(model, ["a"])[1] == 2.01 / (2 + 0.01 * 3)
+
+
+def test_distribution_is_a_read_only_view_of_one_row(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_doc()))
+    model = load_model(path)
+    indices, probs, rest = model.next_token_distribution(["a"])  # row 1: a -> b twice
+    assert indices.tolist() == [1] and probs.tolist() == [2.01 / (2 + 0.01 * 3)]
+    assert rest == 0.01 / (2 + 0.01 * 3)
+    assert not indices.flags.writeable and not probs.flags.writeable
 
 
 def test_version_1_model_is_rejected_with_a_request_to_retrain(tmp_path, capsys):
@@ -265,26 +281,46 @@ def test_tempo_admissibility_bounds():
 
 def test_mask_preserves_relative_probabilities():
     # tempo:90, tempo:160, clean0:note:s1:f0, wait:480 under the happy bound
-    admissible = np.array([False, True, True, True])
-    dist = np.array([0.4, 0.2, 0.3, 0.1])
-    masked = mask_tempo(dist, admissible)
+    admissible = np.array([0.0, 1.0, 1.0, 1.0])
+    indices, probs = np.array([2, 0, 1]), np.array([0.3, 0.4, 0.2])
+    masked_indices, weights, rest = mask_tempo((indices, probs, 0.1), admissible, 3)
+    assert masked_indices is indices and rest == 0.1
+    np.testing.assert_array_equal(weights, [0.3, 0.0, 0.2])
+    assert probs.tolist() == [0.3, 0.4, 0.2]
+    # the dense masked vector keeps the relative probabilities
+    masked = dense((indices, weights, rest), 4) * admissible
+    original = dense((indices, probs, 0.1), 4)
     assert masked[0] == 0.0
-    assert abs(masked.sum() - 1.0) < 1e-12
     for i, j in ((1, 2), (2, 3)):
-        assert abs(masked[i] / masked[j] - dist[i] / dist[j]) < 1e-12
+        assert masked[i] / masked[j] == original[i] / original[j]
 
 
 def test_mask_with_no_admissible_tempo_raises():
-    dist = np.array([0.5, 0.5])
-    with pytest.raises(SamplingError):
-        mask_tempo(dist, np.array([False, False]))
+    for (indices, probs, rest), admissible in (
+            # every listed token an inadmissible tempo, nothing left for the rest
+            (([0, 1], [0.5, 0.5], 0.0), [0.0, 0.0, 1.0]),
+            # the one admissible token is listed without mass
+            (([2], [0.0], 0.5), [0.0, 0.0, 1.0]),
+            # no row at all, and no admissible token
+            (([], [], 0.5), [0.0, 0.0])):
+        admissible = np.array(admissible)
+        with pytest.raises(SamplingError, match="all its mass on inadmissible tempi"):
+            mask_tempo((np.array(indices, dtype=np.int64), np.array(probs), rest), admissible,
+                       int(np.count_nonzero(admissible)))
+
+
+def test_mask_keeps_the_mass_of_unlisted_admissible_tokens():
+    admissible = np.array([0.0, 0.0, 1.0])
+    _, weights, rest = mask_tempo((np.array([0, 1]), np.array([0.5, 0.4]), 0.1), admissible, 1)
+    assert weights.tolist() == [0.0, 0.0] and rest == 0.1
 
 
 def test_constraint_validation():
-    with pytest.raises(ValueError):
-        SamplingConstraints(emotion="angry")
-    with pytest.raises(ValueError):
-        SamplingConstraints(temperature=-0.5)
+    for changes in ({"emotion": "angry"}, {"temperature": -0.5}, {"temperature": math.inf},
+                    {"temperature": -math.inf}, {"temperature": math.nan},
+                    {"max_tokens": 0}, {"max_tokens": -3}, {"max_bars": 0}):
+        with pytest.raises(ValueError):
+            SamplingConstraints(**changes)
 
 
 # sampling --------------------------------------------------------------------
@@ -352,49 +388,196 @@ def test_prompt_must_be_in_vocabulary():
         sample_sequence(model, [token("artist:nobody")], SamplingConstraints())
 
 
-def random_distributions(rng, count):
-    """Vectors with exact zeros and masses down to ~1e-300, summing to 1."""
-    for _ in range(count):
-        v = int(rng.integers(1, 900))
-        p = rng.random(v) ** rng.choice([1, 8, 60])
-        p[rng.random(v) < 0.3] = 0.0
-        p[rng.random(v) < 0.05] *= 1e-300
-        if p.sum() <= 0.0:
-            p[int(rng.integers(v))] = 1.0
-        yield p / p.sum()
+# the sparse step against the dense vector ------------------------------------
+
+def random_corpus(rng, lines):
+    """Lines of one to four bars over 48 notes and tempi anywhere in 30-300."""
+    notes = [f"{track}:note:s{string}:f{fret}" for track in ("clean0", "bass")
+             for string in (1, 2, 3, 4) for fret in range(6)]
+    return [make_line(int(rng.integers(30, 301)),
+                      tuple(rng.choice(notes, size=int(rng.integers(1, 5)))),
+                      emotion=str(rng.choice(["happy", "sad"])))
+            for _ in range(lines)]
 
 
-@pytest.mark.parametrize("temperature", [0.7, 1.0, 1.5])
-def test_in_place_draw_equals_generator_choice(temperature):
-    rng = np.random.default_rng(11)
-    for p in random_distributions(rng, 400):
-        seed = int(rng.integers(1 << 32))
-        reference, mine = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(5):
-            q = p
-            if temperature != 1.0:  # the draw before it was done in place
-                q = p ** (1.0 / temperature)
-                q /= q.sum()
-            expected = int(reference.choice(len(q), p=q))
-            buf = p.copy()
-            if temperature != 1.0:
-                buf = generate._sharpen(buf, 1.0 / temperature, np.empty_like(buf))
-            assert generate._draw(buf, mine) == expected
+def random_cases(rng, models, contexts):
+    """(model, tables, context, seen_measure) over random models, tempo
+    bounds (so random tempo masks), contexts and both structural states."""
+    for _ in range(models):
+        model = train_generator(random_corpus(rng, 30), order=int(rng.integers(2, 5)),
+                                alpha=float(rng.choice([0.01, 0.5, 1e-3])))
+        bounds = sorted(int(b) for b in rng.integers(30, 301, size=2))
+        emotion = str(rng.choice(["happy", "sad"]))
+        tables = generate._sampling_tables(tuple(model.vocabulary), emotion, bounds[1], bounds[0])
+        for _ in range(contexts):
+            context = [str(t) for t in rng.choice(model.vocabulary, size=int(rng.integers(0, 6)))]
+            yield model, tables, context, bool(rng.integers(2))
 
 
-class FixedUniform:
-    def __init__(self, u):
-        self.u = u
+def implied(masked, ids, size):
+    """The vocabulary-length distribution a masked sparse step draws from."""
+    indices, weights, rest, unlisted = masked
+    assert unlisted == len(np.setdiff1d(ids, indices))
+    vector = np.zeros(size)
+    vector[ids] = rest
+    vector[indices] = weights
+    return vector / vector.sum()
 
-    def random(self):
-        return self.u
+
+def tempered(p, temperature):
+    """``p ** (1 / temperature)``, renormalized, computed in log space."""
+    out = np.zeros_like(p)
+    live = p > 0
+    out[live] = np.exp((np.log(p[live]) - np.log(p[live].max())) / temperature)
+    return out / out.sum()
+
+
+@pytest.mark.parametrize("temperature", [1.0, 0.7, 1.5, 4.0, 0.05, 1e-3, 2e-6])
+def test_sparse_step_equals_the_dense_masked_vector(temperature):
+    rng = np.random.default_rng(int(temperature * 1e6))
+    for model, tables, context, seen in random_cases(rng, 12, 25):
+        v = len(model.vocabulary)
+        distribution = model.next_token_distribution(context)
+        # the dense path: mask the tempi, renormalize, mask the structure, renormalize
+        p = dense(distribution, v) * tables.admissible
+        p /= p.sum()
+        p *= tables.masks[seen]
+        p /= p.sum()
+        masked = generate._masked(distribution, tables, seen)
+        ids, ranks = tables.mask_ids[seen], tables.ranks[seen]
+        assert generate._argmax(masked, ids, ranks) == int(np.argmax(p))
+        if temperature != 1.0:
+            masked = generate._sharpen(masked, 1.0 / temperature)
+        np.testing.assert_allclose(implied(masked, ids, v), tempered(p, temperature),
+                                   rtol=0, atol=1e-12)
+
+
+def chi_square(counts, p):
+    """Pearson's statistic and its degrees of freedom, bins expecting
+    fewer than 5 draws pooled into one."""
+    expected = counts.sum() * p
+    small = expected < 5
+    observed = np.append(counts[~small], counts[small].sum())
+    expected = np.append(expected[~small], expected[small].sum())
+    if expected[-1] == 0:
+        observed, expected = observed[:-1], expected[:-1]
+    return float(((observed - expected) ** 2 / expected).sum()), len(expected) - 1
+
+
+@pytest.mark.parametrize("temperature", [1.0, 0.6, 2.5])
+def test_draws_follow_the_masked_distribution(temperature):
+    rng = np.random.default_rng(3)
+    draws = np.random.default_rng(4)
+    cases = [case for case in random_cases(rng, 4, 30)
+             if len(case[0].next_token_distribution(case[2])[0]) > 2][:6]
+    assert len(cases) == 6
+    for model, tables, context, seen in cases:
+        v = len(model.vocabulary)
+        masked = generate._masked(model.next_token_distribution(context), tables, seen)
+        if temperature != 1.0:
+            masked = generate._sharpen(masked, 1.0 / temperature)
+        ids, ranks = tables.mask_ids[seen], tables.ranks[seen]
+        p = implied(masked, ids, v)
+        counts = np.bincount([generate._choose(masked, ids, ranks, draws.random())
+                              for _ in range(20_000)], minlength=v)
+        assert counts[p == 0].sum() == 0
+        statistic, df = chi_square(counts, p)
+        assert statistic < df + 6 * math.sqrt(2 * df), (statistic, df)
 
 
 def test_draw_never_lands_on_a_token_without_mass():
     # a uniform number equal to a cumulative sum moves past the tokens
     # without mass, as in Generator.choice
-    assert generate._draw(np.array([0.0, 0.0, 1.0]), FixedUniform(0.0)) == 2
-    assert generate._draw(np.array([0.5, 0.0, 0.5]), FixedUniform(0.5)) == 2
+    ids = np.arange(4)
+    ranks = np.arange(4)
+    row = np.array([3, 1, 2])
+    assert generate._choose((row, np.array([0.0, 0.0, 1.0]), 0.0, 0), ids, ranks, 0.0) == 2
+    assert generate._choose((row, np.array([0.5, 0.0, 0.5]), 0.0, 0), ids, ranks, 0.5) == 2
+    # past the listed mass, the unlisted id 0 is drawn
+    assert generate._choose((row, np.array([0.5, 0.0, 0.0]), 0.5, 1), ids, ranks, 0.5) == 0
+
+
+def test_nth_unlisted_skips_the_listed_ids():
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        v = int(rng.integers(1, 40))
+        ids = np.flatnonzero(rng.random(v) < 0.6)
+        ranks = np.full(v, v)
+        ranks[ids] = np.arange(len(ids))
+        listed = rng.permutation(v)[:int(rng.integers(0, v + 1))]
+        unlisted = [i for i in ids if i not in listed]
+        for n, expected in enumerate(unlisted):
+            assert generate._nth_unlisted(ids, ranks, listed, n) == expected
+
+
+class OneRowModel:
+    """A model whose every distribution is the same sparse row."""
+
+    def __init__(self, vocabulary, indices, probs, rest):
+        self.vocabulary = vocabulary
+        self.row = (np.array(indices, dtype=np.int64), np.array(probs, dtype=float), rest)
+
+    def next_token_distribution(self, context):
+        return self.row
+
+
+# ids: 0-3 the happy prompt, 4 new_measure, 5 tempo:120 (inadmissible when
+# happy), 6 tempo:160, 7 tempo:170, 8 wait:480 (blocked before a bar), 9 end
+ONE_ROW_VOCAB = [*HAPPY_PROMPT, "new_measure", "tempo:120", "tempo:160", "tempo:170",
+                 "wait:480", "end"]
+
+
+def first_step(indices, probs, rest, **constraints):
+    model = OneRowModel(ONE_ROW_VOCAB, indices, probs, rest)
+    constraints = SamplingConstraints(emotion="happy", max_tokens=len(HAPPY_PROMPT) + 1,
+                                      **constraints)
+    return [t.raw for t in sample_sequence(model, build_prompt("happy"), constraints)][4:]
+
+
+@pytest.mark.parametrize("indices,probs,rest,expected", [
+    ([7, 6], [0.4, 0.4], 0.05, "tempo:160"),      # listed tie: the lower id
+    ([6, 7], [0.4, 0.4], 0.05, "tempo:160"),
+    ([5, 0], [0.9, 0.0], 0.01, "arousal:high"),   # the lowest admissible unlisted id
+    ([8, 9], [0.5, 0.4], 0.01, "end"),            # the wait is blocked before a bar
+    ([6], [0.01], 0.01, "valence:high"),          # listed = rest: the unlisted id is lower
+    ([0], [0.01], 0.01, "valence:high"),          # listed = rest: the listed id is lower
+    ([4], [0.001], 0.01, "valence:high"),         # rest wins
+])
+def test_greedy_takes_the_lowest_id_of_the_largest_probability(indices, probs, rest, expected):
+    assert first_step(indices, probs, rest, temperature=0.0) == [expected]
+    tables = generate._sampling_tables(tuple(ONE_ROW_VOCAB), "happy", HAPPY_TEMPO_MIN,
+                                       SAD_TEMPO_MAX)
+    row = OneRowModel(ONE_ROW_VOCAB, indices, probs, rest).row
+    masked = dense(row, len(ONE_ROW_VOCAB)) * tables.masks[False]
+    assert ONE_ROW_VOCAB[int(np.argmax(masked))] == expected
+
+
+@pytest.mark.parametrize("temperature", [0.0, 1.0, 0.5])
+def test_structural_dead_end_stops_the_sample(temperature):
+    # all the mass on a wait before the first bar
+    assert first_step([8], [1.0], 0.0, temperature=temperature) == []
+
+
+def test_each_step_asks_the_model_and_the_tempo_mask_once(monkeypatch):
+    model = train_generator(CORPUS)
+    calls = {"model": 0, "mask": 0}
+    real_distribution, real_mask = model.next_token_distribution, generate.mask_tempo
+
+    def distribution(context):
+        calls["model"] += 1
+        return real_distribution(context)
+
+    def mask(*args):
+        calls["mask"] += 1
+        return real_mask(*args)
+
+    monkeypatch.setattr(model, "next_token_distribution", distribution)
+    monkeypatch.setattr(generate, "mask_tempo", mask)
+    for seed in range(5):
+        before = dict(calls)
+        raws = sample_raws(model, "happy", rng_seed=seed, max_tokens=30)
+        steps = len(raws) - len(HAPPY_PROMPT)
+        assert calls["model"] - before["model"] == calls["mask"] - before["mask"] == steps
 
 
 def test_tiny_temperature_draws_a_most_likely_token(corpus_model, tmp_path):
@@ -404,35 +587,36 @@ def test_tiny_temperature_draws_a_most_likely_token(corpus_model, tmp_path):
                      "--count", "3", "--temperature", "0.00001",
                      "--out-dir", str(tmp_path)]) == 0
     model = load_model(corpus_model)
-    _, _, admissible, structural = generate._sampling_tables(
-        tuple(model.vocabulary), "sad", HAPPY_TEMPO_MIN, SAD_TEMPO_MAX)
+    tables = generate._sampling_tables(tuple(model.vocabulary), "sad", HAPPY_TEMPO_MIN,
+                                       SAD_TEMPO_MAX)
     for f in sorted(tmp_path.glob("*.tokens")):
         raws = f.read_text().split()
         for i in range(len(build_prompt("sad")), len(raws)):
-            p = mask_tempo(model.next_token_distribution(raws[:i]), admissible)
-            p = p * structural["new_measure" in raws[:i]]
+            p = dense_next(model, raws[:i]) * tables.masks["new_measure" in raws[:i]]
             assert p[model.index[raws[i]]] == p.max(), (f.name, i, raws[i])
 
 
 # golden CLI outputs ------------------------------------------------------------
 
 # sha256 over gen_0000..gen_0004 (seeds 0-4) of `generate --count 5 --seed 0`
-# on a model trained from CORPUS; frozen before the masks were precomputed.
+# on a model trained from CORPUS; regenerated when the draw became sparse
+# (one uniform number picks a listed id or the r-th admissible unlisted one).
+# Greedy decoding (`--temperature 0`) kept its hash.
 GOLDEN = [
     ("happy", (),
-     "45ca494a0f22701c5928d8d4b3509adb3fa9b73ae70dd6e8b2357e1062bfff0a"),
+     "f01bc07af6b91bc5ad3a9fcbe534b239a9931ce85eaeb2085a52e2ba5149b7ef"),
     ("sad", (),
-     "fddb2b925cd5c5cb0c3c8f6c951a67e78e74c7a0ad456bd1151fbe46b759c3ca"),
+     "daa72baa1e65d9c4097aae0e66bb22a6fc9c4d9aa8b00065f77e7603e82bd7a9"),
     ("happy", ("--ablate", "emotion_labels"),
-     "8a4566df15bfb0b9e8b593d4d2079bf16d9f9e0b9c65bd7e067dd6611291f69b"),
+     "c113e84af42ad4bec04547fc12a507b19a5b8e090a58fe360dc785e37fdbf7bc"),
     ("sad", ("--ablate", "emotion_labels"),
-     "92d8943c5ebe8488381e508938a155b1b46af45c7c610435c4cb70a66a5770ac"),
+     "4c4567655467fd7a408e90cc05c7140f3703639cd7e8f46e8413ad6c8951ec36"),
     ("happy", ("--ablate", "tension"),
-     "2f4fe751f6f3ee9468328bc4060d37b6a43f02c03f0ca5bde0bf42e6597e8a33"),
+     "ebe61730f446e23c7ee71aa9cd5d7844d9c74ab149155977e782648ca704bac4"),
     ("sad", ("--ablate", "tension"),
-     "c825910c05375b92349d729ac71a85e341ba628456cfdfa4153593992c76a16e"),
+     "9287cf0a7b054e3662ec8791271841eda30d6ac32fb440d0f563900cd14fecf5"),
     ("happy", ("--temperature", "0.7"),
-     "51bb52b105d3c999727df9822a4cc363a6fe97479b8b69448b6ef688255eac31"),
+     "0c45d733f9b8a0e95887688a37afe88e5e168863302e7e760c880096a8462c31"),
     ("sad", ("--temperature", "0"),
      "fe57597c6b912973a1d963dbfd20b0572efa4fc01925652165b7dc4ff0e4d717"),
 ]
@@ -492,6 +676,38 @@ def test_greedy_psychology_ablation_terminates(corpus_model, tmp_path):
     assert tempi and all(bpm <= SAD_TEMPO_MAX for bpm in tempi)
 
 
+@pytest.mark.parametrize("flags", [
+    ("--temperature=inf",), ("--temperature=-inf",), ("--temperature=nan",),
+    ("--temperature", "-0.5"),
+    ("--max-tokens", "0"), ("--max-tokens", "-3"),
+    ("--count", "0"), ("--count", "-1"),
+])
+def test_generate_rejects_bad_settings_before_writing(corpus_model, tmp_path, capsys, flags):
+    # at T = inf, 0 ** 0 == 1 gave masked tempi their mass back; T = nan
+    # repeated one token; --max-tokens 0 fell back to the configured 4096
+    out = tmp_path / "out"
+    assert main(["generate", "--model", str(corpus_model), "--emotion", "sad", *flags,
+                 "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_generate_rejects_a_configured_bar_budget_below_1(corpus_model, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"format": "looptab-config", "generator": {"max_bars": 0}}')
+    assert main(["--config", str(config), "generate", "--model", str(corpus_model),
+                 "--emotion", "sad", "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "max_bars" in err and err.count("\n") == 1
+
+
+def test_generate_max_tokens_is_taken_as_given(corpus_model, tmp_path):
+    assert main(["generate", "--model", str(corpus_model), "--emotion", "happy",
+                 "--max-tokens", "6", "--out-dir", str(tmp_path)]) == 0
+    assert len((tmp_path / "gen_0000.tokens").read_text().split()) <= 6
+
+
 # sampling errors --------------------------------------------------------------
 
 class TempoOnlyModel:
@@ -499,9 +715,7 @@ class TempoOnlyModel:
     vocabulary = [*HAPPY_PROMPT, "new_measure", "tempo:120", "end"]
 
     def next_token_distribution(self, context):
-        probs = np.zeros(len(self.vocabulary))
-        probs[self.vocabulary.index("tempo:120")] = 1.0
-        return probs
+        return np.array([self.vocabulary.index("tempo:120")]), np.array([1.0]), 0.0
 
 
 def test_all_mass_on_inadmissible_tempi_exits_1(tmp_path, monkeypatch, capsys):

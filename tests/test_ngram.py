@@ -1,6 +1,7 @@
 """The n-gram model against the code it replaced: the nested counting
 loop, the document built from those counts and the per-token ``Counter``
-loop of ``next_token_distribution``."""
+loop of ``next_token_distribution``, whose sparse rows are expanded to
+vocabulary-length vectors here."""
 
 import json
 import tempfile
@@ -20,6 +21,8 @@ from looptab.generate import (
     save_model,
     train_generator,
 )
+
+from util import dense
 
 # few symbols so that contexts repeat; one needs escaping, one is not ASCII
 SYMBOLS = ["a", "b", "c", "new_measure", "wait:480", "end", "tempo:160", 'q"x', "für"]
@@ -138,5 +141,6 @@ def test_distribution_is_bit_equal_to_the_counter_loop(lines, order, alpha, quer
     model = train_generator(lines, order=order, alpha=alpha)
     counts = oracle_counts(lines, order)
     for context in queries + queries:  # the second pass must not differ
-        np.testing.assert_allclose(model.next_token_distribution(context),
-                                   oracle_distribution(model, counts, context), rtol=0, atol=0)
+        vector = dense(model.next_token_distribution(context), len(model.vocabulary))
+        np.testing.assert_allclose(vector, oracle_distribution(model, counts, context),
+                                   rtol=0, atol=0)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from looptab.score import (
     DEFAULT_TUNINGS,
     Measure,
@@ -94,3 +96,12 @@ def score_from_blocks(blocks: dict[str, list[NoteEvent]], sequence: str) -> Scor
         for i, b in enumerate(sequence)
     )
     return Score(header_tempo=120, header_time_signature=4, measures=measures)
+
+
+def dense(distribution, size: int) -> np.ndarray:
+    """The vocabulary-length vector of a sparse ``(indices, probs, rest)``
+    next-token distribution: ``rest`` wherever no probability is listed."""
+    indices, probs, rest = distribution
+    vector = np.full(size, rest)
+    vector[indices] = probs
+    return vector
