@@ -177,6 +177,9 @@ def cmd_generate(args) -> int:
     )
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
+    if constraints.max_tokens <= len(prompt):
+        raise ValueError(f"max_tokens {constraints.max_tokens} leaves no room to sample after "
+                         f"the {len(prompt)}-token prompt; give more than {len(prompt)}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):

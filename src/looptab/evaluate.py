@@ -348,4 +348,7 @@ def load_survey_csv(path) -> list[dict]:
         required = {"participant", "group", "question", "answer"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise SurveyError(f"survey CSV must have header {sorted(required)}")
-        return list(reader)
+        rows = list(reader)
+    if not rows:
+        raise SurveyError(f"{path}: no responses")
+    return rows

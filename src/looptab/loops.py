@@ -150,8 +150,5 @@ def splice_loop(score: Score, span: LoopSpan) -> Score:
     if not 0 <= span.start_bar < span.end_bar <= len(score.measures):
         raise ValueError(f"span [{span.start_bar}, {span.end_bar}) out of range "
                          f"for {len(score.measures)}-bar score")
-    measures = tuple(
-        replace(m, index=i)
-        for i, m in enumerate(score.measures[span.start_bar:span.end_bar])
-    )
-    return replace(score, measures=measures)
+    bars = score.measures[span.start_bar:span.end_bar]
+    return replace(score, measures=tuple(m.renumbered(i) for i, m in enumerate(bars)))

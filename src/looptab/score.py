@@ -15,9 +15,9 @@ rendered canonically (durations snap back to the gap rule on reparse).
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .tokens import (
     NEW_MEASURE,
@@ -52,8 +52,7 @@ class StructureError(ValueError):
     """Token stream violates score structure (not the token grammar)."""
 
 
-@dataclass(frozen=True)
-class NoteEvent:
+class _NoteFields(NamedTuple):
     track: str
     onset: int
     duration: int
@@ -62,13 +61,33 @@ class NoteEvent:
     fret: int | None = None
     effects: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if self.onset < 0:
+
+class NoteEvent(_NoteFields):
+    """One note: an immutable, hashable tuple record, equal to another with
+    the same fields.
+
+    Every way of building one (the constructor, ``_make``, ``_replace``)
+    runs the same checks; a tuple costs about a quarter of a
+    frozen dataclass to build, and a song decodes tens of thousands.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, track: str, onset: int, duration: int, midi_pitch: int,
+                string: int | None = None, fret: int | None = None,
+                effects: tuple[str, ...] = ()):
+        if onset < 0:
             raise ValueError("onset must be >= 0")
-        if self.duration <= 0:
+        if duration <= 0:
             raise ValueError("duration must be > 0")
-        if not 0 <= self.midi_pitch <= 127:
+        if not 0 <= midi_pitch <= 127:
             raise ValueError("midi pitch outside [0, 127]")
+        return tuple.__new__(cls, (track, onset, duration, midi_pitch, string, fret, effects))
+
+    @classmethod
+    def _make(cls, iterable) -> NoteEvent:
+        # the inherited _replace builds its result through _make
+        return cls(*iterable)
 
     @property
     def end(self) -> int:
@@ -93,6 +112,14 @@ class Measure:
         """Ticks actually spanned: declared capacity or content end, whichever larger."""
         content = max((e.end for e in self.events), default=0)
         return max(self.capacity, content)
+
+    def renumbered(self, index: int) -> Measure:
+        """This bar at position ``index``: itself if it is there already,
+        else a copy built positionally (``dataclasses.replace`` costs about
+        three times as much)."""
+        if index == self.index:
+            return self
+        return Measure(index, self.time_signature, self.tempo_bpm, self.events, self.bar_controls)
 
 
 @dataclass(frozen=True)
@@ -147,9 +174,11 @@ def tokens_to_score(stream: list[Token]) -> Score:
     """Decode a token stream into a :class:`Score`.
 
     Song controls and header tokens must precede the first ``new_measure``;
-    a note before the first measure or a string number outside the track's
-    tuning raises :class:`StructureError`.
+    an empty stream, a note before the first measure or a string number
+    outside the track's tuning raises :class:`StructureError`.
     """
+    if not stream:
+        raise StructureError("no tokens")  # even an empty score has a header and end
     artist = None
     header_tempo = DEFAULT_TEMPO
     header_ts = 4
@@ -302,7 +331,10 @@ def score_to_tokens(score: Score, include_artist: bool = True) -> list[Token]:
         i = 0
         while i < len(events):
             onset = events[i].onset
-            group = [e for e in events[i:] if e.onset == onset]
+            j = i + 1
+            while j < len(events) and events[j].onset == onset:  # sorted: one run per onset
+                j += 1
+            group = events[i:j]
             if onset > cursor:
                 out.append(wait_token(onset - cursor))
                 cursor = onset
@@ -313,7 +345,7 @@ def score_to_tokens(score: Score, include_artist: bool = True) -> list[Token]:
                     out.append(note_token(ev.track, ev.string, ev.fret))
                 for fx in ev.effects:
                     out.append(token(f"nfx:{fx}"))
-            i += len(group)
+            i = j
             if i < len(events):
                 gap = events[i].onset - onset
             else:
@@ -335,23 +367,17 @@ def regularize_meter(score: Score) -> Score:
     for m in score.measures:
         n_chunks = max(1, -(-m.extent // BAR_TICKS_4_4))  # ceil
         if m.time_signature == DEFAULT_TS and n_chunks == 1:
-            new_measures.append(dataclasses.replace(m, index=len(new_measures)))
+            new_measures.append(m.renumbered(len(new_measures)))
             continue
         for c in range(n_chunks):
             lo, hi = c * BAR_TICKS_4_4, (c + 1) * BAR_TICKS_4_4
-            chunk = []
-            for ev in m.events:
-                if lo <= ev.onset < hi:
-                    dur = min(ev.duration, hi - ev.onset)
-                    chunk.append(dataclasses.replace(ev, onset=ev.onset - lo, duration=dur))
-            new_measures.append(Measure(
-                index=len(new_measures),
-                time_signature=DEFAULT_TS,
-                tempo_bpm=m.tempo_bpm,
-                events=tuple(sorted(chunk, key=_sort_key)),
-                bar_controls=m.bar_controls if c == 0 else (),
-            ))
-    return dataclasses.replace(score, header_time_signature=4, measures=tuple(new_measures))
+            chunk = [NoteEvent(track, onset - lo, min(duration, hi - onset), midi, string, fret, fx)
+                     for track, onset, duration, midi, string, fret, fx in m.events
+                     if lo <= onset < hi]
+            new_measures.append(Measure(len(new_measures), DEFAULT_TS, m.tempo_bpm,
+                                        tuple(sorted(chunk, key=_sort_key)),
+                                        m.bar_controls if c == 0 else ()))
+    return replace(score, header_time_signature=4, measures=tuple(new_measures))
 
 
 

@@ -529,3 +529,69 @@ def test_song_path_matches_golden_hash(tmp_path, command):
     for f in files:
         h.update(f.name.encode() + b"\0" + f.read_bytes())
     assert h.hexdigest() == SONG_PATH_GOLDEN[command]
+
+
+# Every subcommand on an empty directory and on an empty or header-only file.
+# "{dir}" is an empty directory, "{empty}" an empty file, "{songs}" a directory
+# holding one empty .tokens file, "{header}" a file holding only the CSV
+# header the command expects, "{clf}" a trained classifier directory and
+# "{ann}" a valid annotations file.
+MALFORMED_INPUTS = {
+    "annotate-dir": ["annotate", "--annotations", "{dir}"],
+    "annotate-empty": ["annotate", "--annotations", "{empty}"],
+    "annotate-header": ["annotate", "--annotations", "{header}"],
+    "annotate-songs-header": ["annotate", "--songs", "{header}", "--provider-csv", "{ann}"],
+    "tension-dir": ["tension", "--scores", "{dir}", "--out-csv", "{out}"],
+    "tension-empty": ["tension", "--scores", "{songs}", "--out-csv", "{out}"],
+    "loops-dir": ["loops", "--scores", "{dir}", "--out", "{out}"],
+    "loops-empty": ["loops", "--scores", "{songs}", "--out", "{out}"],
+    "corpus-dir": ["corpus", "--scores", "{dir}", "--annotations", "{ann}", "--out", "{out}"],
+    "corpus-header": ["corpus", "--scores", "{songs}", "--annotations", "{header}",
+                      "--out", "{out}"],
+    "train-gen-dir": ["train-gen", "--corpus", "{dir}", "--out", "{out}"],
+    "train-gen-empty": ["train-gen", "--corpus", "{empty}", "--out", "{out}"],
+    "generate-dir": ["generate", "--model", "{dir}", "--emotion", "sad", "--out-dir", "{out}"],
+    "generate-empty": ["generate", "--model", "{empty}", "--emotion", "sad", "--out-dir", "{out}"],
+    "train-clf-dir": ["train-clf", "--corpus", "{dir}", "--out-dir", "{out}"],
+    "train-clf-empty": ["train-clf", "--corpus", "{empty}", "--out-dir", "{out}"],
+    "eval-emotion-dir": ["eval-emotion", "--happy", "{dir}", "--sad", "{dir}",
+                         "--valence-model", "{clf}/valence.json",
+                         "--arousal-model", "{clf}/arousal.json"],
+    "eval-emotion-empty": ["eval-emotion", "--happy", "{dir}", "--sad", "{dir}",
+                           "--valence-model", "{empty}", "--arousal-model", "{empty}"],
+    "eval-loops-dir": ["eval-loops", "--generations", "{dir}"],
+    "eval-loops-empty": ["eval-loops", "--generations", "{songs}"],
+    "eval-stats-dir": ["eval-stats", "--method", "wilcoxon", "--input", "{dir}"],
+    "eval-stats-empty": ["eval-stats", "--method", "friedman", "--input", "{empty}"],
+    "eval-stats-header": ["eval-stats", "--method", "pairwise", "--input", "{header}"],
+    "survey-dir": ["survey", "--responses", "{dir}"],
+    "survey-empty": ["survey", "--responses", "{empty}"],
+    "survey-header": ["survey", "--responses", "{header}"],
+}
+ANNOTATIONS_HEADER = "artist,title,valence,energy,mode"
+CSV_HEADERS = {"annotate": ANNOTATIONS_HEADER, "corpus": ANNOTATIONS_HEADER,
+               "eval-stats": "a,b", "survey": "participant,group,question,answer"}
+
+
+def test_the_malformed_input_sweep_covers_every_subcommand():
+    commands = set(cli.build_parser()._subparsers._group_actions[0].choices)
+    assert {argv[0] for argv in MALFORMED_INPUTS.values()} == commands
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_with_one_error_line(workspace, classifiers, tmp_path, capsys,
+                                                   case):
+    argv = MALFORMED_INPUTS[case]
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "empty").write_text("")
+    (tmp_path / "songs").mkdir()
+    (tmp_path / "songs" / "song.tokens").write_text("")
+    (tmp_path / "header").write_text(CSV_HEADERS.get(argv[0], "artist,title") + "\n")
+    paths = {name: tmp_path / name for name in ("dir", "empty", "songs", "header", "out")}
+    paths |= {"clf": classifiers, "ann": workspace / "annotations.csv"}
+    capsys.readouterr()
+    code = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert code in (1, 2)
+    assert sum(l.startswith("error: ") for l in captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err + captured.out

@@ -702,6 +702,20 @@ def test_generate_rejects_a_configured_bar_budget_below_1(corpus_model, tmp_path
     assert err.startswith("error: ") and "max_bars" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("ablate", [(), ("--ablate", "psychology")])
+def test_generate_max_tokens_within_the_prompt_exits_1(corpus_model, tmp_path, capsys, ablate):
+    # it wrote the prompt alone, with no sampled token, and exited 0
+    prompt = len(ablated_prompt("happy", ablate[1] if ablate else None))
+    for budget in (1, prompt):
+        out = tmp_path / f"out{budget}"
+        assert main(["generate", "--model", str(corpus_model), "--emotion", "happy", *ablate,
+                     "--max-tokens", str(budget), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{prompt}-token prompt" in err
+        assert not out.exists()
+
+
 def test_generate_max_tokens_is_taken_as_given(corpus_model, tmp_path):
     assert main(["generate", "--model", str(corpus_model), "--emotion", "happy",
                  "--max-tokens", "6", "--out-dir", str(tmp_path)]) == 0

@@ -165,7 +165,7 @@ def test_extract_transposition_invariant():
     b = blocks(rng)
     score = score_from_blocks(b, "ABCAABCA")
     up = replace(score, measures=tuple(
-        replace(m, events=tuple(replace(e, midi_pitch=e.midi_pitch + 2) for e in m.events))
+        replace(m, events=tuple(e._replace(midi_pitch=e.midi_pitch + 2) for e in m.events))
         for m in score.measures))
     assert extract_loops(up) == extract_loops(score)
 

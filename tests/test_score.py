@@ -1,9 +1,12 @@
+import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
 from looptab import score as score_mod
 from looptab.score import (
+    BAR_TICKS_4_4,
     Measure,
     NoteEvent,
     Score,
@@ -12,7 +15,7 @@ from looptab.score import (
     score_to_tokens,
     tokens_to_score,
 )
-from looptab.tokens import parse_tokens, render_tokens
+from looptab.tokens import TENSION_FEATURES, parse_tokens, render_tokens
 
 from util import canonical, random_score
 
@@ -88,6 +91,11 @@ def test_effects_attach_to_their_note():
     assert second.effects == ()
 
 
+def test_empty_stream_is_structural_error():
+    with pytest.raises(StructureError, match="^no tokens$"):
+        tokens_to_score(parse_tokens(""))
+
+
 def test_tokens_after_end_rejected():
     with pytest.raises(StructureError):
         tokens_to_score(parse_tokens("start end wait:480"))
@@ -161,3 +169,124 @@ def test_regularize_idempotent_and_preserves_notes():
         assert all(m.capacity == 3840 for m in once.measures)
         total = lambda s: sum(e.duration for m in s.measures for e in m.events)
         assert total(once) == total(score)
+
+
+# note records ------------------------------------------------------------------
+
+NOTE = NoteEvent("clean0", 0, 960, 60, 2, 1)
+BAD_FIELDS = [({"onset": -1}, "onset must be >= 0"),
+              ({"duration": 0}, "duration must be > 0"),
+              ({"duration": -960}, "duration must be > 0"),
+              ({"midi_pitch": -1}, r"midi pitch outside \[0, 127\]"),
+              ({"midi_pitch": 128}, r"midi pitch outside \[0, 127\]")]
+
+
+@pytest.mark.parametrize("build", ["constructor", "keywords", "_replace", "_make"])
+@pytest.mark.parametrize("change,message", BAD_FIELDS)
+def test_every_way_of_building_a_note_checks_it(build, change, message):
+    fields = NOTE._asdict() | change
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        if build == "constructor":
+            NoteEvent(*fields.values())
+        elif build == "keywords":
+            NoteEvent(**fields)
+        elif build == "_replace":
+            NOTE._replace(**change)
+        else:
+            NoteEvent._make(fields.values())
+
+
+def test_note_fields_cannot_be_assigned():
+    with pytest.raises(AttributeError):
+        NOTE.onset = 480
+    with pytest.raises(AttributeError):
+        NOTE.velocity = 100
+
+
+def test_notes_with_equal_fields_are_equal_and_hash_equal():
+    twin = NoteEvent("clean0", 0, 960, 60, string=2, fret=1)
+    assert twin == NOTE and hash(twin) == hash(NOTE) and twin is not NOTE
+    assert len({NOTE, twin, NOTE._replace(fret=1)}) == 1
+    assert NOTE._replace(effects=("palm_mute",)) != NOTE
+    assert (NOTE.end, NOTE.effects, NOTE.string) == (960, (), 2)
+    assert NoteEvent._fields == ("track", "onset", "duration", "midi_pitch", "string", "fret",
+                                 "effects")
+
+
+def _overflowing_score(rng):
+    bars = []
+    for _ in range(rng.randint(1, 6)):
+        body = []
+        for _ in range(rng.randint(1, 8)):
+            body.append(f"clean0:note:s{rng.randint(1, 6)}:f{rng.randint(0, 12)}")
+            body.append(f"wait:{rng.choice((480, 960, 1920))}")
+        bars.append(" ".join(["new_measure", *body]))
+    numerator = rng.choice((3, 4, 5))
+    return tokens_to_score(parse_tokens(f"time_signature:{numerator} start {' '.join(bars)} end"))
+
+
+def test_regularize_meter_output_is_pinned():
+    # sha256 of the regularized 3/4, 5/4 and overflowing scores below, as the
+    # frozen-dataclass notes built with dataclasses.replace gave them
+    rng = random.Random(2024)
+    scores = [random_score(rng, numerators=(3,)) for _ in range(40)]
+    scores += [random_score(rng, numerators=(5,)) for _ in range(40)]
+    scores += [_overflowing_score(rng) for _ in range(40)]
+    out = [regularize_meter(s) for s in scores]
+    assert sum(len(s.measures) for s in out) > sum(len(s.measures) for s in scores)
+    h = hashlib.sha256()
+    for s in out:
+        h.update(repr((s.header_time_signature, [
+            (m.index, m.time_signature, m.tempo_bpm, [t.raw for t in m.bar_controls],
+             [(e.track, e.onset, e.duration, e.midi_pitch, e.string, e.fret, e.effects)
+              for e in m.events]) for m in s.measures])).encode())
+    assert h.hexdigest() == "1e2182ea5c020296e216030e2e3d2454a3e7fa55b6e94f6076f7d44c189f5f28"
+
+
+def quadratic_tokens(score: Score) -> list[str]:
+    """Reference encoder: the measure body as first written, gathering each
+    onset group by scanning the rest of the bar."""
+    out = [t.raw for t in score_to_tokens(replace(score, measures=()))][:-1]
+    running_tempo, running_ts = score.header_tempo, score.header_time_signature
+    for m in score.measures:
+        num = m.time_signature[0]
+        if num != running_ts:
+            out.append(f"time_signature:{num}")
+            running_ts = num
+        if m.tempo_bpm != running_tempo:
+            out.append(f"tempo:{m.tempo_bpm}")
+            running_tempo = m.tempo_bpm
+        out.append("new_measure")
+        by_feature = {t.fields["feature"]: t.raw for t in m.bar_controls}
+        out.extend(by_feature[f] for f in TENSION_FEATURES if f in by_feature)
+        events = sorted(m.events, key=lambda e: (e.onset, e.track, e.midi_pitch, e.string or 0))
+        cursor = i = 0
+        while i < len(events):
+            onset = events[i].onset
+            group = [e for e in events[i:] if e.onset == onset]
+            if onset > cursor:
+                out.append(f"wait:{onset - cursor}")
+            for ev in group:
+                out.append(f"drums:note:{ev.midi_pitch}" if ev.track == "drums"
+                           else f"{ev.track}:note:s{ev.string}:f{ev.fret}")
+                out.extend(f"nfx:{fx}" for fx in ev.effects)
+            i += len(group)
+            gap = events[i].onset - onset if i < len(events) else max(e.duration for e in group)
+            out.append(f"wait:{gap}")
+            cursor = onset + gap
+    return out + ["end"]
+
+
+def test_score_to_tokens_groups_onsets_like_the_quadratic_scan():
+    rng = random.Random(11)
+    scores = [random_score(rng, numerators=(3, 4, 5), vary_tempo=True) for _ in range(200)]
+    # one 4/4 bar with an onset on each of its 3,840 ticks, some of them chords
+    events = []
+    for tick in range(BAR_TICKS_4_4):
+        events.append(NoteEvent("clean0", tick, 1, 64, 1, 0))
+        if tick % 7 == 0:
+            events.append(NoteEvent("bass", tick, 2, 43, 1, 0, ("palm_mute",)))
+    rng.shuffle(events)
+    scores.append(Score(measures=(Measure(0, events=tuple(events)),)))
+    for score in scores:
+        assert [t.raw for t in score_to_tokens(score)] == quadratic_tokens(score)
