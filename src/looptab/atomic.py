@@ -1,4 +1,5 @@
-"""Whole-file writes that never leave a partial file behind.
+"""Whole-file writes that never leave a partial file behind, and
+whole-file JSON reads whose errors name the file.
 
 The text goes to a new sibling of the target, which is renamed over the
 target only once every byte is written; on any failure the sibling is
@@ -7,6 +8,7 @@ removed and the previous target, if any, is left as it was.
 
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -36,3 +38,15 @@ def atomic_open(path: str | Path, newline: str | None = None) -> Iterator[TextIO
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def read_json(path: str | Path):
+    """The JSON document in ``path``. A file that cannot be opened or read
+    raises ``OSError``; contents that are not UTF-8 JSON text raise
+    ``ValueError`` naming ``path``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise ValueError(f"{path}: not UTF-8 JSON text: {exc}") from None

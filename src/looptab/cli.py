@@ -1,7 +1,9 @@
 """Pipeline command line: one executable, one subcommand per stage.
 
-Data goes to files, logs to stderr. Exit codes: 0 success, 1 validation
-or usage error, 2 I/O error. All randomness flows from explicit seeds.
+Data goes to files, logs to stderr. Exit codes: 0 success; 1 a usage
+error or invalid input, such as a file whose contents are not what the
+command reads; 2 a file that cannot be opened, read or written. All
+randomness flows from explicit seeds.
 """
 
 from __future__ import annotations
@@ -137,6 +139,10 @@ def cmd_corpus(args) -> int:
         loop_params=config.loop_params,
         spiral_params=config.spiral_params,
     )
+    skipped = (f"{result.skipped_no_annotation} unannotated, {result.skipped_no_loops} loop-free, "
+               f"{result.failed_files} failed")
+    if not lines:
+        raise ValueError(f"no corpus lines from {args.scores} (skipped: {skipped})")
     atomic_write(args.out, "".join(l + "\n" for l in lines))
     if args.out_tension_thresholds and result.tension_thresholds is not None:
         atomic_write(args.out_tension_thresholds,
@@ -144,9 +150,8 @@ def cmd_corpus(args) -> int:
     if args.out_feature_thresholds:
         atomic_write(args.out_feature_thresholds,
                      annotate_mod.feature_thresholds_to_json(result.feature_thresholds))
-    log.info("corpus: %d lines from %d songs (skipped: %d unannotated, %d loop-free, %d failed)",
-             result.lines, result.songs_used, result.skipped_no_annotation,
-             result.skipped_no_loops, result.failed_files)
+    log.info("corpus: %d lines from %d songs (skipped: %s)", result.lines, result.songs_used,
+             skipped)
     return 0
 
 
@@ -419,7 +424,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:

@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .atomic import read_json
 from .evaluate import ClassifierConfig, is_finite_number
 from .generate import HAPPY_TEMPO_MIN, SAD_TEMPO_MAX
 from .loops import LoopParams
@@ -81,10 +82,7 @@ def _build(cls, doc: dict, prefix: str = ""):
     return cls(**kwargs)
 
 
-def config_from_json(text: str, source: str = "config") -> PipelineConfig:
-    """Parse a config document, raising ``ValueError`` naming ``source`` if
-    it is not a looptab config or a field has the wrong type."""
-    doc = json.loads(text)
+def _config_from_doc(doc, source: str) -> PipelineConfig:
     try:
         if not isinstance(doc, dict) or doc.get("format") != CONFIG_FORMAT:
             raise ValueError("not a looptab config document")
@@ -93,7 +91,15 @@ def config_from_json(text: str, source: str = "config") -> PipelineConfig:
         raise ValueError(f"{source}: {exc}") from None
 
 
+def config_from_json(text: str, source: str = "config") -> PipelineConfig:
+    """Parse a config document, raising ``ValueError`` naming ``source`` if
+    it is not a looptab config or a field has the wrong type."""
+    return _config_from_doc(json.loads(text), source)
+
+
 def load_config(path: str | Path | None) -> PipelineConfig:
+    """The config in ``path`` (the defaults for None); a file that is not
+    a JSON looptab config raises ``ValueError`` naming it."""
     if path is None:
         return PipelineConfig()
-    return config_from_json(Path(path).read_text(encoding="utf-8"), source=str(path))
+    return _config_from_doc(read_json(path), str(path))

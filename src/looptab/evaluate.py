@@ -18,7 +18,7 @@ from typing import Mapping, Protocol, Sequence
 import numpy as np
 
 from . import loops as loops_mod
-from .atomic import atomic_open
+from .atomic import atomic_open, read_json
 from .generate import HAPPY_TEMPO_MIN, SAD_TEMPO_MAX
 from .score import Score
 
@@ -121,8 +121,7 @@ class LinearTokenClassifier:
     def load(cls, path) -> "LinearTokenClassifier":
         """Read a classifier document, raising ``ValueError`` naming
         ``path`` if it is not a well-formed looptab classifier."""
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_json(path)
         if not isinstance(doc, dict) or doc.get("format") != "looptab-linear-classifier":
             raise ValueError(f"{path}: not a looptab classifier file")
         names, weights = doc.get("feature_names"), doc.get("weights")

@@ -9,11 +9,20 @@ is drawn from what is left. The masks and the parsed vocabulary depend
 only on the vocabulary, the emotion and the tempo bounds, so all samples
 of a ``generate`` run share them.
 
-The n-gram counts are compressed sparse rows of integer vocabulary ids,
-and every row's probabilities are computed once, when the model is built
-or loaded. The model file (``looptab-ngram`` version 2) stores the
-vocabulary once and the rows as five flat integer columns; a version-1
-file is rejected with a request to re-run ``train-gen``.
+Integer vocabulary ids carry the n-gram from training to sampling.
+Training maps the corpus to one id array and counts each n-gram length
+with one ``np.unique`` over integer keys. The counts are compressed sparse
+rows, and every row's probabilities are computed once, when the model is
+built or loaded. Each context row is keyed by the row of its suffix one
+token shorter and its first token, so the longest seen suffix of the ids
+sampled so far is found in at most ``order - 1`` dict lookups.
+
+The model file (``looptab-ngram`` version 3) is one JSON document: the
+vocabulary as a list of strings, and each of the five columns as an
+object of its dtype (``<u2`` where every value is below 65,536, else
+``<i4``, or ``<i8`` past 2**31) and its little-endian bytes, compressed
+with zlib and base64-encoded. Version-1 and version-2 files are rejected
+with a request to re-run ``train-gen``.
 
 A distribution is sparse: the ids of one row, their probabilities, and
 one probability shared by every token the row does not list. A step
@@ -25,17 +34,19 @@ one of them from the sorted admissible ids, skipping the listed ones.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import sys
-from collections import Counter
+import zlib
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, read_json
 from .tokens import END, Token, TokenCategory, token
 
 HAPPY_TEMPO_MIN = 150
@@ -136,8 +147,10 @@ class NGramModel:
     The counts are compressed sparse rows over vocabulary ids, one row per
     context: context ``r`` is the next ``context_lengths[r]`` ids of
     ``context_tokens``, and its continuations are
-    ``tokens[row_ptr[r]:row_ptr[r + 1]]`` with their ``counts``. Every
-    row's probabilities are computed once, here; the arrays are read-only.
+    ``tokens[row_ptr[r]:row_ptr[r + 1]]`` with their ``counts``. The
+    suffix of every context one token shorter must be a context too; the
+    empty context need not be one. Every row's probabilities are computed
+    once, here; the arrays are read-only.
     """
 
     def __init__(self, order: int, alpha: float, vocabulary: list[str],
@@ -155,9 +168,8 @@ class NGramModel:
             column.setflags(write=False)
             setattr(self, name, column)
         self._check_columns()
-        self._rows = self._context_rows()
-        if len(self._rows) != len(self.context_lengths):
-            raise ValueError("a context appears twice")
+        self._stride = len(self.context_lengths) + 1
+        self._root, self._children = self._context_tree()
         self._bounds = self.row_ptr.tolist()
 
         # (alpha + n) / denominator and alpha / denominator are the very floats
@@ -181,6 +193,10 @@ class NGramModel:
             raise ValueError("row_ptr must start at 0, strictly increase and end at len(tokens)")
         if np.any(counts < 1):
             raise ValueError("counts must be >= 1")
+        # Beyond 2**53, row sums are no longer exact floats. A float sum of
+        # positive integers reaches 2**53 exactly when their sum does.
+        if counts.sum(dtype=float) >= 2 ** 53:
+            raise ValueError("counts must sum to less than 2**53")
         for ids in (self.context_tokens, self.tokens):
             if np.any((ids < 0) | (ids >= v)):
                 raise ValueError(f"token ids must lie in [0, {v})")
@@ -188,31 +204,66 @@ class NGramModel:
             raise ValueError(f"context lengths must lie in [0, {self.order - 1}] "
                              "and sum to len(context_tokens)")
 
-    def _context_rows(self) -> dict[tuple[str, ...], int]:
-        """``{context: row}``, built one context length at a time."""
-        lengths = self.context_lengths
+    def _context_tree(self) -> tuple[int, dict[int, int]]:
+        """The empty context's row (-1 without one) and ``{key: row}`` for
+        every other context, built one context length at a time. A
+        context's key is ``first * stride + suffix + 1``: its first id and
+        the row of its suffix one token shorter (the empty context's for a
+        one-token context), with ``stride`` one more than the row count.
+        Raises ``ValueError`` if a suffix is not a context or a context
+        appears twice."""
+        lengths, flat, stride = self.context_lengths, self.context_tokens, self._stride
         starts = np.cumsum(lengths) - lengths
-        words = np.array(self.vocabulary, dtype=object)
-        rows = {}
-        for n in range(self.order):
+        (empty,) = np.nonzero(lengths == 0)
+        root = int(empty[0]) if len(empty) else -1
+        last = np.full(len(self.vocabulary), -1)  # the row of each one-token context
+        # by context length from 2: the keys in ascending order and their
+        # rows, each ending in a key above all others and row -1
+        levels = []
+        above = len(self.vocabulary) * stride
+        tree = {}
+        for n in range(1, self.order):
             (members,) = np.nonzero(lengths == n)
-            ids = [self.context_tokens[starts[members] + j] for j in range(n)]
-            keys = zip(*(words[column].tolist() for column in ids)) if n else [()] * len(members)
-            rows.update(zip(keys, members.tolist()))
-        return rows
+            first = starts[members]
+            if n == 1:
+                last[flat[first]] = members
+                suffix = np.full(len(members), root)
+            else:
+                # each context's suffix, found from its last id back to its second
+                suffix = last[flat[first + n - 1]]
+                missing = suffix < 0
+                for j, (keys, rows) in enumerate(levels, 2):
+                    key = flat[first + n - j] * stride + suffix + 1
+                    by_key = np.argsort(key)  # sorted queries search faster
+                    at = np.empty_like(by_key)
+                    at[by_key] = keys.searchsorted(key[by_key])
+                    missing |= keys[at] != key
+                    suffix = rows[at]
+                if np.any(missing):
+                    raise ValueError("the suffix of a context is not a context")
+            keys = flat[first] * stride + suffix + 1
+            tree.update(zip(keys.tolist(), members.tolist()))
+            if 1 < n < self.order - 1:  # the longest contexts are no suffix
+                by_key = np.argsort(keys)
+                levels.append((np.append(keys[by_key], above), np.append(members[by_key], -1)))
+        if len(empty) > 1 or len(tree) < len(lengths) - len(empty):
+            raise ValueError("a context appears twice")
+        return root, tree
 
-    def next_token_distribution(self, context: Sequence[str]) -> Distribution:
-        """The sparse distribution after ``context``: the ids of the longest
-        seen context suffix's row, their probabilities, and the probability
-        of every token the row does not list. Without any row (a model
+    def next_token_distribution(self, ids: Sequence[int]) -> Distribution:
+        """The sparse distribution after the vocabulary ids ``ids``: the ids
+        of the longest seen context suffix's row, their probabilities, and
+        the probability of every token the row does not list. An integer
+        outside the vocabulary matches no context. Without any row (a model
         lacking the empty context) no id is listed and every token has the
         same probability. The arrays are read-only views of the model."""
-        ctx = tuple(context[-(self.order - 1):])
-        rows = self._rows
-        while ctx and ctx not in rows:
-            ctx = ctx[1:]
-        row = rows.get(ctx)
-        if row is None:
+        row, children, stride = self._root, self._children, self._stride
+        for t in reversed(ids[-(self.order - 1):]):
+            child = children.get(t * stride + row + 1)
+            if child is None:
+                break
+            row = child
+        if row < 0:
             return _NO_IDS, _NO_PROBS, self._uniform
         start, stop = self._bounds[row], self._bounds[row + 1]
         return self.tokens[start:stop], self._seen[start:stop], self._unseen[row]
@@ -222,42 +273,59 @@ def train_generator(corpus_lines: Sequence[str], order: int = 4, alpha: float = 
     """Count-based estimation over corpus token lines.
 
     Every line is terminated with ``end`` before counting; the vocabulary
-    is the corpus tokens plus all control tokens and ``end``. Each n-gram
-    length is counted in one pass over every line. Contexts are rows in
-    order of length, then of first occurrence; the continuations of a
-    context keep the order of their first occurrence.
+    is the corpus tokens plus all control tokens and ``end``. The corpus
+    becomes one array of vocabulary ids, and each n-gram length is counted
+    with one ``np.unique`` over integer keys: an n-gram's key is the
+    ``np.unique`` id of its (n-1)-gram prefix times the vocabulary size,
+    plus its last id. Contexts are rows in order of length, then of first
+    occurrence; the continuations of a context keep the order of their
+    first occurrence.
     """
+    if order < 2:
+        raise ValueError("order must be >= 2")
     sequences = [line.split() for line in corpus_lines if line.strip()]
     if not sequences:
         raise ValueError("empty corpus")
-    vocab = set(CONTROL_VOCAB) | {"end"}
-    grams = [Counter() for _ in range(order)]  # grams[n - 1] counts n-grams
     for seq in sequences:
         if seq[-1] != "end":
             seq.append("end")
-        vocab.update(seq)
-        for n, counter in enumerate(grams, 1):
-            counter.update(zip(*(seq[i:] for i in range(n))))
-    del sequences
-    vocabulary = sorted(vocab)
+    words = list(chain.from_iterable(sequences))
+    vocabulary = sorted(set(words).union(CONTROL_VOCAB, ("end",)))
+    v = len(vocabulary)
     index = {t: i for i, t in enumerate(vocabulary)}
-    # Streamed into arrays, and the counters dropped before the model is
-    # built, so that no two copies of the counts are alive at once.
-    size = sum(map(len, grams))
-    rows: dict[tuple[str, ...], int] = {}  # context -> row, in order of first occurrence
-    gram_rows = np.fromiter((rows.setdefault(gram[:-1], len(rows))
-                             for counter in grams for gram in counter), np.int64, size)
-    tokens = np.fromiter((index[gram[-1]] for counter in grams for gram in counter), np.int64, size)
-    counts = np.fromiter((n for counter in grams for n in counter.values()), np.int64, size)
-    del grams
-    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
-    context_tokens = np.fromiter((index[t] for ctx in rows for t in ctx), np.int64,
-                                 int(lengths.sum()))
-    del rows
-    by_row = np.argsort(gram_rows, kind="stable")
-    return NGramModel(order, alpha, vocabulary, lengths, context_tokens,
-                      np.concatenate(([0], np.cumsum(np.bincount(gram_rows)))),
-                      tokens[by_row], counts[by_row])
+    ids = np.fromiter(map(index.__getitem__, words), np.int64, len(words))
+    line_ends = np.zeros(len(ids), dtype=bool)
+    line_ends[np.cumsum([len(seq) for seq in sequences]) - 1] = True
+    del sequences, words
+
+    ends = np.arange(len(ids))  # where each n-gram ends, ascending
+    prefixes = np.zeros(len(ids), np.int64)  # the unique id of its (n-1)-gram prefix
+    lengths, context_tokens, sizes, tokens, counts = [], [], [], [], []
+    for n in range(1, order + 1):
+        grams, first, gram_ids, gram_counts = np.unique(
+            prefixes * v + ids[ends], return_index=True, return_inverse=True, return_counts=True)
+        first = ends[first]  # where each distinct n-gram first ends
+        # grams are in key order, so those sharing a context are adjacent
+        new_context = np.diff(grams // v, prepend=-1) != 0
+        context = np.cumsum(new_context) - 1
+        context_first = np.minimum.reduceat(first, np.flatnonzero(new_context))
+        by_first = np.argsort(context_first)
+        rank = np.empty_like(by_first)
+        rank[by_first] = np.arange(len(by_first))
+        rows = rank[context]
+        by_row = np.lexsort((first, rows))
+        lengths.append(np.full(len(by_first), n - 1))
+        context_tokens.append(ids[context_first[by_first, None] + np.arange(1 - n, 0)].ravel())
+        sizes.append(np.bincount(rows, minlength=len(by_first)))
+        tokens.append(grams[by_row] % v)
+        counts.append(gram_counts[by_row])
+        # the (n+1)-grams: every n-gram that a token of its line follows
+        more = ~line_ends[ends]
+        ends, prefixes = ends[more] + 1, gram_ids[more]
+    return NGramModel(order, alpha, vocabulary, np.concatenate(lengths),
+                      np.concatenate(context_tokens),
+                      np.concatenate(([0], np.cumsum(np.concatenate(sizes)))),
+                      np.concatenate(tokens), np.concatenate(counts))
 
 
 def mask_tempo(distribution: Distribution, admissible: np.ndarray,
@@ -289,7 +357,7 @@ _PRE_MEASURE_BLOCKED = (TokenCategory.NOTE, TokenCategory.WAIT,
 
 class _Tables(NamedTuple):
     tokens: tuple[Token, ...]       # the parsed vocabulary
-    vocab_set: frozenset[str]
+    index: dict[str, int]           # each vocabulary token's id
     admissible: np.ndarray          # 0 on the inadmissible tempi, else 1
     admissible_count: int
     # By seen_measure: admissible x structurally valid as 0/1 floats, the
@@ -327,8 +395,8 @@ def _sampling_tables(vocab: tuple[str, ...], emotion: str, tempo_upper: int,
                   for mask in masks)
     for array in (admissible, *masks, *mask_ids, *ranks):
         array.setflags(write=False)
-    return _Tables(tokens, frozenset(vocab), admissible, int(np.count_nonzero(admissible)),
-                   masks, mask_ids, ranks)
+    return _Tables(tokens, {t: i for i, t in enumerate(vocab)}, admissible,
+                   int(np.count_nonzero(admissible)), masks, mask_ids, ranks)
 
 
 def _nth_unlisted(ids: np.ndarray, ranks: np.ndarray, listed: np.ndarray, n: int) -> int:
@@ -417,17 +485,17 @@ def sample_sequence(model: NGramModel, prompt: Sequence[Token],
     tables = _sampling_tables(tuple(vocab), constraints.emotion, constraints.tempo_upper,
                               constraints.tempo_lower)
     for t in prompt:
-        if t.raw not in tables.vocab_set:
+        if t.raw not in tables.index:
             raise ValueError(f"prompt token {t.raw!r} not in model vocabulary")
     rng = np.random.default_rng(constraints.rng_seed)
     stream = list(prompt)
-    out = [t.raw for t in prompt]
+    history = [tables.index[t.raw] for t in prompt]  # the ids of ``stream``
     bars = sum(1 for t in prompt if t.category is TokenCategory.STRUCTURE)
     seen_measure = bars > 0
     temperature = constraints.temperature
 
-    while len(out) < constraints.max_tokens:
-        masked = _masked(model.next_token_distribution(out), tables, seen_measure)
+    while len(history) < constraints.max_tokens:
+        masked = _masked(model.next_token_distribution(history), tables, seen_measure)
         if masked is None:
             break  # the structural dead end
         ids, ranks = tables.mask_ids[seen_measure], tables.ranks[seen_measure]
@@ -438,7 +506,7 @@ def sample_sequence(model: NGramModel, prompt: Sequence[Token],
                 masked = _sharpen(masked, 1.0 / temperature)
             choice = _choose(masked, ids, ranks, rng.random())
         raw = vocab[choice]
-        out.append(raw)
+        history.append(choice)
         stream.append(tables.tokens[choice])
         if raw == "end":
             break
@@ -454,26 +522,54 @@ def sample_sequence(model: NGramModel, prompt: Sequence[Token],
 # Model persistence: versioned JSON document.
 
 MODEL_FORMAT = "looptab-ngram"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 MODEL_KEYS = ("format", "version", "order", "alpha", "vocabulary") + COLUMNS
+DTYPES = ("<u2", "<i4", "<i8")  # the narrowest that holds every value is written
+
+
+def _encode(column: np.ndarray) -> dict[str, str]:
+    top = int(column.max(initial=0))
+    dtype = DTYPES[0] if top < 2 ** 16 else DTYPES[1] if top < 2 ** 31 else DTYPES[2]
+    # level 1: a third of the version-2 size, written twice as fast as at level 6
+    data = zlib.compress(column.astype(dtype).tobytes(), 1)
+    return {"dtype": dtype, "data": base64.b64encode(data).decode("ascii")}
+
+
+def _decode(name: str, column) -> np.ndarray:
+    """The model column ``name`` as a read-only array, or a ``ValueError``
+    naming the column."""
+    if not isinstance(column, dict) or set(column) != {"dtype", "data"}:
+        raise ValueError(f"{name} must be an object of dtype and data")
+    dtype, data = column["dtype"], column["data"]
+    if dtype not in DTYPES:
+        raise ValueError(f"{name}: dtype must be one of {', '.join(DTYPES)}, got {dtype!r}")
+    if not isinstance(data, str):
+        raise ValueError(f"{name}: data must be a base64 string")
+    try:
+        raw = zlib.decompress(base64.b64decode(data, validate=True))
+    except ValueError as exc:  # binascii.Error among them
+        raise ValueError(f"{name}: data is not base64: {exc}") from None
+    except zlib.error as exc:
+        raise ValueError(f"{name}: data is not zlib-compressed: {exc}") from None
+    if len(raw) % np.dtype(dtype).itemsize:
+        raise ValueError(f"{name}: {len(raw)} bytes are not a whole number of {dtype} values")
+    return np.frombuffer(raw, dtype)
 
 
 def save_model(model: NGramModel, path) -> None:
-    """Write the model document with one ``json.dumps``, replacing ``path``
-    only once the whole document is written. The encoder turns one column
-    at a time into a list, so the columns are never all lists at once."""
+    """Write the model document, replacing ``path`` only once the whole
+    document is written."""
     doc = {"format": MODEL_FORMAT, "version": MODEL_VERSION, "order": model.order,
            "alpha": model.alpha, "vocabulary": model.vocabulary}
-    doc.update((name, getattr(model, name)) for name in COLUMNS)
+    doc.update((name, _encode(getattr(model, name))) for name in COLUMNS)
     with atomic_open(path) as fh:
-        fh.write(json.dumps(doc, separators=(",", ":"), default=np.ndarray.tolist))
+        fh.write(json.dumps(doc, separators=(",", ":")))
 
 
 def load_model(path) -> NGramModel:
     """Read a model document, raising ``ValueError`` naming ``path`` if it
-    is not a well-formed version-2 looptab n-gram model."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    is not a well-formed version-3 looptab n-gram model."""
+    doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a looptab n-gram model file")
     if "version" in doc and doc["version"] != MODEL_VERSION:
@@ -488,15 +584,7 @@ def load_model(path) -> NGramModel:
     if (not isinstance(vocab, list) or not set(map(type, vocab)) <= {str}
             or len(set(vocab)) != len(vocab)):
         raise ValueError(f"{path}: vocabulary must be a list of distinct strings")
-    columns = [doc[name] for name in COLUMNS]
-    if not all(isinstance(c, list) and set(map(type, c)) <= {int} for c in columns):
-        raise ValueError(f"{path}: {', '.join(COLUMNS)} must be lists of integers")
-    if sum(doc["counts"]) >= 2 ** 53:  # beyond, row sums are no longer exact floats
-        raise ValueError(f"{path}: counts must sum to less than 2**53")
     try:
-        return NGramModel(order, alpha, vocab, *columns)
-    except OverflowError:
-        raise ValueError(f"{path}: column integers must fit in 64 bits") from None
+        return NGramModel(order, alpha, vocab, *(_decode(name, doc[name]) for name in COLUMNS))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-

@@ -316,6 +316,51 @@ def test_malformed_config_exits_1(workspace, tmp_path, capsys, name):
     assert list(tmp_path.iterdir()) == [config]
 
 
+# File contents that are not JSON text at all.
+NOT_JSON = {"empty": b"", "cut_short": b'{"format": "looptab', "not_utf8": b'{"format": "\xff"}'}
+
+
+@pytest.mark.parametrize("content", sorted(NOT_JSON))
+@pytest.mark.parametrize("kind", ["model", "classifier", "config"])
+def test_json_file_that_does_not_decode_exits_1_naming_it(workspace, classifiers, tmp_path,
+                                                          capsys, kind, content):
+    # an empty model printed "error: Expecting value: ..." with exit 2, and
+    # invalid UTF-8 exited 1 without naming the file
+    bad = tmp_path / f"{kind}.json"
+    bad.write_bytes(NOT_JSON[content])
+    scores = str(workspace / "scores")
+    argv = {
+        "model": ["generate", "--model", str(bad), "--emotion", "sad",
+                  "--out-dir", str(tmp_path / "out")],
+        "classifier": ["eval-emotion", "--happy", scores, "--sad", scores,
+                       "--valence-model", str(bad),
+                       "--arousal-model", str(classifiers / "arousal.json")],
+        "config": ["--config", str(bad), "loops", "--scores", scores,
+                   "--out", str(tmp_path / "loops.jsonl")],
+    }[kind]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [bad]
+
+
+def test_corpus_without_lines_exits_1_with_the_skip_counts(workspace, tmp_path, capsys):
+    # it wrote an empty corpus and exited 0; train-gen failed on it later
+    scores = tmp_path / "scores"
+    scores.mkdir()
+    (scores / "broken.tokens").write_text("")
+    blocks = {c: bar_block(random.Random(3), 4) for c in "AB"}
+    write_song(scores, "stranger", "ABABABAB", blocks, 160)  # not annotated
+    write_song(scores, "bright_one", "AB", blocks, 160)  # annotated, no loop
+    out = tmp_path / "corpus.txt"
+    assert run("corpus", "--scores", str(scores), "--annotations",
+               str(workspace / "annotations.csv"), "--out", str(out)) == 1
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: ")]
+    assert errors == [f"error: no corpus lines from {scores} (skipped: 1 unannotated, "
+                      "1 loop-free, 1 failed)"]
+    assert not out.exists()
+
+
 MALFORMED_CLASSIFIERS = {
     "array": lambda doc: [doc],
     "no_feature_names": lambda doc: {k: v for k, v in doc.items() if k != "feature_names"},

@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import hashlib
 import json
@@ -6,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ import looptab
 from looptab import generate
 from looptab.cli import main
 from looptab.generate import (
+    COLUMNS,
     CONTROL_VOCAB,
     HAPPY_PROMPT,
     HAPPY_TEMPO_MIN,
@@ -74,7 +77,10 @@ def test_ablated_prompts():
 # n-gram model ----------------------------------------------------------------
 
 def dense_next(model, context):
-    return dense(model.next_token_distribution(context), len(model.vocabulary))
+    """The model's vocabulary-length distribution after the tokens
+    ``context``; a token outside the vocabulary becomes the id -1."""
+    ids = [model.index.get(t, -1) for t in context]
+    return dense(model.next_token_distribution(ids), len(model.vocabulary))
 
 
 def test_bigram_probability_formula():
@@ -129,6 +135,19 @@ def test_model_save_load_round_trip(tmp_path):
     assert np.allclose(dense_next(loaded, ctx), dense_next(model, ctx), atol=0, rtol=0)
 
 
+def test_save_writes_each_column_in_the_narrowest_dtype(tmp_path):
+    path = tmp_path / "model.json"
+    for counts, dtype in ((2 ** 16 - 1, "<u2"), (2 ** 16, "<i4"), (2 ** 31 - 1, "<i4"),
+                          (2 ** 31, "<i8")):
+        # one context, (), seen followed by "a" ``counts`` times
+        model = generate.NGramModel(2, 0.01, ["a", "end"], [0], [], [0, 1], [0], [counts])
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        assert doc["counts"]["dtype"] == dtype and doc["tokens"]["dtype"] == "<u2"
+        assert decoded(doc, "counts").tolist() == [counts]
+        assert load_model(path).counts.tolist() == [counts]
+
+
 def test_load_model_rejects_foreign_json(tmp_path):
     path = tmp_path / "other.json"
     path.write_text(json.dumps({"format": "something-else"}))
@@ -136,46 +155,94 @@ def test_load_model_rejects_foreign_json(tmp_path):
         load_model(path)
 
 
+def column(values, dtype="<i4"):
+    """A version-3 model column: ``values`` as ``dtype`` bytes,
+    zlib-compressed and base64-encoded."""
+    data = zlib.compress(np.array(values, dtype=dtype).tobytes())
+    return {"dtype": dtype, "data": base64.b64encode(data).decode("ascii")}
+
+
+def decoded(doc, name):
+    col = doc[name]
+    return np.frombuffer(zlib.decompress(base64.b64decode(col["data"])), col["dtype"])
+
+
 def model_doc(**changes):
-    # contexts (), ("a",), ("b",); vocabulary ids a=0, b=1, end=2
-    doc = {"format": "looptab-ngram", "version": 2, "order": 2, "alpha": 0.01,
+    """A version-3 model document. Its contexts are (), ("a",), ("b",) and
+    its vocabulary ids a=0, b=1, end=2. A list given for a column is
+    encoded as ``<i4``, a ``(values, dtype)`` pair as that dtype; None
+    drops the key."""
+    doc = {"format": "looptab-ngram", "version": 3, "order": 2, "alpha": 0.01,
            "vocabulary": ["a", "b", "end"],
            "context_lengths": [0, 1, 1], "context_tokens": [0, 1],
            "row_ptr": [0, 2, 3, 4], "tokens": [0, 1, 1, 2], "counts": [2, 1, 2, 1]}
     doc.update(changes)
+    for name in COLUMNS:
+        if isinstance(doc.get(name), list):
+            doc[name] = column(doc[name])
+        elif isinstance(doc.get(name), tuple):
+            doc[name] = column(*doc[name])
     return {k: v for k, v in doc.items() if v is not None}
 
 
+def with_data(name, data, dtype="<i4"):
+    """``model_doc`` whose column ``name`` carries the base64 text ``data``."""
+    return model_doc(**{name: {"dtype": dtype, "data": data}})
+
+
+VERSION_2 = {"format": "looptab-ngram", "version": 2, "order": 2, "alpha": 0.01,
+             "vocabulary": ["a", "b", "end"], "context_lengths": [0, 1, 1],
+             "context_tokens": [0, 1], "row_ptr": [0, 2, 3, 4], "tokens": [0, 1, 1, 2],
+             "counts": [2, 1, 2, 1]}
+# the counts column with its zlib checksum (the last 4 bytes) broken
+BAD_CHECKSUM = zlib.compress(np.array([2, 1, 2, 1], "<i4").tobytes())
+BAD_CHECKSUM = base64.b64encode(BAD_CHECKSUM[:-1] + bytes([BAD_CHECKSUM[-1] ^ 1])).decode()
+
 MALFORMED_MODELS = {  # name: (document, the reason the error line gives)
-    "header_only": ({"format": "looptab-ngram", "version": 2}, "lacks order"),
+    "header_only": ({"format": "looptab-ngram", "version": 3}, "lacks order"),
     "no_counts": (model_doc(counts=None), "lacks counts"),
     "no_row_ptr": (model_doc(row_ptr=None), "lacks row_ptr"),
     "no_vocabulary": (model_doc(vocabulary=None), "lacks vocabulary"),
     "no_order": (model_doc(order=None), "lacks order"),
     "no_alpha": (model_doc(alpha=None), "lacks alpha"),
     "not_an_object": (["looptab-ngram"], "not a looptab n-gram model"),
-    "newer_version": (model_doc(version=3), "version 3 is not 2"),
+    "newer_version": (model_doc(version=4), "version 4 is not 3"),
+    "version_2": (VERSION_2, "version 2 is not 3; re-run train-gen"),
     "order_text": (model_doc(order="4"), "order must be an integer"),
     "alpha_text": (model_doc(alpha="0.01"), "alpha a number"),
     "vocabulary_not_list": (model_doc(vocabulary="a b end"), "vocabulary must be"),
     "vocabulary_not_text": (model_doc(vocabulary=["a", "b", "end", 7]), "vocabulary must be"),
     "vocabulary_repeats": (model_doc(vocabulary=["a", "b", "end", "a"]), "vocabulary must be"),
-    "counts_not_list": (model_doc(counts={"a": 2}), "must be lists of integers"),
-    "context_not_list": (model_doc(context_tokens="a b"), "must be lists of integers"),
-    "context_object": (model_doc(context_lengths={"a": 1}), "must be lists of integers"),
+    "counts_not_list": (model_doc(counts={"a": 2}), "counts must be an object of dtype and data"),
+    "context_not_list": (model_doc(context_tokens="a b"), "context_tokens must be an object"),
+    "context_object": (model_doc(context_lengths={"dtype": "<i4"}),
+                       "context_lengths must be an object"),
+    "column_list": (model_doc(counts=column([2, 1, 2, 1])["data"]), "counts must be an object"),
     "order_one": (model_doc(order=1), "order must be >= 2"),
     "count_zero": (model_doc(counts=[2, 0, 2, 1]), "counts must be >= 1"),
     "count_negative": (model_doc(counts=[2, -1, 2, 1]), "counts must be >= 1"),
-    "count_fraction": (model_doc(counts=[2, 1.5, 2, 1]), "must be lists of integers"),
-    "count_boolean": (model_doc(counts=[2, True, 2, 1]), "must be lists of integers"),
-    "count_text": (model_doc(counts=[2, "1", 2, 1]), "must be lists of integers"),
-    "count_huge": (model_doc(counts=[2, 2 ** 53, 2, 1]), "less than 2\\*\\*53"),
-    "count_past_64_bits": (model_doc(counts=[2, 1, 2 ** 64, -(2 ** 64)]), "fit in 64 bits"),
+    "count_fraction": (model_doc(counts=([2, 1.5, 2, 1], "<f8")), "counts: dtype must be one of"),
+    "count_boolean": (model_doc(counts=([True, True, True, True], "|b1")), "dtype must be one of"),
+    "count_text": (model_doc(counts=(["2", "1", "2", "1"], "<U1")), "dtype must be one of"),
+    "count_huge": (model_doc(counts=([2, 2 ** 53, 2, 1], "<i8")), "less than 2\\*\\*53"),
+    "count_past_64_bits": (model_doc(counts=([2, 1, 2 ** 64 - 1, 1], "<u8")),
+                           "dtype must be one of <u2, <i4, <i8"),
+    "dtype_big_endian": (model_doc(tokens=([0, 1, 1, 2], ">u2")), "tokens: dtype must be"),
+    "dtype_not_text": (with_data("row_ptr", column([0, 2, 3, 4])["data"], dtype=4),
+                       "row_ptr: dtype must be"),
+    "data_not_text": (with_data("counts", [2, 1, 2, 1]), "counts: data must be a base64 string"),
+    "data_not_base64": (with_data("counts", "AAAA*AAA"), "counts: data is not base64"),
+    "data_base64_padding": (with_data("counts", "eJw"), "counts: data is not base64"),
+    "data_not_zlib": (with_data("counts", base64.b64encode(b"\2\0\0\0").decode()),
+                      "counts: data is not zlib-compressed"),
+    "data_zlib_checksum": (with_data("counts", BAD_CHECKSUM), "counts: data is not zlib"),
+    "data_ragged": (with_data("counts", base64.b64encode(zlib.compress(b"\2\0\0")).decode()),
+                    "counts: 3 bytes are not a whole number of <i4 values"),
     "context_token_unknown": (model_doc(context_tokens=[0, 3]), "ids must lie in"),
     "context_token_negative": (model_doc(context_tokens=[0, -1]), "ids must lie in"),
-    "context_token_text": (model_doc(context_tokens=[0, "b"]), "must be lists of integers"),
+    "context_token_text": (model_doc(context_tokens=(["a", "b"], "<U1")), "dtype must be one of"),
     "continuation_unknown": (model_doc(tokens=[0, 1, 1, 3]), "ids must lie in"),
-    "token_id_text": (model_doc(tokens=["a", "b", "b", "end"]), "must be lists of integers"),
+    "token_id_text": (model_doc(tokens=(["a", "b", "b", "end"], "<U3")), "dtype must be one of"),
     "continuation_empty": (model_doc(row_ptr=[0, 2, 2, 4]), "strictly increase"),
     "row_ptr_decreasing": (model_doc(row_ptr=[0, 3, 2, 4]), "strictly increase"),
     "row_ptr_not_from_zero": (model_doc(row_ptr=[1, 2, 3, 4]), "start at 0"),
@@ -184,8 +251,18 @@ MALFORMED_MODELS = {  # name: (document, the reason the error line gives)
     "length_mismatch": (model_doc(counts=[2, 1, 2]), "column lengths disagree"),
     "context_lengths_sum": (model_doc(context_lengths=[0, 1, 2]), "sum to len"),
     "context_duplicate": (model_doc(context_tokens=[0, 0]), "appears twice"),
+    "context_empty_twice": (model_doc(context_lengths=[0, 0, 1], context_tokens=[0]),
+                            "appears twice"),
     "context_too_long": (model_doc(context_lengths=[0, 1, 2], context_tokens=[0, 0, 1]),
                          r"lie in \[0, 1\]"),
+    # order 3: the suffix ("end",) of the context ("b", "end") is no context
+    "context_suffix_missing": (model_doc(order=3, context_lengths=[0, 1, 2],
+                                         context_tokens=[0, 1, 2]),
+                               "the suffix of a context is not a context"),
+    # order 4: ("b",) is a context, but the suffix ("a", "b") of ("a", "a", "b") is not
+    "context_suffix_two_short": (model_doc(order=4, context_lengths=[0, 1, 3],
+                                           context_tokens=[1, 0, 0, 1]),
+                                 "the suffix of a context is not a context"),
 }
 
 
@@ -221,7 +298,7 @@ def test_model_without_the_empty_context_backs_off_to_uniform(tmp_path):
     path.write_text(json.dumps(model_doc(context_lengths=[1, 1], context_tokens=[0, 1],
                                          row_ptr=[0, 1, 2], tokens=[1, 2], counts=[2, 1])))
     model = load_model(path)
-    indices, probs, rest = model.next_token_distribution(["end"])
+    indices, probs, rest = model.next_token_distribution([model.index["end"]])
     assert len(indices) == len(probs) == 0 and rest == 0.01 / (0 + 0.01 * 3)
     assert dense_next(model, ["a"])[1] == 2.01 / (2 + 0.01 * 3)
 
@@ -230,7 +307,7 @@ def test_distribution_is_a_read_only_view_of_one_row(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model_doc()))
     model = load_model(path)
-    indices, probs, rest = model.next_token_distribution(["a"])  # row 1: a -> b twice
+    indices, probs, rest = model.next_token_distribution([0])  # row 1: a -> b twice
     assert indices.tolist() == [1] and probs.tolist() == [2.01 / (2 + 0.01 * 3)]
     assert rest == 0.01 / (2 + 0.01 * 3)
     assert not indices.flags.writeable and not probs.flags.writeable
@@ -255,7 +332,9 @@ def test_generate_with_malformed_model_exits_1(tmp_path, capsys):
     unknown = tmp_path / "unknown_token.json"
     save_model(train_generator(CORPUS), unknown)
     doc = json.loads(unknown.read_text())
-    doc["tokens"][-1] = len(doc["vocabulary"])
+    tokens = decoded(doc, "tokens").copy()
+    tokens[-1] = len(doc["vocabulary"])
+    doc["tokens"] = column(tokens, doc["tokens"]["dtype"])
     unknown.write_text(json.dumps(doc))
     for path in (header_only, unknown):
         assert main(["generate", "--model", str(path), "--emotion", "happy",
@@ -410,7 +489,7 @@ def random_cases(rng, models, contexts):
         emotion = str(rng.choice(["happy", "sad"]))
         tables = generate._sampling_tables(tuple(model.vocabulary), emotion, bounds[1], bounds[0])
         for _ in range(contexts):
-            context = [str(t) for t in rng.choice(model.vocabulary, size=int(rng.integers(0, 6)))]
+            context = rng.choice(len(model.vocabulary), size=int(rng.integers(0, 6))).tolist()
             yield model, tables, context, bool(rng.integers(2))
 
 
@@ -622,6 +701,11 @@ GOLDEN = [
 ]
 
 
+# sha256 of the model.json that train-gen writes for CORPUS (format version
+# 3); its column bytes are deflated by the reference zlib at level 1.
+GOLDEN_MODEL = "ac482b7fd7bd398e2909ee0f1703c96d11ff754c827799f4ff9786083124ea19"
+
+
 @pytest.fixture(scope="module")
 def corpus_model(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
@@ -636,6 +720,10 @@ def generate_files(model, out_dir, emotion, *extra):
     assert main(["generate", "--model", str(model), "--emotion", emotion, "--count", "5",
                  "--seed", "0", *extra, "--out-dir", str(out_dir)]) == 0
     return sorted(out_dir.glob("*.tokens"))
+
+
+def test_model_file_matches_golden_hash(corpus_model):
+    assert hashlib.sha256(corpus_model.read_bytes()).hexdigest() == GOLDEN_MODEL
 
 
 @pytest.mark.parametrize("emotion,extra,digest", GOLDEN)

@@ -3,8 +3,10 @@ loop, the document built from those counts and the per-token ``Counter``
 loop of ``next_token_distribution``, whose sparse rows are expanded to
 vocabulary-length vectors here."""
 
+import base64
 import json
 import tempfile
+import zlib
 from collections import Counter
 from pathlib import Path
 
@@ -49,24 +51,39 @@ def oracle_counts(corpus_lines, order):
     return counts
 
 
-def oracle_document(model, counts):
+def oracle_columns(model, counts):
     """Contexts by length, then first occurrence; ids index the vocabulary."""
     index = {t: i for i, t in enumerate(model.vocabulary)}
     rows = sorted(counts.items(), key=lambda item: len(item[0]))  # stable
     row_ptr = [0]
     for _, counter in rows:
         row_ptr.append(row_ptr[-1] + len(counter))
+    return {
+        "context_lengths": [len(ctx) for ctx, _ in rows],
+        "context_tokens": [index[t] for ctx, _ in rows for t in ctx],
+        "row_ptr": row_ptr,
+        "tokens": [index[t] for _, counter in rows for t in counter],
+        "counts": [n for _, counter in rows for n in counter.values()],
+    }
+
+
+def encoded(values):
+    """A column as the format specifies it: ``<u2`` where every value is
+    below 65,536, the bytes deflated at level 1, then base64-encoded."""
+    dtype = "<u2" if max(values, default=0) < 2 ** 16 else "<i4"
+    data = zlib.compress(np.array(values, dtype=dtype).tobytes(), 1)
+    return {"dtype": dtype, "data": base64.b64encode(data).decode("ascii")}
+
+
+def oracle_document(model, counts):
+    columns = oracle_columns(model, counts)
     return json.dumps({
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "order": model.order,
         "alpha": model.alpha,
         "vocabulary": model.vocabulary,
-        "context_lengths": [len(ctx) for ctx, _ in rows],
-        "context_tokens": [index[t] for ctx, _ in rows for t in ctx],
-        "row_ptr": row_ptr,
-        "tokens": [index[t] for _, counter in rows for t in counter],
-        "counts": [n for _, counter in rows for n in counter.values()],
+        **{name: encoded(columns[name]) for name in COLUMNS},
     }, separators=(",", ":"))
 
 
@@ -126,6 +143,19 @@ def test_saved_bytes_equal_the_whole_document_dump(lines, order, alpha):
 
 
 @given(corpora, orders)
+def test_decoded_columns_equal_the_nested_loop(lines, order):
+    model = train_generator(lines, order=order)
+    doc = json.loads(saved_bytes(model))
+    assert doc["version"] == MODEL_VERSION == 3
+    assert doc["vocabulary"] == model.vocabulary
+    for name, expected in oracle_columns(model, oracle_counts(lines, order)).items():
+        column = doc[name]
+        assert set(column) == {"dtype", "data"} and column["dtype"] == "<u2", name
+        values = np.frombuffer(zlib.decompress(base64.b64decode(column["data"])), "<u2")
+        assert values.tolist() == expected, name
+
+
+@given(corpora, orders)
 def test_load_then_save_round_trips_byte_identically(lines, order):
     model = train_generator(lines, order=order)
     first = saved_bytes(model)
@@ -141,6 +171,7 @@ def test_distribution_is_bit_equal_to_the_counter_loop(lines, order, alpha, quer
     model = train_generator(lines, order=order, alpha=alpha)
     counts = oracle_counts(lines, order)
     for context in queries + queries:  # the second pass must not differ
-        vector = dense(model.next_token_distribution(context), len(model.vocabulary))
+        ids = [model.index.get(t, -1) for t in context]  # "unseen" is -1
+        vector = dense(model.next_token_distribution(ids), len(model.vocabulary))
         np.testing.assert_allclose(vector, oracle_distribution(model, counts, context),
                                    rtol=0, atol=0)
