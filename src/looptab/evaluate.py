@@ -127,6 +127,8 @@ class LinearTokenClassifier:
         names, weights = doc.get("feature_names"), doc.get("weights")
         if not isinstance(names, list) or not set(map(type, names)) <= {str}:
             raise ValueError(f"{path}: feature_names must be a list of strings")
+        if len(set(names)) != len(names):
+            raise ValueError(f"{path}: feature_names must not repeat a name")
         if (not isinstance(weights, list) or len(weights) != len(names)
                 or not all(map(is_finite_number, weights))):
             raise ValueError(f"{path}: weights must be one finite number per feature name")

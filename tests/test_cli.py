@@ -366,6 +366,8 @@ MALFORMED_CLASSIFIERS = {
     "no_feature_names": lambda doc: {k: v for k, v in doc.items() if k != "feature_names"},
     "no_weights": lambda doc: {k: v for k, v in doc.items() if k != "weights"},
     "feature_name_not_text": lambda doc: {**doc, "feature_names": doc["feature_names"][:-1] + [7]},
+    "feature_name_repeated": lambda doc: {**doc, "feature_names":
+                                          doc["feature_names"][:-1] + doc["feature_names"][:1]},
     "weights_short": lambda doc: {**doc, "weights": doc["weights"][1:]},
     "weight_text": lambda doc: {**doc, "weights": ["0.5"] * len(doc["weights"])},
     "bias_null": lambda doc: {**doc, "bias": None},
