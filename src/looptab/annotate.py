@@ -22,7 +22,7 @@ from urllib.parse import quote
 from . import loops as loops_mod
 from . import tension as tension_mod
 from .atomic import atomic_open
-from .score import Score, regularize_meter, score_to_tokens, token_files, tokens_to_score
+from .score import bar_body, regularize_meter, token_files, tokens_to_score
 from .tokens import Token, TokenCategory, control_token, parse_tokens, render_tokens
 
 if TYPE_CHECKING:
@@ -72,29 +72,28 @@ def _parse_mode(value: str) -> str:
 
 
 def load_annotations(path: str | Path) -> list[AnnotationRecord]:
-    """Read ``artist,title,valence,energy,mode`` rows; duplicates last-win."""
+    """Read ``artist,title,valence,energy,mode`` rows; duplicates last-win.
+    A bad row raises :class:`AnnotationError` naming the file and its line."""
     records: dict[tuple[str, str], AnnotationRecord] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        expected = {"artist", "title", "valence", "energy", "mode"}
-        if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
-            raise AnnotationError(f"annotations CSV must have header {sorted(expected)}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                rec = AnnotationRecord(
-                    artist=row["artist"],
-                    title=row["title"],
-                    valence=float(row["valence"]),
-                    energy=float(row["energy"]),
-                    mode=_parse_mode(row["mode"]),
-                )
-            except (AnnotationError, ValueError) as exc:
-                raise AnnotationError(f"line {lineno}: {exc}") from None
-            key = _normalize_key(rec.artist, rec.title)
-            if key in records:
-                log.warning("duplicate annotation for %s - %s at line %d; keeping last",
-                            rec.artist, rec.title, lineno)
-            records[key] = rec
+        expected = ("artist", "title", "valence", "energy", "mode")
+        if reader.fieldnames is None or not set(expected).issubset(reader.fieldnames):
+            raise AnnotationError(f"{path}: annotations CSV must have header {sorted(expected)}")
+        try:
+            for row in reader:
+                missing = [f for f in expected if row[f] is None]  # DictReader pads short rows
+                if missing:
+                    raise AnnotationError(f"row has no {', '.join(missing)}")
+                rec = AnnotationRecord(row["artist"], row["title"], float(row["valence"]),
+                                       float(row["energy"]), _parse_mode(row["mode"]))
+                key = _normalize_key(rec.artist, rec.title)
+                if key in records:
+                    log.warning("duplicate annotation for %s - %s at line %d; keeping last",
+                                rec.artist, rec.title, reader.line_num)
+                records[key] = rec
+        except (ValueError, csv.Error) as exc:
+            raise AnnotationError(f"{path}: line {reader.line_num}: {exc}") from None
     return list(records.values())
 
 
@@ -276,6 +275,28 @@ def feature_thresholds_from_json(text: str) -> FeatureThresholds:
     return FeatureThresholds(doc["valence_median"], doc["arousal_median"])
 
 
+def _loop_lines(head: str, tempo: int, bars: dict[int, tuple[int, str]],
+                spans: Sequence[tuple[int, int]],
+                profiles: Sequence[tension_mod.TensionProfile]) -> Iterable[str]:
+    """The corpus line of each ``[start, end)`` bar range of a regularized
+    song, joined from pieces: ``head`` (song controls and header), then per
+    bar any tempo change, ``new_measure``, the profile's three levels and
+    the bar's body; ``bars`` maps a bar to its tempo and rendered body."""
+    for (start, end), profile in zip(spans, profiles):
+        pieces, running = [head], tempo
+        for i, cd, cm, ts in zip(range(start, end), profile.cd_levels, profile.cm_levels,
+                                 profile.ts_levels):
+            bar_tempo, body = bars[i]
+            if bar_tempo != running:  # all bars are 4/4, so no metre changes
+                running = bar_tempo
+                pieces.append(f"tempo:{bar_tempo}")
+            pieces.append(f"new_measure cloud_diameter:{cd} cloud_momentum:{cm} tensile_strain:{ts}")
+            if body:
+                pieces.append(body)
+        pieces.append("end")
+        yield " ".join(pieces)
+
+
 def build_corpus(score_dir: str | Path,
                  annotations: Sequence[AnnotationRecord],
                  loop_params: loops_mod.LoopParams = loops_mod.DEFAULT_PARAMS,
@@ -284,19 +305,21 @@ def build_corpus(score_dir: str | Path,
     """End-to-end corpus construction.
 
     For every annotated ``*.tokens`` file (the song is matched on its
-    artist header and file stem): regularize to 4/4, extract loops, splice
-    them, compute tension per loop, fit global quartiles over all spliced
-    bars, discretize, inject song and bar controls, and emit one token line
-    per loop. Each loop's key is estimated over that loop alone, since the
-    loop is what the generator learns from; ``looptab tension`` uses the
-    whole song instead. Deterministic given identical inputs. The result
-    carries the counts and both fitted thresholds; nothing is written.
+    artist header and file stem): regularize to 4/4, extract loops, compute
+    tension per loop from bar values shared among the song's loops, fit
+    global quartiles over all loop bars, discretize, and emit one token
+    line per loop, joined from each bar's body rendered once per song with
+    the song and bar controls. Each loop's key is estimated over that loop
+    alone, since the loop is what the generator learns from; ``looptab
+    tension`` uses the whole song instead. Deterministic given identical
+    inputs. The result carries the counts and both fitted thresholds;
+    nothing is written.
     """
     by_key = {_normalize_key(r.artist, r.title): r for r in annotations}
     thresholds = compute_thresholds(annotations)
     result = CorpusResult(feature_thresholds=thresholds)
 
-    spliced: list[tuple[AnnotationRecord, Score]] = []
+    songs = []
     for path in token_files(score_dir):
         try:
             score = tokens_to_score(parse_tokens(path.read_text(encoding="utf-8")))
@@ -309,22 +332,26 @@ def build_corpus(score_dir: str | Path,
             result.skipped_no_annotation += 1
             continue
         regular = regularize_meter(score)
-        spans = loops_mod.extract_loops(regular, loop_params)
+        spans = [(sp.start_bar, sp.end_bar) for sp in loops_mod.extract_loops(regular, loop_params)]
         if not spans:
             result.skipped_no_loops += 1
             continue
         result.songs_used += 1
-        for span in spans:
-            spliced.append((rec, loops_mod.splice_loop(regular, span)))
+        looped = {i for start, end in spans for i in range(start, end)}
+        bars = {i: (m.tempo_bpm, " ".join(bar_body(m)))
+                for i, m in enumerate(regular.measures) if i in looped}
+        songs.append((rec, regular.header_tempo, bars, spans,
+                      tension_mod.loop_tension_profiles(regular, spans, spiral_params)))
 
-    profiles = [tension_mod.compute_tension_profile(s, spiral_params) for _, s in spliced]
     lines: list[str] = []
-    if profiles:
-        result.tension_thresholds = tension_mod.fit_tension_thresholds(profiles)
-        for (rec, loop_score), profile in zip(spliced, profiles):
-            leveled = tension_mod.discretize_profile(profile, result.tension_thresholds)
-            stream = strip_controls(score_to_tokens(loop_score, include_artist=False))
-            line = inject_controls(stream, song_control_tokens(rec, thresholds), leveled)
-            lines.append(render_tokens(line))
+    if songs:
+        result.tension_thresholds = tension_mod.fit_tension_thresholds(
+            p for song in songs for p in song[-1])
+        for rec, tempo, bars, spans, profiles in songs:
+            controls = render_tokens(song_control_tokens(rec, thresholds))
+            leveled = [tension_mod.discretize_profile(p, result.tension_thresholds)
+                       for p in profiles]
+            head = f"{controls} time_signature:4 tempo:{tempo} start"
+            lines.extend(_loop_lines(head, tempo, bars, spans, leveled))
     result.lines = len(lines)
     return lines, result

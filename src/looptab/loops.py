@@ -1,11 +1,11 @@
 """Bar-aligned loop extraction.
 
-The score is flattened into a sequence of onset fingerprints (all tracks
-merged). A loop is a repeat whose two occurrences both start on a bar
-boundary, ``min_loop_bars`` to ``max_loop_bars`` bars apart; the loop body
-is the bar range between the two starts. Only those bar pairs are tried,
-at one pass over the events per distinct tick lag between them, so no
-song is too long to search.
+The score is flattened into its onset groups (all tracks merged), each
+numbered by its (notes, gap) fingerprint. A loop is a repeat whose two
+occurrences both start on a bar boundary, ``min_loop_bars`` to
+``max_loop_bars`` bars apart; the loop body is the bar range between the
+two starts. Only those bar pairs are tried, at one pass over the events
+per distinct tick lag between them, so no song is too long to search.
 """
 
 from __future__ import annotations
@@ -65,25 +65,28 @@ def bar_offsets(score: Score) -> list[int]:
     return offsets
 
 
-def fingerprint_sequence(score: Score) -> list[EventFingerprint]:
+def _onset_groups(score: Score) -> tuple[list[int], list[tuple], list[int]]:
+    """Every distinct absolute onset in time order, the sorted (track, midi,
+    duration) notes sounding from it, and its gap to the next onset (the
+    last one's to the end of the score)."""
     offsets = bar_offsets(score)
-    onsets: dict[int, list[tuple[str, int, int]]] = {}
+    groups: dict[int, list[tuple[str, int, int]]] = {}
     for m in score.measures:
         base = offsets[m.index]
-        for ev in m.events:
-            at = base + ev.onset
-            onsets.setdefault(at, []).append((ev.track, ev.midi_pitch, ev.duration))
-    ordered = sorted(onsets)
-    end = offsets[-1]
-    seq = []
-    for i, at in enumerate(ordered):
-        nxt = ordered[i + 1] if i + 1 < len(ordered) else end
-        seq.append(EventFingerprint(
-            notes=tuple(sorted(onsets[at])),
-            gap=max(nxt - at, 0),
-            onset=at,
-        ))
-    return seq
+        for track, onset, duration, midi, _, _, _ in m.events:
+            at = base + onset
+            group = groups.get(at)
+            if group is None:
+                groups[at] = [(track, midi, duration)]
+            else:
+                group.append((track, midi, duration))
+    onsets = sorted(groups)
+    gaps = [max(nxt - at, 0) for at, nxt in zip(onsets, onsets[1:] + [offsets[-1]])]
+    return onsets, [tuple(sorted(groups[at])) for at in onsets], gaps
+
+
+def fingerprint_sequence(score: Score) -> list[EventFingerprint]:
+    return [EventFingerprint(notes, gap, at) for at, notes, gap in zip(*_onset_groups(score))]
 
 
 def _match_lengths(onsets: np.ndarray, ids: np.ndarray, lag: int) -> np.ndarray:
@@ -110,13 +113,14 @@ def extract_loops(score: Score, params: LoopParams = DEFAULT_PARAMS) -> list[Loo
     repetition thresholds (events and beats), bars [s, s + k) are a loop.
     Repeats starting off the bar grid are discarded, not shifted.
     """
-    seq = fingerprint_sequence(score)
+    at, notes, gaps = _onset_groups(score)
     offsets = bar_offsets(score)
-    interned: dict[EventFingerprint, int] = {}
-    ids = np.array([interned.setdefault(f, len(interned)) for f in seq], dtype=np.int64)
-    onsets = np.array([f.onset for f in seq], dtype=np.int64)
-    ticks = list(accumulate((f.gap for f in seq), initial=0))
-    at_index = {f.onset: i for i, f in enumerate(seq)}
+    interned: dict[tuple, int] = {}  # (notes, gap): the fields EventFingerprint compares
+    ids = np.array([interned.setdefault(key, len(interned)) for key in zip(notes, gaps)],
+                   dtype=np.int64)
+    onsets = np.array(at, dtype=np.int64)
+    ticks = list(accumulate(gaps, initial=0))
+    at_index = {onset: i for i, onset in enumerate(at)}
     min_ticks = params.min_rep_beats * TICKS_PER_QUARTER
     n_bars = len(score.measures)
 

@@ -29,11 +29,8 @@ from .tokens import (
     Token,
     TokenCategory,
     TENSION_FEATURES,
-    drum_token,
     header_token,
-    note_token,
     token,
-    wait_token,
 )
 
 # String 1 is the highest string; standard EADGBE guitar, EADG bass.
@@ -205,6 +202,8 @@ def tokens_to_score(stream: list[Token]) -> Score:
         duration = (upto if upto is not None else capacity) - pending_onset
         if duration <= 0:
             duration = TICKS_PER_QUARTER  # overflowing measure; regularize_meter resolves it
+        if len(pending) > 1:  # groups close in onset order: sorting each one sorts the bar
+            pending.sort(key=lambda n: (n[0], n[3], n[1] or 0))
         for track, string, fret, midi, fx in pending:
             events.append(NoteEvent(track, pending_onset, duration, midi, string, fret, tuple(fx)))
         pending = []
@@ -216,7 +215,7 @@ def tokens_to_score(stream: list[Token]) -> Score:
             index=len(measures),
             time_signature=(measure_ts, 4),
             tempo_bpm=measure_tempo,
-            events=tuple(sorted(events, key=_sort_key)),
+            events=tuple(events),
             bar_controls=tuple(bar_controls),
         ))
         events = []
@@ -326,33 +325,38 @@ def score_to_tokens(score: Score, include_artist: bool = True) -> list[Token]:
             if feat in by_feature:
                 out.append(by_feature[feat])
 
-        events = sorted(m.events, key=_sort_key)
-        cursor = 0
-        i = 0
-        while i < len(events):
-            onset = events[i].onset
-            j = i + 1
-            while j < len(events) and events[j].onset == onset:  # sorted: one run per onset
-                j += 1
-            group = events[i:j]
-            if onset > cursor:
-                out.append(wait_token(onset - cursor))
-                cursor = onset
-            for ev in group:
-                if ev.track == "drums":
-                    out.append(drum_token(ev.midi_pitch))
-                else:
-                    out.append(note_token(ev.track, ev.string, ev.fret))
-                for fx in ev.effects:
-                    out.append(token(f"nfx:{fx}"))
-            i = j
-            if i < len(events):
-                gap = events[i].onset - onset
-            else:
-                gap = max(e.duration for e in group)
-            out.append(wait_token(gap))
-            cursor = onset + gap
+        out.extend(map(token, bar_body(m)))
     out.append(END)
+    return out
+
+
+def bar_body(measure: Measure) -> list[str]:
+    """Raw tokens of a bar's events, as :func:`score_to_tokens` writes them
+    after the bar controls: sorted by (onset, track, pitch), waits merging
+    the gaps, and a trailing wait covering the last group's duration."""
+    out: list[str] = []
+    events = sorted(measure.events, key=_sort_key)
+    cursor = 0
+    i = 0
+    while i < len(events):
+        onset = events[i].onset
+        j = i + 1
+        while j < len(events) and events[j].onset == onset:  # sorted: one run per onset
+            j += 1
+        group = events[i:j]
+        if onset > cursor:
+            out.append(f"wait:{onset - cursor}")
+            cursor = onset
+        for ev in group:
+            if ev.track == "drums":
+                out.append(f"drums:note:{ev.midi_pitch}")
+            else:
+                out.append(f"{ev.track}:note:s{ev.string}:f{ev.fret}")
+            out.extend(f"nfx:{fx}" for fx in ev.effects)
+        i = j
+        gap = events[i].onset - onset if i < len(events) else max(e.duration for e in group)
+        out.append(f"wait:{gap}")
+        cursor = onset + gap
     return out
 
 

@@ -7,6 +7,9 @@ keys are weighted combinations of pitch positions. Per bar we compute:
 * cloud momentum: distance between consecutive bars' centers of effect,
 * tensile strain: distance between a bar's center of effect and the key's.
 
+A bar's values come from one pass over its notes in note order, with
+positions from a 12-entry pitch-class table; its diameter depends only on
+its 12-bit pitch-class mask and is memoized per :class:`SpiralParams`.
 Raw values are discretized into four levels (q1..q4) using corpus-global
 first quartile / median / third quartile thresholds.
 """
@@ -166,10 +169,20 @@ def _key_candidates(params: SpiralParams) -> tuple[KeyEstimate, ...]:
                  for tonic in range(-5, 7) for mode in ("major", "minor"))
 
 
+def _nearest_key(center: Sequence[float], params: SpiralParams) -> KeyEstimate:
+    """The candidate key closest to ``center``; a tie keeps the earlier candidate."""
+    best, best_d = None, None
+    for candidate in _key_candidates(params):
+        d = _distance(center, candidate.center)
+        if best is None or d < best_d - 1e-12:
+            best, best_d = candidate, d
+    return best
+
+
 def estimate_key(clouds: Sequence[Sequence[tuple[int, float]]],
                  params: SpiralParams = DEFAULT_PARAMS) -> KeyEstimate:
-    """Key whose center lies closest to the center of effect of all the bar
-    clouds together (see :func:`bar_clouds`).
+    """Key whose center lies closest to the center of effect of all the
+    (fifth-index, weight) bar clouds together.
 
     Candidates are the 12 tonics in [-5, 6] crossed with major/minor; ties
     break toward the lowest tonic index, major before minor.
@@ -177,57 +190,97 @@ def estimate_key(clouds: Sequence[Sequence[tuple[int, float]]],
     piece = coe_of_indices((note for cloud in clouds for note in cloud), params)
     if piece is None:
         raise ValueError("no notes")
-    best, best_d = None, None
-    for candidate in _key_candidates(params):
-        d = _distance(piece, candidate.center)
-        if best is None or d < best_d - 1e-12:
-            best, best_d = candidate, d
-    return best
-
-
-def bar_clouds(score: Score) -> list[list[tuple[int, float]]]:
-    """Per-measure (fifth-index, duration) clouds; drums excluded."""
-    clouds = []
-    for m in score.measures:
-        clouds.append([(fifth_index_of_pitch(ev.midi_pitch), float(ev.duration))
-                       for ev in m.events if ev.track != "drums"])
-    return clouds
+    return _nearest_key(piece, params)
 
 
 def tension_from_clouds(clouds: Sequence[Sequence[tuple[int, float]]],
                         key_center: Sequence[float] | None,
                         params: SpiralParams = DEFAULT_PARAMS) -> TensionProfile:
-    """Tension features from per-bar fifth-index clouds and a key center.
+    """Tension features from per-bar (fifth-index, weight) clouds and a key
+    center; fifth indices may lie anywhere on the line of fifths.
 
     Conventions: empty bars yield 0 for every feature; the first bar's
     momentum is 0, as is momentum against an empty neighbour.
     """
-    cds, cms, tss = [], [], []
-    prev_coe = None
-    for i, cloud in enumerate(clouds):
-        coe = coe_of_indices(cloud, params) if cloud else None
-        cds.append(cloud_diameter_of_indices((k for k, _ in cloud), params))
-        if i == 0 or coe is None or prev_coe is None:
-            cms.append(0.0)
-        else:
-            cms.append(_distance(coe, prev_coe))
-        if coe is None or key_center is None:
-            tss.append(0.0)
-        else:
-            tss.append(_distance(coe, key_center))
-        prev_coe = coe
-    return TensionProfile(tuple(cds), tuple(cms), tuple(tss))
+    coes = [coe_of_indices(cloud, params) if cloud else None for cloud in clouds]
+    cds = [cloud_diameter_of_indices((k for k, _ in cloud), params) for cloud in clouds]
+    return TensionProfile(tuple(cds), tuple(_momenta(coes)), _strains(coes, key_center))
+
+
+def _momenta(coes: Sequence[tuple[float, float, float] | None]) -> list[float]:
+    return [0.0 if i == 0 or coe is None or coes[i - 1] is None else _distance(coe, coes[i - 1])
+            for i, coe in enumerate(coes)]
+
+
+def _strains(coes, key_center: Sequence[float] | None) -> tuple[float, ...]:
+    return tuple(0.0 if coe is None or key_center is None else _distance(coe, key_center)
+                 for coe in coes)
+
+
+@lru_cache(maxsize=8)
+def _pitch_class_table(params: SpiralParams) -> tuple[list[tuple], dict[int, float]]:
+    """Spiral position of each pitch class (midi % 12), and the memo of cloud
+    diameters by 12-bit pitch-class mask, filled as masks occur."""
+    return [pitch_position(fifth_index_of_pitch(pc), params) for pc in range(12)], {}
+
+
+def _center(bars: Iterable[list[tuple[float, float, float, float]]]):
+    """Center of effect of (w*x, w*y, w*z, w) terms summed in order, as
+    :func:`coe_of_indices` sums them; None without terms."""
+    a0 = a1 = a2 = total = 0.0
+    for bar in bars:
+        for x, y, z, w in bar:
+            a0 += x
+            a1 += y
+            a2 += z
+            total += w
+    return (a0 / total, a1 / total, a2 / total) if total else None
+
+
+def _bar_table(score: Score, params: SpiralParams):
+    """Per bar of ``score``: the terms of its pitched notes in note order (w
+    the duration, (x, y, z) the pitch position), its center of effect, its
+    cloud diameter and its momentum, each equal to what
+    :func:`tension_from_clouds` gives for the bar's (fifth-index, duration) cloud."""
+    positions, diameters = _pitch_class_table(params)
+    terms, coes, cds = [], [], []
+    for m in score.measures:
+        bar, mask = [], 0
+        for track, _, duration, midi, _, _, _ in m.events:
+            if track != "drums":
+                x, y, z = positions[midi % 12]
+                w = float(duration)
+                bar.append((w * x, w * y, w * z, w))
+                mask |= 1 << midi % 12
+        if mask not in diameters:
+            ks = [fifth_index_of_pitch(pc) for pc in range(12) if mask >> pc & 1]
+            diameters[mask] = cloud_diameter_of_indices(ks, params)
+        terms.append(bar)
+        coes.append(_center((bar,)))
+        cds.append(diameters[mask])
+    return terms, coes, cds, _momenta(coes)
 
 
 def compute_tension_profile(score: Score, params: SpiralParams = DEFAULT_PARAMS) -> TensionProfile:
     """Tension of every bar of ``score`` against the key estimated over the
     whole of ``score``; a score without pitched notes has strain 0."""
-    clouds = bar_clouds(score)
-    try:
-        key_center = estimate_key(clouds, params).center
-    except ValueError:
-        key_center = None
-    return tension_from_clouds(clouds, key_center, params)
+    return loop_tension_profiles(score, [(0, len(score.measures))], params)[0]
+
+
+def loop_tension_profiles(score: Score, spans: Iterable[tuple[int, int]],
+                          params: SpiralParams = DEFAULT_PARAMS) -> list[TensionProfile]:
+    """The tension of each ``[start, end)`` bar range of ``score`` as
+    :func:`compute_tension_profile` gives it for the range on its own: with
+    its own key and a first-bar momentum of 0. The bar values are computed
+    once and shared among the ranges."""
+    terms, coes, cds, cms = _bar_table(score, params)
+    profiles = []
+    for s, e in spans:
+        center = _center(terms[s:e])  # the key sums the range's notes in order
+        key = None if center is None else _nearest_key(center, params).center
+        profiles.append(TensionProfile(tuple(cds[s:e]), (0.0,)[:e - s] + tuple(cms[s + 1:e]),
+                                       _strains(coes[s:e], key)))
+    return profiles
 
 
 def fit_tension_thresholds(profiles: Iterable[TensionProfile]) -> TensionThresholds:

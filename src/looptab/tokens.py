@@ -184,18 +184,6 @@ def render_tokens(stream: list[Token]) -> str:
 
 # Convenience constructors used across the package.
 
-def wait_token(ticks: int) -> Token:
-    return token(f"wait:{ticks}")
-
-
-def note_token(track: str, string: int, fret: int) -> Token:
-    return token(f"{track}:note:s{string}:f{fret}")
-
-
-def drum_token(midi: int) -> Token:
-    return token(f"drums:note:{midi}")
-
-
 def header_token(key: str, value) -> Token:
     return token(f"{key}:{value}")
 

@@ -1,8 +1,12 @@
 import random
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from looptab import annotate
 from looptab.annotate import (
@@ -22,11 +26,19 @@ from looptab.annotate import (
     song_control_tokens,
     strip_controls,
 )
-from looptab.score import score_to_tokens, tokens_to_score
-from looptab.tension import TensionProfile, TensionThresholds, discretize_profile
-from looptab.tokens import TokenCategory, parse_tokens, render_tokens
+from looptab.loops import extract_loops, splice_loop
+from looptab.score import Measure, Score, regularize_meter, score_to_tokens, tokens_to_score
+from looptab.tension import DEFAULT_PARAMS as DEFAULT_SPIRAL
+from looptab.tension import (
+    TensionProfile,
+    TensionThresholds,
+    discretize_profile,
+    fit_tension_thresholds,
+)
+from looptab.tokens import TokenCategory, parse_tokens, render_tokens, token
 
-from util import bar_block, score_from_blocks
+from test_tension import reference_profile
+from util import bar_block, random_measure, score_from_blocks
 
 
 def rec(valence=0.5, energy=0.5, mode="major", artist="a", title="t"):
@@ -86,6 +98,16 @@ def test_load_annotations_reports_line_number(tmp_path):
     path.write_text("artist,title,valence,energy,mode\na,t,0.5,0.5,major\nb,u,2.0,0.5,major\n")
     with pytest.raises(AnnotationError, match="line 3"):
         load_annotations(path)
+
+
+@pytest.mark.parametrize("row", ["A,b,0.5", "A", "A,b,0.5,0.5"])
+def test_load_annotations_short_row_names_the_file_and_line(tmp_path, row):
+    path = tmp_path / "ann.csv"
+    path.write_text("artist,title,valence,energy,mode\n\na,t,0.5,0.5,major\n" + row + "\n")
+    with pytest.raises(AnnotationError, match=f"^{re.escape(str(path))}: line 4: "):
+        load_annotations(path)
+    with pytest.raises(AnnotationError, match="line 4"):
+        CsvFeaturesProvider(path)
 
 
 def test_duplicate_annotations_last_wins(tmp_path, caplog):
@@ -363,3 +385,67 @@ def test_build_corpus_skips_malformed_file(tmp_path, caplog):
         lines, result = build_corpus(tmp_path, [rec(artist="", title="bad")])
     assert lines == []
     assert result.failed_files == 1
+
+
+def reference_corpus(score_dir, annotations):
+    """The corpus lines and tension thresholds of the token path: splice
+    every loop, take its tension from its own bar clouds, and render
+    ``score_to_tokens`` -> ``strip_controls`` -> ``inject_controls``."""
+    by_key = {annotate._normalize_key(r.artist, r.title): r for r in annotations}
+    spliced = []
+    for path in sorted(Path(score_dir).glob("*.tokens")):
+        score = tokens_to_score(parse_tokens(path.read_text()))
+        rec_ = by_key.get(annotate._normalize_key(score.artist or "", path.stem))
+        if rec_ is not None:
+            regular = regularize_meter(score)
+            spliced += [(rec_, splice_loop(regular, span)) for span in extract_loops(regular)]
+    if not spliced:
+        return [], None
+    profiles = [reference_profile(loop, DEFAULT_SPIRAL) for _, loop in spliced]
+    thresholds = fit_tension_thresholds(profiles)
+    features = compute_thresholds(annotations)
+    return [render_tokens(inject_controls(
+        strip_controls(score_to_tokens(loop, include_artist=False)),
+        song_control_tokens(rec_, features), discretize_profile(profile, thresholds)))
+        for (rec_, loop), profile in zip(spliced, profiles)], thresholds
+
+
+BAR_CONTROLS = [f"{f}:{q}" for f in ("cloud_diameter", "cloud_momentum", "tensile_strain")
+                for q in ("q1", "q4")]
+
+
+@st.composite
+def looped_scores(draw):
+    """A song of random bars (any metre, drums, empty bars) with a repeated
+    4- or 5-bar pattern, tempo changes, song controls and bar controls."""
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    blocks = [Measure(0, events=tuple(bar_block(rng, draw(st.integers(1, 4)))))]
+    blocks += [random_measure(rng, 0, draw(st.sampled_from((3, 4, 4, 4, 5))))
+               for _ in range(draw(st.integers(0, 3)))]  # any metre, drums, empty bars
+    labels = st.integers(0, len(blocks) - 1)
+    loop = [0] + draw(st.lists(labels, min_size=3, max_size=4))  # starts on an onset
+    sequence = (draw(st.lists(labels, max_size=2)) + loop * draw(st.integers(2, 3))
+                + draw(st.lists(labels, max_size=2)))
+    tempo = st.sampled_from((90, 120, 160))
+    measures = tuple(
+        Measure(i, blocks[b].time_signature, draw(tempo), blocks[b].events,
+                tuple(token(t) for t in draw(st.lists(st.sampled_from(BAR_CONTROLS),
+                                                       max_size=2, unique=True))))
+        for i, b in enumerate(sequence))
+    controls = draw(st.lists(st.sampled_from(("valence:high", "arousal:low", "mode:minor")),
+                             unique=True))
+    return Score(None, draw(tempo), measures[0].time_signature[0],
+                 tuple(token(t) for t in controls), measures)
+
+
+@settings(deadline=None, max_examples=150)
+@given(songs=st.lists(looped_scores(), min_size=1, max_size=3),
+       values=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6))
+def test_corpus_lines_equal_the_token_path(songs, values):
+    annotations = [rec(values[2 * i], values[2 * i + 1], ("major", "minor")[i % 2],
+                       artist="", title=f"song{i}") for i in range(len(songs))]
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, score in enumerate(songs):
+            (Path(tmp) / f"song{i}.tokens").write_text(render_tokens(score_to_tokens(score)))
+        lines, result = build_corpus(tmp, annotations)
+        assert (lines, result.tension_thresholds) == reference_corpus(tmp, annotations)

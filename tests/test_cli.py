@@ -582,12 +582,15 @@ def test_song_path_matches_golden_hash(tmp_path, command):
 # "{dir}" is an empty directory, "{empty}" an empty file, "{songs}" a directory
 # holding one empty .tokens file, "{header}" a file holding only the CSV
 # header the command expects, "{clf}" a trained classifier directory and
-# "{ann}" a valid annotations file.
+# "{ann}" a valid annotations file, "{short}" an annotations file whose one
+# row has three of its five fields.
 MALFORMED_INPUTS = {
     "annotate-dir": ["annotate", "--annotations", "{dir}"],
     "annotate-empty": ["annotate", "--annotations", "{empty}"],
     "annotate-header": ["annotate", "--annotations", "{header}"],
     "annotate-songs-header": ["annotate", "--songs", "{header}", "--provider-csv", "{ann}"],
+    "annotate-short-row": ["annotate", "--annotations", "{short}"],
+    "annotate-songs-short-row": ["annotate", "--songs", "{ann}", "--provider-csv", "{short}"],
     "tension-dir": ["tension", "--scores", "{dir}", "--out-csv", "{out}"],
     "tension-empty": ["tension", "--scores", "{songs}", "--out-csv", "{out}"],
     "loops-dir": ["loops", "--scores", "{dir}", "--out", "{out}"],
@@ -595,6 +598,8 @@ MALFORMED_INPUTS = {
     "corpus-dir": ["corpus", "--scores", "{dir}", "--annotations", "{ann}", "--out", "{out}"],
     "corpus-header": ["corpus", "--scores", "{songs}", "--annotations", "{header}",
                       "--out", "{out}"],
+    "corpus-short-row": ["corpus", "--scores", "{songs}", "--annotations", "{short}",
+                         "--out", "{out}"],
     "train-gen-dir": ["train-gen", "--corpus", "{dir}", "--out", "{out}"],
     "train-gen-empty": ["train-gen", "--corpus", "{empty}", "--out", "{out}"],
     "generate-dir": ["generate", "--model", "{dir}", "--emotion", "sad", "--out-dir", "{out}"],
@@ -634,7 +639,8 @@ def test_malformed_input_exits_with_one_error_line(workspace, classifiers, tmp_p
     (tmp_path / "songs").mkdir()
     (tmp_path / "songs" / "song.tokens").write_text("")
     (tmp_path / "header").write_text(CSV_HEADERS.get(argv[0], "artist,title") + "\n")
-    paths = {name: tmp_path / name for name in ("dir", "empty", "songs", "header", "out")}
+    (tmp_path / "short").write_text(ANNOTATIONS_HEADER + "\nA,b,0.5\n")
+    paths = {name: tmp_path / name for name in ("dir", "empty", "songs", "header", "short", "out")}
     paths |= {"clf": classifiers, "ann": workspace / "annotations.csv"}
     capsys.readouterr()
     code = main([arg.format(**paths) for arg in argv])

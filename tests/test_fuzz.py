@@ -1,10 +1,11 @@
-"""Damaged model and classifier files: one truncation, flipped byte or
-stray quote anywhere in a valid file must end ``generate`` or
-``eval-emotion`` with exit code 0 (the damage left a valid file), or with
-1 or 2 and exactly one ``error:`` line; never with a traceback."""
+"""Damaged input files: one truncation, flipped byte or stray quote
+anywhere in a valid model, classifier, song or annotations file must end
+the commands that read it with exit code 0 (the damage left a valid file),
+or with 1 or 2 and exactly one ``error:`` line; never with a traceback."""
 
 import contextlib
 import io
+import random
 import tempfile
 from pathlib import Path
 
@@ -15,8 +16,11 @@ from hypothesis import strategies as st
 from looptab.cli import main
 from looptab.evaluate import train_classifier
 from looptab.generate import save_model, train_generator
+from looptab.score import score_to_tokens
+from looptab.tokens import render_tokens
 
 from test_generate import CORPUS
+from util import bar_block, score_from_blocks
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +32,13 @@ def files(tmp_path_factory):
     for emotion in ("happy", "sad"):
         (root / emotion).mkdir()
         (root / emotion / "gen_0000.tokens").write_text(CORPUS[0] + "\n")
+    rng = random.Random(3)
+    blocks = {c: bar_block(rng, 3) for c in "ABCD"}
+    song = score_from_blocks(blocks, "DABCDABCDA")  # a 4-bar loop, so corpus writes lines
+    (root / "songs").mkdir()
+    (root / "songs" / "song.tokens").write_text(render_tokens(score_to_tokens(song)) + "\n")
+    (root / "annotations.csv").write_text("artist,title,valence,energy,mode\n"
+                                          ",song,0.8,0.3,major\n\"Band, The\",other,0.2,0.6,0\n")
     return root
 
 
@@ -77,3 +88,45 @@ def test_damaged_classifier_file(files, data):
         check_outcome(*run(["eval-emotion", "--happy", str(files / "happy"),
                             "--sad", str(files / "sad"), "--valence-model", str(path),
                             "--arousal-model", str(files / "valence.json")]))
+
+
+def song_path_runs(songs: Path, annotations: Path, out: Path) -> list[list[str]]:
+    return [["loops", "--scores", str(songs), "--out", str(out / "loops.jsonl")],
+            ["tension", "--scores", str(songs), "--out-csv", str(out / "tension.csv")],
+            ["corpus", "--scores", str(songs), "--annotations", str(annotations),
+             "--out", str(out / "corpus.txt")],
+            ["eval-loops", "--generations", str(songs)],
+            ["annotate", "--annotations", str(annotations)]]
+
+
+def test_the_undamaged_song_files_pass_every_command(files, tmp_path):
+    for argv in song_path_runs(files / "songs", files / "annotations.csv", tmp_path):
+        code, err = run(argv)
+        assert code == 0, err
+    assert (tmp_path / "corpus.txt").read_text()
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_damaged_song_file(files, data):
+    damaged = data.draw(damage((files / "songs" / "song.tokens").read_bytes()))
+    with tempfile.TemporaryDirectory() as tmp:
+        songs = Path(tmp) / "songs"
+        songs.mkdir()
+        (songs / "song.tokens").write_bytes(damaged)
+        for argv in song_path_runs(songs, files / "annotations.csv", Path(tmp)):
+            check_outcome(*run(argv))
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_damaged_annotations_file(files, data):
+    damaged = data.draw(damage((files / "annotations.csv").read_bytes()))
+    with tempfile.TemporaryDirectory() as tmp:
+        songs = Path(tmp) / "songs"
+        songs.mkdir()
+        (songs / "song.tokens").write_bytes((files / "songs" / "song.tokens").read_bytes())
+        annotations = Path(tmp) / "annotations.csv"
+        annotations.write_bytes(damaged)
+        for argv in song_path_runs(songs, annotations, Path(tmp)):
+            check_outcome(*run(argv))

@@ -2,12 +2,15 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from looptab.loops import (
     DEFAULT_PARAMS,
     EventFingerprint,
     LoopParams,
     LoopSpan,
+    _onset_groups,
     bar_offsets,
     extract_loops,
     fingerprint_sequence,
@@ -48,6 +51,50 @@ def test_fingerprint_sequence_merges_tracks_and_sorts():
     assert seq[0].gap == 960
     assert seq[1].gap == 2880  # runs to the end of the bar
     assert [f.onset for f in seq] == [0, 960]
+
+
+def reference_fingerprints(score: Score) -> list[EventFingerprint]:
+    """One fingerprint per distinct absolute onset, built note by note."""
+    offsets = bar_offsets(score)
+    onsets: dict[int, list[tuple[str, int, int]]] = {}
+    for m in score.measures:
+        for ev in m.events:
+            onsets.setdefault(offsets[m.index] + ev.onset, []).append(
+                (ev.track, ev.midi_pitch, ev.duration))
+    ordered = sorted(onsets)
+    ends = ordered[1:] + [offsets[-1]]
+    return [EventFingerprint(tuple(sorted(onsets[at])), max(nxt - at, 0), at)
+            for at, nxt in zip(ordered, ends)]
+
+
+def interned_ids(keys) -> list[int]:
+    ids: dict = {}
+    return [ids.setdefault(key, len(ids)) for key in keys]
+
+
+@st.composite
+def scores(draw):
+    """Bars of any metre whose notes may start past the bar's end, share
+    onsets across tracks, or repeat a pitch."""
+    note = st.tuples(st.sampled_from(("clean0", "bass", "drums")), st.integers(0, 5760),
+                     st.sampled_from((240, 480, 960)), st.integers(40, 44))
+    measures = []
+    for i in range(draw(st.integers(0, 8))):
+        events = tuple(NoteEvent(track, onset, duration, midi)
+                       for track, onset, duration, midi in draw(st.lists(note, max_size=8)))
+        measures.append(Measure(i, (draw(st.integers(1, 7)), 4), events=events))
+    return Score(measures=tuple(measures))
+
+
+@settings(deadline=None, max_examples=300)
+@given(score=scores())
+def test_onset_groups_intern_like_fingerprints(score):
+    reference = reference_fingerprints(score)
+    onsets, notes, gaps = _onset_groups(score)
+    assert onsets == [f.onset for f in reference]
+    assert interned_ids(zip(notes, gaps)) == interned_ids(reference)
+    seq = fingerprint_sequence(score)
+    assert seq == reference and [f.onset for f in seq] == onsets
 
 
 def test_bar_offsets():

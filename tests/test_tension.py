@@ -3,13 +3,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from looptab.score import Measure, NoteEvent, Score
 from looptab.tension import (
     DEFAULT_PARAMS,
     SpiralParams,
     TensionThresholds,
-    bar_clouds,
     cloud_diameter_of_indices,
     coe_of_indices,
     compute_tension_profile,
@@ -19,6 +20,7 @@ from looptab.tension import (
     fit_tension_thresholds,
     key_coe,
     level_of,
+    loop_tension_profiles,
     pitch_position,
     tension_from_clouds,
     thresholds_from_json,
@@ -26,6 +28,13 @@ from looptab.tension import (
 )
 
 H = DEFAULT_PARAMS.height
+
+
+def bar_clouds(score):
+    """Per-measure (fifth-index, duration) clouds, drums excluded: the
+    reference the per-bar tables must reproduce."""
+    return [[(fifth_index_of_pitch(ev.midi_pitch), float(ev.duration))
+             for ev in m.events if ev.track != "drums"] for m in score.measures]
 
 
 def dist(a, b):
@@ -259,3 +268,55 @@ def test_invalid_spiral_params():
         SpiralParams(radius=0.0)
     with pytest.raises(ValueError):
         SpiralParams(chord_weights=(0.5, 0.4, 0.2))
+
+
+# per-bar tables against the cloud functions -----------------------------------
+
+def reference_profile(score, params):
+    """Tension as computed from the bar clouds, note by note."""
+    clouds = bar_clouds(score)
+    try:
+        key_center = estimate_key(clouds, params).center
+    except ValueError:
+        key_center = None
+    return tension_from_clouds(clouds, key_center, params)
+
+
+@st.composite
+def spiral_params(draw):
+    def triple():
+        ws = [draw(st.floats(0.05, 1.0)) for _ in range(3)]
+        return tuple(w / sum(ws) for w in ws)
+
+    return SpiralParams(draw(st.floats(0.1, 10.0)), draw(st.floats(0.01, 5.0)),
+                        triple(), triple())
+
+
+@st.composite
+def scores(draw):
+    tracks = st.sampled_from(("clean0", "bass", "leads", "drums"))
+    measures = []
+    for i in range(draw(st.integers(0, 6))):
+        events = tuple(NoteEvent(track, draw(st.integers(0, 3839)), draw(st.integers(1, 3840)),
+                                 draw(st.integers(0, 127)), None if track == "drums" else 1, 0)
+                       for track in draw(st.lists(tracks, max_size=6)))
+        measures.append(Measure(index=i, events=events))
+    return Score(measures=tuple(measures))
+
+
+@settings(deadline=None, max_examples=300)
+@given(score=scores(), params=st.one_of(st.just(DEFAULT_PARAMS), spiral_params()))
+def test_tension_profile_equals_the_cloud_reference_exactly(score, params):
+    assert compute_tension_profile(score, params) == reference_profile(score, params)
+
+
+@settings(deadline=None, max_examples=300)
+@given(score=scores(), params=st.one_of(st.just(DEFAULT_PARAMS), spiral_params()),
+       data=st.data())
+def test_loop_profiles_equal_the_profile_of_each_range_alone(score, params, data):
+    n = len(score.measures)
+    spans = data.draw(st.lists(st.tuples(st.integers(0, n), st.integers(1, n)).filter(
+        lambda r: r[0] < r[1]), max_size=5)) if n else []
+    got = loop_tension_profiles(score, spans, params)
+    assert got == [reference_profile(Score(measures=score.measures[s:e]), params)
+                   for s, e in spans]
