@@ -63,6 +63,27 @@ def label_free(tokens: list[str]) -> list[str]:
     return [t for t in tokens if not t.startswith(("valence:", "arousal:"))]
 
 
+def _read_songs(path) -> list[tuple[str, str]]:
+    """The ``(artist, title)`` rows of a songs CSV. The artist may be empty,
+    as it is for a song file without an artist header; the title may not."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if not {"artist", "title"} <= set(reader.fieldnames or ()):
+            raise ValueError(f"{path}: songs CSV needs artist and title columns")
+        songs = []
+        try:
+            for row in reader:
+                artist, title = row["artist"], row["title"]
+                if artist is None:  # DictReader pads a short row with None
+                    raise ValueError("a song needs an artist field")
+                if not (title or "").strip():
+                    raise ValueError("a song needs a title")
+                songs.append((artist, title))
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    return songs
+
+
 def cmd_annotate(args) -> int:
     if args.songs:
         if args.provider_csv:
@@ -71,12 +92,7 @@ def cmd_annotate(args) -> int:
             provider = annotate_mod.HttpFeaturesProvider(args.provider_url)
         else:
             raise ValueError("--songs requires --provider-csv or --provider-url")
-        with open(args.songs, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if not {"artist", "title"} <= set(reader.fieldnames or ()):
-                raise ValueError(f"{args.songs}: songs CSV needs artist and title columns")
-            songs = [(row["artist"], row["title"]) for row in reader]
-        records, misses = annotate_mod.fetch_annotations(provider, songs)
+        records, misses = annotate_mod.fetch_annotations(provider, _read_songs(args.songs))
         log.info("annotated %d songs, %d misses", len(records), len(misses))
         if args.out_annotations:
             annotate_mod.save_annotations(records, args.out_annotations)
@@ -196,23 +212,37 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_train_clf(args) -> int:
-    config = load_config(args.config)
-    lines = [l.split() for l in Path(args.corpus).read_text(encoding="utf-8").splitlines()
+def _classifier_corpus(path, truncate: int):
+    """The label of each target on every line of a corpus, as
+    ``{target: [is_high, ...]}``, plus the feature names and matrix of the
+    label-free lines, built once for all targets. The token lists are
+    dropped on return, before any fit."""
+    lines = [l.split() for l in Path(path).read_text(encoding="utf-8").splitlines()
              if l.strip()]
     if not lines:
         raise ValueError("empty corpus")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    labels = {}
     for target in ("valence", "arousal"):
-        labels = []
+        labels[target] = []
         for i, toks in enumerate(lines):
             level = next((t.split(":")[1] for t in toks if t.startswith(target + ":")), None)
             if level is None:
                 raise ValueError(f"corpus line {i + 1} carries no {target} label")
-            labels.append(level == "high")
-        streams = [label_free(toks) for toks in lines]
-        clf = evaluate_mod.train_classifier(streams, labels, config.classifier)
+            labels[target].append(level == "high")
+    names, x = evaluate_mod.classifier_features([label_free(toks) for toks in lines], truncate)
+    return labels, names, x
+
+
+def cmd_train_clf(args) -> int:
+    """Both classifiers are fitted before either file is written, so a
+    corpus that fails for one target leaves neither file behind."""
+    config = load_config(args.config)
+    labels, names, x = _classifier_corpus(args.corpus, config.classifier.truncate)
+    classifiers = {target: evaluate_mod.fit_classifier(names, x, y, config.classifier)
+                   for target, y in labels.items()}
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for target, clf in classifiers.items():
         clf.save(out_dir / f"{target}.json")
         log.info("%s classifier held-out accuracy: %s", target, clf.holdout_accuracy)
     return 0

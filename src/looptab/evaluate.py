@@ -3,12 +3,19 @@
 Classifier scores live in [0, 1]; the high/low label cut is fixed at 0.5
 (strictly greater counts as high). The built-in classifier is a logistic
 regression over order-free token-count features; external classifiers can
-implement the same ``score(tokens)`` surface.
+implement the same ``scores(streams)`` surface.
+
+A corpus is featurized once, as one matrix (:func:`feature_matrix`), and
+one matrix serves both the valence and the arousal fit. The fit runs on
+BLAS, so a classifier file is byte-reproducible only for a fixed BLAS
+thread count: on the corpus_many seed-1 benchmark corpus the weights moved
+by up to 3.5e-18 between ``OPENBLAS_NUM_THREADS=1`` and ``2``.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -29,7 +36,7 @@ TEMPO_BUCKETS = ("tempo_slow", "tempo_mid", "tempo_fast")  # <100, 100..149, >=1
 
 
 class ClassifierModel(Protocol):
-    def score(self, tokens: Sequence[str]) -> float: ...
+    def scores(self, streams: Sequence[Sequence[str]]) -> Sequence[float]: ...
 
 
 @dataclass(frozen=True)
@@ -53,26 +60,44 @@ def _tempo_bucket(raw: str) -> str | None:
     return TEMPO_BUCKETS[2]
 
 
+def feature_matrix(streams: Sequence[Sequence[str]], columns: Mapping[str, int],
+                   truncate: int = TRUNCATE_TOKENS) -> np.ndarray:
+    """One row per stream: normalized unigram counts plus tempo-bucket
+    indicators, over the feature columns ``{name: column}`` (see
+    :func:`feature_columns`).
+
+    A row reads only the stream's first ``truncate`` tokens, its window.
+    Each token counts toward its own column, if it has one, and a
+    ``tempo:N`` token also toward its bucket's column, whether or not the
+    token has a column of its own. A row is then divided by its window
+    length, so it is order-free: permuting the tokens leaves it unchanged.
+    An empty window gives a row of zeros.
+
+    Each distinct token is resolved once; the counts of all rows are added
+    in one ``np.add.at`` over flat ``row * width + column`` ids.
+    """
+    windows = [s[:truncate] for s in streams]
+    lengths = np.fromiter(map(len, windows), dtype=np.intp, count=len(windows))
+    tokens = list(itertools.chain.from_iterable(windows))
+    index = {raw: k for k, raw in enumerate(dict.fromkeys(tokens))}
+    # Per distinct token: its own column and its tempo bucket's, -1 for none.
+    targets = np.fromiter(itertools.chain.from_iterable(
+        (columns.get(raw, -1), columns.get(_tempo_bucket(raw), -1)) for raw in index),
+        dtype=np.intp, count=2 * len(index)).reshape(-1, 2)
+    hits = targets[np.fromiter(map(index.__getitem__, tokens), dtype=np.intp, count=len(tokens))]
+    found = hits >= 0
+    width = len(columns)
+    hits += np.repeat(np.arange(len(windows), dtype=np.intp) * width, lengths)[:, None]
+    x = np.zeros((len(windows), width))
+    np.add.at(x.reshape(-1), hits[found], 1.0)
+    x /= np.maximum(lengths, 1)[:, None]  # an empty window's row stays zero
+    return x
+
+
 def token_features(tokens: Sequence[str], columns: Mapping[str, int],
                    truncate: int = TRUNCATE_TOKENS) -> np.ndarray:
-    """Normalized unigram counts plus tempo-bucket indicators, over the
-    feature columns ``{name: column}`` (see :func:`feature_columns`).
-
-    Order-free by construction: permuting the tokens leaves the vector
-    unchanged. Streams are truncated to the first ``truncate`` tokens.
-    """
-    window = list(tokens[:truncate])
-    x = np.zeros(len(columns), dtype=float)
-    for raw in window:
-        i = columns.get(raw)
-        if i is not None:
-            x[i] += 1.0
-        bucket = _tempo_bucket(raw)
-        if bucket is not None and bucket in columns:
-            x[columns[bucket]] += 1.0
-    if window:
-        x /= len(window)
-    return x
+    """The :func:`feature_matrix` row of one stream."""
+    return feature_matrix([tokens], columns, truncate)[0]
 
 
 def is_finite_number(value) -> bool:
@@ -98,9 +123,13 @@ class LinearTokenClassifier:
         return feature_columns(self.feature_names)
 
     def score(self, tokens: Sequence[str]) -> float:
-        x = token_features(tokens, self.columns, self.truncate)
-        z = float(np.dot(self.weights, x) + self.bias)
-        return 1.0 / (1.0 + np.exp(-z))
+        return self.scores([tokens])[0]
+
+    def scores(self, streams: Sequence[Sequence[str]]) -> list[float]:
+        """The score of each stream; the streams are featurized as one
+        matrix."""
+        return [1.0 / (1.0 + np.exp(-float(np.dot(self.weights, x) + self.bias)))
+                for x in feature_matrix(streams, self.columns, self.truncate)]
 
     def label(self, tokens: Sequence[str]) -> bool:
         return self.score(tokens) > HIGH_CUT
@@ -139,30 +168,37 @@ class LinearTokenClassifier:
                    doc.get("holdout_accuracy"))
 
 
-def train_classifier(streams: Sequence[Sequence[str]], labels: Sequence[bool],
-                     config: ClassifierConfig = ClassifierConfig()) -> LinearTokenClassifier:
-    """Full-batch gradient-descent logistic regression; deterministic given
-    data, seed and epochs. Raises on single-class data."""
-    if len(streams) != len(labels):
-        raise ValueError("streams and labels must align")
+def classifier_features(streams: Sequence[Sequence[str]], truncate: int = TRUNCATE_TOKENS
+                        ) -> tuple[list[str], np.ndarray]:
+    """The feature names of a training corpus (every token seen in a
+    window, plus the tempo buckets, sorted) and its :func:`feature_matrix`."""
+    windows = (s[:truncate] for s in streams)
+    names = sorted(set(itertools.chain.from_iterable(windows)) | set(TEMPO_BUCKETS))
+    return names, feature_matrix(streams, feature_columns(names), truncate)
+
+
+def fit_classifier(feature_names: list[str], x: np.ndarray, labels: Sequence[bool],
+                   config: ClassifierConfig = ClassifierConfig()) -> LinearTokenClassifier:
+    """Full-batch gradient-descent logistic regression on the feature rows
+    ``x``; deterministic given data, seed, epochs and the BLAS thread
+    count. Raises on single-class data. ``x`` is not modified, so one
+    matrix serves several targets."""
+    if len(x) != len(labels):
+        raise ValueError("feature rows and labels must align")
     y = np.asarray(labels, dtype=float)
     if y.min() == y.max():
         raise ValueError("training data contains a single class")
     if (y == 1).sum() < 2 or (y == 0).sum() < 2:
         raise ValueError("need at least 2 examples per class")
 
-    names = sorted({raw for s in streams for raw in s[:config.truncate]} | set(TEMPO_BUCKETS))
-    columns = feature_columns(names)
-    x = np.stack([token_features(s, columns, config.truncate) for s in streams])
-
     rng = np.random.default_rng(config.seed)
-    perm = rng.permutation(len(streams))
-    n_hold = int(len(streams) * config.holdout_fraction)
+    perm = rng.permutation(len(x))
+    n_hold = int(len(x) * config.holdout_fraction)
     hold, train = perm[:n_hold], perm[n_hold:]
     if len(train) == 0 or y[train].min() == y[train].max():
         hold, train = perm[:0], perm  # fall back to training on everything
 
-    w = np.zeros(len(names))
+    w = np.zeros(len(feature_names))
     b = 0.0
     xt, yt = x[train], y[train]
     for _ in range(config.epochs):
@@ -173,11 +209,18 @@ def train_classifier(streams: Sequence[Sequence[str]], labels: Sequence[bool],
         w -= config.learning_rate * grad_w
         b -= config.learning_rate * grad_b
 
-    clf = LinearTokenClassifier(names, w, b, config.truncate)
+    clf = LinearTokenClassifier(feature_names, w, b, config.truncate)
     if len(hold) > 0:
         preds = (1.0 / (1.0 + np.exp(-(x[hold] @ w + b)))) > HIGH_CUT
         clf.holdout_accuracy = float(np.mean(preds == (y[hold] > 0.5)))
     return clf
+
+
+def train_classifier(streams: Sequence[Sequence[str]], labels: Sequence[bool],
+                     config: ClassifierConfig = ClassifierConfig()) -> LinearTokenClassifier:
+    """:func:`classifier_features` then :func:`fit_classifier`."""
+    names, x = classifier_features(streams, config.truncate)
+    return fit_classifier(names, x, labels, config)
 
 
 @dataclass(frozen=True)
@@ -201,8 +244,8 @@ class EmotionMetrics:
 def _group_metrics(streams: Sequence[Sequence[str]],
                    valence_model: ClassifierModel,
                    arousal_model: ClassifierModel) -> GroupMetrics:
-    v = [valence_model.score(s) for s in streams]
-    a = [arousal_model.score(s) for s in streams]
+    v = valence_model.scores(streams)
+    a = arousal_model.scores(streams)
     return GroupMetrics(
         hvp=sum(1 for s in v if s > HIGH_CUT) / len(v),
         mvs=sum(v) / len(v),

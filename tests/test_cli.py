@@ -12,6 +12,7 @@ import pytest
 import looptab
 from looptab import cli
 from looptab.cli import atomic_write, label_free, main
+from looptab.evaluate import train_classifier
 from looptab.loops import LoopSpan, extract_loops, splice_loop
 from looptab.score import NoteEvent, Score, score_to_tokens, tokens_to_score
 from looptab.tension import (
@@ -86,6 +87,16 @@ def test_annotate_songs_csv_without_artist_or_title_exits_1(workspace, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error:") and "artist" in err and "title" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("row", ["Someone", "Someone,", "Someone,  "])
+def test_annotate_songs_row_without_title_exits_1_naming_the_line(workspace, tmp_path, capsys,
+                                                                   row):
+    songs = tmp_path / "songs.csv"
+    songs.write_text(f"artist,title\n,bright_one\n{row}\n")
+    assert run("annotate", "--songs", str(songs),
+               "--provider-csv", str(workspace / "annotations.csv")) == 1
+    assert capsys.readouterr().err == f"error: {songs}: line 3: a song needs a title\n"
 
 
 def test_tension_command(workspace, tmp_path):
@@ -175,6 +186,18 @@ def classifiers(workspace, corpus):
     out = workspace / "clf"
     assert run("train-clf", "--corpus", str(corpus), "--out-dir", str(out)) == 0
     return out
+
+
+def test_train_clf_with_an_unlabelled_line_writes_nothing(corpus, tmp_path, capsys):
+    lines = corpus.read_text().splitlines()
+    lines[-1] = " ".join(t for t in lines[-1].split() if not t.startswith("arousal:"))
+    bad = tmp_path / "corpus.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "clf"
+    assert run("train-clf", "--corpus", str(bad), "--out-dir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: corpus line {len(lines)} carries no arousal label\n"
+    assert not (out / "valence.json").exists()
 
 
 def test_eval_emotion_command(workspace, model, classifiers, tmp_path):
@@ -510,6 +533,16 @@ def test_label_free_strips_only_labels():
     assert label_free(toks) == ["mode:major", "tempo:160", "start"]
 
 
+def test_train_clf_writes_what_train_classifier_saves(corpus, classifiers, tmp_path):
+    lines = [line.split() for line in corpus.read_text().splitlines()]
+    streams = [label_free(toks) for toks in lines]
+    for target in ("valence", "arousal"):
+        labels = [f"{target}:high" in toks for toks in lines]
+        train_classifier(streams, labels).save(tmp_path / f"{target}.json")
+        assert ((tmp_path / f"{target}.json").read_bytes()
+                == (classifiers / f"{target}.json").read_bytes())
+
+
 def golden_songs(directory):
     """Ten seeded songs, each with a planted repeat: bar-block songs with
     tempo changes, and random songs with drums, effects, an artist header
@@ -583,7 +616,8 @@ def test_song_path_matches_golden_hash(tmp_path, command):
 # holding one empty .tokens file, "{header}" a file holding only the CSV
 # header the command expects, "{clf}" a trained classifier directory and
 # "{ann}" a valid annotations file, "{short}" an annotations file whose one
-# row has three of its five fields.
+# row has three of its five fields, "{notitle}" a songs CSV with one good row
+# and one row without a title.
 MALFORMED_INPUTS = {
     "annotate-dir": ["annotate", "--annotations", "{dir}"],
     "annotate-empty": ["annotate", "--annotations", "{empty}"],
@@ -591,6 +625,7 @@ MALFORMED_INPUTS = {
     "annotate-songs-header": ["annotate", "--songs", "{header}", "--provider-csv", "{ann}"],
     "annotate-short-row": ["annotate", "--annotations", "{short}"],
     "annotate-songs-short-row": ["annotate", "--songs", "{ann}", "--provider-csv", "{short}"],
+    "annotate-songs-no-title": ["annotate", "--songs", "{notitle}", "--provider-csv", "{ann}"],
     "tension-dir": ["tension", "--scores", "{dir}", "--out-csv", "{out}"],
     "tension-empty": ["tension", "--scores", "{songs}", "--out-csv", "{out}"],
     "loops-dir": ["loops", "--scores", "{dir}", "--out", "{out}"],
@@ -640,7 +675,9 @@ def test_malformed_input_exits_with_one_error_line(workspace, classifiers, tmp_p
     (tmp_path / "songs" / "song.tokens").write_text("")
     (tmp_path / "header").write_text(CSV_HEADERS.get(argv[0], "artist,title") + "\n")
     (tmp_path / "short").write_text(ANNOTATIONS_HEADER + "\nA,b,0.5\n")
-    paths = {name: tmp_path / name for name in ("dir", "empty", "songs", "header", "short", "out")}
+    (tmp_path / "notitle").write_text("artist,title\n,bright_one\nSomeone\n")
+    paths = {name: tmp_path / name
+             for name in ("dir", "empty", "songs", "header", "short", "notitle", "out")}
     paths |= {"clf": classifiers, "ann": workspace / "annotations.csv"}
     capsys.readouterr()
     code = main([arg.format(**paths) for arg in argv])

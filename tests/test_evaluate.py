@@ -2,13 +2,20 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from looptab.evaluate import (
+    TEMPO_BUCKETS,
     ClassifierConfig,
     LinearTokenClassifier,
     SurveyError,
+    _tempo_bucket,
+    classifier_features,
     emotion_metrics,
     feature_columns,
+    feature_matrix,
+    fit_classifier,
     likert_to_signed,
     load_survey_csv,
     loop_metric,
@@ -28,13 +35,16 @@ class FixedModel:
     """Classifier stub returning scripted scores in order."""
 
     def __init__(self, scores):
-        self.scores = list(scores)
+        self.fixed = list(scores)
         self.i = 0
 
     def score(self, tokens):
-        s = self.scores[self.i % len(self.scores)]
+        s = self.fixed[self.i % len(self.fixed)]
         self.i += 1
         return s
+
+    def scores(self, streams):
+        return [self.score(s) for s in streams]
 
 
 # features --------------------------------------------------------------------
@@ -67,6 +77,71 @@ def test_tempo_buckets():
     assert np.argmax(token_features(["tempo:100"], columns)) == 1
     assert np.argmax(token_features(["tempo:149"], columns)) == 1
     assert np.argmax(token_features(["tempo:150"], columns)) == 2
+
+
+def reference_features(tokens, columns, truncate):
+    """One stream's features, one token at a time."""
+    window = list(tokens[:truncate])
+    x = np.zeros(len(columns), dtype=float)
+    for raw in window:
+        i = columns.get(raw)
+        if i is not None:
+            x[i] += 1.0
+        bucket = _tempo_bucket(raw)
+        if bucket is not None and bucket in columns:
+            x[columns[bucket]] += 1.0
+    if window:
+        x /= len(window)
+    return x
+
+
+# Plain tokens, tempo tokens of every bucket and the bucket names themselves;
+# a drawn column set leaves some of each unseen.
+FEATURE_TOKENS = ("a", "b", "c", "tempo:40", "tempo:99", "tempo:100", "tempo:149",
+                  "tempo:150", "tempo:300") + TEMPO_BUCKETS
+
+
+@settings(deadline=None, max_examples=300)
+@given(streams=st.lists(st.lists(st.sampled_from(FEATURE_TOKENS), max_size=12), max_size=8),
+       names=st.lists(st.sampled_from(FEATURE_TOKENS), unique=True),
+       truncate=st.integers(1, 14))
+def test_feature_matrix_equals_the_per_stream_loop(streams, names, truncate):
+    columns = feature_columns(names)
+    x = feature_matrix(streams, columns, truncate)
+    assert x.shape == (len(streams), len(names)) and x.dtype == np.float64
+    for row, stream in zip(x, streams):
+        assert np.array_equal(row, reference_features(stream, columns, truncate))
+        assert np.array_equal(token_features(stream, columns, truncate), row)
+
+
+def test_feature_matrix_counts_an_unseen_tempo_token_toward_its_bucket():
+    columns = feature_columns(["a", "tempo_mid", "tempo:60"])
+    x = feature_matrix([["tempo:120", "a"], [], ["tempo:60", "tempo:120", "b", "a"]], columns, 3)
+    assert np.array_equal(x, [[1 / 2, 1 / 2, 0.0], [0.0, 0.0, 0.0], [0.0, 1 / 3, 1 / 3]])
+
+
+def test_classifier_features_match_the_per_stream_loop():
+    rng = random.Random(11)
+    streams = synth_streams(rng, 12, ["a", "b", "tempo:90"], 160) + [[]]
+    names, x = classifier_features(streams, truncate=20)
+    assert names == sorted({t for s in streams for t in s[:20]} | set(TEMPO_BUCKETS))
+    columns = feature_columns(names)
+    assert np.array_equal(x, np.stack([reference_features(s, columns, 20) for s in streams]))
+
+
+def test_one_matrix_fits_several_targets():
+    rng = random.Random(12)
+    streams = synth_streams(rng, 15, ["a", "b"], 160) + synth_streams(rng, 15, ["c", "d"], 80)
+    first = [True] * 15 + [False] * 15
+    second = [i % 2 == 0 for i in range(30)]
+    names, x = classifier_features(streams)
+    before = x.copy()
+    for labels in (first, second):
+        fitted = fit_classifier(names, x, labels)
+        trained = train_classifier(streams, labels)
+        assert np.array_equal(fitted.weights, trained.weights)
+        assert (fitted.bias, fitted.holdout_accuracy) == (trained.bias, trained.holdout_accuracy)
+    assert np.array_equal(x, before)
 
 
 def test_classifier_builds_its_columns_once(monkeypatch):

@@ -1,7 +1,8 @@
 """Damaged input files: one truncation, flipped byte or stray quote
-anywhere in a valid model, classifier, song or annotations file must end
-the commands that read it with exit code 0 (the damage left a valid file),
-or with 1 or 2 and exactly one ``error:`` line; never with a traceback."""
+anywhere in a valid model, classifier, song, annotations or corpus file
+must end the commands that read it with exit code 0 (the damage left a
+valid file), or with 1 or 2 and exactly one ``error:`` line; never with a
+traceback."""
 
 import contextlib
 import io
@@ -26,6 +27,7 @@ from util import bar_block, score_from_blocks
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
+    (root / "corpus.txt").write_text("".join(line + "\n" for line in CORPUS))
     save_model(train_generator(CORPUS), root / "model.json")
     streams = [line.split() for line in CORPUS]
     train_classifier(streams, [True, True, False, False]).save(root / "valence.json")
@@ -129,4 +131,26 @@ def test_damaged_annotations_file(files, data):
         annotations = Path(tmp) / "annotations.csv"
         annotations.write_bytes(damaged)
         for argv in song_path_runs(songs, annotations, Path(tmp)):
+            check_outcome(*run(argv))
+
+
+def corpus_runs(corpus: Path, out: Path) -> list[list[str]]:
+    return [["train-clf", "--corpus", str(corpus), "--out-dir", str(out / "clf")],
+            ["train-gen", "--corpus", str(corpus), "--out", str(out / "model.json")]]
+
+
+def test_the_undamaged_corpus_passes_every_command(files, tmp_path):
+    for argv in corpus_runs(files / "corpus.txt", tmp_path):
+        code, err = run(argv)
+        assert code == 0, err
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_damaged_corpus_file(files, data):
+    damaged = data.draw(damage((files / "corpus.txt").read_bytes()))
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus.txt"
+        corpus.write_bytes(damaged)
+        for argv in corpus_runs(corpus, Path(tmp)):
             check_outcome(*run(argv))
