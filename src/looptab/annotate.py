@@ -22,8 +22,8 @@ from urllib.parse import quote
 from . import loops as loops_mod
 from . import tension as tension_mod
 from .atomic import atomic_open
-from .score import bar_body, regularize_meter, token_files, tokens_to_score
-from .tokens import Token, TokenCategory, control_token, parse_tokens, render_tokens
+from .score import TokenTable, bar_bodies, decode, regularize_meter, token_files
+from .tokens import Token, TokenCategory, control_token, render_tokens
 
 if TYPE_CHECKING:
     import requests
@@ -78,7 +78,11 @@ def load_annotations(path: str | Path) -> list[AnnotationRecord]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         expected = ("artist", "title", "valence", "energy", "mode")
-        if reader.fieldnames is None or not set(expected).issubset(reader.fieldnames):
+        try:
+            fieldnames = reader.fieldnames
+        except csv.Error as exc:
+            raise AnnotationError(f"{path}: line {reader.line_num}: {exc}") from None
+        if fieldnames is None or not set(expected).issubset(fieldnames):
             raise AnnotationError(f"{path}: annotations CSV must have header {sorted(expected)}")
         try:
             for row in reader:
@@ -320,26 +324,27 @@ def build_corpus(score_dir: str | Path,
     result = CorpusResult(feature_thresholds=thresholds)
 
     songs = []
+    table = TokenTable()
     for path in token_files(score_dir):
         try:
-            score = tokens_to_score(parse_tokens(path.read_text(encoding="utf-8")))
+            song = decode(path.read_text(encoding="utf-8").split(), table)
         except ValueError as exc:
             log.error("skipping %s: %s", path.name, exc)
             result.failed_files += 1
             continue
-        rec = by_key.get(_normalize_key(score.artist or "", path.stem))
+        rec = by_key.get(_normalize_key(song.artist or "", path.stem))
         if rec is None:
             result.skipped_no_annotation += 1
             continue
-        regular = regularize_meter(score)
+        regular = regularize_meter(song)
         spans = [(sp.start_bar, sp.end_bar) for sp in loops_mod.extract_loops(regular, loop_params)]
         if not spans:
             result.skipped_no_loops += 1
             continue
         result.songs_used += 1
-        looped = {i for start, end in spans for i in range(start, end)}
-        bars = {i: (m.tempo_bpm, " ".join(bar_body(m)))
-                for i, m in enumerate(regular.measures) if i in looped}
+        looped = sorted({i for start, end in spans for i in range(start, end)})
+        bars = {i: (tempo, " ".join(body)) for i, tempo, body in
+                zip(looped, regular.tempo[looped].tolist(), bar_bodies(regular, looped))}
         songs.append((rec, regular.header_tempo, bars, spans,
                       tension_mod.loop_tension_profiles(regular, spans, spiral_params)))
 

@@ -26,8 +26,8 @@ from . import stats as stats_mod
 from . import tension as tension_mod
 from .atomic import atomic_open
 from .config import GeneratorConfig, load_config
-from .score import regularize_meter, token_files, tokens_to_score
-from .tokens import TokenCategory, parse_tokens, render_tokens
+from .score import TokenTable, decode, regularize_meter, token_files
+from .tokens import ParseError, TokenCategory, render_tokens, token
 
 log = logging.getLogger("looptab")
 
@@ -45,12 +45,36 @@ def atomic_write(path: str | Path, text: str) -> None:
 
 
 def _read_scores(directory: str | Path):
+    """Each song file of ``directory`` with its decoded columns, one at a
+    time; one token table serves them all."""
+    table = TokenTable()
     for path in token_files(directory):
         try:
-            score = tokens_to_score(parse_tokens(path.read_text(encoding="utf-8")))
+            song = decode(path.read_text(encoding="utf-8").split(), table)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        yield path, score
+        yield path, song
+
+
+def _read_corpus(path) -> list[str]:
+    """The lines of a corpus file. Each distinct token string is classified
+    once through :func:`tokens.token`; the first malformed one is an error
+    naming the file, the line and the token."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    distinct: set[str] = set()
+    for line in lines:
+        distinct.update(line.split())
+    bad = {}
+    for raw in distinct:
+        try:
+            token(raw)
+        except ParseError as exc:
+            bad[raw] = str(exc)
+    for number, line in enumerate(lines if bad else (), 1):
+        for i, raw in enumerate(line.split()):
+            if raw in bad:
+                raise ValueError(f"{path}: line {number}: {ParseError(bad[raw], i, raw)}")
+    return lines
 
 
 def _read_streams(directory: str | Path) -> list[list[str]]:
@@ -68,7 +92,11 @@ def _read_songs(path) -> list[tuple[str, str]]:
     as it is for a song file without an artist header; the title may not."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if not {"artist", "title"} <= set(reader.fieldnames or ()):
+        try:
+            fieldnames = reader.fieldnames
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        if not {"artist", "title"} <= set(fieldnames or ()):
             raise ValueError(f"{path}: songs CSV needs artist and title columns")
         songs = []
         try:
@@ -176,8 +204,7 @@ def cmd_train_gen(args) -> int:
     gen_cfg = config.generator
     order = args.order if args.order is not None else gen_cfg.order
     alpha = args.alpha if args.alpha is not None else gen_cfg.alpha
-    lines = Path(args.corpus).read_text(encoding="utf-8").splitlines()
-    model = generate_mod.train_generator(lines, order=order, alpha=alpha)
+    model = generate_mod.train_generator(_read_corpus(args.corpus), order=order, alpha=alpha)
     generate_mod.save_model(model, args.out)
     log.info("trained order-%d model, vocabulary %d", order, len(model.vocabulary))
     return 0
@@ -217,8 +244,7 @@ def _classifier_corpus(path, truncate: int):
     ``{target: [is_high, ...]}``, plus the feature names and matrix of the
     label-free lines, built once for all targets. The token lists are
     dropped on return, before any fit."""
-    lines = [l.split() for l in Path(path).read_text(encoding="utf-8").splitlines()
-             if l.strip()]
+    lines = [l.split() for l in _read_corpus(path) if l.strip()]
     if not lines:
         raise ValueError("empty corpus")
     labels = {}
@@ -288,7 +314,10 @@ def _numeric_columns(path) -> list[list[float]]:
     """The columns of a CSV of finite numbers, after an optional header row."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader if row]
+        try:
+            rows = [(reader.line_num, row) for row in reader if row]
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     try:
         float(rows[0][1][0])
     except ValueError:

@@ -27,7 +27,7 @@ import numpy as np
 from . import loops as loops_mod
 from .atomic import atomic_open, read_json
 from .generate import HAPPY_TEMPO_MIN, SAD_TEMPO_MAX
-from .score import Score
+from .score import Score, ScoreColumns
 
 TRUNCATE_TOKENS = 768
 HIGH_CUT = 0.5
@@ -268,7 +268,7 @@ def emotion_metrics(happy_streams: Sequence[Sequence[str]],
     return EmotionMetrics(happy, sad, diff)
 
 
-def loop_metric(generated: Sequence[Score],
+def loop_metric(generated: Sequence[Score | ScoreColumns],
                 params: loops_mod.LoopParams = loops_mod.DEFAULT_PARAMS
                 ) -> tuple[int, float]:
     """(total loops found, average loops per generation)."""
@@ -387,12 +387,23 @@ def survey_summary(rows: Sequence[dict]) -> SurveySummary:
 
 
 def load_survey_csv(path) -> list[dict]:
+    """The response rows of a survey CSV; a row short of a required field
+    or a CSV error raises :class:`SurveyError` naming the file and line."""
+    required = ("participant", "group", "question", "answer")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        required = {"participant", "group", "question", "answer"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise SurveyError(f"survey CSV must have header {sorted(required)}")
-        rows = list(reader)
+        try:
+            if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
+                raise SurveyError(f"survey CSV must have header {sorted(required)}")
+            rows = []
+            for row in reader:
+                missing = [f for f in required if row[f] is None]  # DictReader pads short rows
+                if missing:
+                    raise SurveyError(f"{path}: line {reader.line_num}: row has no "
+                                      f"{', '.join(missing)}")
+                rows.append(row)
+        except csv.Error as exc:
+            raise SurveyError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise SurveyError(f"{path}: no responses")
     return rows

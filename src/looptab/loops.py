@@ -1,7 +1,7 @@
 """Bar-aligned loop extraction.
 
-The score is flattened into its onset groups (all tracks merged), each
-numbered by its (notes, gap) fingerprint. A loop is a repeat whose two
+The score's note columns are flattened into their onset groups (all
+tracks merged), each numbered by its (notes, gap) fingerprint. A loop is a repeat whose two
 occurrences both start on a bar boundary, ``min_loop_bars`` to
 ``max_loop_bars`` bars apart; the loop body is the bar range between the
 two starts. Only those bar pairs are tried, at one pass over the events
@@ -11,11 +11,11 @@ per distinct tick lag between them, so no song is too long to search.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
+from itertools import count, repeat
 
 import numpy as np
 
-from .score import Score
+from .score import Score, ScoreColumns, as_columns
 from .tokens import TICKS_PER_QUARTER
 
 
@@ -57,36 +57,53 @@ class LoopSpan:
     repetition_length_events: int
 
 
-def bar_offsets(score: Score) -> list[int]:
+def bar_offsets(score: Score | ScoreColumns) -> list[int]:
     """Absolute start tick of each measure, plus the end tick of the score."""
-    offsets = [0]
-    for m in score.measures:
-        offsets.append(offsets[-1] + m.capacity)
+    return _offsets(as_columns(score)).tolist()
+
+
+def _offsets(song: ScoreColumns) -> np.ndarray:
+    offsets = np.zeros(song.n_bars + 1, np.int64)
+    song.capacity.cumsum(out=offsets[1:])
     return offsets
 
 
-def _onset_groups(score: Score) -> tuple[list[int], list[tuple], list[int]]:
-    """Every distinct absolute onset in time order, the sorted (track, midi,
-    duration) notes sounding from it, and its gap to the next onset (the
-    last one's to the end of the score)."""
-    offsets = bar_offsets(score)
-    groups: dict[int, list[tuple[str, int, int]]] = {}
-    for m in score.measures:
-        base = offsets[m.index]
-        for track, onset, duration, midi, _, _, _ in m.events:
-            at = base + onset
-            group = groups.get(at)
-            if group is None:
-                groups[at] = [(track, midi, duration)]
-            else:
-                group.append((track, midi, duration))
-    onsets = sorted(groups)
-    gaps = [max(nxt - at, 0) for at, nxt in zip(onsets, onsets[1:] + [offsets[-1]])]
-    return onsets, [tuple(sorted(groups[at])) for at in onsets], gaps
+def _onset_groups(score: Score | ScoreColumns) -> tuple[np.ndarray, list[bytes], np.ndarray]:
+    """Every distinct absolute onset in time order, the notes sounding from
+    it, and its gap to the next onset (the last one's to the end of the
+    score). A group's notes are the bytes of its sorted (track id * 128 +
+    midi, duration) pairs, so equal bytes are equal note sets."""
+    song = as_columns(score)
+    offsets = _offsets(song)
+    at = offsets[song.bar] + song.onset
+    pitch = song.track * 128 + song.midi
+    duration = song.duration
+    # decoder order is this order while every onset lies inside its bar
+    if not (song.decoded and (at < offsets[song.bar + 1]).all()):
+        order = np.lexsort((duration, pitch, at))
+        at, pitch, duration = at[order], pitch[order], duration[order]
+    head = np.empty(len(at), bool)
+    head[:1] = True
+    np.not_equal(at[1:], at[:-1], out=head[1:])
+    heads = head.nonzero()[0]
+    onsets = at[heads]
+    gaps = np.empty_like(onsets)
+    gaps[:-1] = onsets[1:] - onsets[:-1]
+    gaps[-1:] = np.maximum(offsets[-1] - onsets[-1:], 0)
+    notes = np.empty((len(at), 2), np.int64)
+    notes[:, 0] = pitch
+    notes[:, 1] = duration
+    blob = notes.tobytes()
+    bounds = (heads * notes.strides[0]).tolist()
+    return onsets, list(map(blob.__getitem__, map(slice, bounds, bounds[1:] + [len(blob)]))), gaps
 
 
-def fingerprint_sequence(score: Score) -> list[EventFingerprint]:
-    return [EventFingerprint(notes, gap, at) for at, notes, gap in zip(*_onset_groups(score))]
+def fingerprint_sequence(score: Score | ScoreColumns) -> list[EventFingerprint]:
+    song = as_columns(score)
+    onsets, notes, gaps = _onset_groups(song)
+    return [EventFingerprint(tuple((song.tracks[p // 128], p % 128, duration) for p, duration in
+                                   np.frombuffer(group, np.int64).reshape(-1, 2).tolist()), gap, at)
+            for at, group, gap in zip(onsets.tolist(), notes, gaps.tolist())]
 
 
 def _match_lengths(onsets: np.ndarray, ids: np.ndarray, lag: int) -> np.ndarray:
@@ -104,7 +121,8 @@ def _match_lengths(onsets: np.ndarray, ids: np.ndarray, lag: int) -> np.ndarray:
     return first_miss - index
 
 
-def extract_loops(score: Score, params: LoopParams = DEFAULT_PARAMS) -> list[LoopSpan]:
+def extract_loops(score: Score | ScoreColumns,
+                  params: LoopParams = DEFAULT_PARAMS) -> list[LoopSpan]:
     """Bar-aligned loop spans of a regularized score.
 
     For every pair of bars s and s + k with k in [min_loop_bars,
@@ -113,32 +131,31 @@ def extract_loops(score: Score, params: LoopParams = DEFAULT_PARAMS) -> list[Loo
     repetition thresholds (events and beats), bars [s, s + k) are a loop.
     Repeats starting off the bar grid are discarded, not shifted.
     """
-    at, notes, gaps = _onset_groups(score)
-    offsets = bar_offsets(score)
-    interned: dict[tuple, int] = {}  # (notes, gap): the fields EventFingerprint compares
-    ids = np.array([interned.setdefault(key, len(interned)) for key in zip(notes, gaps)],
-                   dtype=np.int64)
-    onsets = np.array(at, dtype=np.int64)
-    ticks = list(accumulate(gaps, initial=0))
-    at_index = {onset: i for i, onset in enumerate(at)}
+    song = as_columns(score)
+    onsets, notes, gaps = _onset_groups(song)
+    # equal (notes, gap), the fields EventFingerprint compares, get equal ids
+    ids = np.fromiter(map({}.setdefault, zip(notes, gaps.tolist()), count()), np.int64, len(notes))
+    ticks = np.zeros(len(gaps) + 1, np.int64)
+    gaps.cumsum(out=ticks[1:])
+    starts = _offsets(song)[:-1]
+    at = onsets.searchsorted(starts)  # the onset at each bar's start, where one is
+    held = np.append(onsets, -1)[at] == starts
     min_ticks = params.min_rep_beats * TICKS_PER_QUARTER
-    n_bars = len(score.measures)
 
     runs: dict[int, np.ndarray] = {}
-    spans = []
-    for s in range(n_bars):
-        a = at_index.get(offsets[s])
-        if a is None:
-            continue
-        for e in range(s + params.min_loop_bars, min(s + params.max_loop_bars, n_bars - 1) + 1):
-            if offsets[e] not in at_index:
-                continue
-            lag = offsets[e] - offsets[s]
+    found = []
+    for k in range(params.min_loop_bars, min(params.max_loop_bars, len(starts) - 1) + 1):
+        s = (held[:-k] & held[k:]).nonzero()[0]
+        a, lags = at[s], starts[s + k] - starts[s]
+        lengths = np.zeros(len(s), np.int64)
+        for lag in set(lags.tolist()):
             if lag not in runs:
                 runs[lag] = _match_lengths(onsets, ids, lag)
-            length = int(runs[lag][a])
-            if length >= params.min_rep_notes and ticks[a + length] - ticks[a] >= min_ticks:
-                spans.append(LoopSpan(s, e, length))
+            same = lags == lag
+            lengths[same] = runs[lag][a[same]]
+        loop = (lengths >= params.min_rep_notes) & (ticks[a + lengths] - ticks[a] >= min_ticks)
+        found.extend(zip(s[loop].tolist(), repeat(k), lengths[loop].tolist()))
+    spans = [LoopSpan(s, s + k, length) for s, k, length in sorted(found)]
 
     if not params.allow_overlap:
         kept: list[LoopSpan] = []

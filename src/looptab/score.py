@@ -1,8 +1,26 @@
-"""Structured score model with lossless encode/decode and 4/4 regularization.
+"""Structured score model, its note columns, lossless encode/decode and 4/4
+regularization.
 
 A :class:`Score` is a header (artist, tempo, time signature), song-level
 control tokens and an ordered list of measures holding note events at
-tick resolution 960 per quarter note.
+tick resolution 960 per quarter note. :class:`ScoreColumns` holds the same
+content as integer numpy columns: one row per note (bar, onset, duration,
+MIDI pitch, track, string, fret and an effects id) and one per bar (tempo
+and metre), plus the bar control tokens with their bars.
+
+:func:`decode` turns a song's token strings into columns with numpy
+operations over the whole song: the cursor, the onset groups, the duration
+rule and the order inside each group are computed at once, not token by
+token. A :class:`TokenTable`, owned by the command that reads the songs,
+classifies every distinct token string once through :func:`tokens.token`
+and keeps at most ``TOKEN_CACHE_SIZE`` strings between songs.
+
+The song path (tension, loops, corpus lines) reads columns only.
+:func:`tokens_to_score` builds its ``Score`` from the same columns, and a
+``Score`` given to a per-bar function (:func:`regularize_meter`,
+:func:`bar_body`, tension, loops) is converted to columns first
+(:meth:`ScoreColumns.from_score`), so each per-bar computation has one
+implementation.
 
 Duration convention of the token format: a note group's duration is the
 accumulated ``wait`` ticks until the next onset in its measure (or, when
@@ -17,15 +35,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .tokens import (
     NEW_MEASURE,
     START,
     END,
     GUITAR_TRACKS,
+    NOTE_TRACKS,
     TICKS_PER_QUARTER,
     TOKEN_CACHE_SIZE,
+    ParseError,
     Token,
     TokenCategory,
     TENSION_FEATURES,
@@ -43,6 +65,13 @@ DEFAULT_TUNINGS = dict.fromkeys(GUITAR_TRACKS, GUITAR_TUNING) | {"bass": BASS_TU
 DEFAULT_TEMPO = 120
 DEFAULT_TS = (4, 4)
 BAR_TICKS_4_4 = 4 * TICKS_PER_QUARTER
+
+# The tracks of the grammar sorted by name, so that track ids compare as names do.
+TRACKS = tuple(sorted((*NOTE_TRACKS, "drums")))
+
+# Longest wait and bar the int64 columns take: a song of fewer than 2**31
+# tokens then keeps every tick sum below 2**63.
+MAX_TICKS = 2 ** 32
 
 
 class StructureError(ValueError):
@@ -65,7 +94,7 @@ class NoteEvent(_NoteFields):
 
     Every way of building one (the constructor, ``_make``, ``_replace``)
     runs the same checks; a tuple costs about a quarter of a
-    frozen dataclass to build, and a song decodes tens of thousands.
+    frozen dataclass to build.
     """
 
     __slots__ = ()
@@ -104,12 +133,6 @@ class Measure:
         num, den = self.time_signature
         return num * (TICKS_PER_QUARTER * 4) // den
 
-    @property
-    def extent(self) -> int:
-        """Ticks actually spanned: declared capacity or content end, whichever larger."""
-        content = max((e.end for e in self.events), default=0)
-        return max(self.capacity, content)
-
     def renumbered(self, index: int) -> Measure:
         """This bar at position ``index``: itself if it is there already,
         else a copy built positionally (``dataclasses.replace`` costs about
@@ -128,166 +151,354 @@ class Score:
     measures: tuple[Measure, ...] = ()
 
 
-def _sort_key(ev: NoteEvent):
-    return (ev.onset, ev.track, ev.midi_pitch, ev.string or 0)
+@dataclass(frozen=True, eq=False)
+class ScoreColumns:
+    """A score as integer columns.
+
+    Notes are grouped by bar, each bar's notes in its event order. In
+    decoder order (``decoded``) that is by onset, then track name, pitch
+    and string, ties in token order, and the notes of one onset share one
+    duration; :func:`regularize_meter` keeps that order. ``track`` indexes
+    ``tracks`` (sorted names), ``fx`` indexes ``effects`` (``effects[0]``
+    is ``()``), and the string and fret of a note without them (a drum
+    note) are -1. Bar ``b`` holds the notes ``bounds[b]:bounds[b + 1]``;
+    ``controls[i]`` belongs to bar ``control_bar[i]``.
+    """
+
+    artist: str | None
+    header_tempo: int
+    header_time_signature: int
+    song_controls: tuple[Token, ...]
+    tempo: np.ndarray  # per bar
+    numerator: np.ndarray
+    denominator: np.ndarray
+    control_bar: np.ndarray
+    controls: tuple[Token, ...]
+    bar: np.ndarray  # per note
+    onset: np.ndarray
+    duration: np.ndarray
+    midi: np.ndarray
+    track: np.ndarray
+    string: np.ndarray
+    fret: np.ndarray
+    fx: np.ndarray
+    tracks: tuple[str, ...] = TRACKS
+    effects: tuple[tuple[str, ...], ...] = ((),)
+    decoded: bool = False  # notes in decoder order, an onset's notes sharing one duration
+
+    @property
+    def n_bars(self) -> int:
+        return len(self.tempo)
+
+    @property
+    def capacity(self) -> np.ndarray:
+        return self.numerator * (TICKS_PER_QUARTER * 4) // self.denominator
+
+    @property
+    def bounds(self) -> np.ndarray:
+        return np.searchsorted(self.bar, np.arange(self.n_bars + 1))
+
+    @property
+    def pitched(self) -> np.ndarray:
+        """Mask of the notes that are not drums."""
+        return self.track != self.tracks.index("drums")
+
+    @classmethod
+    def from_score(cls, score: Score) -> ScoreColumns:
+        tracks = tuple(sorted({ev.track for m in score.measures for ev in m.events}.union(TRACKS)))
+        track_ids = {name: i for i, name in enumerate(tracks)}
+        effect_ids: dict[tuple[str, ...], int] = {(): 0}
+        notes = [(b, track_ids[track], onset, duration, midi,
+                  -1 if string is None else string, -1 if fret is None else fret,
+                  effect_ids.setdefault(fx, len(effect_ids)))
+                 for b, m in enumerate(score.measures)
+                 for track, onset, duration, midi, string, fret, fx in m.events]
+        columns = np.array(notes, np.int64).reshape(-1, 8).T
+        bar, track, onset, duration, midi, string, fret, fx = columns
+        bars = np.array([(m.tempo_bpm, *m.time_signature) for m in score.measures],
+                        np.int64).reshape(-1, 3).T
+        controls = [(b, t) for b, m in enumerate(score.measures) for t in m.bar_controls]
+        return cls(score.artist, score.header_tempo, score.header_time_signature,
+                   score.song_controls, *bars, np.array([b for b, _ in controls], np.int64),
+                   tuple(t for _, t in controls), bar, onset, duration, midi, track, string,
+                   fret, fx, tracks, tuple(effect_ids))
+
+    def to_score(self) -> Score:
+        tracks, effects = self.tracks, self.effects
+        events = [NoteEvent(tracks[t], onset, duration, midi, None if s < 0 else s,
+                            None if f < 0 else f, effects[x])
+                  for t, onset, duration, midi, s, f, x in zip(
+                      *(c.tolist() for c in (self.track, self.onset, self.duration, self.midi,
+                                             self.string, self.fret, self.fx)))]
+        bounds = self.bounds.tolist()
+        controls: dict[int, list[Token]] = {}
+        for b, t in zip(self.control_bar.tolist(), self.controls):
+            controls.setdefault(b, []).append(t)
+        measures = tuple(
+            Measure(b, (num, den), tempo, tuple(events[bounds[b]:bounds[b + 1]]),
+                    tuple(controls.get(b, ())))
+            for b, (tempo, num, den) in enumerate(zip(self.tempo.tolist(), self.numerator.tolist(),
+                                                      self.denominator.tolist())))
+        return Score(self.artist, self.header_tempo, self.header_time_signature,
+                     self.song_controls, measures)
 
 
-# Module names for the categories: reading an Enum member off its class
-# costs ~0.1 us, which tokens_to_score would pay several times per token.
-_NOTE, _WAIT, _STRUCTURE, _EFFECT, _BAR_CONTROL, _HEADER, _SONG_CONTROL = (
-    TokenCategory.NOTE, TokenCategory.WAIT, TokenCategory.STRUCTURE, TokenCategory.EFFECT,
-    TokenCategory.BAR_CONTROL, TokenCategory.HEADER, TokenCategory.SONG_CONTROL)
-
-# (track, string, fret, midi) of note tokens decoded so far, keyed on the
-# raw string. Canonical spellings number 1,368: (6 guitar tracks x 6
-# strings + bass x 4 strings) x 31 frets + 128 drums. Zero-padded numbers
-# (``s01``) spell more, so the table stops growing at TOKEN_CACHE_SIZE.
-_NOTES: dict[str, tuple[str, int | None, int | None, int]] = {}
+def as_columns(score: Score | ScoreColumns) -> ScoreColumns:
+    return score if isinstance(score, ScoreColumns) else ScoreColumns.from_score(score)
 
 
-def _decode_note(tok: Token, index: int) -> tuple[str, int | None, int | None, int]:
-    """Decode a note token into ``_NOTES``. A string the track lacks or a
-    pitch above MIDI 127 raises :class:`StructureError` and is not stored."""
-    fields = tok.fields
-    track = fields["track"]
-    if track == "drums":
-        note = ("drums", None, None, fields["midi"])
-    else:
-        tuning = DEFAULT_TUNINGS[track]
-        string, fret = fields["string"], fields["fret"]
-        if string > len(tuning):
-            raise StructureError(
-                f"token {index}: string {string} does not exist on {track} ({len(tuning)} strings)")
-        midi = tuning[string - 1] + fret
-        if midi > 127:
-            raise StructureError(f"token {index}: pitch {midi} above midi range")
-        note = (track, string, fret, midi)
-    if len(_NOTES) < TOKEN_CACHE_SIZE:
-        _NOTES[tok.raw] = note
-    return note
+# Kinds of token in a TokenTable.
+(_NOTE, _WAIT, _MEASURE, _EFFECT, _BAR_CONTROL, _SONG_CONTROL,
+ _ARTIST, _TEMPO, _TIME_SIGNATURE, _START, _END) = range(11)
+_HEADER_KINDS = {"artist": _ARTIST, "tempo": _TEMPO, "time_signature": _TIME_SIGNATURE,
+                 "start": _START, "end": _END}
+
+
+class TokenTable:
+    """The distinct token strings of the songs one command reads, each
+    classified once through :func:`tokens.token` and numbered by a code.
+
+    A code indexes integer columns: the token's kind, whether it is an
+    error inside a bar, the cursor step (a wait's ticks, 1 at
+    ``new_measure``), its value (tempo or metre), a note's order inside its
+    onset group, and a note's track id, string, fret and MIDI pitch. The
+    table keeps at most ``TOKEN_CACHE_SIZE`` strings between songs: a song
+    whose new strings would pass that bound empties it first. Malformed
+    strings are never stored.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self.codes: dict[str, int] = {}
+        self.tokens: list[Token] = []
+        self.problems: dict[int, str] = {}  # code: why the token is invalid anywhere
+        self.in_bar: dict[int, str] = {}  # code: why the token is an error inside a bar
+        self._set_columns(np.zeros(64, np.int8), np.zeros((8, 64), np.int64))
+
+    def __len__(self) -> int:
+        return len(self.tokens)
+
+    def _set_columns(self, kind: np.ndarray, columns: np.ndarray) -> None:
+        self.kind, self._columns = kind, columns  # kind is small, for a fast sort
+        self.in_bar_error, self.step, self.value, self.order = columns[:4]
+        self.note_fields = columns[4:]  # track, string, fret, midi
+
+    def _add(self, raw: str, tok: Token) -> None:
+        code = len(self.tokens)
+        if code == len(self.kind):
+            self._set_columns(np.concatenate([self.kind, self.kind]),
+                              np.concatenate([self._columns, self._columns], axis=1))
+        kind, *fields = self._row(tok, code)
+        self.kind[code] = kind
+        self._columns[:, code] = fields
+        self.codes[raw] = code
+        self.tokens.append(tok)
+
+    def _invalid(self, code: int, kind: int, problem: str) -> tuple[int, ...]:
+        self.problems[code] = self.in_bar[code] = problem
+        return (kind, 1, 0, 0, 0, 0, 0, 0, 0)
+
+    def _row(self, tok: Token, code: int) -> tuple[int, ...]:
+        """kind, in-bar error, step, value, order, track, string, fret, midi."""
+        cat, fields = tok.category, tok.fields
+        if cat is TokenCategory.NOTE:
+            track = fields["track"]
+            tid = TRACKS.index(track)
+            if track == "drums":
+                string = fret = -1
+                midi = fields["midi"]
+            else:
+                tuning = DEFAULT_TUNINGS[track]
+                string, fret = fields["string"], fields["fret"]
+                if string > len(tuning):
+                    return self._invalid(code, _NOTE, f"string {string} does not exist on "
+                                                      f"{track} ({len(tuning)} strings)")
+                midi = tuning[string - 1] + fret
+                if midi > 127:
+                    return self._invalid(code, _NOTE, f"pitch {midi} above midi range")
+            order = (tid * 128 + midi) * 8 + max(string, 0)  # < 2**13
+            return (_NOTE, 0, 0, 0, order, tid, string, fret, midi)
+        if cat is TokenCategory.WAIT:
+            ticks = fields["ticks"]
+            if ticks > MAX_TICKS:
+                return self._invalid(code, _WAIT, f"wait of {ticks} ticks is longer than "
+                                                  f"{MAX_TICKS}")
+            return (_WAIT, 0, ticks, 0, 0, 0, 0, 0, 0)
+        if cat is TokenCategory.HEADER:
+            key = fields["key"]
+            value = fields.get("value") if key in ("tempo", "time_signature") else 0
+            if key == "time_signature" and value * TICKS_PER_QUARTER > MAX_TICKS:
+                return self._invalid(code, _TIME_SIGNATURE, f"a {value}-beat bar is longer "
+                                                            f"than {MAX_TICKS} ticks")
+            if key in ("artist", "start"):
+                self.in_bar[code] = f"{key} token after first measure"
+            return (_HEADER_KINDS[key], code in self.in_bar, 0, value, 0, 0, 0, 0, 0)
+        if cat is TokenCategory.SONG_CONTROL:
+            self.in_bar[code] = f"song control {tok.raw!r} after first measure"
+            return (_SONG_CONTROL, 1, 0, 0, 0, 0, 0, 0, 0)
+        if cat is TokenCategory.STRUCTURE:
+            return (_MEASURE, 0, 1, 0, 0, 0, 0, 0, 0)
+        kind = _BAR_CONTROL if cat is TokenCategory.BAR_CONTROL else _EFFECT
+        return (kind, 0, 0, 0, 0, 0, 0, 0, 0)
+
+    def encode(self, raws: Sequence[str]) -> np.ndarray:
+        """The code of every string, classifying the new ones; a malformed
+        string raises :class:`ParseError` at its first index."""
+        try:
+            return np.fromiter(map(self.codes.__getitem__, raws), np.int32, len(raws))
+        except KeyError:
+            pass
+        new = [raw for raw in dict.fromkeys(raws) if raw not in self.codes]
+        if len(self.codes) + len(new) > TOKEN_CACHE_SIZE:
+            self.clear()
+            new = list(dict.fromkeys(raws))
+        for raw in new:  # in order of first occurrence, so the first failure is the earliest
+            try:
+                tok = token(raw)
+            except ParseError as exc:
+                raise ParseError(str(exc), index=raws.index(raw), token=raw) from None
+            self._add(raw, tok)
+        return np.fromiter(map(self.codes.__getitem__, raws), np.int32, len(raws))
+
+
+def _header(codes: list[int], table: TokenTable):
+    """Artist, tempo, metre and song controls of the tokens before the
+    first ``new_measure``; a note, wait, bar control or invalid token
+    there raises."""
+    artist, tempo, numerator, song_controls = None, DEFAULT_TEMPO, 4, []
+    for i, code in enumerate(codes):
+        tok = table.tokens[code]
+        cat = tok.category
+        if cat is TokenCategory.NOTE:
+            raise StructureError(f"token {i}: note {tok.raw!r} before first new_measure")
+        if cat is TokenCategory.WAIT:
+            raise StructureError(f"token {i}: wait before first new_measure")
+        if cat is TokenCategory.BAR_CONTROL:
+            raise StructureError(f"token {i}: bar control {tok.raw!r} before first measure")
+        if code in table.problems:
+            raise StructureError(f"token {i}: {table.problems[code]}")
+        if cat is TokenCategory.SONG_CONTROL:
+            song_controls.append(tok)
+        elif cat is TokenCategory.HEADER:
+            key = tok.fields["key"]
+            if key == "artist":
+                artist = tok.fields["value"]
+            elif key == "tempo":
+                tempo = tok.fields["value"]
+            elif key == "time_signature":
+                numerator = tok.fields["value"]
+    return artist, tempo, numerator, tuple(song_controls)
+
+
+def _running(at: np.ndarray, values: np.ndarray, marks: np.ndarray, start: int) -> np.ndarray:
+    """At each mark, the value of the last token at ``at`` before it, or ``start``."""
+    if not len(at) or at[-1] < marks[0]:
+        return np.full(len(marks), start, np.int64)
+    last = np.searchsorted(at, marks) - 1
+    return np.where(last >= 0, values[last], start)
+
+
+def decode(raws: Sequence[str], table: TokenTable) -> ScoreColumns:
+    """Decode a song's token strings into :class:`ScoreColumns`.
+
+    Song controls and header tokens must precede the first ``new_measure``;
+    an empty stream, a malformed token (:class:`ParseError`, before any
+    structure check), a note before the first measure, a token after
+    ``end``, a string number outside the track's tuning or a wait or bar
+    longer than ``MAX_TICKS`` raises at the earliest offending token.
+    """
+    if not raws:
+        raise StructureError("no tokens")  # even an empty score has a header and end
+    codes = table.encode(raws)
+    kind = table.kind[codes]
+    # the positions of each kind of token, ascending, from one stable sort
+    by_kind = kind.argsort(kind="stable")
+    edges = [0, *np.bincount(kind, minlength=_END + 1).cumsum().tolist()]
+
+    def positions(k: int) -> np.ndarray:
+        return by_kind[edges[k]:edges[k + 1]]
+
+    ends, marks = positions(_END), positions(_MEASURE)
+    stop = int(ends[0]) if len(ends) else len(codes)
+    first = int(marks[0]) if len(marks) and marks[0] < stop else stop
+    artist, tempo, numerator, song_controls = _header(codes[:first].tolist(), table)
+    flagged = table.in_bar_error[codes[first:stop]].nonzero()[0]
+    if len(flagged):
+        i = first + int(flagged[0])
+        raise StructureError(f"token {i}: {table.in_bar[int(codes[i])]}")
+    if stop + 1 < len(codes):
+        raise StructureError(f"token {stop + 1} ({raws[stop + 1]!r}) after end")
+    if not len(marks):
+        empty = np.zeros(0, np.int64)
+        return ScoreColumns(artist, tempo, numerator, song_controls, empty, empty, empty,
+                            empty, (), *[empty] * 8)
+
+    tempo_at, numerator_at = positions(_TEMPO), positions(_TIME_SIGNATURE)
+    bar_tempo = _running(tempo_at, table.value[codes[tempo_at]], marks, tempo)
+    bar_numerator = _running(numerator_at, table.value[codes[numerator_at]], marks, numerator)
+    # ``at`` rises at every wait (by its ticks) and new_measure (by 1): notes
+    # sharing it form one onset group, and it less its bar's start is the cursor
+    at = table.step[codes].cumsum()
+    bar_at = at[marks]
+    bar_close = np.empty(len(marks), np.int64)
+    bar_close[:-1] = marks[1:] - 1
+    bar_close[-1] = stop - 1
+    closes = at[bar_close] - bar_at  # the cursor as each bar ends
+
+    notes = positions(_NOTE)
+    bar = marks.searchsorted(notes, "right") - 1
+    note_at = at[notes]
+    onset = note_at - bar_at[bar]
+    head = np.empty(len(notes), bool)
+    head[:1] = True
+    np.not_equal(note_at[1:], note_at[:-1], out=head[1:])
+    group = head.cumsum() - 1
+    starts = head.nonzero()[0]
+    g_bar, g_onset = bar[starts], onset[starts]
+    # a group lasts until the next onset in its bar; the bar's last group
+    # until the bar's close, or to its capacity if no wait followed it
+    g_end = np.empty(len(starts), np.int64)
+    g_end[:-1] = g_onset[1:]
+    last = np.empty(len(starts), bool)
+    last[-1:] = True
+    np.not_equal(g_bar[1:], g_bar[:-1], out=last[:-1])
+    last = last.nonzero()[0]
+    close, l_bar = closes[g_bar[last]], g_bar[last]
+    g_end[last] = np.where(close > g_onset[last], close, bar_numerator[l_bar] * TICKS_PER_QUARTER)
+    g_duration = g_end - g_onset
+    g_duration[g_duration <= 0] = TICKS_PER_QUARTER  # overflowing bar; regularize_meter resolves it
+    note_codes = codes[notes]
+    order = ((group << 13) | table.order[note_codes]).argsort(kind="stable")
+    track, string, fret, midi = table.note_fields.take(note_codes[order], axis=1)
+
+    fx = np.zeros(len(notes), np.int64)
+    effects: dict[tuple[str, ...], int] = {(): 0}
+    effect_at = positions(_EFFECT)
+    if len(effect_at) and len(notes):  # an effect belongs to the bar's last note before it, if any
+        owner = notes.searchsorted(effect_at) - 1
+        held = (owner >= 0) & (bar[owner] == marks.searchsorted(effect_at, "right") - 1)
+        names: dict[int, list[str]] = {}
+        for note, code in zip(owner[held].tolist(), codes[effect_at[held]].tolist()):
+            names.setdefault(note, []).append(table.tokens[code].fields["name"])
+        fx[list(names)] = [effects.setdefault(tuple(n), len(effects)) for n in names.values()]
+        fx = fx[order]
+
+    controls_at = positions(_BAR_CONTROL)
+    return ScoreColumns(
+        artist, tempo, numerator, song_controls, bar_tempo, bar_numerator,
+        np.full(len(marks), 4, np.int64),
+        marks.searchsorted(controls_at, "right") - 1,
+        tuple(table.tokens[c] for c in codes[controls_at].tolist()),
+        bar, onset, g_duration[group], midi, track, string, fret, fx, TRACKS, tuple(effects),
+        decoded=True)
 
 
 def tokens_to_score(stream: list[Token]) -> Score:
-    """Decode a token stream into a :class:`Score`.
-
-    Song controls and header tokens must precede the first ``new_measure``;
-    an empty stream, a note before the first measure or a string number
-    outside the track's tuning raises :class:`StructureError`.
-    """
-    if not stream:
-        raise StructureError("no tokens")  # even an empty score has a header and end
-    artist = None
-    header_tempo = DEFAULT_TEMPO
-    header_ts = 4
-    running_tempo = DEFAULT_TEMPO
-    running_ts = 4
-    song_controls: list[Token] = []
-    measures: list[Measure] = []
-
-    in_measure = False
-    cursor = 0
-    pending: list[tuple[str, int | None, int | None, int, list[str]]] = []  # track, string, fret, midi, effects
-    pending_onset = 0
-    events: list[NoteEvent] = []
-    bar_controls: list[Token] = []
-    measure_tempo = running_tempo
-    measure_ts = running_ts
-    ended = False
-
-    def close_pending(upto: int | None):
-        nonlocal pending
-        if not pending:
-            return
-        capacity = measure_ts * TICKS_PER_QUARTER
-        duration = (upto if upto is not None else capacity) - pending_onset
-        if duration <= 0:
-            duration = TICKS_PER_QUARTER  # overflowing measure; regularize_meter resolves it
-        if len(pending) > 1:  # groups close in onset order: sorting each one sorts the bar
-            pending.sort(key=lambda n: (n[0], n[3], n[1] or 0))
-        for track, string, fret, midi, fx in pending:
-            events.append(NoteEvent(track, pending_onset, duration, midi, string, fret, tuple(fx)))
-        pending = []
-
-    def close_measure():
-        nonlocal events, bar_controls, cursor
-        close_pending(cursor if cursor > pending_onset else None)
-        measures.append(Measure(
-            index=len(measures),
-            time_signature=(measure_ts, 4),
-            tempo_bpm=measure_tempo,
-            events=tuple(events),
-            bar_controls=tuple(bar_controls),
-        ))
-        events = []
-        bar_controls = []
-        cursor = 0
-
-    for i, tok in enumerate(stream):
-        if ended:
-            raise StructureError(f"token {i} ({tok.raw!r}) after end")
-        # branches in order of frequency
-        cat = tok.category
-        if cat is _NOTE:
-            if not in_measure:
-                raise StructureError(f"token {i}: note {tok.raw!r} before first new_measure")
-            if cursor > pending_onset and pending:
-                close_pending(cursor)
-            if not pending:
-                pending_onset = cursor
-            note = _NOTES.get(tok.raw) or _decode_note(tok, i)
-            pending.append((*note, []))
-        elif cat is _WAIT:
-            if not in_measure:
-                raise StructureError(f"token {i}: wait before first new_measure")
-            cursor += tok.fields["ticks"]
-        elif cat is _STRUCTURE:
-            if in_measure:
-                close_measure()
-            in_measure = True
-            measure_tempo = running_tempo
-            measure_ts = running_ts
-        elif cat is _EFFECT:
-            if pending:
-                pending[-1][4].append(tok.fields["name"])
-            # effects without a preceding note are tolerated and dropped
-        elif cat is _BAR_CONTROL:
-            if not in_measure:
-                raise StructureError(f"token {i}: bar control {tok.raw!r} before first measure")
-            bar_controls.append(tok)
-        elif cat is _HEADER:
-            key = tok.fields.get("key")
-            if key == "end":
-                ended = True
-            elif key == "artist":
-                if in_measure:
-                    raise StructureError(f"token {i}: artist token after first measure")
-                artist = tok.fields["value"]
-            elif key == "tempo":
-                running_tempo = tok.fields["value"]
-                if not in_measure:
-                    header_tempo = running_tempo
-            elif key == "time_signature":
-                running_ts = tok.fields["value"]
-                if not in_measure:
-                    header_ts = running_ts
-            elif key == "start":
-                if in_measure:
-                    raise StructureError(f"token {i}: start token after first measure")
-        elif cat is _SONG_CONTROL:
-            if in_measure:
-                raise StructureError(f"token {i}: song control {tok.raw!r} after first measure")
-            song_controls.append(tok)
-
-    if in_measure:
-        close_measure()
-
-    return Score(
-        artist=artist,
-        header_tempo=header_tempo,
-        header_time_signature=header_ts,
-        song_controls=tuple(song_controls),
-        measures=tuple(measures),
-    )
+    """Decode a token stream into a :class:`Score`, built from the columns
+    :func:`decode` gives; raises as :func:`decode` does."""
+    return decode([t.raw for t in stream], TokenTable()).to_score()
 
 
 def score_to_tokens(score: Score, include_artist: bool = True) -> list[Token]:
@@ -309,7 +520,8 @@ def score_to_tokens(score: Score, include_artist: bool = True) -> list[Token]:
 
     running_tempo = score.header_tempo
     running_ts = score.header_time_signature
-    for m in score.measures:
+    bodies = bar_bodies(as_columns(score), range(len(score.measures)))
+    for m, body in zip(score.measures, bodies):
         num, den = m.time_signature
         if den != 4:
             raise ValueError(f"token format only encodes /4 metres, got {num}/{den}")
@@ -325,64 +537,101 @@ def score_to_tokens(score: Score, include_artist: bool = True) -> list[Token]:
             if feat in by_feature:
                 out.append(by_feature[feat])
 
-        out.extend(map(token, bar_body(m)))
+        out.extend(map(token, body))
     out.append(END)
     return out
 
 
 def bar_body(measure: Measure) -> list[str]:
     """Raw tokens of a bar's events, as :func:`score_to_tokens` writes them
-    after the bar controls: sorted by (onset, track, pitch), waits merging
-    the gaps, and a trailing wait covering the last group's duration."""
-    out: list[str] = []
-    events = sorted(measure.events, key=_sort_key)
-    cursor = 0
-    i = 0
-    while i < len(events):
-        onset = events[i].onset
-        j = i + 1
-        while j < len(events) and events[j].onset == onset:  # sorted: one run per onset
-            j += 1
-        group = events[i:j]
-        if onset > cursor:
-            out.append(f"wait:{onset - cursor}")
-            cursor = onset
-        for ev in group:
-            if ev.track == "drums":
-                out.append(f"drums:note:{ev.midi_pitch}")
-            else:
-                out.append(f"{ev.track}:note:s{ev.string}:f{ev.fret}")
-            out.extend(f"nfx:{fx}" for fx in ev.effects)
-        i = j
-        gap = events[i].onset - onset if i < len(events) else max(e.duration for e in group)
-        out.append(f"wait:{gap}")
-        cursor = onset + gap
+    after the bar controls (see :func:`bar_bodies`)."""
+    return bar_bodies(as_columns(Score(measures=(measure,))), [0])[0]
+
+
+def bar_bodies(song: ScoreColumns, bars: Sequence[int]) -> list[list[str]]:
+    """The raw tokens of each of ``bars``: its notes sorted by (onset,
+    track, pitch, string), waits merging the gaps, and a trailing wait
+    covering the last group's duration (its longest note)."""
+    columns = song.onset, song.duration, song.track, song.midi, song.string, song.fret, song.fx
+    if not song.decoded:
+        order = np.lexsort((np.maximum(song.string, 0), song.midi, song.track, song.onset,
+                            song.bar))
+        columns = (c.take(order) for c in columns)
+    onsets, durations, tracks, midis, strings, frets, fxs = (c.tolist() for c in columns)
+    bounds = song.bounds.tolist()
+    names = [f"{name}:note:s" for name in song.tracks]
+    effects = [[f"nfx:{name}" for name in fx] for fx in song.effects]
+    drums = song.tracks.index("drums")
+    out = []
+    for b in bars:
+        end = bounds[b + 1]
+        body: list[str] = []
+        cursor, i = 0, bounds[b]
+        while i < end:
+            onset = onsets[i]
+            j = i + 1
+            while j < end and onsets[j] == onset:  # sorted: one run per onset
+                j += 1
+            if onset > cursor:
+                body.append(f"wait:{onset - cursor}")
+            for k in range(i, j):
+                if tracks[k] == drums:
+                    body.append(f"drums:note:{midis[k]}")
+                else:  # a string or fret of -1 is a note built without one
+                    body.append(f"{names[tracks[k]]}{strings[k] if strings[k] >= 0 else None}"
+                                f":f{frets[k] if frets[k] >= 0 else None}")
+                if fxs[k]:
+                    body.extend(effects[fxs[k]])
+            gap = onsets[j] - onset if j < end else max(durations[i:j])
+            body.append(f"wait:{gap}")
+            cursor, i = onset + gap, j
+        out.append(body)
     return out
 
 
-def regularize_meter(score: Score) -> Score:
+def regularize_meter(score: Score | ScoreColumns) -> Score | ScoreColumns:
     """Force every measure to 4/4, splitting at 4-beat boundaries and
-    padding short measures to a full bar.
+    padding short measures to a full bar; returns what it is given, a
+    :class:`Score` or :class:`ScoreColumns`.
 
     Note count is preserved; notes crossing a split boundary are clipped
-    at the boundary. Idempotent on already-regular scores.
+    at the boundary, and the notes of a split bar are sorted by (onset,
+    track, pitch, string). Idempotent on already-regular scores.
     """
-    new_measures: list[Measure] = []
-    for m in score.measures:
-        n_chunks = max(1, -(-m.extent // BAR_TICKS_4_4))  # ceil
-        if m.time_signature == DEFAULT_TS and n_chunks == 1:
-            new_measures.append(m.renumbered(len(new_measures)))
-            continue
-        for c in range(n_chunks):
-            lo, hi = c * BAR_TICKS_4_4, (c + 1) * BAR_TICKS_4_4
-            chunk = [NoteEvent(track, onset - lo, min(duration, hi - onset), midi, string, fret, fx)
-                     for track, onset, duration, midi, string, fret, fx in m.events
-                     if lo <= onset < hi]
-            new_measures.append(Measure(len(new_measures), DEFAULT_TS, m.tempo_bpm,
-                                        tuple(sorted(chunk, key=_sort_key)),
-                                        m.bar_controls if c == 0 else ()))
-    return replace(score, header_time_signature=4, measures=tuple(new_measures))
+    if isinstance(score, Score):
+        return _regularized(ScoreColumns.from_score(score)).to_score()
+    return _regularized(score)
 
+
+def _regularized(song: ScoreColumns) -> ScoreColumns:
+    bar, onset, duration = song.bar, song.onset, song.duration
+    end = onset + duration
+    in_4_4 = (song.numerator == 4) & (song.denominator == 4)
+    if in_4_4.all() and end.max(initial=0) <= BAR_TICKS_4_4:
+        if song.header_time_signature == 4:
+            return song
+        return replace(song, header_time_signature=4)
+    extent = song.capacity
+    bounds = song.bounds
+    filled = bounds[:-1] < bounds[1:]
+    extent[filled] = np.maximum(extent[filled], np.maximum.reduceat(end, bounds[:-1][filled]))
+    chunks = np.maximum(1, -(-extent // BAR_TICKS_4_4))
+    first_chunk = np.cumsum(chunks) - chunks
+    chunk = onset // BAR_TICKS_4_4
+    new_bar = first_chunk[bar] + chunk
+    new_onset = onset - chunk * BAR_TICKS_4_4
+    new_duration = np.minimum(duration, (chunk + 1) * BAR_TICKS_4_4 - onset)
+    # the notes of a split (or re-metred) bar are sorted; a kept bar keeps its order
+    split = ~(in_4_4 & (chunks == 1))[bar]
+    order = np.lexsort([np.where(split, key, 0) for key in (
+        np.maximum(song.string, 0), song.midi, song.track, new_onset)] + [new_bar])
+    n_bars = int(chunks.sum())
+    return replace(
+        song, header_time_signature=4, tempo=np.repeat(song.tempo, chunks),
+        numerator=np.full(n_bars, 4, np.int64), denominator=np.full(n_bars, 4, np.int64),
+        control_bar=first_chunk[song.control_bar], bar=new_bar[order], onset=new_onset[order],
+        duration=new_duration[order], midi=song.midi[order], track=song.track[order],
+        string=song.string[order], fret=song.fret[order], fx=song.fx[order])
 
 
 def token_files(directory: str | Path) -> list[Path]:

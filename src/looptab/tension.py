@@ -7,9 +7,11 @@ keys are weighted combinations of pitch positions. Per bar we compute:
 * cloud momentum: distance between consecutive bars' centers of effect,
 * tensile strain: distance between a bar's center of effect and the key's.
 
-A bar's values come from one pass over its notes in note order, with
-positions from a 12-entry pitch-class table; its diameter depends only on
-its 12-bit pitch-class mask and is memoized per :class:`SpiralParams`.
+A bar's values come from the song's note columns (:class:`ScoreColumns`),
+with positions from a 12-entry pitch-class table; its center of effect
+sums its notes in note order, as a Python loop would, and its diameter
+depends only on its 12-bit pitch-class mask and is memoized per
+:class:`SpiralParams`.
 Raw values are discretized into four levels (q1..q4) using corpus-global
 first quartile / median / third quartile thresholds.
 """
@@ -24,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .score import Score
+from .score import Score, ScoreColumns, as_columns
 from .tokens import TENSION_FEATURES
 
 DEFAULT_HEIGHT = math.sqrt(2.0 / 15.0)
@@ -218,66 +220,92 @@ def _strains(coes, key_center: Sequence[float] | None) -> tuple[float, ...]:
 
 
 @lru_cache(maxsize=8)
-def _pitch_class_table(params: SpiralParams) -> tuple[list[tuple], dict[int, float]]:
-    """Spiral position of each pitch class (midi % 12), and the memo of cloud
-    diameters by 12-bit pitch-class mask, filled as masks occur."""
-    return [pitch_position(fifth_index_of_pitch(pc), params) for pc in range(12)], {}
+def _pitch_class_table(params: SpiralParams) -> tuple[np.ndarray, dict[int, float]]:
+    """Spiral position of each pitch class (midi % 12), a 12 x 3 array, and
+    the memo of cloud diameters by 12-bit pitch-class mask, filled as masks
+    occur."""
+    return np.array([pitch_position(fifth_index_of_pitch(pc), params) for pc in range(12)]), {}
 
 
-def _center(bars: Iterable[list[tuple[float, float, float, float]]]):
-    """Center of effect of (w*x, w*y, w*z, w) terms summed in order, as
-    :func:`coe_of_indices` sums them; None without terms."""
-    a0 = a1 = a2 = total = 0.0
-    for bar in bars:
-        for x, y, z, w in bar:
-            a0 += x
-            a1 += y
-            a2 += z
-            total += w
-    return (a0 / total, a1 / total, a2 / total) if total else None
+def _in_order_sums(terms: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The sum of each run of rows ``terms[bounds[i]:bounds[i + 1]]``, added
+    in row order from 0.0 as a Python loop adds it (``np.add.reduceat`` adds
+    pairwise, which moves the last bits).
+
+    The runs are laid side by side, rank by rank, in a zero-padded array
+    that one cumulative sum adds down. Where that padding would outgrow the
+    rows a few times over (one long run among many short ones), one vector
+    addition per rank adds the rows over the runs at least that long.
+    """
+    lengths = bounds[1:] - bounds[:-1]
+    longest = int(lengths.max(initial=0))
+    runs = len(lengths)
+    if longest * runs <= 4 * len(terms) + 1024:
+        padded = np.zeros((longest + 1, runs, terms.shape[1]))
+        rank = np.arange(1, len(terms) + 1) - np.repeat(bounds[:-1], lengths)
+        padded[rank, np.repeat(np.arange(runs), lengths)] = terms
+        return padded.cumsum(axis=0)[-1]
+    by_length = (-lengths).argsort(kind="stable")
+    starts = bounds[:-1][by_length]
+    sums = np.zeros((runs, terms.shape[1]))
+    for rank, live in enumerate((runs - np.bincount(lengths).cumsum())[:-1].tolist()):
+        sums[:live] += terms[starts[:live] + rank]  # the runs longer than this rank
+    out = np.empty_like(sums)
+    out[by_length] = sums
+    return out
 
 
-def _bar_table(score: Score, params: SpiralParams):
-    """Per bar of ``score``: the terms of its pitched notes in note order (w
-    the duration, (x, y, z) the pitch position), its center of effect, its
-    cloud diameter and its momentum, each equal to what
-    :func:`tension_from_clouds` gives for the bar's (fifth-index, duration) cloud."""
+def _bar_table(song: ScoreColumns, params: SpiralParams):
+    """The (w*x, w*y, w*z, w) terms of the song's pitched notes in note
+    order (w the duration, (x, y, z) the pitch position) and each bar's row
+    bounds among them; per bar, its center of effect, cloud diameter and
+    momentum, each equal to what :func:`tension_from_clouds` gives for the
+    bar's (fifth-index, duration) cloud."""
     positions, diameters = _pitch_class_table(params)
-    terms, coes, cds = [], [], []
-    for m in score.measures:
-        bar, mask = [], 0
-        for track, _, duration, midi, _, _, _ in m.events:
-            if track != "drums":
-                x, y, z = positions[midi % 12]
-                w = float(duration)
-                bar.append((w * x, w * y, w * z, w))
-                mask |= 1 << midi % 12
-        if mask not in diameters:
-            ks = [fifth_index_of_pitch(pc) for pc in range(12) if mask >> pc & 1]
-            diameters[mask] = cloud_diameter_of_indices(ks, params)
-        terms.append(bar)
-        coes.append(_center((bar,)))
-        cds.append(diameters[mask])
-    return terms, coes, cds, _momenta(coes)
+    pitched = song.pitched
+    pc = song.midi[pitched] % 12
+    w = song.duration[pitched].astype(float)
+    terms = np.empty((len(w), 4))
+    terms[:, :3] = w[:, None] * positions[pc]
+    terms[:, 3] = w
+    bounds = np.searchsorted(song.bar[pitched], np.arange(song.n_bars + 1))
+    sums = _in_order_sums(terms, bounds)
+    filled = bounds[:-1] < bounds[1:]
+    centers = np.divide(sums[:, :3], sums[:, 3:], out=np.zeros((len(sums), 3)),
+                        where=filled[:, None])
+    coes = centers.tolist()
+    for b in (~filled).nonzero()[0].tolist():
+        coes[b] = None
+    masks = np.zeros(song.n_bars, np.int64)
+    masks[filled] = np.bitwise_or.reduceat(1 << pc, bounds[:-1][filled])
+    masks = masks.tolist()
+    for mask in set(masks).difference(diameters):
+        ks = [fifth_index_of_pitch(c) for c in range(12) if mask >> c & 1]
+        diameters[mask] = cloud_diameter_of_indices(ks, params)
+    return terms, bounds.tolist(), coes, list(map(diameters.__getitem__, masks)), _momenta(coes)
 
 
-def compute_tension_profile(score: Score, params: SpiralParams = DEFAULT_PARAMS) -> TensionProfile:
+def compute_tension_profile(score: Score | ScoreColumns,
+                            params: SpiralParams = DEFAULT_PARAMS) -> TensionProfile:
     """Tension of every bar of ``score`` against the key estimated over the
     whole of ``score``; a score without pitched notes has strain 0."""
-    return loop_tension_profiles(score, [(0, len(score.measures))], params)[0]
+    song = as_columns(score)
+    return loop_tension_profiles(song, [(0, song.n_bars)], params)[0]
 
 
-def loop_tension_profiles(score: Score, spans: Iterable[tuple[int, int]],
+def loop_tension_profiles(score: Score | ScoreColumns, spans: Iterable[tuple[int, int]],
                           params: SpiralParams = DEFAULT_PARAMS) -> list[TensionProfile]:
     """The tension of each ``[start, end)`` bar range of ``score`` as
     :func:`compute_tension_profile` gives it for the range on its own: with
     its own key and a first-bar momentum of 0. The bar values are computed
     once and shared among the ranges."""
-    terms, coes, cds, cms = _bar_table(score, params)
+    terms, bounds, coes, cds, cms = _bar_table(as_columns(score), params)
     profiles = []
     for s, e in spans:
-        center = _center(terms[s:e])  # the key sums the range's notes in order
-        key = None if center is None else _nearest_key(center, params).center
+        key = None
+        if bounds[e] > bounds[s]:  # the key sums the range's notes in order
+            x, y, z, w = terms[bounds[s]:bounds[e]].cumsum(axis=0)[-1].tolist()
+            key = _nearest_key((x / w, y / w, z / w), params).center
         profiles.append(TensionProfile(tuple(cds[s:e]), (0.0,)[:e - s] + tuple(cms[s + 1:e]),
                                        _strains(coes[s:e], key)))
     return profiles

@@ -286,6 +286,41 @@ def test_survey_command(tmp_path, capsys):
 
 # error paths -----------------------------------------------------------------
 
+def test_survey_row_cut_short_exits_1_naming_the_line(tmp_path, capsys):
+    # found by tests/test_fuzz.py: the row's answer was None, and int(None) a TypeError
+    data = tmp_path / "responses.csv"
+    data.write_text("participant,group,question,answer,target\np1,gen,heard,N,\n"
+                    "p1,gen,composer,Human,\np1,gen,preference")
+    assert run("survey", "--responses", str(data)) == 1
+    assert capsys.readouterr().err == f"error: {data}: line 4: row has no answer\n"
+
+
+NUL_TABLES = {"survey": ("participant,group,question,answer\np1,gen,preference,\0\n",
+                         ["survey", "--responses"]),
+              "eval-stats": ("a,b\n1.0,\0\n2.0,3.0\n", ["eval-stats", "--method", "wilcoxon",
+                                                          "--input"]),
+              "songs": ("artist,title\n\0,song\n", ["annotate", "--provider-csv", "{ann}",
+                                                       "--songs"]),
+              "annotations": ("artist,title,valence,energy,mode\nA,b,\0,0.5,major\n",
+                              ["annotate", "--annotations"]),
+              "header": ("\0artist,title\n,song\n", ["annotate", "--provider-csv", "{ann}",
+                                                        "--songs"])}
+
+
+@pytest.mark.parametrize("name", sorted(NUL_TABLES))
+def test_a_nul_byte_in_a_csv_exits_1_with_one_error_line(workspace, tmp_path, capsys, name):
+    # Python 3.10's csv module raises csv.Error on a NUL byte; later ones read it
+    text, argv = NUL_TABLES[name]
+    data = tmp_path / "table.csv"
+    data.write_text(text)
+    argv = [a.format(ann=workspace / "annotations.csv") for a in argv] + [str(data)]
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert sum(l.startswith("error: ") for l in err.splitlines()) == 1 and "Traceback" not in err
+
+
+
 def test_usage_error_exits_1(capsys):
     assert run("generate", "--emotion", "happy") == 1
     capsys.readouterr()
@@ -612,6 +647,27 @@ def test_song_path_matches_golden_hash(tmp_path, command):
 
 
 # Every subcommand on an empty directory and on an empty or header-only file.
+@pytest.mark.parametrize("command,outputs", [("train-gen", ["model.json"]),
+                                             ("train-clf", ["clf/valence.json",
+                                                            "clf/arousal.json"])])
+def test_a_malformed_corpus_token_exits_1_naming_the_file_line_and_token(corpus, tmp_path,
+                                                                        capsys, command,
+                                                                        outputs):
+    lines = corpus.read_text().splitlines()
+    lines[2] += " tempo:x1"
+    bad = tmp_path / "corpus.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    target = ["--out", str(tmp_path / "model.json")] if command == "train-gen" else \
+        ["--out-dir", str(tmp_path / "clf")]
+    capsys.readouterr()
+    assert run(command, "--corpus", str(bad), *target) == 1
+    index = len(lines[2].split()) - 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line 3: token {index} ('tempo:x1'): tempo must be a non-negative "
+        f"integer, got 'x1'\n")
+    assert not any((tmp_path / name).exists() for name in outputs)
+
+
 # "{dir}" is an empty directory, "{empty}" an empty file, "{songs}" a directory
 # holding one empty .tokens file, "{header}" a file holding only the CSV
 # header the command expects, "{clf}" a trained classifier directory and

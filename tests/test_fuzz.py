@@ -1,8 +1,8 @@
 """Damaged input files: one truncation, flipped byte or stray quote
-anywhere in a valid model, classifier, song, annotations or corpus file
-must end the commands that read it with exit code 0 (the damage left a
-valid file), or with 1 or 2 and exactly one ``error:`` line; never with a
-traceback."""
+anywhere in a valid model, classifier, song, annotations, corpus, songs
+CSV, paired CSV, survey CSV or config file must end the commands that read
+it with exit code 0 (the damage left a valid file), or with 1 or 2 and
+exactly one ``error:`` line; never with a traceback."""
 
 import contextlib
 import io
@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from looptab.cli import main
+from looptab.config import PipelineConfig, config_to_json
 from looptab.evaluate import train_classifier
 from looptab.generate import save_model, train_generator
 from looptab.score import score_to_tokens
@@ -41,6 +42,14 @@ def files(tmp_path_factory):
     (root / "songs" / "song.tokens").write_text(render_tokens(score_to_tokens(song)) + "\n")
     (root / "annotations.csv").write_text("artist,title,valence,energy,mode\n"
                                           ",song,0.8,0.3,major\n\"Band, The\",other,0.2,0.6,0\n")
+    (root / "songs.csv").write_text("artist,title\n,song\n\"Band, The\",other\nNobody,absent\n")
+    (root / "paired.csv").write_text("a,b,c\n" + "".join(
+        f"{1.5 + i % 4},{0.25 * i},{2.0 - 0.125 * i}\n" for i in range(8)))
+    (root / "survey.csv").write_text("participant,group,question,answer,target\n"
+                                     "p1,gen,heard,N,\np1,gen,composer,Human,\n"
+                                     "p1,gen,preference,5,\np1,gen,emotion,6,happy\n"
+                                     "p2,real,emotion,2,sad\np2,real,heard,Y,\n")
+    (root / "config.json").write_text(config_to_json(PipelineConfig()))
     return root
 
 
@@ -153,4 +162,53 @@ def test_damaged_corpus_file(files, data):
         corpus = Path(tmp) / "corpus.txt"
         corpus.write_bytes(damaged)
         for argv in corpus_runs(corpus, Path(tmp)):
+            check_outcome(*run(argv))
+
+
+def table_runs(files: Path, songs_csv: Path, paired: Path, survey: Path) -> list[list[str]]:
+    return [["annotate", "--songs", str(songs_csv), "--provider-csv",
+             str(files / "annotations.csv")],
+            *(["eval-stats", "--method", method, "--input", str(paired)]
+              for method in ("wilcoxon", "friedman", "pairwise")),
+            ["survey", "--responses", str(survey)]]
+
+
+def config_runs(files: Path, config: Path, out: Path) -> list[list[str]]:
+    runs = [["loops", "--scores", str(files / "songs"), "--out", str(out / "loops.jsonl")],
+            ["tension", "--scores", str(files / "songs"), "--out-csv", str(out / "t.csv")],
+            ["generate", "--model", str(files / "model.json"), "--emotion", "sad",
+             "--out-dir", str(out / "gen")],
+            ["train-clf", "--corpus", str(files / "corpus.txt"), "--out-dir", str(out / "clf")]]
+    return [["--config", str(config), *argv] for argv in runs]
+
+
+def test_the_undamaged_tables_and_config_pass_every_command(files, tmp_path):
+    runs = table_runs(files, files / "songs.csv", files / "paired.csv", files / "survey.csv")
+    for argv in runs + config_runs(files, files / "config.json", tmp_path):
+        code, err = run(argv)
+        assert code == 0, (argv, err)
+
+
+@pytest.mark.parametrize("name", ["songs.csv", "paired.csv", "survey.csv"])
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_damaged_csv_file(files, name, data):
+    damaged = data.draw(damage((files / name).read_bytes()))
+    with tempfile.TemporaryDirectory() as tmp:
+        tables = {n: files / n for n in ("songs.csv", "paired.csv", "survey.csv")}
+        tables[name] = Path(tmp) / name
+        tables[name].write_bytes(damaged)
+        for argv in table_runs(files, tables["songs.csv"], tables["paired.csv"],
+                               tables["survey.csv"]):
+            check_outcome(*run(argv))
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_damaged_config_file(files, data):
+    damaged = data.draw(damage((files / "config.json").read_bytes()))
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_bytes(damaged)
+        for argv in config_runs(files, config, Path(tmp)):
             check_outcome(*run(argv))

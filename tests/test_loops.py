@@ -91,10 +91,10 @@ def scores(draw):
 def test_onset_groups_intern_like_fingerprints(score):
     reference = reference_fingerprints(score)
     onsets, notes, gaps = _onset_groups(score)
-    assert onsets == [f.onset for f in reference]
-    assert interned_ids(zip(notes, gaps)) == interned_ids(reference)
+    assert onsets.tolist() == [f.onset for f in reference]
+    assert interned_ids(zip(notes, gaps.tolist())) == interned_ids(reference)
     seq = fingerprint_sequence(score)
-    assert seq == reference and [f.onset for f in seq] == onsets
+    assert seq == reference and [f.onset for f in seq] == onsets.tolist()
 
 
 def test_bar_offsets():
@@ -188,6 +188,33 @@ def test_extract_matches_oracle_on_planted_repeats():
         params = DEFAULT_PARAMS if trial % 4 == 0 else random_params(rng)
         assert extract_loops(score, params) == oracle_loops(score, params), \
             f"trial {trial}: {seq} {params}"
+
+
+@st.composite
+def mixed_metre_repeats(draw):
+    """Bars picked from a few templates of different metres, so bar pairs
+    the same number of bars apart lie different numbers of ticks apart."""
+    templates = []
+    for _ in range(draw(st.integers(1, 3))):
+        numerator = draw(st.sampled_from((2, 3, 4, 5)))
+        onsets = sorted(draw(st.sets(st.sampled_from(range(0, numerator * QUARTER, 480)),
+                                     min_size=1, max_size=3)) | {0})
+        events = tuple(NoteEvent("clean0", onset, 480, draw(st.integers(60, 62)), 1, 0)
+                       for onset in onsets)
+        templates.append((numerator, events))
+    picks = draw(st.lists(st.integers(0, len(templates) - 1), min_size=2, max_size=10))
+    return Score(measures=tuple(Measure(i, (templates[t][0], 4), events=templates[t][1])
+                                for i, t in enumerate(picks)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(score=mixed_metre_repeats(), data=st.data())
+def test_extract_matches_oracle_across_metres(score, data):
+    min_bars = data.draw(st.integers(1, 3))
+    params = LoopParams(min_rep_notes=data.draw(st.integers(1, 3)),
+                        min_rep_beats=data.draw(st.integers(1, 3)), min_loop_bars=min_bars,
+                        max_loop_bars=data.draw(st.integers(min_bars, 4)))
+    assert extract_loops(score, params) == oracle_loops(score, params)
 
 
 def test_extract_matches_oracle_on_long_song():

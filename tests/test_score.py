@@ -11,6 +11,8 @@ from looptab.score import (
     NoteEvent,
     Score,
     StructureError,
+    TokenTable,
+    decode,
     regularize_meter,
     score_to_tokens,
     tokens_to_score,
@@ -49,20 +51,26 @@ def test_fret_on_nonexistent_string():
 
 
 def test_note_off_the_strings_fails_at_its_index_every_time():
+    table = TokenTable()
     for text, index in (("start new_measure bass:note:s5:f0 wait:480", 2),
                         ("start new_measure wait:480 bass:note:s5:f0", 3)):
-        with pytest.raises(StructureError,
-                           match=rf"^token {index}: string 5 does not exist on bass"):
-            tokens_to_score(parse_tokens(text))
-    assert "bass:note:s5:f0" not in score_mod._NOTES
+        for decoded in (lambda: tokens_to_score(parse_tokens(text)),
+                        lambda: decode(text.split(), table)):
+            with pytest.raises(StructureError,
+                               match=rf"^token {index}: string 5 does not exist on bass"):
+                decoded()
 
 
 def test_note_table_stops_growing_at_its_bound(monkeypatch):
-    monkeypatch.setattr(score_mod, "TOKEN_CACHE_SIZE", len(score_mod._NOTES))
-    score = tokens_to_score(parse_tokens("start new_measure clean0:note:s001:f0007 wait:480"))
-    (ev,) = score.measures[0].events
+    monkeypatch.setattr(score_mod, "TOKEN_CACHE_SIZE", 4)
+    table = TokenTable()
+    decode("start new_measure clean0:note:s1:f0 wait:480".split(), table)
+    assert len(table) == 4
+    song = decode("start new_measure clean0:note:s001:f0007 wait:480".split(), table)
+    # the new strings would pass the bound, so the table starts over with this song's
+    assert len(table) == 4 and "clean0:note:s1:f0" not in table.codes
+    (ev,) = song.to_score().measures[0].events
     assert (ev.string, ev.fret, ev.midi_pitch) == (1, 7, 71)
-    assert "clean0:note:s001:f0007" not in score_mod._NOTES
 
 
 def test_durations_follow_gap_rule():
