@@ -77,11 +77,8 @@ def _onset_groups(score: Score | ScoreColumns) -> tuple[np.ndarray, list[bytes],
     offsets = _offsets(song)
     at = offsets[song.bar] + song.onset
     pitch = song.track * 128 + song.midi
-    duration = song.duration
-    # decoder order is this order while every onset lies inside its bar
-    if not (song.decoded and (at < offsets[song.bar + 1]).all()):
-        order = np.lexsort((duration, pitch, at))
-        at, pitch, duration = at[order], pitch[order], duration[order]
+    order = np.lexsort((song.duration, pitch, at))
+    at, pitch, duration = at[order], pitch[order], song.duration[order]
     head = np.empty(len(at), bool)
     head[:1] = True
     np.not_equal(at[1:], at[:-1], out=head[1:])

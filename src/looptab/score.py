@@ -13,7 +13,8 @@ operations over the whole song: the cursor, the onset groups, the duration
 rule and the order inside each group are computed at once, not token by
 token. A :class:`TokenTable`, owned by the command that reads the songs,
 classifies every distinct token string once through :func:`tokens.token`
-and keeps at most ``TOKEN_CACHE_SIZE`` strings between songs.
+and holds at most ``TOKEN_CACHE_SIZE`` strings, or one song's own where a
+song has more.
 
 The song path (tension, loops, corpus lines) reads columns only.
 :func:`tokens_to_score` builds its ``Score`` from the same columns, and a
@@ -155,10 +156,10 @@ class Score:
 class ScoreColumns:
     """A score as integer columns.
 
-    Notes are grouped by bar, each bar's notes in its event order. In
-    decoder order (``decoded``) that is by onset, then track name, pitch
-    and string, ties in token order, and the notes of one onset share one
-    duration; :func:`regularize_meter` keeps that order. ``track`` indexes
+    Notes are grouped by bar, each bar's notes in its event order. The
+    decoder orders them by onset, then track name, pitch and string, ties
+    in token order, and the notes of one onset share one duration;
+    :func:`regularize_meter` keeps that order. ``track`` indexes
     ``tracks`` (sorted names), ``fx`` indexes ``effects`` (``effects[0]``
     is ``()``), and the string and fret of a note without them (a drum
     note) are -1. Bar ``b`` holds the notes ``bounds[b]:bounds[b + 1]``;
@@ -184,7 +185,6 @@ class ScoreColumns:
     fx: np.ndarray
     tracks: tuple[str, ...] = TRACKS
     effects: tuple[tuple[str, ...], ...] = ((),)
-    decoded: bool = False  # notes in decoder order, an onset's notes sharing one duration
 
     @property
     def n_bars(self) -> int:
@@ -261,10 +261,11 @@ class TokenTable:
     A code indexes integer columns: the token's kind, whether it is an
     error inside a bar, the cursor step (a wait's ticks, 1 at
     ``new_measure``), its value (tempo or metre), a note's order inside its
-    onset group, and a note's track id, string, fret and MIDI pitch. The
-    table keeps at most ``TOKEN_CACHE_SIZE`` strings between songs: a song
-    whose new strings would pass that bound empties it first. Malformed
-    strings are never stored.
+    onset group, and a note's track id, string, fret and MIDI pitch. A
+    song whose new strings would take the table past ``TOKEN_CACHE_SIZE``
+    empties it first, so it holds more than that bound only when one song
+    has more distinct strings, and then that song's own. Malformed strings
+    are never stored.
     """
 
     def __init__(self):
@@ -491,8 +492,7 @@ def decode(raws: Sequence[str], table: TokenTable) -> ScoreColumns:
         np.full(len(marks), 4, np.int64),
         marks.searchsorted(controls_at, "right") - 1,
         tuple(table.tokens[c] for c in codes[controls_at].tolist()),
-        bar, onset, g_duration[group], midi, track, string, fret, fx, TRACKS, tuple(effects),
-        decoded=True)
+        bar, onset, g_duration[group], midi, track, string, fret, fx, TRACKS, tuple(effects))
 
 
 def tokens_to_score(stream: list[Token]) -> Score:
@@ -552,12 +552,10 @@ def bar_bodies(song: ScoreColumns, bars: Sequence[int]) -> list[list[str]]:
     """The raw tokens of each of ``bars``: its notes sorted by (onset,
     track, pitch, string), waits merging the gaps, and a trailing wait
     covering the last group's duration (its longest note)."""
-    columns = song.onset, song.duration, song.track, song.midi, song.string, song.fret, song.fx
-    if not song.decoded:
-        order = np.lexsort((np.maximum(song.string, 0), song.midi, song.track, song.onset,
-                            song.bar))
-        columns = (c.take(order) for c in columns)
-    onsets, durations, tracks, midis, strings, frets, fxs = (c.tolist() for c in columns)
+    order = np.lexsort((np.maximum(song.string, 0), song.midi, song.track, song.onset, song.bar))
+    onsets, durations, tracks, midis, strings, frets, fxs = (
+        c.take(order).tolist()
+        for c in (song.onset, song.duration, song.track, song.midi, song.string, song.fret, song.fx))
     bounds = song.bounds.tolist()
     names = [f"{name}:note:s" for name in song.tracks]
     effects = [[f"nfx:{name}" for name in fx] for fx in song.effects]

@@ -230,21 +230,10 @@ def _pitch_class_table(params: SpiralParams) -> tuple[np.ndarray, dict[int, floa
 def _in_order_sums(terms: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """The sum of each run of rows ``terms[bounds[i]:bounds[i + 1]]``, added
     in row order from 0.0 as a Python loop adds it (``np.add.reduceat`` adds
-    pairwise, which moves the last bits).
-
-    The runs are laid side by side, rank by rank, in a zero-padded array
-    that one cumulative sum adds down. Where that padding would outgrow the
-    rows a few times over (one long run among many short ones), one vector
-    addition per rank adds the rows over the runs at least that long.
-    """
+    pairwise, which moves the last bits): one vector addition per rank adds
+    each run's row of that rank, over the runs at least that long."""
     lengths = bounds[1:] - bounds[:-1]
-    longest = int(lengths.max(initial=0))
     runs = len(lengths)
-    if longest * runs <= 4 * len(terms) + 1024:
-        padded = np.zeros((longest + 1, runs, terms.shape[1]))
-        rank = np.arange(1, len(terms) + 1) - np.repeat(bounds[:-1], lengths)
-        padded[rank, np.repeat(np.arange(runs), lengths)] = terms
-        return padded.cumsum(axis=0)[-1]
     by_length = (-lengths).argsort(kind="stable")
     starts = bounds[:-1][by_length]
     sums = np.zeros((runs, terms.shape[1]))

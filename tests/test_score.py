@@ -73,6 +73,19 @@ def test_note_table_stops_growing_at_its_bound(monkeypatch):
     assert (ev.string, ev.fret, ev.midi_pitch) == (1, 7, 71)
 
 
+def test_a_song_with_more_strings_than_the_bound_is_held_until_the_next(monkeypatch):
+    monkeypatch.setattr(score_mod, "TOKEN_CACHE_SIZE", 4)
+    table = TokenTable()
+    text = "start new_measure clean0:note:s1:f0 wait:480 clean0:note:s1:f2 wait:480 end"
+    song = decode(text.split(), table)
+    # the table holds this song's own 6 strings, past the bound
+    assert len(table) == 6 and [ev.fret for ev in song.to_score().measures[0].events] == [0, 2]
+    decode(text.split(), table)  # no new strings: nothing is classified again
+    assert len(table) == 6
+    decode("start new_measure bass:note:s1:f0 wait:960".split(), table)
+    assert sorted(table.codes) == ["bass:note:s1:f0", "new_measure", "start", "wait:960"]
+
+
 def test_durations_follow_gap_rule():
     score = tokens_to_score(parse_tokens(
         "start new_measure clean0:note:s1:f0 wait:480 clean0:note:s2:f1 wait:960 end"))
