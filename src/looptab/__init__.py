@@ -5,9 +5,7 @@ __version__ = "0.1.0"
 
 from .tokens import Token, TokenCategory, ParseError, parse_tokens, render_tokens, token
 from .score import (
-    Measure,
-    NoteEvent,
-    Score,
+    ScoreColumns,
     StructureError,
     regularize_meter,
     score_to_tokens,

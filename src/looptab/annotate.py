@@ -328,15 +328,15 @@ def build_corpus(score_dir: str | Path,
     for path in token_files(score_dir):
         try:
             song = decode(path.read_text(encoding="utf-8").split(), table)
+            rec = by_key.get(_normalize_key(song.artist or "", path.stem))
+            regular = None if rec is None else regularize_meter(song)
         except ValueError as exc:
             log.error("skipping %s: %s", path.name, exc)
             result.failed_files += 1
             continue
-        rec = by_key.get(_normalize_key(song.artist or "", path.stem))
         if rec is None:
             result.skipped_no_annotation += 1
             continue
-        regular = regularize_meter(song)
         spans = [(sp.start_bar, sp.end_bar) for sp in loops_mod.extract_loops(regular, loop_params)]
         if not spans:
             result.skipped_no_loops += 1

@@ -17,6 +17,7 @@ import logging
 import math
 import sys
 from pathlib import Path
+from typing import Callable, Sequence
 
 from . import annotate as annotate_mod
 from . import evaluate as evaluate_mod
@@ -44,41 +45,55 @@ def atomic_write(path: str | Path, text: str) -> None:
         fh.write(text)
 
 
-def _read_scores(directory: str | Path):
+def _read_scores(directory: str | Path, regular: bool = False):
     """Each song file of ``directory`` with its decoded columns, one at a
-    time; one token table serves them all."""
+    time, regularized to 4/4 if ``regular``; one token table serves them
+    all."""
     table = TokenTable()
     for path in token_files(directory):
         try:
             song = decode(path.read_text(encoding="utf-8").split(), table)
+            if regular:
+                song = regularize_meter(song)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         yield path, song
 
 
-def _read_corpus(path) -> list[str]:
-    """The lines of a corpus file. Each distinct token string is classified
-    once through :func:`tokens.token`; the first malformed one is an error
-    naming the file, the line and the token."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+def _check_tokens(texts: Sequence[str], where: Callable[[int], str]) -> None:
+    """Classify each distinct token string of ``texts`` once through
+    :func:`tokens.token`; the first malformed one is an error naming
+    ``where(i)`` of its text ``i``, its index in that text and the token."""
     distinct: set[str] = set()
-    for line in lines:
-        distinct.update(line.split())
+    for text in texts:
+        distinct.update(text.split())
     bad = {}
     for raw in distinct:
         try:
             token(raw)
         except ParseError as exc:
             bad[raw] = str(exc)
-    for number, line in enumerate(lines if bad else (), 1):
-        for i, raw in enumerate(line.split()):
+    for number, text in enumerate(texts if bad else ()):
+        for i, raw in enumerate(text.split()):
             if raw in bad:
-                raise ValueError(f"{path}: line {number}: {ParseError(bad[raw], i, raw)}")
+                raise ValueError(f"{where(number)}: {ParseError(bad[raw], i, raw)}")
+
+
+def _read_corpus(path) -> list[str]:
+    """The lines of a corpus file; a malformed token is an error naming
+    the file, the line and the token."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    _check_tokens(lines, lambda number: f"{path}: line {number + 1}")
     return lines
 
 
 def _read_streams(directory: str | Path) -> list[list[str]]:
-    return [path.read_text(encoding="utf-8").split() for path in token_files(directory)]
+    """The tokens of each song file of ``directory``; a malformed token is
+    an error naming the file and the token."""
+    paths = token_files(directory)
+    texts = [path.read_text(encoding="utf-8") for path in paths]
+    _check_tokens(texts, lambda number: str(paths[number]))
+    return [text.split() for text in texts]
 
 
 def label_free(tokens: list[str]) -> list[str]:
@@ -144,8 +159,8 @@ def cmd_tension(args) -> int:
     config = load_config(args.config)
     profiles = []
     names = []
-    for path, score in _read_scores(args.scores):
-        profiles.append(tension_mod.compute_tension_profile(score, config.spiral_params))
+    for path, song in _read_scores(args.scores):
+        profiles.append(tension_mod.compute_tension_profile(song, config.spiral_params))
         names.append(path.stem)
     thresholds = tension_mod.fit_tension_thresholds(profiles)
     rows = [tension_mod.CSV_HEADER]
@@ -161,8 +176,8 @@ def cmd_tension(args) -> int:
 def cmd_loops(args) -> int:
     config = load_config(args.config)
     lines = []
-    for path, score in _read_scores(args.scores):
-        spans = loops_mod.extract_loops(regularize_meter(score), config.loop_params)
+    for path, song in _read_scores(args.scores, regular=True):
+        spans = loops_mod.extract_loops(song, config.loop_params)
         for span in spans:
             lines.append(json.dumps({
                 "song": path.stem,
@@ -300,7 +315,7 @@ def cmd_eval_emotion(args) -> int:
 
 def cmd_eval_loops(args) -> int:
     config = load_config(args.config)
-    scores = [regularize_meter(score) for _, score in _read_scores(args.generations)]
+    scores = [song for _, song in _read_scores(args.generations, regular=True)]
     total, avg = evaluate_mod.loop_metric(scores, config.loop_params)
     doc = {"format": "looptab-loop-report", "version": 1,
            "generations": len(scores), "loops_found": total, "average_per_generation": avg}

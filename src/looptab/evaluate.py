@@ -27,7 +27,7 @@ import numpy as np
 from . import loops as loops_mod
 from .atomic import atomic_open, read_json
 from .generate import HAPPY_TEMPO_MIN, SAD_TEMPO_MAX
-from .score import Score, ScoreColumns
+from .score import ScoreColumns
 
 TRUNCATE_TOKENS = 768
 HIGH_CUT = 0.5
@@ -268,7 +268,7 @@ def emotion_metrics(happy_streams: Sequence[Sequence[str]],
     return EmotionMetrics(happy, sad, diff)
 
 
-def loop_metric(generated: Sequence[Score | ScoreColumns],
+def loop_metric(generated: Sequence[ScoreColumns],
                 params: loops_mod.LoopParams = loops_mod.DEFAULT_PARAMS
                 ) -> tuple[int, float]:
     """(total loops found, average loops per generation)."""

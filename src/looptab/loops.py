@@ -15,7 +15,7 @@ from itertools import count, repeat
 
 import numpy as np
 
-from .score import Score, ScoreColumns, as_columns
+from .score import TRACKS, ScoreColumns
 from .tokens import TICKS_PER_QUARTER
 
 
@@ -57,24 +57,19 @@ class LoopSpan:
     repetition_length_events: int
 
 
-def bar_offsets(score: Score | ScoreColumns) -> list[int]:
-    """Absolute start tick of each measure, plus the end tick of the score."""
-    return _offsets(as_columns(score)).tolist()
-
-
-def _offsets(song: ScoreColumns) -> np.ndarray:
+def bar_offsets(song: ScoreColumns) -> np.ndarray:
+    """Absolute start tick of each bar, plus the end tick of the score."""
     offsets = np.zeros(song.n_bars + 1, np.int64)
     song.capacity.cumsum(out=offsets[1:])
     return offsets
 
 
-def _onset_groups(score: Score | ScoreColumns) -> tuple[np.ndarray, list[bytes], np.ndarray]:
+def _onset_groups(song: ScoreColumns) -> tuple[np.ndarray, list[bytes], np.ndarray]:
     """Every distinct absolute onset in time order, the notes sounding from
     it, and its gap to the next onset (the last one's to the end of the
     score). A group's notes are the bytes of its sorted (track id * 128 +
     midi, duration) pairs, so equal bytes are equal note sets."""
-    song = as_columns(score)
-    offsets = _offsets(song)
+    offsets = bar_offsets(song)
     at = offsets[song.bar] + song.onset
     pitch = song.track * 128 + song.midi
     order = np.lexsort((song.duration, pitch, at))
@@ -95,10 +90,9 @@ def _onset_groups(score: Score | ScoreColumns) -> tuple[np.ndarray, list[bytes],
     return onsets, list(map(blob.__getitem__, map(slice, bounds, bounds[1:] + [len(blob)]))), gaps
 
 
-def fingerprint_sequence(score: Score | ScoreColumns) -> list[EventFingerprint]:
-    song = as_columns(score)
+def fingerprint_sequence(song: ScoreColumns) -> list[EventFingerprint]:
     onsets, notes, gaps = _onset_groups(song)
-    return [EventFingerprint(tuple((song.tracks[p // 128], p % 128, duration) for p, duration in
+    return [EventFingerprint(tuple((TRACKS[p // 128], p % 128, duration) for p, duration in
                                    np.frombuffer(group, np.int64).reshape(-1, 2).tolist()), gap, at)
             for at, group, gap in zip(onsets.tolist(), notes, gaps.tolist())]
 
@@ -118,7 +112,7 @@ def _match_lengths(onsets: np.ndarray, ids: np.ndarray, lag: int) -> np.ndarray:
     return first_miss - index
 
 
-def extract_loops(score: Score | ScoreColumns,
+def extract_loops(song: ScoreColumns,
                   params: LoopParams = DEFAULT_PARAMS) -> list[LoopSpan]:
     """Bar-aligned loop spans of a regularized score.
 
@@ -128,13 +122,12 @@ def extract_loops(score: Score | ScoreColumns,
     repetition thresholds (events and beats), bars [s, s + k) are a loop.
     Repeats starting off the bar grid are discarded, not shifted.
     """
-    song = as_columns(score)
     onsets, notes, gaps = _onset_groups(song)
     # equal (notes, gap), the fields EventFingerprint compares, get equal ids
     ids = np.fromiter(map({}.setdefault, zip(notes, gaps.tolist()), count()), np.int64, len(notes))
     ticks = np.zeros(len(gaps) + 1, np.int64)
     gaps.cumsum(out=ticks[1:])
-    starts = _offsets(song)[:-1]
+    starts = bar_offsets(song)[:-1]
     at = onsets.searchsorted(starts)  # the onset at each bar's start, where one is
     held = np.append(onsets, -1)[at] == starts
     min_ticks = params.min_rep_beats * TICKS_PER_QUARTER
@@ -163,10 +156,17 @@ def extract_loops(score: Score | ScoreColumns,
     return spans
 
 
-def splice_loop(score: Score, span: LoopSpan) -> Score:
-    """New score containing exactly the span's bars, rebased to measure 0."""
-    if not 0 <= span.start_bar < span.end_bar <= len(score.measures):
-        raise ValueError(f"span [{span.start_bar}, {span.end_bar}) out of range "
-                         f"for {len(score.measures)}-bar score")
-    bars = score.measures[span.start_bar:span.end_bar]
-    return replace(score, measures=tuple(m.renumbered(i) for i, m in enumerate(bars)))
+def splice_loop(song: ScoreColumns, span: LoopSpan) -> ScoreColumns:
+    """New score holding exactly the span's bars, renumbered from 0."""
+    start, end = span.start_bar, span.end_bar
+    if not 0 <= start < end <= song.n_bars:
+        raise ValueError(f"span [{start}, {end}) out of range for {song.n_bars}-bar score")
+    lo, hi = song.bar.searchsorted([start, end]).tolist()
+    kept = (song.control_bar >= start) & (song.control_bar < end)
+    return replace(
+        song, tempo=song.tempo[start:end], numerator=song.numerator[start:end],
+        control_bar=song.control_bar[kept] - start,
+        controls=tuple(t for t, k in zip(song.controls, kept.tolist()) if k),
+        bar=song.bar[lo:hi] - start, onset=song.onset[lo:hi], duration=song.duration[lo:hi],
+        midi=song.midi[lo:hi], track=song.track[lo:hi], string=song.string[lo:hi],
+        fret=song.fret[lo:hi], fx=song.fx[lo:hi])

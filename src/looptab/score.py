@@ -1,12 +1,11 @@
-"""Structured score model, its note columns, lossless encode/decode and 4/4
+"""A song's note columns, its lossless encode and decode, and 4/4
 regularization.
 
-A :class:`Score` is a header (artist, tempo, time signature), song-level
-control tokens and an ordered list of measures holding note events at
-tick resolution 960 per quarter note. :class:`ScoreColumns` holds the same
-content as integer numpy columns: one row per note (bar, onset, duration,
-MIDI pitch, track, string, fret and an effects id) and one per bar (tempo
-and metre), plus the bar control tokens with their bars.
+:class:`ScoreColumns` is the one score representation: a header (artist,
+tempo, time signature) and song-level control tokens, then integer numpy
+columns, one row per note (bar, onset, duration, MIDI pitch, track,
+string, fret and an effects id) and one per bar (tempo and metre), plus
+the bar control tokens with their bars. Ticks are 960 per quarter note.
 
 :func:`decode` turns a song's token strings into columns with numpy
 operations over the whole song: the cursor, the onset groups, the duration
@@ -14,29 +13,23 @@ rule and the order inside each group are computed at once, not token by
 token. A :class:`TokenTable`, owned by the command that reads the songs,
 classifies every distinct token string once through :func:`tokens.token`
 and holds at most ``TOKEN_CACHE_SIZE`` strings, or one song's own where a
-song has more.
-
-The song path (tension, loops, corpus lines) reads columns only.
-:func:`tokens_to_score` builds its ``Score`` from the same columns, and a
-``Score`` given to a per-bar function (:func:`regularize_meter`,
-:func:`bar_body`, tension, loops) is converted to columns first
-(:meth:`ScoreColumns.from_score`), so each per-bar computation has one
-implementation.
+song has more. :func:`regularize_meter` cuts every bar into 4/4 bars, at
+most ``MAX_BARS`` of them per song.
 
 Duration convention of the token format: a note group's duration is the
 accumulated ``wait`` ticks until the next onset in its measure (or, when
 a measure ends without a trailing wait, the remainder of the declared
-measure capacity). Scores produced by :func:`tokens_to_score` always
-follow this convention and round-trip bit-exactly through
-:func:`score_to_tokens`; scores with other per-note durations are
-rendered canonically (durations snap back to the gap rule on reparse).
+measure capacity). Decoded columns always follow this convention and
+round-trip bit-exactly through :func:`score_to_tokens`; columns with other
+per-note durations are rendered canonically (durations snap back to the
+gap rule on reparse).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -64,92 +57,23 @@ BASS_TUNING = (43, 38, 33, 28)
 DEFAULT_TUNINGS = dict.fromkeys(GUITAR_TRACKS, GUITAR_TUNING) | {"bass": BASS_TUNING}
 
 DEFAULT_TEMPO = 120
-DEFAULT_TS = (4, 4)
 BAR_TICKS_4_4 = 4 * TICKS_PER_QUARTER
 
 # The tracks of the grammar sorted by name, so that track ids compare as names do.
 TRACKS = tuple(sorted((*NOTE_TRACKS, "drums")))
+_DRUMS = TRACKS.index("drums")
 
 # Longest wait and bar the int64 columns take: a song of fewer than 2**31
 # tokens then keeps every tick sum below 2**63.
 MAX_TICKS = 2 ** 32
 
+# Most 4/4 bars one song may regularize into: a bar lasting MAX_TICKS would
+# otherwise become over a million.
+MAX_BARS = 2 ** 16
+
 
 class StructureError(ValueError):
     """Token stream violates score structure (not the token grammar)."""
-
-
-class _NoteFields(NamedTuple):
-    track: str
-    onset: int
-    duration: int
-    midi_pitch: int
-    string: int | None = None
-    fret: int | None = None
-    effects: tuple[str, ...] = ()
-
-
-class NoteEvent(_NoteFields):
-    """One note: an immutable, hashable tuple record, equal to another with
-    the same fields.
-
-    Every way of building one (the constructor, ``_make``, ``_replace``)
-    runs the same checks; a tuple costs about a quarter of a
-    frozen dataclass to build.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, track: str, onset: int, duration: int, midi_pitch: int,
-                string: int | None = None, fret: int | None = None,
-                effects: tuple[str, ...] = ()):
-        if onset < 0:
-            raise ValueError("onset must be >= 0")
-        if duration <= 0:
-            raise ValueError("duration must be > 0")
-        if not 0 <= midi_pitch <= 127:
-            raise ValueError("midi pitch outside [0, 127]")
-        return tuple.__new__(cls, (track, onset, duration, midi_pitch, string, fret, effects))
-
-    @classmethod
-    def _make(cls, iterable) -> NoteEvent:
-        # the inherited _replace builds its result through _make
-        return cls(*iterable)
-
-    @property
-    def end(self) -> int:
-        return self.onset + self.duration
-
-
-@dataclass(frozen=True)
-class Measure:
-    index: int
-    time_signature: tuple[int, int] = DEFAULT_TS
-    tempo_bpm: int = DEFAULT_TEMPO
-    events: tuple[NoteEvent, ...] = ()
-    bar_controls: tuple[Token, ...] = ()
-
-    @property
-    def capacity(self) -> int:
-        num, den = self.time_signature
-        return num * (TICKS_PER_QUARTER * 4) // den
-
-    def renumbered(self, index: int) -> Measure:
-        """This bar at position ``index``: itself if it is there already,
-        else a copy built positionally (``dataclasses.replace`` costs about
-        three times as much)."""
-        if index == self.index:
-            return self
-        return Measure(index, self.time_signature, self.tempo_bpm, self.events, self.bar_controls)
-
-
-@dataclass(frozen=True)
-class Score:
-    artist: str | None = None
-    header_tempo: int = DEFAULT_TEMPO
-    header_time_signature: int = 4
-    song_controls: tuple[Token, ...] = ()
-    measures: tuple[Measure, ...] = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,10 +84,11 @@ class ScoreColumns:
     decoder orders them by onset, then track name, pitch and string, ties
     in token order, and the notes of one onset share one duration;
     :func:`regularize_meter` keeps that order. ``track`` indexes
-    ``tracks`` (sorted names), ``fx`` indexes ``effects`` (``effects[0]``
-    is ``()``), and the string and fret of a note without them (a drum
-    note) are -1. Bar ``b`` holds the notes ``bounds[b]:bounds[b + 1]``;
-    ``controls[i]`` belongs to bar ``control_bar[i]``.
+    ``TRACKS``, ``fx`` indexes ``effects`` (``effects[0]`` is ``()``), and
+    the string and fret of a drum note are -1. Bar ``b`` holds the notes
+    ``bounds[b]:bounds[b + 1]``; ``controls[i]`` belongs to bar
+    ``control_bar[i]``. Every bar is in quarter-note metre: ``numerator``
+    beats of ``TICKS_PER_QUARTER``.
     """
 
     artist: str | None
@@ -172,7 +97,6 @@ class ScoreColumns:
     song_controls: tuple[Token, ...]
     tempo: np.ndarray  # per bar
     numerator: np.ndarray
-    denominator: np.ndarray
     control_bar: np.ndarray
     controls: tuple[Token, ...]
     bar: np.ndarray  # per note
@@ -183,7 +107,6 @@ class ScoreColumns:
     string: np.ndarray
     fret: np.ndarray
     fx: np.ndarray
-    tracks: tuple[str, ...] = TRACKS
     effects: tuple[tuple[str, ...], ...] = ((),)
 
     @property
@@ -192,7 +115,7 @@ class ScoreColumns:
 
     @property
     def capacity(self) -> np.ndarray:
-        return self.numerator * (TICKS_PER_QUARTER * 4) // self.denominator
+        return self.numerator * TICKS_PER_QUARTER
 
     @property
     def bounds(self) -> np.ndarray:
@@ -201,50 +124,7 @@ class ScoreColumns:
     @property
     def pitched(self) -> np.ndarray:
         """Mask of the notes that are not drums."""
-        return self.track != self.tracks.index("drums")
-
-    @classmethod
-    def from_score(cls, score: Score) -> ScoreColumns:
-        tracks = tuple(sorted({ev.track for m in score.measures for ev in m.events}.union(TRACKS)))
-        track_ids = {name: i for i, name in enumerate(tracks)}
-        effect_ids: dict[tuple[str, ...], int] = {(): 0}
-        notes = [(b, track_ids[track], onset, duration, midi,
-                  -1 if string is None else string, -1 if fret is None else fret,
-                  effect_ids.setdefault(fx, len(effect_ids)))
-                 for b, m in enumerate(score.measures)
-                 for track, onset, duration, midi, string, fret, fx in m.events]
-        columns = np.array(notes, np.int64).reshape(-1, 8).T
-        bar, track, onset, duration, midi, string, fret, fx = columns
-        bars = np.array([(m.tempo_bpm, *m.time_signature) for m in score.measures],
-                        np.int64).reshape(-1, 3).T
-        controls = [(b, t) for b, m in enumerate(score.measures) for t in m.bar_controls]
-        return cls(score.artist, score.header_tempo, score.header_time_signature,
-                   score.song_controls, *bars, np.array([b for b, _ in controls], np.int64),
-                   tuple(t for _, t in controls), bar, onset, duration, midi, track, string,
-                   fret, fx, tracks, tuple(effect_ids))
-
-    def to_score(self) -> Score:
-        tracks, effects = self.tracks, self.effects
-        events = [NoteEvent(tracks[t], onset, duration, midi, None if s < 0 else s,
-                            None if f < 0 else f, effects[x])
-                  for t, onset, duration, midi, s, f, x in zip(
-                      *(c.tolist() for c in (self.track, self.onset, self.duration, self.midi,
-                                             self.string, self.fret, self.fx)))]
-        bounds = self.bounds.tolist()
-        controls: dict[int, list[Token]] = {}
-        for b, t in zip(self.control_bar.tolist(), self.controls):
-            controls.setdefault(b, []).append(t)
-        measures = tuple(
-            Measure(b, (num, den), tempo, tuple(events[bounds[b]:bounds[b + 1]]),
-                    tuple(controls.get(b, ())))
-            for b, (tempo, num, den) in enumerate(zip(self.tempo.tolist(), self.numerator.tolist(),
-                                                      self.denominator.tolist())))
-        return Score(self.artist, self.header_tempo, self.header_time_signature,
-                     self.song_controls, measures)
-
-
-def as_columns(score: Score | ScoreColumns) -> ScoreColumns:
-    return score if isinstance(score, ScoreColumns) else ScoreColumns.from_score(score)
+        return self.track != _DRUMS
 
 
 # Kinds of token in a TokenTable.
@@ -433,8 +313,8 @@ def decode(raws: Sequence[str], table: TokenTable) -> ScoreColumns:
         raise StructureError(f"token {stop + 1} ({raws[stop + 1]!r}) after end")
     if not len(marks):
         empty = np.zeros(0, np.int64)
-        return ScoreColumns(artist, tempo, numerator, song_controls, empty, empty, empty,
-                            empty, (), *[empty] * 8)
+        return ScoreColumns(artist, tempo, numerator, song_controls, empty, empty, empty, (),
+                            *[empty] * 8)
 
     tempo_at, numerator_at = positions(_TEMPO), positions(_TIME_SIGNATURE)
     bar_tempo = _running(tempo_at, table.value[codes[tempo_at]], marks, tempo)
@@ -489,63 +369,53 @@ def decode(raws: Sequence[str], table: TokenTable) -> ScoreColumns:
     controls_at = positions(_BAR_CONTROL)
     return ScoreColumns(
         artist, tempo, numerator, song_controls, bar_tempo, bar_numerator,
-        np.full(len(marks), 4, np.int64),
         marks.searchsorted(controls_at, "right") - 1,
         tuple(table.tokens[c] for c in codes[controls_at].tolist()),
-        bar, onset, g_duration[group], midi, track, string, fret, fx, TRACKS, tuple(effects))
+        bar, onset, g_duration[group], midi, track, string, fret, fx, tuple(effects))
 
 
-def tokens_to_score(stream: list[Token]) -> Score:
-    """Decode a token stream into a :class:`Score`, built from the columns
-    :func:`decode` gives; raises as :func:`decode` does."""
-    return decode([t.raw for t in stream], TokenTable()).to_score()
+def tokens_to_score(stream: list[Token]) -> ScoreColumns:
+    """Decode a token stream into :class:`ScoreColumns`; raises as
+    :func:`decode` does."""
+    return decode([t.raw for t in stream], TokenTable())
 
 
-def score_to_tokens(score: Score, include_artist: bool = True) -> list[Token]:
+def score_to_tokens(song: ScoreColumns, include_artist: bool = True) -> list[Token]:
     """Encode a score as a canonical token stream.
 
     Ordering: song controls, header (time_signature, tempo, start), then per
-    measure: change tokens if tempo/metre changed, ``new_measure``, bar
+    bar: change tokens if tempo/metre changed, ``new_measure``, bar
     controls in cloud_diameter/cloud_momentum/tensile_strain order, events
     sorted by (onset, track, pitch) with waits merging the gaps, and a
     trailing wait covering the last group's duration. The stream closes
     with ``end``.
     """
-    out: list[Token] = list(score.song_controls)
-    if include_artist and score.artist:
-        out.append(header_token("artist", score.artist))
-    out.append(header_token("time_signature", score.header_time_signature))
-    out.append(header_token("tempo", score.header_tempo))
+    out: list[Token] = list(song.song_controls)
+    if include_artist and song.artist:
+        out.append(header_token("artist", song.artist))
+    out.append(header_token("time_signature", song.header_time_signature))
+    out.append(header_token("tempo", song.header_tempo))
     out.append(START)
 
-    running_tempo = score.header_tempo
-    running_ts = score.header_time_signature
-    bodies = bar_bodies(as_columns(score), range(len(score.measures)))
-    for m, body in zip(score.measures, bodies):
-        num, den = m.time_signature
-        if den != 4:
-            raise ValueError(f"token format only encodes /4 metres, got {num}/{den}")
+    by_feature: list[dict[str, Token]] = [{} for _ in range(song.n_bars)]
+    for b, t in zip(song.control_bar.tolist(), song.controls):
+        by_feature[b][t.fields["feature"]] = t
+    running_tempo = song.header_tempo
+    running_ts = song.header_time_signature
+    bodies = bar_bodies(song, range(song.n_bars))
+    for tempo, num, controls, body in zip(song.tempo.tolist(), song.numerator.tolist(),
+                                          by_feature, bodies):
         if num != running_ts:
             out.append(header_token("time_signature", num))
             running_ts = num
-        if m.tempo_bpm != running_tempo:
-            out.append(header_token("tempo", m.tempo_bpm))
-            running_tempo = m.tempo_bpm
+        if tempo != running_tempo:
+            out.append(header_token("tempo", tempo))
+            running_tempo = tempo
         out.append(NEW_MEASURE)
-        by_feature = {t.fields["feature"]: t for t in m.bar_controls}
-        for feat in TENSION_FEATURES:
-            if feat in by_feature:
-                out.append(by_feature[feat])
-
+        out.extend(controls[feat] for feat in TENSION_FEATURES if feat in controls)
         out.extend(map(token, body))
     out.append(END)
     return out
-
-
-def bar_body(measure: Measure) -> list[str]:
-    """Raw tokens of a bar's events, as :func:`score_to_tokens` writes them
-    after the bar controls (see :func:`bar_bodies`)."""
-    return bar_bodies(as_columns(Score(measures=(measure,))), [0])[0]
 
 
 def bar_bodies(song: ScoreColumns, bars: Sequence[int]) -> list[list[str]]:
@@ -557,9 +427,8 @@ def bar_bodies(song: ScoreColumns, bars: Sequence[int]) -> list[list[str]]:
         c.take(order).tolist()
         for c in (song.onset, song.duration, song.track, song.midi, song.string, song.fret, song.fx))
     bounds = song.bounds.tolist()
-    names = [f"{name}:note:s" for name in song.tracks]
+    names = [f"{name}:note:s" for name in TRACKS]
     effects = [[f"nfx:{name}" for name in fx] for fx in song.effects]
-    drums = song.tracks.index("drums")
     out = []
     for b in bars:
         end = bounds[b + 1]
@@ -573,11 +442,10 @@ def bar_bodies(song: ScoreColumns, bars: Sequence[int]) -> list[list[str]]:
             if onset > cursor:
                 body.append(f"wait:{onset - cursor}")
             for k in range(i, j):
-                if tracks[k] == drums:
+                if tracks[k] == _DRUMS:
                     body.append(f"drums:note:{midis[k]}")
-                else:  # a string or fret of -1 is a note built without one
-                    body.append(f"{names[tracks[k]]}{strings[k] if strings[k] >= 0 else None}"
-                                f":f{frets[k] if frets[k] >= 0 else None}")
+                else:
+                    body.append(f"{names[tracks[k]]}{strings[k]}:f{frets[k]}")
                 if fxs[k]:
                     body.extend(effects[fxs[k]])
             gap = onsets[j] - onset if j < end else max(durations[i:j])
@@ -587,33 +455,32 @@ def bar_bodies(song: ScoreColumns, bars: Sequence[int]) -> list[list[str]]:
     return out
 
 
-def regularize_meter(score: Score | ScoreColumns) -> Score | ScoreColumns:
-    """Force every measure to 4/4, splitting at 4-beat boundaries and
-    padding short measures to a full bar; returns what it is given, a
-    :class:`Score` or :class:`ScoreColumns`.
+def regularize_meter(song: ScoreColumns) -> ScoreColumns:
+    """Force every bar to 4/4, splitting at 4-beat boundaries and padding
+    short bars to a full bar; a song that would become more than
+    ``MAX_BARS`` bars raises :class:`StructureError`.
 
     Note count is preserved; notes crossing a split boundary are clipped
-    at the boundary, and the notes of a split bar are sorted by (onset,
-    track, pitch, string). Idempotent on already-regular scores.
+    at the boundary, the notes of a split bar are sorted by (onset, track,
+    pitch, string), and a bar's controls go to its first 4/4 bar.
+    Idempotent on already-regular scores.
     """
-    if isinstance(score, Score):
-        return _regularized(ScoreColumns.from_score(score)).to_score()
-    return _regularized(score)
-
-
-def _regularized(song: ScoreColumns) -> ScoreColumns:
     bar, onset, duration = song.bar, song.onset, song.duration
     end = onset + duration
-    in_4_4 = (song.numerator == 4) & (song.denominator == 4)
-    if in_4_4.all() and end.max(initial=0) <= BAR_TICKS_4_4:
-        if song.header_time_signature == 4:
-            return song
-        return replace(song, header_time_signature=4)
     extent = song.capacity
     bounds = song.bounds
     filled = bounds[:-1] < bounds[1:]
     extent[filled] = np.maximum(extent[filled], np.maximum.reduceat(end, bounds[:-1][filled]))
     chunks = np.maximum(1, -(-extent // BAR_TICKS_4_4))
+    n_bars = int(chunks.sum())
+    if n_bars > MAX_BARS:
+        raise StructureError(f"the song regularizes into {n_bars} bars of 4/4, more than "
+                             f"{MAX_BARS}")
+    in_4_4 = song.numerator == 4
+    if n_bars == song.n_bars and in_4_4.all():
+        if song.header_time_signature == 4:
+            return song
+        return replace(song, header_time_signature=4)
     first_chunk = np.cumsum(chunks) - chunks
     chunk = onset // BAR_TICKS_4_4
     new_bar = first_chunk[bar] + chunk
@@ -623,13 +490,12 @@ def _regularized(song: ScoreColumns) -> ScoreColumns:
     split = ~(in_4_4 & (chunks == 1))[bar]
     order = np.lexsort([np.where(split, key, 0) for key in (
         np.maximum(song.string, 0), song.midi, song.track, new_onset)] + [new_bar])
-    n_bars = int(chunks.sum())
     return replace(
         song, header_time_signature=4, tempo=np.repeat(song.tempo, chunks),
-        numerator=np.full(n_bars, 4, np.int64), denominator=np.full(n_bars, 4, np.int64),
-        control_bar=first_chunk[song.control_bar], bar=new_bar[order], onset=new_onset[order],
-        duration=new_duration[order], midi=song.midi[order], track=song.track[order],
-        string=song.string[order], fret=song.fret[order], fx=song.fx[order])
+        numerator=np.full(n_bars, 4, np.int64), control_bar=first_chunk[song.control_bar],
+        bar=new_bar[order], onset=new_onset[order], duration=new_duration[order],
+        midi=song.midi[order], track=song.track[order], string=song.string[order],
+        fret=song.fret[order], fx=song.fx[order])
 
 
 def token_files(directory: str | Path) -> list[Path]:

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .score import Score, ScoreColumns, as_columns
+from .score import ScoreColumns
 from .tokens import TENSION_FEATURES
 
 DEFAULT_HEIGHT = math.sqrt(2.0 / 15.0)
@@ -274,21 +274,20 @@ def _bar_table(song: ScoreColumns, params: SpiralParams):
     return terms, bounds.tolist(), coes, list(map(diameters.__getitem__, masks)), _momenta(coes)
 
 
-def compute_tension_profile(score: Score | ScoreColumns,
+def compute_tension_profile(song: ScoreColumns,
                             params: SpiralParams = DEFAULT_PARAMS) -> TensionProfile:
-    """Tension of every bar of ``score`` against the key estimated over the
-    whole of ``score``; a score without pitched notes has strain 0."""
-    song = as_columns(score)
+    """Tension of every bar of ``song`` against the key estimated over the
+    whole of ``song``; a song without pitched notes has strain 0."""
     return loop_tension_profiles(song, [(0, song.n_bars)], params)[0]
 
 
-def loop_tension_profiles(score: Score | ScoreColumns, spans: Iterable[tuple[int, int]],
+def loop_tension_profiles(song: ScoreColumns, spans: Iterable[tuple[int, int]],
                           params: SpiralParams = DEFAULT_PARAMS) -> list[TensionProfile]:
-    """The tension of each ``[start, end)`` bar range of ``score`` as
+    """The tension of each ``[start, end)`` bar range of ``song`` as
     :func:`compute_tension_profile` gives it for the range on its own: with
     its own key and a first-bar momentum of 0. The bar values are computed
     once and shared among the ranges."""
-    terms, bounds, coes, cds, cms = _bar_table(as_columns(score), params)
+    terms, bounds, coes, cds, cms = _bar_table(song, params)
     profiles = []
     for s, e in spans:
         key = None

@@ -30,7 +30,7 @@ from looptab.generate import (
     train_generator,
 )
 from looptab.loops import extract_loops
-from looptab.score import Measure, NoteEvent, Score, score_to_tokens, tokens_to_score
+from looptab.score import score_to_tokens, tokens_to_score
 from looptab.stats import friedman, pairwise_bonferroni, wilcoxon_signed_rank
 from looptab.tension import (
     TensionProfile,
@@ -42,7 +42,7 @@ from looptab.tension import (
 )
 from looptab.tokens import parse_tokens, render_tokens
 
-from util import bar_block, random_score, score_from_blocks
+from util import bar_block, block_bars, columns, random_score
 from test_loops import oracle_loops
 
 
@@ -52,13 +52,9 @@ def verdict(name: str, ok: bool) -> None:
 
 
 def triad_score(bars=1):
-    measures = tuple(
-        Measure(index=i, events=(
-            NoteEvent("clean0", 0, 960, 60, 2, 1),
-            NoteEvent("clean0", 0, 960, 64, 1, 0),
-            NoteEvent("clean0", 0, 960, 67, 1, 3),
-        )) for i in range(bars))
-    return Score(measures=measures)
+    triad = [("clean0", 0, 960, 60, 2, 1), ("clean0", 0, 960, 64, 1, 0),
+             ("clean0", 0, 960, 67, 1, 3)]
+    return columns([(4, 120, triad, ())] * bars)
 
 
 def test_criterion_1_spiral_geometry_and_isometry():
@@ -96,8 +92,8 @@ def test_criterion_2_loop_extraction_matches_oracle():
         if rng.random() < 0.5:
             i = rng.randint(0, max(0, n - 8))
             seq = seq[:i + 4] + seq[i:i + 4] + seq[i + 8:]
-        score = score_from_blocks(blocks, seq)
-        if extract_loops(score) != oracle_loops(score):
+        bars = block_bars(blocks, seq)
+        if extract_loops(columns(bars)) != oracle_loops(bars):
             mismatches += 1
     elapsed = time.perf_counter() - start
     verdict(f"criterion 2: 200 planted-repeat scores agree with the cubic oracle "
@@ -136,7 +132,7 @@ def test_criterion_4_round_trip_and_control_identities():
     for i in range(1000):
         score = random_score(rng, max_measures=6)
         stream = strip_controls(score_to_tokens(score, include_artist=False))
-        vals = tuple(float(v) for v in range(len(score.measures)))
+        vals = tuple(float(v) for v in range(score.n_bars))
         quarters = (0.0, 1.0, 2.0, 3.0)
         profile = discretize_profile(
             TensionProfile(vals, vals, vals),

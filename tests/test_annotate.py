@@ -27,7 +27,7 @@ from looptab.annotate import (
     strip_controls,
 )
 from looptab.loops import extract_loops, splice_loop
-from looptab.score import Measure, Score, regularize_meter, score_to_tokens, tokens_to_score
+from looptab.score import regularize_meter, score_to_tokens, tokens_to_score
 from looptab.tension import DEFAULT_PARAMS as DEFAULT_SPIRAL
 from looptab.tension import (
     TensionProfile,
@@ -38,7 +38,7 @@ from looptab.tension import (
 from looptab.tokens import TokenCategory, parse_tokens, render_tokens, token
 
 from test_tension import reference_profile
-from util import bar_block, random_measure, score_from_blocks
+from util import bar_block, bars_of, block_bars, columns, random_measure
 
 
 def rec(valence=0.5, energy=0.5, mode="major", artist="a", title="t"):
@@ -309,10 +309,7 @@ def test_fetch_annotations_retries_only_transient_errors(monkeypatch, error, cal
 # corpus building -------------------------------------------------------------
 
 def write_song(tmp_path, name, sequence, blocks, tempo=120):
-    from dataclasses import replace
-    score = score_from_blocks(blocks, sequence)
-    score = replace(score, header_tempo=tempo,
-                    measures=tuple(replace(m, tempo_bpm=tempo) for m in score.measures))
+    score = columns(block_bars(blocks, sequence, tempo), header_tempo=tempo)
     (tmp_path / f"{name}.tokens").write_text(
         render_tokens(score_to_tokens(score, include_artist=False)) + "\n")
 
@@ -352,10 +349,10 @@ def test_build_corpus_end_to_end(tmp_path, monkeypatch):
     for line in lines:
         assert line.startswith("valence:high arousal:high mode:major "
                                "time_signature:4 tempo:160 start new_measure")
-        score = tokens_to_score(parse_tokens(line))
-        assert len(score.measures) == 4
-        for m in score.measures:
-            features = {t.fields["feature"] for t in m.bar_controls}
+        bars = bars_of(tokens_to_score(parse_tokens(line)))
+        assert len(bars) == 4
+        for _, _, _, controls in bars:
+            features = {t.fields["feature"] for t in controls}
             assert features == {"cloud_diameter", "cloud_momentum", "tensile_strain"}
     assert feature_thresholds_from_json((out / "features.json").read_text()) == \
         compute_thresholds(annotations)
@@ -387,6 +384,19 @@ def test_build_corpus_skips_malformed_file(tmp_path, caplog):
     assert result.failed_files == 1
 
 
+def test_build_corpus_skips_a_song_too_long_to_regularize(tmp_path, caplog):
+    rng = random.Random(23)
+    write_song(tmp_path, "looped", "ABABABAB", {c: bar_block(rng, 3) for c in "AB"})
+    (tmp_path / "long.tokens").write_text("start new_measure clean0:note:s1:f0 "
+                                          "wait:4294967296 end\n")
+    with caplog.at_level("ERROR"):
+        lines, result = build_corpus(tmp_path, [rec(artist="", title="looped"),
+                                                rec(artist="", title="long")])
+    assert lines and result.songs_used == 1 and result.failed_files == 1
+    assert any("long.tokens" in r.getMessage() and "1118482" in r.getMessage()
+               for r in caplog.records)
+
+
 def reference_corpus(score_dir, annotations):
     """The corpus lines and tension thresholds of the token path: splice
     every loop, take its tension from its own bar clouds, and render
@@ -401,7 +411,7 @@ def reference_corpus(score_dir, annotations):
             spliced += [(rec_, splice_loop(regular, span)) for span in extract_loops(regular)]
     if not spliced:
         return [], None
-    profiles = [reference_profile(loop, DEFAULT_SPIRAL) for _, loop in spliced]
+    profiles = [reference_profile(bars_of(loop), DEFAULT_SPIRAL) for _, loop in spliced]
     thresholds = fit_tension_thresholds(profiles)
     features = compute_thresholds(annotations)
     return [render_tokens(inject_controls(
@@ -419,23 +429,21 @@ def looped_scores(draw):
     """A song of random bars (any metre, drums, empty bars) with a repeated
     4- or 5-bar pattern, tempo changes, song controls and bar controls."""
     rng = random.Random(draw(st.integers(0, 2 ** 16)))
-    blocks = [Measure(0, events=tuple(bar_block(rng, draw(st.integers(1, 4)))))]
-    blocks += [random_measure(rng, 0, draw(st.sampled_from((3, 4, 4, 4, 5))))
+    blocks = [(4, 120, bar_block(rng, draw(st.integers(1, 4))), ())]
+    blocks += [random_measure(rng, draw(st.sampled_from((3, 4, 4, 4, 5))))
                for _ in range(draw(st.integers(0, 3)))]  # any metre, drums, empty bars
     labels = st.integers(0, len(blocks) - 1)
     loop = [0] + draw(st.lists(labels, min_size=3, max_size=4))  # starts on an onset
     sequence = (draw(st.lists(labels, max_size=2)) + loop * draw(st.integers(2, 3))
                 + draw(st.lists(labels, max_size=2)))
     tempo = st.sampled_from((90, 120, 160))
-    measures = tuple(
-        Measure(i, blocks[b].time_signature, draw(tempo), blocks[b].events,
-                tuple(token(t) for t in draw(st.lists(st.sampled_from(BAR_CONTROLS),
-                                                       max_size=2, unique=True))))
-        for i, b in enumerate(sequence))
+    bars = [(blocks[b][0], draw(tempo), blocks[b][2],
+             tuple(token(t) for t in draw(st.lists(st.sampled_from(BAR_CONTROLS),
+                                                    max_size=2, unique=True))))
+            for b in sequence]
     controls = draw(st.lists(st.sampled_from(("valence:high", "arousal:low", "mode:minor")),
                              unique=True))
-    return Score(None, draw(tempo), measures[0].time_signature[0],
-                 tuple(token(t) for t in controls), measures)
+    return columns(bars, None, draw(tempo), bars[0][0], tuple(token(t) for t in controls))
 
 
 @settings(deadline=None, max_examples=150)

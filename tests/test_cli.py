@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +13,7 @@ from looptab import cli
 from looptab.cli import atomic_write, label_free, main
 from looptab.evaluate import train_classifier
 from looptab.loops import LoopSpan, extract_loops, splice_loop
-from looptab.score import NoteEvent, Score, score_to_tokens, tokens_to_score
+from looptab.score import score_to_tokens, tokens_to_score
 from looptab.tension import (
     TensionProfile,
     compute_tension_profile,
@@ -23,13 +22,11 @@ from looptab.tension import (
 )
 from looptab.tokens import parse_tokens, render_tokens
 
-from util import bar_block, random_measure, score_from_blocks
+from util import bar_block, block_bars, columns, random_measure
 
 
 def write_song(directory, name, sequence, blocks, tempo):
-    score = score_from_blocks(blocks, sequence)
-    score = replace(score, header_tempo=tempo,
-                    measures=tuple(replace(m, tempo_bpm=tempo) for m in score.measures))
+    score = columns(block_bars(blocks, sequence, tempo), header_tempo=tempo)
     (directory / f"{name}.tokens").write_text(
         render_tokens(score_to_tokens(score, include_artist=False)) + "\n")
 
@@ -227,6 +224,40 @@ def test_eval_loops_command(workspace, tmp_path):
     assert doc["generations"] == 4
     assert doc["loops_found"] >= 4
     assert doc["average_per_generation"] == doc["loops_found"] / 4
+
+
+@pytest.mark.parametrize("command", ["loops", "eval-loops"])
+def test_a_song_too_long_to_regularize_exits_1_naming_it(tmp_path, capsys, command):
+    # one wait of 2**32 ticks would become 1,118,482 bars of 4/4
+    scores = tmp_path / "scores"
+    scores.mkdir()
+    song = scores / "long.tokens"
+    song.write_text("start new_measure clean0:note:s1:f0 wait:4294967296 end\n")
+    argv = (["loops", "--scores", str(scores), "--out", str(tmp_path / "loops.jsonl")]
+            if command == "loops" else ["eval-loops", "--generations", str(scores)])
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {song}: ") and "1118482" in err and err.count("\n") == 1
+    assert not (tmp_path / "loops.jsonl").exists()
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("tempo:x1", "tempo must be a non-negative integer, got 'x1'"),
+    ("garbage!!", "no grammar rule matches 'garbage!!'"),
+])
+def test_a_malformed_generated_token_exits_1_naming_the_file_and_token(
+        workspace, classifiers, tmp_path, capsys, bad, message):
+    happy = tmp_path / "happy"
+    happy.mkdir()
+    (happy / "gen_0000.tokens").write_text("tempo:120 start new_measure "
+                                           "clean0:note:s1:f0 wait:960 end\n")
+    path = happy / "gen_0001.tokens"
+    path.write_text(f"tempo:120 start new_measure {bad} wait:960 end\n")
+    capsys.readouterr()
+    assert run("eval-emotion", "--happy", str(happy), "--sad", str(workspace / "scores"),
+               "--valence-model", str(classifiers / "valence.json"),
+               "--arousal-model", str(classifiers / "arousal.json")) == 1
+    assert capsys.readouterr().err == f"error: {path}: token 3 ({bad!r}): {message}\n"
 
 
 def test_eval_stats_wilcoxon(tmp_path, capsys):
@@ -464,7 +495,7 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
 
 def arpeggio_bar(*pitches):
     """Four quarter notes on clean0, strings 3 and 5."""
-    return [NoteEvent("clean0", i * 960, 960, p, 3 if p >= 55 else 5, p - (55 if p >= 55 else 45))
+    return [("clean0", i * 960, 960, p, 3 if p >= 55 else 5, p - (55 if p >= 55 else 45))
             for i, p in enumerate(pitches)]
 
 
@@ -585,26 +616,23 @@ def golden_songs(directory):
     rng = random.Random(2024)
 
     def bars(n):
-        return [random_measure(rng, 0, rng.choice((3, 4, 4, 4, 4, 5)),
-                               rng.choice((90, 120, 160))) for _ in range(n)]
+        return [random_measure(rng, rng.choice((3, 4, 4, 4, 4, 5)), rng.choice((90, 120, 160)))
+                for _ in range(n)]
 
     rows = ["artist,title,valence,energy,mode"]
     for i in range(10):
         if i % 2:
             measures = bars(rng.randint(0, 2)) + bars(4) * rng.randint(2, 3) + bars(1)
-            score = Score(artist=rng.choice((None, "band")),
-                          header_tempo=measures[0].tempo_bpm,
-                          header_time_signature=measures[0].time_signature[0],
-                          measures=tuple(replace(m, index=j) for j, m in enumerate(measures)))
+            score = columns(measures, artist=rng.choice((None, "band")),
+                            header_tempo=measures[0][1], header_time_signature=measures[0][0])
         else:
             blocks = {c: bar_block(rng, rng.randint(2, 8)) for c in "ABCD"}
             loop = "".join(rng.choice("ABCD") for _ in range(rng.randint(1, 4)))
             sequence = "".join(rng.choice("ABCD") for _ in range(rng.randint(0, 3)))
             sequence += loop * rng.randint(2, 4) + rng.choice(("", "D", "CA"))
-            score = score_from_blocks(blocks, sequence)
-            tempi = [rng.choice((70, 96, 120, 150, 200)) for _ in score.measures]
-            score = replace(score, header_tempo=tempi[0], measures=tuple(
-                replace(m, tempo_bpm=t) for m, t in zip(score.measures, tempi)))
+            tempi = [rng.choice((70, 96, 120, 150, 200)) for _ in sequence]
+            score = columns([(4, t, blocks[c], ()) for c, t in zip(sequence, tempi)],
+                            header_tempo=tempi[0])
         (directory / f"song{i}.tokens").write_text(render_tokens(score_to_tokens(score)) + "\n")
         if i < 9:
             rows.append(f"{score.artist or ''},song{i},{rng.random():.3f},{rng.random():.3f},"

@@ -1,10 +1,10 @@
-"""The column decoder against the object-building decoder it replaced.
+"""The column decoder against a token-by-token reference decoder.
 
-``reference_tokens_to_score`` is the token-by-token loop that built every
-``NoteEvent`` and ``Measure`` as it went. The decoder must give an equal
-``Score`` for every valid stream, the same exception type and message for
-every malformed one, and the per-bar computations must give the same values
-on a ``Score`` as on its columns.
+``reference_tokens_to_score`` is the loop that built every note and bar as
+it went, here as plain tuples (see ``util``). The decoder must give equal
+bars for every valid stream and the same exception type and message for
+every malformed one, and the per-bar computations on the decoded columns
+must give what the reference oracles give on the plain bars.
 """
 
 import random
@@ -19,28 +19,32 @@ from looptab.loops import LoopParams, extract_loops, fingerprint_sequence
 from looptab.score import (
     DEFAULT_TEMPO,
     MAX_TICKS,
-    Measure,
-    NoteEvent,
-    Score,
-    ScoreColumns,
     StructureError,
     TokenTable,
-    as_columns,
     bar_bodies,
-    bar_body,
     decode,
     regularize_meter,
     score_to_tokens,
     tokens_to_score,
 )
-from looptab.tension import compute_tension_profile, loop_tension_profiles
+from looptab.tension import DEFAULT_PARAMS, compute_tension_profile, loop_tension_profiles
 from looptab.tokens import TICKS_PER_QUARTER, ParseError, Token, TokenCategory, parse_tokens
 
-from util import bar_block, canonical, random_score, score_from_blocks
+from test_loops import oracle_loops, reference_fingerprints
+from test_score import quadratic_tokens
+from test_tension import reference_profile
+from util import bar_block, bars_of, block_bars, canonical, columns, random_score
 
 
-def reference_tokens_to_score(stream: list[Token]) -> Score:
-    """Decode token by token, building each note and bar as it closes."""
+def plain(song):
+    """A decoded song as the reference decoder gives it."""
+    return song.artist, song.header_tempo, song.header_time_signature, song.song_controls, \
+        bars_of(song)
+
+
+def reference_tokens_to_score(stream: list[Token]) -> tuple:
+    """Decode token by token, building each note and bar as it closes:
+    ``(artist, header tempo, header metre, song controls, bars)``."""
     if not stream:
         raise StructureError("no tokens")
     artist = None
@@ -61,14 +65,13 @@ def reference_tokens_to_score(stream: list[Token]) -> Score:
             duration = TICKS_PER_QUARTER
         pending.sort(key=lambda n: (n[0], n[3], n[1] or 0))
         for track, string, fret, midi, fx in pending:
-            events.append(NoteEvent(track, pending_onset, duration, midi, string, fret, tuple(fx)))
+            events.append((track, pending_onset, duration, midi, string, fret, tuple(fx)))
         pending = []
 
     def close_measure():
         nonlocal events, bar_controls, cursor
         close_pending(cursor if cursor > pending_onset else None)
-        measures.append(Measure(len(measures), (measure_ts, 4), measure_tempo, tuple(events),
-                                tuple(bar_controls)))
+        measures.append((measure_ts, measure_tempo, events, tuple(bar_controls)))
         events, bar_controls, cursor = [], [], 0
 
     for i, tok in enumerate(stream):
@@ -135,7 +138,7 @@ def reference_tokens_to_score(stream: list[Token]) -> Score:
             song_controls.append(tok)
     if in_measure:
         close_measure()
-    return Score(artist, header_tempo, header_ts, tuple(song_controls), tuple(measures))
+    return artist, header_tempo, header_ts, tuple(song_controls), measures
 
 
 def outcome(decoder, stream):
@@ -149,7 +152,7 @@ TABLE = TokenTable()  # shared by every example, as a command shares one among i
 
 
 def check_same(text: str) -> None:
-    """The reference and the decoder agree on ``text``: same Score, or same error."""
+    """The reference and the decoder agree on ``text``: same bars, or same error."""
     try:
         stream = parse_tokens(text)
     except ParseError as exc:
@@ -159,8 +162,8 @@ def check_same(text: str) -> None:
             (str(exc), exc.index, exc.token)
         return
     expected = outcome(reference_tokens_to_score, stream)
-    assert outcome(tokens_to_score, stream) == expected
-    assert outcome(lambda s: decode([t.raw for t in s], TABLE).to_score(), stream) == expected
+    assert outcome(lambda s: plain(tokens_to_score(s)), stream) == expected
+    assert outcome(lambda s: plain(decode([t.raw for t in s], TABLE)), stream) == expected
 
 
 NOTES = ("clean0:note:s1:f0", "clean0:note:s2:f3", "clean0:note:s02:f3", "distorted0:note:s6:f5",
@@ -200,15 +203,15 @@ def valid_text(draw) -> str:
 @given(valid_text())
 def test_valid_streams_decode_to_the_reference_score(text):
     check_same(text)
-    reference = reference_tokens_to_score(parse_tokens(text))
-    # decoder order lets loops and bodies skip their sorts, also on bars
-    # whose notes run past their capacity
+    bars = reference_tokens_to_score(parse_tokens(text))[-1]
+    # the per-bar computations match their oracles, also on bars whose
+    # notes run past their capacity
     song = decode(text.split(), TABLE)
     params = LoopParams(min_rep_notes=1, min_rep_beats=1, min_loop_bars=1, max_loop_bars=2)
-    assert fingerprint_sequence(song) == fingerprint_sequence(reference)
-    assert extract_loops(song, params) == extract_loops(reference, params)
-    assert compute_tension_profile(song) == compute_tension_profile(reference)
-    assert bar_bodies(song, range(song.n_bars)) == [bar_body(m) for m in reference.measures]
+    assert fingerprint_sequence(song) == reference_fingerprints(bars)
+    assert extract_loops(song, params) == oracle_loops(bars, params)
+    assert compute_tension_profile(song) == reference_profile(bars, DEFAULT_PARAMS)
+    assert [t.raw for t in score_to_tokens(song)] == quadratic_tokens(song)
 
 
 POOL = ("new_measure", "start", "end", "artist:a", "tempo:100", "time_signature:3",
@@ -280,53 +283,38 @@ def test_the_table_classifies_each_string_once_and_skips_malformed_ones():
     assert "frob" not in table.codes and len(table) == 5
 
 
-# the per-bar computations on a Score and on its columns -------------------------
+# the per-bar computations on built columns and on their decoded tokens ------
 
 def hand_built_scores():
     rng = random.Random(5)
     scores = [random_score(rng, numerators=(3, 4, 5), vary_tempo=True) for _ in range(60)]
     blocks = {c: bar_block(rng, 4) for c in "ABCD"}
-    scores += [score_from_blocks(blocks, seq) for seq in ("ABCDABCDA", "AABBAABBCDCD", "DCBA")]
+    scores += [columns(block_bars(blocks, seq)) for seq in ("ABCDABCDA", "AABBAABBCDCD", "DCBA")]
     return scores
 
 
 @pytest.mark.parametrize("score", hand_built_scores())
 def test_per_bar_functions_agree_on_a_score_and_its_columns(score):
-    columns = as_columns(score)
-    assert columns.to_score() == score
-    assert compute_tension_profile(score) == compute_tension_profile(columns)
-    assert extract_loops(score) == extract_loops(columns)
-    assert regularize_meter(score) == regularize_meter(columns).to_score()
-    assert [bar_body(m) for m in score.measures] == bar_bodies(columns, range(len(score.measures)))
-    # a decoded song gives what the score it decodes to gives
+    """A song decoded from the tokens of built columns gives what the
+    built columns give once their durations follow the gap rule."""
     regular = regularize_meter(canonical(score))
     decoded = regularize_meter(decode([t.raw for t in score_to_tokens(score)], TokenTable()))
-    assert decoded.to_score() == regular
+    assert plain(decoded) == plain(regular)
     spans = [(s.start_bar, s.end_bar) for s in extract_loops(regular)]
     assert extract_loops(decoded) == extract_loops(regular)
     assert fingerprint_sequence(decoded) == fingerprint_sequence(regular)
     assert loop_tension_profiles(decoded, spans) == loop_tension_profiles(regular, spans)
-    assert bar_bodies(decoded, range(decoded.n_bars)) == [bar_body(m) for m in regular.measures]
+    assert bar_bodies(decoded, range(decoded.n_bars)) == bar_bodies(regular,
+                                                                     range(regular.n_bars))
 
 
 def test_a_long_bar_among_short_ones_sums_like_the_rest():
     # one bar of 3,000 notes among 400 short bars sums as it does alone
-    events = tuple(NoteEvent("clean0", i, 1, 60 + i % 5, 1, 0) for i in range(3000))
-    measures = [Measure(0, (800, 4), events=events)]
-    measures += [Measure(i, events=(NoteEvent("bass", 0, 960, 40 + i % 7, 1, 0),))
-                 for i in range(1, 401)]
-    score = Score(measures=tuple(measures))
-    reference = compute_tension_profile(Score(measures=score.measures[:1]))
+    long_bar = (800, 120, [("clean0", i, 1, 60 + i % 5, 1, 0) for i in range(3000)], ())
+    short_bars = [(4, 120, [("bass", 0, 960, 40 + i % 7, 1, 0)], ()) for i in range(1, 401)]
+    score = columns([long_bar] + short_bars)
+    reference = compute_tension_profile(columns([long_bar]))
     assert compute_tension_profile(score).cloud_diameter[0] == reference.cloud_diameter[0]
     got = loop_tension_profiles(score, [(0, 1), (1, 401)])
     assert got[0] == reference
-    assert got[1] == compute_tension_profile(Score(measures=score.measures[1:]))
-
-
-def test_columns_carry_notes_without_strings_and_foreign_tracks():
-    score = Score(measures=(Measure(0, events=(NoteEvent("piano", 0, 960, 60),
-                                               NoteEvent("clean0", 0, 960, 64))),))
-    columns = ScoreColumns.from_score(score)
-    assert columns.to_score() == score
-    assert bar_body(score.measures[0]) == ["clean0:note:sNone:fNone", "piano:note:sNone:fNone",
-                                           "wait:960"]
+    assert got[1] == compute_tension_profile(columns(short_bars))

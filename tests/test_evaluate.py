@@ -26,9 +26,8 @@ from looptab.evaluate import (
     train_classifier,
 )
 from looptab.loops import LoopParams
-from looptab.score import Score
 
-from util import bar_block, score_from_blocks
+from util import bar_block, block_bars, columns
 
 
 class FixedModel:
@@ -259,8 +258,8 @@ def test_emotion_metrics_rejects_empty_group():
 def test_loop_metric_counts():
     rng = random.Random(9)
     blocks = {c: bar_block(rng, 4) for c in "AB"}
-    looped = score_from_blocks(blocks, "ABABABAB")
-    bare = score_from_blocks(blocks, "AB")
+    looped = columns(block_bars(blocks, "ABABABAB"))
+    bare = columns(block_bars(blocks, "AB"))
     total, avg = loop_metric([looped, bare])
     assert total >= 1
     assert avg == total / 2

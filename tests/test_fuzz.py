@@ -22,7 +22,7 @@ from looptab.score import score_to_tokens
 from looptab.tokens import render_tokens
 
 from test_generate import CORPUS
-from util import bar_block, score_from_blocks
+from util import bar_block, block_bars, columns
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +37,7 @@ def files(tmp_path_factory):
         (root / emotion / "gen_0000.tokens").write_text(CORPUS[0] + "\n")
     rng = random.Random(3)
     blocks = {c: bar_block(rng, 3) for c in "ABCD"}
-    song = score_from_blocks(blocks, "DABCDABCDA")  # a 4-bar loop, so corpus writes lines
+    song = columns(block_bars(blocks, "DABCDABCDA"))  # a 4-bar loop, so corpus writes lines
     (root / "songs").mkdir()
     (root / "songs" / "song.tokens").write_text(render_tokens(score_to_tokens(song)) + "\n")
     (root / "annotations.csv").write_text("artist,title,valence,energy,mode\n"

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +15,9 @@ from looptab.loops import (
     fingerprint_sequence,
     splice_loop,
 )
-from looptab.score import Measure, NoteEvent, Score
-from looptab.tokens import TICKS_PER_QUARTER
+from looptab.tokens import TICKS_PER_QUARTER, token
 
-from util import BAR, bar_block, score_from_blocks
+from util import BAR, bar_block, bars_of, block_bars, columns
 
 QUARTER = TICKS_PER_QUARTER
 
@@ -40,12 +38,11 @@ def test_fingerprint_equality_includes_gap():
 
 
 def test_fingerprint_sequence_merges_tracks_and_sorts():
-    m = Measure(index=0, events=(
-        NoteEvent("distorted0", 0, 960, 52, 5, 7),
-        NoteEvent("bass", 0, 960, 40, 3, 7),
-        NoteEvent("clean0", 960, 2880, 64, 1, 0),
-    ))
-    seq = fingerprint_sequence(Score(measures=(m,)))
+    seq = fingerprint_sequence(columns([(4, 120, [
+        ("distorted0", 0, 960, 52, 5, 7),
+        ("bass", 0, 960, 40, 3, 7),
+        ("clean0", 960, 2880, 64, 1, 0),
+    ], ())]))
     assert len(seq) == 2
     assert seq[0].notes == (("bass", 40, 960), ("distorted0", 52, 960))
     assert seq[0].gap == 960
@@ -53,14 +50,22 @@ def test_fingerprint_sequence_merges_tracks_and_sorts():
     assert [f.onset for f in seq] == [0, 960]
 
 
-def reference_fingerprints(score: Score) -> list[EventFingerprint]:
-    """One fingerprint per distinct absolute onset, built note by note."""
-    offsets = bar_offsets(score)
+def reference_offsets(bars) -> list[int]:
+    """The start tick of each plain bar, plus the end tick of the song."""
+    offsets = [0]
+    for numerator, *_ in bars:
+        offsets.append(offsets[-1] + numerator * QUARTER)
+    return offsets
+
+
+def reference_fingerprints(bars) -> list[EventFingerprint]:
+    """One fingerprint per distinct absolute onset of the plain bars,
+    built note by note."""
+    offsets = reference_offsets(bars)
     onsets: dict[int, list[tuple[str, int, int]]] = {}
-    for m in score.measures:
-        for ev in m.events:
-            onsets.setdefault(offsets[m.index] + ev.onset, []).append(
-                (ev.track, ev.midi_pitch, ev.duration))
+    for offset, (_, _, notes, _) in zip(offsets, bars):
+        for track, onset, duration, midi, *_ in notes:
+            onsets.setdefault(offset + onset, []).append((track, midi, duration))
     ordered = sorted(onsets)
     ends = ordered[1:] + [offsets[-1]]
     return [EventFingerprint(tuple(sorted(onsets[at])), max(nxt - at, 0), at)
@@ -73,23 +78,20 @@ def interned_ids(keys) -> list[int]:
 
 
 @st.composite
-def scores(draw):
+def plain_bars(draw):
     """Bars of any metre whose notes may start past the bar's end, share
     onsets across tracks, or repeat a pitch."""
     note = st.tuples(st.sampled_from(("clean0", "bass", "drums")), st.integers(0, 5760),
                      st.sampled_from((240, 480, 960)), st.integers(40, 44))
-    measures = []
-    for i in range(draw(st.integers(0, 8))):
-        events = tuple(NoteEvent(track, onset, duration, midi)
-                       for track, onset, duration, midi in draw(st.lists(note, max_size=8)))
-        measures.append(Measure(i, (draw(st.integers(1, 7)), 4), events=events))
-    return Score(measures=tuple(measures))
+    return [(draw(st.integers(1, 7)), 120, draw(st.lists(note, max_size=8)), ())
+            for _ in range(draw(st.integers(0, 8)))]
 
 
 @settings(deadline=None, max_examples=300)
-@given(score=scores())
-def test_onset_groups_intern_like_fingerprints(score):
-    reference = reference_fingerprints(score)
+@given(bars=plain_bars())
+def test_onset_groups_intern_like_fingerprints(bars):
+    reference = reference_fingerprints(bars)
+    score = columns(bars)
     onsets, notes, gaps = _onset_groups(score)
     assert onsets.tolist() == [f.onset for f in reference]
     assert interned_ids(zip(notes, gaps.tolist())) == interned_ids(reference)
@@ -98,8 +100,9 @@ def test_onset_groups_intern_like_fingerprints(score):
 
 
 def test_bar_offsets():
-    score = Score(measures=(Measure(0), Measure(1), Measure(2)))
-    assert bar_offsets(score) == [0, BAR, 2 * BAR, 3 * BAR]
+    bars = [(4, 120, [], ()), (3, 120, [], ()), (4, 120, [], ())]
+    assert bar_offsets(columns(bars)).tolist() == [0, BAR, BAR + 3 * QUARTER,
+                                                   2 * BAR + 3 * QUARTER]
 
 
 # loop extraction -------------------------------------------------------------
@@ -111,15 +114,14 @@ def blocks(rng, labels="ABC", n_events=4):
 def test_extract_simple_four_bar_loop():
     rng = random.Random(1)
     b = blocks(rng)
-    score = score_from_blocks(b, "ABCAABCA")
-    spans = extract_loops(score)
+    spans = extract_loops(columns(block_bars(b, "ABCAABCA")))
     assert LoopSpan(0, 4, sum(len(b[c]) for c in "ABCA")) in spans
 
 
 def test_no_loop_when_pattern_shorter_than_four_bars():
     rng = random.Random(2)
     b = blocks(rng, "ABC")
-    score = score_from_blocks(b, "ABABC")
+    score = columns(block_bars(b, "ABABC"))
     assert extract_loops(score) == []
     assert extract_loops(score, LoopParams(min_loop_bars=2, max_loop_bars=2)) != []
 
@@ -127,29 +129,27 @@ def test_no_loop_when_pattern_shorter_than_four_bars():
 def test_offgrid_repeat_is_discarded():
     # a periodic pattern whose onsets never touch a bar boundary: the
     # repeats are real but none is bar-aligned, so nothing is extracted
-    measures = []
-    for i in range(10):
-        events = tuple(NoteEvent("clean0", t, 480, 64, 1, 0)
-                       for t in (range(1920, BAR, 480) if i % 2 == 0 else ()))
-        measures.append(Measure(index=i, events=events))
-    score = Score(measures=tuple(measures))
+    score = columns([(4, 120, [("clean0", t, 480, 64, 1, 0)
+                               for t in (range(1920, BAR, 480) if i % 2 == 0 else ())], ())
+                     for i in range(10)])
     seq = fingerprint_sequence(score)
     assert seq[:4] == seq[4:8] and seq[4].onset - seq[0].onset == 2 * BAR
-    assert not {f.onset for f in seq} & set(bar_offsets(score))
+    assert not {f.onset for f in seq} & set(bar_offsets(score).tolist())
     assert extract_loops(score) == []
 
 
-def oracle_loops(score: Score, params: LoopParams = DEFAULT_PARAMS) -> list[LoopSpan]:
-    """O(n^3) reference: try every bar-aligned occurrence pair directly."""
-    seq = fingerprint_sequence(score)
-    offsets = bar_offsets(score)
+def oracle_loops(bars, params: LoopParams = DEFAULT_PARAMS) -> list[LoopSpan]:
+    """O(n^3) reference on plain bars: try every bar-aligned occurrence
+    pair directly."""
+    seq = reference_fingerprints(bars)
+    offsets = reference_offsets(bars)
     at_index = {f.onset: i for i, f in enumerate(seq)}
     min_ticks = params.min_rep_beats * QUARTER
     found = {}
-    for s1 in range(len(score.measures)):
-        for bars in range(params.min_loop_bars, params.max_loop_bars + 1):
-            s2 = s1 + bars
-            if s2 >= len(score.measures):
+    for s1 in range(len(bars)):
+        for k in range(params.min_loop_bars, params.max_loop_bars + 1):
+            s2 = s1 + k
+            if s2 >= len(bars):
                 continue
             a = at_index.get(offsets[s1])
             b = at_index.get(offsets[s2])
@@ -184,9 +184,9 @@ def test_extract_matches_oracle_on_planted_repeats():
             # plant an exact 4-bar repeat
             i = rng.randint(0, max(0, n - 8))
             seq = seq[:i + 4] + seq[i:i + 4] + seq[i + 8:]
-        score = score_from_blocks(b, seq)
+        bars = block_bars(b, seq)
         params = DEFAULT_PARAMS if trial % 4 == 0 else random_params(rng)
-        assert extract_loops(score, params) == oracle_loops(score, params), \
+        assert extract_loops(columns(bars), params) == oracle_loops(bars, params), \
             f"trial {trial}: {seq} {params}"
 
 
@@ -199,22 +199,20 @@ def mixed_metre_repeats(draw):
         numerator = draw(st.sampled_from((2, 3, 4, 5)))
         onsets = sorted(draw(st.sets(st.sampled_from(range(0, numerator * QUARTER, 480)),
                                      min_size=1, max_size=3)) | {0})
-        events = tuple(NoteEvent("clean0", onset, 480, draw(st.integers(60, 62)), 1, 0)
-                       for onset in onsets)
-        templates.append((numerator, events))
+        events = [("clean0", onset, 480, draw(st.integers(60, 62)), 1, 0) for onset in onsets]
+        templates.append((numerator, 120, events, ()))
     picks = draw(st.lists(st.integers(0, len(templates) - 1), min_size=2, max_size=10))
-    return Score(measures=tuple(Measure(i, (templates[t][0], 4), events=templates[t][1])
-                                for i, t in enumerate(picks)))
+    return [templates[t] for t in picks]
 
 
 @settings(deadline=None, max_examples=300)
-@given(score=mixed_metre_repeats(), data=st.data())
-def test_extract_matches_oracle_across_metres(score, data):
+@given(bars=mixed_metre_repeats(), data=st.data())
+def test_extract_matches_oracle_across_metres(bars, data):
     min_bars = data.draw(st.integers(1, 3))
     params = LoopParams(min_rep_notes=data.draw(st.integers(1, 3)),
                         min_rep_beats=data.draw(st.integers(1, 3)), min_loop_bars=min_bars,
                         max_loop_bars=data.draw(st.integers(min_bars, 4)))
-    assert extract_loops(score, params) == oracle_loops(score, params)
+    assert extract_loops(columns(bars), params) == oracle_loops(bars, params)
 
 
 def test_extract_matches_oracle_on_long_song():
@@ -227,27 +225,28 @@ def test_extract_matches_oracle_on_long_song():
     for _ in range(64):
         head = "".join(rng.choice(labels) for _ in range(4))
         seq += head + head + "".join(rng.choice(labels) for _ in range(8))
-    score = score_from_blocks(b, seq[:1000])
+    bars = block_bars(b, seq[:1000])
+    score = columns(bars)
     assert len(fingerprint_sequence(score)) > 4096
     spans = extract_loops(score)
-    assert spans == oracle_loops(score)
+    assert spans == oracle_loops(bars)
     assert set(range(0, 1000, 16)) <= {span.start_bar for span in spans}
 
 
 def test_extract_transposition_invariant():
     rng = random.Random(5)
     b = blocks(rng)
-    score = score_from_blocks(b, "ABCAABCA")
-    up = replace(score, measures=tuple(
-        replace(m, events=tuple(e._replace(midi_pitch=e.midi_pitch + 2) for e in m.events))
-        for m in score.measures))
-    assert extract_loops(up) == extract_loops(score)
+    bars = block_bars(b, "ABCAABCA")
+    up = [(num, tempo, [(track, onset, duration, midi + 2, *rest)
+                        for track, onset, duration, midi, *rest in notes], controls)
+          for num, tempo, notes, controls in bars]
+    assert extract_loops(columns(up)) == extract_loops(columns(bars))
 
 
 def test_overlap_filter():
     rng = random.Random(6)
     b = blocks(rng, "A")
-    score = score_from_blocks(b, "A" * 10)
+    score = columns(block_bars(b, "A" * 10))
     with_overlap = extract_loops(score)
     assert len(with_overlap) > 2
     no_overlap = extract_loops(score, LoopParams(allow_overlap=False))
@@ -260,15 +259,17 @@ def test_overlap_filter():
 def test_splice_rebases_measures():
     rng = random.Random(7)
     b = blocks(rng)
-    score = score_from_blocks(b, "ABCABC")
-    out = splice_loop(score, LoopSpan(2, 6, 0))
-    assert len(out.measures) == 4
-    assert [m.index for m in out.measures] == [0, 1, 2, 3]
-    assert out.measures[0].events == score.measures[2].events
+    bars = [(num, tempo, notes, (token(f"cloud_diameter:q{i % 4 + 1}"),) * (i % 2))
+            for i, (num, tempo, notes, _) in enumerate(block_bars(b, "ABCABC", tempo=90))]
+    bars[3] = (3, 160, *bars[3][2:])
+    out = splice_loop(columns(bars), LoopSpan(2, 6, 0))
+    assert bars_of(out) == bars_of(columns(bars[2:6]))
+    assert out.bar.tolist() == sorted(out.bar.tolist()) and out.bar[0] == 0
+    assert (out.header_tempo, out.header_time_signature) == (120, 4)
 
 
 def test_splice_range_check():
-    score = score_from_blocks(blocks(random.Random(8)), "AB")
+    score = columns(block_bars(blocks(random.Random(8)), "AB"))
     with pytest.raises(ValueError):
         splice_loop(score, LoopSpan(0, 3, 0))
 

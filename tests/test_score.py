@@ -1,15 +1,11 @@
 import hashlib
 import random
-from dataclasses import replace
 
 import pytest
 
 from looptab import score as score_mod
 from looptab.score import (
     BAR_TICKS_4_4,
-    Measure,
-    NoteEvent,
-    Score,
     StructureError,
     TokenTable,
     decode,
@@ -19,25 +15,24 @@ from looptab.score import (
 )
 from looptab.tokens import TENSION_FEATURES, parse_tokens, render_tokens
 
-from util import canonical, random_score
+from util import bars_of, canonical, columns, random_score
 
 
 def test_header_and_empty_measures():
-    score = tokens_to_score(parse_tokens("artist:band tempo:140 time_signature:4 start "
-                                         "new_measure new_measure end"))
-    assert score.artist == "band"
-    assert score.header_tempo == 140
-    assert len(score.measures) == 2
-    assert all(not m.events for m in score.measures)
+    song = tokens_to_score(parse_tokens("artist:band tempo:140 time_signature:4 start "
+                                        "new_measure new_measure end"))
+    assert song.artist == "band"
+    assert song.header_tempo == 140
+    assert song.n_bars == 2
+    assert len(song.bar) == 0
 
 
 def test_low_e_open_string():
-    score = tokens_to_score(parse_tokens("tempo:120 time_signature:4 start "
-                                         "new_measure distorted0:note:s6:f0 wait:960 end"))
-    (ev,) = score.measures[0].events
-    assert ev.midi_pitch == 40
-    assert ev.duration == 960
-    assert ev.onset == 0
+    song = tokens_to_score(parse_tokens("tempo:120 time_signature:4 start "
+                                        "new_measure distorted0:note:s6:f0 wait:960 end"))
+    assert song.midi.tolist() == [40]
+    assert song.duration.tolist() == [960]
+    assert song.onset.tolist() == [0]
 
 
 def test_note_before_measure_is_structural_error():
@@ -69,8 +64,7 @@ def test_note_table_stops_growing_at_its_bound(monkeypatch):
     song = decode("start new_measure clean0:note:s001:f0007 wait:480".split(), table)
     # the new strings would pass the bound, so the table starts over with this song's
     assert len(table) == 4 and "clean0:note:s1:f0" not in table.codes
-    (ev,) = song.to_score().measures[0].events
-    assert (ev.string, ev.fret, ev.midi_pitch) == (1, 7, 71)
+    assert (song.string.tolist(), song.fret.tolist(), song.midi.tolist()) == ([1], [7], [71])
 
 
 def test_a_song_with_more_strings_than_the_bound_is_held_until_the_next(monkeypatch):
@@ -79,7 +73,7 @@ def test_a_song_with_more_strings_than_the_bound_is_held_until_the_next(monkeypa
     text = "start new_measure clean0:note:s1:f0 wait:480 clean0:note:s1:f2 wait:480 end"
     song = decode(text.split(), table)
     # the table holds this song's own 6 strings, past the bound
-    assert len(table) == 6 and [ev.fret for ev in song.to_score().measures[0].events] == [0, 2]
+    assert len(table) == 6 and song.fret.tolist() == [0, 2]
     decode(text.split(), table)  # no new strings: nothing is classified again
     assert len(table) == 6
     decode("start new_measure bass:note:s1:f0 wait:960".split(), table)
@@ -87,29 +81,24 @@ def test_a_song_with_more_strings_than_the_bound_is_held_until_the_next(monkeypa
 
 
 def test_durations_follow_gap_rule():
-    score = tokens_to_score(parse_tokens(
+    song = tokens_to_score(parse_tokens(
         "start new_measure clean0:note:s1:f0 wait:480 clean0:note:s2:f1 wait:960 end"))
-    first, second = sorted(score.measures[0].events, key=lambda e: e.onset)
-    assert (first.onset, first.duration) == (0, 480)
-    assert (second.onset, second.duration) == (480, 960)
+    assert list(zip(song.onset.tolist(), song.duration.tolist())) == [(0, 480), (480, 960)]
 
 
 def test_simultaneous_notes_share_onset_and_emit_no_wait():
     text = "time_signature:4 tempo:120 start new_measure " \
            "clean0:note:s2:f1 clean0:note:s1:f0 wait:960 end"
-    score = tokens_to_score(parse_tokens(text))
-    a, b = score.measures[0].events
-    assert a.onset == b.onset == 0
-    assert render_tokens(score_to_tokens(score, include_artist=False)) == text
+    song = tokens_to_score(parse_tokens(text))
+    assert song.onset.tolist() == [0, 0]
+    assert render_tokens(score_to_tokens(song, include_artist=False)) == text
 
 
 def test_effects_attach_to_their_note():
-    score = tokens_to_score(parse_tokens(
+    song = tokens_to_score(parse_tokens(
         "start new_measure clean0:note:s1:f0 nfx:palm_mute wait:480 "
         "clean0:note:s1:f2 wait:480 end"))
-    first, second = sorted(score.measures[0].events, key=lambda e: e.onset)
-    assert first.effects == ("palm_mute",)
-    assert second.effects == ()
+    assert [song.effects[x] for x in song.fx.tolist()] == [("palm_mute",), ()]
 
 
 def test_empty_stream_is_structural_error():
@@ -136,102 +125,56 @@ def test_round_trip_random_scores():
 
 
 def test_empty_score_renders_header_only():
-    text = render_tokens(score_to_tokens(Score()))
+    text = render_tokens(score_to_tokens(columns([])))
     assert text == "time_signature:4 tempo:120 start end"
-    assert tokens_to_score(parse_tokens(text)).measures == ()
+    assert tokens_to_score(parse_tokens(text)).n_bars == 0
 
 
 def test_tempo_change_between_measures_round_trips():
     text = "time_signature:4 tempo:120 start new_measure clean0:note:s1:f0 wait:960 " \
            "tempo:90 new_measure end"
-    score = tokens_to_score(parse_tokens(text))
-    assert score.measures[0].tempo_bpm == 120
-    assert score.measures[1].tempo_bpm == 90
-    assert render_tokens(score_to_tokens(score, include_artist=False)) == text
+    song = tokens_to_score(parse_tokens(text))
+    assert song.tempo.tolist() == [120, 90]
+    assert render_tokens(score_to_tokens(song, include_artist=False)) == text
+
+
+def plain(song):
+    return song.artist, song.header_tempo, song.header_time_signature, bars_of(song)
 
 
 def test_regularize_is_noop_on_4_4():
     rng = random.Random(7)
-    score = canonical(random_score(rng))
-    assert regularize_meter(score) == score
+    song = canonical(random_score(rng))
+    assert plain(regularize_meter(song)) == plain(song)
 
 
 def test_regularize_splits_6_4_measure():
-    events = tuple(
-        NoteEvent("clean0", i * 960, 960, 55, 3, 0) for i in range(6)
-    )
-    score = Score(measures=(Measure(0, (6, 4), 120, events),))
-    out = regularize_meter(score)
-    assert len(out.measures) == 2
-    assert [len(m.events) for m in out.measures] == [4, 2]
-    assert all(m.time_signature == (4, 4) for m in out.measures)
-    assert all(m.capacity == 3840 for m in out.measures)
+    notes = [("clean0", i * 960, 960, 55, 3, 0) for i in range(6)]
+    out = regularize_meter(columns([(6, 120, notes, ())]))
+    assert out.n_bars == 2
+    assert [len(bar[2]) for bar in bars_of(out)] == [4, 2]
+    assert out.numerator.tolist() == [4, 4]
+    assert out.capacity.tolist() == [3840, 3840]
     # onsets rebased into the second bar
-    assert [e.onset for e in out.measures[1].events] == [0, 960]
+    assert [note[1] for note in bars_of(out)[1][2]] == [0, 960]
 
 
 def test_regularize_pads_2_4_measure():
-    events = (NoteEvent("clean0", 0, 1920, 55, 3, 0),)
-    score = Score(measures=(Measure(0, (2, 4), 120, events),))
-    out = regularize_meter(score)
-    assert len(out.measures) == 1
-    assert out.measures[0].capacity == 3840
-    assert out.measures[0].events[0].duration == 1920
+    out = regularize_meter(columns([(2, 120, [("clean0", 0, 1920, 55, 3, 0)], ())]))
+    assert out.n_bars == 1
+    assert out.capacity.tolist() == [3840]
+    assert out.duration.tolist() == [1920]
 
 
 def test_regularize_idempotent_and_preserves_notes():
     rng = random.Random(9)
     for _ in range(50):
-        score = random_score(rng, numerators=(2, 3, 4, 5, 6))
-        once = regularize_meter(score)
-        assert regularize_meter(once) == once
-        count = lambda s: sum(len(m.events) for m in s.measures)
-        assert count(once) == count(score)
-        assert all(m.capacity == 3840 for m in once.measures)
-        total = lambda s: sum(e.duration for m in s.measures for e in m.events)
-        assert total(once) == total(score)
-
-
-# note records ------------------------------------------------------------------
-
-NOTE = NoteEvent("clean0", 0, 960, 60, 2, 1)
-BAD_FIELDS = [({"onset": -1}, "onset must be >= 0"),
-              ({"duration": 0}, "duration must be > 0"),
-              ({"duration": -960}, "duration must be > 0"),
-              ({"midi_pitch": -1}, r"midi pitch outside \[0, 127\]"),
-              ({"midi_pitch": 128}, r"midi pitch outside \[0, 127\]")]
-
-
-@pytest.mark.parametrize("build", ["constructor", "keywords", "_replace", "_make"])
-@pytest.mark.parametrize("change,message", BAD_FIELDS)
-def test_every_way_of_building_a_note_checks_it(build, change, message):
-    fields = NOTE._asdict() | change
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        if build == "constructor":
-            NoteEvent(*fields.values())
-        elif build == "keywords":
-            NoteEvent(**fields)
-        elif build == "_replace":
-            NOTE._replace(**change)
-        else:
-            NoteEvent._make(fields.values())
-
-
-def test_note_fields_cannot_be_assigned():
-    with pytest.raises(AttributeError):
-        NOTE.onset = 480
-    with pytest.raises(AttributeError):
-        NOTE.velocity = 100
-
-
-def test_notes_with_equal_fields_are_equal_and_hash_equal():
-    twin = NoteEvent("clean0", 0, 960, 60, string=2, fret=1)
-    assert twin == NOTE and hash(twin) == hash(NOTE) and twin is not NOTE
-    assert len({NOTE, twin, NOTE._replace(fret=1)}) == 1
-    assert NOTE._replace(effects=("palm_mute",)) != NOTE
-    assert (NOTE.end, NOTE.effects, NOTE.string) == (960, (), 2)
-    assert NoteEvent._fields == ("track", "onset", "duration", "midi_pitch", "string", "fret",
-                                 "effects")
+        song = random_score(rng, numerators=(2, 3, 4, 5, 6))
+        once = regularize_meter(song)
+        assert plain(regularize_meter(once)) == plain(once)
+        assert len(once.bar) == len(song.bar)
+        assert (once.capacity == 3840).all()
+        assert once.duration.sum() == song.duration.sum()
 
 
 def _overflowing_score(rng):
@@ -248,51 +191,52 @@ def _overflowing_score(rng):
 
 def test_regularize_meter_output_is_pinned():
     # sha256 of the regularized 3/4, 5/4 and overflowing scores below, as the
-    # frozen-dataclass notes built with dataclasses.replace gave them
+    # frozen-dataclass notes built with dataclasses.replace gave them: per bar,
+    # its index, metre, tempo, controls and notes
     rng = random.Random(2024)
     scores = [random_score(rng, numerators=(3,)) for _ in range(40)]
     scores += [random_score(rng, numerators=(5,)) for _ in range(40)]
     scores += [_overflowing_score(rng) for _ in range(40)]
     out = [regularize_meter(s) for s in scores]
-    assert sum(len(s.measures) for s in out) > sum(len(s.measures) for s in scores)
+    assert sum(s.n_bars for s in out) > sum(s.n_bars for s in scores)
     h = hashlib.sha256()
     for s in out:
         h.update(repr((s.header_time_signature, [
-            (m.index, m.time_signature, m.tempo_bpm, [t.raw for t in m.bar_controls],
-             [(e.track, e.onset, e.duration, e.midi_pitch, e.string, e.fret, e.effects)
-              for e in m.events]) for m in s.measures])).encode())
+            (i, (numerator, 4), tempo, [t.raw for t in controls], notes)
+            for i, (numerator, tempo, notes, controls) in enumerate(bars_of(s))])).encode())
     assert h.hexdigest() == "1e2182ea5c020296e216030e2e3d2454a3e7fa55b6e94f6076f7d44c189f5f28"
 
 
-def quadratic_tokens(score: Score) -> list[str]:
+def quadratic_tokens(song) -> list[str]:
     """Reference encoder: the measure body as first written, gathering each
     onset group by scanning the rest of the bar."""
-    out = [t.raw for t in score_to_tokens(replace(score, measures=()))][:-1]
-    running_tempo, running_ts = score.header_tempo, score.header_time_signature
-    for m in score.measures:
-        num = m.time_signature[0]
+    out = [t.raw for t in song.song_controls] + [f"artist:{song.artist}"] * bool(song.artist)
+    out += [f"time_signature:{song.header_time_signature}", f"tempo:{song.header_tempo}", "start"]
+    running_tempo, running_ts = song.header_tempo, song.header_time_signature
+    for num, tempo, notes, controls in bars_of(song):
         if num != running_ts:
             out.append(f"time_signature:{num}")
             running_ts = num
-        if m.tempo_bpm != running_tempo:
-            out.append(f"tempo:{m.tempo_bpm}")
-            running_tempo = m.tempo_bpm
+        if tempo != running_tempo:
+            out.append(f"tempo:{tempo}")
+            running_tempo = tempo
         out.append("new_measure")
-        by_feature = {t.fields["feature"]: t.raw for t in m.bar_controls}
+        by_feature = {t.fields["feature"]: t.raw for t in controls}
         out.extend(by_feature[f] for f in TENSION_FEATURES if f in by_feature)
-        events = sorted(m.events, key=lambda e: (e.onset, e.track, e.midi_pitch, e.string or 0))
+        # (track, onset, duration, midi, string, fret, effects)
+        events = sorted(notes, key=lambda n: (n[1], n[0], n[3], n[4] or 0))
         cursor = i = 0
         while i < len(events):
-            onset = events[i].onset
-            group = [e for e in events[i:] if e.onset == onset]
+            onset = events[i][1]
+            group = [n for n in events[i:] if n[1] == onset]
             if onset > cursor:
                 out.append(f"wait:{onset - cursor}")
-            for ev in group:
-                out.append(f"drums:note:{ev.midi_pitch}" if ev.track == "drums"
-                           else f"{ev.track}:note:s{ev.string}:f{ev.fret}")
-                out.extend(f"nfx:{fx}" for fx in ev.effects)
+            for track, _, _, midi, string, fret, effects in group:
+                out.append(f"drums:note:{midi}" if track == "drums"
+                           else f"{track}:note:s{string}:f{fret}")
+                out.extend(f"nfx:{fx}" for fx in effects)
             i += len(group)
-            gap = events[i].onset - onset if i < len(events) else max(e.duration for e in group)
+            gap = events[i][1] - onset if i < len(events) else max(n[2] for n in group)
             out.append(f"wait:{gap}")
             cursor = onset + gap
     return out + ["end"]
@@ -304,10 +248,48 @@ def test_score_to_tokens_groups_onsets_like_the_quadratic_scan():
     # one 4/4 bar with an onset on each of its 3,840 ticks, some of them chords
     events = []
     for tick in range(BAR_TICKS_4_4):
-        events.append(NoteEvent("clean0", tick, 1, 64, 1, 0))
+        events.append(("clean0", tick, 1, 64, 1, 0))
         if tick % 7 == 0:
-            events.append(NoteEvent("bass", tick, 2, 43, 1, 0, ("palm_mute",)))
+            events.append(("bass", tick, 2, 43, 1, 0, ("palm_mute",)))
     rng.shuffle(events)
-    scores.append(Score(measures=(Measure(0, events=tuple(events)),)))
+    scores.append(columns([(4, 120, events, ())]))
     for score in scores:
         assert [t.raw for t in score_to_tokens(score)] == quadratic_tokens(score)
+
+
+def test_regularize_meter_bounds_the_bars_it_makes():
+    bound = score_mod.MAX_BARS
+    text = "start new_measure clean0:note:s1:f0 wait:{}"
+    at_bound = decode(text.format(bound * BAR_TICKS_4_4).split(), TokenTable())
+    assert regularize_meter(at_bound).n_bars == bound
+    over = decode(text.format(bound * BAR_TICKS_4_4 + 1).split(), TokenTable())
+    with pytest.raises(StructureError, match=f"^the song regularizes into {bound + 1} bars "
+                                             f"of 4/4, more than {bound}$"):
+        regularize_meter(over)
+
+
+# a 6/4 bar, a 4/4 bar overflowing by one long note, and one overflowing by a
+# note that starts past its end, each with bar controls, then a 4/4 bar
+SPLIT_CONTROLS = ("time_signature:6 tempo:120 start "
+                  "new_measure cloud_diameter:q1 tensile_strain:q4" + " clean0:note:s1:f0 wait:960" * 6
+                  + " time_signature:4 new_measure tensile_strain:q2 cloud_diameter:q3 "
+                  "clean0:note:s2:f1 wait:5760 "
+                  "new_measure cloud_momentum:q4 clean0:note:s1:f0 wait:3840 clean0:note:s1:f2 "
+                  "wait:960 "
+                  "new_measure cloud_diameter:q2 clean0:note:s1:f3 wait:960 end")
+
+
+def test_bar_controls_land_on_the_first_bar_of_a_split_bar():
+    regular = regularize_meter(tokens_to_score(parse_tokens(SPLIT_CONTROLS)))
+    out = [t.raw for t in score_to_tokens(regular)]
+    bars = " ".join(out).split(" new_measure")[1:]
+    leading = [[raw for raw in bar.split() if raw.split(":")[0] in TENSION_FEATURES]
+               for bar in bars]
+    # each control is written right after the new_measure of its first 4/4 bar
+    assert leading == [["cloud_diameter:q1", "tensile_strain:q4"], [],
+                       ["cloud_diameter:q3", "tensile_strain:q2"], [], ["cloud_momentum:q4"], [],
+                       ["cloud_diameter:q2"]]
+    for bar, controls in zip(bars, leading):
+        assert bar.split()[:len(controls)] == controls
+    assert out.count("time_signature:6") == 0 and out.count("time_signature:4") == 1
+    assert regular.control_bar.tolist() == [0, 0, 2, 2, 4, 6]

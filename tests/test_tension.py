@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from looptab.score import Measure, NoteEvent, Score
 from looptab.tension import (
     DEFAULT_PARAMS,
     SpiralParams,
@@ -27,30 +26,27 @@ from looptab.tension import (
     thresholds_to_json,
 )
 
+from util import columns
+
 H = DEFAULT_PARAMS.height
 
 
-def bar_clouds(score):
-    """Per-measure (fifth-index, duration) clouds, drums excluded: the
-    reference the per-bar tables must reproduce."""
-    return [[(fifth_index_of_pitch(ev.midi_pitch), float(ev.duration))
-             for ev in m.events if ev.track != "drums"] for m in score.measures]
+def bar_clouds(bars):
+    """Per-bar (fifth-index, duration) clouds of plain bars, drums
+    excluded: the reference the per-bar tables must reproduce."""
+    return [[(fifth_index_of_pitch(midi), float(duration))
+             for track, _, duration, midi, *_ in notes if track != "drums"]
+            for _, _, notes, _ in bars]
 
 
 def dist(a, b):
     return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
 
 
-def make_score(bars):
-    """bars: list of lists of (midi, duration)."""
-    measures = []
-    for i, notes in enumerate(bars):
-        onset = 0
-        events = []
-        for midi, dur in notes:
-            events.append(NoteEvent("clean0", onset, dur, midi, 1, 0))
-        measures.append(Measure(index=i, events=tuple(events)))
-    return Score(measures=tuple(measures))
+def make_bars(bars):
+    """Plain 4/4 bars from lists of (midi, duration), each note at onset 0."""
+    return [(4, 120, [("clean0", 0, dur, midi, 1, 0) for midi, dur in notes], ())
+            for notes in bars]
 
 
 # fifth index -----------------------------------------------------------------
@@ -108,20 +104,20 @@ def test_coe_scale_invariant():
 # key estimation --------------------------------------------------------------
 
 def test_c_major_triads_estimate_c_major():
-    score = make_score([[(60, 960), (64, 960), (67, 960)]] * 4)
-    key = estimate_key(bar_clouds(score))
+    bars = make_bars([[(60, 960), (64, 960), (67, 960)]] * 4)
+    key = estimate_key(bar_clouds(bars))
     assert (key.tonic_fifth_index, key.mode) == (0, "major")
 
 
 def test_a_minor_triads_estimate_a_minor():
-    score = make_score([[(57, 960), (60, 960), (64, 960)]] * 4)
-    key = estimate_key(bar_clouds(score))
+    bars = make_bars([[(57, 960), (60, 960), (64, 960)]] * 4)
+    key = estimate_key(bar_clouds(bars))
     assert (key.tonic_fifth_index, key.mode) == (3, "minor")
 
 
 def test_empty_score_raises():
     with pytest.raises(ValueError, match="no notes"):
-        estimate_key(bar_clouds(Score()))
+        estimate_key(bar_clouds([]))
 
 
 def test_key_estimate_duration_scale_invariant():
@@ -129,31 +125,31 @@ def test_key_estimate_duration_scale_invariant():
     for _ in range(20):
         bars = [[(rng.randint(48, 72), rng.randint(100, 1000)) for _ in range(3)]
                 for _ in range(3)]
-        k1 = estimate_key(bar_clouds(make_score(bars)))
-        k2 = estimate_key(bar_clouds(make_score([[(p, d * 13) for p, d in bar] for bar in bars])))
+        k1 = estimate_key(bar_clouds(make_bars(bars)))
+        k2 = estimate_key(bar_clouds(make_bars([[(p, d * 13) for p, d in bar] for bar in bars])))
         assert (k1.tonic_fifth_index, k1.mode) == (k2.tonic_fifth_index, k2.mode)
 
 
 # tension profile -------------------------------------------------------------
 
 def test_cd_single_pitch_is_zero():
-    profile = compute_tension_profile(make_score([[(60, 960)]]))
+    profile = compute_tension_profile(columns(make_bars([[(60, 960)]])))
     assert profile.cloud_diameter == (0.0,)
 
 
 def test_cd_c_major_triad_is_sqrt_3_2():
-    profile = compute_tension_profile(make_score([[(60, 960), (64, 960), (67, 960)]]))
+    profile = compute_tension_profile(columns(make_bars([[(60, 960), (64, 960), (67, 960)]])))
     assert abs(profile.cloud_diameter[0] - math.sqrt(3.2)) < 1e-9
 
 
 def test_cm_zero_for_identical_consecutive_bars():
     bar = [(60, 960), (67, 960)]
-    profile = compute_tension_profile(make_score([bar, bar]))
+    profile = compute_tension_profile(columns(make_bars([bar, bar])))
     assert profile.cloud_momentum == (0.0, 0.0)
 
 
 def test_cm_first_bar_and_empty_bar_conventions():
-    profile = compute_tension_profile(make_score([[(60, 960)], [], [(67, 960)]]))
+    profile = compute_tension_profile(columns(make_bars([[(60, 960)], [], [(67, 960)]])))
     assert profile.cloud_momentum == (0.0, 0.0, 0.0)
     assert profile.cloud_diameter[1] == 0.0
     assert profile.tensile_strain[1] == 0.0
@@ -255,11 +251,10 @@ def test_thresholds_json_round_trip():
 
 
 def test_drums_excluded_from_clouds():
-    m = Measure(index=0, events=(
-        NoteEvent("clean0", 0, 960, 60, 1, 0),
-        NoteEvent("drums", 0, 960, 38),
-    ))
-    profile = compute_tension_profile(Score(measures=(m,)))
+    profile = compute_tension_profile(columns([(4, 120, [
+        ("clean0", 0, 960, 60, 1, 0),
+        ("drums", 0, 960, 38),
+    ], ())]))
     assert profile.cloud_diameter == (0.0,)
 
 
@@ -272,9 +267,9 @@ def test_invalid_spiral_params():
 
 # per-bar tables against the cloud functions -----------------------------------
 
-def reference_profile(score, params):
-    """Tension as computed from the bar clouds, note by note."""
-    clouds = bar_clouds(score)
+def reference_profile(bars, params):
+    """Tension of plain bars as computed from their clouds, note by note."""
+    clouds = bar_clouds(bars)
     try:
         key_center = estimate_key(clouds, params).center
     except ValueError:
@@ -293,30 +288,27 @@ def spiral_params(draw):
 
 
 @st.composite
-def scores(draw):
+def plain_bars(draw):
     tracks = st.sampled_from(("clean0", "bass", "leads", "drums"))
-    measures = []
-    for i in range(draw(st.integers(0, 6))):
-        events = tuple(NoteEvent(track, draw(st.integers(0, 3839)), draw(st.integers(1, 3840)),
-                                 draw(st.integers(0, 127)), None if track == "drums" else 1, 0)
-                       for track in draw(st.lists(tracks, max_size=6)))
-        measures.append(Measure(index=i, events=events))
-    return Score(measures=tuple(measures))
+    return [(4, 120, [(track, draw(st.integers(0, 3839)), draw(st.integers(1, 3840)),
+                       draw(st.integers(0, 127)), None if track == "drums" else 1,
+                       None if track == "drums" else 0)
+                      for track in draw(st.lists(tracks, max_size=6))], ())
+            for _ in range(draw(st.integers(0, 6)))]
 
 
 @settings(deadline=None, max_examples=300)
-@given(score=scores(), params=st.one_of(st.just(DEFAULT_PARAMS), spiral_params()))
-def test_tension_profile_equals_the_cloud_reference_exactly(score, params):
-    assert compute_tension_profile(score, params) == reference_profile(score, params)
+@given(bars=plain_bars(), params=st.one_of(st.just(DEFAULT_PARAMS), spiral_params()))
+def test_tension_profile_equals_the_cloud_reference_exactly(bars, params):
+    assert compute_tension_profile(columns(bars), params) == reference_profile(bars, params)
 
 
 @settings(deadline=None, max_examples=300)
-@given(score=scores(), params=st.one_of(st.just(DEFAULT_PARAMS), spiral_params()),
+@given(bars=plain_bars(), params=st.one_of(st.just(DEFAULT_PARAMS), spiral_params()),
        data=st.data())
-def test_loop_profiles_equal_the_profile_of_each_range_alone(score, params, data):
-    n = len(score.measures)
+def test_loop_profiles_equal_the_profile_of_each_range_alone(bars, params, data):
+    n = len(bars)
     spans = data.draw(st.lists(st.tuples(st.integers(0, n), st.integers(1, n)).filter(
         lambda r: r[0] < r[1]), max_size=5)) if n else []
-    got = loop_tension_profiles(score, spans, params)
-    assert got == [reference_profile(Score(measures=score.measures[s:e]), params)
-                   for s, e in spans]
+    got = loop_tension_profiles(columns(bars), spans, params)
+    assert got == [reference_profile(bars[s:e], params) for s, e in spans]

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from looptab.score import Score, StructureError, score_to_tokens, tokens_to_score
+from looptab.score import ScoreColumns, StructureError, score_to_tokens, tokens_to_score
 from looptab.tokens import (
     ParseError,
     Token,
@@ -12,6 +12,8 @@ from looptab.tokens import (
     render_tokens,
     token,
 )
+
+from util import columns
 
 
 def test_new_measure_is_structure():
@@ -93,7 +95,7 @@ def test_an_artist_with_a_space_is_rejected_before_rendering():
     with pytest.raises(ParseError):
         header_token("artist", "my band")
     with pytest.raises(ParseError):
-        score_to_tokens(Score(artist="my band"))
+        score_to_tokens(columns([], artist="my band"))
 
 
 def test_unknown_effect_names_pass_through():
@@ -217,6 +219,6 @@ def test_interned_parse_matches_the_uncached_classifier(text):
     assert [(t.category, t.raw, dict(t.fields)) for t in stream] == \
         [(t.category, t.raw, dict(t.fields)) for t in expected]
     try:
-        assert isinstance(tokens_to_score(stream), Score)
+        assert isinstance(tokens_to_score(stream), ScoreColumns)
     except (ParseError, StructureError):
         pass
