@@ -6,7 +6,12 @@ __version__ = "0.1.0"
 from .tokens import Token, TokenCategory, ParseError, parse_tokens, render_tokens, token
 from .score import (
     ScoreColumns,
+    SongBatch,
     StructureError,
+    decode_many,
+    decode_parts,
+    regular_parts,
+    regularize_many,
     regularize_meter,
     score_to_tokens,
     tokens_to_score,

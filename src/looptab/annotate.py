@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
@@ -22,7 +23,8 @@ from urllib.parse import quote
 from . import loops as loops_mod
 from . import tension as tension_mod
 from .atomic import atomic_open
-from .score import TokenTable, bar_bodies, decode, regularize_meter, token_files
+from .score import (SongBatch, TokenTable, bar_bodies, decode_parts, regular_parts,
+                    token_files)
 from .tokens import Token, TokenCategory, control_token, render_tokens
 
 if TYPE_CHECKING:
@@ -301,6 +303,35 @@ def _loop_lines(head: str, tempo: int, bars: dict[int, tuple[int, str]],
         yield " ".join(pieces)
 
 
+def _part_songs(part: SongBatch, paths: Sequence[Path],
+                records: Sequence[AnnotationRecord | None], loop_params: loops_mod.LoopParams,
+                result: CorpusResult) -> list[tuple[AnnotationRecord, int, list[tuple[int, int]]]]:
+    """The record, tempo and loop spans of each song of a regularized
+    ``part`` that has an annotation and loops; the others are counted in
+    ``result``, and a song that failed is logged."""
+    starts = part.starts.tolist()
+    by_song: dict[int, list[tuple[int, int]]] = {}
+    for span in loops_mod.extract_loops(part.columns, loop_params, part.starts):
+        by_song.setdefault(bisect_right(starts, span.start_bar) - 1, []).append(
+            (span.start_bar, span.end_bar))
+    used = []
+    for i, (path, rec) in enumerate(zip(paths[:len(part)], records)):
+        exc = part.errors.get(i)
+        if isinstance(exc, OSError):
+            raise exc
+        if exc is not None:
+            log.error("skipping %s: %s", path.name, exc)
+            result.failed_files += 1
+        elif rec is None:
+            result.skipped_no_annotation += 1
+        elif i not in by_song:
+            result.skipped_no_loops += 1
+        else:
+            result.songs_used += 1
+            used.append((rec, part.heads[i][1], by_song[i]))
+    return used
+
+
 def build_corpus(score_dir: str | Path,
                  annotations: Sequence[AnnotationRecord],
                  loop_params: loops_mod.LoopParams = loops_mod.DEFAULT_PARAMS,
@@ -310,53 +341,49 @@ def build_corpus(score_dir: str | Path,
 
     For every annotated ``*.tokens`` file (the song is matched on its
     artist header and file stem): regularize to 4/4, extract loops, compute
-    tension per loop from bar values shared among the song's loops, fit
-    global quartiles over all loop bars, discretize, and emit one token
-    line per loop, joined from each bar's body rendered once per song with
-    the song and bar controls. Each loop's key is estimated over that loop
-    alone, since the loop is what the generator learns from; ``looptab
-    tension`` uses the whole song instead. Deterministic given identical
-    inputs. The result carries the counts and both fitted thresholds;
-    nothing is written.
+    tension per loop from bar values shared among all loops, fit global
+    quartiles over all loop bars, discretize, and emit one token line per
+    loop, joined from each looped bar's body, rendered once, with the song
+    and bar controls. The directory's songs are decoded in batches
+    (:func:`score.decode_parts`), and the annotated ones are regularized,
+    searched and rendered in parts (:func:`score.regular_parts`); a song
+    that fails to read, decode or regularize is logged, counted and left
+    out. Each loop's key is
+    estimated over that loop alone, since the loop is what the generator
+    learns from; ``looptab tension`` uses the whole song instead.
+    Deterministic given identical inputs. The result carries the counts
+    and both fitted thresholds; nothing is written.
     """
     by_key = {_normalize_key(r.artist, r.title): r for r in annotations}
     thresholds = compute_thresholds(annotations)
     result = CorpusResult(feature_thresholds=thresholds)
 
-    songs = []
-    table = TokenTable()
-    for path in token_files(score_dir):
-        try:
-            song = decode(path.read_text(encoding="utf-8").split(), table)
-            rec = by_key.get(_normalize_key(song.artist or "", path.stem))
-            regular = None if rec is None else regularize_meter(song)
-        except ValueError as exc:
-            log.error("skipping %s: %s", path.name, exc)
-            result.failed_files += 1
-            continue
-        if rec is None:
-            result.skipped_no_annotation += 1
-            continue
-        spans = [(sp.start_bar, sp.end_bar) for sp in loops_mod.extract_loops(regular, loop_params)]
-        if not spans:
-            result.skipped_no_loops += 1
-            continue
-        result.songs_used += 1
-        looped = sorted({i for start, end in spans for i in range(start, end)})
-        bars = {i: (tempo, " ".join(body)) for i, tempo, body in
-                zip(looped, regular.tempo[looped].tolist(), bar_bodies(regular, looped))}
-        songs.append((rec, regular.header_tempo, bars, spans,
-                      tension_mod.loop_tension_profiles(regular, spans, spiral_params)))
+    paths = token_files(score_dir)
+    songs, profiles = [], []
+    for first, decoded in decode_parts(paths, TokenTable()):
+        names = paths[first:first + len(decoded)]
+        records = [None if head is None else by_key.get(_normalize_key(head[0] or "", path.stem))
+                   for path, head in zip(names, decoded.heads)]
+        for start, part in regular_parts(decoded, [rec is not None for rec in records]):
+            used = _part_songs(part, names[start:], records[start:], loop_params, result)
+            if not used:
+                continue
+            spans = [span for _, _, song_spans in used for span in song_spans]
+            profiles += tension_mod.loop_tension_profiles(part.columns, spans, spiral_params)
+            looped = sorted({b for lo, hi in spans for b in range(lo, hi)})
+            bars = {b: (tempo, " ".join(body)) for b, tempo, body in
+                    zip(looped, part.columns.tempo[looped].tolist(),
+                        bar_bodies(part.columns, looped))}
+            songs += [(*song, bars) for song in used]
 
     lines: list[str] = []
     if songs:
-        result.tension_thresholds = tension_mod.fit_tension_thresholds(
-            p for song in songs for p in song[-1])
-        for rec, tempo, bars, spans, profiles in songs:
+        result.tension_thresholds = tension_mod.fit_tension_thresholds(profiles)
+        leveled = iter(tension_mod.discretize_profiles(profiles, result.tension_thresholds))
+        for rec, tempo, song_spans, bars in songs:
             controls = render_tokens(song_control_tokens(rec, thresholds))
-            leveled = [tension_mod.discretize_profile(p, result.tension_thresholds)
-                       for p in profiles]
             head = f"{controls} time_signature:4 tempo:{tempo} start"
-            lines.extend(_loop_lines(head, tempo, bars, spans, leveled))
+            lines.extend(_loop_lines(head, tempo, bars, song_spans,
+                                     [next(leveled) for _ in song_spans]))
     result.lines = len(lines)
     return lines, result

@@ -9,6 +9,7 @@ randomness flows from explicit seeds.
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv
 import dataclasses
 import functools
@@ -17,7 +18,7 @@ import logging
 import math
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import annotate as annotate_mod
 from . import evaluate as evaluate_mod
@@ -27,7 +28,7 @@ from . import stats as stats_mod
 from . import tension as tension_mod
 from .atomic import atomic_open
 from .config import GeneratorConfig, load_config
-from .score import TokenTable, decode, regularize_meter, token_files
+from .score import SongBatch, TokenTable, decode_parts, regular_parts, token_files
 from .tokens import ParseError, TokenCategory, render_tokens, token
 
 log = logging.getLogger("looptab")
@@ -45,19 +46,21 @@ def atomic_write(path: str | Path, text: str) -> None:
         fh.write(text)
 
 
-def _read_scores(directory: str | Path, regular: bool = False):
-    """Each song file of ``directory`` with its decoded columns, one at a
-    time, regularized to 4/4 if ``regular``; one token table serves them
-    all."""
-    table = TokenTable()
-    for path in token_files(directory):
-        try:
-            song = decode(path.read_text(encoding="utf-8").split(), table)
-            if regular:
-                song = regularize_meter(song)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        yield path, song
+def _song_parts(paths: list[Path], regular: bool = False
+                ) -> Iterator[tuple[list[Path], SongBatch]]:
+    """The songs of ``paths`` decoded with one token table in parts
+    (:func:`score.decode_parts`), each regularized to 4/4 in parts
+    (:func:`score.regular_parts`) if ``regular``, with their files; the
+    first file that fails is an error naming it, raised as its part comes."""
+    for first, decoded in decode_parts(paths, TokenTable()):
+        for start, part in regular_parts(decoded) if regular else [(0, decoded)]:
+            names = paths[first + start:first + start + len(part)]
+            if part.errors:
+                i = min(part.errors)
+                if isinstance(part.errors[i], OSError):
+                    raise part.errors[i]
+                raise ValueError(f"{names[i]}: {part.errors[i]}") from None
+            yield names, part
 
 
 def _check_tokens(texts: Sequence[str], where: Callable[[int], str]) -> None:
@@ -157,16 +160,15 @@ def cmd_tension(args) -> int:
     """Per-bar tension of every song, each against the key estimated over
     the whole song; ``looptab corpus`` estimates it per spliced loop."""
     config = load_config(args.config)
+    paths = token_files(args.scores)
     profiles = []
-    names = []
-    for path, song in _read_scores(args.scores):
-        profiles.append(tension_mod.compute_tension_profile(song, config.spiral_params))
-        names.append(path.stem)
+    for _, part in _song_parts(paths):
+        profiles += tension_mod.loop_tension_profiles(part.columns, part.spans,
+                                                      config.spiral_params)
     thresholds = tension_mod.fit_tension_thresholds(profiles)
     rows = [tension_mod.CSV_HEADER]
-    for name, profile in zip(names, profiles):
-        leveled = tension_mod.discretize_profile(profile, thresholds)
-        rows.extend(tension_mod.profile_csv_rows(name, leveled))
+    for path, profile in zip(paths, tension_mod.discretize_profiles(profiles, thresholds)):
+        rows.extend(tension_mod.profile_csv_rows(path.stem, profile))
     atomic_write(args.out_csv, "\n".join(rows) + "\n")
     if args.out_thresholds:
         atomic_write(args.out_thresholds, tension_mod.thresholds_to_json(thresholds))
@@ -176,13 +178,14 @@ def cmd_tension(args) -> int:
 def cmd_loops(args) -> int:
     config = load_config(args.config)
     lines = []
-    for path, song in _read_scores(args.scores, regular=True):
-        spans = loops_mod.extract_loops(song, config.loop_params)
-        for span in spans:
+    for paths, part in _song_parts(token_files(args.scores), regular=True):
+        starts = part.starts.tolist()
+        for span in loops_mod.extract_loops(part.columns, config.loop_params, part.starts):
+            song = bisect.bisect_right(starts, span.start_bar) - 1
             lines.append(json.dumps({
-                "song": path.stem,
-                "start_bar": span.start_bar,
-                "end_bar": span.end_bar,
+                "song": paths[song].stem,
+                "start_bar": span.start_bar - starts[song],
+                "end_bar": span.end_bar - starts[song],
                 "rep_len": span.repetition_length_events,
             }))
     atomic_write(args.out, "".join(l + "\n" for l in lines))
@@ -315,10 +318,11 @@ def cmd_eval_emotion(args) -> int:
 
 def cmd_eval_loops(args) -> int:
     config = load_config(args.config)
-    scores = [song for _, song in _read_scores(args.generations, regular=True)]
-    total, avg = evaluate_mod.loop_metric(scores, config.loop_params)
+    paths = token_files(args.generations)
+    total, avg = evaluate_mod.loop_metric(
+        (part for _, part in _song_parts(paths, regular=True)), config.loop_params)
     doc = {"format": "looptab-loop-report", "version": 1,
-           "generations": len(scores), "loops_found": total, "average_per_generation": avg}
+           "generations": len(paths), "loops_found": total, "average_per_generation": avg}
     if args.out:
         atomic_write(args.out, json.dumps(doc, indent=2))
     print(f"loops found: {total}  average per generation: {avg:.4f}")

@@ -20,14 +20,14 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Protocol, Sequence
+from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
 from . import loops as loops_mod
 from .atomic import atomic_open, read_json
 from .generate import HAPPY_TEMPO_MIN, SAD_TEMPO_MAX
-from .score import ScoreColumns
+from .score import SongBatch
 
 TRUNCATE_TOKENS = 768
 HIGH_CUT = 0.5
@@ -268,13 +268,16 @@ def emotion_metrics(happy_streams: Sequence[Sequence[str]],
     return EmotionMetrics(happy, sad, diff)
 
 
-def loop_metric(generated: Sequence[ScoreColumns],
+def loop_metric(generated: Iterable[SongBatch],
                 params: loops_mod.LoopParams = loops_mod.DEFAULT_PARAMS
                 ) -> tuple[int, float]:
-    """(total loops found, average loops per generation)."""
-    counts = [len(loops_mod.extract_loops(s, params)) for s in generated]
-    total = sum(counts)
-    return total, total / len(counts) if counts else 0.0
+    """(total loops found, average loops per generation) over batches of
+    regularized generations, each batch searched at once."""
+    total = songs = 0
+    for batch in generated:
+        total += len(loops_mod.extract_loops(batch.columns, params, batch.starts))
+        songs += len(batch)
+    return total, total / songs if songs else 0.0
 
 
 def metrics_report(settings: dict[str, EmotionMetrics]) -> dict:

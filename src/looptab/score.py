@@ -1,20 +1,30 @@
-"""A song's note columns, its lossless encode and decode, and 4/4
-regularization.
+"""Song note columns, their lossless encode and decode, and 4/4
+regularization, for one song or for a directory of songs as one batch.
 
 :class:`ScoreColumns` is the one score representation: a header (artist,
 tempo, time signature) and song-level control tokens, then integer numpy
 columns, one row per note (bar, onset, duration, MIDI pitch, track,
 string, fret and an effects id) and one per bar (tempo and metre), plus
 the bar control tokens with their bars. Ticks are 960 per quarter note.
+A :class:`SongBatch` holds many songs in one :class:`ScoreColumns`, song
+after song, with each song's bar offset, header and error.
 
-:func:`decode` turns a song's token strings into columns with numpy
-operations over the whole song: the cursor, the onset groups, the duration
-rule and the order inside each group are computed at once, not token by
-token. A :class:`TokenTable`, owned by the command that reads the songs,
-classifies every distinct token string once through :func:`tokens.token`
-and holds at most ``TOKEN_CACHE_SIZE`` strings, or one song's own where a
-song has more. :func:`regularize_meter` cuts every bar into 4/4 bars, at
-most ``MAX_BARS`` of them per song.
+:func:`decode_many` encodes each song's token strings to integer codes as
+it reads them, then decodes the codes of all the songs at once with numpy
+operations: the cursor, the onset groups, the duration rule and the order
+inside each group are computed for the whole batch, not token by token or
+song by song; only each song's header is read on its own. :func:`decode`
+is its one-song case. A :class:`TokenTable`, owned by the command that
+reads the songs, classifies every distinct token string once through
+:func:`tokens.token` and holds at most ``TOKEN_CACHE_SIZE`` strings, or one
+song's own where a song has more. :func:`decode_parts` decodes a
+directory in parts of at most ``PART_TOKENS`` tokens, also cut where the
+table must empty itself, so that the arrays decoded at once do not grow
+with the directory; the song commands work one part at a time.
+:func:`regularize_many` (one song: :func:`regularize_meter`) cuts every
+bar into 4/4 bars, at most ``MAX_BARS`` of them per song, and
+:func:`regular_parts` does it in parts of consecutive songs holding at
+most ``MAX_BARS`` such bars together.
 
 Duration convention of the token format: a note group's duration is the
 accumulated ``wait`` ticks until the next onset in its measure (or, when
@@ -28,8 +38,9 @@ gap rule on reparse).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain, compress
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -71,6 +82,9 @@ MAX_TICKS = 2 ** 32
 # otherwise become over a million.
 MAX_BARS = 2 ** 16
 
+# Most tokens decoded together; a directory with more is decoded in parts.
+PART_TOKENS = 2 ** 18
+
 
 class StructureError(ValueError):
     """Token stream violates score structure (not the token grammar)."""
@@ -87,8 +101,8 @@ class ScoreColumns:
     ``TRACKS``, ``fx`` indexes ``effects`` (``effects[0]`` is ``()``), and
     the string and fret of a drum note are -1. Bar ``b`` holds the notes
     ``bounds[b]:bounds[b + 1]``; ``controls[i]`` belongs to bar
-    ``control_bar[i]``. Every bar is in quarter-note metre: ``numerator``
-    beats of ``TICKS_PER_QUARTER``.
+    ``control_bar[i]``, in bar order. Every bar is in quarter-note metre:
+    ``numerator`` beats of ``TICKS_PER_QUARTER``.
     """
 
     artist: str | None
@@ -125,6 +139,99 @@ class ScoreColumns:
     def pitched(self) -> np.ndarray:
         """Mask of the notes that are not drums."""
         return self.track != _DRUMS
+
+    @property
+    def header(self) -> tuple[str | None, int, int, tuple[Token, ...]]:
+        return self.artist, self.header_tempo, self.header_time_signature, self.song_controls
+
+
+_NOTE_COLUMNS = ("bar", "onset", "duration", "midi", "track", "string", "fret", "fx")
+
+
+def bar_slice(song: ScoreColumns, start: int, end: int) -> ScoreColumns:
+    """The bars ``[start, end)`` of ``song`` as a score of their own,
+    renumbered from 0."""
+    lo, hi = song.bar.searchsorted([start, end]).tolist()
+    c_lo, c_hi = song.control_bar.searchsorted([start, end]).tolist()
+    notes = {name: getattr(song, name)[lo:hi] for name in _NOTE_COLUMNS}
+    notes["bar"] = notes["bar"] - start
+    return replace(song, tempo=song.tempo[start:end], numerator=song.numerator[start:end],
+                   control_bar=song.control_bar[c_lo:c_hi] - start,
+                   controls=song.controls[c_lo:c_hi], **notes)
+
+
+@dataclass(frozen=True, eq=False)
+class SongBatch:
+    """Songs held as one :class:`ScoreColumns`, song after song.
+
+    Song ``i`` holds the bars ``starts[i]:starts[i + 1]`` of ``columns``
+    and has the header ``heads[i]`` (artist, tempo, metre, song controls);
+    the header fields of ``columns`` itself are not read. A song that
+    could not be read, decoded or regularized holds no bar, its head is
+    None, and ``errors[i]`` is why.
+    """
+
+    columns: ScoreColumns
+    starts: np.ndarray
+    heads: tuple[tuple[str | None, int, int, tuple[Token, ...]] | None, ...]
+    errors: dict[int, Exception]
+
+    @classmethod
+    def of(cls, songs: Sequence[ScoreColumns]) -> SongBatch:
+        return _concat([cls(song, np.array([0, song.n_bars]), (song.header,), {})
+                        for song in songs])
+
+    def __len__(self) -> int:
+        return len(self.heads)
+
+    @property
+    def spans(self) -> list[tuple[int, int]]:
+        """Each song's ``[start, end)`` bar range."""
+        starts = self.starts.tolist()
+        return list(zip(starts, starts[1:]))
+
+    def songs(self, lo: int, hi: int) -> SongBatch:
+        """The songs ``[lo, hi)`` as a batch of their own."""
+        a, b = self.starts[[lo, hi]].tolist()
+        return SongBatch(bar_slice(self.columns, a, b), self.starts[lo:hi + 1] - a,
+                         self.heads[lo:hi],
+                         {i - lo: exc for i, exc in self.errors.items() if lo <= i < hi})
+
+    def song(self, i: int) -> ScoreColumns:
+        """Song ``i`` on its own, its bars numbered from 0; a song that
+        failed raises its error."""
+        if i in self.errors:
+            raise self.errors[i]
+        artist, tempo, numerator, controls = self.heads[i]
+        return replace(bar_slice(self.columns, *self.starts[i:i + 2].tolist()), artist=artist,
+                       header_tempo=tempo, header_time_signature=numerator,
+                       song_controls=controls)
+
+
+def _concat(batches: Sequence[SongBatch]) -> SongBatch:
+    """The songs of ``batches`` as one batch, in order."""
+    if len(batches) < 2:
+        return batches[0] if batches else SongBatch(_no_bars(), np.zeros(1, np.int64), (), {})
+    effects: dict[tuple[str, ...], int] = {(): 0}
+    columns = [b.columns for b in batches]
+    bar_base = np.cumsum([0] + [c.n_bars for c in columns])
+    song_base = np.cumsum([0] + [len(b) for b in batches]).tolist()
+    notes = {name: np.concatenate([getattr(c, name) for c in columns]) for name in _NOTE_COLUMNS}
+    notes["bar"] += np.repeat(bar_base[:-1], [len(c.bar) for c in columns])
+    notes["fx"] = np.concatenate([
+        np.array([effects.setdefault(e, len(effects)) for e in c.effects], np.int64)[c.fx]
+        for c in columns])
+    merged = ScoreColumns(
+        None, DEFAULT_TEMPO, 4, (), np.concatenate([c.tempo for c in columns]),
+        np.concatenate([c.numerator for c in columns]),
+        np.concatenate([c.control_bar + base for c, base in zip(columns, bar_base.tolist())]),
+        tuple(chain.from_iterable(c.controls for c in columns)), **notes,
+        effects=tuple(effects))
+    return SongBatch(
+        merged, np.concatenate([b.starts[:-1] + base for b, base in zip(batches, bar_base)]
+                               + [bar_base[-1:]]),
+        tuple(chain.from_iterable(b.heads for b in batches)),
+        {i + base: exc for b, base in zip(batches, song_base) for i, exc in b.errors.items()})
 
 
 # Kinds of token in a TokenTable.
@@ -224,15 +331,19 @@ class TokenTable:
         kind = _BAR_CONTROL if cat is TokenCategory.BAR_CONTROL else _EFFECT
         return (kind, 0, 0, 0, 0, 0, 0, 0, 0)
 
-    def encode(self, raws: Sequence[str]) -> np.ndarray:
+    def encode(self, raws: Sequence[str], full: Callable[[], None] = lambda: None) -> np.ndarray:
         """The code of every string, classifying the new ones; a malformed
-        string raises :class:`ParseError` at its first index."""
+        string raises :class:`ParseError` at its first index. Where the new
+        strings would take the table past ``TOKEN_CACHE_SIZE``, ``full()``
+        runs first, while the codes given out so far still hold, and then
+        the table empties."""
         try:
             return np.fromiter(map(self.codes.__getitem__, raws), np.int32, len(raws))
         except KeyError:
             pass
         new = [raw for raw in dict.fromkeys(raws) if raw not in self.codes]
         if len(self.codes) + len(new) > TOKEN_CACHE_SIZE:
+            full()
             self.clear()
             new = list(dict.fromkeys(raws))
         for raw in new:  # in order of first occurrence, so the first failure is the earliest
@@ -273,16 +384,30 @@ def _header(codes: list[int], table: TokenTable):
     return artist, tempo, numerator, tuple(song_controls)
 
 
-def _running(at: np.ndarray, values: np.ndarray, marks: np.ndarray, start: int) -> np.ndarray:
-    """At each mark, the value of the last token at ``at`` before it, or ``start``."""
-    if not len(at) or at[-1] < marks[0]:
-        return np.full(len(marks), start, np.int64)
+def _no_bars() -> ScoreColumns:
+    empty = np.zeros(0, np.int64)
+    return ScoreColumns(None, DEFAULT_TEMPO, 4, (), empty, empty, empty, (), *[empty] * 8)
+
+
+def _first(at: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """For each song, the first of the ascending positions ``at`` in its
+    ``[lo, hi)``, or ``hi``."""
+    return np.minimum(np.append(at, np.iinfo(np.int64).max)[at.searchsorted(lo)], hi)
+
+
+def _running(at: np.ndarray, values: np.ndarray, marks: np.ndarray, start: np.ndarray,
+             since: np.ndarray) -> np.ndarray:
+    """At each mark, the value of the last token at ``at`` before it and not
+    before ``since`` (the first token of the mark's song), or ``start``."""
+    if not len(at):
+        return start
     last = np.searchsorted(at, marks) - 1
-    return np.where(last >= 0, values[last], start)
+    return np.where((last >= 0) & (at[last] >= since), values[last], start)
 
 
 def decode(raws: Sequence[str], table: TokenTable) -> ScoreColumns:
-    """Decode a song's token strings into :class:`ScoreColumns`.
+    """Decode a song's token strings into :class:`ScoreColumns`: the
+    one-song case of :func:`decode_many`.
 
     Song controls and header tokens must precede the first ``new_measure``;
     an empty stream, a malformed token (:class:`ParseError`, before any
@@ -290,9 +415,110 @@ def decode(raws: Sequence[str], table: TokenTable) -> ScoreColumns:
     ``end``, a string number outside the track's tuning or a wait or bar
     longer than ``MAX_TICKS`` raises at the earliest offending token.
     """
-    if not raws:
-        raise StructureError("no tokens")  # even an empty score has a header and end
-    codes = table.encode(raws)
+    return decode_many([raws], table).song(0)
+
+
+def decode_many(sources: Iterable[Path | Sequence[str]], table: TokenTable) -> SongBatch:
+    """Decode songs as one :class:`SongBatch`: the parts of
+    :func:`decode_parts`, joined."""
+    return _concat([part for _, part in decode_parts(sources, table)])
+
+
+def decode_parts(sources: Iterable[Path | Sequence[str]], table: TokenTable
+                 ) -> Iterator[tuple[int, SongBatch]]:
+    """Decode songs in parts of consecutive songs, each a
+    :class:`SongBatch`; each source is the :class:`~pathlib.Path` of a song
+    file or a song's token strings. Yields each part's first song and the
+    part, in song order.
+
+    Each song is encoded to codes as it is read, and its strings are then
+    let go. A part holds at most ``PART_TOKENS`` tokens, or one song, so
+    the arrays decoded at once do not grow with the directory; it also
+    ends where the table must empty itself. A song that cannot be read
+    (``OSError``, or a ``ValueError`` for text that is not UTF-8) or
+    decoded holds no bar; its error is what :func:`decode` raises for it
+    alone.
+    """
+    done: list[tuple[int, SongBatch]] = []
+    songs: list[np.ndarray] = []
+    failed: dict[int, Exception] = {}
+    read = held = 0
+
+    def flush() -> None:  # decode the pending songs while the table still knows their codes
+        nonlocal held
+        if songs:
+            done.append((read - len(songs), _decode_codes(songs, failed, table)))
+            songs.clear()
+            failed.clear()
+            held = 0
+
+    for source in sources:
+        try:
+            raws = source.read_text(encoding="utf-8").split() if isinstance(source, Path) \
+                else source
+            if not raws:
+                raise StructureError("no tokens")  # even an empty score has a header and end
+            if held + len(raws) > PART_TOKENS:
+                flush()
+            songs.append(table.encode(raws, flush))
+            held += len(raws)
+        except (OSError, ValueError) as exc:
+            failed[len(songs)] = exc
+            songs.append(np.zeros(0, np.int32))
+        read += 1
+        yield from done
+        done.clear()
+    flush()
+    yield from done
+
+
+def _decode_codes(songs: list[np.ndarray], failed: dict[int, Exception],
+                  table: TokenTable) -> SongBatch:
+    """Decode the codes of ``songs`` together; ``failed`` are the songs
+    that could not be encoded."""
+    n = len(songs)
+    begin = np.zeros(n + 1, np.int64)
+    begin[1:] = np.cumsum([len(c) for c in songs], dtype=np.int64)
+    codes = np.concatenate(songs) if songs else np.zeros(0, np.int32)
+    kind = table.kind[codes]
+    # each song's first end (or its end), then its first new_measure before that
+    stop = _first((kind == _END).nonzero()[0], begin[:-1], begin[1:])
+    first = _first((kind == _MEASURE).nonzero()[0], begin[:-1], stop)
+    flagged = _first(table.in_bar_error[codes].nonzero()[0], first, stop)
+    errors = dict(failed)
+    heads = []
+    for s, (a, f, bad, z, e) in enumerate(zip(begin.tolist(), first.tolist(), flagged.tolist(),
+                                              stop.tolist(), begin[1:].tolist())):
+        head = None
+        if s not in errors:
+            try:
+                head = _header(codes[a:f].tolist(), table)
+                if bad < z:
+                    raise StructureError(f"token {bad - a}: {table.in_bar[int(codes[bad])]}")
+                if z + 1 < e:
+                    raise StructureError(f"token {z + 1 - a} "
+                                         f"({table.tokens[codes[z + 1]].raw!r}) after end")
+            except StructureError as exc:
+                errors[s], head = exc, None
+        heads.append(head)
+    # every good song's tokens from its first new_measure to its end
+    good = np.array([h is not None for h in heads], bool)
+    size = np.where(good, stop - first, 0)
+    body_begin = np.zeros(n + 1, np.int64)
+    np.cumsum(size, out=body_begin[1:])
+    inside = (np.bincount(first[good], minlength=len(codes) + 1)
+              - np.bincount(stop[good], minlength=len(codes) + 1)).cumsum()[:-1] > 0
+    defaults = np.array([(h[1], h[2]) if h else (0, 0) for h in heads], np.int64).reshape(-1, 2)
+    columns, marks = _decode_bars(codes[inside], body_begin, defaults, table)
+    return SongBatch(columns, marks.searchsorted(body_begin), tuple(heads), errors)
+
+
+def _decode_bars(codes: np.ndarray, song_begin: np.ndarray, defaults: np.ndarray,
+                 table: TokenTable) -> tuple[ScoreColumns, np.ndarray]:
+    """The bars of checked songs' codes, each song's from its first
+    ``new_measure`` to its end, laid end to end from ``song_begin``; a
+    song's bars start from its header tempo and metre (``defaults``).
+    Returns the columns and the position of each bar's ``new_measure``."""
     kind = table.kind[codes]
     # the positions of each kind of token, ascending, from one stable sort
     by_kind = kind.argsort(kind="stable")
@@ -301,31 +527,22 @@ def decode(raws: Sequence[str], table: TokenTable) -> ScoreColumns:
     def positions(k: int) -> np.ndarray:
         return by_kind[edges[k]:edges[k + 1]]
 
-    ends, marks = positions(_END), positions(_MEASURE)
-    stop = int(ends[0]) if len(ends) else len(codes)
-    first = int(marks[0]) if len(marks) and marks[0] < stop else stop
-    artist, tempo, numerator, song_controls = _header(codes[:first].tolist(), table)
-    flagged = table.in_bar_error[codes[first:stop]].nonzero()[0]
-    if len(flagged):
-        i = first + int(flagged[0])
-        raise StructureError(f"token {i}: {table.in_bar[int(codes[i])]}")
-    if stop + 1 < len(codes):
-        raise StructureError(f"token {stop + 1} ({raws[stop + 1]!r}) after end")
+    marks = positions(_MEASURE)
     if not len(marks):
-        empty = np.zeros(0, np.int64)
-        return ScoreColumns(artist, tempo, numerator, song_controls, empty, empty, empty, (),
-                            *[empty] * 8)
-
+        return _no_bars(), marks
+    song = song_begin.searchsorted(marks, "right") - 1
+    since = song_begin[song]
     tempo_at, numerator_at = positions(_TEMPO), positions(_TIME_SIGNATURE)
-    bar_tempo = _running(tempo_at, table.value[codes[tempo_at]], marks, tempo)
-    bar_numerator = _running(numerator_at, table.value[codes[numerator_at]], marks, numerator)
+    bar_tempo = _running(tempo_at, table.value[codes[tempo_at]], marks, defaults[song, 0], since)
+    bar_numerator = _running(numerator_at, table.value[codes[numerator_at]], marks,
+                             defaults[song, 1], since)
     # ``at`` rises at every wait (by its ticks) and new_measure (by 1): notes
     # sharing it form one onset group, and it less its bar's start is the cursor
     at = table.step[codes].cumsum()
     bar_at = at[marks]
     bar_close = np.empty(len(marks), np.int64)
     bar_close[:-1] = marks[1:] - 1
-    bar_close[-1] = stop - 1
+    bar_close[-1] = len(codes) - 1
     closes = at[bar_close] - bar_at  # the cursor as each bar ends
 
     notes = positions(_NOTE)
@@ -368,10 +585,10 @@ def decode(raws: Sequence[str], table: TokenTable) -> ScoreColumns:
 
     controls_at = positions(_BAR_CONTROL)
     return ScoreColumns(
-        artist, tempo, numerator, song_controls, bar_tempo, bar_numerator,
+        None, DEFAULT_TEMPO, 4, (), bar_tempo, bar_numerator,
         marks.searchsorted(controls_at, "right") - 1,
         tuple(table.tokens[c] for c in codes[controls_at].tolist()),
-        bar, onset, g_duration[group], midi, track, string, fret, fx, tuple(effects))
+        bar, onset, g_duration[group], midi, track, string, fret, fx, tuple(effects)), marks
 
 
 def tokens_to_score(stream: list[Token]) -> ScoreColumns:
@@ -458,30 +675,61 @@ def bar_bodies(song: ScoreColumns, bars: Sequence[int]) -> list[list[str]]:
 def regularize_meter(song: ScoreColumns) -> ScoreColumns:
     """Force every bar to 4/4, splitting at 4-beat boundaries and padding
     short bars to a full bar; a song that would become more than
-    ``MAX_BARS`` bars raises :class:`StructureError`.
+    ``MAX_BARS`` bars raises :class:`StructureError`. The one-song case of
+    :func:`regularize_many`.
 
     Note count is preserved; notes crossing a split boundary are clipped
     at the boundary, the notes of a split bar are sorted by (onset, track,
     pitch, string), and a bar's controls go to its first 4/4 bar.
     Idempotent on already-regular scores.
     """
-    bar, onset, duration = song.bar, song.onset, song.duration
-    end = onset + duration
+    return regularize_many(SongBatch.of([song])).song(0)
+
+
+def _chunks(batch: SongBatch, keep: Sequence[bool] | None
+            ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
+    """How many bars of 4/4 each bar of ``batch`` becomes and each song
+    holds, 0 in the songs not in ``keep`` and in those that would hold
+    more than ``MAX_BARS``, and a :class:`StructureError` for each of the
+    latter."""
+    song, starts = batch.columns, batch.starts
     extent = song.capacity
     bounds = song.bounds
     filled = bounds[:-1] < bounds[1:]
-    extent[filled] = np.maximum(extent[filled], np.maximum.reduceat(end, bounds[:-1][filled]))
+    extent[filled] = np.maximum(extent[filled], np.maximum.reduceat(song.onset + song.duration,
+                                                                    bounds[:-1][filled]))
     chunks = np.maximum(1, -(-extent // BAR_TICKS_4_4))
-    n_bars = int(chunks.sum())
-    if n_bars > MAX_BARS:
-        raise StructureError(f"the song regularizes into {n_bars} bars of 4/4, more than "
-                             f"{MAX_BARS}")
+    if keep is not None:
+        chunks[~np.repeat(np.asarray(keep, bool), np.diff(starts))] = 0
+    total = np.zeros(len(chunks) + 1, np.int64)
+    np.cumsum(chunks, out=total[1:])
+    n_bars = total[starts[1:]] - total[starts[:-1]]
+    errors: dict[int, Exception] = {}
+    for s in (n_bars > MAX_BARS).nonzero()[0].tolist():
+        errors[s] = StructureError(f"the song regularizes into {n_bars[s]} bars of 4/4, more "
+                                   f"than {MAX_BARS}")
+        chunks[starts[s]:starts[s + 1]] = 0
+        n_bars[s] = 0
+    return chunks, n_bars, errors
+
+
+def regularize_many(batch: SongBatch, keep: Sequence[bool] | None = None) -> SongBatch:
+    """Every song of ``batch`` regularized as :func:`regularize_meter`
+    does it; a song that would become more than ``MAX_BARS`` bars of 4/4
+    loses its bars and gets a :class:`StructureError`, and a song not in
+    ``keep`` (a flag per song; None keeps all) loses its bars."""
+    song, starts = batch.columns, batch.starts
+    bar, onset, duration = song.bar, song.onset, song.duration
+    chunks, _, too_long = _chunks(batch, keep)
+    errors = batch.errors | too_long
+    heads = tuple(None if i in errors else (*head[:2], 4, head[3])
+                  for i, head in enumerate(batch.heads))
     in_4_4 = song.numerator == 4
-    if n_bars == song.n_bars and in_4_4.all():
-        if song.header_time_signature == 4:
-            return song
-        return replace(song, header_time_signature=4)
-    first_chunk = np.cumsum(chunks) - chunks
+    if (chunks == 1).all() and in_4_4.all():
+        return replace(batch, heads=heads)
+    total = np.zeros(len(chunks) + 1, np.int64)
+    np.cumsum(chunks, out=total[1:])
+    first_chunk = total[:-1]
     chunk = onset // BAR_TICKS_4_4
     new_bar = first_chunk[bar] + chunk
     new_onset = onset - chunk * BAR_TICKS_4_4
@@ -490,12 +738,34 @@ def regularize_meter(song: ScoreColumns) -> ScoreColumns:
     split = ~(in_4_4 & (chunks == 1))[bar]
     order = np.lexsort([np.where(split, key, 0) for key in (
         np.maximum(song.string, 0), song.midi, song.track, new_onset)] + [new_bar])
-    return replace(
-        song, header_time_signature=4, tempo=np.repeat(song.tempo, chunks),
-        numerator=np.full(n_bars, 4, np.int64), control_bar=first_chunk[song.control_bar],
+    order = order[chunks[bar[order]] > 0]  # less the notes of the songs that lost their bars
+    kept = chunks[song.control_bar] > 0
+    return SongBatch(replace(
+        song, tempo=np.repeat(song.tempo, chunks), numerator=np.full(total[-1], 4, np.int64),
+        control_bar=first_chunk[song.control_bar[kept]],
+        controls=tuple(compress(song.controls, kept.tolist())),
         bar=new_bar[order], onset=new_onset[order], duration=new_duration[order],
         midi=song.midi[order], track=song.track[order], string=song.string[order],
-        fret=song.fret[order], fx=song.fx[order])
+        fret=song.fret[order], fx=song.fx[order]), total[starts], heads, errors)
+
+
+def regular_parts(batch: SongBatch, keep: Sequence[bool] | None = None
+                  ) -> Iterator[tuple[int, SongBatch]]:
+    """The songs of ``batch`` regularized as :func:`regularize_many` does
+    it, in parts of consecutive songs that become at most ``MAX_BARS``
+    bars of 4/4 together, so that a directory of many long songs holds no
+    more 4/4 bars at once than one song may; yields each part's first song
+    and the part, in song order."""
+    _, n_bars, _ = _chunks(batch, keep)
+    first = held = 0
+    for i, n in enumerate(n_bars.tolist()):
+        if held + n > MAX_BARS:
+            yield first, regularize_many(batch.songs(first, i),
+                                         None if keep is None else keep[first:i])
+            first, held = i, 0
+        held += n
+    yield first, regularize_many(batch.songs(first, len(batch)),
+                                 None if keep is None else keep[first:])
 
 
 def token_files(directory: str | Path) -> list[Path]:

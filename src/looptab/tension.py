@@ -7,11 +7,13 @@ keys are weighted combinations of pitch positions. Per bar we compute:
 * cloud momentum: distance between consecutive bars' centers of effect,
 * tensile strain: distance between a bar's center of effect and the key's.
 
-A bar's values come from the song's note columns (:class:`ScoreColumns`),
-with positions from a 12-entry pitch-class table; its center of effect
-sums its notes in note order, as a Python loop would, and its diameter
-depends only on its 12-bit pitch-class mask and is memoized per
-:class:`SpiralParams`.
+A bar's values come from the note columns (:class:`ScoreColumns`) of one
+song or of a whole batch of songs at once, with positions from a 12-entry
+pitch-class table; its center of effect sums its notes in note order, as
+a Python loop would, and its diameter depends only on its 12-bit
+pitch-class mask and is memoized per :class:`SpiralParams`. Each song (or
+loop) sums its own key the same way, and the keys of all of them are
+chosen in one array pass.
 Raw values are discretized into four levels (q1..q4) using corpus-global
 first quartile / median / third quartile thresholds.
 """
@@ -22,6 +24,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -227,18 +230,32 @@ def _pitch_class_table(params: SpiralParams) -> tuple[np.ndarray, dict[int, floa
     return np.array([pitch_position(fifth_index_of_pitch(pc), params) for pc in range(12)]), {}
 
 
-def _in_order_sums(terms: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """The sum of each run of rows ``terms[bounds[i]:bounds[i + 1]]``, added
-    in row order from 0.0 as a Python loop adds it (``np.add.reduceat`` adds
+# Below this many runs left, each run sums its remaining rows on its own: a
+# few long runs (a whole song's key) would otherwise take one vector
+# addition per note.
+_FEW_RUNS = 4
+
+
+def _in_order_sums(terms: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The sum of each run of rows ``terms[starts[i]:ends[i]]``, added in
+    row order from 0.0 as a Python loop adds it (``np.add.reduceat`` adds
     pairwise, which moves the last bits): one vector addition per rank adds
-    each run's row of that rank, over the runs at least that long."""
-    lengths = bounds[1:] - bounds[:-1]
-    runs = len(lengths)
+    each run's row of that rank, over the runs at least that long, until
+    fewer than ``_FEW_RUNS`` are; each of those then adds its remaining
+    rows with one sequential ``cumsum``."""
+    lengths = ends - starts
     by_length = (-lengths).argsort(kind="stable")
-    starts = bounds[:-1][by_length]
-    sums = np.zeros((runs, terms.shape[1]))
-    for rank, live in enumerate((runs - np.bincount(lengths).cumsum())[:-1].tolist()):
+    starts, lengths = starts[by_length], lengths[by_length]
+    sums = np.zeros((len(lengths), terms.shape[1]))
+    rank = 0
+    for live in (len(lengths) - np.bincount(lengths).cumsum()).tolist():
+        if live < _FEW_RUNS:
+            break
         sums[:live] += terms[starts[:live] + rank]  # the runs longer than this rank
+        rank += 1
+    for i in range(int((lengths > rank).sum())):
+        rest = terms[starts[i] + rank:starts[i] + lengths[i]]
+        sums[i] = np.concatenate([sums[i:i + 1], rest]).cumsum(axis=0)[-1]
     out = np.empty_like(sums)
     out[by_length] = sums
     return out
@@ -249,7 +266,9 @@ def _bar_table(song: ScoreColumns, params: SpiralParams):
     order (w the duration, (x, y, z) the pitch position) and each bar's row
     bounds among them; per bar, its center of effect, cloud diameter and
     momentum, each equal to what :func:`tension_from_clouds` gives for the
-    bar's (fifth-index, duration) cloud."""
+    bar's (fifth-index, duration) cloud. ``song`` may be a batch's columns:
+    no bar spans two songs, and the momentum of a song's first bar is never
+    read."""
     positions, diameters = _pitch_class_table(params)
     pitched = song.pitched
     pc = song.midi[pitched] % 12
@@ -258,7 +277,7 @@ def _bar_table(song: ScoreColumns, params: SpiralParams):
     terms[:, :3] = w[:, None] * positions[pc]
     terms[:, 3] = w
     bounds = np.searchsorted(song.bar[pitched], np.arange(song.n_bars + 1))
-    sums = _in_order_sums(terms, bounds)
+    sums = _in_order_sums(terms, bounds[:-1], bounds[1:])
     filled = bounds[:-1] < bounds[1:]
     centers = np.divide(sums[:, :3], sums[:, 3:], out=np.zeros((len(sums), 3)),
                         where=filled[:, None])
@@ -271,7 +290,23 @@ def _bar_table(song: ScoreColumns, params: SpiralParams):
     for mask in set(masks).difference(diameters):
         ks = [fifth_index_of_pitch(c) for c in range(12) if mask >> c & 1]
         diameters[mask] = cloud_diameter_of_indices(ks, params)
-    return terms, bounds.tolist(), coes, list(map(diameters.__getitem__, masks)), _momenta(coes)
+    return terms, bounds, coes, list(map(diameters.__getitem__, masks)), _momenta(coes)
+
+
+def _nearest_keys(centers: np.ndarray, params: SpiralParams) -> list[KeyEstimate]:
+    """:func:`_nearest_key` of each row of ``centers``. All 24 distances
+    are screened at once with ``x * x``; a row whose two nearest candidates
+    lie within 1e-9 of each other is decided by :func:`_nearest_key`
+    itself, so the choice is the same as its own."""
+    candidates = _key_candidates(params)
+    offsets = centers[:, None, :] - np.array([c.center for c in candidates])
+    distances = np.sqrt((offsets * offsets).sum(axis=2))
+    best = distances.argmin(axis=1)
+    two = np.partition(distances, 1, axis=1)
+    keys = [candidates[k] for k in best.tolist()]
+    for row in (two[:, 1] - two[:, 0] <= 1e-9).nonzero()[0].tolist():
+        keys[row] = _nearest_key(tuple(centers[row].tolist()), params)
+    return keys
 
 
 def compute_tension_profile(song: ScoreColumns,
@@ -281,22 +316,38 @@ def compute_tension_profile(song: ScoreColumns,
     return loop_tension_profiles(song, [(0, song.n_bars)], params)[0]
 
 
-def loop_tension_profiles(song: ScoreColumns, spans: Iterable[tuple[int, int]],
+def loop_tension_profiles(song: ScoreColumns, spans: Sequence[tuple[int, int]],
                           params: SpiralParams = DEFAULT_PARAMS) -> list[TensionProfile]:
     """The tension of each ``[start, end)`` bar range of ``song`` as
     :func:`compute_tension_profile` gives it for the range on its own: with
-    its own key and a first-bar momentum of 0. The bar values are computed
-    once and shared among the ranges."""
+    its own key and a first-bar momentum of 0. ``song`` may be the columns
+    of a batch and the ranges its songs or loops, none of them across two
+    songs. The bar values are computed once and shared among the ranges,
+    and the keys are chosen for all the ranges at once; the bars outside
+    every range are not computed."""
+    first, last = np.array(spans, np.int64).reshape(-1, 2).T
+    n = song.n_bars
+    inside = (np.bincount(first, minlength=n + 1) - np.bincount(last, minlength=n + 1)
+              ).cumsum()[:-1] > 0
+    if not inside.all():  # the bars inside a range, renumbered from 0
+        before = np.zeros(n + 1, np.int64)
+        np.cumsum(inside, out=before[1:])
+        notes = inside[song.bar]
+        song = replace(song, tempo=song.tempo[inside], numerator=song.numerator[inside],
+                       bar=before[song.bar[notes]], midi=song.midi[notes],
+                       duration=song.duration[notes], track=song.track[notes])
+        first, last = before[first], before[last]
+        spans = list(zip(first.tolist(), last.tolist()))
     terms, bounds, coes, cds, cms = _bar_table(song, params)
-    profiles = []
-    for s, e in spans:
-        key = None
-        if bounds[e] > bounds[s]:  # the key sums the range's notes in order
-            x, y, z, w = terms[bounds[s]:bounds[e]].cumsum(axis=0)[-1].tolist()
-            key = _nearest_key((x / w, y / w, z / w), params).center
-        profiles.append(TensionProfile(tuple(cds[s:e]), (0.0,)[:e - s] + tuple(cms[s + 1:e]),
-                                       _strains(coes[s:e], key)))
-    return profiles
+    lo, hi = bounds[first], bounds[last]
+    held = (hi > lo).nonzero()[0]  # the ranges with pitched notes have a key
+    sums = _in_order_sums(terms, lo[held], hi[held])  # summing the range's notes in order
+    keys: list = [None] * len(spans)
+    for i, key in zip(held.tolist(), _nearest_keys(sums[:, :3] / sums[:, 3:], params)):
+        keys[i] = key.center
+    return [TensionProfile(tuple(cds[s:e]), (0.0,)[:e - s] + tuple(cms[s + 1:e]),
+                           _strains(coes[s:e], key))
+            for (s, e), key in zip(spans, keys)]
 
 
 def fit_tension_thresholds(profiles: Iterable[TensionProfile]) -> TensionThresholds:
@@ -320,6 +371,9 @@ def fit_tension_thresholds(profiles: Iterable[TensionProfile]) -> TensionThresho
     return TensionThresholds(**out)
 
 
+LEVELS = ("q1", "q2", "q3", "q4")
+
+
 def level_of(value: float, thresholds: tuple[float, float, float]) -> str:
     """Half-open binning: v < t1 -> q1, t1 <= v < t2 -> q2, t2 <= v < t3 -> q3, v >= t3 -> q4."""
     t1, t2, t3 = thresholds
@@ -334,13 +388,33 @@ def level_of(value: float, thresholds: tuple[float, float, float]) -> str:
     return "q1"
 
 
+def levels_of(values: Sequence[float], thresholds: tuple[float, float, float]) -> tuple[str, ...]:
+    """:func:`level_of` of every value, binned in one ``searchsorted``; NaN,
+    which compares false, is q1 as there."""
+    t1, t2, t3 = thresholds
+    if not t1 <= t2 <= t3:
+        raise ValueError("thresholds must be ordered")
+    values = np.asarray(values, dtype=float)
+    bins = np.searchsorted(np.asarray(thresholds, dtype=float), values, side="right")
+    bins[np.isnan(values)] = 0
+    return tuple(map(LEVELS.__getitem__, bins.tolist()))
+
+
 def discretize_profile(profile: TensionProfile, thresholds: TensionThresholds) -> TensionProfile:
-    return replace(
-        profile,
-        cd_levels=tuple(level_of(v, thresholds.cloud_diameter) for v in profile.cloud_diameter),
-        cm_levels=tuple(level_of(v, thresholds.cloud_momentum) for v in profile.cloud_momentum),
-        ts_levels=tuple(level_of(v, thresholds.tensile_strain) for v in profile.tensile_strain),
-    )
+    return discretize_profiles([profile], thresholds)[0]
+
+
+def discretize_profiles(profiles: Sequence[TensionProfile],
+                        thresholds: TensionThresholds) -> list[TensionProfile]:
+    """Each profile with its levels; each feature of all the profiles is
+    binned in one :func:`levels_of`."""
+    cd, cm, ts = (levels_of(np.fromiter(chain.from_iterable(p.feature(name) for p in profiles),
+                                        float), getattr(thresholds, name))
+                  for name in TENSION_FEATURES)
+    ends = list(accumulate(map(len, profiles)))
+    return [TensionProfile(p.cloud_diameter, p.cloud_momentum, p.tensile_strain,
+                           cd[a:b], cm[a:b], ts[a:b])
+            for p, a, b in zip(profiles, [0, *ends], ends)]
 
 
 # Persistence: thresholds sidecar and per-bar CSV rows.

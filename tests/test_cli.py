@@ -241,6 +241,36 @@ def test_a_song_too_long_to_regularize_exits_1_naming_it(tmp_path, capsys, comma
     assert not (tmp_path / "loops.jsonl").exists()
 
 
+def test_many_songs_at_the_bar_limit_run_in_bounded_memory(tmp_path):
+    # each song becomes 65,536 bars of 4/4, the most one song may; held at
+    # once, 300 of them would take arrays of 150 MiB each
+    pytest.importorskip("resource")
+    scores = tmp_path / "scores"
+    scores.mkdir()
+    names = [f"s{i:03d}" for i in range(300)]
+    for name in names:
+        (scores / f"{name}.tokens").write_text("start new_measure clean0:note:s1:f0 "
+                                               "wait:251658240 end\n")
+    ann = tmp_path / "annotations.csv"
+    ann.write_text("artist,title,valence,energy,mode\n"
+                   + "".join(f",{name},0.5,0.5,major\n" for name in names))
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (500 * 2**20,) * 2); "
+            "from looptab.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ, PYTHONPATH=str(Path(looptab.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    for argv, status, err in [
+        (["loops", "--scores", scores, "--out", tmp_path / "loops.jsonl"], 0, "found 0 loops\n"),
+        (["eval-loops", "--generations", scores], 0, ""),
+        (["corpus", "--scores", scores, "--annotations", ann, "--out", tmp_path / "c.txt"], 1,
+         f"error: no corpus lines from {scores} (skipped: 0 unannotated, 300 loop-free, "
+         "0 failed)\n"),
+    ]:
+        proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (status, err)
+    assert (tmp_path / "loops.jsonl").read_text() == ""
+
+
 @pytest.mark.parametrize("bad,message", [
     ("tempo:x1", "tempo must be a non-negative integer, got 'x1'"),
     ("garbage!!", "no grammar rule matches 'garbage!!'"),

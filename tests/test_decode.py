@@ -9,25 +9,31 @@ must give what the reference oracles give on the plain bars.
 
 import random
 import re
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from looptab import score as score_mod
-from looptab.loops import LoopParams, extract_loops, fingerprint_sequence
+from looptab.loops import LoopParams, LoopSpan, _onset_groups, extract_loops, \
+    fingerprint_sequence
 from looptab.score import (
     DEFAULT_TEMPO,
     MAX_TICKS,
     StructureError,
+    SongBatch,
     TokenTable,
     bar_bodies,
     decode,
+    decode_many,
+    decode_parts,
     regularize_meter,
     score_to_tokens,
     tokens_to_score,
 )
-from looptab.tension import DEFAULT_PARAMS, compute_tension_profile, loop_tension_profiles
+from looptab.tension import (DEFAULT_PARAMS, TensionProfile, compute_tension_profile,
+                             loop_tension_profiles)
 from looptab.tokens import TICKS_PER_QUARTER, ParseError, Token, TokenCategory, parse_tokens
 
 from test_loops import oracle_loops, reference_fingerprints
@@ -282,6 +288,94 @@ def test_the_table_classifies_each_string_once_and_skips_malformed_ones():
         decode("start new_measure frob".split(), table)
     assert "frob" not in table.codes and len(table) == 5
 
+
+# a batch of songs decodes each song as it decodes alone ---------------------
+
+def check_batch(texts: list[str], table: TokenTable) -> SongBatch:
+    """Decode ``texts`` as one batch; each valid song's columns are the
+    reference decoder's, and each malformed song is the batch's error for
+    that song, with the type and message it raises alone."""
+    batch = decode_many([text.split() for text in texts], table)
+    assert len(batch) == len(texts) and len(batch.starts) == len(texts) + 1
+    for i, text in enumerate(texts):
+        try:
+            expected = reference_tokens_to_score(parse_tokens(text))
+        except (StructureError, ParseError):
+            with pytest.raises((StructureError, ParseError)) as alone:
+                decode(text.split(), TokenTable())
+            got = batch.errors[i]
+            assert (type(got), str(got)) == (type(alone.value), str(alone.value))
+            assert batch.starts[i] == batch.starts[i + 1] and batch.heads[i] is None
+        else:
+            assert i not in batch.errors and plain(batch.song(i)) == expected
+    # the batch's onset groups, loops and tension are each song's own, also
+    # where notes run past their song's end
+    good = [i for i in range(len(texts)) if i not in batch.errors]
+    songs, starts = [batch.song(i) for i in good], [int(batch.starts[i]) for i in good]
+    onsets, notes, gaps, owner, _ = _onset_groups(batch.columns, batch.starts)
+    assert (owner[1:] >= owner[:-1]).all()
+    for i, song in zip(good, songs):
+        alone, alone_notes, alone_gaps, _, _ = _onset_groups(song)
+        mine = (owner == i).nonzero()[0]
+        assert [notes[j] for j in mine] == alone_notes and gaps[mine].tolist() == alone_gaps.tolist()
+        assert len(set((onsets[mine] - alone).tolist())) <= 1
+    params = LoopParams(min_rep_notes=1, min_rep_beats=1, min_loop_bars=1, max_loop_bars=2)
+    assert extract_loops(batch.columns, params, batch.starts) == [
+        LoopSpan(s.start_bar + start, s.end_bar + start, s.repetition_length_events)
+        for song, start in zip(songs, starts) for s in extract_loops(song, params)]
+    assert loop_tension_profiles(batch.columns, batch.spans) == [
+        TensionProfile((), (), ()) if i in batch.errors else compute_tension_profile(batch.song(i))
+        for i in range(len(texts))]
+    return batch
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.one_of(valid_text(), st.lists(st.sampled_from(POOL), max_size=14).map(" ".join)),
+                min_size=1, max_size=4))
+def test_a_batch_decodes_each_song_as_the_song_alone(texts):
+    check_batch(texts, TABLE)
+
+
+def test_a_batch_decodes_on_where_the_token_table_must_empty_itself(monkeypatch):
+    # each song brings new strings, so the table empties between songs and
+    # the batch is decoded in parts, then joined
+    monkeypatch.setattr(score_mod, "TOKEN_CACHE_SIZE", 12)
+    rng = random.Random(3)
+    texts = []
+    for i in range(8):
+        notes = [f"clean0:note:s{rng.randint(1, 6)}:f{rng.randint(0, 20)}" for _ in range(6)]
+        fx = ["nfx:bend", "nfx:slide"][i % 2:]
+        texts.append(" ".join(["tempo:90", "start", "new_measure", notes[0], *fx, "wait:480",
+                               *notes[1:3], "wait:960", "time_signature:3", "new_measure",
+                               *notes[3:], *(["frob"] if i == 5 else []), "end"]))
+    parts = []
+    decode_codes = score_mod._decode_codes
+    monkeypatch.setattr(score_mod, "_decode_codes", lambda *a: parts.append(decode_codes(*a))
+                        or parts[-1])
+    batch = check_batch(texts, TokenTable())
+    assert list(batch.errors) == [5] and len(parts) > 3
+    assert [s.effects[x] for s in map(batch.song, (0, 1)) for x in s.fx.tolist()] == \
+        [("bend", "slide"), (), (), (), (), (), ("slide",), (), (), (), (), ()]
+
+
+
+def test_a_directory_past_the_token_bound_decodes_in_parts(monkeypatch):
+    # the parts hold at most PART_TOKENS tokens, or one longer song, and
+    # join into the batch of each song as it decodes alone
+    monkeypatch.setattr(score_mod, "PART_TOKENS", 40)
+    rng = random.Random(4)
+    texts = [" ".join(["tempo:90", "start", *(["new_measure", "clean0:note:s1:f3", "wait:960"]
+                                              * rng.randint(1, 20)), "end"])
+             for _ in range(12)]
+    texts[4] = "start new_measure wait:0 end"
+    parts = list(decode_parts([text.split() for text in texts], TokenTable()))
+    assert [first for first, _ in parts] == [0, *accumulate(len(part) for _, part in parts)][:-1]
+    assert sum(map(len, (part for _, part in parts))) == len(texts) and len(parts) > 4
+    for first, part in parts:
+        sizes = [len(texts[first + i].split()) for i in range(len(part)) if i not in part.errors]
+        assert len(part) == 1 or sum(sizes) <= 40
+        assert [first + i for i in part.errors] == [4] * (first <= 4 < first + len(part))
+    check_batch(texts, TokenTable())
 
 # the per-bar computations on built columns and on their decoded tokens ------
 

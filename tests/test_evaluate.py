@@ -26,6 +26,7 @@ from looptab.evaluate import (
     train_classifier,
 )
 from looptab.loops import LoopParams
+from looptab.score import SongBatch
 
 from util import bar_block, block_bars, columns
 
@@ -260,9 +261,10 @@ def test_loop_metric_counts():
     blocks = {c: bar_block(rng, 4) for c in "AB"}
     looped = columns(block_bars(blocks, "ABABABAB"))
     bare = columns(block_bars(blocks, "AB"))
-    total, avg = loop_metric([looped, bare])
+    total, avg = loop_metric([SongBatch.of([looped, bare])])
     assert total >= 1
     assert avg == total / 2
+    assert loop_metric([SongBatch.of([looped]), SongBatch.of([bare])]) == (total, avg)
     assert loop_metric([], LoopParams()) == (0, 0.0)
 
 

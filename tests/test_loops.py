@@ -92,7 +92,7 @@ def plain_bars(draw):
 def test_onset_groups_intern_like_fingerprints(bars):
     reference = reference_fingerprints(bars)
     score = columns(bars)
-    onsets, notes, gaps = _onset_groups(score)
+    onsets, notes, gaps, _, _ = _onset_groups(score)
     assert onsets.tolist() == [f.onset for f in reference]
     assert interned_ids(zip(notes, gaps.tolist())) == interned_ids(reference)
     seq = fingerprint_sequence(score)

@@ -18,7 +18,11 @@ from looptab.tension import (
     fifth_index_of_pitch,
     fit_tension_thresholds,
     key_coe,
+    _key_candidates,
+    _nearest_key,
+    _nearest_keys,
     level_of,
+    levels_of,
     loop_tension_profiles,
     pitch_position,
     tension_from_clouds,
@@ -312,3 +316,33 @@ def test_loop_profiles_equal_the_profile_of_each_range_alone(bars, params, data)
         lambda r: r[0] < r[1]), max_size=5)) if n else []
     got = loop_tension_profiles(columns(bars), spans, params)
     assert got == [reference_profile(bars[s:e], params) for s, e in spans]
+
+
+@pytest.mark.parametrize("thresholds", [(1.0, 2.0, 3.0), (1.0, 1.0, 3.0), (1.0, 3.0, 3.0),
+                                        (2.0, 2.0, 2.0), (-0.0, 0.0, 0.0)])
+def test_binning_in_one_call_agrees_with_level_of(thresholds):
+    values = (*thresholds, *(math.nextafter(t, -math.inf) for t in thresholds),
+              *(math.nextafter(t, math.inf) for t in thresholds),
+              -math.inf, math.inf, math.nan, 0.0, -0.0, 99.0)
+    assert levels_of(values, thresholds) == tuple(level_of(v, thresholds) for v in values)
+    assert levels_of([math.nan], thresholds) == ("q1",)  # searchsorted alone would say q4
+
+
+@pytest.mark.parametrize("thresholds", [(2.0, 1.0, 3.0), (1.0, 3.0, 2.0), (math.nan, 1.0, 2.0)])
+def test_binning_in_one_call_rejects_unordered_thresholds(thresholds):
+    for binning in (lambda: level_of(1.5, thresholds), lambda: levels_of([1.5], thresholds)):
+        with pytest.raises(ValueError, match="thresholds must be ordered"):
+            binning()
+
+
+@pytest.mark.parametrize("params", [DEFAULT_PARAMS, SpiralParams(2.0, 0.5)])
+def test_keys_chosen_at_once_are_the_keys_chosen_one_by_one(params):
+    # random centers, the candidates themselves, and points halfway between
+    # two candidates, whose two nearest keys tie up to rounding
+    rng = np.random.default_rng(1)
+    keys = np.array([c.center for c in _key_candidates(params)])
+    pairs = rng.integers(0, len(keys), (300, 2))
+    centers = np.concatenate([rng.normal(0.0, 2.0, (300, 3)), keys,
+                              (keys[pairs[:, 0]] + keys[pairs[:, 1]]) / 2])
+    assert _nearest_keys(centers, params) == [_nearest_key(tuple(c), params)
+                                              for c in centers.tolist()]
