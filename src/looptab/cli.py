@@ -282,13 +282,14 @@ def cmd_train_clf(args) -> int:
     corpus that fails for one target leaves neither file behind."""
     config = load_config(args.config)
     labels, names, x = _classifier_corpus(args.corpus, config.classifier.truncate)
-    classifiers = {target: evaluate_mod.fit_classifier(names, x, y, config.classifier)
-                   for target, y in labels.items()}
+    classifiers = evaluate_mod.fit_classifiers(names, x, labels, config.classifier)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for target, clf in classifiers.items():
         clf.save(out_dir / f"{target}.json")
-        log.info("%s classifier held-out accuracy: %s", target, clf.holdout_accuracy)
+        log.info("%s classifier: %d Newton iterations, gradient max-norm %.3g, "
+                 "held-out accuracy %s", target, clf.fit.iterations, clf.fit.gradient_norm,
+                 clf.holdout_accuracy)
     return 0
 
 

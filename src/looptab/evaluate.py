@@ -6,10 +6,18 @@ regression over order-free token-count features; external classifiers can
 implement the same ``scores(streams)`` surface.
 
 A corpus is featurized once, as one matrix (:func:`feature_matrix`), and
-one matrix serves both the valence and the arousal fit. The fit runs on
-BLAS, so a classifier file is byte-reproducible only for a fixed BLAS
-thread count: on the corpus_many seed-1 benchmark corpus the weights moved
-by up to 3.5e-18 between ``OPENBLAS_NUM_THREADS=1`` and ``2``.
+one matrix serves both the valence and the arousal fit. Each fit is
+Newton's method (iteratively reweighted least squares) on the mean
+log-loss plus ``l2 / 2 |w|^2``, run until the gradient's max-norm is at
+most ``NEWTON_TOL``. With at least as many training rows as features it
+runs on the feature matrix itself, holdout rows weighted 0, and sums the
+Hessian over blocks of rows, so the matrix is never copied; with fewer, it
+runs on the training rows' n x n coordinates from a thin QR, since the
+regularized optimum lies in their span. The targets share the split, the
+QR and the first Hessian. The fit runs on BLAS and LAPACK, so a classifier
+file is byte-reproducible only for a fixed BLAS thread count: on the
+corpus_many seed-1 benchmark corpus the weights (up to 3.8 in magnitude)
+moved by up to 2.7e-15 between ``OPENBLAS_NUM_THREADS=1`` and ``2``.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -32,6 +41,16 @@ from .score import SongBatch
 TRUNCATE_TOKENS = 768
 HIGH_CUT = 0.5
 
+# A fit stops once its gradient's max-norm is at most NEWTON_TOL, and after
+# NEWTON_MAX_ITER Newton steps at the latest (with a warning).
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 50
+_HALVINGS = 30  # at most this many halvings of a step that raises the loss
+_LOSS_ROUNDING = 1e-12  # a relative rise of the loss this small is rounding, not a rise
+_GRAM_ROWS = 256  # rows per block of the Hessian's A^T diag(h) A
+
+log = logging.getLogger(__name__)
+
 TEMPO_BUCKETS = ("tempo_slow", "tempo_mid", "tempo_fast")  # <100, 100..149, >=150
 
 
@@ -41,8 +60,6 @@ class ClassifierModel(Protocol):
 
 @dataclass(frozen=True)
 class ClassifierConfig:
-    epochs: int = 300
-    learning_rate: float = 0.5
     l2: float = 1e-4
     holdout_fraction: float = 0.2
     seed: int = 0
@@ -110,6 +127,21 @@ def feature_columns(feature_names: Sequence[str]) -> dict[str, int]:
     return {name: i for i, name in enumerate(feature_names)}
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """``1 / (1 + e^-z)`` elementwise, without overflow."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+@dataclass(frozen=True)
+class NewtonFit:
+    """How a fit ended: the Newton steps taken and the max-norm of the
+    objective's gradient at the returned weights (in the solve's
+    coordinates, see :class:`_Design`)."""
+    iterations: int
+    gradient_norm: float
+
+
 @dataclass
 class LinearTokenClassifier:
     feature_names: list[str]
@@ -117,6 +149,7 @@ class LinearTokenClassifier:
     bias: float
     truncate: int = TRUNCATE_TOKENS
     holdout_accuracy: float | None = None
+    fit: NewtonFit | None = field(default=None, compare=False)  # not saved
 
     @cached_property
     def columns(self) -> dict[str, int]:
@@ -128,8 +161,8 @@ class LinearTokenClassifier:
     def scores(self, streams: Sequence[Sequence[str]]) -> list[float]:
         """The score of each stream; the streams are featurized as one
         matrix."""
-        return [1.0 / (1.0 + np.exp(-float(np.dot(self.weights, x) + self.bias)))
-                for x in feature_matrix(streams, self.columns, self.truncate)]
+        x = feature_matrix(streams, self.columns, self.truncate)
+        return _sigmoid(x @ self.weights + self.bias).tolist()
 
     def label(self, tokens: Sequence[str]) -> bool:
         return self.score(tokens) > HIGH_CUT
@@ -177,43 +210,158 @@ def classifier_features(streams: Sequence[Sequence[str]], truncate: int = TRUNCA
     return names, feature_matrix(streams, feature_columns(names), truncate)
 
 
-def fit_classifier(feature_names: list[str], x: np.ndarray, labels: Sequence[bool],
-                   config: ClassifierConfig = ClassifierConfig()) -> LinearTokenClassifier:
-    """Full-batch gradient-descent logistic regression on the feature rows
-    ``x``; deterministic given data, seed, epochs and the BLAS thread
-    count. Raises on single-class data. ``x`` is not modified, so one
-    matrix serves several targets."""
-    if len(x) != len(labels):
-        raise ValueError("feature rows and labels must align")
-    y = np.asarray(labels, dtype=float)
-    if y.min() == y.max():
-        raise ValueError("training data contains a single class")
-    if (y == 1).sum() < 2 or (y == 0).sum() < 2:
-        raise ValueError("need at least 2 examples per class")
+class _Design:
+    """The rows that the Newton solves of one split run on, shared by every
+    target fitted on that split.
 
-    rng = np.random.default_rng(config.seed)
-    perm = rng.permutation(len(x))
-    n_hold = int(len(x) * config.holdout_fraction)
+    With at least as many training rows as features this is ``x`` itself,
+    its holdout rows weighted 0, so that ``x`` is never copied. With fewer,
+    it is ``R^T`` of the thin QR ``x[train]^T = QR``: the regularized
+    optimum lies in the span of the training rows, so ``w = Qv`` with
+    ``x[train] w = R^T v`` and ``|w| = |v|``, and the solve is n x n.
+    """
+
+    def __init__(self, x: np.ndarray, train: np.ndarray, l2: float):
+        self.l2 = l2
+        if len(train) < x.shape[1]:
+            self.q, r = np.linalg.qr(x[train].T)
+            self.a, self.rows = r.T, train
+            self.s = np.full(len(train), 1.0 / len(train))
+        else:
+            self.q, self.a, self.rows = None, x, slice(None)
+            self.s = np.zeros(len(x))
+            self.s[train] = 1.0 / len(train)
+
+    def gradient(self, theta: np.ndarray, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The gradient of :meth:`loss` at the weights and bias ``theta``,
+        whose margins are ``z``."""
+        r = self.s * (_sigmoid(z) - y)
+        return np.append(r @ self.a + self.l2 * theta[:-1], r.sum())
+
+    def hessian(self, h: np.ndarray) -> np.ndarray:
+        """The Hessian for the per-row weights ``h``: ``A^T diag(h) A + l2 I``
+        bordered by the bias row and column ``A^T h`` and ``sum(h)``.
+        ``A^T diag(h) A`` is summed over blocks of rows, so no copy of
+        ``A`` is ever whole."""
+        a = self.a
+        d = a.shape[1]
+        hess = np.zeros((d + 1, d + 1))
+        gram = hess[:d, :d]
+        rows = np.flatnonzero(h)  # not the holdout rows
+        for start in range(0, len(rows), _GRAM_ROWS):
+            block = a[rows[start:start + _GRAM_ROWS]]
+            block *= np.sqrt(h[rows[start:start + _GRAM_ROWS]])[:, None]
+            gram += np.dot(block.T, block)  # np.dot runs A^T A as one symmetric rank-k update
+        gram[np.diag_indices(d)] += self.l2
+        hess[d, :d] = hess[:d, d] = h @ a
+        hess[d, d] = h.sum()
+        return hess
+
+    def loss(self, theta: np.ndarray, z: np.ndarray, y: np.ndarray) -> float:
+        """Mean log-loss of the margins ``z`` plus ``l2 / 2 |w|^2``; each
+        term is ``log(1 + e^-z)`` or ``log(1 + e^z)``, computed without
+        cancellation."""
+        w = theta[:-1]
+        return float(self.s @ np.logaddexp(0.0, (1.0 - 2.0 * y) * z)) + 0.5 * self.l2 * (w @ w)
+
+    def solve(self, labels: Mapping[str, np.ndarray]
+              ) -> dict[str, tuple[np.ndarray, float, NewtonFit]]:
+        """The weights, bias and fit of each target ``{target: y}`` (``y``
+        on the design's rows), by Newton steps from zero.
+
+        At zero every p is 1/2, so one Hessian gives every target's first
+        step; it is freed before the later steps. A step that would raise
+        the loss by more than rounding is halved, at most ``_HALVINGS``
+        times."""
+        a, s = self.a, self.s
+        d = a.shape[1]
+        start = np.zeros(d + 1), np.zeros(len(a))
+        first = self.hessian(s / 4)
+        steps = {target: np.linalg.solve(first, self.gradient(*start, y))
+                 for target, y in labels.items()}
+        del first
+        fits = {}
+        for target, y in labels.items():
+            (theta, z), loss = start, self.loss(*start, y)
+            step = steps[target]
+            for iterations in range(NEWTON_MAX_ITER + 1):
+                grad = self.gradient(theta, z, y)
+                norm = float(np.abs(grad).max())
+                if norm <= NEWTON_TOL or iterations == NEWTON_MAX_ITER:
+                    break
+                if iterations > 0:
+                    p = _sigmoid(z)
+                    step = np.linalg.solve(self.hessian(s * p * (1.0 - p)), grad)
+                dz = a @ step[:d] + step[d]
+                for _ in range(_HALVINGS):
+                    new_theta, new_z = theta - step, z - dz
+                    new_loss = self.loss(new_theta, new_z, y)
+                    if new_loss <= loss + _LOSS_ROUNDING * loss:
+                        break
+                    step, dz = step / 2, dz / 2
+                theta, z, loss = new_theta, new_z, new_loss
+            if norm > NEWTON_TOL:
+                log.warning("%s classifier: stopped at the cap of %d Newton iterations, "
+                            "gradient max-norm %.3g > %g", target, NEWTON_MAX_ITER, norm,
+                            NEWTON_TOL)
+            w = theta[:d] if self.q is None else self.q @ theta[:d]
+            fits[target] = w, float(theta[d]), NewtonFit(iterations, norm)
+        return fits
+
+
+def _split(n: int, y: np.ndarray, config: ClassifierConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The seeded (holdout, train) row indices; every row trains, and none
+    is held out, if the training rows would hold a single class."""
+    perm = np.random.default_rng(config.seed).permutation(n)
+    n_hold = int(n * config.holdout_fraction)
     hold, train = perm[:n_hold], perm[n_hold:]
     if len(train) == 0 or y[train].min() == y[train].max():
-        hold, train = perm[:0], perm  # fall back to training on everything
+        return perm[:0], perm
+    return hold, train
 
-    w = np.zeros(len(feature_names))
-    b = 0.0
-    xt, yt = x[train], y[train]
-    for _ in range(config.epochs):
-        z = xt @ w + b
-        p = 1.0 / (1.0 + np.exp(-z))
-        grad_w = xt.T @ (p - yt) / len(yt) + config.l2 * w
-        grad_b = float(np.mean(p - yt))
-        w -= config.learning_rate * grad_w
-        b -= config.learning_rate * grad_b
 
-    clf = LinearTokenClassifier(feature_names, w, b, config.truncate)
-    if len(hold) > 0:
-        preds = (1.0 / (1.0 + np.exp(-(x[hold] @ w + b)))) > HIGH_CUT
-        clf.holdout_accuracy = float(np.mean(preds == (y[hold] > 0.5)))
-    return clf
+def fit_classifiers(feature_names: list[str], x: np.ndarray,
+                    labels: Mapping[str, Sequence[bool]],
+                    config: ClassifierConfig = ClassifierConfig()
+                    ) -> dict[str, LinearTokenClassifier]:
+    """One logistic regression per target ``{target: labels}`` on the
+    feature rows ``x``, each fitted by Newton's method to a gradient
+    max-norm of at most ``NEWTON_TOL`` (see :class:`_Design`); a fit that
+    reaches ``NEWTON_MAX_ITER`` first is logged as a warning naming its
+    target. The objective is the mean log-loss of the training rows plus
+    ``l2 / 2 |w|^2``; the bias is not regularized. Deterministic given
+    data, seed and the BLAS thread count. Raises on single-class data.
+    ``x`` is not modified; the targets on one split share its design and
+    first Hessian."""
+    splits: dict[int, tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]] = {}
+    for target, target_labels in labels.items():
+        if len(x) != len(target_labels):
+            raise ValueError("feature rows and labels must align")
+        y = np.asarray(target_labels, dtype=float)
+        if y.min() == y.max():
+            raise ValueError("training data contains a single class")
+        if (y == 1).sum() < 2 or (y == 0).sum() < 2:
+            raise ValueError("need at least 2 examples per class")
+        hold, train = _split(len(x), y, config)
+        # the seeded split, or every row
+        splits.setdefault(len(hold), (hold, train, {}))[2][target] = y
+    classifiers = {}
+    for hold, train, ys in splits.values():
+        design = _Design(x, train, config.l2)
+        fits = design.solve({target: y[design.rows] for target, y in ys.items()})
+        for target, (w, b, fit) in fits.items():
+            clf = LinearTokenClassifier(feature_names, w, b, config.truncate, fit=fit)
+            if len(hold) > 0:
+                preds = _sigmoid(x @ w + b)[hold] > HIGH_CUT
+                clf.holdout_accuracy = float(np.mean(preds == (ys[target][hold] > 0.5)))
+            classifiers[target] = clf
+    return {target: classifiers[target] for target in labels}
+
+
+def fit_classifier(feature_names: list[str], x: np.ndarray, labels: Sequence[bool],
+                   config: ClassifierConfig = ClassifierConfig()) -> LinearTokenClassifier:
+    """:func:`fit_classifiers` for one target, named ``emotion``."""
+    return fit_classifiers(feature_names, x, {"emotion": labels}, config)["emotion"]
 
 
 def train_classifier(streams: Sequence[Sequence[str]], labels: Sequence[bool],

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import logging
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import pytest
 import looptab
 from looptab import cli
 from looptab.cli import atomic_write, label_free, main
-from looptab.evaluate import train_classifier
+from looptab.evaluate import NEWTON_MAX_ITER, NEWTON_TOL, train_classifier
 from looptab.loops import LoopSpan, extract_loops, splice_loop
 from looptab.score import score_to_tokens, tokens_to_score
 from looptab.tension import (
@@ -195,6 +197,17 @@ def test_train_clf_with_an_unlabelled_line_writes_nothing(corpus, tmp_path, caps
     err = capsys.readouterr().err
     assert err == f"error: corpus line {len(lines)} carries no arousal label\n"
     assert not (out / "valence.json").exists()
+
+
+def test_train_clf_logs_each_fit(corpus, tmp_path, caplog):
+    with caplog.at_level(logging.INFO, logger="looptab"):
+        assert run("train-clf", "--corpus", str(corpus), "--out-dir", str(tmp_path)) == 0
+    for target in ("valence", "arousal"):
+        accuracy = json.loads((tmp_path / f"{target}.json").read_text())["holdout_accuracy"]
+        [line] = [m for m in caplog.messages if m.startswith(f"{target} classifier:")]
+        fit = re.fullmatch(rf"{target} classifier: (\d+) Newton iterations, gradient max-norm "
+                           rf"(\S+), held-out accuracy {accuracy}", line)
+        assert fit and 1 <= int(fit[1]) <= NEWTON_MAX_ITER and float(fit[2]) <= NEWTON_TOL
 
 
 def test_eval_emotion_command(workspace, model, classifiers, tmp_path):

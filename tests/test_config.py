@@ -8,6 +8,7 @@ from looptab.config import (
     config_to_json,
     load_config,
 )
+from looptab.evaluate import ClassifierConfig
 from looptab.loops import LoopParams
 
 
@@ -36,6 +37,13 @@ def test_partial_document_fills_defaults():
     assert cfg.loop_params.max_loop_bars == 8
     assert cfg.loop_params.min_rep_notes == 4  # untouched default
     assert cfg.sad_tempo_max == 100
+
+
+def test_classifier_section_with_the_removed_gradient_fields_loads():
+    # epochs and learning_rate configured the gradient-descent fit
+    doc = {"format": "looptab-config", "version": 1,
+           "classifier": {"epochs": 300, "learning_rate": 0.5, "l2": 0.001}}
+    assert config_from_json(json.dumps(doc)).classifier == ClassifierConfig(l2=0.001)
 
 
 def test_rejects_foreign_document():

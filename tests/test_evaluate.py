@@ -1,4 +1,8 @@
+import logging
+import math
 import random
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from looptab.evaluate import (
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
     TEMPO_BUCKETS,
     ClassifierConfig,
     LinearTokenClassifier,
@@ -16,6 +22,7 @@ from looptab.evaluate import (
     feature_columns,
     feature_matrix,
     fit_classifier,
+    fit_classifiers,
     likert_to_signed,
     load_survey_csv,
     loop_metric,
@@ -176,6 +183,85 @@ def test_classifier_separates_disjoint_vocabularies():
     assert all(clf.label(s) for s in pos)
     assert not any(clf.label(s) for s in neg)
     assert clf.holdout_accuracy == 1.0
+    # separable data has no unregularized optimum; the l2 term gives it one
+    assert np.isfinite(clf.weights).all() and math.isfinite(clf.bias)
+    assert clf.fit.iterations <= NEWTON_MAX_ITER and clf.fit.gradient_norm <= NEWTON_TOL
+
+
+def test_a_fit_stopped_by_the_iteration_cap_logs_a_warning(monkeypatch, caplog):
+    monkeypatch.setattr("looptab.evaluate.NEWTON_MAX_ITER", 1)
+    rng = random.Random(5)
+    streams = synth_streams(rng, 30, ["a", "b", "c"], 160) + synth_streams(rng, 30, ["x"], 80)
+    names, x = classifier_features(streams)
+    with caplog.at_level(logging.WARNING, logger="looptab.evaluate"):
+        clf = fit_classifiers(names, x, {"valence": [True] * 30 + [False] * 30})["valence"]
+    assert clf.fit.iterations == 1 and clf.fit.gradient_norm > NEWTON_TOL
+    assert caplog.messages == [f"valence classifier: stopped at the cap of 1 Newton iterations, "
+                               f"gradient max-norm {clf.fit.gradient_norm:.3g} > {NEWTON_TOL:g}"]
+
+
+@pytest.mark.parametrize("seed,l2", [(91, 1e-10), (102, 1e-8)])
+def test_newton_steps_converge_on_coarsely_scaled_rows(seed, l2):
+    # Nearly separable rows at a coarse scale. Undamped, the steps on seed 91
+    # saturate every p and the next Hessian is singular. On seed 102 the last
+    # steps change the loss by less than its rounding; halving them as if the
+    # loss rose stalls the fit above the tolerance.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((45, 3)) * 10
+    labels = (x[:, 0] + rng.standard_normal(45) > 0).tolist()
+    clf = fit_classifier(["a", "b", "c"], x, labels, ClassifierConfig(l2=l2))
+    assert clf.fit.gradient_norm <= NEWTON_TOL
+
+
+# 78 notes give 83 features, fewer than the 160 training rows, so the fit
+# runs on x itself; 160 notes give 165, so it runs in the rows' span.
+NOTES = [f"clean0:note:s{s}:f{f}" for s in range(1, 7) for f in range(40)]
+
+
+@pytest.mark.parametrize("notes,row_space", [(NOTES[:78], False), (NOTES[:160], True)],
+                         ids=["features", "row_span"])
+def test_fit_converges_where_the_label_follows_one_token(notes, row_space):
+    rng = random.Random(13)
+    labels = [rng.random() < 0.5 for _ in range(200)]
+    streams = [["mode:major" if high else "mode:minor"] + [rng.choice(notes) for _ in range(60)]
+               for high in labels]
+    names, x = classifier_features(streams)
+    # The mode token is 1/61 of each window, so separating on it takes large
+    # weights; the default l2 of 1e-4 charges more for them than they gain.
+    config = ClassifierConfig(l2=1e-6)
+    train = np.random.default_rng(config.seed).permutation(200)[int(200 * config.holdout_fraction):]
+    assert (len(train) < len(names)) == row_space
+    clf = fit_classifier(names, x, labels, config)
+    assert clf.holdout_accuracy >= 0.95
+    # the gradient of the mean log-loss plus l2/2 |w|^2 at the returned weights
+    xt, y = x[train], np.asarray(labels, dtype=float)[train]
+    p = 1.0 / (1.0 + np.exp(-(xt @ clf.weights + clf.bias)))
+    grad = np.append(xt.T @ (p - y) / len(y) + config.l2 * clf.weights, np.mean(p - y))
+    assert np.abs(grad).max() <= 1e-8
+
+
+def test_fit_allocates_less_than_half_of_x():
+    rng = np.random.default_rng(4)
+    x = rng.random((4000, 100))  # more rows than features
+    x /= x.sum(axis=1, keepdims=True)
+    labels = (rng.random(4000) < 0.5).tolist()
+    names = [f"t{i}" for i in range(100)]
+    tracemalloc.start()
+    try:
+        clf = fit_classifier(names, x, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes / 2
+    assert clf.fit.gradient_norm <= NEWTON_TOL
+
+
+def test_scores_are_the_sigmoid_of_each_margin():
+    clf = LinearTokenClassifier(["a", "b"], np.array([2000.0, -2000.0]), 0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow at large margins
+        scores = clf.scores([["a"], ["b"], ["a", "b"], []])
+    assert scores == [1.0, 0.0, 1.0 / (1.0 + math.exp(-0.25)), 1.0 / (1.0 + math.exp(-0.25))]
 
 
 def test_classifier_chance_level_on_permuted_labels():
