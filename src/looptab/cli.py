@@ -230,7 +230,6 @@ def cmd_train_gen(args) -> int:
 
 def cmd_generate(args) -> int:
     config = load_config(args.config)
-    model = generate_mod.load_model(args.model)
     prompt = generate_mod.ablated_prompt(args.emotion, args.ablate)
     gen_cfg: GeneratorConfig = config.generator
     constraints = generate_mod.SamplingConstraints(
@@ -247,13 +246,22 @@ def cmd_generate(args) -> int:
         raise ValueError(f"max_tokens {constraints.max_tokens} leaves no room to sample after "
                          f"the {len(prompt)}-token prompt; give more than {len(prompt)}")
     out_dir = Path(args.out_dir)
+    names = [f"gen_{i:04d}.tokens" for i in range(args.count)]
+    written = set(names)
+    # eval-emotion and eval-loops read every *.tokens file of the directory
+    stale = next((p for p in sorted(out_dir.glob("*.tokens")) if p.name not in written), None)
+    if stale is not None:
+        raise ValueError(f"{stale}: a *.tokens file that this run of {args.count} would not "
+                         "overwrite, but eval-emotion and eval-loops would read; remove it or "
+                         "give another --out-dir")
+    model = generate_mod.load_model(args.model)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for i in range(args.count):
+    for i, name in enumerate(names):
         stream = generate_mod.sample_sequence(
             model, prompt, dataclasses.replace(constraints, rng_seed=args.seed + i))
         if args.ablate == "tension":
             stream = [t for t in stream if t.category is not TokenCategory.BAR_CONTROL]
-        atomic_write(out_dir / f"gen_{i:04d}.tokens", render_tokens(stream) + "\n")
+        atomic_write(out_dir / name, render_tokens(stream) + "\n")
     return 0
 
 

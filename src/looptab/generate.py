@@ -1,13 +1,14 @@
 """Emotion prompts and constrained sampling from the n-gram generator.
 
 The generator is a backoff add-alpha n-gram over corpus token lines.
-Sampling has one path: at every step, tempo tokens incompatible with the
-target emotion are masked (happy requires tempo >= 150 BPM, sad requires
-tempo <= 100 BPM; the 100..150 gap is never emitted under either
-emotion), then the structurally invalid tokens are masked and one token
-is drawn from what is left. The masks and the parsed vocabulary depend
-only on the vocabulary, the emotion and the tempo bounds, so all samples
-of a ``generate`` run share them.
+Sampling has one path: tempo tokens incompatible with the target emotion
+are masked (happy requires tempo >= 150 BPM, sad requires tempo <= 100
+BPM; the 100..150 gap is never emitted under either emotion), then the
+structurally invalid tokens are masked and one token is drawn from what
+is left. The masks depend only on the vocabulary, the emotion and the
+tempo bounds. They are applied to every entry of the model's rows at
+once, for each structural state, and the masked columns are held by the
+model, so all samples of a ``generate`` run draw from views of them.
 
 Integer vocabulary ids carry the n-gram from training to sampling.
 Training maps the corpus to one id array and counts each n-gram length
@@ -26,10 +27,11 @@ with a request to re-run ``train-gen``.
 
 A distribution is sparse: the ids of one row, their probabilities, and
 one probability shared by every token the row does not list. A step
-masks and draws from that triple in time proportional to the row's
-length, not the vocabulary's: the unlisted mass is one constant times the
-number of admissible unlisted tokens, and a draw that lands in it picks
-one of them from the sorted admissible ids, skipping the listed ones.
+draws from the row's slice of the masked columns in time proportional to
+the row's length, not the vocabulary's: the unlisted mass is one constant
+times the number of admissible unlisted tokens, and a draw that lands in
+it picks one of them from the sorted admissible ids, skipping the listed
+ones.
 """
 
 from __future__ import annotations
@@ -39,9 +41,10 @@ import json
 import math
 import sys
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -182,6 +185,8 @@ class NGramModel:
         self._seen.setflags(write=False)
         self._unseen = (alpha / denominators).tolist()
         self._uniform = alpha / (alpha * v)  # no row, not even the empty context's
+        # sample_sequence's tables and masked columns, by emotion and tempo bounds
+        self._sampling: dict[tuple, tuple[_Tables, tuple[_Columns, ...]]] = {}
 
     def _check_columns(self) -> None:
         lengths, row_ptr, counts = self.context_lengths, self.row_ptr, self.counts
@@ -250,6 +255,16 @@ class NGramModel:
             raise ValueError("a context appears twice")
         return root, tree
 
+    def _row(self, ids: Sequence[int]) -> int:
+        """The row of the longest seen context suffix of ``ids``, or -1."""
+        row, children, stride = self._root, self._children, self._stride
+        for t in ids[:-self.order:-1]:  # the last order - 1 ids, the last first
+            child = children.get(t * stride + row + 1)
+            if child is None:
+                break
+            row = child
+        return row
+
     def next_token_distribution(self, ids: Sequence[int]) -> Distribution:
         """The sparse distribution after the vocabulary ids ``ids``: the ids
         of the longest seen context suffix's row, their probabilities, and
@@ -257,12 +272,7 @@ class NGramModel:
         outside the vocabulary matches no context. Without any row (a model
         lacking the empty context) no id is listed and every token has the
         same probability. The arrays are read-only views of the model."""
-        row, children, stride = self._root, self._children, self._stride
-        for t in reversed(ids[-(self.order - 1):]):
-            child = children.get(t * stride + row + 1)
-            if child is None:
-                break
-            row = child
+        row = self._row(ids)
         if row < 0:
             return _NO_IDS, _NO_PROBS, self._uniform
         start, stop = self._bounds[row], self._bounds[row + 1]
@@ -357,7 +367,6 @@ _PRE_MEASURE_BLOCKED = (TokenCategory.NOTE, TokenCategory.WAIT,
 
 class _Tables(NamedTuple):
     tokens: tuple[Token, ...]       # the parsed vocabulary
-    index: dict[str, int]           # each vocabulary token's id
     admissible: np.ndarray          # 0 on the inadmissible tempi, else 1
     admissible_count: int
     # By seen_measure: admissible x structurally valid as 0/1 floats, the
@@ -395,32 +404,46 @@ def _sampling_tables(vocab: tuple[str, ...], emotion: str, tempo_upper: int,
                   for mask in masks)
     for array in (admissible, *masks, *mask_ids, *ranks):
         array.setflags(write=False)
-    return _Tables(tokens, {t: i for i, t in enumerate(vocab)}, admissible,
-                   int(np.count_nonzero(admissible)), masks, mask_ids, ranks)
+    return _Tables(tokens, admissible, int(np.count_nonzero(admissible)), masks, mask_ids, ranks)
 
 
-def _nth_unlisted(ids: np.ndarray, ranks: np.ndarray, listed: np.ndarray, n: int) -> int:
-    """The ``n``-th (from 0) of the ascending ``ids`` not among ``listed``;
-    ``ranks`` gives every vocabulary id's position in ``ids``, or a
+class _Columns(NamedTuple):
+    """A model's rows under one structural state's mask, entry by entry."""
+    weights: np.ndarray    # each entry's probability, 0 where the state masks its id
+    positions: np.ndarray  # each entry's id's position among the admitted ids (see _Tables)
+    listed: list[int]      # for each row, how many admitted ids it lists
+
+
+def _masked_columns(model: NGramModel, key: tuple) -> tuple[_Tables, tuple[_Columns, ...]]:
+    """The sampling tables for ``key`` (emotion and tempo bounds) and the
+    model's rows under each structural state's mask, built by the first
+    sample that asks and held by the model, so that they go with it."""
+    cached = model._sampling.get(key)
+    if cached is None:
+        tables = _sampling_tables(tuple(model.vocabulary), *key)
+        cached = model._sampling[key] = tables, tuple(
+            _state_columns(model, mask, ranks) for mask, ranks in zip(tables.masks, tables.ranks))
+    return cached
+
+
+def _state_columns(model: NGramModel, mask: np.ndarray, ranks: np.ndarray) -> _Columns:
+    keep = mask[model.tokens]
+    listed = np.concatenate(([0], np.cumsum(keep != 0)))[model.row_ptr]
+    columns = _Columns(model._seen * keep, ranks[model.tokens], np.diff(listed).tolist())
+    columns.weights.setflags(write=False)
+    columns.positions.setflags(write=False)
+    return columns
+
+
+def _nth_unlisted(ids: np.ndarray, positions: np.ndarray, n: int) -> int:
+    """The ``n``-th (from 0) of the ascending ``ids`` that a row does not
+    list; ``positions`` gives each listed id's position in ``ids``, or a
     position past its end."""
-    for position in sorted(ranks[listed].tolist()):
+    for position in sorted(positions.tolist()):
         if position > n:
             break
         n += 1
     return int(ids[n])
-
-
-def _masked(distribution: Distribution, tables: _Tables, seen_measure: bool) -> Masked | None:
-    """The step's distribution masked to the admissible tempi and then to
-    the structurally valid tokens, or None if no valid token has mass."""
-    indices, weights, rest = mask_tempo(distribution, tables.admissible,
-                                        tables.admissible_count)
-    keep = tables.masks[seen_measure][indices]
-    weights *= keep
-    unlisted = len(tables.mask_ids[seen_measure]) - int(np.count_nonzero(keep))
-    if rest * unlisted <= 0.0 and not weights.any():
-        return None
-    return indices, weights, rest, unlisted
 
 
 def _sharpen(masked: Masked, inverse_temperature: float) -> Masked:
@@ -441,28 +464,29 @@ def _sharpen(masked: Masked, inverse_temperature: float) -> Masked:
     return indices, powers, rest_power, unlisted
 
 
-def _choose(masked: Masked, ids: np.ndarray, ranks: np.ndarray, u: float) -> int:
+def _choose(masked: Masked, ids: np.ndarray, positions: np.ndarray, u: float) -> int:
     """The id that ``u``, uniform in [0, 1), picks: the listed ids come
     first, in row order, then the unlisted ones of ``ids`` in ascending
-    order (``ranks`` as for :func:`_nth_unlisted`)."""
+    order (``positions`` as for :func:`_nth_unlisted`)."""
     indices, weights, rest, unlisted = masked
-    cumulative = np.add.accumulate(weights)
-    listed = float(cumulative[-1]) if len(cumulative) else 0.0
+    # the sums np.add.accumulate gives, without its cost on a short row
+    cumulative = list(accumulate(weights.tolist()))
+    listed = cumulative[-1] if cumulative else 0.0
     u *= listed + rest * unlisted
     if u < listed:
-        return int(indices[cumulative.searchsorted(u, side="right")])
+        return int(indices[bisect_right(cumulative, u)])
     # rounding may carry u to the very end of the unlisted mass
-    return _nth_unlisted(ids, ranks, indices, min(int((u - listed) / rest), unlisted - 1))
+    return _nth_unlisted(ids, positions, min(int((u - listed) / rest), unlisted - 1))
 
 
-def _argmax(masked: Masked, ids: np.ndarray, ranks: np.ndarray) -> int:
+def _argmax(masked: Masked, ids: np.ndarray, positions: np.ndarray) -> int:
     """The lowest id of the largest weight, as ``np.argmax`` picks from the
     dense vector; the first unlisted id stands for all the unlisted ones."""
     indices, weights, rest, unlisted = masked
     top = weights.max(initial=0.0)
     choice = int(indices[weights == top].min()) if top > 0.0 else None
     if unlisted and rest >= top:
-        first = _nth_unlisted(ids, ranks, indices, 0)
+        first = _nth_unlisted(ids, positions, 0)
         choice = first if choice is None or rest > top else min(choice, first)
     return choice
 
@@ -474,37 +498,53 @@ def sample_sequence(model: NGramModel, prompt: Sequence[Token],
     Deterministic for a fixed ``rng_seed``; stops at ``end``, at the
     token/bar budget, or when no structurally valid token has mass. The
     output always starts with the prompt tokens and never carries a tempo
-    violating the emotion constraint. Each step masks the model's sparse
-    distribution to the admissible tempi and the structurally valid tokens
-    (no events before the first bar, no song-level tokens after it) and
-    draws once with one uniform number, in time proportional to the row's
-    length. Greedy decoding (a temperature below 1e-6) takes the lowest id
-    of the largest masked probability.
+    violating the emotion constraint. Each step takes the row of the
+    longest seen context from the masked columns (the inadmissible tempi
+    and the structurally invalid tokens, events before the first bar and
+    song-level tokens after it, weigh 0) and draws once with one uniform
+    number, in time proportional to the row's length. Greedy decoding (a
+    temperature below 1e-6) takes the lowest id of the largest weight.
     """
     vocab = model.vocabulary
-    tables = _sampling_tables(tuple(vocab), constraints.emotion, constraints.tempo_upper,
-                              constraints.tempo_lower)
+    tables, columns = _masked_columns(
+        model, (constraints.emotion, constraints.tempo_upper, constraints.tempo_lower))
     for t in prompt:
-        if t.raw not in tables.index:
+        if t.raw not in model.index:
             raise ValueError(f"prompt token {t.raw!r} not in model vocabulary")
-    rng = np.random.default_rng(constraints.rng_seed)
     stream = list(prompt)
-    history = [tables.index[t.raw] for t in prompt]  # the ids of ``stream``
+    history = [model.index[t.raw] for t in prompt]  # the ids of ``stream``
     bars = sum(1 for t in prompt if t.category is TokenCategory.STRUCTURE)
-    seen_measure = bars > 0
-    temperature = constraints.temperature
+    ids, state = tables.mask_ids[bars > 0], columns[bars > 0]  # by structural state
+    temperature, max_tokens = constraints.temperature, constraints.max_tokens
+    # the numbers of rng.random() called once a step, drawn 256 at a time
+    rng = np.random.default_rng(constraints.rng_seed)
+    uniforms = chain.from_iterable(rng.random(min(n, 256)).tolist()
+                                   for n in range(max_tokens - len(history), 0, -256))
+    bounds, unseen, tokens, probs = model._bounds, model._unseen, model.tokens, model._seen
+    admissible, admissible_count = tables.admissible, tables.admissible_count
 
-    while len(history) < constraints.max_tokens:
-        masked = _masked(model.next_token_distribution(history), tables, seen_measure)
-        if masked is None:
+    while len(history) < max_tokens:
+        row = model._row(history)
+        if row < 0:
+            start = stop = 0
+            rest, unlisted = model._uniform, len(ids)
+        else:
+            start, stop = bounds[row], bounds[row + 1]
+            rest, unlisted = unseen[row], len(ids) - state.listed[row]
+        # only a row without unlisted mass or with every admissible id can
+        # carry all its mass on inadmissible tempi
+        if rest <= 0.0 or stop - start >= admissible_count:
+            mask_tempo((tokens[start:stop], probs[start:stop], rest), admissible, admissible_count)
+        weights = state.weights[start:stop]
+        if rest * unlisted <= 0.0 and not weights.any():
             break  # the structural dead end
-        ids, ranks = tables.mask_ids[seen_measure], tables.ranks[seen_measure]
+        masked = (tokens[start:stop], weights, rest, unlisted)
         if temperature < 1e-6:
-            choice = _argmax(masked, ids, ranks)
+            choice = _argmax(masked, ids, state.positions[start:stop])
         else:
             if temperature != 1.0:
                 masked = _sharpen(masked, 1.0 / temperature)
-            choice = _choose(masked, ids, ranks, rng.random())
+            choice = _choose(masked, ids, state.positions[start:stop], next(uniforms))
         raw = vocab[choice]
         history.append(choice)
         stream.append(tables.tokens[choice])
@@ -512,7 +552,7 @@ def sample_sequence(model: NGramModel, prompt: Sequence[Token],
             break
         if raw == "new_measure":
             bars += 1
-            seen_measure = True
+            ids, state = tables.mask_ids[True], columns[True]
             if bars >= constraints.max_bars:
                 stream.append(END)
                 break

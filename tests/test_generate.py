@@ -1,5 +1,6 @@
 import base64
 import contextlib
+import dataclasses
 import hashlib
 import json
 import math
@@ -7,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 import zlib
 from pathlib import Path
 
@@ -479,18 +481,40 @@ def random_corpus(rng, lines):
             for _ in range(lines)]
 
 
-def random_cases(rng, models, contexts):
-    """(model, tables, context, seen_measure) over random models, tempo
-    bounds (so random tempo masks), contexts and both structural states."""
+def random_models(rng, models):
+    """(model, constraints, tables) over random models and tempo bounds (so
+    random tempo masks); ``constraints`` carries the emotion and bounds."""
     for _ in range(models):
         model = train_generator(random_corpus(rng, 30), order=int(rng.integers(2, 5)),
                                 alpha=float(rng.choice([0.01, 0.5, 1e-3])))
         bounds = sorted(int(b) for b in rng.integers(30, 301, size=2))
-        emotion = str(rng.choice(["happy", "sad"]))
-        tables = generate._sampling_tables(tuple(model.vocabulary), emotion, bounds[1], bounds[0])
+        constraints = SamplingConstraints(emotion=str(rng.choice(["happy", "sad"])),
+                                          tempo_upper=bounds[1], tempo_lower=bounds[0])
+        yield model, constraints, generate._sampling_tables(
+            tuple(model.vocabulary), constraints.emotion, *bounds[::-1])
+
+
+def random_cases(rng, models, contexts):
+    """(model, tables, context, seen_measure) over random models, tempo
+    bounds, contexts and both structural states."""
+    for model, _, tables in random_models(rng, models):
         for _ in range(contexts):
             context = rng.choice(len(model.vocabulary), size=int(rng.integers(0, 6))).tolist()
             yield model, tables, context, bool(rng.integers(2))
+
+
+def masked_step(distribution, tables, seen_measure):
+    """The step's distribution masked to the admissible tempi and then to
+    the structurally valid tokens, or None if no valid token has mass: the
+    per-step masking that the sampler's masked columns replace."""
+    indices, weights, rest = mask_tempo(distribution, tables.admissible,
+                                        tables.admissible_count)
+    keep = tables.masks[seen_measure][indices]
+    weights = weights * keep
+    unlisted = len(tables.mask_ids[seen_measure]) - int(np.count_nonzero(keep))
+    if rest * unlisted <= 0.0 and not weights.any():
+        return None
+    return indices, weights, rest, unlisted
 
 
 def implied(masked, ids, size):
@@ -522,9 +546,9 @@ def test_sparse_step_equals_the_dense_masked_vector(temperature):
         p /= p.sum()
         p *= tables.masks[seen]
         p /= p.sum()
-        masked = generate._masked(distribution, tables, seen)
-        ids, ranks = tables.mask_ids[seen], tables.ranks[seen]
-        assert generate._argmax(masked, ids, ranks) == int(np.argmax(p))
+        masked = masked_step(distribution, tables, seen)
+        ids, positions = tables.mask_ids[seen], tables.ranks[seen][distribution[0]]
+        assert generate._argmax(masked, ids, positions) == int(np.argmax(p))
         if temperature != 1.0:
             masked = generate._sharpen(masked, 1.0 / temperature)
         np.testing.assert_allclose(implied(masked, ids, v), tempered(p, temperature),
@@ -552,12 +576,12 @@ def test_draws_follow_the_masked_distribution(temperature):
     assert len(cases) == 6
     for model, tables, context, seen in cases:
         v = len(model.vocabulary)
-        masked = generate._masked(model.next_token_distribution(context), tables, seen)
+        masked = masked_step(model.next_token_distribution(context), tables, seen)
         if temperature != 1.0:
             masked = generate._sharpen(masked, 1.0 / temperature)
-        ids, ranks = tables.mask_ids[seen], tables.ranks[seen]
+        ids, positions = tables.mask_ids[seen], tables.ranks[seen][masked[0]]
         p = implied(masked, ids, v)
-        counts = np.bincount([generate._choose(masked, ids, ranks, draws.random())
+        counts = np.bincount([generate._choose(masked, ids, positions, draws.random())
                               for _ in range(20_000)], minlength=v)
         assert counts[p == 0].sum() == 0
         statistic, df = chi_square(counts, p)
@@ -568,12 +592,12 @@ def test_draw_never_lands_on_a_token_without_mass():
     # a uniform number equal to a cumulative sum moves past the tokens
     # without mass, as in Generator.choice
     ids = np.arange(4)
-    ranks = np.arange(4)
     row = np.array([3, 1, 2])
-    assert generate._choose((row, np.array([0.0, 0.0, 1.0]), 0.0, 0), ids, ranks, 0.0) == 2
-    assert generate._choose((row, np.array([0.5, 0.0, 0.5]), 0.0, 0), ids, ranks, 0.5) == 2
+    positions = row  # every id is admitted, at its own position
+    assert generate._choose((row, np.array([0.0, 0.0, 1.0]), 0.0, 0), ids, positions, 0.0) == 2
+    assert generate._choose((row, np.array([0.5, 0.0, 0.5]), 0.0, 0), ids, positions, 0.5) == 2
     # past the listed mass, the unlisted id 0 is drawn
-    assert generate._choose((row, np.array([0.5, 0.0, 0.0]), 0.5, 1), ids, ranks, 0.5) == 0
+    assert generate._choose((row, np.array([0.5, 0.0, 0.0]), 0.5, 1), ids, positions, 0.5) == 0
 
 
 def test_nth_unlisted_skips_the_listed_ids():
@@ -586,18 +610,32 @@ def test_nth_unlisted_skips_the_listed_ids():
         listed = rng.permutation(v)[:int(rng.integers(0, v + 1))]
         unlisted = [i for i in ids if i not in listed]
         for n, expected in enumerate(unlisted):
-            assert generate._nth_unlisted(ids, ranks, listed, n) == expected
+            assert generate._nth_unlisted(ids, ranks[listed], n) == expected
 
 
-class OneRowModel:
+class RowModel(generate.NGramModel):
+    """An order-2 model with the given rows in place of add-alpha ones:
+    ``rows`` maps the empty context (None) or a one-token context's id to
+    its listed ids, their probabilities and the probability of each id it
+    does not list."""
+
+    def __init__(self, vocabulary, rows):
+        contexts = list(rows)
+        listed = [np.array(rows[c][0], dtype=np.int64) for c in contexts]
+        super().__init__(2, 1.0, vocabulary, [c is not None for c in contexts],
+                         [c for c in contexts if c is not None],
+                         np.cumsum([0, *map(len, listed)]), np.concatenate(listed),
+                         np.ones(sum(map(len, listed))))
+        self._seen = np.concatenate([np.array(rows[c][1], dtype=float) for c in contexts])
+        self._unseen = [rows[c][2] for c in contexts]
+
+
+class OneRowModel(RowModel):
     """A model whose every distribution is the same sparse row."""
 
     def __init__(self, vocabulary, indices, probs, rest):
-        self.vocabulary = vocabulary
-        self.row = (np.array(indices, dtype=np.int64), np.array(probs, dtype=float), rest)
-
-    def next_token_distribution(self, context):
-        return self.row
+        super().__init__(vocabulary, {None: (indices, probs, rest)})
+        self.row = (self.tokens, self._seen, rest)
 
 
 # ids: 0-3 the happy prompt, 4 new_measure, 5 tempo:120 (inadmissible when
@@ -637,26 +675,75 @@ def test_structural_dead_end_stops_the_sample(temperature):
     assert first_step([8], [1.0], 0.0, temperature=temperature) == []
 
 
-def test_each_step_asks_the_model_and_the_tempo_mask_once(monkeypatch):
-    model = train_generator(CORPUS)
-    calls = {"model": 0, "mask": 0}
-    real_distribution, real_mask = model.next_token_distribution, generate.mask_tempo
+def per_step_choice(model, tables, history, seen_measure, temperature, u):
+    """The id the per-step masks give after ``history``, or None at the
+    structural dead end."""
+    masked = masked_step(model.next_token_distribution(history), tables, seen_measure)
+    if masked is None:
+        return None
+    ids, positions = tables.mask_ids[seen_measure], tables.ranks[seen_measure][masked[0]]
+    if temperature < 1e-6:
+        return generate._argmax(masked, ids, positions)
+    if temperature != 1.0:
+        masked = generate._sharpen(masked, 1.0 / temperature)
+    return generate._choose(masked, ids, positions, u)
 
-    def distribution(context):
-        calls["model"] += 1
-        return real_distribution(context)
 
-    def mask(*args):
-        calls["mask"] += 1
-        return real_mask(*args)
+@pytest.mark.parametrize("temperature", [1.0, 0.7, 1e-3, 0.0])
+def test_each_step_draws_what_the_per_step_masks_give(temperature):
+    rng = np.random.default_rng(int(temperature * 1e3) + 11)
+    steps = [0, 0]  # by structural state
+    for model, constraints, tables in random_models(rng, 8):
+        bar = model.index["new_measure"]
+        for seed in range(6):
+            prompt = [i for i in rng.choice(len(model.vocabulary), size=int(rng.integers(0, 5)))
+                      if i != bar] + [bar] * (seed % 2)
+            budget = dataclasses.replace(constraints, max_tokens=len(prompt) + 20,
+                                         temperature=temperature, rng_seed=seed)
+            stream = sample_sequence(model, [tables.tokens[i] for i in prompt], budget)
+            # one uniform number per step, unless greedy: the seed's own stream
+            uniforms = iter(np.random.default_rng(seed).random(20).tolist())
+            history, seen = list(prompt), bool(seed % 2)
+            for t in stream[len(prompt):]:
+                u = next(uniforms) if temperature >= 1e-6 else None
+                choice = per_step_choice(model, tables, history, seen, temperature, u)
+                assert choice is not None and model.vocabulary[choice] == t.raw
+                steps[seen] += 1
+                history.append(choice)
+                seen |= choice == bar
+            if stream[-1].raw != "end" and len(stream) < budget.max_tokens:
+                assert per_step_choice(model, tables, history, seen, temperature, 0.5) is None
+    assert min(steps) > 40, steps
 
-    monkeypatch.setattr(model, "next_token_distribution", distribution)
-    monkeypatch.setattr(generate, "mask_tempo", mask)
-    for seed in range(5):
-        before = dict(calls)
-        raws = sample_raws(model, "happy", rng_seed=seed, max_tokens=30)
-        steps = len(raws) - len(HAPPY_PROMPT)
-        assert calls["model"] - before["model"] == calls["mask"] - before["mask"] == steps
+
+def test_a_long_sample_draws_one_uniform_stream_from_its_seed():
+    # tempo:160 or tempo:170, each half the mass, forever: past several
+    # chunks of drawn numbers
+    model = OneRowModel(ONE_ROW_VOCAB, [6, 7], [0.5, 0.5], 0.0)
+    constraints = SamplingConstraints(emotion="happy", max_tokens=len(HAPPY_PROMPT) + 600,
+                                      rng_seed=5)
+    raws = [t.raw for t in sample_sequence(model, build_prompt("happy"), constraints)][4:]
+    assert raws == ["tempo:160" if u < 0.5 else "tempo:170"
+                    for u in np.random.default_rng(5).random(600)]
+
+
+@pytest.mark.parametrize("temperature", [1.0, 0.0])
+def test_sampling_error_fires_at_the_step_whose_mass_is_on_inadmissible_tempi(temperature):
+    # after the prompt, the empty context's row lists new_measure alone; after
+    # new_measure, the row lists tempo:120 alone, which the happy bound forbids
+    model = RowModel(ONE_ROW_VOCAB, {None: ([4], [1.0], 0.0), 4: ([5], [1.0], 0.0)})
+    prompt = build_prompt("happy")
+    one = SamplingConstraints(emotion="happy", max_tokens=len(prompt) + 1,
+                              temperature=temperature)
+    assert [t.raw for t in sample_sequence(model, prompt, one)][4:] == ["new_measure"]
+    with pytest.raises(SamplingError, match="all its mass on inadmissible tempi"):
+        sample_sequence(model, prompt, dataclasses.replace(one, max_tokens=len(prompt) + 2))
+    tables = generate._sampling_tables(tuple(ONE_ROW_VOCAB), "happy", HAPPY_TEMPO_MIN,
+                                       SAD_TEMPO_MAX)
+    history = [ONE_ROW_VOCAB.index(t.raw) for t in prompt]
+    assert per_step_choice(model, tables, history, False, temperature, 0.5) == 4
+    with pytest.raises(SamplingError):
+        per_step_choice(model, tables, history + [4], True, temperature, 0.5)
 
 
 def test_tiny_temperature_draws_a_most_likely_token(corpus_model, tmp_path):
@@ -812,18 +899,16 @@ def test_generate_max_tokens_is_taken_as_given(corpus_model, tmp_path):
 
 # sampling errors --------------------------------------------------------------
 
-class TempoOnlyModel:
+def tempo_only_model():
     """A model that puts all its mass on a tempo the happy bound forbids."""
     vocabulary = [*HAPPY_PROMPT, "new_measure", "tempo:120", "end"]
-
-    def next_token_distribution(self, context):
-        return np.array([self.vocabulary.index("tempo:120")]), np.array([1.0]), 0.0
+    return OneRowModel(vocabulary, [vocabulary.index("tempo:120")], [1.0], 0.0)
 
 
 def test_all_mass_on_inadmissible_tempi_exits_1(tmp_path, monkeypatch, capsys):
     # An n-gram with alpha > 0 leaves mass on every token, so only a stub
     # model reaches this error.
-    monkeypatch.setattr(looptab.generate, "load_model", lambda path: TempoOnlyModel())
+    monkeypatch.setattr(looptab.generate, "load_model", lambda path: tempo_only_model())
     assert main(["generate", "--model", "stub", "--emotion", "happy",
                  "--out-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
@@ -855,6 +940,72 @@ def test_generate_count_parses_the_vocabulary_once(tmp_path, monkeypatch):
                      "--seed", str(3 + i), "--out-dir", str(single)]) == 0
         assert ((tmp_path / "batch" / f"gen_{i:04d}.tokens").read_bytes()
                 == (single / "gen_0000.tokens").read_bytes())
+
+
+def test_a_run_builds_the_masked_columns_once_per_state_and_they_go_with_the_model(
+        corpus_model, tmp_path, monkeypatch):
+    built, samples, models = [], [], []
+    real_build, real_sample, real_load = (generate._state_columns, generate.sample_sequence,
+                                          generate.load_model)
+    monkeypatch.setattr(generate, "_state_columns",
+                        lambda model, mask, ranks: built.append(id(mask)) or
+                        real_build(model, mask, ranks))
+    monkeypatch.setattr(generate, "sample_sequence",
+                        lambda *args: samples.append(1) or real_sample(*args))
+
+    def load(path):
+        model = real_load(path)
+        models.append(weakref.ref(model))
+        return model
+
+    monkeypatch.setattr(generate, "load_model", load)
+    assert main(["generate", "--model", str(corpus_model), "--emotion", "sad", "--count", "5",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert len(samples) == 5 and len(models) == 1
+    assert len(built) == len(set(built)) == 2  # one per structural state
+    # the columns are the model's: no module-level cache holds it
+    assert models[0]() is None
+
+    model = real_load(corpus_model)
+    sad = SamplingConstraints(emotion="sad")
+    sample_sequence(model, build_prompt("sad"), sad)
+    columns = model._sampling[("sad", HAPPY_TEMPO_MIN, SAD_TEMPO_MAX)]
+    sample_sequence(model, build_prompt("sad"), dataclasses.replace(sad, rng_seed=1))
+    assert model._sampling[("sad", HAPPY_TEMPO_MIN, SAD_TEMPO_MAX)] is columns
+    assert len(built) == 4
+    ref = weakref.ref(model)
+    del model
+    assert ref() is None
+
+
+def test_a_smaller_count_into_an_older_out_dir_exits_1_naming_the_stale_file(
+        corpus_model, tmp_path, capsys):
+    # gen_0002 and gen_0003 of the larger run stayed, and eval-loops and
+    # eval-emotion scored them with the new run's two files
+    out = tmp_path / "out"
+    argv = ["generate", "--model", str(corpus_model), "--emotion", "happy", "--out-dir", str(out)]
+    assert main([*argv, "--count", "4"]) == 0
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    capsys.readouterr()
+    assert main([*argv, "--count", "2", "--seed", "9"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(out / "gen_0002.tokens") in err and "gen_0003" not in err
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+    # a run that overwrites every file there, and other files, are fine
+    (out / "notes.txt").write_text("kept\n")
+    assert main([*argv, "--count", "4", "--seed", "9"]) == 0
+    assert main([*argv, "--count", "5"]) == 0
+    assert sorted(f.name for f in out.glob("*.tokens")) == [f"gen_{i:04d}.tokens" for i in range(5)]
+
+
+@pytest.mark.parametrize("flags", [("--count", "0"), ("--max-tokens", "4")])
+def test_bad_settings_exit_1_before_the_model_is_read(tmp_path, capsys, flags):
+    # an unreadable model exited 2 first
+    assert main(["generate", "--model", str(tmp_path / "missing.json"), "--emotion", "happy",
+                 *flags, "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "missing.json" not in err
 
 
 def test_failed_model_save_keeps_the_previous_file(tmp_path, monkeypatch):
