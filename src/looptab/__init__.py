@@ -8,7 +8,6 @@ from .score import (
     ScoreColumns,
     SongBatch,
     StructureError,
-    decode_many,
     decode_parts,
     regular_parts,
     regularize_many,

@@ -100,6 +100,8 @@ def load_annotations(path: str | Path) -> list[AnnotationRecord]:
                 records[key] = rec
         except (ValueError, csv.Error) as exc:
             raise AnnotationError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not records:
+        raise AnnotationError(f"{path}: no records")
     return list(records.values())
 
 

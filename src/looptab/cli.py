@@ -302,11 +302,13 @@ def cmd_train_clf(args) -> int:
 
 
 def cmd_eval_emotion(args) -> int:
+    if (args.happy is None) != (args.sad is None):
+        raise ValueError("--happy needs --sad" if args.sad is None else "--sad needs --happy")
     valence = evaluate_mod.LinearTokenClassifier.load(args.valence_model)
     arousal = evaluate_mod.LinearTokenClassifier.load(args.arousal_model)
     settings: dict[str, evaluate_mod.EmotionMetrics] = {}
     pairs = []
-    if args.happy and args.sad:
+    if args.happy is not None:
         pairs.append(("all", args.happy, args.sad))
     for name, happy_dir, sad_dir in args.setting or []:
         pairs.append((name, happy_dir, sad_dir))

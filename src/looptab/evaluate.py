@@ -164,9 +164,6 @@ class LinearTokenClassifier:
         x = feature_matrix(streams, self.columns, self.truncate)
         return _sigmoid(x @ self.weights + self.bias).tolist()
 
-    def label(self, tokens: Sequence[str]) -> bool:
-        return self.score(tokens) > HIGH_CUT
-
     def save(self, path) -> None:
         with atomic_open(path) as fh:
             json.dump({
@@ -487,6 +484,18 @@ class SurveySummary:
         }
 
 
+def _answer(row: dict) -> str | int:
+    """A response row's answer: a binary one lowercased, a Likert one
+    recoded to -3..3; an unknown question or an answer that is no integer
+    in 1..7 raises ``ValueError``."""
+    question, answer = row["question"], row["answer"]
+    if question in BINARY_QUESTIONS:
+        return str(answer).strip().lower()
+    if question not in LIKERT_QUESTIONS:
+        raise SurveyError(f"unknown question {question!r}")
+    return likert_to_signed(int(answer))
+
+
 def survey_summary(rows: Sequence[dict]) -> SurveySummary:
     """Summarize listening-test responses.
 
@@ -501,23 +510,19 @@ def survey_summary(rows: Sequence[dict]) -> SurveySummary:
     emotion_t: dict[tuple[str, str], list[int]] = {}
 
     for lineno, row in enumerate(rows, start=2):
-        group = row["group"]
-        question = row["question"]
-        answer = row["answer"]
+        try:
+            value = _answer(row)
+        except ValueError as exc:
+            raise SurveyError(f"row {lineno}: {exc}") from None
+        group, question = row["group"], row["question"]
         if question in BINARY_QUESTIONS:
-            binary.setdefault((group, question), []).append(str(answer).strip().lower())
-        elif question in LIKERT_QUESTIONS:
-            try:
-                value = likert_to_signed(int(answer))
-            except (ValueError, SurveyError) as exc:
-                raise SurveyError(f"row {lineno}: {exc}") from None
+            binary.setdefault((group, question), []).append(value)
+        else:
             likert.setdefault((group, question), []).append(value)
             if question == "emotion":
                 target = str(row.get("target", "")).strip().lower()
                 if target in ("happy", "sad"):
                     emotion_t.setdefault((group, target), []).append(value)
-        else:
-            raise SurveyError(f"row {lineno}: unknown question {question!r}")
 
     for (group, question), answers in binary.items():
         n = len(answers)
@@ -538,22 +543,28 @@ def survey_summary(rows: Sequence[dict]) -> SurveySummary:
 
 
 def load_survey_csv(path) -> list[dict]:
-    """The response rows of a survey CSV; a row short of a required field
-    or a CSV error raises :class:`SurveyError` naming the file and line."""
+    """The response rows of a survey CSV; a bad header names the file, and
+    a row short of a required field, a bad answer (as
+    :func:`survey_summary` checks it) or a CSV error raises
+    :class:`SurveyError` naming the file and line."""
     required = ("participant", "group", "question", "answer")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         try:
-            if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
-                raise SurveyError(f"survey CSV must have header {sorted(required)}")
-            rows = []
+            fieldnames = reader.fieldnames
+        except csv.Error as exc:
+            raise SurveyError(f"{path}: line {reader.line_num}: {exc}") from None
+        if fieldnames is None or not set(required).issubset(fieldnames):
+            raise SurveyError(f"{path}: survey CSV must have header {sorted(required)}")
+        rows = []
+        try:
             for row in reader:
                 missing = [f for f in required if row[f] is None]  # DictReader pads short rows
                 if missing:
-                    raise SurveyError(f"{path}: line {reader.line_num}: row has no "
-                                      f"{', '.join(missing)}")
+                    raise SurveyError(f"row has no {', '.join(missing)}")
+                _answer(row)
                 rows.append(row)
-        except csv.Error as exc:
+        except (ValueError, csv.Error) as exc:
             raise SurveyError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise SurveyError(f"{path}: no responses")

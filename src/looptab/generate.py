@@ -43,7 +43,6 @@ import sys
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate, chain
 from typing import NamedTuple, Sequence
 
@@ -77,8 +76,6 @@ Distribution = tuple[np.ndarray, np.ndarray, float]
 # A masked one: listed ids, their weights, the weight of each admissible
 # token not listed, and how many of those there are. Not normalized.
 Masked = tuple[np.ndarray, np.ndarray, float, int]
-_NO_IDS = np.zeros(0, dtype=np.int64)
-_NO_PROBS = np.zeros(0)
 
 
 class SamplingError(RuntimeError):
@@ -151,17 +148,17 @@ class NGramModel:
     context: context ``r`` is the next ``context_lengths[r]`` ids of
     ``context_tokens``, and its continuations are
     ``tokens[row_ptr[r]:row_ptr[r + 1]]`` with their ``counts``. The
-    suffix of every context one token shorter must be a context too; the
-    empty context need not be one. Every row's probabilities are computed
-    once, here; the arrays are read-only.
+    empty context must be one, and so must the suffix one token shorter of
+    every other context. ``alpha`` must be finite and above 0. Every row's
+    probabilities are computed once, here; the arrays are read-only.
     """
 
     def __init__(self, order: int, alpha: float, vocabulary: list[str],
                  context_lengths, context_tokens, row_ptr, tokens, counts):
         if order < 2:
             raise ValueError("order must be >= 2")
-        if alpha <= 0:
-            raise ValueError("alpha must be > 0")
+        if not (math.isfinite(alpha) and alpha > 0):
+            raise ValueError(f"alpha must be a finite number > 0, got {alpha}")
         self.order = order
         self.alpha = alpha
         self.vocabulary = list(vocabulary)
@@ -184,7 +181,6 @@ class NGramModel:
         self._seen = (alpha + self.counts) / np.repeat(denominators, np.diff(self.row_ptr))
         self._seen.setflags(write=False)
         self._unseen = (alpha / denominators).tolist()
-        self._uniform = alpha / (alpha * v)  # no row, not even the empty context's
         # sample_sequence's tables and masked columns, by emotion and tempo bounds
         self._sampling: dict[tuple, tuple[_Tables, tuple[_Columns, ...]]] = {}
 
@@ -210,17 +206,18 @@ class NGramModel:
                              "and sum to len(context_tokens)")
 
     def _context_tree(self) -> tuple[int, dict[int, int]]:
-        """The empty context's row (-1 without one) and ``{key: row}`` for
-        every other context, built one context length at a time. A
-        context's key is ``first * stride + suffix + 1``: its first id and
-        the row of its suffix one token shorter (the empty context's for a
-        one-token context), with ``stride`` one more than the row count.
-        Raises ``ValueError`` if a suffix is not a context or a context
-        appears twice."""
+        """The empty context's row and ``{key: row}`` for every other
+        context, built one context length at a time. A context's key is
+        ``first * stride + suffix + 1``: its first id and the row of its
+        suffix one token shorter (the empty context's for a one-token
+        context), with ``stride`` one more than the row count.
+        Raises ``ValueError`` if the empty context or a suffix is not a
+        context, or if a context appears twice."""
         lengths, flat, stride = self.context_lengths, self.context_tokens, self._stride
         starts = np.cumsum(lengths) - lengths
-        (empty,) = np.nonzero(lengths == 0)
-        root = int(empty[0]) if len(empty) else -1
+        if not np.any(lengths == 0):
+            raise ValueError("the empty context is not a context")
+        root = int(lengths.argmin())  # the first empty context
         last = np.full(len(self.vocabulary), -1)  # the row of each one-token context
         # by context length from 2: the keys in ascending order and their
         # rows, each ending in a key above all others and row -1
@@ -251,12 +248,12 @@ class NGramModel:
             if 1 < n < self.order - 1:  # the longest contexts are no suffix
                 by_key = np.argsort(keys)
                 levels.append((np.append(keys[by_key], above), np.append(members[by_key], -1)))
-        if len(empty) > 1 or len(tree) < len(lengths) - len(empty):
+        if len(tree) < len(lengths) - 1:  # a second empty context is not in the tree
             raise ValueError("a context appears twice")
         return root, tree
 
     def _row(self, ids: Sequence[int]) -> int:
-        """The row of the longest seen context suffix of ``ids``, or -1."""
+        """The row of the longest seen context suffix of ``ids``."""
         row, children, stride = self._root, self._children, self._stride
         for t in ids[:-self.order:-1]:  # the last order - 1 ids, the last first
             child = children.get(t * stride + row + 1)
@@ -269,12 +266,9 @@ class NGramModel:
         """The sparse distribution after the vocabulary ids ``ids``: the ids
         of the longest seen context suffix's row, their probabilities, and
         the probability of every token the row does not list. An integer
-        outside the vocabulary matches no context. Without any row (a model
-        lacking the empty context) no id is listed and every token has the
-        same probability. The arrays are read-only views of the model."""
+        outside the vocabulary matches no context. The arrays are read-only
+        views of the model."""
         row = self._row(ids)
-        if row < 0:
-            return _NO_IDS, _NO_PROBS, self._uniform
         start, stop = self._bounds[row], self._bounds[row + 1]
         return self.tokens[start:stop], self._seen[start:stop], self._unseen[row]
 
@@ -377,8 +371,7 @@ class _Tables(NamedTuple):
     ranks: tuple[np.ndarray, ...]
 
 
-@lru_cache(maxsize=8)
-def _sampling_tables(vocab: tuple[str, ...], emotion: str, tempo_upper: int,
+def _sampling_tables(vocab: Sequence[str], emotion: str, tempo_upper: int,
                      tempo_lower: int) -> _Tables:
     """The vocabulary's parsed tokens, the tempo-admissible vector, and for
     each structural state (before and after the first ``new_measure``) the
@@ -386,7 +379,7 @@ def _sampling_tables(vocab: tuple[str, ...], emotion: str, tempo_upper: int,
     vocabulary-sized arrays.
 
     They depend on nothing else, so every sample of a ``generate`` run
-    shares them.
+    shares them (see :func:`_masked_columns`).
     """
     tokens = tuple(token(r) for r in vocab)
     bounds = SamplingConstraints(emotion=emotion, tempo_upper=tempo_upper,
@@ -420,7 +413,7 @@ def _masked_columns(model: NGramModel, key: tuple) -> tuple[_Tables, tuple[_Colu
     sample that asks and held by the model, so that they go with it."""
     cached = model._sampling.get(key)
     if cached is None:
-        tables = _sampling_tables(tuple(model.vocabulary), *key)
+        tables = _sampling_tables(model.vocabulary, *key)
         cached = model._sampling[key] = tables, tuple(
             _state_columns(model, mask, ranks) for mask, ranks in zip(tables.masks, tables.ranks))
     return cached
@@ -525,12 +518,8 @@ def sample_sequence(model: NGramModel, prompt: Sequence[Token],
 
     while len(history) < max_tokens:
         row = model._row(history)
-        if row < 0:
-            start = stop = 0
-            rest, unlisted = model._uniform, len(ids)
-        else:
-            start, stop = bounds[row], bounds[row + 1]
-            rest, unlisted = unseen[row], len(ids) - state.listed[row]
+        start, stop = bounds[row], bounds[row + 1]
+        rest, unlisted = unseen[row], len(ids) - state.listed[row]
         # only a row without unlisted mass or with every admissible id can
         # carry all its mass on inadmissible tempi
         if rest <= 0.0 or stop - start >= admissible_count:

@@ -71,22 +71,15 @@ def _onset_groups(song: ScoreColumns, starts: np.ndarray | None = None):
     """Every distinct onset in time order, the notes sounding from it, its
     gap to the next onset of its song (a song's last one's to the song's
     end), its song, and the tick of each bar's start; ``starts`` are the
-    songs' bar offsets (None: one song). A group's notes are the bytes of
-    its sorted (track id * 128 + midi, duration) pairs, so equal bytes are
-    equal note sets."""
+    bar offsets of regularized songs, whose notes end inside them (None:
+    one song). A group's notes are the bytes of its sorted (track id * 128
+    + midi, duration) pairs, so equal bytes are equal note sets."""
     if starts is None:
         starts = np.array([0, song.n_bars])
     offsets = bar_offsets(song)
-    bar_song = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
-    note_song = bar_song[song.bar]
+    note_song = np.repeat(np.arange(len(starts) - 1), np.diff(starts))[song.bar]
     at = offsets[song.bar] + song.onset
     end = offsets[starts[1:]]
-    past = at >= end[note_song]
-    if past.any():  # an unregularized song's notes can sound past its end: push the next songs on
-        push = np.zeros(len(end), np.int64)
-        np.maximum.at(push, note_song[past], at[past] + 1 - end[note_song[past]])
-        shift = np.cumsum(push) - push
-        at, end, offsets = at + shift[note_song], end + shift, offsets[:-1] + shift[bar_song]
     pitch = song.track * 128 + song.midi
     order = np.lexsort((song.duration, pitch, at))
     at, pitch, duration, note_song = at[order], pitch[order], song.duration[order], note_song[order]

@@ -1,5 +1,5 @@
 """Song note columns, their lossless encode and decode, and 4/4
-regularization, for one song or for a directory of songs as one batch.
+regularization, for one song or for a directory of songs in batches.
 
 :class:`ScoreColumns` is the one score representation: a header (artist,
 tempo, time signature) and song-level control tokens, then integer numpy
@@ -9,18 +9,18 @@ the bar control tokens with their bars. Ticks are 960 per quarter note.
 A :class:`SongBatch` holds many songs in one :class:`ScoreColumns`, song
 after song, with each song's bar offset, header and error.
 
-:func:`decode_many` encodes each song's token strings to integer codes as
-it reads them, then decodes the codes of all the songs at once with numpy
+:func:`decode_parts` encodes each song's token strings to integer codes
+as it reads them, then decodes the codes of many songs at once with numpy
 operations: the cursor, the onset groups, the duration rule and the order
-inside each group are computed for the whole batch, not token by token or
-song by song; only each song's header is read on its own. :func:`decode`
-is its one-song case. A :class:`TokenTable`, owned by the command that
-reads the songs, classifies every distinct token string once through
+inside each group are computed for the whole part, not token by token or
+song by song; only each song's header is read on its own. A part holds at
+most ``PART_TOKENS`` tokens, or one song, and is also cut where the table
+must empty itself, so that the arrays decoded at once do not grow with the
+directory; the song commands work one part at a time. :func:`decode` is
+the one-song case. A :class:`TokenTable`, owned by the command that reads
+the songs, classifies every distinct token string once through
 :func:`tokens.token` and holds at most ``TOKEN_CACHE_SIZE`` strings, or one
-song's own where a song has more. :func:`decode_parts` decodes a
-directory in parts of at most ``PART_TOKENS`` tokens, also cut where the
-table must empty itself, so that the arrays decoded at once do not grow
-with the directory; the song commands work one part at a time.
+song's own where a song has more.
 :func:`regularize_many` (one song: :func:`regularize_meter`) cuts every
 bar into 4/4 bars, at most ``MAX_BARS`` of them per song, and
 :func:`regular_parts` does it in parts of consecutive songs holding at
@@ -38,7 +38,7 @@ gap rule on reparse).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain, compress
+from itertools import compress
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -176,11 +176,6 @@ class SongBatch:
     heads: tuple[tuple[str | None, int, int, tuple[Token, ...]] | None, ...]
     errors: dict[int, Exception]
 
-    @classmethod
-    def of(cls, songs: Sequence[ScoreColumns]) -> SongBatch:
-        return _concat([cls(song, np.array([0, song.n_bars]), (song.header,), {})
-                        for song in songs])
-
     def __len__(self) -> int:
         return len(self.heads)
 
@@ -206,32 +201,6 @@ class SongBatch:
         return replace(bar_slice(self.columns, *self.starts[i:i + 2].tolist()), artist=artist,
                        header_tempo=tempo, header_time_signature=numerator,
                        song_controls=controls)
-
-
-def _concat(batches: Sequence[SongBatch]) -> SongBatch:
-    """The songs of ``batches`` as one batch, in order."""
-    if len(batches) < 2:
-        return batches[0] if batches else SongBatch(_no_bars(), np.zeros(1, np.int64), (), {})
-    effects: dict[tuple[str, ...], int] = {(): 0}
-    columns = [b.columns for b in batches]
-    bar_base = np.cumsum([0] + [c.n_bars for c in columns])
-    song_base = np.cumsum([0] + [len(b) for b in batches]).tolist()
-    notes = {name: np.concatenate([getattr(c, name) for c in columns]) for name in _NOTE_COLUMNS}
-    notes["bar"] += np.repeat(bar_base[:-1], [len(c.bar) for c in columns])
-    notes["fx"] = np.concatenate([
-        np.array([effects.setdefault(e, len(effects)) for e in c.effects], np.int64)[c.fx]
-        for c in columns])
-    merged = ScoreColumns(
-        None, DEFAULT_TEMPO, 4, (), np.concatenate([c.tempo for c in columns]),
-        np.concatenate([c.numerator for c in columns]),
-        np.concatenate([c.control_bar + base for c, base in zip(columns, bar_base.tolist())]),
-        tuple(chain.from_iterable(c.controls for c in columns)), **notes,
-        effects=tuple(effects))
-    return SongBatch(
-        merged, np.concatenate([b.starts[:-1] + base for b, base in zip(batches, bar_base)]
-                               + [bar_base[-1:]]),
-        tuple(chain.from_iterable(b.heads for b in batches)),
-        {i + base: exc for b, base in zip(batches, song_base) for i, exc in b.errors.items()})
 
 
 # Kinds of token in a TokenTable.
@@ -384,11 +353,6 @@ def _header(codes: list[int], table: TokenTable):
     return artist, tempo, numerator, tuple(song_controls)
 
 
-def _no_bars() -> ScoreColumns:
-    empty = np.zeros(0, np.int64)
-    return ScoreColumns(None, DEFAULT_TEMPO, 4, (), empty, empty, empty, (), *[empty] * 8)
-
-
 def _first(at: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """For each song, the first of the ascending positions ``at`` in its
     ``[lo, hi)``, or ``hi``."""
@@ -407,7 +371,7 @@ def _running(at: np.ndarray, values: np.ndarray, marks: np.ndarray, start: np.nd
 
 def decode(raws: Sequence[str], table: TokenTable) -> ScoreColumns:
     """Decode a song's token strings into :class:`ScoreColumns`: the
-    one-song case of :func:`decode_many`.
+    one part that :func:`decode_parts` makes of one song.
 
     Song controls and header tokens must precede the first ``new_measure``;
     an empty stream, a malformed token (:class:`ParseError`, before any
@@ -415,13 +379,8 @@ def decode(raws: Sequence[str], table: TokenTable) -> ScoreColumns:
     ``end``, a string number outside the track's tuning or a wait or bar
     longer than ``MAX_TICKS`` raises at the earliest offending token.
     """
-    return decode_many([raws], table).song(0)
-
-
-def decode_many(sources: Iterable[Path | Sequence[str]], table: TokenTable) -> SongBatch:
-    """Decode songs as one :class:`SongBatch`: the parts of
-    :func:`decode_parts`, joined."""
-    return _concat([part for _, part in decode_parts(sources, table)])
+    [(_, part)] = decode_parts([raws], table)
+    return part.song(0)
 
 
 def decode_parts(sources: Iterable[Path | Sequence[str]], table: TokenTable
@@ -529,7 +488,8 @@ def _decode_bars(codes: np.ndarray, song_begin: np.ndarray, defaults: np.ndarray
 
     marks = positions(_MEASURE)
     if not len(marks):
-        return _no_bars(), marks
+        empty = np.zeros(0, np.int64)
+        return ScoreColumns(None, DEFAULT_TEMPO, 4, (), *[empty] * 3, (), *[empty] * 8), marks
     song = song_begin.searchsorted(marks, "right") - 1
     since = song_begin[song]
     tempo_at, numerator_at = positions(_TEMPO), positions(_TIME_SIGNATURE)
@@ -683,7 +643,8 @@ def regularize_meter(song: ScoreColumns) -> ScoreColumns:
     pitch, string), and a bar's controls go to its first 4/4 bar.
     Idempotent on already-regular scores.
     """
-    return regularize_many(SongBatch.of([song])).song(0)
+    batch = SongBatch(song, np.array([0, song.n_bars]), (song.header,), {})
+    return regularize_many(batch).song(0)
 
 
 def _chunks(batch: SongBatch, keep: Sequence[bool] | None

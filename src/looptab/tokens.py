@@ -82,9 +82,6 @@ class Token:
         if not isinstance(self.fields, MappingProxyType):
             object.__setattr__(self, "fields", MappingProxyType(dict(self.fields)))
 
-    def render(self) -> str:
-        return self.raw
-
 
 def _int_field(value: str, what: str) -> int:
     if not (value.isascii() and value.isdigit()):

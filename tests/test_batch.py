@@ -13,7 +13,7 @@ from looptab.annotate import build_corpus, load_annotations
 from looptab.cli import main
 from looptab.loops import extract_loops
 from looptab import score
-from looptab.score import TokenTable, decode, decode_many, regular_parts, regularize_many, \
+from looptab.score import TokenTable, decode, decode_parts, regular_parts, regularize_many, \
     regularize_meter, score_to_tokens, token_files
 from looptab.tension import loop_tension_profiles
 from looptab.tokens import render_tokens
@@ -112,7 +112,8 @@ def test_each_song_of_a_directory_comes_out_as_in_a_directory_of_its_own(tmp_pat
 def test_no_loop_or_tension_range_of_a_batch_spans_two_songs(tmp_path):
     songs = boundary_songs()
     paths = token_files(write_dir(tmp_path / "all", songs))
-    batch = regularize_many(decode_many(paths, TokenTable()))
+    [(_, decoded)] = decode_parts(paths, TokenTable())  # a directory this small is one part
+    batch = regularize_many(decoded)
     assert not batch.errors
     spans = [(s.start_bar, s.end_bar) for s in extract_loops(batch.columns, starts=batch.starts)]
     assert spans
@@ -130,7 +131,7 @@ def test_no_loop_or_tension_range_of_a_batch_spans_two_songs(tmp_path):
 def test_regularized_parts_hold_at_most_max_bars_and_give_each_song_as_the_whole(monkeypatch):
     songs = boundary_songs()
     streams = [text.split() for text in songs.values()] * 3
-    batch = decode_many(streams, TokenTable())
+    [(_, batch)] = decode_parts(streams, TokenTable())
     whole = regularize_many(batch)
     counts = [whole.starts[i + 1] - whole.starts[i] for i in range(len(whole))]
     assert max(counts) == 13 and sum(counts) > 100  # f_odd_metres

@@ -343,6 +343,74 @@ def test_eval_stats_pairwise(tmp_path, capsys):
     assert all(abs(c["alpha_adjusted"] - 0.05 / 3) < 1e-12 for c in doc["comparisons"])
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-1", "0", "1"])
+def test_eval_stats_pairwise_alpha_outside_0_to_1_exits_1(tmp_path, capsys, alpha):
+    data = tmp_path / "three.csv"
+    data.write_text("a,b,c\n" + "".join(f"{i},{i + 2.5},{i * 2}\n" for i in range(1, 9)))
+    out = tmp_path / "out.json"
+    assert run("eval-stats", "--method", "pairwise", "--input", str(data), "--alpha", alpha,
+               "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: alpha must be a finite number in (0, 1), got {float(alpha)}\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-1", "0"])
+def test_train_gen_alpha_that_is_not_a_finite_number_above_0_exits_1(tmp_path, capsys, alpha):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("valence:high tempo:160 start new_measure end\n")
+    out = tmp_path / "model.json"
+    assert run("train-gen", "--corpus", str(corpus), "--out", str(out), "--alpha", alpha) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: alpha must be a finite number > 0, got {float(alpha)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", [False, True])
+@pytest.mark.parametrize("given,missing", [("--happy", "--sad"), ("--sad", "--happy")])
+def test_eval_emotion_with_happy_or_sad_alone_exits_1_naming_the_other(workspace, tmp_path, capsys,
+                                                                       given, missing, setting):
+    scores = str(workspace / "scores")
+    absent = str(tmp_path / "absent.json")  # no classifier is read first
+    out = tmp_path / "metrics.json"
+    argv = ["eval-emotion", given, scores, "--valence-model", absent, "--arousal-model", absent,
+            "--out-json", str(out)] + (["--setting", "x", scores, scores] if setting else [])
+    capsys.readouterr()
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == f"error: {given} needs {missing}\n"
+    assert not out.exists()
+
+
+def test_survey_answer_error_names_the_file_and_the_line_csv_reads(tmp_path, capsys):
+    data = tmp_path / "responses.csv"
+    data.write_text("participant,group,question,answer\np1,gen,preference,5\n\n"
+                    "p1,gen,preference,9\np1,gen,tempo,4\n")
+    assert run("survey", "--responses", str(data)) == 1
+    assert capsys.readouterr().err == f"error: {data}: line 4: Likert answer 9 outside 1..7\n"
+    data.write_text("participant,group,question,answer\n\np1,gen,preference,5\np1,gen,tempo,4\n")
+    assert run("survey", "--responses", str(data)) == 1
+    assert capsys.readouterr().err == f"error: {data}: line 4: unknown question 'tempo'\n"
+
+
+def test_survey_bad_header_names_the_file(tmp_path, capsys):
+    data = tmp_path / "responses.csv"
+    data.write_text("participant,question,answer\np1,preference,5\n")
+    assert run("survey", "--responses", str(data)) == 1
+    assert capsys.readouterr().err == (f"error: {data}: survey CSV must have header "
+                                       "['answer', 'group', 'participant', 'question']\n")
+
+
+@pytest.mark.parametrize("command", ["annotate", "corpus"])
+def test_header_only_annotations_name_the_file(workspace, tmp_path, capsys, command):
+    ann = tmp_path / "annotations.csv"
+    ann.write_text("artist,title,valence,energy,mode\n")
+    argv = {"annotate": ["annotate", "--annotations", str(ann)],
+            "corpus": ["corpus", "--scores", str(workspace / "scores"), "--annotations", str(ann),
+                       "--out", str(tmp_path / "corpus.txt")]}[command]
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == f"error: {ann}: no records\n"
+
+
 def test_survey_command(tmp_path, capsys):
     data = tmp_path / "responses.csv"
     data.write_text("participant,group,question,answer,target\n"

@@ -26,8 +26,8 @@ from looptab.score import (
     TokenTable,
     bar_bodies,
     decode,
-    decode_many,
     decode_parts,
+    regular_parts,
     regularize_meter,
     score_to_tokens,
     tokens_to_score,
@@ -291,26 +291,45 @@ def test_the_table_classifies_each_string_once_and_skips_malformed_ones():
 
 # a batch of songs decodes each song as it decodes alone ---------------------
 
-def check_batch(texts: list[str], table: TokenTable) -> SongBatch:
-    """Decode ``texts`` as one batch; each valid song's columns are the
-    reference decoder's, and each malformed song is the batch's error for
-    that song, with the type and message it raises alone."""
-    batch = decode_many([text.split() for text in texts], table)
-    assert len(batch) == len(texts) and len(batch.starts) == len(texts) + 1
-    for i, text in enumerate(texts):
-        try:
-            expected = reference_tokens_to_score(parse_tokens(text))
-        except (StructureError, ParseError):
-            with pytest.raises((StructureError, ParseError)) as alone:
-                decode(text.split(), TokenTable())
-            got = batch.errors[i]
-            assert (type(got), str(got)) == (type(alone.value), str(alone.value))
-            assert batch.starts[i] == batch.starts[i + 1] and batch.heads[i] is None
-        else:
-            assert i not in batch.errors and plain(batch.song(i)) == expected
-    # the batch's onset groups, loops and tension are each song's own, also
-    # where notes run past their song's end
-    good = [i for i in range(len(texts)) if i not in batch.errors]
+def check_batch(texts: list[str], table: TokenTable) -> tuple[dict, dict]:
+    """Decode ``texts`` in parts with one table; each valid song's columns
+    are the reference decoder's, and each malformed song is its part's
+    error for that song, with the type and message it raises alone. Each
+    decoded part's tension and each regularized part's onset groups and
+    loops are its songs' own. Returns each failed song's error and each
+    good song's columns, by song."""
+    parts = list(decode_parts([text.split() for text in texts], table))
+    assert [first for first, _ in parts] == [0, *accumulate(len(part) for _, part in parts)][:-1]
+    assert sum(len(part) for _, part in parts) == len(texts)
+    errors, songs = {}, {}
+    for first, part in parts:
+        assert len(part.starts) == len(part) + 1
+        for j in range(len(part)):
+            text = texts[first + j]
+            try:
+                expected = reference_tokens_to_score(parse_tokens(text))
+            except (StructureError, ParseError):
+                with pytest.raises((StructureError, ParseError)) as alone:
+                    decode(text.split(), TokenTable())
+                got = errors[first + j] = part.errors[j]
+                assert (type(got), str(got)) == (type(alone.value), str(alone.value))
+                assert part.starts[j] == part.starts[j + 1] and part.heads[j] is None
+            else:
+                assert j not in part.errors
+                songs[first + j] = part.song(j)
+                assert plain(songs[first + j]) == expected
+        assert loop_tension_profiles(part.columns, part.spans) == [
+            compute_tension_profile(part.song(j)) if j not in part.errors
+            else TensionProfile((), (), ()) for j in range(len(part))]
+        for _, regular in regular_parts(part):
+            check_regular_part(regular)
+    return errors, songs
+
+
+def check_regular_part(batch: SongBatch) -> None:
+    """The onset groups and loops of a regularized part are each song's
+    own, with its bars and ticks offset."""
+    good = [i for i in range(len(batch)) if i not in batch.errors]
     songs, starts = [batch.song(i) for i in good], [int(batch.starts[i]) for i in good]
     onsets, notes, gaps, owner, _ = _onset_groups(batch.columns, batch.starts)
     assert (owner[1:] >= owner[:-1]).all()
@@ -323,10 +342,6 @@ def check_batch(texts: list[str], table: TokenTable) -> SongBatch:
     assert extract_loops(batch.columns, params, batch.starts) == [
         LoopSpan(s.start_bar + start, s.end_bar + start, s.repetition_length_events)
         for song, start in zip(songs, starts) for s in extract_loops(song, params)]
-    assert loop_tension_profiles(batch.columns, batch.spans) == [
-        TensionProfile((), (), ()) if i in batch.errors else compute_tension_profile(batch.song(i))
-        for i in range(len(texts))]
-    return batch
 
 
 @settings(deadline=None, max_examples=300)
@@ -338,7 +353,7 @@ def test_a_batch_decodes_each_song_as_the_song_alone(texts):
 
 def test_a_batch_decodes_on_where_the_token_table_must_empty_itself(monkeypatch):
     # each song brings new strings, so the table empties between songs and
-    # the batch is decoded in parts, then joined
+    # the songs are decoded in parts
     monkeypatch.setattr(score_mod, "TOKEN_CACHE_SIZE", 12)
     rng = random.Random(3)
     texts = []
@@ -352,16 +367,16 @@ def test_a_batch_decodes_on_where_the_token_table_must_empty_itself(monkeypatch)
     decode_codes = score_mod._decode_codes
     monkeypatch.setattr(score_mod, "_decode_codes", lambda *a: parts.append(decode_codes(*a))
                         or parts[-1])
-    batch = check_batch(texts, TokenTable())
-    assert list(batch.errors) == [5] and len(parts) > 3
-    assert [s.effects[x] for s in map(batch.song, (0, 1)) for x in s.fx.tolist()] == \
+    errors, songs = check_batch(texts, TokenTable())
+    assert list(errors) == [5] and len(parts) > 3
+    assert [s.effects[x] for s in (songs[0], songs[1]) for x in s.fx.tolist()] == \
         [("bend", "slide"), (), (), (), (), (), ("slide",), (), (), (), (), ()]
 
 
 
 def test_a_directory_past_the_token_bound_decodes_in_parts(monkeypatch):
     # the parts hold at most PART_TOKENS tokens, or one longer song, and
-    # join into the batch of each song as it decodes alone
+    # give each song as it decodes alone
     monkeypatch.setattr(score_mod, "PART_TOKENS", 40)
     rng = random.Random(4)
     texts = [" ".join(["tempo:90", "start", *(["new_measure", "clean0:note:s1:f3", "wait:960"]
@@ -376,6 +391,24 @@ def test_a_directory_past_the_token_bound_decodes_in_parts(monkeypatch):
         assert len(part) == 1 or sum(sizes) <= 40
         assert [first + i for i in part.errors] == [4] * (first <= 4 < first + len(part))
     check_batch(texts, TokenTable())
+
+
+@pytest.mark.parametrize("part_tokens,cache_size", [(40, 1 << 14), (1 << 18, 12), (40, 12)])
+def test_one_song_is_one_part(monkeypatch, part_tokens, cache_size):
+    # decode reads the one part of one song: also of a song longer than
+    # PART_TOKENS, and of one whose strings make the table empty mid-song
+    monkeypatch.setattr(score_mod, "PART_TOKENS", part_tokens)
+    monkeypatch.setattr(score_mod, "TOKEN_CACHE_SIZE", cache_size)
+    notes = [f"clean0:note:s{string}:f{fret}" for string in (1, 2) for fret in range(10)]
+    text = " ".join(["tempo:90", "start", *(f"new_measure {n} wait:480" for n in notes), "end"])
+    assert len(text.split()) > 40 and len(set(text.split())) > 12
+    table = TokenTable()
+    decode("start new_measure bass:note:s1:f0 end".split(), table)
+    parts = list(decode_parts([text.split()], table))
+    assert [(first, len(part)) for first, part in parts] == [(0, 1)]
+    assert plain(parts[0][1].song(0)) == reference_tokens_to_score(parse_tokens(text))
+    assert ("bass:note:s1:f0" in table.codes) == (cache_size > 12)  # emptied mid-song
+    assert plain(decode(text.split(), table)) == plain(parts[0][1].song(0))
 
 # the per-bar computations on built columns and on their decoded tokens ------
 

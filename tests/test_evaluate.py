@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from looptab.evaluate import (
+    HIGH_CUT,
     NEWTON_MAX_ITER,
     NEWTON_TOL,
     TEMPO_BUCKETS,
@@ -33,7 +34,7 @@ from looptab.evaluate import (
     train_classifier,
 )
 from looptab.loops import LoopParams
-from looptab.score import SongBatch
+from looptab.score import TokenTable, decode_parts, regular_parts, score_to_tokens
 
 from util import bar_block, block_bars, columns
 
@@ -180,8 +181,8 @@ def test_classifier_separates_disjoint_vocabularies():
     pos = synth_streams(rng, 30, ["a", "b", "c"], 160)
     neg = synth_streams(rng, 30, ["x", "y", "z"], 80)
     clf = train_classifier(pos + neg, [True] * 30 + [False] * 30)
-    assert all(clf.label(s) for s in pos)
-    assert not any(clf.label(s) for s in neg)
+    assert all(clf.scores([s])[0] > HIGH_CUT for s in pos)
+    assert not any(clf.scores([s])[0] > HIGH_CUT for s in neg)
     assert clf.holdout_accuracy == 1.0
     # separable data has no unregularized optimum; the l2 term gives it one
     assert np.isfinite(clf.weights).all() and math.isfinite(clf.bias)
@@ -271,7 +272,7 @@ def test_classifier_chance_level_on_permuted_labels():
     if all(labels) or not any(labels):
         labels[0] = not labels[0]
     clf = train_classifier(streams, labels)
-    accuracy = np.mean([clf.label(s) == l for s, l in zip(streams, labels)])
+    accuracy = np.mean([(clf.scores([s])[0] > HIGH_CUT) == l for s, l in zip(streams, labels)])
     assert 0.35 <= accuracy <= 0.72  # near chance on pure noise
 
 
@@ -342,15 +343,23 @@ def test_emotion_metrics_rejects_empty_group():
         emotion_metrics([], [["s"]], FixedModel([0.5]), FixedModel([0.5]))
 
 
+def regular_batches(*songs):
+    """The regularized parts of ``songs`` decoded from their tokens, as the
+    song commands make them."""
+    streams = [[t.raw for t in score_to_tokens(song)] for song in songs]
+    return [part for _, decoded in decode_parts(streams, TokenTable())
+            for _, part in regular_parts(decoded)]
+
+
 def test_loop_metric_counts():
     rng = random.Random(9)
     blocks = {c: bar_block(rng, 4) for c in "AB"}
     looped = columns(block_bars(blocks, "ABABABAB"))
     bare = columns(block_bars(blocks, "AB"))
-    total, avg = loop_metric([SongBatch.of([looped, bare])])
+    total, avg = loop_metric(regular_batches(looped, bare))
     assert total >= 1
     assert avg == total / 2
-    assert loop_metric([SongBatch.of([looped]), SongBatch.of([bare])]) == (total, avg)
+    assert loop_metric(regular_batches(looped) + regular_batches(bare)) == (total, avg)
     assert loop_metric([], LoopParams()) == (0, 0.0)
 
 

@@ -123,8 +123,9 @@ def test_train_rejects_empty_corpus_and_bad_params():
         train_generator([])
     with pytest.raises(ValueError):
         train_generator(["a"], order=1)
-    with pytest.raises(ValueError):
-        train_generator(["a"], alpha=0.0)
+    for alpha in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^alpha must be a finite number > 0, got "):
+            train_generator(["a"], alpha=alpha)
 
 
 def test_model_save_load_round_trip(tmp_path):
@@ -295,14 +296,16 @@ def test_load_model_accepts_the_well_formed_document(tmp_path):
                                    0.01 / (3 + 0.01 * v)])
 
 
-def test_model_without_the_empty_context_backs_off_to_uniform(tmp_path):
+def test_model_without_the_empty_context_is_rejected(tmp_path, capsys):
+    # every context backs off to the empty one, so train-gen always writes it
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model_doc(context_lengths=[1, 1], context_tokens=[0, 1],
                                          row_ptr=[0, 1, 2], tokens=[1, 2], counts=[2, 1])))
-    model = load_model(path)
-    indices, probs, rest = model.next_token_distribution([model.index["end"]])
-    assert len(indices) == len(probs) == 0 and rest == 0.01 / (0 + 0.01 * 3)
-    assert dense_next(model, ["a"])[1] == 2.01 / (2 + 0.01 * 3)
+    out = tmp_path / "out"
+    assert main(["generate", "--model", str(path), "--emotion", "happy",
+                 "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: the empty context is not a context\n"
+    assert not out.exists()
 
 
 def test_distribution_is_a_read_only_view_of_one_row(tmp_path):

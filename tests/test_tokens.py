@@ -65,7 +65,7 @@ def test_malformed_token_reports_index():
 def test_grammar_coverage(raw, category):
     t = token(raw)
     assert t.category is category
-    assert t.render() == raw
+    assert t.raw == raw
 
 
 @pytest.mark.parametrize("raw", [
@@ -137,7 +137,7 @@ def test_any_valid_stream_round_trips(raws):
 
 @given(valid_tokens)
 def test_single_token_render_is_identity(raw):
-    assert token(raw).render() == raw
+    assert token(raw).raw == raw
 
 
 @pytest.mark.parametrize("raw", [
