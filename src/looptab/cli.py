@@ -242,6 +242,8 @@ def cmd_generate(args) -> int:
     )
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if constraints.max_tokens <= len(prompt):
         raise ValueError(f"max_tokens {constraints.max_tokens} leaves no room to sample after "
                          f"the {len(prompt)}-token prompt; give more than {len(prompt)}")
@@ -255,6 +257,7 @@ def cmd_generate(args) -> int:
                          "overwrite, but eval-emotion and eval-loops would read; remove it or "
                          "give another --out-dir")
     model = generate_mod.load_model(args.model)
+    generate_mod.check_prompt(model, prompt)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, name in enumerate(names):
         stream = generate_mod.sample_sequence(
@@ -270,18 +273,20 @@ def _classifier_corpus(path, truncate: int):
     ``{target: [is_high, ...]}``, plus the feature names and matrix of the
     label-free lines, built once for all targets. The token lists are
     dropped on return, before any fit."""
-    lines = [l.split() for l in _read_corpus(path) if l.strip()]
-    if not lines:
+    numbered = [(number, line.split()) for number, line in enumerate(_read_corpus(path), 1)
+                if line.strip()]
+    if not numbered:
         raise ValueError("empty corpus")
     labels = {}
     for target in ("valence", "arousal"):
         labels[target] = []
-        for i, toks in enumerate(lines):
+        for number, toks in numbered:
             level = next((t.split(":")[1] for t in toks if t.startswith(target + ":")), None)
             if level is None:
-                raise ValueError(f"corpus line {i + 1} carries no {target} label")
+                raise ValueError(f"{path}: line {number} carries no {target} label")
             labels[target].append(level == "high")
-    names, x = evaluate_mod.classifier_features([label_free(toks) for toks in lines], truncate)
+    names, x = evaluate_mod.classifier_features([label_free(toks) for _, toks in numbered],
+                                                 truncate)
     return labels, names, x
 
 

@@ -12,7 +12,7 @@ model, so all samples of a ``generate`` run draw from views of them.
 
 Integer vocabulary ids carry the n-gram from training to sampling.
 Training maps the corpus to one id array and counts each n-gram length
-with one ``np.unique`` over integer keys. The counts are compressed sparse
+with one sort of integer keys. The counts are compressed sparse
 rows, and every row's probabilities are computed once, when the model is
 built or loaded. Each context row is keyed by the row of its suffix one
 token shorter and its first token, so the longest seen suffix of the ids
@@ -224,7 +224,8 @@ class NGramModel:
         levels = []
         above = len(self.vocabulary) * stride
         tree = {}
-        for n in range(1, self.order):
+        longest = int(lengths.max())
+        for n in range(1, longest + 1):
             (members,) = np.nonzero(lengths == n)
             first = starts[members]
             if n == 1:
@@ -245,7 +246,7 @@ class NGramModel:
                     raise ValueError("the suffix of a context is not a context")
             keys = flat[first] * stride + suffix + 1
             tree.update(zip(keys.tolist(), members.tolist()))
-            if 1 < n < self.order - 1:  # the longest contexts are no suffix
+            if 1 < n < longest:  # the longest contexts are no suffix
                 by_key = np.argsort(keys)
                 levels.append((np.append(keys[by_key], above), np.append(members[by_key], -1)))
         if len(tree) < len(lengths) - 1:  # a second empty context is not in the tree
@@ -273,17 +274,39 @@ class NGramModel:
         return self.tokens[start:stop], self._seen[start:stop], self._unseen[row]
 
 
+def _distinct(keys: np.ndarray, ends: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct ``keys`` in ascending order, the least of ``ends`` at
+    each one's occurrences, each key's rank among them and how often each
+    occurs, from one sort of ``keys``: ``np.unique`` with its index, inverse
+    and counts, read through ``ends``, without the stable sort its index
+    needs."""
+    by_key = keys.argsort()
+    keys = keys[by_key]
+    head = np.empty(len(keys), bool)  # where each run of equal keys starts
+    head[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    ranks = np.empty_like(by_key)
+    ranks[by_key] = np.cumsum(head) - 1
+    return (keys[starts], np.minimum.reduceat(ends[by_key], starts), ranks,
+            np.diff(starts, append=len(keys)))
+
+
 def train_generator(corpus_lines: Sequence[str], order: int = 4, alpha: float = 0.01) -> NGramModel:
     """Count-based estimation over corpus token lines.
 
     Every line is terminated with ``end`` before counting; the vocabulary
     is the corpus tokens plus all control tokens and ``end``. The corpus
     becomes one array of vocabulary ids, and each n-gram length is counted
-    with one ``np.unique`` over integer keys: an n-gram's key is the
-    ``np.unique`` id of its (n-1)-gram prefix times the vocabulary size,
-    plus its last id. Contexts are rows in order of length, then of first
-    occurrence; the continuations of a context keep the order of their
-    first occurrence.
+    with one ``argsort`` of integer keys: an n-gram's key is the rank of its
+    (n-1)-gram prefix among the distinct (n-1)-grams times the vocabulary
+    size, plus its last id. The sorted keys give the distinct n-grams,
+    their counts and each occurrence's rank, and a minimum over each run of
+    equal keys gives where the n-gram first ends. Contexts are rows in
+    order of length, then of first occurrence; the continuations of a
+    context keep the order of their first occurrence. Counting stops at the
+    longest line, past which no n-gram exists.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
@@ -303,12 +326,10 @@ def train_generator(corpus_lines: Sequence[str], order: int = 4, alpha: float = 
     del sequences, words
 
     ends = np.arange(len(ids))  # where each n-gram ends, ascending
-    prefixes = np.zeros(len(ids), np.int64)  # the unique id of its (n-1)-gram prefix
+    prefixes = np.zeros(len(ids), np.int64)  # the rank of its (n-1)-gram prefix
     lengths, context_tokens, sizes, tokens, counts = [], [], [], [], []
     for n in range(1, order + 1):
-        grams, first, gram_ids, gram_counts = np.unique(
-            prefixes * v + ids[ends], return_index=True, return_inverse=True, return_counts=True)
-        first = ends[first]  # where each distinct n-gram first ends
+        grams, first, gram_ids, gram_counts = _distinct(prefixes * v + ids[ends], ends)
         # grams are in key order, so those sharing a context are adjacent
         new_context = np.diff(grams // v, prepend=-1) != 0
         context = np.cumsum(new_context) - 1
@@ -317,7 +338,7 @@ def train_generator(corpus_lines: Sequence[str], order: int = 4, alpha: float = 
         rank = np.empty_like(by_first)
         rank[by_first] = np.arange(len(by_first))
         rows = rank[context]
-        by_row = np.lexsort((first, rows))
+        by_row = np.argsort(rows * len(ids) + first)  # the firsts are distinct: no ties
         lengths.append(np.full(len(by_first), n - 1))
         context_tokens.append(ids[context_first[by_first, None] + np.arange(1 - n, 0)].ravel())
         sizes.append(np.bincount(rows, minlength=len(by_first)))
@@ -325,6 +346,8 @@ def train_generator(corpus_lines: Sequence[str], order: int = 4, alpha: float = 
         counts.append(gram_counts[by_row])
         # the (n+1)-grams: every n-gram that a token of its line follows
         more = ~line_ends[ends]
+        if not more.any():  # no line is longer: no longer n-gram or context exists
+            break
         ends, prefixes = ends[more] + 1, gram_ids[more]
     return NGramModel(order, alpha, vocabulary, np.concatenate(lengths),
                       np.concatenate(context_tokens),
@@ -484,6 +507,14 @@ def _argmax(masked: Masked, ids: np.ndarray, positions: np.ndarray) -> int:
     return choice
 
 
+def check_prompt(model: NGramModel, prompt: Sequence[Token]) -> None:
+    """Raise ``ValueError`` naming the first prompt token that is not in
+    the model's vocabulary."""
+    for t in prompt:
+        if t.raw not in model.index:
+            raise ValueError(f"prompt token {t.raw!r} not in model vocabulary")
+
+
 def sample_sequence(model: NGramModel, prompt: Sequence[Token],
                     constraints: SamplingConstraints) -> list[Token]:
     """Autoregressive sampling seeded by the prompt.
@@ -501,9 +532,7 @@ def sample_sequence(model: NGramModel, prompt: Sequence[Token],
     vocab = model.vocabulary
     tables, columns = _masked_columns(
         model, (constraints.emotion, constraints.tempo_upper, constraints.tempo_lower))
-    for t in prompt:
-        if t.raw not in model.index:
-            raise ValueError(f"prompt token {t.raw!r} not in model vocabulary")
+    check_prompt(model, prompt)
     stream = list(prompt)
     history = [model.index[t.raw] for t in prompt]  # the ids of ``stream``
     bars = sum(1 for t in prompt if t.category is TokenCategory.STRUCTURE)

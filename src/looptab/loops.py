@@ -18,7 +18,7 @@ from itertools import count, repeat
 
 import numpy as np
 
-from .score import TRACKS, ScoreColumns, bar_slice
+from .score import TRACKS, ScoreColumns, bar_slice, key_order
 from .tokens import TICKS_PER_QUARTER
 
 
@@ -81,7 +81,7 @@ def _onset_groups(song: ScoreColumns, starts: np.ndarray | None = None):
     at = offsets[song.bar] + song.onset
     end = offsets[starts[1:]]
     pitch = song.track * 128 + song.midi
-    order = np.lexsort((song.duration, pitch, at))
+    order = key_order((song.duration, pitch, at))
     at, pitch, duration, note_song = at[order], pitch[order], song.duration[order], note_song[order]
     head = np.empty(len(at), bool)
     head[:1] = True

@@ -595,11 +595,40 @@ def score_to_tokens(song: ScoreColumns, include_artist: bool = True) -> list[Tok
     return out
 
 
+def key_order(keys: Sequence[np.ndarray]) -> np.ndarray:
+    """``np.lexsort(keys)``, tie order included, for integer ``keys`` of
+    one length that fit in int64 (the last key the primary one): each key
+    less its minimum takes the bits its range needs, and the keys are
+    packed, least significant first, into as few int64 words as hold them,
+    so that the lexsort runs over those words, usually one. A key whose
+    range needs 64 bits is a word of its own, as it is."""
+    words: list[np.ndarray] = []
+    word, width = None, 0
+    for key in keys:
+        key = np.asarray(key, np.int64)
+        low, high = (int(key.min()), int(key.max())) if key.size else (0, 0)
+        bits = (high - low).bit_length()
+        if not bits:  # an empty or constant key orders nothing
+            continue
+        if width + bits > 63 and word is not None:
+            words.append(word)
+            word, width = None, 0
+        if bits > 63:
+            words.append(key)
+            continue
+        shifted = key - low  # in [0, 2**63), where int64 arithmetic wraps
+        word = shifted if word is None else word | shifted << width
+        width += bits
+    if word is not None:
+        words.append(word)
+    return np.lexsort(words) if words else np.arange(len(keys[0]), dtype=np.intp)
+
+
 def bar_bodies(song: ScoreColumns, bars: Sequence[int]) -> list[list[str]]:
     """The raw tokens of each of ``bars``: its notes sorted by (onset,
     track, pitch, string), waits merging the gaps, and a trailing wait
     covering the last group's duration (its longest note)."""
-    order = np.lexsort((np.maximum(song.string, 0), song.midi, song.track, song.onset, song.bar))
+    order = key_order((np.maximum(song.string, 0), song.midi, song.track, song.onset, song.bar))
     onsets, durations, tracks, midis, strings, frets, fxs = (
         c.take(order).tolist()
         for c in (song.onset, song.duration, song.track, song.midi, song.string, song.fret, song.fx))
@@ -697,7 +726,7 @@ def regularize_many(batch: SongBatch, keep: Sequence[bool] | None = None) -> Son
     new_duration = np.minimum(duration, (chunk + 1) * BAR_TICKS_4_4 - onset)
     # the notes of a split (or re-metred) bar are sorted; a kept bar keeps its order
     split = ~(in_4_4 & (chunks == 1))[bar]
-    order = np.lexsort([np.where(split, key, 0) for key in (
+    order = key_order([np.where(split, key, 0) for key in (
         np.maximum(song.string, 0), song.midi, song.track, new_onset)] + [new_bar])
     order = order[chunks[bar[order]] > 0]  # less the notes of the songs that lost their bars
     kept = chunks[song.control_bar] > 0

@@ -195,8 +195,18 @@ def test_train_clf_with_an_unlabelled_line_writes_nothing(corpus, tmp_path, caps
     out = tmp_path / "clf"
     assert run("train-clf", "--corpus", str(bad), "--out-dir", str(out)) == 1
     err = capsys.readouterr().err
-    assert err == f"error: corpus line {len(lines)} carries no arousal label\n"
+    assert err == f"error: {bad}: line {len(lines)} carries no arousal label\n"
     assert not (out / "valence.json").exists()
+
+
+def test_train_clf_label_error_counts_blank_lines(corpus, tmp_path, capsys):
+    # it counted only the non-blank lines and reported line 2 here
+    lines = corpus.read_text().splitlines()[:2]
+    lines[1] = " ".join(t for t in lines[1].split() if not t.startswith("arousal:"))
+    bad = tmp_path / "corpus.txt"
+    bad.write_text(f"{lines[0]}\n\n{lines[1]}\n")
+    assert run("train-clf", "--corpus", str(bad), "--out-dir", str(tmp_path / "clf")) == 1
+    assert capsys.readouterr().err == f"error: {bad}: line 3 carries no arousal label\n"
 
 
 def test_train_clf_logs_each_fit(corpus, tmp_path, caplog):

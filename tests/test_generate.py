@@ -894,6 +894,27 @@ def test_generate_max_tokens_within_the_prompt_exits_1(corpus_model, tmp_path, c
         assert not out.exists()
 
 
+def test_generate_rejects_a_negative_seed_before_writing(corpus_model, tmp_path, capsys):
+    # numpy's "expected non-negative integer" came after --out-dir was made
+    out = tmp_path / "out"
+    assert main(["generate", "--model", str(corpus_model), "--emotion", "happy",
+                 "--seed", "-1", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+def test_generate_rejects_a_prompt_token_outside_the_vocabulary_before_writing(tmp_path, capsys):
+    # the model never saw time_signature:4, which both prompts carry
+    model = tmp_path / "model.json"
+    save_model(train_generator(["new_measure clean0:note:s1:f0 wait:480"]), model)
+    out = tmp_path / "out"
+    assert main(["generate", "--model", str(model), "--emotion", "sad",
+                 "--out-dir", str(out)]) == 1
+    assert (capsys.readouterr().err
+            == "error: prompt token 'time_signature:4' not in model vocabulary\n")
+    assert not out.exists()
+
+
 def test_generate_max_tokens_is_taken_as_given(corpus_model, tmp_path):
     assert main(["generate", "--model", str(corpus_model), "--emotion", "happy",
                  "--max-tokens", "6", "--out-dir", str(tmp_path)]) == 0

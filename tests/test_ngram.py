@@ -14,6 +14,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from looptab import generate
 from looptab.generate import (
     COLUMNS,
     CONTROL_VOCAB,
@@ -175,3 +176,89 @@ def test_distribution_is_bit_equal_to_the_counter_loop(lines, order, alpha, quer
         vector = dense(model.next_token_distribution(ids), len(model.vocabulary))
         np.testing.assert_allclose(vector, oracle_distribution(model, counts, context),
                                    rtol=0, atol=0)
+
+
+def unique_columns(corpus_lines, order):
+    """The columns as ``train_generator`` counted them with one stable
+    ``np.unique(..., return_index=True)`` per n-gram length and a
+    ``lexsort`` of each length's rows."""
+    sequences = [line.split() for line in corpus_lines if line.strip()]
+    for seq in sequences:
+        if seq[-1] != "end":
+            seq.append("end")
+    words = [t for seq in sequences for t in seq]
+    vocabulary = sorted(set(words).union(CONTROL_VOCAB, ("end",)))
+    v = len(vocabulary)
+    index = {t: i for i, t in enumerate(vocabulary)}
+    ids = np.array([index[t] for t in words], np.int64)
+    line_ends = np.zeros(len(ids), dtype=bool)
+    line_ends[np.cumsum([len(seq) for seq in sequences]) - 1] = True
+    ends = np.arange(len(ids))
+    prefixes = np.zeros(len(ids), np.int64)
+    lengths, context_tokens, sizes, tokens, counts = [], [], [], [], []
+    for n in range(1, order + 1):
+        grams, first, gram_ids, gram_counts = np.unique(
+            prefixes * v + ids[ends], return_index=True, return_inverse=True, return_counts=True)
+        first = ends[first]
+        new_context = np.diff(grams // v, prepend=-1) != 0
+        context = np.cumsum(new_context) - 1
+        context_first = np.minimum.reduceat(first, np.flatnonzero(new_context))
+        by_first = np.argsort(context_first)
+        rank = np.empty_like(by_first)
+        rank[by_first] = np.arange(len(by_first))
+        rows = rank[context]
+        by_row = np.lexsort((first, rows))
+        lengths.append(np.full(len(by_first), n - 1))
+        context_tokens.append(ids[context_first[by_first, None] + np.arange(1 - n, 0)].ravel())
+        sizes.append(np.bincount(rows, minlength=len(by_first)))
+        tokens.append(grams[by_row] % v)
+        counts.append(gram_counts[by_row])
+        more = ~line_ends[ends]
+        ends, prefixes = ends[more] + 1, gram_ids[more]
+    return dict(zip(COLUMNS, (
+        np.concatenate(lengths), np.concatenate(context_tokens),
+        np.concatenate(([0], np.cumsum(np.concatenate(sizes)))),
+        np.concatenate(tokens), np.concatenate(counts))))
+
+
+# two symbols on long lines: many repeated n-grams, many tied counts
+repetitive = st.lists(st.lists(st.sampled_from(["a", "b"]), min_size=1, max_size=40)
+                      .map(" ".join), min_size=1, max_size=12)
+
+
+@given(st.one_of(corpora, repetitive), st.integers(2, 45))
+def test_columns_equal_the_unique_and_lexsort_counting(lines, order):
+    model = train_generator(lines, order=order)
+    for name, expected in unique_columns(lines, order).items():
+        np.testing.assert_array_equal(getattr(model, name), expected, err_msg=name)
+
+
+class CountingNumpy:
+    """numpy, counting each attribute looked up on it."""
+
+    def __init__(self):
+        self.lookups = Counter()
+
+    def __getattr__(self, name):
+        self.lookups[name] += 1
+        return getattr(np, name)
+
+
+def test_model_building_stops_at_the_longest_ngram(monkeypatch):
+    # at order 400 the counting loop and the context tree's level loop each
+    # went round 400 times, over empty arrays past the longest line
+    lines = ["a b a b c", "b a"]  # six ids with the end: no n-gram is longer
+    spy = CountingNumpy()
+    monkeypatch.setattr(generate, "np", spy)
+    work, columns = {}, {}
+    for order in (6, 7, 400):
+        spy.lookups.clear()
+        model = train_generator(lines, order=order)
+        work[order] = dict(spy.lookups)
+        columns[order] = [getattr(model, name).tolist() for name in COLUMNS]
+        spy.lookups.clear()
+        generate.NGramModel(order, model.alpha, model.vocabulary, *columns[order])
+        work[order, "load"] = dict(spy.lookups)
+    assert work[6] == work[7] == work[400]
+    assert work[6, "load"] == work[7, "load"] == work[400, "load"]
+    assert columns[6] == columns[7] == columns[400]

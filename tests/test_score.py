@@ -1,7 +1,10 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from looptab import score as score_mod
 from looptab.score import (
@@ -9,6 +12,7 @@ from looptab.score import (
     StructureError,
     TokenTable,
     decode,
+    key_order,
     regularize_meter,
     score_to_tokens,
     tokens_to_score,
@@ -293,3 +297,54 @@ def test_bar_controls_land_on_the_first_bar_of_a_split_bar():
         assert bar.split()[:len(controls)] == controls
     assert out.count("time_signature:6") == 0 and out.count("time_signature:4") == 1
     assert regular.control_bar.tolist() == [0, 0, 2, 2, 4, 6]
+
+
+INT64 = (-2 ** 63, 2 ** 63 - 1)
+
+
+@st.composite
+def key_lists(draw):
+    """One to six int64 keys of one length: each over a range of 0 to 64
+    bits from anywhere in int64, so that keys repeat, go negative, stay
+    constant, and together often need more than one 63-bit word."""
+    n = draw(st.integers(0, 30))
+    keys = []
+    for _ in range(draw(st.integers(1, 6))):
+        low = draw(st.integers(*INT64))
+        high = min(low + 2 ** draw(st.integers(0, 64)) - 1, INT64[1])
+        keys.append(np.array(draw(st.lists(st.integers(low, high), min_size=n, max_size=n)),
+                             np.int64))
+    return keys
+
+
+@given(key_lists())
+@example([np.zeros(0, np.int64)] * 3)
+@example([np.full(5, 3), np.full(5, INT64[0])])
+def test_key_order_is_the_lexsort(keys):
+    order = key_order(keys)
+    expected = np.lexsort(keys)
+    assert order.dtype == expected.dtype
+    np.testing.assert_array_equal(order, expected)
+
+
+def lexsort_words(monkeypatch, keys):
+    """How many words ``key_order(keys)`` hands to ``np.lexsort``."""
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda words: calls.append(len(words)) or lexsort(words))
+    order = key_order(keys)
+    monkeypatch.undo()
+    np.testing.assert_array_equal(order, np.lexsort(keys))
+    return calls
+
+
+def test_key_order_packs_keys_into_as_few_words_as_their_widths_need(monkeypatch):
+    rng = np.random.default_rng(0)
+    narrow = [rng.integers(-5, 5, 200), rng.integers(10 ** 6, 10 ** 6 + 3, 200),
+              np.full(200, -7), rng.integers(0, 2 ** 20, 200)]
+    assert lexsort_words(monkeypatch, narrow) == [1]
+    wide = [rng.integers(-2 ** 40, 0, 200), rng.integers(0, 2 ** 30, 200),
+            rng.integers(0, 2, 200)]  # 40 + 30 + 1 bits
+    assert lexsort_words(monkeypatch, wide) == [2]
+    whole = [rng.integers(0, 4, 200), np.array([INT64[0], INT64[1]] * 100), rng.integers(0, 4, 200)]
+    assert lexsort_words(monkeypatch, whole) == [3]
