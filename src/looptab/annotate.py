@@ -276,13 +276,6 @@ def feature_thresholds_to_json(thresholds: FeatureThresholds) -> str:
     }, indent=2)
 
 
-def feature_thresholds_from_json(text: str) -> FeatureThresholds:
-    doc = json.loads(text)
-    if doc.get("format") != "looptab-feature-thresholds":
-        raise ValueError("not a feature thresholds document")
-    return FeatureThresholds(doc["valence_median"], doc["arousal_median"])
-
-
 def _loop_lines(head: str, tempo: int, bars: dict[int, tuple[int, str]],
                 spans: Sequence[tuple[int, int]],
                 profiles: Sequence[tension_mod.TensionProfile]) -> Iterable[str]:

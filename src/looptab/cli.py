@@ -17,8 +17,9 @@ import json
 import logging
 import math
 import sys
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import annotate as annotate_mod
 from . import evaluate as evaluate_mod
@@ -63,13 +64,12 @@ def _song_parts(paths: list[Path], regular: bool = False
             yield names, part
 
 
-def _check_tokens(texts: Sequence[str], where: Callable[[int], str]) -> None:
-    """Classify each distinct token string of ``texts`` once through
-    :func:`tokens.token`; the first malformed one is an error naming
-    ``where(i)`` of its text ``i``, its index in that text and the token."""
-    distinct: set[str] = set()
-    for text in texts:
-        distinct.update(text.split())
+def _check_tokens(distinct: Iterable[str], texts: Sequence[str],
+                  where: Callable[[int], str]) -> None:
+    """Classify each of the ``distinct`` token strings of ``texts`` once
+    through :func:`tokens.token`; the first malformed one is an error naming
+    ``where(i)`` of its text ``i``, its index in that text and the token.
+    The texts are split only to find it."""
     bad = {}
     for raw in distinct:
         try:
@@ -83,11 +83,18 @@ def _check_tokens(texts: Sequence[str], where: Callable[[int], str]) -> None:
 
 
 def _read_corpus(path) -> list[str]:
-    """The lines of a corpus file; a malformed token is an error naming
-    the file, the line and the token."""
+    """The lines of a corpus file; a file of blank lines only is an error
+    naming it. :func:`_check_corpus` checks the tokens."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    _check_tokens(lines, lambda number: f"{path}: line {number + 1}")
+    if not any(line.strip() for line in lines):
+        raise ValueError(f"{path}: empty corpus")
     return lines
+
+
+def _check_corpus(path, distinct: Iterable[str], lines: Sequence[str]) -> None:
+    """A malformed token among ``distinct``, the token strings of the
+    corpus ``lines``, is an error naming the file, the line and the token."""
+    _check_tokens(distinct, lines, lambda number: f"{path}: line {number + 1}")
 
 
 def _read_streams(directory: str | Path) -> list[list[str]]:
@@ -95,8 +102,9 @@ def _read_streams(directory: str | Path) -> list[list[str]]:
     an error naming the file and the token."""
     paths = token_files(directory)
     texts = [path.read_text(encoding="utf-8") for path in paths]
-    _check_tokens(texts, lambda number: str(paths[number]))
-    return [text.split() for text in texts]
+    streams = [text.split() for text in texts]
+    _check_tokens(set(chain.from_iterable(streams)), texts, lambda number: str(paths[number]))
+    return streams
 
 
 def label_free(tokens: list[str]) -> list[str]:
@@ -222,7 +230,10 @@ def cmd_train_gen(args) -> int:
     gen_cfg = config.generator
     order = args.order if args.order is not None else gen_cfg.order
     alpha = args.alpha if args.alpha is not None else gen_cfg.alpha
-    model = generate_mod.train_generator(_read_corpus(args.corpus), order=order, alpha=alpha)
+    lines = _read_corpus(args.corpus)
+    model = generate_mod.train_generator(lines, order=order, alpha=alpha)
+    # the vocabulary holds every distinct token string of the corpus
+    _check_corpus(args.corpus, model.vocabulary, lines)
     generate_mod.save_model(model, args.out)
     log.info("trained order-%d model, vocabulary %d", order, len(model.vocabulary))
     return 0
@@ -273,10 +284,9 @@ def _classifier_corpus(path, truncate: int):
     ``{target: [is_high, ...]}``, plus the feature names and matrix of the
     label-free lines, built once for all targets. The token lists are
     dropped on return, before any fit."""
-    numbered = [(number, line.split()) for number, line in enumerate(_read_corpus(path), 1)
-                if line.strip()]
-    if not numbered:
-        raise ValueError("empty corpus")
+    lines = _read_corpus(path)
+    numbered = [(number, toks) for number, line in enumerate(lines, 1) if (toks := line.split())]
+    _check_corpus(path, set(chain.from_iterable(toks for _, toks in numbered)), lines)
     labels = {}
     for target in ("valence", "arousal"):
         labels[target] = []

@@ -1,4 +1,4 @@
-"""Shared pipeline configuration with lossless JSON round-trip.
+"""Shared pipeline configuration, read from a JSON document.
 
 Defaults match the published constants: loop extraction thresholds
 (min repetition notes 4, min repetition beats 2, loop bars 4..4) and the
@@ -11,7 +11,6 @@ JSON type is a ``ValueError`` naming the file.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +21,6 @@ from .loops import LoopParams
 from .tension import SpiralParams
 
 CONFIG_FORMAT = "looptab-config"
-CONFIG_VERSION = 1
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -41,11 +39,6 @@ class PipelineConfig:
     classifier: ClassifierConfig = ClassifierConfig()
     happy_tempo_min: int = HAPPY_TEMPO_MIN
     sad_tempo_max: int = SAD_TEMPO_MAX
-
-
-def config_to_json(config: PipelineConfig) -> str:
-    doc = {"format": CONFIG_FORMAT, "version": CONFIG_VERSION, **dataclasses.asdict(config)}
-    return json.dumps(doc, indent=2)
 
 
 def _checked(name: str, value, default):
@@ -89,12 +82,6 @@ def _config_from_doc(doc, source: str) -> PipelineConfig:
         return _build(PipelineConfig, doc)
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
-
-
-def config_from_json(text: str, source: str = "config") -> PipelineConfig:
-    """Parse a config document, raising ``ValueError`` naming ``source`` if
-    it is not a looptab config or a field has the wrong type."""
-    return _config_from_doc(json.loads(text), source)
 
 
 def load_config(path: str | Path | None) -> PipelineConfig:

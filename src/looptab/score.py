@@ -37,6 +37,7 @@ gap rule on reparse).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from itertools import compress
 from pathlib import Path
@@ -759,9 +760,12 @@ def regular_parts(batch: SongBatch, keep: Sequence[bool] | None = None
 
 
 def token_files(directory: str | Path) -> list[Path]:
-    """The ``*.tokens`` files of a song directory, sorted by name; a
-    directory holding none is an error."""
-    paths = sorted(Path(directory).glob("*.tokens"))
+    """The ``*.tokens`` files of a song directory, sorted by name. A path
+    that is not a directory that can be listed raises ``OSError``; a
+    directory holding no such file is a ``ValueError``."""
+    root = Path(directory)
+    with os.scandir(root) as entries:
+        paths = sorted(root / entry.name for entry in entries if entry.name.endswith(".tokens"))
     if not paths:
         raise ValueError(f"no *.tokens files in {directory}")
     return paths

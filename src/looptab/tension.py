@@ -374,23 +374,10 @@ def fit_tension_thresholds(profiles: Iterable[TensionProfile]) -> TensionThresho
 LEVELS = ("q1", "q2", "q3", "q4")
 
 
-def level_of(value: float, thresholds: tuple[float, float, float]) -> str:
-    """Half-open binning: v < t1 -> q1, t1 <= v < t2 -> q2, t2 <= v < t3 -> q3, v >= t3 -> q4."""
-    t1, t2, t3 = thresholds
-    if not t1 <= t2 <= t3:
-        raise ValueError("thresholds must be ordered")
-    if value >= t3:
-        return "q4"
-    if value >= t2:
-        return "q3"
-    if value >= t1:
-        return "q2"
-    return "q1"
-
-
 def levels_of(values: Sequence[float], thresholds: tuple[float, float, float]) -> tuple[str, ...]:
-    """:func:`level_of` of every value, binned in one ``searchsorted``; NaN,
-    which compares false, is q1 as there."""
+    """The level of every value, binned half-open in one ``searchsorted``:
+    v < t1 -> q1, t1 <= v < t2 -> q2, t2 <= v < t3 -> q3, v >= t3 -> q4.
+    NaN, which compares false with every threshold, is q1."""
     t1, t2, t3 = thresholds
     if not t1 <= t2 <= t3:
         raise ValueError("thresholds must be ordered")
@@ -427,17 +414,6 @@ def thresholds_to_json(thresholds: TensionThresholds) -> str:
         "cloud_momentum": list(thresholds.cloud_momentum),
         "tensile_strain": list(thresholds.tensile_strain),
     }, indent=2)
-
-
-def thresholds_from_json(text: str) -> TensionThresholds:
-    doc = json.loads(text)
-    if doc.get("format") != "looptab-tension-thresholds":
-        raise ValueError("not a tension thresholds document")
-    return TensionThresholds(
-        cloud_diameter=tuple(doc["cloud_diameter"]),
-        cloud_momentum=tuple(doc["cloud_momentum"]),
-        tensile_strain=tuple(doc["tensile_strain"]),
-    )
 
 
 CSV_HEADER = "song,bar,cd,cm,ts,cd_level,cm_level,ts_level"

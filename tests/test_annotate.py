@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import tempfile
@@ -17,7 +18,6 @@ from looptab.annotate import (
     HttpFeaturesProvider,
     build_corpus,
     compute_thresholds,
-    feature_thresholds_from_json,
     feature_thresholds_to_json,
     fetch_annotations,
     inject_controls,
@@ -34,6 +34,7 @@ from looptab.tension import (
     TensionThresholds,
     discretize_profile,
     fit_tension_thresholds,
+    thresholds_to_json,
 )
 from looptab.tokens import TokenCategory, parse_tokens, render_tokens, token
 
@@ -150,7 +151,9 @@ def test_median_split_property():
 
 def test_feature_thresholds_json_round_trip():
     th = FeatureThresholds(0.433, 0.846)
-    assert feature_thresholds_from_json(feature_thresholds_to_json(th)) == th
+    doc = json.loads(feature_thresholds_to_json(th))
+    assert doc["format"] == "looptab-feature-thresholds"
+    assert FeatureThresholds(doc["valence_median"], doc["arousal_median"]) == th
 
 
 # injection and stripping -----------------------------------------------------
@@ -316,7 +319,6 @@ def write_song(tmp_path, name, sequence, blocks, tempo=120):
 
 def test_build_corpus_end_to_end(tmp_path, monkeypatch):
     from looptab import cli
-    from looptab.tension import thresholds_from_json
 
     written = []
     atomic_write = cli.atomic_write
@@ -354,12 +356,14 @@ def test_build_corpus_end_to_end(tmp_path, monkeypatch):
         for _, _, _, controls in bars:
             features = {t.fields["feature"] for t in controls}
             assert features == {"cloud_diameter", "cloud_momentum", "tensile_strain"}
-    assert feature_thresholds_from_json((out / "features.json").read_text()) == \
+    features = json.loads((out / "features.json").read_text())
+    assert FeatureThresholds(features["valence_median"], features["arousal_median"]) == \
         compute_thresholds(annotations)
-    thresholds_from_json((out / "tension.json").read_text())
 
     same, result = build_corpus(scores, annotations)
     assert same == lines
+    assert (out / "tension.json").read_text() == \
+        thresholds_to_json(result.tension_thresholds)
     assert result.songs_used == 1
     assert result.skipped_no_loops == 1
     assert result.skipped_no_annotation == 1

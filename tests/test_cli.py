@@ -20,7 +20,6 @@ from looptab.tension import (
     TensionProfile,
     compute_tension_profile,
     fit_tension_thresholds,
-    thresholds_from_json,
 )
 from looptab.tokens import parse_tokens, render_tokens
 
@@ -653,8 +652,8 @@ def test_key_scope_is_the_song_for_tension_and_the_loop_for_corpus(tmp_path):
     song_key = [v for span in spans for v in per_song[span.start_bar:span.end_bar]]
     assert fit_tension_thresholds([TensionProfile(song_key, song_key, song_key)]
                                   ).tensile_strain != per_loop.tensile_strain
-    written = thresholds_from_json((tmp_path / "th.json").read_text())
-    assert written.tensile_strain == per_loop.tensile_strain
+    written = json.loads((tmp_path / "th.json").read_text())
+    assert tuple(written["tensile_strain"]) == per_loop.tensile_strain
 
 
 def test_eval_stats_ragged_csv_exits_1(tmp_path, capsys):
@@ -693,8 +692,16 @@ def test_eval_stats_non_finite_first_row_is_data_and_rejected(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {data}: line 1 ")
 
 
-def test_importing_the_cli_loads_neither_requests_nor_subprocess():
-    code = "import sys, looptab.cli; print(sorted({'requests', 'subprocess'} & set(sys.modules)))"
+# The CLI loads requests (and with it subprocess) only for --provider-url;
+# the package root exports only __version__.
+UNWANTED_ON_IMPORT = {"looptab.cli": "m in ('requests', 'subprocess')",
+                      "looptab": "m.startswith('looptab.') or m == 'numpy'"}
+
+
+@pytest.mark.parametrize("module", sorted(UNWANTED_ON_IMPORT))
+def test_importing_loads_no_module_it_does_not_need(module):
+    code = (f"import sys, {module}; "
+            f"print(sorted(m for m in sys.modules if {UNWANTED_ON_IMPORT[module]}))")
     env = dict(os.environ, PYTHONPATH=str(Path(looptab.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
@@ -815,6 +822,46 @@ def test_a_malformed_corpus_token_exits_1_naming_the_file_line_and_token(corpus,
         f"error: {bad}: line 3: token {index} ('tempo:x1'): tempo must be a non-negative "
         f"integer, got 'x1'\n")
     assert not any((tmp_path / name).exists() for name in outputs)
+
+
+@pytest.mark.parametrize("command,target", [("train-gen", "--out"), ("train-clf", "--out-dir")])
+def test_a_corpus_of_blank_lines_exits_1_naming_the_file(tmp_path, capsys, command, target):
+    blank = tmp_path / "corpus.txt"
+    blank.write_text("\n \n")
+    capsys.readouterr()
+    assert run(command, "--corpus", str(blank), target, str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"error: {blank}: empty corpus\n"
+    assert not (tmp_path / "out").exists()
+
+
+# Every command that reads a song directory, given a path that is none.
+SONG_DIRECTORY_COMMANDS = {
+    "tension": ["tension", "--scores", "{path}", "--out-csv", "{out}"],
+    "loops": ["loops", "--scores", "{path}", "--out", "{out}"],
+    "corpus": ["corpus", "--scores", "{path}", "--annotations", "{ann}", "--out", "{out}"],
+    "eval-loops": ["eval-loops", "--generations", "{path}", "--out", "{out}"],
+    "eval-emotion": ["eval-emotion", "--happy", "{path}", "--sad", "{path}",
+                     "--valence-model", "{clf}/valence.json",
+                     "--arousal-model", "{clf}/arousal.json", "--out-json", "{out}"],
+}
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+@pytest.mark.parametrize("command", sorted(SONG_DIRECTORY_COMMANDS))
+def test_a_song_directory_that_is_none_exits_2_naming_it(workspace, classifiers, tmp_path,
+                                                         capsys, command, kind):
+    path = tmp_path / "songs"
+    if kind == "file":
+        path.write_text("")
+    paths = {"path": path, "out": tmp_path / "out", "ann": workspace / "annotations.csv",
+             "clf": classifiers}
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in SONG_DIRECTORY_COMMANDS[command]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(path) in captured.err
+    assert "Traceback" not in captured.err + captured.out
+    assert not (tmp_path / "out").exists()
 
 
 # "{dir}" is an empty directory, "{empty}" an empty file, "{songs}" a directory

@@ -1,15 +1,22 @@
+import dataclasses
 import json
 
 import pytest
 
-from looptab.config import (
-    PipelineConfig,
-    config_from_json,
-    config_to_json,
-    load_config,
-)
+from looptab.config import GeneratorConfig, PipelineConfig, load_config
 from looptab.evaluate import ClassifierConfig
 from looptab.loops import LoopParams
+from looptab.tension import SpiralParams
+
+
+def write_config(tmp_path, doc) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def config_doc(config: PipelineConfig) -> dict:
+    return {"format": "looptab-config", **dataclasses.asdict(config)}
 
 
 def test_defaults_match_pipeline_constants():
@@ -20,18 +27,25 @@ def test_defaults_match_pipeline_constants():
     assert cfg.classifier.truncate == 768
 
 
-def test_json_round_trip():
-    cfg = PipelineConfig()
-    assert config_from_json(config_to_json(cfg)) == cfg
+def test_json_round_trip(tmp_path):
+    # every field off its default, tuples and flags included
+    cfg = PipelineConfig(LoopParams(5, 3, 2, 8, allow_overlap=False),
+                         SpiralParams(2.5, 0.25, (0.5, 0.3, 0.2), (0.2, 0.3, 0.5)),
+                         GeneratorConfig(3, 0.5, 0.75, 512, 16),
+                         ClassifierConfig(l2=0.001, holdout_fraction=0.25, seed=7, truncate=100),
+                         happy_tempo_min=140, sad_tempo_max=90)
+    for section in (cfg, cfg.loop_params, cfg.spiral_params, cfg.generator, cfg.classifier):
+        assert all(getattr(section, f.name) != f.default for f in dataclasses.fields(section))
+    assert load_config(write_config(tmp_path, config_doc(cfg))) == cfg
 
 
-def test_partial_document_fills_defaults():
+def test_partial_document_fills_defaults(tmp_path):
     doc = {"format": "looptab-config", "version": 1,
            "happy_tempo_min": 140,
            "seed": 9,
            "paths": {"scores": "scores", "corpus": "corpus.txt"},
            "loop_params": {"min_loop_bars": 2, "max_loop_bars": 8}}
-    cfg = config_from_json(json.dumps(doc))
+    cfg = load_config(write_config(tmp_path, doc))
     assert cfg.happy_tempo_min == 140
     assert cfg.loop_params.min_loop_bars == 2
     assert cfg.loop_params.max_loop_bars == 8
@@ -39,16 +53,17 @@ def test_partial_document_fills_defaults():
     assert cfg.sad_tempo_max == 100
 
 
-def test_classifier_section_with_the_removed_gradient_fields_loads():
+def test_classifier_section_with_the_removed_gradient_fields_loads(tmp_path):
     # epochs and learning_rate configured the gradient-descent fit
     doc = {"format": "looptab-config", "version": 1,
            "classifier": {"epochs": 300, "learning_rate": 0.5, "l2": 0.001}}
-    assert config_from_json(json.dumps(doc)).classifier == ClassifierConfig(l2=0.001)
+    assert load_config(write_config(tmp_path, doc)).classifier == ClassifierConfig(l2=0.001)
 
 
-def test_rejects_foreign_document():
-    with pytest.raises(ValueError):
-        config_from_json(json.dumps({"format": "other"}))
+def test_rejects_foreign_document(tmp_path):
+    path = write_config(tmp_path, {"format": "other"})
+    with pytest.raises(ValueError, match=f"{path}: not a looptab config document"):
+        load_config(path)
 
 
 def test_load_config_none_gives_defaults():
@@ -57,6 +72,6 @@ def test_load_config_none_gives_defaults():
 
 def test_load_config_file(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(config_to_json(PipelineConfig(sad_tempo_max=90)))
+    path.write_text(json.dumps(config_doc(PipelineConfig(sad_tempo_max=90))))
     assert load_config(path).sad_tempo_max == 90
 

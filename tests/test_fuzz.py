@@ -5,7 +5,9 @@ it with exit code 0 (the damage left a valid file), or with 1 or 2 and
 exactly one ``error:`` line; never with a traceback."""
 
 import contextlib
+import dataclasses
 import io
+import json
 import random
 import tempfile
 from pathlib import Path
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from looptab.cli import main
-from looptab.config import PipelineConfig, config_to_json
+from looptab.config import PipelineConfig
 from looptab.evaluate import train_classifier
 from looptab.generate import save_model, train_generator
 from looptab.score import score_to_tokens
@@ -49,7 +51,8 @@ def files(tmp_path_factory):
                                      "p1,gen,heard,N,\np1,gen,composer,Human,\n"
                                      "p1,gen,preference,5,\np1,gen,emotion,6,happy\n"
                                      "p2,real,emotion,2,sad\np2,real,heard,Y,\n")
-    (root / "config.json").write_text(config_to_json(PipelineConfig()))
+    (root / "config.json").write_text(json.dumps(
+        {"format": "looptab-config", **dataclasses.asdict(PipelineConfig())}, indent=2))
     return root
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -21,14 +22,13 @@ from looptab.tension import (
     _key_candidates,
     _nearest_key,
     _nearest_keys,
-    level_of,
     levels_of,
     loop_tension_profiles,
     pitch_position,
     tension_from_clouds,
-    thresholds_from_json,
     thresholds_to_json,
 )
+from looptab.tokens import TENSION_FEATURES
 
 from util import columns
 
@@ -51,6 +51,21 @@ def make_bars(bars):
     """Plain 4/4 bars from lists of (midi, duration), each note at onset 0."""
     return [(4, 120, [("clean0", 0, dur, midi, 1, 0) for midi, dur in notes], ())
             for notes in bars]
+
+
+def level_of(value: float, thresholds: tuple[float, float, float]) -> str:
+    """Half-open binning of one value, the reference for ``levels_of``:
+    v < t1 -> q1, t1 <= v < t2 -> q2, t2 <= v < t3 -> q3, v >= t3 -> q4."""
+    t1, t2, t3 = thresholds
+    if not t1 <= t2 <= t3:
+        raise ValueError("thresholds must be ordered")
+    if value >= t3:
+        return "q4"
+    if value >= t2:
+        return "q3"
+    if value >= t1:
+        return "q2"
+    return "q1"
 
 
 # fifth index -----------------------------------------------------------------
@@ -221,11 +236,7 @@ def test_uniform_sample_thresholds():
 
 def test_level_boundaries():
     th = (1.0, 2.0, 3.0)
-    assert level_of(0.5, th) == "q1"
-    assert level_of(1.0, th) == "q2"
-    assert level_of(2.0, th) == "q3"
-    assert level_of(3.0, th) == "q4"
-    assert level_of(99.0, th) == "q4"
+    assert levels_of([0.5, 1.0, 2.0, 3.0, 99.0], th) == ("q1", "q2", "q3", "q4", "q4")
 
 
 def test_constant_values_collapse_to_one_level():
@@ -251,7 +262,9 @@ def test_quartile_binning_balanced():
 
 def test_thresholds_json_round_trip():
     th = TensionThresholds((0.1, 0.2, 0.3), (1.5, 2.5, 3.5), (0.0, 0.0, 1.0))
-    assert thresholds_from_json(thresholds_to_json(th)) == th
+    doc = json.loads(thresholds_to_json(th))
+    assert doc["format"] == "looptab-tension-thresholds"
+    assert TensionThresholds(**{name: tuple(doc[name]) for name in TENSION_FEATURES}) == th
 
 
 def test_drums_excluded_from_clouds():
