@@ -21,6 +21,8 @@ from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from . import annotate as annotate_mod
 from . import evaluate as evaluate_mod
 from . import generate as generate_mod
@@ -107,10 +109,16 @@ def _read_streams(directory: str | Path) -> list[list[str]]:
     return streams
 
 
+# The song controls the classifiers learn, one classifier each; a stream is
+# scored without them.
+LABELS = ("valence", "arousal")
+_LABEL_PREFIXES = tuple(f"{label}:" for label in LABELS)
+
+
 def label_free(tokens: list[str]) -> list[str]:
     """Drop the valence/arousal label tokens so classifiers cannot read the
     label off the stream they are scoring."""
-    return [t for t in tokens if not t.startswith(("valence:", "arousal:"))]
+    return [t for t in tokens if not t.startswith(_LABEL_PREFIXES)]
 
 
 def _read_songs(path) -> list[tuple[str, str]]:
@@ -282,21 +290,29 @@ def cmd_generate(args) -> int:
 def _classifier_corpus(path, truncate: int):
     """The label of each target on every line of a corpus, as
     ``{target: [is_high, ...]}``, plus the feature names and matrix of the
-    label-free lines, built once for all targets. The token lists are
-    dropped on return, before any fit."""
+    label-free lines, built once for all targets. The lines are read as ids
+    among the corpus's distinct tokens (:func:`evaluate.token_ids`); a
+    line's label is its first label token of the target, and the label ids
+    are dropped before the windows are cut."""
     lines = _read_corpus(path)
-    numbered = [(number, toks) for number, line in enumerate(lines, 1) if (toks := line.split())]
-    _check_corpus(path, set(chain.from_iterable(toks for _, toks in numbered)), lines)
+    distinct, ids, lengths = evaluate_mod.token_ids(map(str.split, lines))
+    _check_corpus(path, distinct, lines)
+    del lines
+    line = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
+    filled = lengths > 0  # the lines that are not blank
     labels = {}
-    for target in ("valence", "arousal"):
-        labels[target] = []
-        for number, toks in numbered:
-            level = next((t.split(":")[1] for t in toks if t.startswith(target + ":")), None)
-            if level is None:
-                raise ValueError(f"{path}: line {number} carries no {target} label")
-            labels[target].append(level == "high")
-    names, x = evaluate_mod.classifier_features([label_free(toks) for _, toks in numbered],
-                                                 truncate)
+    for target, prefix in zip(LABELS, _LABEL_PREFIXES):
+        at = np.flatnonzero(np.array([raw.startswith(prefix) for raw in distinct], bool)[ids])
+        at = at[np.diff(line[at], prepend=-1) != 0]  # each line's first
+        level = np.full(len(lengths), -1, np.int8)
+        level[line[at]] = np.array([raw[len(prefix):] == "high" for raw in distinct], bool)[ids[at]]
+        missing = np.flatnonzero((level < 0) & filled)
+        if missing.size:
+            raise ValueError(f"{path}: line {missing[0] + 1} carries no {target} label")
+        labels[target] = (level[filled] == 1).tolist()
+    kept = ~np.array([raw.startswith(_LABEL_PREFIXES) for raw in distinct], bool)[ids]
+    names, x = evaluate_mod.id_features(
+        distinct, ids[kept], np.bincount(line[kept], minlength=len(lengths))[filled], truncate)
     return labels, names, x
 
 

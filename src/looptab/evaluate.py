@@ -23,12 +23,13 @@ moved by up to 2.7e-15 between ``OPENBLAS_NUM_THREADS=1`` and ``2``.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import logging
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, compress, count
 from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -77,6 +78,57 @@ def _tempo_bucket(raw: str) -> str | None:
     return TEMPO_BUCKETS[2]
 
 
+def token_ids(streams: Iterable[Sequence[str]]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The distinct tokens of ``streams`` in order of first occurrence, the
+    id among them of every token, stream after stream, and each stream's
+    length, the last two as int32 arrays. Each stream is read once, as it
+    comes, so that streams made one at a time (such as split lines) leave
+    only the distinct strings behind."""
+    index = defaultdict(count().__next__)  # a new token takes the next id
+    lengths: list[int] = []
+
+    def each():
+        for stream in streams:
+            lengths.append(len(stream))
+            yield map(index.__getitem__, stream)
+    ids = np.fromiter(chain.from_iterable(each()), np.int32)
+    return list(index), ids, np.array(lengths, np.int32)
+
+
+def _windows(ids: np.ndarray, lengths: np.ndarray, truncate: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of each stream's first ``truncate`` tokens, its window, and
+    the window lengths, from :func:`token_ids`' ids and lengths."""
+    if lengths.max(initial=0) <= truncate:
+        return ids, lengths
+    starts = np.cumsum(lengths, dtype=np.int32) - lengths
+    within = np.arange(len(ids), dtype=np.int32) - np.repeat(starts, lengths)
+    return ids[within < truncate], np.minimum(lengths, truncate)
+
+
+def _count_matrix(distinct: Sequence[str], ids: np.ndarray, lengths: np.ndarray,
+                  columns: Mapping[str, int]) -> np.ndarray:
+    """The :func:`feature_matrix` of windows given as ids among the
+    ``distinct`` tokens and window lengths: each distinct token is resolved
+    once, and all rows are counted with one ``np.bincount`` over flat
+    ``row * width + column`` ids."""
+    width = len(columns)
+    rows = np.repeat(np.arange(len(lengths)) * width, lengths)
+    hits = []
+    # each token's own column, then its tempo bucket's; -1 for none
+    for targets in ([columns.get(raw, -1) for raw in distinct],
+                    [columns.get(_tempo_bucket(raw), -1) for raw in distinct]):
+        column = np.array(targets, np.intp)[ids]
+        found = column >= 0
+        hits.append(rows[found] + column[found])
+    hits = np.concatenate(hits)
+    # weighted, so that the counts are the float matrix itself (no hits give ints)
+    x = np.bincount(hits, np.ones(len(hits)), len(lengths) * width).astype(float, copy=False)
+    x = x.reshape(len(lengths), width)
+    x /= np.maximum(lengths, 1)[:, None]  # an empty window's row stays zero
+    return x
+
+
 def feature_matrix(streams: Sequence[Sequence[str]], columns: Mapping[str, int],
                    truncate: int = TRUNCATE_TOKENS) -> np.ndarray:
     """One row per stream: normalized unigram counts plus tempo-bucket
@@ -88,27 +140,11 @@ def feature_matrix(streams: Sequence[Sequence[str]], columns: Mapping[str, int],
     ``tempo:N`` token also toward its bucket's column, whether or not the
     token has a column of its own. A row is then divided by its window
     length, so it is order-free: permuting the tokens leaves it unchanged.
-    An empty window gives a row of zeros.
-
-    Each distinct token is resolved once; the counts of all rows are added
-    in one ``np.add.at`` over flat ``row * width + column`` ids.
+    An empty window gives a row of zeros. The streams are read as ids
+    (:func:`token_ids`), and each distinct token is resolved once.
     """
-    windows = [s[:truncate] for s in streams]
-    lengths = np.fromiter(map(len, windows), dtype=np.intp, count=len(windows))
-    tokens = list(itertools.chain.from_iterable(windows))
-    index = {raw: k for k, raw in enumerate(dict.fromkeys(tokens))}
-    # Per distinct token: its own column and its tempo bucket's, -1 for none.
-    targets = np.fromiter(itertools.chain.from_iterable(
-        (columns.get(raw, -1), columns.get(_tempo_bucket(raw), -1)) for raw in index),
-        dtype=np.intp, count=2 * len(index)).reshape(-1, 2)
-    hits = targets[np.fromiter(map(index.__getitem__, tokens), dtype=np.intp, count=len(tokens))]
-    found = hits >= 0
-    width = len(columns)
-    hits += np.repeat(np.arange(len(windows), dtype=np.intp) * width, lengths)[:, None]
-    x = np.zeros((len(windows), width))
-    np.add.at(x.reshape(-1), hits[found], 1.0)
-    x /= np.maximum(lengths, 1)[:, None]  # an empty window's row stays zero
-    return x
+    distinct, ids, lengths = token_ids(streams)
+    return _count_matrix(distinct, *_windows(ids, lengths, truncate), columns)
 
 
 def token_features(tokens: Sequence[str], columns: Mapping[str, int],
@@ -202,9 +238,17 @@ def classifier_features(streams: Sequence[Sequence[str]], truncate: int = TRUNCA
                         ) -> tuple[list[str], np.ndarray]:
     """The feature names of a training corpus (every token seen in a
     window, plus the tempo buckets, sorted) and its :func:`feature_matrix`."""
-    windows = (s[:truncate] for s in streams)
-    names = sorted(set(itertools.chain.from_iterable(windows)) | set(TEMPO_BUCKETS))
-    return names, feature_matrix(streams, feature_columns(names), truncate)
+    return id_features(*token_ids(streams), truncate)
+
+
+def id_features(distinct: Sequence[str], ids: np.ndarray, lengths: np.ndarray,
+                truncate: int = TRUNCATE_TOKENS) -> tuple[list[str], np.ndarray]:
+    """:func:`classifier_features` of streams given as :func:`token_ids`
+    gives them: ids among the ``distinct`` tokens and stream lengths."""
+    ids, lengths = _windows(ids, lengths, truncate)
+    seen = np.bincount(ids, minlength=len(distinct)) > 0
+    names = sorted(set(compress(distinct, seen.tolist())).union(TEMPO_BUCKETS))
+    return names, _count_matrix(distinct, ids, lengths, feature_columns(names))
 
 
 class _Design:

@@ -580,7 +580,7 @@ def score_to_tokens(song: ScoreColumns, include_artist: bool = True) -> list[Tok
         by_feature[b][t.fields["feature"]] = t
     running_tempo = song.header_tempo
     running_ts = song.header_time_signature
-    bodies = bar_bodies(song, range(song.n_bars))
+    bodies = bar_bodies(song, np.arange(song.n_bars))
     for tempo, num, controls, body in zip(song.tempo.tolist(), song.numerator.tolist(),
                                           by_feature, bodies):
         if num != running_ts:
@@ -596,13 +596,12 @@ def score_to_tokens(song: ScoreColumns, include_artist: bool = True) -> list[Tok
     return out
 
 
-def key_order(keys: Sequence[np.ndarray]) -> np.ndarray:
-    """``np.lexsort(keys)``, tie order included, for integer ``keys`` of
-    one length that fit in int64 (the last key the primary one): each key
-    less its minimum takes the bits its range needs, and the keys are
-    packed, least significant first, into as few int64 words as hold them,
-    so that the lexsort runs over those words, usually one. A key whose
-    range needs 64 bits is a word of its own, as it is."""
+def _key_words(keys: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Integer ``keys`` of one length that fit in int64 (the last key the
+    primary one) packed into as few int64 words as hold them, usually one:
+    each key less its minimum takes the bits its range needs, least
+    significant first. A key whose range needs 64 bits is a word of its
+    own, as it is; constant keys alone give one word of zeros."""
     words: list[np.ndarray] = []
     word, width = None, 0
     for key in keys:
@@ -622,44 +621,81 @@ def key_order(keys: Sequence[np.ndarray]) -> np.ndarray:
         width += bits
     if word is not None:
         words.append(word)
-    return np.lexsort(words) if words else np.arange(len(keys[0]), dtype=np.intp)
+    return words or [np.zeros(len(keys[0]), np.int64)]
+
+
+def key_order(keys: Sequence[np.ndarray]) -> np.ndarray:
+    """``np.lexsort(keys)``, tie order included, for integer ``keys`` of
+    one length that fit in int64 (the last key the primary one), as a
+    lexsort of their packed words (:func:`_key_words`)."""
+    return np.lexsort(_key_words(keys))
+
+
+def _distinct(keys: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """An index of each distinct row of the integer columns ``keys`` and
+    each row's rank among the distinct rows, from one sort of their packed
+    words."""
+    words = _key_words(keys)
+    by_key = words[0].argsort() if len(words) == 1 else np.lexsort(words)
+    new = np.zeros(len(by_key), bool)
+    new[:1] = True
+    for word in words:
+        word = word[by_key]
+        new[1:] |= word[1:] != word[:-1]
+    rank = np.empty_like(by_key)
+    rank[by_key] = np.cumsum(new) - 1
+    return by_key[new], rank
 
 
 def bar_bodies(song: ScoreColumns, bars: Sequence[int]) -> list[list[str]]:
-    """The raw tokens of each of ``bars``: its notes sorted by (onset,
-    track, pitch, string), waits merging the gaps, and a trailing wait
-    covering the last group's duration (its longest note)."""
+    """The raw tokens of each of ``bars``, in any order, repeats allowed:
+    its notes sorted by (onset, track, pitch, string), each followed by its
+    effects, waits merging the gaps, and a trailing wait covering the last
+    group's duration (its longest note). The notes of ``bars`` are gathered
+    in that order once, their onset groups and token slots found with array
+    operations, and each distinct note and wait is rendered once."""
     order = key_order((np.maximum(song.string, 0), song.midi, song.track, song.onset, song.bar))
-    onsets, durations, tracks, midis, strings, frets, fxs = (
-        c.take(order).tolist()
-        for c in (song.onset, song.duration, song.track, song.midi, song.string, song.fret, song.fx))
-    bounds = song.bounds.tolist()
-    names = [f"{name}:note:s" for name in TRACKS]
-    effects = [[f"nfx:{name}" for name in fx] for fx in song.effects]
-    out = []
-    for b in bars:
-        end = bounds[b + 1]
-        body: list[str] = []
-        cursor, i = 0, bounds[b]
-        while i < end:
-            onset = onsets[i]
-            j = i + 1
-            while j < end and onsets[j] == onset:  # sorted: one run per onset
-                j += 1
-            if onset > cursor:
-                body.append(f"wait:{onset - cursor}")
-            for k in range(i, j):
-                if tracks[k] == _DRUMS:
-                    body.append(f"drums:note:{midis[k]}")
-                else:
-                    body.append(f"{names[tracks[k]]}{strings[k]}:f{frets[k]}")
-                if fxs[k]:
-                    body.extend(effects[fxs[k]])
-            gap = onsets[j] - onset if j < end else max(durations[i:j])
-            body.append(f"wait:{gap}")
-            cursor, i = onset + gap, j
-        out.append(body)
-    return out
+    bounds, bars = song.bounds, np.asarray(bars, np.intp)
+    sizes = bounds[bars + 1] - bounds[bars]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes  # where each bar's notes start among the gathered ones
+    pick = order[np.arange(sizes.sum()) + np.repeat(bounds[bars] - starts, sizes)]
+    onset, duration, track, string, fret, midi, fx = (c[pick] for c in (
+        song.onset, song.duration, song.track, song.string, song.fret, song.midi, song.fx))
+    bar_head = np.zeros(len(pick) + 1, bool)  # the notes that open a bar, and the end
+    bar_head[starts] = bar_head[-1] = True
+    head = bar_head.copy()  # the notes that open an onset group, and the end
+    head[1:-1] |= onset[1:] != onset[:-1]
+    group, last = np.flatnonzero(head[:-1]), np.flatnonzero(head[1:])  # first and last notes
+    gap = np.where(bar_head[last + 1], np.maximum.reduceat(duration, group),
+                   np.append(onset[group[1:]], 0) - onset[group])
+    lead = bar_head[:-1] & (onset > 0)  # the notes after a bar's leading wait
+    fx_sizes = np.array([len(names) for names in song.effects], np.intp)
+    n_fx = fx_sizes[fx]
+    slots = lead + 1 + n_fx  # each note's tokens, and its group's closing wait
+    slots[last] += 1
+    cuts = np.zeros(len(pick) + 1, np.intp)
+    np.cumsum(slots, out=cuts[1:])
+    at = cuts[:-1] + lead  # each note's own slot
+    drum = track == _DRUMS
+    notes, note_ids = _distinct((np.where(drum, midi, fret), np.where(drum, 0, string), track))
+    waits = np.concatenate((gap, onset[lead]))
+    wait_heads, wait_ids = _distinct((waits,))
+    table = [f"drums:note:{m}" if t == _DRUMS else f"{TRACKS[t]}:note:s{s}:f{f}"
+             for t, s, f, m in zip(*(c[notes].tolist() for c in (track, string, fret, midi)))]
+    table += [f"wait:{ticks}" for ticks in waits[wait_heads].tolist()]
+    codes = np.empty(cuts[-1], np.intp)  # each slot's token in the table
+    codes[at] = note_ids
+    wait_ids += len(notes)
+    codes[at[last] + 1 + n_fx[last]] = wait_ids[:len(gap)]
+    codes[at[lead] - 1] = wait_ids[len(gap):]
+    counts = n_fx[n_fx > 0]  # the effects, slot after slot
+    nth = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    first = np.cumsum(fx_sizes) - fx_sizes + len(table)
+    codes[np.repeat(at[n_fx > 0] + 1, counts) + nth] = np.repeat(first[fx[n_fx > 0]], counts) + nth
+    table += [f"nfx:{name}" for names in song.effects for name in names]
+    tokens = np.array(table, object)[codes].tolist()
+    return [tokens[a:b] for a, b in zip(cuts[starts].tolist(), cuts[ends].tolist())]
 
 
 def regularize_meter(song: ScoreColumns) -> ScoreColumns:
@@ -764,8 +800,8 @@ def token_files(directory: str | Path) -> list[Path]:
     that is not a directory that can be listed raises ``OSError``; a
     directory holding no such file is a ``ValueError``."""
     root = Path(directory)
-    with os.scandir(root) as entries:
-        paths = sorted(root / entry.name for entry in entries if entry.name.endswith(".tokens"))
-    if not paths:
+    with os.scandir(root) as entries:  # on POSIX, names sort as their paths in one directory do
+        names = sorted(entry.name for entry in entries if entry.name.endswith(".tokens"))
+    if not names:
         raise ValueError(f"no *.tokens files in {directory}")
-    return paths
+    return [root / name for name in names]

@@ -8,12 +8,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import looptab
 from looptab import cli
 from looptab.cli import atomic_write, label_free, main
-from looptab.evaluate import NEWTON_MAX_ITER, NEWTON_TOL, train_classifier
+from looptab.evaluate import (NEWTON_MAX_ITER, NEWTON_TOL, TEMPO_BUCKETS, classifier_features,
+                              feature_columns, train_classifier)
 from looptab.loops import LoopSpan, extract_loops, splice_loop
 from looptab.score import score_to_tokens, tokens_to_score
 from looptab.tension import (
@@ -23,6 +27,7 @@ from looptab.tension import (
 )
 from looptab.tokens import parse_tokens, render_tokens
 
+from test_evaluate import reference_features
 from util import bar_block, block_bars, columns, random_measure
 
 
@@ -725,6 +730,63 @@ def test_atomic_write_replaces_and_cleans_up(tmp_path):
 def test_label_free_strips_only_labels():
     toks = ["valence:high", "arousal:low", "mode:major", "tempo:160", "start"]
     assert label_free(toks) == ["mode:major", "tempo:160", "start"]
+
+
+# Tokens of every kind a corpus line holds, tempo tokens of every bucket
+# among them; the labels are put in apart.
+LINE_TOKENS = ("mode:major", "mode:minor", "time_signature:4", "tempo:40", "tempo:99",
+               "tempo:100", "tempo:149", "tempo:150", "tempo:300", "start", "new_measure",
+               "cloud_diameter:q2", "clean0:note:s1:f3", "drums:note:36", "wait:480", "nfx:bend")
+LABEL_TOKENS = ("valence:high", "valence:low", "arousal:high", "arousal:low")
+
+
+@st.composite
+def labelled_lines(draw):
+    """Corpus lines: blank ones, and lines whose labels stand anywhere,
+    repeated with either level, and now and then missing."""
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(("", "  "))))
+            continue
+        toks = draw(st.lists(st.sampled_from(LINE_TOKENS), max_size=20))
+        labels = [f"{target}:{draw(st.sampled_from(('high', 'low')))}"
+                  for target in cli.LABELS if draw(st.integers(0, 9))]
+        for label in labels + draw(st.lists(st.sampled_from(LABEL_TOKENS), max_size=3)):
+            toks.insert(draw(st.integers(0, len(toks))), label)
+        lines.append(" ".join(toks))
+    return lines
+
+
+@settings(deadline=None, max_examples=300)
+@given(labelled_lines(), st.integers(1, 30))
+def test_train_clf_features_are_those_of_the_label_free_lines(tmp_path_factory, lines, truncate):
+    corpus = tmp_path_factory.mktemp("clf") / "corpus.txt"
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    numbered = [(number, line.split()) for number, line in enumerate(lines, 1) if line.split()]
+    if not numbered:
+        with pytest.raises(ValueError, match="empty corpus"):
+            cli._classifier_corpus(corpus, truncate)
+        return
+    labels = {}
+    for target in cli.LABELS:
+        labels[target] = []
+        for number, toks in numbered:
+            first = next((t for t in toks if t.startswith(f"{target}:")), None)  # the first decides
+            if first is None:
+                with pytest.raises(ValueError) as error:
+                    cli._classifier_corpus(corpus, truncate)
+                assert str(error.value) == f"{corpus}: line {number} carries no {target} label"
+                return
+            labels[target].append(first == f"{target}:high")
+    streams = [label_free(toks) for _, toks in numbered]
+    names, x = classifier_features(streams, truncate)
+    assert names == sorted({t for s in streams for t in s[:truncate]} | set(TEMPO_BUCKETS))
+    for row, stream in zip(x, streams):
+        assert np.array_equal(row, reference_features(stream, feature_columns(names), truncate))
+    got_labels, got_names, got_x = cli._classifier_corpus(corpus, truncate)
+    assert got_labels == labels and got_names == names
+    assert got_x.dtype == x.dtype and got_x.shape == x.shape and got_x.tobytes() == x.tobytes()
 
 
 def test_train_clf_writes_what_train_classifier_saves(corpus, classifiers, tmp_path):

@@ -5,11 +5,15 @@ it went, here as plain tuples (see ``util``). The decoder must give equal
 bars for every valid stream and the same exception type and message for
 every malformed one, and the per-bar computations on the decoded columns
 must give what the reference oracles give on the plain bars.
+``reference_bar_bodies`` is the loop that rendered each bar note by note;
+``bar_bodies`` must render every bar list as it does.
 """
 
 import random
 import re
 from itertools import accumulate
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -21,13 +25,16 @@ from looptab.loops import LoopParams, LoopSpan, _onset_groups, extract_loops, \
 from looptab.score import (
     DEFAULT_TEMPO,
     MAX_TICKS,
+    TRACKS,
     StructureError,
     SongBatch,
     TokenTable,
     bar_bodies,
     decode,
     decode_parts,
+    key_order,
     regular_parts,
+    regularize_many,
     regularize_meter,
     score_to_tokens,
     tokens_to_score,
@@ -145,6 +152,41 @@ def reference_tokens_to_score(stream: list[Token]) -> tuple:
     if in_measure:
         close_measure()
     return artist, header_tempo, header_ts, tuple(song_controls), measures
+
+
+def reference_bar_bodies(song, bars):
+    """The raw tokens of each of ``bars``, one note at a time: its notes
+    sorted by (onset, track, pitch, string), waits merging the gaps, and a
+    trailing wait covering the last group's duration (its longest note)."""
+    order = key_order((np.maximum(song.string, 0), song.midi, song.track, song.onset, song.bar))
+    onsets, durations, tracks, midis, strings, frets, fxs = (
+        c.take(order).tolist()
+        for c in (song.onset, song.duration, song.track, song.midi, song.string, song.fret, song.fx))
+    bounds = song.bounds.tolist()
+    effects = [[f"nfx:{name}" for name in fx] for fx in song.effects]
+    out = []
+    for b in bars:
+        end = bounds[b + 1]
+        body = []
+        cursor, i = 0, bounds[b]
+        while i < end:
+            onset = onsets[i]
+            j = i + 1
+            while j < end and onsets[j] == onset:  # sorted: one run per onset
+                j += 1
+            if onset > cursor:
+                body.append(f"wait:{onset - cursor}")
+            for k in range(i, j):
+                if TRACKS[tracks[k]] == "drums":
+                    body.append(f"drums:note:{midis[k]}")
+                else:
+                    body.append(f"{TRACKS[tracks[k]]}:note:s{strings[k]}:f{frets[k]}")
+                body.extend(effects[fxs[k]])
+            gap = onsets[j] - onset if j < end else max(durations[i:j])
+            body.append(f"wait:{gap}")
+            cursor, i = onset + gap, j
+        out.append(body)
+    return out
 
 
 def outcome(decoder, stream):
@@ -433,6 +475,22 @@ def test_per_bar_functions_agree_on_a_score_and_its_columns(score):
     assert loop_tension_profiles(decoded, spans) == loop_tension_profiles(regular, spans)
     assert bar_bodies(decoded, range(decoded.n_bars)) == bar_bodies(regular,
                                                                      range(regular.n_bars))
+    assert bar_bodies(score, range(score.n_bars)) == reference_bar_bodies(score,
+                                                                         range(score.n_bars))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(valid_text(), min_size=1, max_size=3), st.data())
+def test_bar_bodies_render_any_bar_list_as_the_per_note_loop(texts, data):
+    # decoded songs hold drums, effects, empty bars and 3/4, 5/4 and
+    # overflowing bars; their regularized bars split the long ones
+    for _, part in decode_parts([text.split() for text in texts], TABLE):
+        for song in (part.columns, regularize_many(part).columns):
+            every = range(song.n_bars)
+            assert bar_bodies(song, every) == reference_bar_bodies(song, every)
+            bars = data.draw(st.lists(st.sampled_from(every), max_size=12) if every
+                             else st.just([]))  # any order, repeats included
+            assert bar_bodies(song, bars) == reference_bar_bodies(song, bars)
 
 
 def test_a_long_bar_among_short_ones_sums_like_the_rest():

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from looptab.score import (
     key_order,
     regularize_meter,
     score_to_tokens,
+    token_files,
     tokens_to_score,
 )
 from looptab.tokens import TENSION_FEATURES, parse_tokens, render_tokens
@@ -327,6 +329,17 @@ def test_key_order_is_the_lexsort(keys):
     np.testing.assert_array_equal(order, expected)
 
 
+@given(key_lists())
+@example([np.zeros(0, np.int64)] * 3)
+@example([np.full(5, 3), np.full(5, INT64[0])])
+def test_distinct_ranks_the_distinct_rows(keys):
+    heads, rank = score_mod._distinct(keys)
+    rows = list(zip(*(key.tolist() for key in keys)))
+    distinct = [rows[i] for i in heads.tolist()]
+    assert len(set(distinct)) == len(distinct)
+    assert [distinct[r] for r in rank.tolist()] == rows
+
+
 def lexsort_words(monkeypatch, keys):
     """How many words ``key_order(keys)`` hands to ``np.lexsort``."""
     calls = []
@@ -348,3 +361,14 @@ def test_key_order_packs_keys_into_as_few_words_as_their_widths_need(monkeypatch
     assert lexsort_words(monkeypatch, wide) == [2]
     whole = [rng.integers(0, 4, 200), np.array([INT64[0], INT64[1]] * 100), rng.integers(0, 4, 200)]
     assert lexsort_words(monkeypatch, whole) == [3]
+
+
+def test_token_files_sort_as_their_paths(tmp_path):
+    names = ["b.tokens", "B.tokens", "a10.tokens", "a9.tokens", "a.tokens", "_a.tokens",
+             "10.tokens", "9.tokens", "é.tokens", "Z.tokens", "z.tokens", "Ä.tokens",
+             "日本.tokens", "a.tokens.txt", "notes.txt"]
+    for name in names:
+        (tmp_path / name).write_text("start\n", encoding="utf-8")
+    assert token_files(tmp_path) == sorted(tmp_path.glob("*.tokens"))
+    assert token_files(str(tmp_path)) == sorted(Path(tmp_path, name) for name in names
+                                                if name.endswith(".tokens"))
