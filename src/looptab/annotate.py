@@ -22,7 +22,7 @@ from urllib.parse import quote
 
 from . import loops as loops_mod
 from . import tension as tension_mod
-from .atomic import atomic_open
+from .atomic import atomic_open, read_csv
 from .score import (SongBatch, TokenTable, bar_bodies, decode_parts, regular_parts,
                     token_files)
 from .tokens import Token, TokenCategory, control_token, render_tokens
@@ -76,30 +76,18 @@ def _parse_mode(value: str) -> str:
 def load_annotations(path: str | Path) -> list[AnnotationRecord]:
     """Read ``artist,title,valence,energy,mode`` rows; duplicates last-win.
     A bad row raises :class:`AnnotationError` naming the file and its line."""
+    pairs = read_csv(path, ("artist", "title", "valence", "energy", "mode"), "annotations",
+                     lambda row: AnnotationRecord(row["artist"], row["title"],
+                                                  float(row["valence"]), float(row["energy"]),
+                                                  _parse_mode(row["mode"])),
+                     AnnotationError)
     records: dict[tuple[str, str], AnnotationRecord] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        expected = ("artist", "title", "valence", "energy", "mode")
-        try:
-            fieldnames = reader.fieldnames
-        except csv.Error as exc:
-            raise AnnotationError(f"{path}: line {reader.line_num}: {exc}") from None
-        if fieldnames is None or not set(expected).issubset(fieldnames):
-            raise AnnotationError(f"{path}: annotations CSV must have header {sorted(expected)}")
-        try:
-            for row in reader:
-                missing = [f for f in expected if row[f] is None]  # DictReader pads short rows
-                if missing:
-                    raise AnnotationError(f"row has no {', '.join(missing)}")
-                rec = AnnotationRecord(row["artist"], row["title"], float(row["valence"]),
-                                       float(row["energy"]), _parse_mode(row["mode"]))
-                key = _normalize_key(rec.artist, rec.title)
-                if key in records:
-                    log.warning("duplicate annotation for %s - %s at line %d; keeping last",
-                                rec.artist, rec.title, reader.line_num)
-                records[key] = rec
-        except (ValueError, csv.Error) as exc:
-            raise AnnotationError(f"{path}: line {reader.line_num}: {exc}") from None
+    for line, rec in pairs:
+        key = _normalize_key(rec.artist, rec.title)
+        if key in records:
+            log.warning("duplicate annotation for %s - %s at line %d; keeping last",
+                        rec.artist, rec.title, line)
+        records[key] = rec
     if not records:
         raise AnnotationError(f"{path}: no records")
     return list(records.values())
@@ -123,15 +111,14 @@ class HttpFeaturesProvider:
     ``endpoint_template`` is formatted with ``artist`` and ``title``, each
     percent-encoded as one path segment or query value; the endpoint must
     answer JSON with valence/energy/mode fields. The bearer token is read
-    from the environment variable named by ``token_env``.
+    from the environment variable ``LOOPTAB_FEATURES_TOKEN``.
     """
 
-    def __init__(self, endpoint_template: str, token_env: str = "LOOPTAB_FEATURES_TOKEN",
-                 session: requests.Session | None = None, timeout: float = 10.0):
+    def __init__(self, endpoint_template: str, session: requests.Session | None = None,
+                 timeout: float = 10.0):
         import requests  # here, not when the package is imported
 
         self.endpoint_template = endpoint_template
-        self.token_env = token_env
         self.session = session or requests.Session()
         self.timeout = timeout
 
@@ -139,7 +126,7 @@ class HttpFeaturesProvider:
         url = self.endpoint_template.format(artist=quote(artist, safe=""),
                                            title=quote(title, safe=""))
         headers = {}
-        tok = os.environ.get(self.token_env)
+        tok = os.environ.get("LOOPTAB_FEATURES_TOKEN")
         if tok:
             headers["Authorization"] = f"Bearer {tok}"
         resp = self.session.get(url, headers=headers, timeout=self.timeout)

@@ -1,5 +1,5 @@
 """Whole-file writes that never leave a partial file behind, and
-whole-file JSON reads whose errors name the file.
+whole-file JSON and CSV reads whose errors name the file.
 
 The text goes to a new sibling of the target, which is renamed over the
 target only once every byte is written; on any failure the sibling is
@@ -8,11 +8,14 @@ removed and the previous target, if any, is left as it was.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Callable, Iterator, Sequence, TextIO, TypeVar
+
+T = TypeVar("T")
 
 
 def _new_sibling(path: Path) -> tuple[int, Path]:
@@ -50,3 +53,30 @@ def read_json(path: str | Path):
         return json.loads(data.decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
         raise ValueError(f"{path}: not UTF-8 JSON text: {exc}") from None
+
+
+def read_csv(path: str | Path, required: Sequence[str], what: str, value: Callable[[dict], T],
+             error: type[ValueError] = ValueError) -> list[tuple[int, T]]:
+    """``(line, value(row))`` for each row of the UTF-8 CSV file ``path``,
+    with the line its row ends on. A file that cannot be opened or read
+    raises ``OSError``. A header without every ``required`` column, a row
+    short of one, and a ``ValueError`` or ``csv.Error`` (``value``'s too)
+    raise ``error`` naming ``path`` and, past the header, the line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            header = reader.fieldnames
+        except csv.Error as exc:
+            raise error(f"{path}: line {reader.line_num}: {exc}") from None
+        if not set(required).issubset(header or ()):
+            raise error(f"{path}: {what} CSV must have header {sorted(required)}")
+        pairs = []
+        try:
+            for row in reader:
+                missing = [f for f in required if row[f] is None]  # DictReader pads short rows
+                if missing:
+                    raise ValueError(f"row has no {', '.join(missing)}")
+                pairs.append((reader.line_num, value(row)))
+        except (ValueError, csv.Error) as exc:
+            raise error(f"{path}: line {reader.line_num}: {exc}") from None
+    return pairs

@@ -29,7 +29,7 @@ from . import generate as generate_mod
 from . import loops as loops_mod
 from . import stats as stats_mod
 from . import tension as tension_mod
-from .atomic import atomic_open
+from .atomic import atomic_open, read_csv
 from .config import GeneratorConfig, load_config
 from .score import SongBatch, TokenTable, decode_parts, regular_parts, token_files
 from .tokens import ParseError, TokenCategory, render_tokens, token
@@ -121,29 +121,16 @@ def label_free(tokens: list[str]) -> list[str]:
     return [t for t in tokens if not t.startswith(_LABEL_PREFIXES)]
 
 
+def _song_row(row: dict) -> tuple[str, str]:
+    if not row["title"].strip():
+        raise ValueError("a song needs a title")
+    return row["artist"], row["title"]
+
+
 def _read_songs(path) -> list[tuple[str, str]]:
     """The ``(artist, title)`` rows of a songs CSV. The artist may be empty,
     as it is for a song file without an artist header; the title may not."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            fieldnames = reader.fieldnames
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-        if not {"artist", "title"} <= set(fieldnames or ()):
-            raise ValueError(f"{path}: songs CSV needs artist and title columns")
-        songs = []
-        try:
-            for row in reader:
-                artist, title = row["artist"], row["title"]
-                if artist is None:  # DictReader pads a short row with None
-                    raise ValueError("a song needs an artist field")
-                if not (title or "").strip():
-                    raise ValueError("a song needs a title")
-                songs.append((artist, title))
-        except (ValueError, csv.Error) as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    return songs
+    return [song for _, song in read_csv(path, ("artist", "title"), "songs", _song_row)]
 
 
 def cmd_annotate(args) -> int:
@@ -156,10 +143,10 @@ def cmd_annotate(args) -> int:
             raise ValueError("--songs requires --provider-csv or --provider-url")
         records, misses = annotate_mod.fetch_annotations(provider, _read_songs(args.songs))
         log.info("annotated %d songs, %d misses", len(records), len(misses))
-        if args.out_annotations:
-            annotate_mod.save_annotations(records, args.out_annotations)
         if not records:
             raise ValueError("no songs could be annotated")
+        if args.out_annotations:
+            annotate_mod.save_annotations(records, args.out_annotations)
     else:
         if not args.annotations:
             raise ValueError("give --annotations or --songs with a provider")
@@ -253,8 +240,6 @@ def cmd_generate(args) -> int:
     gen_cfg: GeneratorConfig = config.generator
     constraints = generate_mod.SamplingConstraints(
         emotion=args.emotion,
-        tempo_upper=config.happy_tempo_min,
-        tempo_lower=config.sad_tempo_max,
         max_tokens=args.max_tokens if args.max_tokens is not None else gen_cfg.max_tokens,
         max_bars=gen_cfg.max_bars,
         temperature=args.temperature if args.temperature is not None else gen_cfg.temperature,
@@ -335,16 +320,18 @@ def cmd_train_clf(args) -> int:
 def cmd_eval_emotion(args) -> int:
     if (args.happy is None) != (args.sad is None):
         raise ValueError("--happy needs --sad" if args.sad is None else "--sad needs --happy")
+    pairs = [("all", args.happy, args.sad)] if args.happy is not None else []
+    pairs += args.setting or []
+    if not pairs:
+        raise ValueError("give --happy/--sad or at least one --setting")
+    names = [name for name, _, _ in pairs]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"setting {name!r} is given more than once"
+                             + (" (--happy/--sad is 'all')" if name == "all" else ""))
     valence = evaluate_mod.LinearTokenClassifier.load(args.valence_model)
     arousal = evaluate_mod.LinearTokenClassifier.load(args.arousal_model)
     settings: dict[str, evaluate_mod.EmotionMetrics] = {}
-    pairs = []
-    if args.happy is not None:
-        pairs.append(("all", args.happy, args.sad))
-    for name, happy_dir, sad_dir in args.setting or []:
-        pairs.append((name, happy_dir, sad_dir))
-    if not pairs:
-        raise ValueError("give --happy/--sad or at least one --setting")
     for name, happy_dir, sad_dir in pairs:
         happy = [label_free(s) for s in _read_streams(happy_dir)]
         sad = [label_free(s) for s in _read_streams(sad_dir)]

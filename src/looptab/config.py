@@ -1,26 +1,33 @@
 """Shared pipeline configuration, read from a JSON document.
 
-Defaults match the published constants: loop extraction thresholds
-(min repetition notes 4, min repetition beats 2, loop bars 4..4) and the
-inference tempo thresholds (happy >= 150 BPM, sad <= 100 BPM). Unknown
-top-level keys are ignored, so documents with fields that were later
-removed (such as ``paths`` or ``seed``) still load. A field of the wrong
-JSON type is a ``ValueError`` naming the file.
+The sections are ``loop_params`` (loop extraction thresholds, by default
+the published min repetition notes 4, min repetition beats 2, loop bars
+4..4), ``spiral_params`` (the spiral array geometry), ``generator`` (the
+n-gram order, smoothing and sampling budget) and ``classifier`` (the
+emotion classifiers' fit). The inference tempo rule (happy >= 150 BPM,
+sad <= 100 BPM) is fixed, not configured. A key that no field reads is
+ignored with one warning naming the file and the dotted key, so documents
+with fields that were later removed (such as ``paths``, ``seed`` or
+``happy_tempo_min``) still load. A field of the wrong JSON type is a
+``ValueError`` naming the file.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import logging
 from dataclasses import dataclass
 from pathlib import Path
 
 from .atomic import read_json
 from .evaluate import ClassifierConfig, is_finite_number
-from .generate import HAPPY_TEMPO_MIN, SAD_TEMPO_MAX
 from .loops import LoopParams
 from .tension import SpiralParams
 
 CONFIG_FORMAT = "looptab-config"
+
+log = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -37,16 +44,12 @@ class PipelineConfig:
     spiral_params: SpiralParams = SpiralParams()
     generator: GeneratorConfig = GeneratorConfig()
     classifier: ClassifierConfig = ClassifierConfig()
-    happy_tempo_min: int = HAPPY_TEMPO_MIN
-    sad_tempo_max: int = SAD_TEMPO_MAX
 
 
 def _checked(name: str, value, default):
     """``value`` if it has the JSON type of ``default`` (a list for a tuple),
     else a ``ValueError`` naming the field."""
-    if isinstance(default, bool):
-        ok, kind = type(value) is bool, "true or false"
-    elif isinstance(default, int):
+    if isinstance(default, int):
         ok, kind = type(value) is int, "an integer"
     elif isinstance(default, float):
         ok, kind = is_finite_number(value), "a finite number"
@@ -59,29 +62,24 @@ def _checked(name: str, value, default):
     return tuple(value) if isinstance(default, tuple) else value
 
 
-def _build(cls, doc: dict, prefix: str = ""):
-    """``cls`` from the fields of ``doc`` that it names, each type-checked;
-    sections become their own dataclasses."""
+def _build(cls, doc: dict, source: str, prefix: str = ""):
+    """``cls`` from the fields that ``doc`` names, each type-checked;
+    sections become their own dataclasses. Any other key is logged as
+    ignored."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name in doc:
-            value, default = doc[f.name], f.default
-            if dataclasses.is_dataclass(default):
-                if not isinstance(value, dict):
-                    raise ValueError(f"{prefix}{f.name} must be a JSON object")
-                kwargs[f.name] = _build(type(default), value, f"{prefix}{f.name}.")
-            else:
-                kwargs[f.name] = _checked(prefix + f.name, value, default)
+    for key, value in doc.items():
+        name = prefix + key
+        if key not in defaults:
+            if name != "format":
+                log.warning("%s: ignoring unknown config key %s", source, name)
+        elif dataclasses.is_dataclass(defaults[key]):
+            if not isinstance(value, dict):
+                raise ValueError(f"{name} must be a JSON object")
+            kwargs[key] = _build(type(defaults[key]), value, source, name + ".")
+        else:
+            kwargs[key] = _checked(name, value, defaults[key])
     return cls(**kwargs)
-
-
-def _config_from_doc(doc, source: str) -> PipelineConfig:
-    try:
-        if not isinstance(doc, dict) or doc.get("format") != CONFIG_FORMAT:
-            raise ValueError("not a looptab config document")
-        return _build(PipelineConfig, doc)
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
 
 
 def load_config(path: str | Path | None) -> PipelineConfig:
@@ -89,4 +87,10 @@ def load_config(path: str | Path | None) -> PipelineConfig:
     a JSON looptab config raises ``ValueError`` naming it."""
     if path is None:
         return PipelineConfig()
-    return _config_from_doc(read_json(path), str(path))
+    doc = read_json(path)
+    try:
+        if not isinstance(doc, dict) or doc.get("format") != CONFIG_FORMAT:
+            raise ValueError("not a looptab config document")
+        return _build(PipelineConfig, doc, str(path))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

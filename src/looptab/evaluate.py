@@ -22,7 +22,6 @@ moved by up to 2.7e-15 between ``OPENBLAS_NUM_THREADS=1`` and ``2``.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -35,7 +34,7 @@ from typing import Iterable, Mapping, Protocol, Sequence
 import numpy as np
 
 from . import loops as loops_mod
-from .atomic import atomic_open, read_json
+from .atomic import atomic_open, read_csv, read_json
 from .generate import HAPPY_TEMPO_MIN, SAD_TEMPO_MAX
 from .score import SongBatch
 
@@ -586,30 +585,18 @@ def survey_summary(rows: Sequence[dict]) -> SurveySummary:
     return summary
 
 
+def _answered(row: dict) -> dict:
+    _answer(row)  # raises on a bad answer
+    return row
+
+
 def load_survey_csv(path) -> list[dict]:
     """The response rows of a survey CSV; a bad header names the file, and
     a row short of a required field, a bad answer (as
     :func:`survey_summary` checks it) or a CSV error raises
     :class:`SurveyError` naming the file and line."""
-    required = ("participant", "group", "question", "answer")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            fieldnames = reader.fieldnames
-        except csv.Error as exc:
-            raise SurveyError(f"{path}: line {reader.line_num}: {exc}") from None
-        if fieldnames is None or not set(required).issubset(fieldnames):
-            raise SurveyError(f"{path}: survey CSV must have header {sorted(required)}")
-        rows = []
-        try:
-            for row in reader:
-                missing = [f for f in required if row[f] is None]  # DictReader pads short rows
-                if missing:
-                    raise SurveyError(f"row has no {', '.join(missing)}")
-                _answer(row)
-                rows.append(row)
-        except (ValueError, csv.Error) as exc:
-            raise SurveyError(f"{path}: line {reader.line_num}: {exc}") from None
+    rows = [row for _, row in read_csv(path, ("participant", "group", "question", "answer"),
+                                       "survey", _answered, SurveyError)]
     if not rows:
         raise SurveyError(f"{path}: no responses")
     return rows

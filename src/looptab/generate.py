@@ -115,8 +115,6 @@ def ablated_prompt(emotion: str, missing: str | None) -> list[Token]:
 @dataclass(frozen=True)
 class SamplingConstraints:
     emotion: str = "happy"
-    tempo_upper: int = HAPPY_TEMPO_MIN  # happy minimum BPM
-    tempo_lower: int = SAD_TEMPO_MAX    # sad maximum BPM
     max_tokens: int = 4096
     max_bars: int = 64
     temperature: float = 1.0
@@ -135,8 +133,8 @@ class SamplingConstraints:
 
     def tempo_admissible(self, bpm: int) -> bool:
         if self.emotion == "happy":
-            return bpm >= self.tempo_upper
-        return bpm <= self.tempo_lower
+            return bpm >= HAPPY_TEMPO_MIN
+        return bpm <= SAD_TEMPO_MAX
 
 
 class NGramModel:
@@ -181,8 +179,8 @@ class NGramModel:
         self._seen = (alpha + self.counts) / np.repeat(denominators, np.diff(self.row_ptr))
         self._seen.setflags(write=False)
         self._unseen = (alpha / denominators).tolist()
-        # sample_sequence's tables and masked columns, by emotion and tempo bounds
-        self._sampling: dict[tuple, tuple[_Tables, tuple[_Columns, ...]]] = {}
+        # sample_sequence's tables and masked columns, by emotion
+        self._sampling: dict[str, tuple[_Tables, tuple[_Columns, ...]]] = {}
 
     def _check_columns(self) -> None:
         lengths, row_ptr, counts = self.context_lengths, self.row_ptr, self.counts
@@ -394,8 +392,7 @@ class _Tables(NamedTuple):
     ranks: tuple[np.ndarray, ...]
 
 
-def _sampling_tables(vocab: Sequence[str], emotion: str, tempo_upper: int,
-                     tempo_lower: int) -> _Tables:
+def _sampling_tables(vocab: Sequence[str], emotion: str) -> _Tables:
     """The vocabulary's parsed tokens, the tempo-admissible vector, and for
     each structural state (before and after the first ``new_measure``) the
     tokens both tempo-admissible and structurally valid, as read-only
@@ -405,10 +402,8 @@ def _sampling_tables(vocab: Sequence[str], emotion: str, tempo_upper: int,
     shares them (see :func:`_masked_columns`).
     """
     tokens = tuple(token(r) for r in vocab)
-    bounds = SamplingConstraints(emotion=emotion, tempo_upper=tempo_upper,
-                                 tempo_lower=tempo_lower)
-    admissible = np.array([t.fields.get("key") != "tempo"
-                           or bounds.tempo_admissible(t.fields["value"])
+    tempo_admissible = SamplingConstraints(emotion=emotion).tempo_admissible
+    admissible = np.array([t.fields.get("key") != "tempo" or tempo_admissible(t.fields["value"])
                            for t in tokens], dtype=float)
     masks = (
         admissible * [t.category not in _PRE_MEASURE_BLOCKED for t in tokens],
@@ -430,14 +425,14 @@ class _Columns(NamedTuple):
     listed: list[int]      # for each row, how many admitted ids it lists
 
 
-def _masked_columns(model: NGramModel, key: tuple) -> tuple[_Tables, tuple[_Columns, ...]]:
-    """The sampling tables for ``key`` (emotion and tempo bounds) and the
-    model's rows under each structural state's mask, built by the first
-    sample that asks and held by the model, so that they go with it."""
-    cached = model._sampling.get(key)
+def _masked_columns(model: NGramModel, emotion: str) -> tuple[_Tables, tuple[_Columns, ...]]:
+    """The sampling tables for ``emotion`` and the model's rows under each
+    structural state's mask, built by the first sample that asks and held
+    by the model, so that they go with it."""
+    cached = model._sampling.get(emotion)
     if cached is None:
-        tables = _sampling_tables(model.vocabulary, *key)
-        cached = model._sampling[key] = tables, tuple(
+        tables = _sampling_tables(model.vocabulary, emotion)
+        cached = model._sampling[emotion] = tables, tuple(
             _state_columns(model, mask, ranks) for mask, ranks in zip(tables.masks, tables.ranks))
     return cached
 
@@ -530,8 +525,7 @@ def sample_sequence(model: NGramModel, prompt: Sequence[Token],
     temperature below 1e-6) takes the lowest id of the largest weight.
     """
     vocab = model.vocabulary
-    tables, columns = _masked_columns(
-        model, (constraints.emotion, constraints.tempo_upper, constraints.tempo_lower))
+    tables, columns = _masked_columns(model, constraints.emotion)
     check_prompt(model, prompt)
     stream = list(prompt)
     history = [model.index[t.raw] for t in prompt]  # the ids of ``stream``

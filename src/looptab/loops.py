@@ -28,7 +28,6 @@ class LoopParams:
     min_rep_beats: int = 2
     min_loop_bars: int = 4
     max_loop_bars: int = 4
-    allow_overlap: bool = True
 
     def __post_init__(self):
         if min(self.min_rep_notes, self.min_rep_beats, self.min_loop_bars, self.max_loop_bars) <= 0:
@@ -162,15 +161,7 @@ def extract_loops(song: ScoreColumns, params: LoopParams = DEFAULT_PARAMS,
             lengths[same] = runs[lag][a[same]]
         loop = (lengths >= params.min_rep_notes) & (ticks[a + lengths] - ticks[a] >= min_ticks)
         found.extend(zip(s[loop].tolist(), repeat(k), lengths[loop].tolist()))
-    spans = [LoopSpan(s, s + k, length) for s, k, length in sorted(found)]
-
-    if not params.allow_overlap:
-        kept: list[LoopSpan] = []
-        for span in spans:
-            if not kept or span.start_bar >= kept[-1].end_bar:
-                kept.append(span)
-        spans = kept
-    return spans
+    return [LoopSpan(s, s + k, length) for s, k, length in sorted(found)]
 
 
 def splice_loop(song: ScoreColumns, span: LoopSpan) -> ScoreColumns:

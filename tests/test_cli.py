@@ -95,11 +95,12 @@ def test_annotate_songs_csv_without_artist_or_title_exits_1(workspace, tmp_path,
 @pytest.mark.parametrize("row", ["Someone", "Someone,", "Someone,  "])
 def test_annotate_songs_row_without_title_exits_1_naming_the_line(workspace, tmp_path, capsys,
                                                                    row):
+    reason = "a song needs a title" if "," in row else "row has no title"  # a short row
     songs = tmp_path / "songs.csv"
     songs.write_text(f"artist,title\n,bright_one\n{row}\n")
     assert run("annotate", "--songs", str(songs),
                "--provider-csv", str(workspace / "annotations.csv")) == 1
-    assert capsys.readouterr().err == f"error: {songs}: line 3: a song needs a title\n"
+    assert capsys.readouterr().err == f"error: {songs}: line 3: {reason}\n"
 
 
 def test_tension_command(workspace, tmp_path):
@@ -395,6 +396,55 @@ def test_eval_emotion_with_happy_or_sad_alone_exits_1_naming_the_other(workspace
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["--setting", "x", "{s}", "{s}", "--setting", "x", "{s}", "{s}"], "x"),
+    (["--happy", "{s}", "--sad", "{s}", "--setting", "all", "{s}", "{s}"], "all"),
+], ids=["setting_twice", "all_and_happy_sad"])
+def test_eval_emotion_with_a_repeated_setting_name_exits_1_naming_it(workspace, tmp_path, capsys,
+                                                                     argv, name):
+    # the later setting replaced the earlier one, and one row was printed for two
+    absent = str(tmp_path / "absent.json")  # no classifier is read first
+    out = tmp_path / "metrics.json"
+    argv = [arg.format(s=workspace / "scores") for arg in argv]
+    assert run("eval-emotion", *argv, "--valence-model", absent, "--arousal-model", absent,
+               "--out-json", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: setting {name!r} is given more than once")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_annotate_songs_with_none_annotated_writes_no_annotations_file(workspace, tmp_path,
+                                                                      capsys):
+    # a header-only file was written, which load_annotations then rejected
+    songs = tmp_path / "songs.csv"
+    songs.write_text("artist,title\n,nowhere\n")
+    cache = tmp_path / "fetched.csv"
+    assert run("annotate", "--songs", str(songs),
+               "--provider-csv", str(workspace / "annotations.csv"),
+               "--out-annotations", str(cache)) == 1
+    assert capsys.readouterr().err.endswith("error: no songs could be annotated\n")
+    assert sorted(tmp_path.iterdir()) == [songs]
+
+
+def test_a_config_key_no_field_reads_is_named_on_stderr_and_the_command_runs(corpus, tmp_path):
+    # a misspelt key trained the default order-4 model without a word
+    config = tmp_path / "config.json"
+    config.write_text('{"format": "looptab-config", "generator": {"ordr": 2}, '
+                      '"happy_tempo_min": 140}')
+    out = tmp_path / "model.json"
+    code = "import sys; from looptab.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=str(Path(looptab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, "--config", str(config), "train-gen",
+                           "--corpus", str(corpus), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[:2] == [
+        f"{config}: ignoring unknown config key generator.ordr",
+        f"{config}: ignoring unknown config key happy_tempo_min"]
+    assert json.loads(out.read_text())["order"] == 4
+
+
 def test_survey_answer_error_names_the_file_and_the_line_csv_reads(tmp_path, capsys):
     data = tmp_path / "responses.csv"
     data.write_text("participant,group,question,answer\np1,gen,preference,5\n\n"
@@ -512,8 +562,7 @@ MALFORMED_CONFIGS = {
     "array": "[]",
     "section_array": '{"format": "looptab-config", "loop_params": [4, 2, 4, 4]}',
     "int_as_text": '{"format": "looptab-config", "loop_params": {"min_rep_notes": "4"}}',
-    "flag_as_int": '{"format": "looptab-config", "loop_params": {"allow_overlap": 1}}',
-    "int_as_float": '{"format": "looptab-config", "happy_tempo_min": 150.5}',
+    "int_as_float": '{"format": "looptab-config", "generator": {"order": 4.5}}',
     "short_triple": '{"format": "looptab-config", "spiral_params": {"key_weights": [0.5, 0.5]}}',
     "nan": '{"format": "looptab-config", "generator": {"temperature": NaN}}',
 }

@@ -21,22 +21,20 @@ def config_doc(config: PipelineConfig) -> dict:
 
 def test_defaults_match_pipeline_constants():
     cfg = PipelineConfig()
-    assert cfg.happy_tempo_min == 150
-    assert cfg.sad_tempo_max == 100
     assert cfg.loop_params == LoopParams(4, 2, 4, 4)
     assert cfg.classifier.truncate == 768
 
 
-def test_json_round_trip(tmp_path):
-    # every field off its default, tuples and flags included
-    cfg = PipelineConfig(LoopParams(5, 3, 2, 8, allow_overlap=False),
+def test_json_round_trip(tmp_path, caplog):
+    # every field off its default, tuples included
+    cfg = PipelineConfig(LoopParams(5, 3, 2, 8),
                          SpiralParams(2.5, 0.25, (0.5, 0.3, 0.2), (0.2, 0.3, 0.5)),
                          GeneratorConfig(3, 0.5, 0.75, 512, 16),
-                         ClassifierConfig(l2=0.001, holdout_fraction=0.25, seed=7, truncate=100),
-                         happy_tempo_min=140, sad_tempo_max=90)
+                         ClassifierConfig(l2=0.001, holdout_fraction=0.25, seed=7, truncate=100))
     for section in (cfg, cfg.loop_params, cfg.spiral_params, cfg.generator, cfg.classifier):
         assert all(getattr(section, f.name) != f.default for f in dataclasses.fields(section))
     assert load_config(write_config(tmp_path, config_doc(cfg))) == cfg
+    assert caplog.messages == []  # every key is read
 
 
 def test_partial_document_fills_defaults(tmp_path):
@@ -46,11 +44,10 @@ def test_partial_document_fills_defaults(tmp_path):
            "paths": {"scores": "scores", "corpus": "corpus.txt"},
            "loop_params": {"min_loop_bars": 2, "max_loop_bars": 8}}
     cfg = load_config(write_config(tmp_path, doc))
-    assert cfg.happy_tempo_min == 140
     assert cfg.loop_params.min_loop_bars == 2
     assert cfg.loop_params.max_loop_bars == 8
     assert cfg.loop_params.min_rep_notes == 4  # untouched default
-    assert cfg.sad_tempo_max == 100
+    assert cfg.generator == GeneratorConfig()
 
 
 def test_classifier_section_with_the_removed_gradient_fields_loads(tmp_path):
@@ -72,6 +69,16 @@ def test_load_config_none_gives_defaults():
 
 def test_load_config_file(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config_doc(PipelineConfig(sad_tempo_max=90))))
-    assert load_config(path).sad_tempo_max == 90
+    path.write_text(json.dumps(config_doc(PipelineConfig(generator=GeneratorConfig(order=3)))))
+    assert load_config(path).generator.order == 3
 
+
+def test_each_key_no_field_reads_is_logged_once_and_the_config_still_loads(tmp_path, caplog):
+    doc = {"format": "looptab-config", "happy_tempo_min": 140,
+           "generator": {"ordr": 2, "max_bars": 8}, "loop_params": {}}
+    path = write_config(tmp_path, doc)
+    with caplog.at_level("WARNING", logger="looptab.config"):
+        cfg = load_config(path)
+    assert cfg == PipelineConfig(generator=GeneratorConfig(max_bars=8))
+    assert caplog.messages == [f"{path}: ignoring unknown config key happy_tempo_min",
+                               f"{path}: ignoring unknown config key generator.ordr"]

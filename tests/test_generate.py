@@ -485,21 +485,19 @@ def random_corpus(rng, lines):
 
 
 def random_models(rng, models):
-    """(model, constraints, tables) over random models and tempo bounds (so
-    random tempo masks); ``constraints`` carries the emotion and bounds."""
+    """(model, constraints, tables) over random models and emotions (so
+    random tempo masks); ``constraints`` carries the emotion."""
     for _ in range(models):
         model = train_generator(random_corpus(rng, 30), order=int(rng.integers(2, 5)),
                                 alpha=float(rng.choice([0.01, 0.5, 1e-3])))
-        bounds = sorted(int(b) for b in rng.integers(30, 301, size=2))
-        constraints = SamplingConstraints(emotion=str(rng.choice(["happy", "sad"])),
-                                          tempo_upper=bounds[1], tempo_lower=bounds[0])
+        constraints = SamplingConstraints(emotion=str(rng.choice(["happy", "sad"])))
         yield model, constraints, generate._sampling_tables(
-            tuple(model.vocabulary), constraints.emotion, *bounds[::-1])
+            tuple(model.vocabulary), constraints.emotion)
 
 
 def random_cases(rng, models, contexts):
-    """(model, tables, context, seen_measure) over random models, tempo
-    bounds, contexts and both structural states."""
+    """(model, tables, context, seen_measure) over random models, emotions,
+    contexts and both structural states."""
     for model, _, tables in random_models(rng, models):
         for _ in range(contexts):
             context = rng.choice(len(model.vocabulary), size=int(rng.integers(0, 6))).tolist()
@@ -665,8 +663,7 @@ def first_step(indices, probs, rest, **constraints):
 ])
 def test_greedy_takes_the_lowest_id_of_the_largest_probability(indices, probs, rest, expected):
     assert first_step(indices, probs, rest, temperature=0.0) == [expected]
-    tables = generate._sampling_tables(tuple(ONE_ROW_VOCAB), "happy", HAPPY_TEMPO_MIN,
-                                       SAD_TEMPO_MAX)
+    tables = generate._sampling_tables(tuple(ONE_ROW_VOCAB), "happy")
     row = OneRowModel(ONE_ROW_VOCAB, indices, probs, rest).row
     masked = dense(row, len(ONE_ROW_VOCAB)) * tables.masks[False]
     assert ONE_ROW_VOCAB[int(np.argmax(masked))] == expected
@@ -741,8 +738,7 @@ def test_sampling_error_fires_at_the_step_whose_mass_is_on_inadmissible_tempi(te
     assert [t.raw for t in sample_sequence(model, prompt, one)][4:] == ["new_measure"]
     with pytest.raises(SamplingError, match="all its mass on inadmissible tempi"):
         sample_sequence(model, prompt, dataclasses.replace(one, max_tokens=len(prompt) + 2))
-    tables = generate._sampling_tables(tuple(ONE_ROW_VOCAB), "happy", HAPPY_TEMPO_MIN,
-                                       SAD_TEMPO_MAX)
+    tables = generate._sampling_tables(tuple(ONE_ROW_VOCAB), "happy")
     history = [ONE_ROW_VOCAB.index(t.raw) for t in prompt]
     assert per_step_choice(model, tables, history, False, temperature, 0.5) == 4
     with pytest.raises(SamplingError):
@@ -756,8 +752,7 @@ def test_tiny_temperature_draws_a_most_likely_token(corpus_model, tmp_path):
                      "--count", "3", "--temperature", "0.00001",
                      "--out-dir", str(tmp_path)]) == 0
     model = load_model(corpus_model)
-    tables = generate._sampling_tables(tuple(model.vocabulary), "sad", HAPPY_TEMPO_MIN,
-                                       SAD_TEMPO_MAX)
+    tables = generate._sampling_tables(tuple(model.vocabulary), "sad")
     for f in sorted(tmp_path.glob("*.tokens")):
         raws = f.read_text().split()
         for i in range(len(build_prompt("sad")), len(raws)):
@@ -993,9 +988,9 @@ def test_a_run_builds_the_masked_columns_once_per_state_and_they_go_with_the_mod
     model = real_load(corpus_model)
     sad = SamplingConstraints(emotion="sad")
     sample_sequence(model, build_prompt("sad"), sad)
-    columns = model._sampling[("sad", HAPPY_TEMPO_MIN, SAD_TEMPO_MAX)]
+    columns = model._sampling["sad"]
     sample_sequence(model, build_prompt("sad"), dataclasses.replace(sad, rng_seed=1))
-    assert model._sampling[("sad", HAPPY_TEMPO_MIN, SAD_TEMPO_MAX)] is columns
+    assert model._sampling["sad"] is columns
     assert len(built) == 4
     ref = weakref.ref(model)
     del model

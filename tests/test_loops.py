@@ -243,17 +243,6 @@ def test_extract_transposition_invariant():
     assert extract_loops(columns(up)) == extract_loops(columns(bars))
 
 
-def test_overlap_filter():
-    rng = random.Random(6)
-    b = blocks(rng, "A")
-    score = columns(block_bars(b, "A" * 10))
-    with_overlap = extract_loops(score)
-    assert len(with_overlap) > 2
-    no_overlap = extract_loops(score, LoopParams(allow_overlap=False))
-    for first, second in zip(no_overlap, no_overlap[1:]):
-        assert second.start_bar >= first.end_bar
-
-
 # splicing --------------------------------------------------------------------
 
 def test_splice_rebases_measures():

@@ -1,6 +1,7 @@
 """The benchmark's traced run wraps package functions by name; a rename in
 the package must fail here rather than in the benchmark. And the package
-keeps no public function that nothing uses."""
+keeps no public function that nothing uses, and reads CSV rows by column
+name in one place."""
 
 import ast
 import importlib
@@ -72,3 +73,12 @@ def test_every_public_function_has_a_use(monkeypatch):
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
               and node.name not in used]
     assert not unused, f"public functions that nothing uses: {unused}"
+
+
+def test_only_read_csv_names_the_csv_dict_reader():
+    """Every CSV read by column name goes through ``atomic.read_csv``, which
+    owns the header, short-row and line-numbered error checks."""
+    places = [f"{path.stem}.{getattr(node, 'name', node.lineno)}"
+              for path in sorted((ROOT / "src" / "looptab").glob("*.py"))
+              for node in parse(path).body if "DictReader" in names_in(node)]
+    assert places == ["atomic.read_csv"]
