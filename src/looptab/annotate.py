@@ -4,6 +4,8 @@ Annotations come from a CSV file or a generic audio-features provider
 (CSV-backed or HTTP). Continuous valence and energy (the arousal
 surrogate) are split at the corpus medians into high/low song controls;
 bar-level tension levels are injected right after every ``new_measure``.
+Only :func:`build_corpus` reads songs, so the song modules (and numpy)
+are imported there, not when ``looptab annotate`` imports this module.
 """
 
 from __future__ import annotations
@@ -20,15 +22,15 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 from urllib.parse import quote
 
-from . import loops as loops_mod
-from . import tension as tension_mod
-from .atomic import atomic_open, read_csv
-from .score import (SongBatch, TokenTable, bar_bodies, decode_parts, regular_parts,
-                    token_files)
+from .atomic import atomic_open, read_csv, token_files
+from .config import LoopParams, SpiralParams
 from .tokens import Token, TokenCategory, control_token, render_tokens
 
 if TYPE_CHECKING:
     import requests
+
+    from .score import SongBatch
+    from .tension import TensionProfile, TensionThresholds
 
 log = logging.getLogger(__name__)
 
@@ -217,7 +219,7 @@ def song_control_tokens(record: AnnotationRecord, thresholds: FeatureThresholds)
 
 
 def inject_controls(stream: list[Token], song_tokens: Sequence[Token],
-                    profile: tension_mod.TensionProfile) -> list[Token]:
+                    profile: TensionProfile) -> list[Token]:
     """Prepend song controls and insert the three bar levels after every
     ``new_measure``. The profile must be discretized and match the bar count."""
     if profile.cd_levels is None:
@@ -250,7 +252,7 @@ class CorpusResult:
     skipped_no_loops: int = 0
     failed_files: int = 0
     feature_thresholds: FeatureThresholds | None = None
-    tension_thresholds: tension_mod.TensionThresholds | None = None  # None: no loop found
+    tension_thresholds: TensionThresholds | None = None  # None: no loop found
 
 
 def feature_thresholds_to_json(thresholds: FeatureThresholds) -> str:
@@ -265,7 +267,7 @@ def feature_thresholds_to_json(thresholds: FeatureThresholds) -> str:
 
 def _loop_lines(head: str, tempo: int, bars: dict[int, tuple[int, str]],
                 spans: Sequence[tuple[int, int]],
-                profiles: Sequence[tension_mod.TensionProfile]) -> Iterable[str]:
+                profiles: Sequence[TensionProfile]) -> Iterable[str]:
     """The corpus line of each ``[start, end)`` bar range of a regularized
     song, joined from pieces: ``head`` (song controls and header), then per
     bar any tempo change, ``new_measure``, the profile's three levels and
@@ -286,11 +288,13 @@ def _loop_lines(head: str, tempo: int, bars: dict[int, tuple[int, str]],
 
 
 def _part_songs(part: SongBatch, paths: Sequence[Path],
-                records: Sequence[AnnotationRecord | None], loop_params: loops_mod.LoopParams,
+                records: Sequence[AnnotationRecord | None], loop_params: LoopParams,
                 result: CorpusResult) -> list[tuple[AnnotationRecord, int, list[tuple[int, int]]]]:
     """The record, tempo and loop spans of each song of a regularized
     ``part`` that has an annotation and loops; the others are counted in
     ``result``, and a song that failed is logged."""
+    from . import loops as loops_mod
+
     starts = part.starts.tolist()
     by_song: dict[int, list[tuple[int, int]]] = {}
     for span in loops_mod.extract_loops(part.columns, loop_params, part.starts):
@@ -316,8 +320,8 @@ def _part_songs(part: SongBatch, paths: Sequence[Path],
 
 def build_corpus(score_dir: str | Path,
                  annotations: Sequence[AnnotationRecord],
-                 loop_params: loops_mod.LoopParams = loops_mod.DEFAULT_PARAMS,
-                 spiral_params: tension_mod.SpiralParams = tension_mod.DEFAULT_PARAMS,
+                 loop_params: LoopParams = LoopParams(),
+                 spiral_params: SpiralParams = SpiralParams(),
                  ) -> tuple[list[str], CorpusResult]:
     """End-to-end corpus construction.
 
@@ -336,6 +340,9 @@ def build_corpus(score_dir: str | Path,
     Deterministic given identical inputs. The result carries the counts
     and both fitted thresholds; nothing is written.
     """
+    from . import tension as tension_mod
+    from .score import TokenTable, bar_bodies, decode_parts, regular_parts
+
     by_key = {_normalize_key(r.artist, r.title): r for r in annotations}
     thresholds = compute_thresholds(annotations)
     result = CorpusResult(feature_thresholds=thresholds)

@@ -1,5 +1,6 @@
-"""Whole-file writes that never leave a partial file behind, and
-whole-file JSON and CSV reads whose errors name the file.
+"""Whole-file writes that never leave a partial file behind, whole-file
+JSON and CSV reads whose errors name the file, and the listing of a song
+directory.
 
 The text goes to a new sibling of the target, which is renamed over the
 target only once every byte is written; on any failure the sibling is
@@ -80,3 +81,15 @@ def read_csv(path: str | Path, required: Sequence[str], what: str, value: Callab
         except (ValueError, csv.Error) as exc:
             raise error(f"{path}: line {reader.line_num}: {exc}") from None
     return pairs
+
+
+def token_files(directory: str | Path) -> list[Path]:
+    """The ``*.tokens`` files of a song directory, sorted by name. A path
+    that is not a directory that can be listed raises ``OSError``; a
+    directory holding no such file is a ``ValueError``."""
+    root = Path(directory)
+    with os.scandir(root) as entries:  # on POSIX, names sort as their paths in one directory do
+        names = sorted(entry.name for entry in entries if entry.name.endswith(".tokens"))
+    if not names:
+        raise ValueError(f"no *.tokens files in {directory}")
+    return [root / name for name in names]

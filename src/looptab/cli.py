@@ -4,6 +4,10 @@ Data goes to files, logs to stderr. Exit codes: 0 success; 1 a usage
 error or invalid input, such as a file whose contents are not what the
 command reads; 2 a file that cannot be opened, read or written. All
 randomness flows from explicit seeds.
+
+Each stage module, and numpy, is imported inside the command that runs
+it, so a fresh ``looptab`` process loads only what its subcommand needs:
+``--help`` and ``annotate`` load no numpy at all.
 """
 
 from __future__ import annotations
@@ -19,20 +23,14 @@ import math
 import sys
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-import numpy as np
-
-from . import annotate as annotate_mod
-from . import evaluate as evaluate_mod
-from . import generate as generate_mod
-from . import loops as loops_mod
-from . import stats as stats_mod
-from . import tension as tension_mod
-from .atomic import atomic_open, read_csv
+from .atomic import atomic_open, read_csv, token_files
 from .config import GeneratorConfig, load_config
-from .score import SongBatch, TokenTable, decode_parts, regular_parts, token_files
 from .tokens import ParseError, TokenCategory, render_tokens, token
+
+if TYPE_CHECKING:
+    from .score import SongBatch
 
 log = logging.getLogger("looptab")
 
@@ -55,6 +53,8 @@ def _song_parts(paths: list[Path], regular: bool = False
     (:func:`score.decode_parts`), each regularized to 4/4 in parts
     (:func:`score.regular_parts`) if ``regular``, with their files; the
     first file that fails is an error naming it, raised as its part comes."""
+    from .score import TokenTable, decode_parts, regular_parts
+
     for first, decoded in decode_parts(paths, TokenTable()):
         for start, part in regular_parts(decoded) if regular else [(0, decoded)]:
             names = paths[first + start:first + start + len(part)]
@@ -134,6 +134,8 @@ def _read_songs(path) -> list[tuple[str, str]]:
 
 
 def cmd_annotate(args) -> int:
+    from . import annotate as annotate_mod
+
     if args.songs:
         if args.provider_csv:
             provider = annotate_mod.CsvFeaturesProvider(args.provider_csv)
@@ -162,6 +164,8 @@ def cmd_annotate(args) -> int:
 def cmd_tension(args) -> int:
     """Per-bar tension of every song, each against the key estimated over
     the whole song; ``looptab corpus`` estimates it per spliced loop."""
+    from . import tension as tension_mod
+
     config = load_config(args.config)
     paths = token_files(args.scores)
     profiles = []
@@ -179,6 +183,8 @@ def cmd_tension(args) -> int:
 
 
 def cmd_loops(args) -> int:
+    from . import loops as loops_mod
+
     config = load_config(args.config)
     lines = []
     for paths, part in _song_parts(token_files(args.scores), regular=True):
@@ -197,6 +203,9 @@ def cmd_loops(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    from . import annotate as annotate_mod
+    from . import tension as tension_mod
+
     config = load_config(args.config)
     annotations = annotate_mod.load_annotations(args.annotations)
     lines, result = annotate_mod.build_corpus(
@@ -221,6 +230,8 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_train_gen(args) -> int:
+    from . import generate as generate_mod
+
     config = load_config(args.config)
     gen_cfg = config.generator
     order = args.order if args.order is not None else gen_cfg.order
@@ -235,6 +246,8 @@ def cmd_train_gen(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from . import generate as generate_mod
+
     config = load_config(args.config)
     prompt = generate_mod.ablated_prompt(args.emotion, args.ablate)
     gen_cfg: GeneratorConfig = config.generator
@@ -279,6 +292,10 @@ def _classifier_corpus(path, truncate: int):
     among the corpus's distinct tokens (:func:`evaluate.token_ids`); a
     line's label is its first label token of the target, and the label ids
     are dropped before the windows are cut."""
+    import numpy as np
+
+    from . import evaluate as evaluate_mod
+
     lines = _read_corpus(path)
     distinct, ids, lengths = evaluate_mod.token_ids(map(str.split, lines))
     _check_corpus(path, distinct, lines)
@@ -304,6 +321,8 @@ def _classifier_corpus(path, truncate: int):
 def cmd_train_clf(args) -> int:
     """Both classifiers are fitted before either file is written, so a
     corpus that fails for one target leaves neither file behind."""
+    from . import evaluate as evaluate_mod
+
     config = load_config(args.config)
     labels, names, x = _classifier_corpus(args.corpus, config.classifier.truncate)
     classifiers = evaluate_mod.fit_classifiers(names, x, labels, config.classifier)
@@ -318,6 +337,8 @@ def cmd_train_clf(args) -> int:
 
 
 def cmd_eval_emotion(args) -> int:
+    from . import evaluate as evaluate_mod
+
     if (args.happy is None) != (args.sad is None):
         raise ValueError("--happy needs --sad" if args.sad is None else "--sad needs --happy")
     pairs = [("all", args.happy, args.sad)] if args.happy is not None else []
@@ -346,6 +367,8 @@ def cmd_eval_emotion(args) -> int:
 
 
 def cmd_eval_loops(args) -> int:
+    from . import evaluate as evaluate_mod
+
     config = load_config(args.config)
     paths = token_files(args.generations)
     total, avg = evaluate_mod.loop_metric(
@@ -392,6 +415,8 @@ def _numeric_columns(path) -> list[list[float]]:
 
 
 def cmd_eval_stats(args) -> int:
+    from . import stats as stats_mod
+
     columns = _numeric_columns(args.input)
     if args.method == "wilcoxon":
         if len(columns) < 2:
@@ -420,6 +445,8 @@ def cmd_eval_stats(args) -> int:
 
 
 def cmd_survey(args) -> int:
+    from . import evaluate as evaluate_mod
+
     rows = evaluate_mod.load_survey_csv(args.responses)
     summary = evaluate_mod.survey_summary(rows)
     text = json.dumps(summary.as_dict(), indent=2)

@@ -1,32 +1,100 @@
-"""Shared pipeline configuration, read from a JSON document.
+"""Shared pipeline configuration, read from a JSON document, and the
+parameter dataclasses of every stage.
 
-The sections are ``loop_params`` (loop extraction thresholds, by default
-the published min repetition notes 4, min repetition beats 2, loop bars
-4..4), ``spiral_params`` (the spiral array geometry), ``generator`` (the
-n-gram order, smoothing and sampling budget) and ``classifier`` (the
-emotion classifiers' fit). The inference tempo rule (happy >= 150 BPM,
-sad <= 100 BPM) is fixed, not configured. A key that no field reads is
-ignored with one warning naming the file and the dotted key, so documents
-with fields that were later removed (such as ``paths``, ``seed`` or
-``happy_tempo_min``) still load. A field of the wrong JSON type is a
-``ValueError`` naming the file.
+The sections are ``loop_params`` (:class:`LoopParams`, the loop
+extraction thresholds, by default the published min repetition notes 4,
+min repetition beats 2, loop bars 4..4), ``spiral_params``
+(:class:`SpiralParams`, the spiral array geometry), ``generator`` (the
+n-gram order, smoothing and sampling budget) and ``classifier``
+(:class:`ClassifierConfig`, the emotion classifiers' fit). The stage
+modules take these classes from here, so this module imports no stage
+module, and no numpy: a subcommand that reads the config loads only the
+stages it runs. The inference tempo rule (happy >= ``HAPPY_TEMPO_MIN``
+BPM, sad <= ``SAD_TEMPO_MAX`` BPM) is fixed, not configured. A key that
+no field reads is ignored with one warning naming the file and the dotted
+key, so documents with fields that were later removed (such as
+``paths``, ``seed`` or ``happy_tempo_min``) still load. A field of the
+wrong JSON type, or out of its range, is a ``ValueError`` naming the
+file and the dotted key.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .atomic import read_json
-from .evaluate import ClassifierConfig, is_finite_number
-from .loops import LoopParams
-from .tension import SpiralParams
 
 CONFIG_FORMAT = "looptab-config"
 
 log = logging.getLogger(__name__)
+
+HAPPY_TEMPO_MIN = 150
+SAD_TEMPO_MAX = 100
+TRUNCATE_TOKENS = 768  # a classifier reads a stream's first this many tokens
+
+DEFAULT_HEIGHT = math.sqrt(2.0 / 15.0)
+DEFAULT_WEIGHTS = (0.536, 0.274, 0.190)
+
+
+def is_finite_number(value) -> bool:
+    """A JSON number (not a boolean) that is neither NaN nor infinite."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+@dataclass(frozen=True)
+class LoopParams:
+    min_rep_notes: int = 4
+    min_rep_beats: int = 2
+    min_loop_bars: int = 4
+    max_loop_bars: int = 4
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError(f"{f.name} must be positive")
+        if self.min_loop_bars > self.max_loop_bars:
+            raise ValueError("min_loop_bars must be <= max_loop_bars")
+
+
+@dataclass(frozen=True)
+class SpiralParams:
+    radius: float = 1.0
+    height: float = DEFAULT_HEIGHT
+    chord_weights: tuple[float, float, float] = DEFAULT_WEIGHTS
+    key_weights: tuple[float, float, float] = DEFAULT_WEIGHTS
+
+    def __post_init__(self):
+        for name in ("radius", "height"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("chord_weights", "key_weights"):
+            triple = getattr(self, name)
+            if any(w <= 0 for w in triple):
+                raise ValueError(f"{name} must be positive")
+            if abs(sum(triple) - 1.0) > 1e-9:
+                raise ValueError(f"{name} must sum to 1")
+
+
+@dataclass(frozen=True)
+class ClassifierConfig:
+    l2: float = 1e-4
+    holdout_fraction: float = 0.2
+    seed: int = 0
+    truncate: int = TRUNCATE_TOKENS
+
+    def __post_init__(self):
+        if not (math.isfinite(self.l2) and self.l2 > 0):
+            raise ValueError(f"l2 must be a finite number > 0, got {self.l2}")
+        if not 0 <= self.holdout_fraction < 1:
+            raise ValueError(f"holdout_fraction must be in [0, 1), got {self.holdout_fraction}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.truncate < 1:
+            raise ValueError(f"truncate must be >= 1, got {self.truncate}")
 
 
 @dataclass(frozen=True)
@@ -65,7 +133,8 @@ def _checked(name: str, value, default):
 def _build(cls, doc: dict, source: str, prefix: str = ""):
     """``cls`` from the fields that ``doc`` names, each type-checked;
     sections become their own dataclasses. Any other key is logged as
-    ignored."""
+    ignored. A value that ``cls`` rejects is an error naming its dotted
+    key: every check's message starts with the field's name."""
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in doc.items():
@@ -79,7 +148,10 @@ def _build(cls, doc: dict, source: str, prefix: str = ""):
             kwargs[key] = _build(type(defaults[key]), value, source, name + ".")
         else:
             kwargs[key] = _checked(name, value, defaults[key])
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{prefix}{exc}") from None
 
 
 def load_config(path: str | Path | None) -> PipelineConfig:

@@ -24,21 +24,21 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, count
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from . import loops as loops_mod
 from .atomic import atomic_open, read_csv, read_json
-from .generate import HAPPY_TEMPO_MIN, SAD_TEMPO_MAX
-from .score import SongBatch
+from .config import (HAPPY_TEMPO_MIN, SAD_TEMPO_MAX, TRUNCATE_TOKENS, ClassifierConfig,
+                     LoopParams, is_finite_number)
 
-TRUNCATE_TOKENS = 768
+if TYPE_CHECKING:
+    from .score import SongBatch
+
 HIGH_CUT = 0.5
 
 # A fit stops once its gradient's max-norm is at most NEWTON_TOL, and after
@@ -56,14 +56,6 @@ TEMPO_BUCKETS = ("tempo_slow", "tempo_mid", "tempo_fast")  # <100, 100..149, >=1
 
 class ClassifierModel(Protocol):
     def scores(self, streams: Sequence[Sequence[str]]) -> Sequence[float]: ...
-
-
-@dataclass(frozen=True)
-class ClassifierConfig:
-    l2: float = 1e-4
-    holdout_fraction: float = 0.2
-    seed: int = 0
-    truncate: int = TRUNCATE_TOKENS
 
 
 def _tempo_bucket(raw: str) -> str | None:
@@ -152,11 +144,6 @@ def token_features(tokens: Sequence[str], columns: Mapping[str, int],
     return feature_matrix([tokens], columns, truncate)[0]
 
 
-def is_finite_number(value) -> bool:
-    """A JSON number (not a boolean) that is neither NaN nor infinite."""
-    return type(value) in (int, float) and math.isfinite(value)
-
-
 def feature_columns(feature_names: Sequence[str]) -> dict[str, int]:
     """The column of each feature name, built once per classifier."""
     return {name: i for i, name in enumerate(feature_names)}
@@ -196,20 +183,25 @@ class LinearTokenClassifier:
     def scores(self, streams: Sequence[Sequence[str]]) -> list[float]:
         """The score of each stream; the streams are featurized as one
         matrix."""
-        x = feature_matrix(streams, self.columns, self.truncate)
+        return self.matrix_scores(feature_matrix(streams, self.columns, self.truncate))
+
+    def matrix_scores(self, x: np.ndarray) -> list[float]:
+        """The score of each row of a :func:`feature_matrix` over this
+        classifier's columns and window."""
         return _sigmoid(x @ self.weights + self.bias).tolist()
 
     def save(self, path) -> None:
+        text = json.dumps({  # one C-encoded string: json.dump encodes in Python
+            "format": "looptab-linear-classifier",
+            "version": 1,
+            "feature_names": self.feature_names,
+            "weights": self.weights.tolist(),
+            "bias": self.bias,
+            "truncate": self.truncate,
+            "holdout_accuracy": self.holdout_accuracy,
+        })
         with atomic_open(path) as fh:
-            json.dump({
-                "format": "looptab-linear-classifier",
-                "version": 1,
-                "feature_names": self.feature_names,
-                "weights": self.weights.tolist(),
-                "bias": self.bias,
-                "truncate": self.truncate,
-                "holdout_accuracy": self.holdout_accuracy,
-            }, fh)
+            fh.write(text)
 
     @classmethod
     def load(cls, path) -> "LinearTokenClassifier":
@@ -432,8 +424,16 @@ class EmotionMetrics:
 def _group_metrics(streams: Sequence[Sequence[str]],
                    valence_model: ClassifierModel,
                    arousal_model: ClassifierModel) -> GroupMetrics:
-    v = valence_model.scores(streams)
-    a = arousal_model.scores(streams)
+    """The metrics of one group. Two linear classifiers with the same
+    feature names and window score one feature matrix of the streams."""
+    if (isinstance(valence_model, LinearTokenClassifier)
+            and isinstance(arousal_model, LinearTokenClassifier)
+            and valence_model.feature_names == arousal_model.feature_names
+            and valence_model.truncate == arousal_model.truncate):
+        x = feature_matrix(streams, valence_model.columns, valence_model.truncate)
+        v, a = valence_model.matrix_scores(x), arousal_model.matrix_scores(x)
+    else:
+        v, a = valence_model.scores(streams), arousal_model.scores(streams)
     return GroupMetrics(
         hvp=sum(1 for s in v if s > HIGH_CUT) / len(v),
         mvs=sum(v) / len(v),
@@ -456,11 +456,12 @@ def emotion_metrics(happy_streams: Sequence[Sequence[str]],
     return EmotionMetrics(happy, sad, diff)
 
 
-def loop_metric(generated: Iterable[SongBatch],
-                params: loops_mod.LoopParams = loops_mod.DEFAULT_PARAMS
+def loop_metric(generated: Iterable[SongBatch], params: LoopParams = LoopParams()
                 ) -> tuple[int, float]:
     """(total loops found, average loops per generation) over batches of
     regularized generations, each batch searched at once."""
+    from . import loops as loops_mod  # here: train-clf and eval-emotion need no loop search
+
     total = songs = 0
     for batch in generated:
         total += len(loops_mod.extract_loops(batch.columns, params, batch.starts))

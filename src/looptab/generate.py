@@ -49,10 +49,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .atomic import atomic_open, read_json
+from .config import HAPPY_TEMPO_MIN, SAD_TEMPO_MAX
 from .tokens import END, Token, TokenCategory, token
-
-HAPPY_TEMPO_MIN = 150
-SAD_TEMPO_MAX = 100
 
 HAPPY_PROMPT = ("valence:high", "arousal:high", "mode:major", "time_signature:4")
 SAD_PROMPT = ("valence:low", "arousal:low", "mode:minor", "time_signature:4")

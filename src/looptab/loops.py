@@ -18,23 +18,9 @@ from itertools import count, repeat
 
 import numpy as np
 
+from .config import LoopParams
 from .score import TRACKS, ScoreColumns, bar_slice, key_order
 from .tokens import TICKS_PER_QUARTER
-
-
-@dataclass(frozen=True)
-class LoopParams:
-    min_rep_notes: int = 4
-    min_rep_beats: int = 2
-    min_loop_bars: int = 4
-    max_loop_bars: int = 4
-
-    def __post_init__(self):
-        if min(self.min_rep_notes, self.min_rep_beats, self.min_loop_bars, self.max_loop_bars) <= 0:
-            raise ValueError("loop parameters must be positive")
-        if self.min_loop_bars > self.max_loop_bars:
-            raise ValueError("min_loop_bars must be <= max_loop_bars")
-
 
 DEFAULT_PARAMS = LoopParams()
 

@@ -37,7 +37,6 @@ gap rule on reparse).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from itertools import compress
 from pathlib import Path
@@ -793,15 +792,3 @@ def regular_parts(batch: SongBatch, keep: Sequence[bool] | None = None
         held += n
     yield first, regularize_many(batch.songs(first, len(batch)),
                                  None if keep is None else keep[first:])
-
-
-def token_files(directory: str | Path) -> list[Path]:
-    """The ``*.tokens`` files of a song directory, sorted by name. A path
-    that is not a directory that can be listed raises ``OSError``; a
-    directory holding no such file is a ``ValueError``."""
-    root = Path(directory)
-    with os.scandir(root) as entries:  # on POSIX, names sort as their paths in one directory do
-        names = sorted(entry.name for entry in entries if entry.name.endswith(".tokens"))
-    if not names:
-        raise ValueError(f"no *.tokens files in {directory}")
-    return [root / name for name in names]

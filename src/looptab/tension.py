@@ -29,33 +29,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .config import SpiralParams
 from .score import ScoreColumns
 from .tokens import TENSION_FEATURES
-
-DEFAULT_HEIGHT = math.sqrt(2.0 / 15.0)
-DEFAULT_WEIGHTS = (0.536, 0.274, 0.190)
 
 # sin/cos of k*pi/2 for integer k, kept exact
 _SIN = (0.0, 1.0, 0.0, -1.0)
 _COS = (1.0, 0.0, -1.0, 0.0)
-
-
-@dataclass(frozen=True)
-class SpiralParams:
-    radius: float = 1.0
-    height: float = DEFAULT_HEIGHT
-    chord_weights: tuple[float, float, float] = DEFAULT_WEIGHTS
-    key_weights: tuple[float, float, float] = DEFAULT_WEIGHTS
-
-    def __post_init__(self):
-        if self.radius <= 0 or self.height <= 0:
-            raise ValueError("radius and height must be positive")
-        for triple in (self.chord_weights, self.key_weights):
-            if any(w <= 0 for w in triple):
-                raise ValueError("weights must be positive")
-            if abs(sum(triple) - 1.0) > 1e-9:
-                raise ValueError("weight triple must sum to 1")
-
 
 DEFAULT_PARAMS = SpiralParams()
 

@@ -10,11 +10,12 @@ import re
 import pytest
 
 from looptab.annotate import build_corpus, load_annotations
+from looptab.atomic import token_files
 from looptab.cli import main
 from looptab.loops import extract_loops
 from looptab import score
 from looptab.score import TokenTable, decode, decode_parts, regular_parts, regularize_many, \
-    regularize_meter, score_to_tokens, token_files
+    regularize_meter, score_to_tokens
 from looptab.tension import loop_tension_profiles
 from looptab.tokens import render_tokens
 

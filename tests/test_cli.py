@@ -214,6 +214,22 @@ def test_train_clf_label_error_counts_blank_lines(corpus, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {bad}: line 3 carries no arousal label\n"
 
 
+@pytest.mark.parametrize("key,value", [("holdout_fraction", -0.5), ("truncate", 0),
+                                       ("l2", -1.0), ("seed", -1)])
+def test_train_clf_with_a_classifier_setting_out_of_range_exits_1_and_writes_nothing(
+        corpus, tmp_path, capsys, key, value):
+    # holdout_fraction -0.5 held out half the rows, and truncate 0 wrote
+    # classifier files that eval-emotion rejects; both exited 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"format": "looptab-config", "classifier": {key: value}}))
+    out = tmp_path / "clf"
+    assert run("--config", str(config), "train-clf", "--corpus", str(corpus),
+               "--out-dir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: classifier.{key} must be ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_train_clf_logs_each_fit(corpus, tmp_path, caplog):
     with caplog.at_level(logging.INFO, logger="looptab"):
         assert run("train-clf", "--corpus", str(corpus), "--out-dir", str(tmp_path)) == 0
@@ -746,9 +762,12 @@ def test_eval_stats_non_finite_first_row_is_data_and_rejected(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {data}: line 1 ")
 
 
-# The CLI loads requests (and with it subprocess) only for --provider-url;
-# the package root exports only __version__.
-UNWANTED_ON_IMPORT = {"looptab.cli": "m in ('requests', 'subprocess')",
+# The CLI loads requests (and with it subprocess) only for --provider-url,
+# and a stage module or numpy only in a subcommand that runs it; the
+# package root exports only __version__.
+STAGES = tuple(f"looptab.{name}" for name in ("annotate", "tension", "loops", "score",
+                                               "generate", "evaluate", "stats"))
+UNWANTED_ON_IMPORT = {"looptab.cli": f"m in {('requests', 'subprocess', 'numpy') + STAGES}",
                       "looptab": "m.startswith('looptab.') or m == 'numpy'"}
 
 
@@ -761,6 +780,40 @@ def test_importing_loads_no_module_it_does_not_need(module):
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# What a run of main loads besides looptab, looptab.cli and what cli.py
+# imports at its top (config, atomic, tokens).
+LOADED_BY = {"--help": [], "usage error": [], "annotate": ["looptab.annotate"],
+             "generate": ["looptab.generate", "numpy"], "eval-stats": ["looptab.stats", "numpy"],
+             "train-clf": ["looptab.evaluate", "numpy"]}
+
+
+@pytest.mark.parametrize("case", sorted(LOADED_BY))
+def test_a_subcommand_loads_only_the_modules_it_runs(workspace, corpus, model, tmp_path, case):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("a,b,c\n1,2,3\n2,4,3\n1,5,6\n")
+    argv = {"--help": ["--help"],
+            "usage error": ["generate", "--emotion", "joyful"],
+            "annotate": ["annotate", "--annotations", str(workspace / "annotations.csv"),
+                         "--out-thresholds", str(tmp_path / "features.json")],
+            "generate": ["generate", "--model", str(model), "--emotion", "sad", "--count", "2",
+                         "--out-dir", str(tmp_path / "gen")],
+            "eval-stats": ["eval-stats", "--method", "friedman", "--input", str(scores)],
+            "train-clf": ["train-clf", "--corpus", str(corpus), "--out-dir", str(tmp_path)],
+            }[case]
+    # main's exit code and the modules it left loaded, from a fresh interpreter
+    code = (f"import json, sys; from looptab.cli import main; rc = main({argv!r}); "
+            "print(json.dumps([rc, sorted(m for m in sys.modules "
+            "if m == 'numpy' or m.split('.')[0] == 'looptab')]))")
+    env = dict(os.environ, PYTHONPATH=str(Path(looptab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rc, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == (1 if case == "usage error" else 0)
+    assert modules == sorted(["looptab", "looptab.cli", "looptab.config", "looptab.atomic",
+                              "looptab.tokens", *LOADED_BY[case]])
 
 
 # helpers ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -82,3 +83,28 @@ def test_each_key_no_field_reads_is_logged_once_and_the_config_still_loads(tmp_p
     assert cfg == PipelineConfig(generator=GeneratorConfig(max_bars=8))
     assert caplog.messages == [f"{path}: ignoring unknown config key happy_tempo_min",
                                f"{path}: ignoring unknown config key generator.ordr"]
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("classifier", "holdout_fraction", -0.5),
+    ("classifier", "holdout_fraction", 1.0),
+    ("classifier", "l2", 0.0),
+    ("classifier", "l2", -1.0),
+    ("classifier", "truncate", 0),
+    ("classifier", "seed", -1),
+    ("loop_params", "min_rep_beats", 0),
+    ("spiral_params", "height", -1.0),
+    ("spiral_params", "key_weights", [0.5, 0.3, 0.3]),
+])
+def test_a_value_out_of_its_range_is_an_error_naming_the_dotted_key(tmp_path, section, key,
+                                                                      value):
+    path = write_config(tmp_path, {"format": "looptab-config", section: {key: value}})
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: {section}.{key} must "):
+        load_config(path)
+
+
+def test_the_classifier_range_ends_that_are_allowed_load(tmp_path):
+    doc = {"format": "looptab-config",
+           "classifier": {"holdout_fraction": 0.0, "l2": 1e-300, "truncate": 1, "seed": 0}}
+    assert load_config(write_config(tmp_path, doc)).classifier == ClassifierConfig(
+        l2=1e-300, holdout_fraction=0.0, seed=0, truncate=1)

@@ -338,6 +338,35 @@ def test_high_cut_is_strict():
     assert em.happy.hap == 1.0
 
 
+class Delegate:
+    """A classifier that is not a :class:`LinearTokenClassifier` but scores
+    as one."""
+
+    def __init__(self, clf):
+        self.scores = clf.scores
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_emotion_metrics_featurizes_each_group_once_for_classifiers_with_one_feature_set(
+        monkeypatch, shared):
+    import looptab.evaluate as evaluate_mod
+
+    rng = np.random.default_rng(5)
+    names = sorted(["a", "b", "c", "tempo:160", *TEMPO_BUCKETS])
+    valence = LinearTokenClassifier(names, rng.normal(size=len(names)), 0.25, truncate=3)
+    arousal = LinearTokenClassifier(names if shared else names[1:],
+                                    rng.normal(size=len(names) - (not shared)), -0.5, truncate=3)
+    happy = [["a", "b", "tempo:160", "a"], ["c"], []]
+    sad = [["b", "b", "tempo:80"], ["d", "a"]]
+    expected = emotion_metrics(happy, sad, Delegate(valence), Delegate(arousal))
+    calls = []
+    token_ids = evaluate_mod.token_ids
+    monkeypatch.setattr(evaluate_mod, "token_ids",
+                        lambda streams: calls.append(streams) or token_ids(streams))
+    assert emotion_metrics(happy, sad, valence, arousal) == expected
+    assert len(calls) == (2 if shared else 4)  # it was 4, one per classifier and group
+
+
 def test_emotion_metrics_rejects_empty_group():
     with pytest.raises(ValueError):
         emotion_metrics([], [["s"]], FixedModel([0.5]), FixedModel([0.5]))

@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from looptab import score as score_mod
+from looptab.atomic import token_files
 from looptab.score import (
     BAR_TICKS_4_4,
     StructureError,
@@ -16,7 +17,6 @@ from looptab.score import (
     key_order,
     regularize_meter,
     score_to_tokens,
-    token_files,
     tokens_to_score,
 )
 from looptab.tokens import TENSION_FEATURES, parse_tokens, render_tokens
