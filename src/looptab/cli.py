@@ -7,7 +7,7 @@ randomness flows from explicit seeds.
 
 Each stage module, and numpy, is imported inside the command that runs
 it, so a fresh ``looptab`` process loads only what its subcommand needs:
-``--help`` and ``annotate`` load no numpy at all.
+``--help``, ``annotate`` and ``survey`` load no numpy at all.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ import math
 import sys
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .atomic import atomic_open, read_csv, token_files
 from .config import GeneratorConfig, load_config
-from .tokens import ParseError, TokenCategory, render_tokens, token
+from .tokens import ParseError, TokenCategory, render_tokens, token, token_ids
 
 if TYPE_CHECKING:
     from .score import SongBatch
@@ -66,12 +66,13 @@ def _song_parts(paths: list[Path], regular: bool = False
             yield names, part
 
 
-def _check_tokens(distinct: Iterable[str], texts: Sequence[str],
+def _check_tokens(distinct: Iterable[str], texts: Iterable[str],
                   where: Callable[[int], str]) -> None:
     """Classify each of the ``distinct`` token strings of ``texts`` once
     through :func:`tokens.token`; the first malformed one is an error naming
     ``where(i)`` of its text ``i``, its index in that text and the token.
-    The texts are split only to find it."""
+    The texts are split only to find it; if they no longer hold it (a file
+    rewritten since it was read), the error names the token alone."""
     bad = {}
     for raw in distinct:
         try:
@@ -82,21 +83,30 @@ def _check_tokens(distinct: Iterable[str], texts: Sequence[str],
         for i, raw in enumerate(text.split()):
             if raw in bad:
                 raise ValueError(f"{where(number)}: {ParseError(bad[raw], i, raw)}")
+    if bad:
+        raw, reason = next(iter(bad.items()))
+        raise ValueError(f"token {raw!r}: {reason}")
 
 
-def _read_corpus(path) -> list[str]:
-    """The lines of a corpus file; a file of blank lines only is an error
-    naming it. :func:`_check_corpus` checks the tokens."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not any(line.strip() for line in lines):
+def _corpus_lines(path) -> Iterator[str]:
+    """The lines of a corpus file, read one at a time and split as
+    ``str.splitlines`` splits the whole text; a file of blank lines only
+    is an error naming it, raised once it is read. :func:`_check_corpus`
+    checks the tokens."""
+    filled = False
+    with open(path, encoding="utf-8") as fh:
+        for line in chain.from_iterable(map(str.splitlines, fh)):
+            filled = filled or bool(line.strip())
+            yield line
+    if not filled:
         raise ValueError(f"{path}: empty corpus")
-    return lines
 
 
-def _check_corpus(path, distinct: Iterable[str], lines: Sequence[str]) -> None:
+def _check_corpus(path, distinct: Iterable[str]) -> None:
     """A malformed token among ``distinct``, the token strings of the
-    corpus ``lines``, is an error naming the file, the line and the token."""
-    _check_tokens(distinct, lines, lambda number: f"{path}: line {number + 1}")
+    corpus file ``path``, is an error naming the file, the line and the
+    token; the file is read again only to find them."""
+    _check_tokens(distinct, _corpus_lines(path), lambda number: f"{path}: line {number + 1}")
 
 
 def _read_streams(directory: str | Path) -> list[list[str]]:
@@ -236,10 +246,9 @@ def cmd_train_gen(args) -> int:
     gen_cfg = config.generator
     order = args.order if args.order is not None else gen_cfg.order
     alpha = args.alpha if args.alpha is not None else gen_cfg.alpha
-    lines = _read_corpus(args.corpus)
-    model = generate_mod.train_generator(lines, order=order, alpha=alpha)
+    model = generate_mod.train_generator(_corpus_lines(args.corpus), order=order, alpha=alpha)
     # the vocabulary holds every distinct token string of the corpus
-    _check_corpus(args.corpus, model.vocabulary, lines)
+    _check_corpus(args.corpus, model.vocabulary)
     generate_mod.save_model(model, args.out)
     log.info("trained order-%d model, vocabulary %d", order, len(model.vocabulary))
     return 0
@@ -288,18 +297,16 @@ def cmd_generate(args) -> int:
 def _classifier_corpus(path, truncate: int):
     """The label of each target on every line of a corpus, as
     ``{target: [is_high, ...]}``, plus the feature names and matrix of the
-    label-free lines, built once for all targets. The lines are read as ids
-    among the corpus's distinct tokens (:func:`evaluate.token_ids`); a
-    line's label is its first label token of the target, and the label ids
-    are dropped before the windows are cut."""
+    label-free lines, built once for all targets. The lines are read one
+    at a time as ids among the corpus's distinct tokens
+    (:func:`tokens.token_ids`); a line's label is its first label token of
+    the target, and the label ids are dropped before the windows are cut."""
     import numpy as np
 
     from . import evaluate as evaluate_mod
 
-    lines = _read_corpus(path)
-    distinct, ids, lengths = evaluate_mod.token_ids(map(str.split, lines))
-    _check_corpus(path, distinct, lines)
-    del lines
+    distinct, ids, lengths = token_ids(map(str.split, _corpus_lines(path)))
+    _check_corpus(path, distinct)
     line = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
     filled = lengths > 0  # the lines that are not blank
     labels = {}
@@ -445,10 +452,10 @@ def cmd_eval_stats(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    from . import evaluate as evaluate_mod
+    from . import survey as survey_mod
 
-    rows = evaluate_mod.load_survey_csv(args.responses)
-    summary = evaluate_mod.survey_summary(rows)
+    rows = survey_mod.load_survey_csv(args.responses)
+    summary = survey_mod.survey_summary(rows)
     text = json.dumps(summary.as_dict(), indent=2)
     if args.out:
         atomic_write(args.out, text)

@@ -1,4 +1,4 @@
-"""Emotion-separation metrics, loop counting and survey summaries.
+"""Emotion-separation metrics and loop counting.
 
 Classifier scores live in [0, 1]; the high/low label cut is fixed at 0.5
 (strictly greater counts as high). The built-in classifier is a logistic
@@ -24,17 +24,17 @@ from __future__ import annotations
 
 import json
 import logging
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, count
+from itertools import compress
 from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .atomic import atomic_open, read_csv, read_json
+from .atomic import atomic_open, read_json
 from .config import (HAPPY_TEMPO_MIN, SAD_TEMPO_MAX, TRUNCATE_TOKENS, ClassifierConfig,
                      LoopParams, is_finite_number)
+from .tokens import token_ids
 
 if TYPE_CHECKING:
     from .score import SongBatch
@@ -67,23 +67,6 @@ def _tempo_bucket(raw: str) -> str | None:
     if bpm < HAPPY_TEMPO_MIN:
         return TEMPO_BUCKETS[1]
     return TEMPO_BUCKETS[2]
-
-
-def token_ids(streams: Iterable[Sequence[str]]) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """The distinct tokens of ``streams`` in order of first occurrence, the
-    id among them of every token, stream after stream, and each stream's
-    length, the last two as int32 arrays. Each stream is read once, as it
-    comes, so that streams made one at a time (such as split lines) leave
-    only the distinct strings behind."""
-    index = defaultdict(count().__next__)  # a new token takes the next id
-    lengths: list[int] = []
-
-    def each():
-        for stream in streams:
-            lengths.append(len(stream))
-            yield map(index.__getitem__, stream)
-    ids = np.fromiter(chain.from_iterable(each()), np.int32)
-    return list(index), ids, np.array(lengths, np.int32)
 
 
 def _windows(ids: np.ndarray, lengths: np.ndarray, truncate: int
@@ -487,117 +470,3 @@ def metrics_table(settings: dict[str, EmotionMetrics]) -> str:
             lines.append(f"{name + ' - ' + group:<28} {gm.hvp:>8.4f} {gm.mvs:>8.4f} "
                          f"{gm.hap:>8.4f} {gm.mas:>8.4f}")
     return "\n".join(lines)
-
-
-# Survey summaries -----------------------------------------------------------
-
-LIKERT_QUESTIONS = ("preference", "loop", "emotion")
-BINARY_QUESTIONS = ("heard", "composer")
-
-
-class SurveyError(ValueError):
-    pass
-
-
-def likert_to_signed(answer: int) -> int:
-    """7-point Likert recoded to -3..3 with the neutral answer at 0."""
-    if not 1 <= answer <= 7:
-        raise SurveyError(f"Likert answer {answer} outside 1..7")
-    return answer - 4
-
-
-@dataclass
-class SurveySummary:
-    heard_pct: dict[str, float] = field(default_factory=dict)
-    not_heard_pct: dict[str, float] = field(default_factory=dict)
-    human_pct: dict[str, float] = field(default_factory=dict)
-    machine_pct: dict[str, float] = field(default_factory=dict)
-    likert_means: dict[str, dict[str, float]] = field(default_factory=dict)  # group -> question -> mean
-    emotion_by_target: dict[str, dict[str, float]] = field(default_factory=dict)  # group -> HES/SES
-
-    def as_dict(self) -> dict:
-        return {
-            "format": "looptab-survey-report",
-            "version": 1,
-            "heard_pct": self.heard_pct,
-            "not_heard_pct": self.not_heard_pct,
-            "human_pct": self.human_pct,
-            "machine_pct": self.machine_pct,
-            "likert_means": self.likert_means,
-            "emotion_by_target": self.emotion_by_target,
-        }
-
-
-def _answer(row: dict) -> str | int:
-    """A response row's answer: a binary one lowercased, a Likert one
-    recoded to -3..3; an unknown question or an answer that is no integer
-    in 1..7 raises ``ValueError``."""
-    question, answer = row["question"], row["answer"]
-    if question in BINARY_QUESTIONS:
-        return str(answer).strip().lower()
-    if question not in LIKERT_QUESTIONS:
-        raise SurveyError(f"unknown question {question!r}")
-    return likert_to_signed(int(answer))
-
-
-def survey_summary(rows: Sequence[dict]) -> SurveySummary:
-    """Summarize listening-test responses.
-
-    Rows need participant, group, question and answer fields; an optional
-    target field (happy/sad) splits the emotion question into HES/SES.
-    Binary questions accept Y/N and Human/Machine; Likert answers are
-    integers 1..7 mapped to -3..3.
-    """
-    summary = SurveySummary()
-    binary: dict[tuple[str, str], list[str]] = {}
-    likert: dict[tuple[str, str], list[int]] = {}
-    emotion_t: dict[tuple[str, str], list[int]] = {}
-
-    for lineno, row in enumerate(rows, start=2):
-        try:
-            value = _answer(row)
-        except ValueError as exc:
-            raise SurveyError(f"row {lineno}: {exc}") from None
-        group, question = row["group"], row["question"]
-        if question in BINARY_QUESTIONS:
-            binary.setdefault((group, question), []).append(value)
-        else:
-            likert.setdefault((group, question), []).append(value)
-            if question == "emotion":
-                target = str(row.get("target", "")).strip().lower()
-                if target in ("happy", "sad"):
-                    emotion_t.setdefault((group, target), []).append(value)
-
-    for (group, question), answers in binary.items():
-        n = len(answers)
-        if question == "heard":
-            yes = sum(1 for a in answers if a in ("y", "yes"))
-            summary.heard_pct[group] = 100.0 * yes / n
-            summary.not_heard_pct[group] = 100.0 * (n - yes) / n
-        else:
-            human = sum(1 for a in answers if a == "human")
-            summary.human_pct[group] = 100.0 * human / n
-            summary.machine_pct[group] = 100.0 * (n - human) / n
-    for (group, question), values in likert.items():
-        summary.likert_means.setdefault(group, {})[question] = sum(values) / len(values)
-    for (group, target), values in emotion_t.items():
-        key = "HES" if target == "happy" else "SES"
-        summary.emotion_by_target.setdefault(group, {})[key] = sum(values) / len(values)
-    return summary
-
-
-def _answered(row: dict) -> dict:
-    _answer(row)  # raises on a bad answer
-    return row
-
-
-def load_survey_csv(path) -> list[dict]:
-    """The response rows of a survey CSV; a bad header names the file, and
-    a row short of a required field, a bad answer (as
-    :func:`survey_summary` checks it) or a CSV error raises
-    :class:`SurveyError` naming the file and line."""
-    rows = [row for _, row in read_csv(path, ("participant", "group", "question", "answer"),
-                                       "survey", _answered, SurveyError)]
-    if not rows:
-        raise SurveyError(f"{path}: no responses")
-    return rows

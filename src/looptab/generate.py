@@ -11,12 +11,15 @@ once, for each structural state, and the masked columns are held by the
 model, so all samples of a ``generate`` run draw from views of them.
 
 Integer vocabulary ids carry the n-gram from training to sampling.
-Training maps the corpus to one id array and counts each n-gram length
-with one sort of integer keys. The counts are compressed sparse
-rows, and every row's probabilities are computed once, when the model is
-built or loaded. Each context row is keyed by the row of its suffix one
-token shorter and its first token, so the longest seen suffix of the ids
-sampled so far is found in at most ``order - 1`` dict lookups.
+Training reads the corpus lines one at a time into one id array, keeping
+one string per distinct token, and counts each n-gram length with one
+sort of integer keys. The counts are compressed sparse rows. Building or
+loading a model only checks them: every row's probabilities and the
+context dict are computed once per model, by its first distribution or
+sample, so ``train-gen`` computes neither. Each context row is keyed by
+the row of its suffix one token shorter and its first token, so the
+longest seen suffix of the ids sampled so far is found in at most
+``order - 1`` dict lookups.
 
 The model file (``looptab-ngram`` version 3) is one JSON document: the
 vocabulary as a list of strings, and each of the five columns as an
@@ -43,14 +46,15 @@ import sys
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .atomic import atomic_open, read_json
 from .config import HAPPY_TEMPO_MIN, SAD_TEMPO_MAX
-from .tokens import END, Token, TokenCategory, token
+from .tokens import END, Token, TokenCategory, token, token_ids
 
 HAPPY_PROMPT = ("valence:high", "arousal:high", "mode:major", "time_signature:4")
 SAD_PROMPT = ("valence:low", "arousal:low", "mode:minor", "time_signature:4")
@@ -145,8 +149,11 @@ class NGramModel:
     ``context_tokens``, and its continuations are
     ``tokens[row_ptr[r]:row_ptr[r + 1]]`` with their ``counts``. The
     empty context must be one, and so must the suffix one token shorter of
-    every other context. ``alpha`` must be finite and above 0. Every row's
-    probabilities are computed once, here; the arrays are read-only.
+    every other context. ``alpha`` must be finite and above 0. The arrays
+    are read-only. The constructor only checks them: the context dict and
+    every row's probabilities (:attr:`_index`) are built by the first
+    distribution or sample asked of the model, so training or saving one
+    builds neither.
     """
 
     def __init__(self, order: int, alpha: float, vocabulary: list[str],
@@ -165,18 +172,7 @@ class NGramModel:
             setattr(self, name, column)
         self._check_columns()
         self._stride = len(self.context_lengths) + 1
-        self._root, self._children = self._context_tree()
-        self._bounds = self.row_ptr.tolist()
-
-        # (alpha + n) / denominator and alpha / denominator are the very floats
-        # that filling with alpha, adding the counts and dividing would give.
-        # The row sums are exact integers.
-        v = len(self.vocabulary)
-        cumulative = np.concatenate(([0], np.cumsum(self.counts)))
-        denominators = cumulative[self.row_ptr[1:]] - cumulative[self.row_ptr[:-1]] + alpha * v
-        self._seen = (alpha + self.counts) / np.repeat(denominators, np.diff(self.row_ptr))
-        self._seen.setflags(write=False)
-        self._unseen = (alpha / denominators).tolist()
+        self._root, self._keys = self._check_contexts()
         # sample_sequence's tables and masked columns, by emotion
         self._sampling: dict[str, tuple[_Tables, tuple[_Columns, ...]]] = {}
 
@@ -201,32 +197,34 @@ class NGramModel:
             raise ValueError(f"context lengths must lie in [0, {self.order - 1}] "
                              "and sum to len(context_tokens)")
 
-    def _context_tree(self) -> tuple[int, dict[int, int]]:
-        """The empty context's row and ``{key: row}`` for every other
-        context, built one context length at a time. A context's key is
-        ``first * stride + suffix + 1``: its first id and the row of its
-        suffix one token shorter (the empty context's for a one-token
-        context), with ``stride`` one more than the row count.
+    def _check_contexts(self) -> tuple[int, np.ndarray]:
+        """The empty context's row and each row's key in the context dict
+        (-1 for the empty context), found one context length at a time. A
+        context's key is ``first * stride + suffix + 1``: its first id and
+        the row of its suffix one token shorter (the empty context's for a
+        one-token context), with ``stride`` one more than the row count.
         Raises ``ValueError`` if the empty context or a suffix is not a
-        context, or if a context appears twice."""
+        context, or if a context appears twice: a second empty context, or
+        two equal keys of one length, adjacent once sorted."""
         lengths, flat, stride = self.context_lengths, self.context_tokens, self._stride
         starts = np.cumsum(lengths) - lengths
-        if not np.any(lengths == 0):
+        (empty,) = np.nonzero(lengths == 0)
+        if not len(empty):
             raise ValueError("the empty context is not a context")
-        root = int(lengths.argmin())  # the first empty context
+        root, twice = int(empty[0]), len(empty) > 1
+        row_keys = np.full(len(lengths), -1)
         last = np.full(len(self.vocabulary), -1)  # the row of each one-token context
         # by context length from 2: the keys in ascending order and their
         # rows, each ending in a key above all others and row -1
         levels = []
         above = len(self.vocabulary) * stride
-        tree = {}
         longest = int(lengths.max())
         for n in range(1, longest + 1):
             (members,) = np.nonzero(lengths == n)
             first = starts[members]
             if n == 1:
                 last[flat[first]] = members
-                suffix = np.full(len(members), root)
+                suffix = root
             else:
                 # each context's suffix, found from its last id back to its second
                 suffix = last[flat[first + n - 1]]
@@ -240,24 +238,23 @@ class NGramModel:
                     suffix = rows[at]
                 if np.any(missing):
                     raise ValueError("the suffix of a context is not a context")
-            keys = flat[first] * stride + suffix + 1
-            tree.update(zip(keys.tolist(), members.tolist()))
+            keys = row_keys[members] = flat[first] * stride + suffix + 1
             if 1 < n < longest:  # the longest contexts are no suffix
                 by_key = np.argsort(keys)
-                levels.append((np.append(keys[by_key], above), np.append(members[by_key], -1)))
-        if len(tree) < len(lengths) - 1:  # a second empty context is not in the tree
+                keys = keys[by_key]
+                levels.append((np.append(keys, above), np.append(members[by_key], -1)))
+            else:
+                keys = np.sort(keys)
+            twice |= bool(np.any(keys[1:] == keys[:-1]))
+        if twice:
             raise ValueError("a context appears twice")
-        return root, tree
+        return root, row_keys
 
-    def _row(self, ids: Sequence[int]) -> int:
-        """The row of the longest seen context suffix of ``ids``."""
-        row, children, stride = self._root, self._children, self._stride
-        for t in ids[:-self.order:-1]:  # the last order - 1 ids, the last first
-            child = children.get(t * stride + row + 1)
-            if child is None:
-                break
-            row = child
-        return row
+    @cached_property
+    def _index(self) -> _Index:
+        """What sampling reads, built once, by the first distribution or
+        sample asked of the model."""
+        return _Index(self)
 
     def next_token_distribution(self, ids: Sequence[int]) -> Distribution:
         """The sparse distribution after the vocabulary ids ``ids``: the ids
@@ -265,9 +262,45 @@ class NGramModel:
         the probability of every token the row does not list. An integer
         outside the vocabulary matches no context. The arrays are read-only
         views of the model."""
-        row = self._row(ids)
-        start, stop = self._bounds[row], self._bounds[row + 1]
-        return self.tokens[start:stop], self._seen[start:stop], self._unseen[row]
+        index = self._index
+        row = index.row(ids)
+        start, stop = index.bounds[row], index.bounds[row + 1]
+        return self.tokens[start:stop], index.seen[start:stop], index.unseen[row]
+
+
+class _Index:
+    """The context dict of a model (``{key: row}``, keyed as
+    :meth:`NGramModel._check_contexts` says), and each row's bounds in its
+    columns and the probabilities of the tokens it lists and of every
+    other."""
+
+    __slots__ = ("root", "stride", "order", "children", "bounds", "seen", "unseen")
+
+    def __init__(self, model: NGramModel):
+        self.root, self.stride, self.order = model._root, model._stride, model.order
+        self.children = dict(zip(model._keys.tolist(), range(len(model._keys))))
+        del self.children[-1]  # the empty context's
+        self.bounds = model.row_ptr.tolist()
+        # (alpha + n) / denominator and alpha / denominator are the very floats
+        # that filling with alpha, adding the counts and dividing would give.
+        # The row sums are exact integers.
+        alpha, counts, row_ptr = model.alpha, model.counts, model.row_ptr
+        cumulative = np.concatenate(([0], np.cumsum(counts)))
+        denominators = (cumulative[row_ptr[1:]] - cumulative[row_ptr[:-1]]
+                        + alpha * len(model.vocabulary))
+        self.seen = (alpha + counts) / np.repeat(denominators, np.diff(row_ptr))
+        self.seen.setflags(write=False)
+        self.unseen = (alpha / denominators).tolist()
+
+    def row(self, ids: Sequence[int]) -> int:
+        """The row of the longest seen context suffix of ``ids``."""
+        row, children, stride = self.root, self.children, self.stride
+        for t in ids[:-self.order:-1]:  # the last order - 1 ids, the last first
+            child = children.get(t * stride + row + 1)
+            if child is None:
+                break
+            row = child
+        return row
 
 
 def _distinct(keys: np.ndarray, ends: np.ndarray
@@ -276,56 +309,87 @@ def _distinct(keys: np.ndarray, ends: np.ndarray
     each one's occurrences, each key's rank among them and how often each
     occurs, from one sort of ``keys``: ``np.unique`` with its index, inverse
     and counts, read through ``ends``, without the stable sort its index
-    needs."""
+    needs. The sorted copy of ``keys`` then holds the ranks in sorted
+    order, so no third array of that length is made."""
     by_key = keys.argsort()
     keys = keys[by_key]
     head = np.empty(len(keys), bool)  # where each run of equal keys starts
     head[0] = True
     np.not_equal(keys[1:], keys[:-1], out=head[1:])
     starts = np.flatnonzero(head)
+    grams = keys[starts]
+    sorted_ranks = np.cumsum(head, out=keys)
+    sorted_ranks -= 1
     ranks = np.empty_like(by_key)
-    ranks[by_key] = np.cumsum(head) - 1
-    return (keys[starts], np.minimum.reduceat(ends[by_key], starts), ranks,
-            np.diff(starts, append=len(keys)))
+    ranks[by_key] = sorted_ranks
+    del keys, sorted_ranks
+    return (grams, np.minimum.reduceat(ends[by_key], starts), ranks,
+            np.diff(starts, append=len(head)))
 
 
-def train_generator(corpus_lines: Sequence[str], order: int = 4, alpha: float = 0.01) -> NGramModel:
+def train_generator(corpus_lines: Iterable[str], order: int = 4,
+                    alpha: float = 0.01) -> NGramModel:
     """Count-based estimation over corpus token lines.
 
     Every line is terminated with ``end`` before counting; the vocabulary
     is the corpus tokens plus all control tokens and ``end``. The corpus
-    becomes one array of vocabulary ids, and each n-gram length is counted
-    with one ``argsort`` of integer keys: an n-gram's key is the rank of its
-    (n-1)-gram prefix among the distinct (n-1)-grams times the vocabulary
-    size, plus its last id. The sorted keys give the distinct n-grams,
-    their counts and each occurrence's rank, and a minimum over each run of
-    equal keys gives where the n-gram first ends. Contexts are rows in
-    order of length, then of first occurrence; the continuations of a
-    context keep the order of their first occurrence. Counting stops at the
-    longest line, past which no n-gram exists.
+    becomes one array of vocabulary ids (:func:`_corpus_ids`), and each
+    n-gram length is counted with one sort of integer keys
+    (:func:`_count_ngrams`). Contexts are rows in order of length, then of
+    first occurrence; the continuations of a context keep the order of
+    their first occurrence.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
-    sequences = [line.split() for line in corpus_lines if line.strip()]
-    if not sequences:
-        raise ValueError("empty corpus")
-    for seq in sequences:
-        if seq[-1] != "end":
-            seq.append("end")
-    words = list(chain.from_iterable(sequences))
-    vocabulary = sorted(set(words).union(CONTROL_VOCAB, ("end",)))
-    v = len(vocabulary)
-    index = {t: i for i, t in enumerate(vocabulary)}
-    ids = np.fromiter(map(index.__getitem__, words), np.int64, len(words))
-    line_ends = np.zeros(len(ids), dtype=bool)
-    line_ends[np.cumsum([len(seq) for seq in sequences]) - 1] = True
-    del sequences, words
+    vocabulary, ids, line_ends = _corpus_ids(corpus_lines)
+    # the counting arrays, each as long as the corpus, are freed before the
+    # model copies the columns
+    return NGramModel(order, alpha, vocabulary,
+                      *_count_ngrams(ids, line_ends, len(vocabulary), order))
 
+
+def _corpus_ids(corpus_lines: Iterable[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The vocabulary, the vocabulary ids of the corpus with ``end`` after
+    each line that lacks it, and where each line ends. Blank lines are
+    skipped. The lines are read one at a time into ids among their
+    distinct tokens (:func:`tokens.token_ids`), which one gather maps to
+    vocabulary ids and one ``np.insert`` gives the missing ``end`` ids, so
+    only the first string of each distinct token is kept."""
+    distinct, ids, lengths = token_ids(map(str.split, corpus_lines))
+    lengths = lengths[lengths > 0]
+    if not len(lengths):
+        raise ValueError("empty corpus")
+    vocabulary = sorted(set(distinct).union(CONTROL_VOCAB, ("end",)))
+    index = {t: i for i, t in enumerate(vocabulary)}
+    end = index["end"]
+    ids = np.array([index[t] for t in distinct], ids.dtype)[ids]
+    stops = np.cumsum(lengths)  # where each line's ids stop
+    unended = ids[stops - 1] != end
+    ids = np.insert(ids, stops[unended], end)
+    line_ends = np.zeros(len(ids), dtype=bool)
+    line_ends[np.cumsum(lengths + unended) - 1] = True
+    return vocabulary, ids, line_ends
+
+
+def _count_ngrams(ids: np.ndarray, line_ends: np.ndarray, v: int, order: int
+                  ) -> tuple[np.ndarray, ...]:
+    """The model columns (see :class:`NGramModel`) of the corpus ids
+    ``ids`` whose lines end where ``line_ends`` is set, over a vocabulary
+    of ``v`` ids.
+
+    Each n-gram length is counted with one ``argsort`` of integer keys: an
+    n-gram's key is the rank of its (n-1)-gram prefix among the distinct
+    (n-1)-grams times ``v``, plus its last id. The sorted keys give the
+    distinct n-grams, their counts and each occurrence's rank, and a
+    minimum over each run of equal keys gives where the n-gram first ends.
+    Counting stops at the longest line, past which no n-gram exists.
+    """
     ends = np.arange(len(ids))  # where each n-gram ends, ascending
-    prefixes = np.zeros(len(ids), np.int64)  # the rank of its (n-1)-gram prefix
+    keys = ids.astype(np.int64)  # the 1-grams have no prefix
     lengths, context_tokens, sizes, tokens, counts = [], [], [], [], []
     for n in range(1, order + 1):
-        grams, first, gram_ids, gram_counts = _distinct(prefixes * v + ids[ends], ends)
+        grams, first, gram_ids, gram_counts = _distinct(keys, ends)
+        del keys  # spent: the next length's are made from gram_ids
         # grams are in key order, so those sharing a context are adjacent
         new_context = np.diff(grams // v, prepend=-1) != 0
         context = np.cumsum(new_context) - 1
@@ -342,13 +406,15 @@ def train_generator(corpus_lines: Sequence[str], order: int = 4, alpha: float = 
         counts.append(gram_counts[by_row])
         # the (n+1)-grams: every n-gram that a token of its line follows
         more = ~line_ends[ends]
-        if not more.any():  # no line is longer: no longer n-gram or context exists
+        if n == order or not more.any():  # none is counted, or no line is longer
             break
-        ends, prefixes = ends[more] + 1, gram_ids[more]
-    return NGramModel(order, alpha, vocabulary, np.concatenate(lengths),
-                      np.concatenate(context_tokens),
-                      np.concatenate(([0], np.cumsum(np.concatenate(sizes)))),
-                      np.concatenate(tokens), np.concatenate(counts))
+        ends = ends[more] + 1
+        keys = gram_ids[more] * v
+        keys += ids[ends]
+        del gram_ids  # before the next sort makes the next ones
+    return (np.concatenate(lengths), np.concatenate(context_tokens),
+            np.concatenate(([0], np.cumsum(np.concatenate(sizes)))),
+            np.concatenate(tokens), np.concatenate(counts))
 
 
 def mask_tempo(distribution: Distribution, admissible: np.ndarray,
@@ -438,7 +504,7 @@ def _masked_columns(model: NGramModel, emotion: str) -> tuple[_Tables, tuple[_Co
 def _state_columns(model: NGramModel, mask: np.ndarray, ranks: np.ndarray) -> _Columns:
     keep = mask[model.tokens]
     listed = np.concatenate(([0], np.cumsum(keep != 0)))[model.row_ptr]
-    columns = _Columns(model._seen * keep, ranks[model.tokens], np.diff(listed).tolist())
+    columns = _Columns(model._index.seen * keep, ranks[model.tokens], np.diff(listed).tolist())
     columns.weights.setflags(write=False)
     columns.positions.setflags(write=False)
     return columns
@@ -534,11 +600,12 @@ def sample_sequence(model: NGramModel, prompt: Sequence[Token],
     rng = np.random.default_rng(constraints.rng_seed)
     uniforms = chain.from_iterable(rng.random(min(n, 256)).tolist()
                                    for n in range(max_tokens - len(history), 0, -256))
-    bounds, unseen, tokens, probs = model._bounds, model._unseen, model.tokens, model._seen
+    index, tokens = model._index, model.tokens
+    bounds, unseen, probs = index.bounds, index.unseen, index.seen
     admissible, admissible_count = tables.admissible, tables.admissible_count
 
     while len(history) < max_tokens:
-        row = model._row(history)
+        row = index.row(history)
         start, stop = bounds[row], bounds[row + 1]
         rest, unlisted = unseen[row], len(ids) - state.listed[row]
         # only a row without unlisted mass or with every admissible id can

@@ -22,9 +22,14 @@ from __future__ import annotations
 import enum
 import functools
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain, count
 from types import MappingProxyType
-from typing import Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TICKS_PER_QUARTER = 960
 
@@ -177,6 +182,26 @@ def parse_tokens(text: str) -> list[Token]:
 
 def render_tokens(stream: list[Token]) -> str:
     return " ".join(t.raw for t in stream)
+
+
+def token_ids(streams: Iterable[Sequence[str]]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The distinct tokens of ``streams`` in order of first occurrence, the
+    id among them of every token, stream after stream, and each stream's
+    length, the last two as int32 arrays. Each stream is read once, as it
+    comes, so that streams made one at a time (such as split lines) leave
+    only the distinct strings behind. numpy is imported here, so that
+    importing this module loads none."""
+    import numpy as np
+
+    index = defaultdict(count().__next__)  # a new token takes the next id
+    lengths: list[int] = []
+
+    def each():
+        for stream in streams:
+            lengths.append(len(stream))
+            yield map(index.__getitem__, stream)
+    ids = np.fromiter(chain.from_iterable(each()), np.int32)
+    return list(index), ids, np.array(lengths, np.int32)
 
 
 # Convenience constructors used across the package.

@@ -766,7 +766,7 @@ def test_eval_stats_non_finite_first_row_is_data_and_rejected(tmp_path, capsys):
 # and a stage module or numpy only in a subcommand that runs it; the
 # package root exports only __version__.
 STAGES = tuple(f"looptab.{name}" for name in ("annotate", "tension", "loops", "score",
-                                               "generate", "evaluate", "stats"))
+                                               "generate", "evaluate", "stats", "survey"))
 UNWANTED_ON_IMPORT = {"looptab.cli": f"m in {('requests', 'subprocess', 'numpy') + STAGES}",
                       "looptab": "m.startswith('looptab.') or m == 'numpy'"}
 
@@ -785,14 +785,17 @@ def test_importing_loads_no_module_it_does_not_need(module):
 # What a run of main loads besides looptab, looptab.cli and what cli.py
 # imports at its top (config, atomic, tokens).
 LOADED_BY = {"--help": [], "usage error": [], "annotate": ["looptab.annotate"],
+             "train-gen": ["looptab.generate", "numpy"],
              "generate": ["looptab.generate", "numpy"], "eval-stats": ["looptab.stats", "numpy"],
-             "train-clf": ["looptab.evaluate", "numpy"]}
+             "train-clf": ["looptab.evaluate", "numpy"], "survey": ["looptab.survey"]}
 
 
 @pytest.mark.parametrize("case", sorted(LOADED_BY))
 def test_a_subcommand_loads_only_the_modules_it_runs(workspace, corpus, model, tmp_path, case):
     scores = tmp_path / "scores.csv"
     scores.write_text("a,b,c\n1,2,3\n2,4,3\n1,5,6\n")
+    responses = tmp_path / "responses.csv"
+    responses.write_text("participant,group,question,answer\np1,gen,preference,5\n")
     argv = {"--help": ["--help"],
             "usage error": ["generate", "--emotion", "joyful"],
             "annotate": ["annotate", "--annotations", str(workspace / "annotations.csv"),
@@ -800,7 +803,10 @@ def test_a_subcommand_loads_only_the_modules_it_runs(workspace, corpus, model, t
             "generate": ["generate", "--model", str(model), "--emotion", "sad", "--count", "2",
                          "--out-dir", str(tmp_path / "gen")],
             "eval-stats": ["eval-stats", "--method", "friedman", "--input", str(scores)],
+            "train-gen": ["train-gen", "--corpus", str(corpus),
+                          "--out", str(tmp_path / "model.json")],
             "train-clf": ["train-clf", "--corpus", str(corpus), "--out-dir", str(tmp_path)],
+            "survey": ["survey", "--responses", str(responses)],
             }[case]
     # main's exit code and the modules it left loaded, from a fresh interpreter
     code = (f"import json, sys; from looptab.cli import main; rc = main({argv!r}); "
@@ -986,6 +992,21 @@ def test_a_malformed_corpus_token_exits_1_naming_the_file_line_and_token(corpus,
         f"error: {bad}: line 3: token {index} ('tempo:x1'): tempo must be a non-negative "
         f"integer, got 'x1'\n")
     assert not any((tmp_path / name).exists() for name in outputs)
+
+
+@pytest.mark.parametrize("command,target", [("train-gen", "--out"), ("train-clf", "--out-dir")])
+def test_a_malformed_token_gone_from_a_rewritten_corpus_still_exits_1(tmp_path, monkeypatch,
+                                                                     capsys, command, target):
+    # the corpus is read again only to find the line; a file rewritten
+    # between the two reads must not let the malformed token through
+    reads = iter([["valence:high arousal:low tempo:x1 end"], ["valence:high arousal:low end"]])
+    monkeypatch.setattr(cli, "_corpus_lines", lambda path: iter(next(reads)))
+    capsys.readouterr()
+    assert run(command, "--corpus", str(tmp_path / "corpus.txt"), target,
+               str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == (
+        "error: token 'tempo:x1': tempo must be a non-negative integer, got 'x1'\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command,target", [("train-gen", "--out"), ("train-clf", "--out-dir")])

@@ -16,7 +16,6 @@ from looptab.evaluate import (
     TEMPO_BUCKETS,
     ClassifierConfig,
     LinearTokenClassifier,
-    SurveyError,
     _tempo_bucket,
     classifier_features,
     emotion_metrics,
@@ -24,17 +23,15 @@ from looptab.evaluate import (
     feature_matrix,
     fit_classifier,
     fit_classifiers,
-    likert_to_signed,
-    load_survey_csv,
     loop_metric,
     metrics_report,
     metrics_table,
-    survey_summary,
     token_features,
     train_classifier,
 )
 from looptab.loops import LoopParams
 from looptab.score import TokenTable, decode_parts, regular_parts, score_to_tokens
+from looptab.survey import SurveyError, likert_to_signed, load_survey_csv, survey_summary
 
 from util import bar_block, block_bars, columns
 

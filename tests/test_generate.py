@@ -10,6 +10,7 @@ import sys
 import warnings
 import weakref
 import zlib
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +257,16 @@ MALFORMED_MODELS = {  # name: (document, the reason the error line gives)
     "context_duplicate": (model_doc(context_tokens=[0, 0]), "appears twice"),
     "context_empty_twice": (model_doc(context_lengths=[0, 0, 1], context_tokens=[0]),
                             "appears twice"),
+    # ("a", "b") twice: among the longest contexts, and among the middle ones
+    "context_duplicate_longest": (model_doc(order=3, context_lengths=[0, 1, 1, 2, 2],
+                                            context_tokens=[0, 1, 0, 1, 0, 1],
+                                            row_ptr=[0, 1, 2, 3, 4, 5], tokens=[0, 1, 2, 0, 1],
+                                            counts=[1, 1, 1, 1, 1]), "appears twice"),
+    "context_duplicate_middle": (model_doc(order=4, context_lengths=[0, 1, 1, 2, 2, 3],
+                                           context_tokens=[0, 1, 0, 1, 0, 1, 0, 0, 1],
+                                           row_ptr=[0, 1, 2, 3, 4, 5, 6],
+                                           tokens=[0, 1, 2, 0, 1, 2], counts=[1] * 6),
+                                 "appears twice"),
     "context_too_long": (model_doc(context_lengths=[0, 1, 2], context_tokens=[0, 0, 1]),
                          r"lie in \[0, 1\]"),
     # order 3: the suffix ("end",) of the context ("b", "end") is no context
@@ -627,8 +638,15 @@ class RowModel(generate.NGramModel):
                          [c for c in contexts if c is not None],
                          np.cumsum([0, *map(len, listed)]), np.concatenate(listed),
                          np.ones(sum(map(len, listed))))
-        self._seen = np.concatenate([np.array(rows[c][1], dtype=float) for c in contexts])
-        self._unseen = [rows[c][2] for c in contexts]
+        self.rows = [rows[c] for c in contexts]
+
+    @cached_property
+    def _index(self):
+        """The add-alpha index with the given probabilities in its place."""
+        index = super()._index
+        index.seen = np.concatenate([np.array(probs, dtype=float) for _, probs, _ in self.rows])
+        index.unseen = [rest for _, _, rest in self.rows]
+        return index
 
 
 class OneRowModel(RowModel):
@@ -636,7 +654,7 @@ class OneRowModel(RowModel):
 
     def __init__(self, vocabulary, indices, probs, rest):
         super().__init__(vocabulary, {None: (indices, probs, rest)})
-        self.row = (self.tokens, self._seen, rest)
+        self.row = (self.tokens, self._index.seen, rest)
 
 
 # ids: 0-3 the happy prompt, 4 new_measure, 5 tempo:120 (inadmissible when
@@ -995,6 +1013,64 @@ def test_a_run_builds_the_masked_columns_once_per_state_and_they_go_with_the_mod
     ref = weakref.ref(model)
     del model
     assert ref() is None
+
+
+def count_index_builds(monkeypatch) -> list:
+    """The models whose sampling index (``NGramModel._index``) is built,
+    one entry a build, from now on."""
+    built = []
+    build = generate.NGramModel._index.func
+    monkeypatch.setattr(generate.NGramModel._index, "func",
+                        lambda model: built.append(model) or build(model))
+    return built
+
+
+def test_training_and_train_gen_leave_the_sampling_index_unbuilt(tmp_path, monkeypatch):
+    built = count_index_builds(monkeypatch)
+    model = train_generator(CORPUS)
+    assert "_index" not in vars(model)
+    trained, train = [], generate.train_generator
+    monkeypatch.setattr(generate, "train_generator",
+                        lambda *args, **kw: trained.append(train(*args, **kw)) or trained[-1])
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("".join(line + "\n" for line in CORPUS))
+    assert main(["train-gen", "--corpus", str(corpus), "--out", str(tmp_path / "model.json")]) == 0
+    assert len(trained) == 1 and "_index" not in vars(trained[0])
+    load_model(tmp_path / "model.json")  # nor does loading a model
+    assert built == []
+
+
+def test_the_first_sample_builds_the_sampling_index_and_every_sample_shares_it(
+        corpus_model, tmp_path, monkeypatch):
+    built = count_index_builds(monkeypatch)
+    models, indexes = [], []
+    real_load, real_sample = generate.load_model, generate.sample_sequence
+
+    def load(path):
+        model = real_load(path)
+        assert "_index" not in vars(model)
+        models.append(model)
+        return model
+
+    def sample(model, *args):
+        stream = real_sample(model, *args)
+        indexes.append(vars(model)["_index"])
+        return stream
+
+    monkeypatch.setattr(generate, "load_model", load)
+    monkeypatch.setattr(generate, "sample_sequence", sample)
+    assert main(["generate", "--model", str(corpus_model), "--emotion", "happy", "--count", "5",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert len(models) == 1 and built == models
+    assert len(indexes) == 5 and all(index is indexes[0] for index in indexes)
+
+    # a distribution builds it too, and a sample then reads the same one
+    model = real_load(corpus_model)
+    model.next_token_distribution([])
+    assert built == [models[0], model]
+    index = vars(model)["_index"]
+    real_sample(model, build_prompt("sad"), SamplingConstraints(emotion="sad"))
+    assert vars(model)["_index"] is index and len(built) == 2
 
 
 def test_a_smaller_count_into_an_older_out_dir_exits_1_naming_the_stale_file(

@@ -6,11 +6,13 @@ vocabulary-length vectors here."""
 import base64
 import json
 import tempfile
+import tracemalloc
 import zlib
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -178,21 +180,78 @@ def test_distribution_is_bit_equal_to_the_counter_loop(lines, order, alpha, quer
                                    rtol=0, atol=0)
 
 
-def unique_columns(corpus_lines, order):
-    """The columns as ``train_generator`` counted them with one stable
-    ``np.unique(..., return_index=True)`` per n-gram length and a
-    ``lexsort`` of each length's rows."""
+def list_ids(corpus_lines):
+    """The vocabulary, the corpus ids and where each line ends, as
+    ``train_generator`` found them from a list of every token string: each
+    line split, ``end`` appended where it was missing, then all joined."""
     sequences = [line.split() for line in corpus_lines if line.strip()]
+    if not sequences:
+        raise ValueError("empty corpus")
     for seq in sequences:
         if seq[-1] != "end":
             seq.append("end")
     words = [t for seq in sequences for t in seq]
     vocabulary = sorted(set(words).union(CONTROL_VOCAB, ("end",)))
-    v = len(vocabulary)
     index = {t: i for i, t in enumerate(vocabulary)}
     ids = np.array([index[t] for t in words], np.int64)
     line_ends = np.zeros(len(ids), dtype=bool)
     line_ends[np.cumsum([len(seq) for seq in sequences]) - 1] = True
+    return vocabulary, ids, line_ends
+
+
+def list_train_generator(corpus_lines, order=4, alpha=0.01):
+    """``train_generator`` as it was when it kept a string per token: the
+    ids of :func:`list_ids`, counted one n-gram length at a time with one
+    sort of integer keys, as ``generate._distinct`` then did it."""
+    vocabulary, ids, line_ends = list_ids(corpus_lines)
+    v = len(vocabulary)
+
+    def distinct(keys, ends):
+        by_key = keys.argsort()
+        keys = keys[by_key]
+        head = np.empty(len(keys), bool)
+        head[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=head[1:])
+        starts = np.flatnonzero(head)
+        ranks = np.empty_like(by_key)
+        ranks[by_key] = np.cumsum(head) - 1
+        return (keys[starts], np.minimum.reduceat(ends[by_key], starts), ranks,
+                np.diff(starts, append=len(keys)))
+
+    ends = np.arange(len(ids))
+    prefixes = np.zeros(len(ids), np.int64)
+    lengths, context_tokens, sizes, tokens, counts = [], [], [], [], []
+    for n in range(1, order + 1):
+        grams, first, gram_ids, gram_counts = distinct(prefixes * v + ids[ends], ends)
+        new_context = np.diff(grams // v, prepend=-1) != 0
+        context = np.cumsum(new_context) - 1
+        context_first = np.minimum.reduceat(first, np.flatnonzero(new_context))
+        by_first = np.argsort(context_first)
+        rank = np.empty_like(by_first)
+        rank[by_first] = np.arange(len(by_first))
+        rows = rank[context]
+        by_row = np.argsort(rows * len(ids) + first)
+        lengths.append(np.full(len(by_first), n - 1))
+        context_tokens.append(ids[context_first[by_first, None] + np.arange(1 - n, 0)].ravel())
+        sizes.append(np.bincount(rows, minlength=len(by_first)))
+        tokens.append(grams[by_row] % v)
+        counts.append(gram_counts[by_row])
+        more = ~line_ends[ends]
+        if not more.any():
+            break
+        ends, prefixes = ends[more] + 1, gram_ids[more]
+    return generate.NGramModel(order, alpha, vocabulary, np.concatenate(lengths),
+                               np.concatenate(context_tokens),
+                               np.concatenate(([0], np.cumsum(np.concatenate(sizes)))),
+                               np.concatenate(tokens), np.concatenate(counts))
+
+
+def unique_columns(corpus_lines, order):
+    """The columns as ``train_generator`` counted them with one stable
+    ``np.unique(..., return_index=True)`` per n-gram length and a
+    ``lexsort`` of each length's rows."""
+    vocabulary, ids, line_ends = list_ids(corpus_lines)
+    v = len(vocabulary)
     ends = np.arange(len(ids))
     prefixes = np.zeros(len(ids), np.int64)
     lengths, context_tokens, sizes, tokens, counts = [], [], [], [], []
@@ -231,6 +290,70 @@ def test_columns_equal_the_unique_and_lexsort_counting(lines, order):
     model = train_generator(lines, order=order)
     for name, expected in unique_columns(lines, order).items():
         np.testing.assert_array_equal(getattr(model, name), expected, err_msg=name)
+
+
+# the lines whose end handling the ids are inserted for: blank lines, lines
+# that end in end, a line of end alone, end in mid-line, one-token lines
+END_CASES = {
+    "blank_lines": ["", "a b", "   ", "\t", "b a c", ""],
+    "ended_lines": ["a b end", "b end", "c a b"],
+    "end_alone": ["end", "a b", "end"],
+    "end_mid_line": ["a end b", "end a end", "b end end c"],
+    "one_token_lines": ["a", "end", "b", "c"],
+    "every_case": ["", "a", "end", "a end b", "b c end", " ", "end end", "c"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(END_CASES))
+@pytest.mark.parametrize("order", [2, 3, 5])
+def test_end_handling_equals_the_list_based_training(name, order):
+    model = train_generator(END_CASES[name], order=order)
+    expected = list_train_generator(END_CASES[name], order=order)
+    assert model.vocabulary == expected.vocabulary
+    for column in COLUMNS:
+        np.testing.assert_array_equal(getattr(model, column), getattr(expected, column),
+                                      err_msg=column)
+
+
+# lines with blank ones among them and end anywhere, often last
+lines_with_ends = st.lists(
+    st.lists(st.sampled_from(["a", "b", "end", "end", "wait:480"]), max_size=8)
+    .map(" ".join) | st.sampled_from(["", " ", "end"]), min_size=1, max_size=8)
+
+
+@given(lines_with_ends, orders)
+def test_columns_equal_the_list_based_training(lines, order):
+    if not any(line.strip() for line in lines):
+        with pytest.raises(ValueError, match="empty corpus"):
+            train_generator(lines, order=order)
+        return
+    model = train_generator(lines, order=order)
+    expected = list_train_generator(lines, order=order)
+    assert model.vocabulary == expected.vocabulary
+    assert saved_bytes(model) == saved_bytes(expected)
+
+
+def test_training_takes_the_lines_as_an_iterator():
+    lines = ["a b", "", "b end c"]
+    model = train_generator(iter(lines), order=3)
+    assert saved_bytes(model) == saved_bytes(list_train_generator(lines, order=3))
+
+
+def test_training_holds_no_string_per_token():
+    # 200k tokens of 400 distinct DadaGP-like strings, on lines that repeat
+    # few n-grams: the token arrays, not the model, set the peak. A list of
+    # every token string cost 12 x 8 bytes a token; the id arrays cost 6.
+    vocab = [f"distorted0:note:s{1 + i % 6}:f{i // 6}" for i in range(400)]
+    lines = [" ".join(vocab[(k * 7 + j * (1 + k % 3)) % 400] for j in range(100))
+             for k in range(2000)]
+    tracemalloc.start()
+    try:
+        model = train_generator(lines)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(model.vocabulary) == 400 + len(CONTROL_VOCAB) + 1
+    assert peak < 8 * 8 * 200_000
 
 
 class CountingNumpy:
