@@ -5,19 +5,15 @@ Classifier scores live in [0, 1]; the high/low label cut is fixed at 0.5
 regression over order-free token-count features; external classifiers can
 implement the same ``scores(streams)`` surface.
 
-A corpus is featurized once, as one matrix (:func:`feature_matrix`), and
-one matrix serves both the valence and the arousal fit. Each fit is
-Newton's method (iteratively reweighted least squares) on the mean
-log-loss plus ``l2 / 2 |w|^2``, run until the gradient's max-norm is at
-most ``NEWTON_TOL``. With at least as many training rows as features it
-runs on the feature matrix itself, holdout rows weighted 0, and sums the
-Hessian over blocks of rows, so the matrix is never copied; with fewer, it
-runs on the training rows' n x n coordinates from a thin QR, since the
-regularized optimum lies in their span. The targets share the split, the
-QR and the first Hessian. The fit runs on BLAS and LAPACK, so a classifier
-file is byte-reproducible only for a fixed BLAS thread count: on the
-corpus_many seed-1 benchmark corpus the weights (up to 3.8 in magnitude)
-moved by up to 2.7e-15 between ``OPENBLAS_NUM_THREADS=1`` and ``2``.
+A corpus is featurized once, as sparse rows (:class:`Features`) that both
+the valence and the arousal fit read. Each fit is truncated Newton on the
+mean log-loss plus ``l2 / 2 |w|^2``, to a gradient max-norm of at most
+``NEWTON_TOL``: each step is solved by conjugate gradient on
+Hessian-vector products (Lin, Weng & Keerthi, JMLR 2008; Dembo, Eisenstat
+& Steihaug, SIAM J. Numer. Anal. 1982). Holdout rows are weighted 0, so
+the features are never copied. Every reduction is an ``np.bincount`` or
+an ``ndarray.sum``, which add in a fixed order, so a classifier file does
+not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
-from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -45,9 +41,9 @@ HIGH_CUT = 0.5
 # NEWTON_MAX_ITER Newton steps at the latest (with a warning).
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
+_FORCING = 1e-6  # a step's relative residual: as few Newton steps as exact solves take
 _HALVINGS = 30  # at most this many halvings of a step that raises the loss
 _LOSS_ROUNDING = 1e-12  # a relative rise of the loss this small is rounding, not a rise
-_GRAM_ROWS = 256  # rows per block of the Hessian's A^T diag(h) A
 
 log = logging.getLogger(__name__)
 
@@ -80,11 +76,48 @@ def _windows(ids: np.ndarray, lengths: np.ndarray, truncate: int
     return ids[within < truncate], np.minimum(lengths, truncate)
 
 
+class Features:
+    """A read-only feature matrix of ``shape`` (rows, columns) that stores
+    only its nonzero entries. Its products with vectors are
+    ``np.bincount`` sums, which add each row's (or column's) terms in one
+    fixed order."""
+
+    def __init__(self, rows: np.ndarray, columns: np.ndarray, values: np.ndarray,
+                 shape: tuple[int, int]):
+        # contiguous intp indices and float values: np.bincount reads them uncopied
+        self._rows = np.ascontiguousarray(rows, np.intp)
+        self._columns = np.ascontiguousarray(columns, np.intp)
+        self._values = np.ascontiguousarray(values, float)
+        self.shape = shape
+
+    @property
+    def nbytes(self) -> int:
+        return self._rows.nbytes + self._columns.nbytes + self._values.nbytes
+
+    def dot(self, v: np.ndarray) -> np.ndarray:
+        """``X v``."""
+        terms = v[self._columns]
+        terms *= self._values
+        return np.bincount(self._rows, terms, minlength=self.shape[0])
+
+    def tdot(self, r: np.ndarray) -> np.ndarray:
+        """``X^T r``."""
+        terms = r[self._rows]
+        terms *= self._values
+        return np.bincount(self._columns, terms, minlength=self.shape[1])
+
+    def toarray(self) -> np.ndarray:
+        """The dense matrix."""
+        x = np.zeros(self.shape)
+        x[self._rows, self._columns] = self._values
+        return x
+
+
 def _count_matrix(distinct: Sequence[str], ids: np.ndarray, lengths: np.ndarray,
-                  columns: Mapping[str, int]) -> np.ndarray:
+                  columns: Mapping[str, int]) -> Features:
     """The :func:`feature_matrix` of windows given as ids among the
     ``distinct`` tokens and window lengths: each distinct token is resolved
-    once, and all rows are counted with one ``np.bincount`` over flat
+    once, and all rows are counted with one ``np.unique`` over flat
     ``row * width + column`` ids."""
     width = len(columns)
     rows = np.repeat(np.arange(len(lengths)) * width, lengths)
@@ -95,16 +128,13 @@ def _count_matrix(distinct: Sequence[str], ids: np.ndarray, lengths: np.ndarray,
         column = np.array(targets, np.intp)[ids]
         found = column >= 0
         hits.append(rows[found] + column[found])
-    hits = np.concatenate(hits)
-    # weighted, so that the counts are the float matrix itself (no hits give ints)
-    x = np.bincount(hits, np.ones(len(hits)), len(lengths) * width).astype(float, copy=False)
-    x = x.reshape(len(lengths), width)
-    x /= np.maximum(lengths, 1)[:, None]  # an empty window's row stays zero
-    return x
+    keys, counts = np.unique(np.concatenate(hits), return_counts=True)
+    row, column = np.divmod(keys, max(width, 1))
+    return Features(row, column, counts / lengths[row], (len(lengths), width))
 
 
 def feature_matrix(streams: Sequence[Sequence[str]], columns: Mapping[str, int],
-                   truncate: int = TRUNCATE_TOKENS) -> np.ndarray:
+                   truncate: int = TRUNCATE_TOKENS) -> Features:
     """One row per stream: normalized unigram counts plus tempo-bucket
     indicators, over the feature columns ``{name: column}`` (see
     :func:`feature_columns`).
@@ -123,8 +153,8 @@ def feature_matrix(streams: Sequence[Sequence[str]], columns: Mapping[str, int],
 
 def token_features(tokens: Sequence[str], columns: Mapping[str, int],
                    truncate: int = TRUNCATE_TOKENS) -> np.ndarray:
-    """The :func:`feature_matrix` row of one stream."""
-    return feature_matrix([tokens], columns, truncate)[0]
+    """The :func:`feature_matrix` row of one stream, as a dense vector."""
+    return feature_matrix([tokens], columns, truncate).toarray()[0]
 
 
 def feature_columns(feature_names: Sequence[str]) -> dict[str, int]:
@@ -141,8 +171,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class NewtonFit:
     """How a fit ended: the Newton steps taken and the max-norm of the
-    objective's gradient at the returned weights (in the solve's
-    coordinates, see :class:`_Design`)."""
+    objective's gradient at the returned weights and bias."""
     iterations: int
     gradient_norm: float
 
@@ -168,10 +197,10 @@ class LinearTokenClassifier:
         matrix."""
         return self.matrix_scores(feature_matrix(streams, self.columns, self.truncate))
 
-    def matrix_scores(self, x: np.ndarray) -> list[float]:
+    def matrix_scores(self, x: Features) -> list[float]:
         """The score of each row of a :func:`feature_matrix` over this
         classifier's columns and window."""
-        return _sigmoid(x @ self.weights + self.bias).tolist()
+        return _sigmoid(x.dot(self.weights) + self.bias).tolist()
 
     def save(self, path) -> None:
         text = json.dumps({  # one C-encoded string: json.dump encodes in Python
@@ -189,10 +218,13 @@ class LinearTokenClassifier:
     @classmethod
     def load(cls, path) -> "LinearTokenClassifier":
         """Read a classifier document, raising ``ValueError`` naming
-        ``path`` if it is not a well-formed looptab classifier."""
+        ``path`` if it is not a well-formed version-1 looptab classifier."""
         doc = read_json(path)
         if not isinstance(doc, dict) or doc.get("format") != "looptab-linear-classifier":
             raise ValueError(f"{path}: not a looptab classifier file")
+        version = doc.get("version")
+        if type(version) is not int or version != 1:
+            raise ValueError(f"{path}: classifier version {version!r} is not 1")
         names, weights = doc.get("feature_names"), doc.get("weights")
         if not isinstance(names, list) or not set(map(type, names)) <= {str}:
             raise ValueError(f"{path}: feature_names must be a list of strings")
@@ -204,19 +236,21 @@ class LinearTokenClassifier:
         bias, truncate = doc.get("bias"), doc.get("truncate", TRUNCATE_TOKENS)
         if not is_finite_number(bias) or type(truncate) is not int or truncate < 1:
             raise ValueError(f"{path}: bias must be a finite number and truncate an integer >= 1")
-        return cls(names, np.asarray(weights, dtype=float), bias, truncate,
-                   doc.get("holdout_accuracy"))
+        accuracy = doc.get("holdout_accuracy")
+        if accuracy is not None and not (is_finite_number(accuracy) and 0 <= accuracy <= 1):
+            raise ValueError(f"{path}: holdout_accuracy must be null or a number in [0, 1]")
+        return cls(names, np.asarray(weights, dtype=float), bias, truncate, accuracy)
 
 
 def classifier_features(streams: Sequence[Sequence[str]], truncate: int = TRUNCATE_TOKENS
-                        ) -> tuple[list[str], np.ndarray]:
+                        ) -> tuple[list[str], Features]:
     """The feature names of a training corpus (every token seen in a
     window, plus the tempo buckets, sorted) and its :func:`feature_matrix`."""
     return id_features(*token_ids(streams), truncate)
 
 
 def id_features(distinct: Sequence[str], ids: np.ndarray, lengths: np.ndarray,
-                truncate: int = TRUNCATE_TOKENS) -> tuple[list[str], np.ndarray]:
+                truncate: int = TRUNCATE_TOKENS) -> tuple[list[str], Features]:
     """:func:`classifier_features` of streams given as :func:`token_ids`
     gives them: ids among the ``distinct`` tokens and stream lengths."""
     ids, lengths = _windows(ids, lengths, truncate)
@@ -225,103 +259,72 @@ def id_features(distinct: Sequence[str], ids: np.ndarray, lengths: np.ndarray,
     return names, _count_matrix(distinct, ids, lengths, feature_columns(names))
 
 
-class _Design:
-    """The rows that the Newton solves of one split run on, shared by every
-    target fitted on that split.
+def _conjugate_gradient(hvp: Callable[[np.ndarray], np.ndarray], g: np.ndarray) -> np.ndarray:
+    """An approximate solution of ``H s = g``, where ``hvp(v)`` is ``H v``,
+    by conjugate gradient from zero. It stops once the residual's norm is
+    at most ``_FORCING |g|``, after ``len(g)`` steps (in which exact
+    arithmetic solves the system), or at a search direction of non-positive
+    curvature; there it returns the solution so far, or ``g`` itself on the
+    first step."""
+    s, r, p = np.zeros_like(g), g.copy(), g.copy()
+    rr = (r * r).sum()
+    stop = _FORCING * _FORCING * rr
+    for k in range(len(g)):
+        hp = hvp(p)
+        curvature = (p * hp).sum()
+        if curvature <= 0:
+            return s if k else g
+        alpha = rr / curvature
+        s += alpha * p
+        r -= alpha * hp
+        rr, last = (r * r).sum(), rr
+        if rr <= stop:
+            break
+        p = r + (rr / last) * p
+    return s
 
-    With at least as many training rows as features this is ``x`` itself,
-    its holdout rows weighted 0, so that ``x`` is never copied. With fewer,
-    it is ``R^T`` of the thin QR ``x[train]^T = QR``: the regularized
-    optimum lies in the span of the training rows, so ``w = Qv`` with
-    ``x[train] w = R^T v`` and ``|w| = |v|``, and the solve is n x n.
-    """
 
-    def __init__(self, x: np.ndarray, train: np.ndarray, l2: float):
-        self.l2 = l2
-        if len(train) < x.shape[1]:
-            self.q, r = np.linalg.qr(x[train].T)
-            self.a, self.rows = r.T, train
-            self.s = np.full(len(train), 1.0 / len(train))
-        else:
-            self.q, self.a, self.rows = None, x, slice(None)
-            self.s = np.zeros(len(x))
-            self.s[train] = 1.0 / len(train)
+def _newton(x: Features, y: np.ndarray, s: np.ndarray, l2: float, target: str
+            ) -> tuple[np.ndarray, float, NewtonFit]:
+    """The weights, bias and fit minimizing ``sum(s * log-loss) + l2 / 2
+    |w|^2`` over the rows of ``x``, weighted by ``s``, by truncated Newton
+    steps from zero. A step that would raise the loss by more than
+    rounding is halved, at most ``_HALVINGS`` times."""
+    d = x.shape[1]
 
-    def gradient(self, theta: np.ndarray, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The gradient of :meth:`loss` at the weights and bias ``theta``,
-        whose margins are ``z``."""
-        r = self.s * (_sigmoid(z) - y)
-        return np.append(r @ self.a + self.l2 * theta[:-1], r.sum())
+    def loss(theta, z):  # each term log(1 + e^-z) or log(1 + e^z), without cancellation
+        w = theta[:d]
+        return float((s * np.logaddexp(0.0, (1.0 - 2.0 * y) * z)).sum() + 0.5 * l2 * (w * w).sum())
 
-    def hessian(self, h: np.ndarray) -> np.ndarray:
-        """The Hessian for the per-row weights ``h``: ``A^T diag(h) A + l2 I``
-        bordered by the bias row and column ``A^T h`` and ``sum(h)``.
-        ``A^T diag(h) A`` is summed over blocks of rows, so no copy of
-        ``A`` is ever whole."""
-        a = self.a
-        d = a.shape[1]
-        hess = np.zeros((d + 1, d + 1))
-        gram = hess[:d, :d]
-        rows = np.flatnonzero(h)  # not the holdout rows
-        for start in range(0, len(rows), _GRAM_ROWS):
-            block = a[rows[start:start + _GRAM_ROWS]]
-            block *= np.sqrt(h[rows[start:start + _GRAM_ROWS]])[:, None]
-            gram += np.dot(block.T, block)  # np.dot runs A^T A as one symmetric rank-k update
-        gram[np.diag_indices(d)] += self.l2
-        hess[d, :d] = hess[:d, d] = h @ a
-        hess[d, d] = h.sum()
-        return hess
+    theta, z = np.zeros(d + 1), np.zeros(x.shape[0])
+    current = loss(theta, z)
+    for iterations in range(NEWTON_MAX_ITER + 1):
+        p = _sigmoid(z)
+        r = s * (p - y)
+        grad = np.append(x.tdot(r) + l2 * theta[:d], r.sum())
+        norm = float(np.abs(grad).max())
+        if norm <= NEWTON_TOL or iterations == NEWTON_MAX_ITER:
+            break
+        h = s * p * (1.0 - p)
 
-    def loss(self, theta: np.ndarray, z: np.ndarray, y: np.ndarray) -> float:
-        """Mean log-loss of the margins ``z`` plus ``l2 / 2 |w|^2``; each
-        term is ``log(1 + e^-z)`` or ``log(1 + e^z)``, computed without
-        cancellation."""
-        w = theta[:-1]
-        return float(self.s @ np.logaddexp(0.0, (1.0 - 2.0 * y) * z)) + 0.5 * self.l2 * (w @ w)
+        def hessian_product(v):  # bordered by the bias, which is not regularized
+            u = x.dot(v[:d]) + v[d]
+            u *= h
+            return np.append(x.tdot(u) + l2 * v[:d], u.sum())
 
-    def solve(self, labels: Mapping[str, np.ndarray]
-              ) -> dict[str, tuple[np.ndarray, float, NewtonFit]]:
-        """The weights, bias and fit of each target ``{target: y}`` (``y``
-        on the design's rows), by Newton steps from zero.
-
-        At zero every p is 1/2, so one Hessian gives every target's first
-        step; it is freed before the later steps. A step that would raise
-        the loss by more than rounding is halved, at most ``_HALVINGS``
-        times."""
-        a, s = self.a, self.s
-        d = a.shape[1]
-        start = np.zeros(d + 1), np.zeros(len(a))
-        first = self.hessian(s / 4)
-        steps = {target: np.linalg.solve(first, self.gradient(*start, y))
-                 for target, y in labels.items()}
-        del first
-        fits = {}
-        for target, y in labels.items():
-            (theta, z), loss = start, self.loss(*start, y)
-            step = steps[target]
-            for iterations in range(NEWTON_MAX_ITER + 1):
-                grad = self.gradient(theta, z, y)
-                norm = float(np.abs(grad).max())
-                if norm <= NEWTON_TOL or iterations == NEWTON_MAX_ITER:
-                    break
-                if iterations > 0:
-                    p = _sigmoid(z)
-                    step = np.linalg.solve(self.hessian(s * p * (1.0 - p)), grad)
-                dz = a @ step[:d] + step[d]
-                for _ in range(_HALVINGS):
-                    new_theta, new_z = theta - step, z - dz
-                    new_loss = self.loss(new_theta, new_z, y)
-                    if new_loss <= loss + _LOSS_ROUNDING * loss:
-                        break
-                    step, dz = step / 2, dz / 2
-                theta, z, loss = new_theta, new_z, new_loss
-            if norm > NEWTON_TOL:
-                log.warning("%s classifier: stopped at the cap of %d Newton iterations, "
-                            "gradient max-norm %.3g > %g", target, NEWTON_MAX_ITER, norm,
-                            NEWTON_TOL)
-            w = theta[:d] if self.q is None else self.q @ theta[:d]
-            fits[target] = w, float(theta[d]), NewtonFit(iterations, norm)
-        return fits
+        step = _conjugate_gradient(hessian_product, grad)
+        dz = x.dot(step[:d]) + step[d]
+        for _ in range(_HALVINGS):
+            new_theta, new_z = theta - step, z - dz
+            new_loss = loss(new_theta, new_z)
+            if new_loss <= current + _LOSS_ROUNDING * current:
+                break
+            step, dz = step / 2, dz / 2
+        theta, z, current = new_theta, new_z, new_loss
+    if norm > NEWTON_TOL:
+        log.warning("%s classifier: stopped at the cap of %d Newton iterations, "
+                    "gradient max-norm %.3g > %g", target, NEWTON_MAX_ITER, norm, NEWTON_TOL)
+    return theta[:d], float(theta[d]), NewtonFit(iterations, norm)
 
 
 def _split(n: int, y: np.ndarray, config: ClassifierConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -335,45 +338,39 @@ def _split(n: int, y: np.ndarray, config: ClassifierConfig) -> tuple[np.ndarray,
     return hold, train
 
 
-def fit_classifiers(feature_names: list[str], x: np.ndarray,
+def fit_classifiers(feature_names: list[str], x: Features,
                     labels: Mapping[str, Sequence[bool]],
                     config: ClassifierConfig = ClassifierConfig()
                     ) -> dict[str, LinearTokenClassifier]:
     """One logistic regression per target ``{target: labels}`` on the
-    feature rows ``x``, each fitted by Newton's method to a gradient
-    max-norm of at most ``NEWTON_TOL`` (see :class:`_Design`); a fit that
+    feature rows ``x``, each fitted on its own split by truncated Newton
+    steps to a gradient max-norm of at most ``NEWTON_TOL``; a fit that
     reaches ``NEWTON_MAX_ITER`` first is logged as a warning naming its
     target. The objective is the mean log-loss of the training rows plus
     ``l2 / 2 |w|^2``; the bias is not regularized. Deterministic given
-    data, seed and the BLAS thread count. Raises on single-class data.
-    ``x`` is not modified; the targets on one split share its design and
-    first Hessian."""
-    splits: dict[int, tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]] = {}
+    data and seed. Raises on single-class data."""
+    classifiers = {}
     for target, target_labels in labels.items():
-        if len(x) != len(target_labels):
+        if x.shape[0] != len(target_labels):
             raise ValueError("feature rows and labels must align")
         y = np.asarray(target_labels, dtype=float)
         if y.min() == y.max():
             raise ValueError("training data contains a single class")
         if (y == 1).sum() < 2 or (y == 0).sum() < 2:
             raise ValueError("need at least 2 examples per class")
-        hold, train = _split(len(x), y, config)
-        # the seeded split, or every row
-        splits.setdefault(len(hold), (hold, train, {}))[2][target] = y
-    classifiers = {}
-    for hold, train, ys in splits.values():
-        design = _Design(x, train, config.l2)
-        fits = design.solve({target: y[design.rows] for target, y in ys.items()})
-        for target, (w, b, fit) in fits.items():
-            clf = LinearTokenClassifier(feature_names, w, b, config.truncate, fit=fit)
-            if len(hold) > 0:
-                preds = _sigmoid(x @ w + b)[hold] > HIGH_CUT
-                clf.holdout_accuracy = float(np.mean(preds == (ys[target][hold] > 0.5)))
-            classifiers[target] = clf
-    return {target: classifiers[target] for target in labels}
+        hold, train = _split(len(y), y, config)
+        s = np.zeros(len(y))
+        s[train] = 1.0 / len(train)
+        w, b, fit = _newton(x, y, s, config.l2, target)
+        clf = LinearTokenClassifier(feature_names, w, b, config.truncate, fit=fit)
+        if len(hold) > 0:
+            preds = _sigmoid(x.dot(w) + b)[hold] > HIGH_CUT
+            clf.holdout_accuracy = float(np.mean(preds == (y[hold] > 0.5)))
+        classifiers[target] = clf
+    return classifiers
 
 
-def fit_classifier(feature_names: list[str], x: np.ndarray, labels: Sequence[bool],
+def fit_classifier(feature_names: list[str], x: Features, labels: Sequence[bool],
                    config: ClassifierConfig = ClassifierConfig()) -> LinearTokenClassifier:
     """:func:`fit_classifiers` for one target, named ``emotion``."""
     return fit_classifiers(feature_names, x, {"emotion": labels}, config)["emotion"]

@@ -651,6 +651,8 @@ MALFORMED_CLASSIFIERS = {
     "weight_text": lambda doc: {**doc, "weights": ["0.5"] * len(doc["weights"])},
     "bias_null": lambda doc: {**doc, "bias": None},
     "truncate_zero": lambda doc: {**doc, "truncate": 0},
+    "version_7": lambda doc: {**doc, "version": 7},
+    "holdout_accuracy_text": lambda doc: {**doc, "holdout_accuracy": "high"},
 }
 
 
@@ -890,11 +892,38 @@ def test_train_clf_features_are_those_of_the_label_free_lines(tmp_path_factory, 
     streams = [label_free(toks) for _, toks in numbered]
     names, x = classifier_features(streams, truncate)
     assert names == sorted({t for s in streams for t in s[:truncate]} | set(TEMPO_BUCKETS))
+    x = x.toarray()
     for row, stream in zip(x, streams):
         assert np.array_equal(row, reference_features(stream, feature_columns(names), truncate))
     got_labels, got_names, got_x = cli._classifier_corpus(corpus, truncate)
+    got_x = got_x.toarray()
     assert got_labels == labels and got_names == names
     assert got_x.dtype == x.dtype and got_x.shape == x.shape and got_x.tobytes() == x.tobytes()
+
+
+def test_train_clf_files_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # A fit that sums through BLAS writes other weights at 2 threads than at
+    # 1 on a corpus this large, where BLAS splits its work between threads.
+    rng = random.Random(21)
+    notes = [f"clean0:note:s{s}:f{f}" for s in range(1, 7) for f in range(25)]
+    waits = [f"wait:{w}" for w in range(120, 3841, 120)]
+    lines = [" ".join([f"valence:{rng.choice(('high', 'low'))}",
+                       f"arousal:{rng.choice(('high', 'low'))}", f"tempo:{rng.randrange(40, 220)}",
+                       "start", "new_measure", *rng.choices(notes + waits, k=60), "end"])
+             for _ in range(800)]
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("\n".join(lines) + "\n")
+    code = "import sys; from looptab.cli import main; sys.exit(main(sys.argv[1:]))"
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(looptab.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", code, "train-clf", "--corpus", str(corpus),
+                               "--out-dir", str(tmp_path / threads)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    for target in cli.LABELS:
+        assert ((tmp_path / "1" / f"{target}.json").read_bytes()
+                == (tmp_path / "2" / f"{target}.json").read_bytes())
 
 
 def test_train_clf_writes_what_train_classifier_saves(corpus, classifiers, tmp_path):

@@ -15,7 +15,9 @@ from looptab.evaluate import (
     NEWTON_TOL,
     TEMPO_BUCKETS,
     ClassifierConfig,
+    Features,
     LinearTokenClassifier,
+    _split,
     _tempo_bucket,
     classifier_features,
     emotion_metrics,
@@ -112,17 +114,21 @@ FEATURE_TOKENS = ("a", "b", "c", "tempo:40", "tempo:99", "tempo:100", "tempo:149
        truncate=st.integers(1, 14))
 def test_feature_matrix_equals_the_per_stream_loop(streams, names, truncate):
     columns = feature_columns(names)
-    x = feature_matrix(streams, columns, truncate)
+    features = feature_matrix(streams, columns, truncate)
+    x = features.toarray()
     assert x.shape == (len(streams), len(names)) and x.dtype == np.float64
     for row, stream in zip(x, streams):
         assert np.array_equal(row, reference_features(stream, columns, truncate))
         assert np.array_equal(token_features(stream, columns, truncate), row)
+    # an empty window's row, also between others, gives a product of zero
+    v, r = np.arange(len(names)) + 1.0, np.arange(len(streams)) + 1.0
+    assert np.allclose(features.dot(v), x @ v) and np.allclose(features.tdot(r), r @ x)
 
 
 def test_feature_matrix_counts_an_unseen_tempo_token_toward_its_bucket():
     columns = feature_columns(["a", "tempo_mid", "tempo:60"])
     x = feature_matrix([["tempo:120", "a"], [], ["tempo:60", "tempo:120", "b", "a"]], columns, 3)
-    assert np.array_equal(x, [[1 / 2, 1 / 2, 0.0], [0.0, 0.0, 0.0], [0.0, 1 / 3, 1 / 3]])
+    assert np.array_equal(x.toarray(), [[1 / 2, 1 / 2, 0.0], [0.0, 0.0, 0.0], [0.0, 1 / 3, 1 / 3]])
 
 
 def test_classifier_features_match_the_per_stream_loop():
@@ -131,7 +137,8 @@ def test_classifier_features_match_the_per_stream_loop():
     names, x = classifier_features(streams, truncate=20)
     assert names == sorted({t for s in streams for t in s[:20]} | set(TEMPO_BUCKETS))
     columns = feature_columns(names)
-    assert np.array_equal(x, np.stack([reference_features(s, columns, 20) for s in streams]))
+    assert np.array_equal(x.toarray(),
+                          np.stack([reference_features(s, columns, 20) for s in streams]))
 
 
 def test_one_matrix_fits_several_targets():
@@ -140,13 +147,13 @@ def test_one_matrix_fits_several_targets():
     first = [True] * 15 + [False] * 15
     second = [i % 2 == 0 for i in range(30)]
     names, x = classifier_features(streams)
-    before = x.copy()
+    before = x.toarray()
     for labels in (first, second):
         fitted = fit_classifier(names, x, labels)
         trained = train_classifier(streams, labels)
         assert np.array_equal(fitted.weights, trained.weights)
         assert (fitted.bias, fitted.holdout_accuracy) == (trained.bias, trained.holdout_accuracy)
-    assert np.array_equal(x, before)
+    assert np.array_equal(x.toarray(), before)
 
 
 def test_classifier_builds_its_columns_once(monkeypatch):
@@ -171,6 +178,73 @@ def synth_streams(rng, n, vocab, tempo):
         toks = [f"tempo:{tempo}"] + [rng.choice(vocab) for _ in range(30)]
         out.append(toks)
     return out
+
+
+def sparse(x):
+    """The :class:`Features` of a dense matrix."""
+    rows, columns = np.nonzero(x)
+    return Features(rows, columns, x[rows, columns], x.shape)
+
+
+def dense_newton(x, y, train, l2):
+    """The weights and bias of the regularized logistic regression on the
+    ``train`` rows of the dense matrix ``x``, by exact Newton steps (each a
+    dense solve of the bordered Hessian), halved where they would raise
+    the loss: an oracle for the truncated Newton fit."""
+    a = np.hstack([x[train], np.ones((len(train), 1))])
+    y = y[train]
+    d = x.shape[1]
+    reg = np.append(np.full(d, l2), 0.0)  # the bias is not regularized
+
+    def loss(theta):
+        z = a @ theta
+        return np.logaddexp(0.0, (1.0 - 2.0 * y) * z).mean() + 0.5 * l2 * theta[:d] @ theta[:d]
+
+    theta = np.zeros(d + 1)
+    for _ in range(NEWTON_MAX_ITER):
+        p = 0.5 * (1.0 + np.tanh(a @ theta / 2))
+        grad = a.T @ (p - y) / len(y) + reg * theta
+        if np.abs(grad).max() <= NEWTON_TOL:
+            break
+        step = np.linalg.solve((a.T * (p * (1.0 - p) / len(y))) @ a + np.diag(reg), grad)
+        current = loss(theta)
+        for _ in range(30):
+            if loss(theta - step) <= current + 1e-12 * current:
+                break
+            step = step / 2
+        theta = theta - step
+    return theta[:d], theta[d]
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["rows", "features"])
+@settings(deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 60), extra=st.integers(0, 30),
+       density=st.floats(0.05, 0.6), l2=st.sampled_from([1e-2, 1e-1]))
+def test_sparse_fit_matches_the_dense_newton_oracle(wide, seed, n, extra, density, l2):
+    # wide: more features than training rows; otherwise at most as many.
+    # Both fits stop at a gradient max-norm of NEWTON_TOL, which fixes the
+    # weights only to about NEWTON_TOL / l2: at the default l2 of 1e-4 they
+    # can differ by more than 1e-8 of the largest weight.
+    rng = np.random.default_rng(seed)
+    config = ClassifierConfig(l2=l2)
+    n_train = n - int(n * config.holdout_fraction)
+    d = n_train + 1 + extra if wide else max(1, n_train - extra)
+    x = np.where(rng.random((n, d)) < density, rng.random((n, d)), 0.0)
+    margins = x @ rng.standard_normal(d)
+    labels = margins - np.median(margins) + 0.3 * rng.standard_normal(n) > 0
+    if min(labels.sum(), (~labels).sum()) < 2:
+        labels[:2], labels[2:4] = True, False
+    clf = fit_classifier([f"t{i}" for i in range(d)], sparse(x), labels.tolist(), config)
+    y = labels.astype(float)
+    hold, train = _split(n, y, config)
+    w, b = dense_newton(x, y, train, l2)
+    scale = max(np.abs(w).max(), abs(b))
+    assert np.abs(clf.weights - w).max() <= 1e-8 * scale
+    assert abs(clf.bias - b) <= 1e-8 * scale
+    preds = x[hold] @ w + b > 0
+    assert (np.array(clf.matrix_scores(sparse(x[hold]))) > HIGH_CUT).tolist() == preds.tolist()
+    if len(hold):
+        assert clf.holdout_accuracy == np.mean(preds == labels[hold])
 
 
 def test_classifier_separates_disjoint_vocabularies():
@@ -207,12 +281,12 @@ def test_newton_steps_converge_on_coarsely_scaled_rows(seed, l2):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((45, 3)) * 10
     labels = (x[:, 0] + rng.standard_normal(45) > 0).tolist()
-    clf = fit_classifier(["a", "b", "c"], x, labels, ClassifierConfig(l2=l2))
+    clf = fit_classifier(["a", "b", "c"], sparse(x), labels, ClassifierConfig(l2=l2))
     assert clf.fit.gradient_norm <= NEWTON_TOL
 
 
-# 78 notes give 83 features, fewer than the 160 training rows, so the fit
-# runs on x itself; 160 notes give 165, so it runs in the rows' span.
+# 78 notes give 83 features, fewer than the 160 training rows; 160 notes
+# give 165, more.
 NOTES = [f"clean0:note:s{s}:f{f}" for s in range(1, 7) for f in range(40)]
 
 
@@ -232,7 +306,7 @@ def test_fit_converges_where_the_label_follows_one_token(notes, row_space):
     clf = fit_classifier(names, x, labels, config)
     assert clf.holdout_accuracy >= 0.95
     # the gradient of the mean log-loss plus l2/2 |w|^2 at the returned weights
-    xt, y = x[train], np.asarray(labels, dtype=float)[train]
+    xt, y = x.toarray()[train], np.asarray(labels, dtype=float)[train]
     p = 1.0 / (1.0 + np.exp(-(xt @ clf.weights + clf.bias)))
     grad = np.append(xt.T @ (p - y) / len(y) + config.l2 * clf.weights, np.mean(p - y))
     assert np.abs(grad).max() <= 1e-8
@@ -240,8 +314,9 @@ def test_fit_converges_where_the_label_follows_one_token(notes, row_space):
 
 def test_fit_allocates_less_than_half_of_x():
     rng = np.random.default_rng(4)
-    x = rng.random((4000, 100))  # more rows than features
-    x /= x.sum(axis=1, keepdims=True)
+    dense = rng.random((4000, 100))  # more rows than features
+    dense /= dense.sum(axis=1, keepdims=True)
+    x = sparse(dense)
     labels = (rng.random(4000) < 0.5).tolist()
     names = [f"t{i}" for i in range(100)]
     tracemalloc.start()
