@@ -341,7 +341,7 @@ def build_corpus(score_dir: str | Path,
     and both fitted thresholds; nothing is written.
     """
     from . import tension as tension_mod
-    from .score import TokenTable, bar_bodies, decode_parts, regular_parts
+    from .score import bar_bodies, decode_parts, regular_parts
 
     by_key = {_normalize_key(r.artist, r.title): r for r in annotations}
     thresholds = compute_thresholds(annotations)
@@ -349,7 +349,7 @@ def build_corpus(score_dir: str | Path,
 
     paths = token_files(score_dir)
     songs, profiles = [], []
-    for first, decoded in decode_parts(paths, TokenTable()):
+    for first, decoded in decode_parts(paths):
         names = paths[first:first + len(decoded)]
         records = [None if head is None else by_key.get(_normalize_key(head[0] or "", path.stem))
                    for path, head in zip(names, decoded.heads)]

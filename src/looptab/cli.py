@@ -49,13 +49,13 @@ def atomic_write(path: str | Path, text: str) -> None:
 
 def _song_parts(paths: list[Path], regular: bool = False
                 ) -> Iterator[tuple[list[Path], SongBatch]]:
-    """The songs of ``paths`` decoded with one token table in parts
-    (:func:`score.decode_parts`), each regularized to 4/4 in parts
-    (:func:`score.regular_parts`) if ``regular``, with their files; the
-    first file that fails is an error naming it, raised as its part comes."""
-    from .score import TokenTable, decode_parts, regular_parts
+    """The songs of ``paths`` decoded in parts (:func:`score.decode_parts`),
+    each regularized to 4/4 in parts (:func:`score.regular_parts`) if
+    ``regular``, with their files; the first file that fails is an error
+    naming it, raised as its part comes."""
+    from .score import decode_parts, regular_parts
 
-    for first, decoded in decode_parts(paths, TokenTable()):
+    for first, decoded in decode_parts(paths):
         for start, part in regular_parts(decoded) if regular else [(0, decoded)]:
             names = paths[first + start:first + start + len(part)]
             if part.errors:
@@ -424,10 +424,14 @@ def _numeric_columns(path) -> list[list[float]]:
 def cmd_eval_stats(args) -> int:
     from . import stats as stats_mod
 
+    stats_mod.check_alpha(args.alpha)
     columns = _numeric_columns(args.input)
     if args.method == "wilcoxon":
         if len(columns) < 2:
-            raise ValueError("wilcoxon needs two columns")
+            raise ValueError(f"{args.input}: wilcoxon needs two columns, got {len(columns)}")
+        if len(columns) > 2:
+            log.warning("%s: wilcoxon tests the first two of %d columns", args.input,
+                        len(columns))
         res = stats_mod.wilcoxon_signed_rank(columns[0], columns[1])
         doc = {"method": "wilcoxon", "W": res.statistic, "z": res.z_value,
                "p_value": res.p_value, "n": res.n, "exact": res.exact}

@@ -14,13 +14,11 @@ as it reads them, then decodes the codes of many songs at once with numpy
 operations: the cursor, the onset groups, the duration rule and the order
 inside each group are computed for the whole part, not token by token or
 song by song; only each song's header is read on its own. A part holds at
-most ``PART_TOKENS`` tokens, or one song, and is also cut where the table
-must empty itself, so that the arrays decoded at once do not grow with the
-directory; the song commands work one part at a time. :func:`decode` is
-the one-song case. A :class:`TokenTable`, owned by the command that reads
-the songs, classifies every distinct token string once through
-:func:`tokens.token` and holds at most ``TOKEN_CACHE_SIZE`` strings, or one
-song's own where a song has more.
+most ``PART_TOKENS`` tokens, or one song, so that the arrays decoded at
+once do not grow with the directory; the song commands work one part at a
+time. :func:`decode` is the one-song case. Each call builds one
+:class:`TokenTable`, which classifies every distinct token string of its
+songs once through :func:`tokens.token` and keeps them all.
 :func:`regularize_many` (one song: :func:`regularize_meter`) cuts every
 bar into 4/4 bars, at most ``MAX_BARS`` of them per song, and
 :func:`regular_parts` does it in parts of consecutive songs holding at
@@ -40,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import compress
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,7 +49,6 @@ from .tokens import (
     GUITAR_TRACKS,
     NOTE_TRACKS,
     TICKS_PER_QUARTER,
-    TOKEN_CACHE_SIZE,
     ParseError,
     Token,
     TokenCategory,
@@ -217,17 +214,11 @@ class TokenTable:
     A code indexes integer columns: the token's kind, whether it is an
     error inside a bar, the cursor step (a wait's ticks, 1 at
     ``new_measure``), its value (tempo or metre), a note's order inside its
-    onset group, and a note's track id, string, fret and MIDI pitch. A
-    song whose new strings would take the table past ``TOKEN_CACHE_SIZE``
-    empties it first, so it holds more than that bound only when one song
-    has more distinct strings, and then that song's own. Malformed strings
-    are never stored.
+    onset group, and a note's track id, string, fret and MIDI pitch. The
+    table never empties; malformed strings are never stored.
     """
 
     def __init__(self):
-        self.clear()
-
-    def clear(self) -> None:
         self.codes: dict[str, int] = {}
         self.tokens: list[Token] = []
         self.problems: dict[int, str] = {}  # code: why the token is invalid anywhere
@@ -300,21 +291,14 @@ class TokenTable:
         kind = _BAR_CONTROL if cat is TokenCategory.BAR_CONTROL else _EFFECT
         return (kind, 0, 0, 0, 0, 0, 0, 0, 0)
 
-    def encode(self, raws: Sequence[str], full: Callable[[], None] = lambda: None) -> np.ndarray:
+    def encode(self, raws: Sequence[str]) -> np.ndarray:
         """The code of every string, classifying the new ones; a malformed
-        string raises :class:`ParseError` at its first index. Where the new
-        strings would take the table past ``TOKEN_CACHE_SIZE``, ``full()``
-        runs first, while the codes given out so far still hold, and then
-        the table empties."""
+        string raises :class:`ParseError` at its first index."""
         try:
             return np.fromiter(map(self.codes.__getitem__, raws), np.int32, len(raws))
         except KeyError:
             pass
         new = [raw for raw in dict.fromkeys(raws) if raw not in self.codes]
-        if len(self.codes) + len(new) > TOKEN_CACHE_SIZE:
-            full()
-            self.clear()
-            new = list(dict.fromkeys(raws))
         for raw in new:  # in order of first occurrence, so the first failure is the earliest
             try:
                 tok = token(raw)
@@ -369,7 +353,7 @@ def _running(at: np.ndarray, values: np.ndarray, marks: np.ndarray, start: np.nd
     return np.where((last >= 0) & (at[last] >= since), values[last], start)
 
 
-def decode(raws: Sequence[str], table: TokenTable) -> ScoreColumns:
+def decode(raws: Sequence[str]) -> ScoreColumns:
     """Decode a song's token strings into :class:`ScoreColumns`: the
     one part that :func:`decode_parts` makes of one song.
 
@@ -379,56 +363,43 @@ def decode(raws: Sequence[str], table: TokenTable) -> ScoreColumns:
     ``end``, a string number outside the track's tuning or a wait or bar
     longer than ``MAX_TICKS`` raises at the earliest offending token.
     """
-    [(_, part)] = decode_parts([raws], table)
+    [(_, part)] = decode_parts([raws])
     return part.song(0)
 
 
-def decode_parts(sources: Iterable[Path | Sequence[str]], table: TokenTable
-                 ) -> Iterator[tuple[int, SongBatch]]:
+def decode_parts(sources: Iterable[Path | Sequence[str]]) -> Iterator[tuple[int, SongBatch]]:
     """Decode songs in parts of consecutive songs, each a
     :class:`SongBatch`; each source is the :class:`~pathlib.Path` of a song
     file or a song's token strings. Yields each part's first song and the
     part, in song order.
 
-    Each song is encoded to codes as it is read, and its strings are then
-    let go. A part holds at most ``PART_TOKENS`` tokens, or one song, so
-    the arrays decoded at once do not grow with the directory; it also
-    ends where the table must empty itself. A song that cannot be read
-    (``OSError``, or a ``ValueError`` for text that is not UTF-8) or
-    decoded holds no bar; its error is what :func:`decode` raises for it
-    alone.
+    Each song is encoded to codes of one :class:`TokenTable` as it is
+    read, and its strings are then let go. A part holds at most
+    ``PART_TOKENS`` tokens, or one song, so the arrays decoded at once do
+    not grow with the directory. A song that cannot be read (``OSError``,
+    or a ``ValueError`` for text that is not UTF-8) or decoded holds no
+    bar; its error is what :func:`decode` raises for it alone.
     """
-    done: list[tuple[int, SongBatch]] = []
+    table = TokenTable()
     songs: list[np.ndarray] = []
     failed: dict[int, Exception] = {}
-    read = held = 0
-
-    def flush() -> None:  # decode the pending songs while the table still knows their codes
-        nonlocal held
-        if songs:
-            done.append((read - len(songs), _decode_codes(songs, failed, table)))
-            songs.clear()
-            failed.clear()
-            held = 0
-
+    first = held = 0
     for source in sources:
         try:
             raws = source.read_text(encoding="utf-8").split() if isinstance(source, Path) \
                 else source
             if not raws:
                 raise StructureError("no tokens")  # even an empty score has a header and end
-            if held + len(raws) > PART_TOKENS:
-                flush()
-            songs.append(table.encode(raws, flush))
+            if songs and held + len(raws) > PART_TOKENS:
+                yield first, _decode_codes(songs, failed, table)
+                first, songs, failed, held = first + len(songs), [], {}, 0
+            songs.append(table.encode(raws))
             held += len(raws)
         except (OSError, ValueError) as exc:
             failed[len(songs)] = exc
             songs.append(np.zeros(0, np.int32))
-        read += 1
-        yield from done
-        done.clear()
-    flush()
-    yield from done
+    if songs:
+        yield first, _decode_codes(songs, failed, table)
 
 
 def _decode_codes(songs: list[np.ndarray], failed: dict[int, Exception],
@@ -554,7 +525,7 @@ def _decode_bars(codes: np.ndarray, song_begin: np.ndarray, defaults: np.ndarray
 def tokens_to_score(stream: list[Token]) -> ScoreColumns:
     """Decode a token stream into :class:`ScoreColumns`; raises as
     :func:`decode` does."""
-    return decode([t.raw for t in stream], TokenTable())
+    return decode([t.raw for t in stream])
 
 
 def score_to_tokens(song: ScoreColumns, include_artist: bool = True) -> list[Token]:

@@ -199,12 +199,17 @@ class PairwiseComparison:
     significant: bool
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise ``ValueError`` unless ``alpha`` is a finite number in (0, 1)."""
+    if not (math.isfinite(alpha) and 0 < alpha < 1):
+        raise ValueError(f"alpha must be a finite number in (0, 1), got {alpha}")
+
+
 def pairwise_bonferroni(groups: Sequence[Sequence[float]], alpha: float = 0.05
                         ) -> list[PairwiseComparison]:
     """Wilcoxon per group pair; significance at the Bonferroni-corrected
     threshold alpha / number-of-pairs, for a finite alpha in (0, 1)."""
-    if not (math.isfinite(alpha) and 0 < alpha < 1):
-        raise ValueError(f"alpha must be a finite number in (0, 1), got {alpha}")
+    check_alpha(alpha)
     if len(groups) < 2:
         raise ValueError("need at least 2 groups")
     pairs = list(itertools.combinations(range(len(groups)), 2))

@@ -1,9 +1,9 @@
 """Listening-test survey summaries.
 
 A response row names a participant, a group, a question and an answer.
-The binary questions (``heard``, ``composer``) take Y/N and Human/Machine;
-the Likert ones take integers 1..7, recoded to -3..3. This module imports
-no numpy, so ``looptab survey`` loads none.
+The binary questions take y/yes/n/no (``heard``) and human/machine
+(``composer``), case aside; the Likert ones take integers 1..7, recoded
+to -3..3. This module imports no numpy, so ``looptab survey`` loads none.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ from typing import Sequence
 from .atomic import read_csv
 
 LIKERT_QUESTIONS = ("preference", "loop", "emotion")
-BINARY_QUESTIONS = ("heard", "composer")
+# Each binary question's answers: True for heard and for human.
+BINARY_QUESTIONS = {"heard": {"y": True, "yes": True, "n": False, "no": False},
+                    "composer": {"human": True, "machine": False}}
 
 
 class SurveyError(ValueError):
@@ -50,13 +52,19 @@ class SurveySummary:
         }
 
 
-def _answer(row: dict) -> str | int:
-    """A response row's answer: a binary one lowercased, a Likert one
-    recoded to -3..3; an unknown question or an answer that is no integer
-    in 1..7 raises ``ValueError``."""
+def _answer(row: dict) -> bool | int:
+    """A response row's answer: a binary one as its truth value, a Likert
+    one recoded to -3..3; an unknown question, a binary answer that is not
+    one of its question's or a Likert answer that is no integer in 1..7
+    raises ``ValueError``."""
     question, answer = row["question"], row["answer"]
     if question in BINARY_QUESTIONS:
-        return str(answer).strip().lower()
+        answers = BINARY_QUESTIONS[question]
+        try:
+            return answers[str(answer).strip().casefold()]
+        except KeyError:
+            raise SurveyError(f"{question} answer {answer!r} is not one of "
+                              f"{', '.join(answers)}") from None
     if question not in LIKERT_QUESTIONS:
         raise SurveyError(f"unknown question {question!r}")
     return likert_to_signed(int(answer))
@@ -67,11 +75,11 @@ def survey_summary(rows: Sequence[dict]) -> SurveySummary:
 
     Rows need participant, group, question and answer fields; an optional
     target field (happy/sad) splits the emotion question into HES/SES.
-    Binary questions accept Y/N and Human/Machine; Likert answers are
-    integers 1..7 mapped to -3..3.
+    Binary questions accept y/yes/n/no and human/machine, case aside;
+    Likert answers are integers 1..7 mapped to -3..3.
     """
     summary = SurveySummary()
-    binary: dict[tuple[str, str], list[str]] = {}
+    binary: dict[tuple[str, str], list[bool]] = {}
     likert: dict[tuple[str, str], list[int]] = {}
     emotion_t: dict[tuple[str, str], list[int]] = {}
 
@@ -91,15 +99,13 @@ def survey_summary(rows: Sequence[dict]) -> SurveySummary:
                     emotion_t.setdefault((group, target), []).append(value)
 
     for (group, question), answers in binary.items():
-        n = len(answers)
+        n, yes = len(answers), sum(answers)
         if question == "heard":
-            yes = sum(1 for a in answers if a in ("y", "yes"))
             summary.heard_pct[group] = 100.0 * yes / n
             summary.not_heard_pct[group] = 100.0 * (n - yes) / n
         else:
-            human = sum(1 for a in answers if a == "human")
-            summary.human_pct[group] = 100.0 * human / n
-            summary.machine_pct[group] = 100.0 * (n - human) / n
+            summary.human_pct[group] = 100.0 * yes / n
+            summary.machine_pct[group] = 100.0 * (n - yes) / n
     for (group, question), values in likert.items():
         summary.likert_means.setdefault(group, {})[question] = sum(values) / len(values)
     for (group, target), values in emotion_t.items():

@@ -14,7 +14,7 @@ from looptab.atomic import token_files
 from looptab.cli import main
 from looptab.loops import extract_loops
 from looptab import score
-from looptab.score import TokenTable, decode, decode_parts, regular_parts, regularize_many, \
+from looptab.score import decode, decode_parts, regular_parts, regularize_many, \
     regularize_meter, score_to_tokens
 from looptab.tension import loop_tension_profiles
 from looptab.tokens import render_tokens
@@ -105,7 +105,7 @@ def test_each_song_of_a_directory_comes_out_as_in_a_directory_of_its_own(tmp_pat
         song_rows = [r for r in rows if r[0] == name]
         assert song_rows == (alone_rows or [])
         assert len(song_rows) == (0 if name == "e_no_measure" else
-                                  decode(songs[name].split(), TokenTable()).n_bars)
+                                  decode(songs[name].split()).n_bars)
         alone_lines += alone
     assert lines == alone_lines
 
@@ -113,7 +113,7 @@ def test_each_song_of_a_directory_comes_out_as_in_a_directory_of_its_own(tmp_pat
 def test_no_loop_or_tension_range_of_a_batch_spans_two_songs(tmp_path):
     songs = boundary_songs()
     paths = token_files(write_dir(tmp_path / "all", songs))
-    [(_, decoded)] = decode_parts(paths, TokenTable())  # a directory this small is one part
+    [(_, decoded)] = decode_parts(paths)  # a directory this small is one part
     batch = regularize_many(decoded)
     assert not batch.errors
     spans = [(s.start_bar, s.end_bar) for s in extract_loops(batch.columns, starts=batch.starts)]
@@ -122,7 +122,7 @@ def test_no_loop_or_tension_range_of_a_batch_spans_two_songs(tmp_path):
     for (start, end), profile in zip(spans, profiles):
         i = int(batch.starts.searchsorted(start, "right")) - 1
         assert end <= batch.starts[i + 1]
-        song = regularize_meter(decode(songs[paths[i].stem].split(), TokenTable()))
+        song = regularize_meter(decode(songs[paths[i].stem].split()))
         local = (start - int(batch.starts[i]), end - int(batch.starts[i]))
         assert local in [(s.start_bar, s.end_bar) for s in extract_loops(song)]
         assert loop_tension_profiles(song, [local]) == [profile]
@@ -132,7 +132,7 @@ def test_no_loop_or_tension_range_of_a_batch_spans_two_songs(tmp_path):
 def test_regularized_parts_hold_at_most_max_bars_and_give_each_song_as_the_whole(monkeypatch):
     songs = boundary_songs()
     streams = [text.split() for text in songs.values()] * 3
-    [(_, batch)] = decode_parts(streams, TokenTable())
+    [(_, batch)] = decode_parts(streams)
     whole = regularize_many(batch)
     counts = [whole.starts[i + 1] - whole.starts[i] for i in range(len(whole))]
     assert max(counts) == 13 and sum(counts) > 100  # f_odd_metres

@@ -374,16 +374,42 @@ def test_eval_stats_pairwise(tmp_path, capsys):
     assert all(abs(c["alpha_adjusted"] - 0.05 / 3) < 1e-12 for c in doc["comparisons"])
 
 
-@pytest.mark.parametrize("alpha", ["nan", "inf", "-1", "0", "1"])
-def test_eval_stats_pairwise_alpha_outside_0_to_1_exits_1(tmp_path, capsys, alpha):
-    data = tmp_path / "three.csv"
-    data.write_text("a,b,c\n" + "".join(f"{i},{i + 2.5},{i * 2}\n" for i in range(1, 9)))
+@pytest.mark.parametrize("alpha,method", [
+    pytest.param(alpha, method, id=alpha if method == "pairwise" else f"{alpha}-{method}")
+    for method in ("pairwise", "friedman", "wilcoxon")
+    for alpha in ("nan", "inf", "-1", "0", "1", "7", "-3")])
+def test_eval_stats_pairwise_alpha_outside_0_to_1_exits_1(tmp_path, capsys, alpha, method):
+    # checked for every method, before the CSV is read: this one does not exist
+    data = tmp_path / "missing.csv"
     out = tmp_path / "out.json"
-    assert run("eval-stats", "--method", "pairwise", "--input", str(data), "--alpha", alpha,
+    assert run("eval-stats", "--method", method, "--input", str(data), "--alpha", alpha,
                "--out", str(out)) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: alpha must be a finite number in (0, 1), got {float(alpha)}\n"
     assert captured.out == "" and not out.exists()
+
+
+def test_eval_stats_wilcoxon_names_the_columns_it_does_not_test(tmp_path, capsys, caplog):
+    # one column exits 1; of three, the first two are tested, and a warning says so
+    rows = [(i, i * 1.5 + (i % 3), i % 4) for i in range(1, 9)]
+    out = tmp_path / "out.json"
+    tested = {}
+    for width in (1, 2, 3):
+        data = tmp_path / f"width{width}.csv"
+        data.write_text("".join(",".join(map(str, row[:width])) + "\n" for row in rows))
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="looptab"):
+            code = run("eval-stats", "--method", "wilcoxon", "--input", str(data),
+                       "--out", str(out))
+        if width == 1:
+            assert code == 1 and not out.exists()
+            assert capsys.readouterr().err == f"error: {data}: wilcoxon needs two columns, got 1\n"
+        else:
+            assert code == 0
+            tested[width] = out.read_text()
+            assert caplog.messages == [f"{data}: wilcoxon tests the first two of 3 columns"
+                                       for _ in range(width == 3)]
+    assert tested[3] == tested[2]
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-1", "0"])
@@ -470,6 +496,19 @@ def test_survey_answer_error_names_the_file_and_the_line_csv_reads(tmp_path, cap
     data.write_text("participant,group,question,answer\n\np1,gen,preference,5\np1,gen,tempo,4\n")
     assert run("survey", "--responses", str(data)) == 1
     assert capsys.readouterr().err == f"error: {data}: line 4: unknown question 'tempo'\n"
+    # a binary answer is one of its question's, case aside, or an error
+    data.write_text("participant,group,question,answer\np1,gen,heard,YES\np1,gen,composer,Human\n"
+                    "p1,gen,heard,N\np1,gen,composer,MACHINE\n")
+    assert run("survey", "--responses", str(data)) == 0
+    capsys.readouterr()
+    for question, answer, answers in (("heard", "maybe", "y, yes, n, no"),
+                                      ("heard", "Human", "y, yes, n, no"),
+                                      ("composer", "Y", "human, machine")):
+        data.write_text(f"participant,group,question,answer\np1,gen,heard,y\n"
+                        f"p1,gen,{question},{answer}\n")
+        assert run("survey", "--responses", str(data)) == 1
+        assert capsys.readouterr().err == (f"error: {data}: line 3: {question} answer "
+                                           f"{answer!r} is not one of {answers}\n")
 
 
 def test_survey_bad_header_names_the_file(tmp_path, capsys):

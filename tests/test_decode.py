@@ -41,7 +41,8 @@ from looptab.score import (
 )
 from looptab.tension import (DEFAULT_PARAMS, TensionProfile, compute_tension_profile,
                              loop_tension_profiles)
-from looptab.tokens import TICKS_PER_QUARTER, ParseError, Token, TokenCategory, parse_tokens
+from looptab.tokens import TICKS_PER_QUARTER, TOKEN_CACHE_SIZE, ParseError, Token, TokenCategory, \
+    parse_tokens
 
 from test_loops import oracle_loops, reference_fingerprints
 from test_score import quadratic_tokens
@@ -196,22 +197,19 @@ def outcome(decoder, stream):
         return type(exc), str(exc)
 
 
-TABLE = TokenTable()  # shared by every example, as a command shares one among its songs
-
-
 def check_same(text: str) -> None:
     """The reference and the decoder agree on ``text``: same bars, or same error."""
     try:
         stream = parse_tokens(text)
     except ParseError as exc:
         with pytest.raises(ParseError) as got:
-            decode(text.split(), TABLE)
+            decode(text.split())
         assert (str(got.value), got.value.index, got.value.token) == \
             (str(exc), exc.index, exc.token)
         return
     expected = outcome(reference_tokens_to_score, stream)
     assert outcome(lambda s: plain(tokens_to_score(s)), stream) == expected
-    assert outcome(lambda s: plain(decode([t.raw for t in s], TABLE)), stream) == expected
+    assert outcome(lambda s: plain(decode([t.raw for t in s])), stream) == expected
 
 
 NOTES = ("clean0:note:s1:f0", "clean0:note:s2:f3", "clean0:note:s02:f3", "distorted0:note:s6:f5",
@@ -254,7 +252,7 @@ def test_valid_streams_decode_to_the_reference_score(text):
     bars = reference_tokens_to_score(parse_tokens(text))[-1]
     # the per-bar computations match their oracles, also on bars whose
     # notes run past their capacity
-    song = decode(text.split(), TABLE)
+    song = decode(text.split())
     params = LoopParams(min_rep_notes=1, min_rep_beats=1, min_loop_bars=1, max_loop_bars=2)
     assert fingerprint_sequence(song) == reference_fingerprints(bars)
     assert extract_loops(song, params) == oracle_loops(bars, params)
@@ -292,7 +290,7 @@ def test_any_stream_fails_like_the_reference(text):
 ])
 def test_each_malformed_stream_fails_as_the_reference(text, message):
     with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
-        decode(text.split(), TokenTable())
+        decode(text.split())
     check_same(text)
 
 
@@ -300,7 +298,7 @@ def test_a_parse_error_comes_before_an_earlier_structure_error():
     text = "wait:480 new_measure tempo:x1"
     check_same(text)
     with pytest.raises(ParseError, match=r"^token 2 \('tempo:x1'\)"):
-        decode(text.split(), TokenTable())
+        decode(text.split())
 
 
 def test_a_pitch_above_midi_range_fails_as_the_reference(monkeypatch):
@@ -308,39 +306,41 @@ def test_a_pitch_above_midi_range_fails_as_the_reference(monkeypatch):
     text = "start new_measure leads:note:s1:f20 wait:480"
     check_same(text)
     with pytest.raises(StructureError, match=r"^token 2: pitch 130 above midi range$"):
-        decode(text.split(), TokenTable())
+        decode(text.split())
 
 
 def test_waits_and_bars_longer_than_the_columns_take_are_structure_errors():
     with pytest.raises(StructureError, match=rf"^token 3: wait of {MAX_TICKS + 1} ticks"):
-        decode(f"start new_measure clean0:note:s1:f0 wait:{MAX_TICKS + 1}".split(), TokenTable())
+        decode(f"start new_measure clean0:note:s1:f0 wait:{MAX_TICKS + 1}".split())
     numerator = MAX_TICKS // TICKS_PER_QUARTER + 1
     with pytest.raises(StructureError, match=rf"^token 0: a {numerator}-beat bar is longer"):
-        decode(f"time_signature:{numerator} start new_measure".split(), TokenTable())
-    song = decode(f"start new_measure clean0:note:s1:f0 wait:{MAX_TICKS}".split(), TokenTable())
+        decode(f"time_signature:{numerator} start new_measure".split())
+    song = decode(f"start new_measure clean0:note:s1:f0 wait:{MAX_TICKS}".split())
     assert song.duration.tolist() == [MAX_TICKS]
 
 
 def test_the_table_classifies_each_string_once_and_skips_malformed_ones():
     table = TokenTable()
-    decode("start new_measure clean0:note:s1:f0 wait:480 clean0:note:s1:f0 end".split(), table)
+    codes = table.encode("start new_measure clean0:note:s1:f0 wait:480 clean0:note:s1:f0 end"
+                         .split())
     assert sorted(table.codes) == sorted({"start", "new_measure", "clean0:note:s1:f0",
                                           "wait:480", "end"})
-    with pytest.raises(ParseError):
-        decode("start new_measure frob".split(), table)
+    assert codes.tolist() == [0, 1, 2, 3, 2, 4]
+    with pytest.raises(ParseError, match=r"^token 2 \('frob'\)"):
+        table.encode("start new_measure frob".split())
     assert "frob" not in table.codes and len(table) == 5
 
 
 # a batch of songs decodes each song as it decodes alone ---------------------
 
-def check_batch(texts: list[str], table: TokenTable) -> tuple[dict, dict]:
-    """Decode ``texts`` in parts with one table; each valid song's columns
-    are the reference decoder's, and each malformed song is its part's
-    error for that song, with the type and message it raises alone. Each
+def check_batch(texts: list[str]) -> tuple[dict, dict]:
+    """Decode ``texts`` in parts; each valid song's columns are the
+    reference decoder's, and each malformed song is its part's error for
+    that song, with the type and message it raises alone. Each
     decoded part's tension and each regularized part's onset groups and
     loops are its songs' own. Returns each failed song's error and each
     good song's columns, by song."""
-    parts = list(decode_parts([text.split() for text in texts], table))
+    parts = list(decode_parts([text.split() for text in texts]))
     assert [first for first, _ in parts] == [0, *accumulate(len(part) for _, part in parts)][:-1]
     assert sum(len(part) for _, part in parts) == len(texts)
     errors, songs = {}, {}
@@ -352,7 +352,7 @@ def check_batch(texts: list[str], table: TokenTable) -> tuple[dict, dict]:
                 expected = reference_tokens_to_score(parse_tokens(text))
             except (StructureError, ParseError):
                 with pytest.raises((StructureError, ParseError)) as alone:
-                    decode(text.split(), TokenTable())
+                    decode(text.split())
                 got = errors[first + j] = part.errors[j]
                 assert (type(got), str(got)) == (type(alone.value), str(alone.value))
                 assert part.starts[j] == part.starts[j + 1] and part.heads[j] is None
@@ -390,13 +390,13 @@ def check_regular_part(batch: SongBatch) -> None:
 @given(st.lists(st.one_of(valid_text(), st.lists(st.sampled_from(POOL), max_size=14).map(" ".join)),
                 min_size=1, max_size=4))
 def test_a_batch_decodes_each_song_as_the_song_alone(texts):
-    check_batch(texts, TABLE)
+    check_batch(texts)
 
 
 def test_a_batch_decodes_on_where_the_token_table_must_empty_itself(monkeypatch):
-    # each song brings new strings, so the table empties between songs and
-    # the songs are decoded in parts
-    monkeypatch.setattr(score_mod, "TOKEN_CACHE_SIZE", 12)
+    # each song brings new strings, and the songs are decoded in parts of
+    # about two songs, all from the one table that keeps every string
+    monkeypatch.setattr(score_mod, "PART_TOKENS", 40)
     rng = random.Random(3)
     texts = []
     for i in range(8):
@@ -409,7 +409,7 @@ def test_a_batch_decodes_on_where_the_token_table_must_empty_itself(monkeypatch)
     decode_codes = score_mod._decode_codes
     monkeypatch.setattr(score_mod, "_decode_codes", lambda *a: parts.append(decode_codes(*a))
                         or parts[-1])
-    errors, songs = check_batch(texts, TokenTable())
+    errors, songs = check_batch(texts)
     assert list(errors) == [5] and len(parts) > 3
     assert [s.effects[x] for s in (songs[0], songs[1]) for x in s.fx.tolist()] == \
         [("bend", "slide"), (), (), (), (), (), ("slide",), (), (), (), (), ()]
@@ -425,32 +425,43 @@ def test_a_directory_past_the_token_bound_decodes_in_parts(monkeypatch):
                                               * rng.randint(1, 20)), "end"])
              for _ in range(12)]
     texts[4] = "start new_measure wait:0 end"
-    parts = list(decode_parts([text.split() for text in texts], TokenTable()))
+    parts = list(decode_parts([text.split() for text in texts]))
     assert [first for first, _ in parts] == [0, *accumulate(len(part) for _, part in parts)][:-1]
     assert sum(map(len, (part for _, part in parts))) == len(texts) and len(parts) > 4
     for first, part in parts:
         sizes = [len(texts[first + i].split()) for i in range(len(part)) if i not in part.errors]
         assert len(part) == 1 or sum(sizes) <= 40
         assert [first + i for i in part.errors] == [4] * (first <= 4 < first + len(part))
-    check_batch(texts, TokenTable())
+    check_batch(texts)
 
 
-@pytest.mark.parametrize("part_tokens,cache_size", [(40, 1 << 14), (1 << 18, 12), (40, 12)])
-def test_one_song_is_one_part(monkeypatch, part_tokens, cache_size):
-    # decode reads the one part of one song: also of a song longer than
-    # PART_TOKENS, and of one whose strings make the table empty mid-song
+@pytest.mark.parametrize("part_tokens", [40, 1 << 18])
+def test_one_song_is_one_part(monkeypatch, part_tokens):
+    # decode reads the one part of one song: also of a song longer than PART_TOKENS
     monkeypatch.setattr(score_mod, "PART_TOKENS", part_tokens)
-    monkeypatch.setattr(score_mod, "TOKEN_CACHE_SIZE", cache_size)
     notes = [f"clean0:note:s{string}:f{fret}" for string in (1, 2) for fret in range(10)]
     text = " ".join(["tempo:90", "start", *(f"new_measure {n} wait:480" for n in notes), "end"])
-    assert len(text.split()) > 40 and len(set(text.split())) > 12
-    table = TokenTable()
-    decode("start new_measure bass:note:s1:f0 end".split(), table)
-    parts = list(decode_parts([text.split()], table))
+    assert len(text.split()) > 40
+    parts = list(decode_parts([text.split()]))
     assert [(first, len(part)) for first, part in parts] == [(0, 1)]
     assert plain(parts[0][1].song(0)) == reference_tokens_to_score(parse_tokens(text))
-    assert ("bass:note:s1:f0" in table.codes) == (cache_size > 12)  # emptied mid-song
-    assert plain(decode(text.split(), table)) == plain(parts[0][1].song(0))
+    assert plain(decode(text.split())) == plain(parts[0][1].song(0))
+
+
+def test_a_directory_of_more_distinct_strings_than_the_token_cache_is_one_part():
+    # 18,000 distinct waits over three songs, past tokens.TOKEN_CACHE_SIZE:
+    # the one table keeps them all, and each song is as it decodes alone
+    texts = [" ".join(["start", *(f"new_measure clean0:note:s1:f{song} wait:{ticks}"
+                                  for ticks in range(6000 * song + 1, 6000 * song + 6001)),
+                       "end"]) for song in range(3)]
+    assert len(set(" ".join(texts).split())) > TOKEN_CACHE_SIZE
+    parts = list(decode_parts([text.split() for text in texts]))
+    assert [(first, len(part)) for first, part in parts] == [(0, 3)]
+    [(_, part)] = parts
+    assert not part.errors
+    for i, text in enumerate(texts):
+        assert plain(part.song(i)) == plain(decode(text.split()))
+
 
 # the per-bar computations on built columns and on their decoded tokens ------
 
@@ -467,7 +478,7 @@ def test_per_bar_functions_agree_on_a_score_and_its_columns(score):
     """A song decoded from the tokens of built columns gives what the
     built columns give once their durations follow the gap rule."""
     regular = regularize_meter(canonical(score))
-    decoded = regularize_meter(decode([t.raw for t in score_to_tokens(score)], TokenTable()))
+    decoded = regularize_meter(decode([t.raw for t in score_to_tokens(score)]))
     assert plain(decoded) == plain(regular)
     spans = [(s.start_bar, s.end_bar) for s in extract_loops(regular)]
     assert extract_loops(decoded) == extract_loops(regular)
@@ -484,7 +495,7 @@ def test_per_bar_functions_agree_on_a_score_and_its_columns(score):
 def test_bar_bodies_render_any_bar_list_as_the_per_note_loop(texts, data):
     # decoded songs hold drums, effects, empty bars and 3/4, 5/4 and
     # overflowing bars; their regularized bars split the long ones
-    for _, part in decode_parts([text.split() for text in texts], TABLE):
+    for _, part in decode_parts([text.split() for text in texts]):
         for song in (part.columns, regularize_many(part).columns):
             every = range(song.n_bars)
             assert bar_bodies(song, every) == reference_bar_bodies(song, every)

@@ -32,7 +32,7 @@ from looptab.evaluate import (
     train_classifier,
 )
 from looptab.loops import LoopParams
-from looptab.score import TokenTable, decode_parts, regular_parts, score_to_tokens
+from looptab.score import decode_parts, regular_parts, score_to_tokens
 from looptab.survey import SurveyError, likert_to_signed, load_survey_csv, survey_summary
 
 from util import bar_block, block_bars, columns
@@ -448,7 +448,7 @@ def regular_batches(*songs):
     """The regularized parts of ``songs`` decoded from their tokens, as the
     song commands make them."""
     streams = [[t.raw for t in score_to_tokens(song)] for song in songs]
-    return [part for _, decoded in decode_parts(streams, TokenTable())
+    return [part for _, decoded in decode_parts(streams)
             for _, part in regular_parts(decoded)]
 
 
@@ -529,6 +529,9 @@ def test_survey_rejects_unknown_question_and_bad_answer():
         survey_summary(survey_rows([("gen", "tempo", 4, None)]))
     with pytest.raises(SurveyError, match="row 2"):
         survey_summary(survey_rows([("gen", "preference", 9, None)]))
+    for question, answer in (("heard", "maybe"), ("heard", "Human"), ("composer", "Y")):
+        with pytest.raises(SurveyError, match=f"^row 2: {question} answer '{answer}' is not one"):
+            survey_summary(survey_rows([("gen", question, answer, None)]))
 
 
 def test_load_survey_csv(tmp_path):

@@ -12,14 +12,14 @@ from looptab.atomic import token_files
 from looptab.score import (
     BAR_TICKS_4_4,
     StructureError,
-    TokenTable,
     decode,
+    decode_parts,
     key_order,
     regularize_meter,
     score_to_tokens,
     tokens_to_score,
 )
-from looptab.tokens import TENSION_FEATURES, parse_tokens, render_tokens
+from looptab.tokens import TENSION_FEATURES, parse_tokens, render_tokens, token
 
 from util import bars_of, canonical, columns, random_score
 
@@ -52,38 +52,29 @@ def test_fret_on_nonexistent_string():
 
 
 def test_note_off_the_strings_fails_at_its_index_every_time():
-    table = TokenTable()
-    for text, index in (("start new_measure bass:note:s5:f0 wait:480", 2),
-                        ("start new_measure wait:480 bass:note:s5:f0", 3)):
-        for decoded in (lambda: tokens_to_score(parse_tokens(text)),
-                        lambda: decode(text.split(), table)):
+    texts = {"start new_measure bass:note:s5:f0 wait:480": 2,
+             "start new_measure wait:480 bass:note:s5:f0": 3}
+    for text, index in texts.items():
+        for decoded in (lambda: tokens_to_score(parse_tokens(text)), lambda: decode(text.split())):
             with pytest.raises(StructureError,
                                match=rf"^token {index}: string 5 does not exist on bass"):
                 decoded()
-
-
-def test_note_table_stops_growing_at_its_bound(monkeypatch):
-    monkeypatch.setattr(score_mod, "TOKEN_CACHE_SIZE", 4)
-    table = TokenTable()
-    decode("start new_measure clean0:note:s1:f0 wait:480".split(), table)
-    assert len(table) == 4
-    song = decode("start new_measure clean0:note:s001:f0007 wait:480".split(), table)
-    # the new strings would pass the bound, so the table starts over with this song's
-    assert len(table) == 4 and "clean0:note:s1:f0" not in table.codes
-    assert (song.string.tolist(), song.fret.tolist(), song.midi.tolist()) == ([1], [7], [71])
+    # in one call the second song finds the string already classified, and
+    # fails at its own index
+    [(_, part)] = decode_parts([text.split() for text in texts])
+    assert [str(part.errors[i]) for i in range(len(texts))] == [
+        f"token {index}: string 5 does not exist on bass (4 strings)"
+        for index in texts.values()]
 
 
 def test_a_song_with_more_strings_than_the_bound_is_held_until_the_next(monkeypatch):
-    monkeypatch.setattr(score_mod, "TOKEN_CACHE_SIZE", 4)
-    table = TokenTable()
+    # a song's strings are classified once and kept for the songs after it
+    classified = []
+    monkeypatch.setattr(score_mod, "token", lambda raw: classified.append(raw) or token(raw))
     text = "start new_measure clean0:note:s1:f0 wait:480 clean0:note:s1:f2 wait:480 end"
-    song = decode(text.split(), table)
-    # the table holds this song's own 6 strings, past the bound
-    assert len(table) == 6 and song.fret.tolist() == [0, 2]
-    decode(text.split(), table)  # no new strings: nothing is classified again
-    assert len(table) == 6
-    decode("start new_measure bass:note:s1:f0 wait:960".split(), table)
-    assert sorted(table.codes) == ["bass:note:s1:f0", "new_measure", "start", "wait:960"]
+    [(_, part)] = decode_parts([text.split(), text.split()])
+    assert part.song(0).fret.tolist() == part.song(1).fret.tolist() == [0, 2]
+    assert sorted(classified) == sorted(set(text.split())) and len(classified) == 6
 
 
 def test_durations_follow_gap_rule():
@@ -266,9 +257,9 @@ def test_score_to_tokens_groups_onsets_like_the_quadratic_scan():
 def test_regularize_meter_bounds_the_bars_it_makes():
     bound = score_mod.MAX_BARS
     text = "start new_measure clean0:note:s1:f0 wait:{}"
-    at_bound = decode(text.format(bound * BAR_TICKS_4_4).split(), TokenTable())
+    at_bound = decode(text.format(bound * BAR_TICKS_4_4).split())
     assert regularize_meter(at_bound).n_bars == bound
-    over = decode(text.format(bound * BAR_TICKS_4_4 + 1).split(), TokenTable())
+    over = decode(text.format(bound * BAR_TICKS_4_4 + 1).split())
     with pytest.raises(StructureError, match=f"^the song regularizes into {bound + 1} bars "
                                              f"of 4/4, more than {bound}$"):
         regularize_meter(over)
