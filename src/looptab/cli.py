@@ -332,7 +332,10 @@ def cmd_train_clf(args) -> int:
 
     config = load_config(args.config)
     labels, names, x = _classifier_corpus(args.corpus, config.classifier.truncate)
-    classifiers = evaluate_mod.fit_classifiers(names, x, labels, config.classifier)
+    try:
+        classifiers = evaluate_mod.fit_classifiers(names, x, labels, config.classifier)
+    except ValueError as exc:
+        raise ValueError(f"{args.corpus}: {exc}") from None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for target, clf in classifiers.items():
@@ -422,6 +425,8 @@ def _numeric_columns(path) -> list[list[float]]:
 
 
 def cmd_eval_stats(args) -> int:
+    """A test that the columns cannot take (too few values, all differences
+    zero) is an error naming the CSV."""
     from . import stats as stats_mod
 
     stats_mod.check_alpha(args.alpha)
@@ -432,22 +437,25 @@ def cmd_eval_stats(args) -> int:
         if len(columns) > 2:
             log.warning("%s: wilcoxon tests the first two of %d columns", args.input,
                         len(columns))
-        res = stats_mod.wilcoxon_signed_rank(columns[0], columns[1])
-        doc = {"method": "wilcoxon", "W": res.statistic, "z": res.z_value,
-               "p_value": res.p_value, "n": res.n, "exact": res.exact}
-    elif args.method == "friedman":
-        matrix = list(zip(*columns))
-        res = stats_mod.friedman(matrix)
-        doc = {"method": "friedman", "chi2": res.statistic, "df": len(columns) - 1,
-               "p_value": res.p_value, "n": res.n}
-    else:
-        comparisons = stats_mod.pairwise_bonferroni(columns, alpha=args.alpha)
-        doc = {"method": "pairwise_bonferroni", "alpha": args.alpha,
-               "comparisons": [
-                   {"a": c.group_a, "b": c.group_b, "W": c.result.statistic,
-                    "z": c.result.z_value, "p_value": c.result.p_value,
-                    "alpha_adjusted": c.alpha_adjusted, "significant": c.significant}
-                   for c in comparisons]}
+    try:
+        if args.method == "wilcoxon":
+            res = stats_mod.wilcoxon_signed_rank(columns[0], columns[1])
+            doc = {"method": "wilcoxon", "W": res.statistic, "z": res.z_value,
+                   "p_value": res.p_value, "n": res.n, "exact": res.exact}
+        elif args.method == "friedman":
+            res = stats_mod.friedman(list(zip(*columns)))
+            doc = {"method": "friedman", "chi2": res.statistic, "df": len(columns) - 1,
+                   "p_value": res.p_value, "n": res.n}
+        else:
+            comparisons = stats_mod.pairwise_bonferroni(columns, alpha=args.alpha)
+            doc = {"method": "pairwise_bonferroni", "alpha": args.alpha,
+                   "comparisons": [
+                       {"a": c.group_a, "b": c.group_b, "W": c.result.statistic,
+                        "z": c.result.z_value, "p_value": c.result.p_value,
+                        "alpha_adjusted": c.alpha_adjusted, "significant": c.significant}
+                       for c in comparisons]}
+    except ValueError as exc:
+        raise ValueError(f"{args.input}: {exc}") from None
     text = json.dumps(doc, indent=2)
     if args.out:
         atomic_write(args.out, text)

@@ -348,16 +348,19 @@ def fit_classifiers(feature_names: list[str], x: Features,
     reaches ``NEWTON_MAX_ITER`` first is logged as a warning naming its
     target. The objective is the mean log-loss of the training rows plus
     ``l2 / 2 |w|^2``; the bias is not regularized. Deterministic given
-    data and seed. Raises on single-class data."""
+    data and seed. Raises on a target with a class of fewer than two rows,
+    naming the target and the count of each class."""
     classifiers = {}
     for target, target_labels in labels.items():
         if x.shape[0] != len(target_labels):
             raise ValueError("feature rows and labels must align")
         y = np.asarray(target_labels, dtype=float)
-        if y.min() == y.max():
-            raise ValueError("training data contains a single class")
-        if (y == 1).sum() < 2 or (y == 0).sum() < 2:
-            raise ValueError("need at least 2 examples per class")
+        high = int(y.sum())
+        low = len(y) - high
+        if min(high, low) < 2:
+            why = "training data contains a single class" if min(high, low) == 0 \
+                else "need at least 2 examples per class"
+            raise ValueError(f"{target}: {why}, got {high} high and {low} low")
         hold, train = _split(len(y), y, config)
         s = np.zeros(len(y))
         s[train] = 1.0 / len(train)

@@ -17,8 +17,9 @@ song by song; only each song's header is read on its own. A part holds at
 most ``PART_TOKENS`` tokens, or one song, so that the arrays decoded at
 once do not grow with the directory; the song commands work one part at a
 time. :func:`decode` is the one-song case. Each call builds one
-:class:`TokenTable`, which classifies every distinct token string of its
-songs once through :func:`tokens.token` and keeps them all.
+:class:`TokenTable`, which keeps every distinct token string of its songs
+as :func:`tokens.token` classifies it; the grammar alone decides which
+strings are tokens, and the decoder checks only where they stand.
 :func:`regularize_many` (one song: :func:`regularize_meter`) cuts every
 bar into 4/4 bars, at most ``MAX_BARS`` of them per song, and
 :func:`regular_parts` does it in parts of consecutive songs holding at
@@ -46,7 +47,8 @@ from .tokens import (
     NEW_MEASURE,
     START,
     END,
-    GUITAR_TRACKS,
+    DEFAULT_TUNINGS,
+    MAX_TICKS,  # noqa: F401  (the longest wait and bar, bounded by the grammar)
     NOTE_TRACKS,
     TICKS_PER_QUARTER,
     ParseError,
@@ -57,23 +59,12 @@ from .tokens import (
     token,
 )
 
-# String 1 is the highest string; standard EADGBE guitar, EADG bass.
-GUITAR_TUNING = (64, 59, 55, 50, 45, 40)
-BASS_TUNING = (43, 38, 33, 28)
-
-# One tuning for every note track of the token grammar.
-DEFAULT_TUNINGS = dict.fromkeys(GUITAR_TRACKS, GUITAR_TUNING) | {"bass": BASS_TUNING}
-
 DEFAULT_TEMPO = 120
 BAR_TICKS_4_4 = 4 * TICKS_PER_QUARTER
 
 # The tracks of the grammar sorted by name, so that track ids compare as names do.
 TRACKS = tuple(sorted((*NOTE_TRACKS, "drums")))
 _DRUMS = TRACKS.index("drums")
-
-# Longest wait and bar the int64 columns take: a song of fewer than 2**31
-# tokens then keeps every tick sum below 2**63.
-MAX_TICKS = 2 ** 32
 
 # Most 4/4 bars one song may regularize into: a bar lasting MAX_TICKS would
 # otherwise become over a million.
@@ -210,9 +201,11 @@ _HEADER_KINDS = {"artist": _ARTIST, "tempo": _TEMPO, "time_signature": _TIME_SIG
 class TokenTable:
     """The distinct token strings of the songs one command reads, each
     classified once through :func:`tokens.token` and numbered by a code.
+    The table sorts tokens into the columns the decoder reads; it judges
+    none, since a string that :func:`tokens.token` takes is a valid token.
 
-    A code indexes integer columns: the token's kind, whether it is an
-    error inside a bar, the cursor step (a wait's ticks, 1 at
+    A code indexes integer columns: the token's kind, whether it is out of
+    place inside a bar, the cursor step (a wait's ticks, 1 at
     ``new_measure``), its value (tempo or metre), a note's order inside its
     onset group, and a note's track id, string, fret and MIDI pitch. The
     table never empties; malformed strings are never stored.
@@ -221,7 +214,6 @@ class TokenTable:
     def __init__(self):
         self.codes: dict[str, int] = {}
         self.tokens: list[Token] = []
-        self.problems: dict[int, str] = {}  # code: why the token is invalid anywhere
         self.in_bar: dict[int, str] = {}  # code: why the token is an error inside a bar
         self._set_columns(np.zeros(64, np.int8), np.zeros((8, 64), np.int64))
 
@@ -244,10 +236,6 @@ class TokenTable:
         self.codes[raw] = code
         self.tokens.append(tok)
 
-    def _invalid(self, code: int, kind: int, problem: str) -> tuple[int, ...]:
-        self.problems[code] = self.in_bar[code] = problem
-        return (kind, 1, 0, 0, 0, 0, 0, 0, 0)
-
     def _row(self, tok: Token, code: int) -> tuple[int, ...]:
         """kind, in-bar error, step, value, order, track, string, fret, midi."""
         cat, fields = tok.category, tok.fields
@@ -258,28 +246,15 @@ class TokenTable:
                 string = fret = -1
                 midi = fields["midi"]
             else:
-                tuning = DEFAULT_TUNINGS[track]
                 string, fret = fields["string"], fields["fret"]
-                if string > len(tuning):
-                    return self._invalid(code, _NOTE, f"string {string} does not exist on "
-                                                      f"{track} ({len(tuning)} strings)")
-                midi = tuning[string - 1] + fret
-                if midi > 127:
-                    return self._invalid(code, _NOTE, f"pitch {midi} above midi range")
+                midi = DEFAULT_TUNINGS[track][string - 1] + fret
             order = (tid * 128 + midi) * 8 + max(string, 0)  # < 2**13
             return (_NOTE, 0, 0, 0, order, tid, string, fret, midi)
         if cat is TokenCategory.WAIT:
-            ticks = fields["ticks"]
-            if ticks > MAX_TICKS:
-                return self._invalid(code, _WAIT, f"wait of {ticks} ticks is longer than "
-                                                  f"{MAX_TICKS}")
-            return (_WAIT, 0, ticks, 0, 0, 0, 0, 0, 0)
+            return (_WAIT, 0, fields["ticks"], 0, 0, 0, 0, 0, 0)
         if cat is TokenCategory.HEADER:
             key = fields["key"]
             value = fields.get("value") if key in ("tempo", "time_signature") else 0
-            if key == "time_signature" and value * TICKS_PER_QUARTER > MAX_TICKS:
-                return self._invalid(code, _TIME_SIGNATURE, f"a {value}-beat bar is longer "
-                                                            f"than {MAX_TICKS} ticks")
             if key in ("artist", "start"):
                 self.in_bar[code] = f"{key} token after first measure"
             return (_HEADER_KINDS[key], code in self.in_bar, 0, value, 0, 0, 0, 0, 0)
@@ -310,8 +285,7 @@ class TokenTable:
 
 def _header(codes: list[int], table: TokenTable):
     """Artist, tempo, metre and song controls of the tokens before the
-    first ``new_measure``; a note, wait, bar control or invalid token
-    there raises."""
+    first ``new_measure``; a note, wait or bar control there raises."""
     artist, tempo, numerator, song_controls = None, DEFAULT_TEMPO, 4, []
     for i, code in enumerate(codes):
         tok = table.tokens[code]
@@ -322,8 +296,6 @@ def _header(codes: list[int], table: TokenTable):
             raise StructureError(f"token {i}: wait before first new_measure")
         if cat is TokenCategory.BAR_CONTROL:
             raise StructureError(f"token {i}: bar control {tok.raw!r} before first measure")
-        if code in table.problems:
-            raise StructureError(f"token {i}: {table.problems[code]}")
         if cat is TokenCategory.SONG_CONTROL:
             song_controls.append(tok)
         elif cat is TokenCategory.HEADER:
@@ -359,9 +331,9 @@ def decode(raws: Sequence[str]) -> ScoreColumns:
 
     Song controls and header tokens must precede the first ``new_measure``;
     an empty stream, a malformed token (:class:`ParseError`, before any
-    structure check), a note before the first measure, a token after
-    ``end``, a string number outside the track's tuning or a wait or bar
-    longer than ``MAX_TICKS`` raises at the earliest offending token.
+    structure check; the grammar bounds string numbers, waits and bars),
+    a note before the first measure or a token after ``end`` raises at the
+    earliest offending token.
     """
     [(_, part)] = decode_parts([raws])
     return part.song(0)

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-EXACT_WILCOXON_MAX_N = 50  # 2**50 sign assignments still fit int64 counts
+# Keeps each count of sign assignments below 2**50, inside one 64-bit digit.
+EXACT_WILCOXON_MAX_N = 50
 _GAMMA_EPS = 1e-14
 _GAMMA_MAX_ITER = 10_000
 
@@ -112,6 +112,26 @@ def _midranks(values: Sequence[float]) -> list[float]:
     return ranks
 
 
+def _at_most(doubled: list[int], w_doubled: int, n: int) -> int:
+    """How many of the 2^n sign assignments of the ``n`` doubled ranks
+    give a doubled min(W+, W-) of at most ``w_doubled``."""
+    total = n * (n + 1)  # the doubled ranks' sum
+    if 2 * w_doubled >= total:
+        return 1 << n
+    # prod(1 + x**r) over the doubled ranks r, less its powers above
+    # w_doubled, as one integer with one 64-bit digit per power: digit s
+    # counts the assignments whose doubled W+ is s. W+ = s and W+ = total - s
+    # count alike, and below total / 2 the two sides do not meet.
+    bits = 64 * (w_doubled + 1)
+    low = (1 << bits) - 1
+    poly = 1
+    for r in sorted(doubled):
+        if r > w_doubled:
+            break
+        poly = (poly + (poly << 64 * r)) & low
+    return 2 * sum(struct.unpack(f"<{w_doubled + 1}Q", poly.to_bytes(bits // 8, "little")))
+
+
 def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> StatTestResult:
     """Two-sided Wilcoxon signed-rank test on paired samples.
 
@@ -144,13 +164,7 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> StatTestResu
     z = (w - mean + 0.5) / math.sqrt(var)  # w <= mean, correct toward the mean
 
     if n <= EXACT_WILCOXON_MAX_N:
-        total = n * (n + 1)  # the doubled ranks' sum
-        ways = np.zeros(total + 1, dtype=np.int64)  # ways[s]: sign assignments with doubled W+ = s
-        ways[0] = 1
-        for r in doubled:
-            ways[r:] = ways[r:] + ways[:-r]
-        sums = np.arange(total + 1)
-        count = int(ways[np.minimum(sums, total - sums) <= w_doubled].sum())
+        count = _at_most(doubled, w_doubled, n)
         return StatTestResult(w, count / 2.0 ** n, n, "wilcoxon", z_value=z, exact=True)
     p = min(2.0 * normal_cdf(z), 1.0)
     return StatTestResult(w, p, n, "wilcoxon", z_value=z, exact=False)
@@ -208,7 +222,9 @@ def check_alpha(alpha: float) -> None:
 def pairwise_bonferroni(groups: Sequence[Sequence[float]], alpha: float = 0.05
                         ) -> list[PairwiseComparison]:
     """Wilcoxon per group pair; significance at the Bonferroni-corrected
-    threshold alpha / number-of-pairs, for a finite alpha in (0, 1)."""
+    threshold alpha / number-of-pairs, for a finite alpha in (0, 1). A pair
+    that cannot be tested raises its error, naming the pair's columns
+    counted from 1."""
     check_alpha(alpha)
     if len(groups) < 2:
         raise ValueError("need at least 2 groups")
@@ -216,6 +232,9 @@ def pairwise_bonferroni(groups: Sequence[Sequence[float]], alpha: float = 0.05
     threshold = alpha / len(pairs)
     out = []
     for i, j in pairs:
-        res = wilcoxon_signed_rank(groups[i], groups[j])
+        try:
+            res = wilcoxon_signed_rank(groups[i], groups[j])
+        except ValueError as exc:
+            raise type(exc)(f"columns {i + 1} and {j + 1}: {exc}") from None
         out.append(PairwiseComparison(i, j, res, threshold, res.p_value < threshold))
     return out

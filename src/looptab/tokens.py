@@ -8,7 +8,9 @@ The grammar covers header tokens (``artist:<str>``, ``tempo:<int>``,
 the bar boundary marker ``new_measure``, bar-level tension controls
 (``cloud_diameter:q1..q4`` etc.), per-track note tokens
 (``distorted0:note:s4:f7``, ``drums:note:38``), ``wait:<ticks>`` and
-pass-through note effects (``nfx:<name>``).
+pass-through note effects (``nfx:<name>``). :func:`token` is the one judge
+of a valid token: it also bounds a note's string by its track's tuning
+(``DEFAULT_TUNINGS``) and a wait or bar by ``MAX_TICKS``.
 
 A corpus repeats a few hundred distinct token strings many thousand
 times, so :func:`token` classifies each distinct string once per process
@@ -39,6 +41,17 @@ FRET_MAX = 30
 
 GUITAR_TRACKS = ("distorted0", "distorted1", "distorted2", "clean0", "clean1", "leads")
 NOTE_TRACKS = GUITAR_TRACKS + ("bass",)
+
+# String 1 is the highest string; standard EADGBE guitar, EADG bass.
+GUITAR_TUNING = (64, 59, 55, 50, 45, 40)
+BASS_TUNING = (43, 38, 33, 28)
+
+# One tuning for every note track of the grammar: a note names one of its strings.
+DEFAULT_TUNINGS = dict.fromkeys(GUITAR_TRACKS, GUITAR_TUNING) | {"bass": BASS_TUNING}
+
+# Longest wait and bar a token may give; the decoder's columns are int64, and
+# a song of fewer than 2**31 tokens then keeps every tick sum below 2**63.
+MAX_TICKS = 2 ** 32
 
 TENSION_FEATURES = ("cloud_diameter", "cloud_momentum", "tensile_strain")
 TENSION_LEVELS = ("q1", "q2", "q3", "q4")
@@ -122,11 +135,15 @@ def token(raw: str) -> Token:
         num = _int_field(rest, "time_signature")
         if num < 1:
             raise ParseError("time_signature numerator must be >= 1")
+        if num * TICKS_PER_QUARTER > MAX_TICKS:
+            raise ParseError(f"a {num}-beat bar is longer than {MAX_TICKS} ticks")
         return Token(TokenCategory.HEADER, raw, {"key": "time_signature", "value": num})
     if head == "wait":
         ticks = _int_field(rest, "wait")
         if ticks <= 0:
             raise ParseError("wait ticks must be > 0")
+        if ticks > MAX_TICKS:
+            raise ParseError(f"wait of {ticks} ticks is longer than {MAX_TICKS}")
         return Token(TokenCategory.WAIT, raw, {"ticks": ticks})
     if head in ("valence", "arousal"):
         if rest not in ("high", "low"):
@@ -161,6 +178,9 @@ def token(raw: str) -> Token:
             raise ParseError("string number must be >= 1")
         if fret > FRET_MAX:
             raise ParseError(f"fret {fret} outside [0, {FRET_MAX}]")
+        strings = len(DEFAULT_TUNINGS[head])
+        if string > strings:
+            raise ParseError(f"string {string} does not exist on {head} ({strings} strings)")
         return Token(TokenCategory.NOTE, raw, {"track": head, "string": string, "fret": fret})
     raise ParseError(f"no grammar rule matches {raw!r}")
 

@@ -202,6 +202,17 @@ def test_train_clf_with_an_unlabelled_line_writes_nothing(corpus, tmp_path, caps
     err = capsys.readouterr().err
     assert err == f"error: {bad}: line {len(lines)} carries no arousal label\n"
     assert not (out / "valence.json").exists()
+    # a class too small to fit names the target and the count of each class
+    body = "mode:major tempo:160 start new_measure clean0:note:s1:f0 wait:960 end"
+    for arousal, why in [("high high high low", "need at least 2 examples per class, "
+                                                "got 3 high and 1 low"),
+                         ("low low low low", "training data contains a single class, "
+                                             "got 0 high and 4 low")]:
+        bad.write_text("".join(f"valence:{v} arousal:{a} {body}\n" for v, a in
+                               zip(("high", "low", "high", "low"), arousal.split())))
+        assert run("train-clf", "--corpus", str(bad), "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {bad}: arousal: {why}\n"
+        assert not out.exists()
 
 
 def test_train_clf_label_error_counts_blank_lines(corpus, tmp_path, capsys):
@@ -780,6 +791,14 @@ def test_eval_stats_ragged_csv_exits_1(tmp_path, capsys):
     data.write_text("a,b\n")
     assert run("eval-stats", "--method", "wilcoxon", "--input", str(data)) == 1
     assert capsys.readouterr().err == f"error: {data}: no data rows\n"
+    # data the test itself cannot take; pairwise names the pair's columns
+    for method, rows, why in [
+            ("wilcoxon", "a,b\n1,1\n2,2\n", "all differences are zero"),
+            ("pairwise", "a,b,c\n" + "".join(f"{i},{i + 1},{i}\n" for i in range(6)),
+             "columns 1 and 3: all differences are zero")]:
+        data.write_text(rows)
+        assert run("eval-stats", "--method", method, "--input", str(data)) == 1
+        assert capsys.readouterr().err == f"error: {data}: {why}\n"
 
 
 @pytest.mark.parametrize("method", ["wilcoxon", "friedman", "pairwise"])
@@ -827,7 +846,7 @@ def test_importing_loads_no_module_it_does_not_need(module):
 # imports at its top (config, atomic, tokens).
 LOADED_BY = {"--help": [], "usage error": [], "annotate": ["looptab.annotate"],
              "train-gen": ["looptab.generate", "numpy"],
-             "generate": ["looptab.generate", "numpy"], "eval-stats": ["looptab.stats", "numpy"],
+             "generate": ["looptab.generate", "numpy"], "eval-stats": ["looptab.stats"],
              "train-clf": ["looptab.evaluate", "numpy"], "survey": ["looptab.survey"]}
 
 
@@ -1060,6 +1079,33 @@ def test_a_malformed_corpus_token_exits_1_naming_the_file_line_and_token(corpus,
         f"error: {bad}: line 3: token {index} ('tempo:x1'): tempo must be a non-negative "
         f"integer, got 'x1'\n")
     assert not any((tmp_path / name).exists() for name in outputs)
+
+
+def test_a_note_off_the_strings_stops_each_reader_with_the_same_reason(workspace, classifiers,
+                                                                      tmp_path, capsys):
+    # the grammar rejects it for every reader, so no stage writes a token
+    # that a later stage rejects
+    raw, reason = "clean0:note:s7:f3", "string 7 does not exist on clean0 (6 strings)"
+    line = f"valence:high arousal:low mode:major tempo:160 start new_measure {raw} wait:480 end"
+    bad = tmp_path / "corpus.txt"
+    bad.write_text("valence:low arousal:high mode:minor tempo:90 start new_measure end\n"
+                   f"{line}\n")
+    capsys.readouterr()
+    for command, target in (("train-gen", "--out"), ("train-clf", "--out-dir")):
+        assert run(command, "--corpus", str(bad), target, str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == (f"error: {bad}: line 2: token "
+                                           f"{line.split().index(raw)} ({raw!r}): {reason}\n")
+    assert not (tmp_path / "out").exists()
+    happy = tmp_path / "happy"
+    happy.mkdir()
+    song = happy / "gen_0000.tokens"
+    song.write_text(f"tempo:160 start new_measure {raw} wait:480 end\n")
+    for argv in (["eval-emotion", "--happy", str(happy), "--sad", str(workspace / "scores"),
+                  "--valence-model", str(classifiers / "valence.json"),
+                  "--arousal-model", str(classifiers / "arousal.json")],
+                 ["eval-loops", "--generations", str(happy)]):
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == f"error: {song}: token 3 ({raw!r}): {reason}\n"
 
 
 @pytest.mark.parametrize("command,target", [("train-gen", "--out"), ("train-clf", "--out-dir")])

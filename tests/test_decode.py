@@ -41,8 +41,8 @@ from looptab.score import (
 )
 from looptab.tension import (DEFAULT_PARAMS, TensionProfile, compute_tension_profile,
                              loop_tension_profiles)
-from looptab.tokens import TICKS_PER_QUARTER, TOKEN_CACHE_SIZE, ParseError, Token, TokenCategory, \
-    parse_tokens
+from looptab.tokens import DEFAULT_TUNINGS, FRET_MAX, NOTE_TRACKS, TICKS_PER_QUARTER, \
+    TOKEN_CACHE_SIZE, ParseError, Token, TokenCategory, parse_tokens
 
 from test_loops import oracle_loops, reference_fingerprints
 from test_score import quadratic_tokens
@@ -102,14 +102,8 @@ def reference_tokens_to_score(stream: list[Token]) -> tuple:
             if fields["track"] == "drums":
                 note = ("drums", None, None, fields["midi"])
             else:
-                tuning = score_mod.DEFAULT_TUNINGS[fields["track"]]
                 string, fret = fields["string"], fields["fret"]
-                if string > len(tuning):
-                    raise StructureError(f"token {i}: string {string} does not exist on "
-                                         f"{fields['track']} ({len(tuning)} strings)")
-                midi = tuning[string - 1] + fret
-                if midi > 127:
-                    raise StructureError(f"token {i}: pitch {midi} above midi range")
+                midi = DEFAULT_TUNINGS[fields["track"]][string - 1] + fret
                 note = (fields["track"], string, fret, midi)
             pending.append((*note, []))
         elif cat is TokenCategory.WAIT:
@@ -271,25 +265,30 @@ def test_any_stream_fails_like_the_reference(text):
     check_same(text)
 
 
-@pytest.mark.parametrize("text,message", [
-    ("", "no tokens"),
+OFF_THE_STRINGS = "string 5 does not exist on bass (4 strings)"
+
+
+@pytest.mark.parametrize("text,message,error", [
+    ("", "no tokens", StructureError),
     ("start clean0:note:s1:f0 new_measure", "token 1: note 'clean0:note:s1:f0' before first "
-                                            "new_measure"),
-    ("start wait:480 new_measure", "token 1: wait before first new_measure"),
+                                            "new_measure", StructureError),
+    ("start wait:480 new_measure", "token 1: wait before first new_measure", StructureError),
     ("start cloud_diameter:q1 new_measure", "token 1: bar control 'cloud_diameter:q1' before "
-                                            "first measure"),
-    ("start new_measure end wait:480", "token 3 ('wait:480') after end"),
-    ("start new_measure bass:note:s5:f0", "token 2: string 5 does not exist on bass (4 strings)"),
-    ("start new_measure artist:a", "token 2: artist token after first measure"),
-    ("new_measure start", "token 1: start token after first measure"),
-    ("start new_measure mode:minor", "token 2: song control 'mode:minor' after first measure"),
+                                            "first measure", StructureError),
+    ("start new_measure end wait:480", "token 3 ('wait:480') after end", StructureError),
+    ("start new_measure bass:note:s5:f0", f"token 2 ('bass:note:s5:f0'): {OFF_THE_STRINGS}",
+     ParseError),
+    ("start new_measure artist:a", "token 2: artist token after first measure", StructureError),
+    ("new_measure start", "token 1: start token after first measure", StructureError),
+    ("start new_measure mode:minor", "token 2: song control 'mode:minor' after first measure",
+     StructureError),
     # several errors: the earliest is raised
-    ("start new_measure bass:note:s5:f0 valence:high end wait:1", "token 2: string 5 does not "
-                                                                  "exist on bass (4 strings)"),
-    ("wait:1 new_measure artist:a", "token 0: wait before first new_measure"),
+    ("start new_measure bass:note:s5:f0 valence:high end wait:1",
+     f"token 2 ('bass:note:s5:f0'): {OFF_THE_STRINGS}", ParseError),
+    ("wait:1 new_measure artist:a", "token 0: wait before first new_measure", StructureError),
 ])
-def test_each_malformed_stream_fails_as_the_reference(text, message):
-    with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+def test_each_malformed_stream_fails_as_the_reference(text, message, error):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         decode(text.split())
     check_same(text)
 
@@ -299,24 +298,39 @@ def test_a_parse_error_comes_before_an_earlier_structure_error():
     check_same(text)
     with pytest.raises(ParseError, match=r"^token 2 \('tempo:x1'\)"):
         decode(text.split())
-
-
-def test_a_pitch_above_midi_range_fails_as_the_reference(monkeypatch):
-    monkeypatch.setitem(score_mod.DEFAULT_TUNINGS, "leads", (110,) * 6)
-    text = "start new_measure leads:note:s1:f20 wait:480"
+    # a string the track does not have is a parse error too
+    text = "wait:480 new_measure bass:note:s5:f0"
     check_same(text)
-    with pytest.raises(StructureError, match=r"^token 2: pitch 130 above midi range$"):
+    with pytest.raises(ParseError, match=re.escape(f"token 2 ('bass:note:s5:f0'): "
+                                                   f"{OFF_THE_STRINGS}")):
         decode(text.split())
 
 
-def test_waits_and_bars_longer_than_the_columns_take_are_structure_errors():
-    with pytest.raises(StructureError, match=rf"^token 3: wait of {MAX_TICKS + 1} ticks"):
+def test_no_grammatical_pitched_note_is_above_midi_127():
+    # so the decoder checks no pitch range: every track, string and fret
+    notes = [(track, string, fret) for track in NOTE_TRACKS
+             for string in range(1, len(DEFAULT_TUNINGS[track]) + 1)
+             for fret in range(FRET_MAX + 1)]
+    song = decode(["start", "new_measure", *(raw for track, string, fret in notes
+                                             for raw in (f"{track}:note:s{string}:f{fret}",
+                                                         "wait:1"))])
+    midi = [DEFAULT_TUNINGS[track][string - 1] + fret for track, string, fret in notes]
+    assert song.midi.tolist() == midi and max(midi) <= 127
+
+
+def test_waits_and_bars_longer_than_the_columns_take_are_parse_errors():
+    with pytest.raises(ParseError, match=rf"^token 3 \('wait:{MAX_TICKS + 1}'\): wait of "
+                                         rf"{MAX_TICKS + 1} ticks is longer than {MAX_TICKS}$"):
         decode(f"start new_measure clean0:note:s1:f0 wait:{MAX_TICKS + 1}".split())
     numerator = MAX_TICKS // TICKS_PER_QUARTER + 1
-    with pytest.raises(StructureError, match=rf"^token 0: a {numerator}-beat bar is longer"):
+    with pytest.raises(ParseError, match=rf"^token 0 \('time_signature:{numerator}'\): a "
+                                         rf"{numerator}-beat bar is longer than {MAX_TICKS} "
+                                         rf"ticks$"):
         decode(f"time_signature:{numerator} start new_measure".split())
     song = decode(f"start new_measure clean0:note:s1:f0 wait:{MAX_TICKS}".split())
     assert song.duration.tolist() == [MAX_TICKS]
+    song = decode(f"time_signature:{numerator - 1} start new_measure".split())
+    assert song.numerator.tolist() == [numerator - 1]
 
 
 def test_the_table_classifies_each_string_once_and_skips_malformed_ones():

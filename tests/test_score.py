@@ -19,7 +19,7 @@ from looptab.score import (
     score_to_tokens,
     tokens_to_score,
 )
-from looptab.tokens import TENSION_FEATURES, parse_tokens, render_tokens, token
+from looptab.tokens import TENSION_FEATURES, ParseError, parse_tokens, render_tokens, token
 
 from util import bars_of, canonical, columns, random_score
 
@@ -47,7 +47,9 @@ def test_note_before_measure_is_structural_error():
 
 
 def test_fret_on_nonexistent_string():
-    with pytest.raises(StructureError):
+    # the grammar rejects it, so no reader takes it
+    with pytest.raises(ParseError, match=r"^token 2 \('bass:note:s5:f0'\): string 5 does not "
+                                         r"exist on bass \(4 strings\)$"):
         tokens_to_score(parse_tokens("start new_measure bass:note:s5:f0 wait:480"))
 
 
@@ -55,16 +57,16 @@ def test_note_off_the_strings_fails_at_its_index_every_time():
     texts = {"start new_measure bass:note:s5:f0 wait:480": 2,
              "start new_measure wait:480 bass:note:s5:f0": 3}
     for text, index in texts.items():
-        for decoded in (lambda: tokens_to_score(parse_tokens(text)), lambda: decode(text.split())):
-            with pytest.raises(StructureError,
-                               match=rf"^token {index}: string 5 does not exist on bass"):
+        for decoded in (lambda: parse_tokens(text), lambda: decode(text.split())):
+            with pytest.raises(ParseError, match=rf"^token {index} \('bass:note:s5:f0'\): "
+                                                 rf"string 5 does not exist on bass") as exc:
                 decoded()
-    # in one call the second song finds the string already classified, and
-    # fails at its own index
+            assert (exc.value.index, exc.value.token) == (index, "bass:note:s5:f0")
+    # in one call the second song fails at its own index
     [(_, part)] = decode_parts([text.split() for text in texts])
-    assert [str(part.errors[i]) for i in range(len(texts))] == [
-        f"token {index}: string 5 does not exist on bass (4 strings)"
-        for index in texts.values()]
+    assert [(type(part.errors[i]), str(part.errors[i])) for i in range(len(texts))] == [
+        (ParseError, f"token {index} ('bass:note:s5:f0'): string 5 does not exist on bass "
+                     "(4 strings)") for index in texts.values()]
 
 
 def test_a_song_with_more_strings_than_the_bound_is_held_until_the_next(monkeypatch):

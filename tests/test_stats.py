@@ -153,6 +153,35 @@ def test_wilcoxon_exact_p_equals_enumeration_with_ties():
         assert res.p_value == enumerated_p(a, [0.0] * n)
 
 
+def table_p(a, b):
+    """The exact two-sided p from a table of sign assignments per doubled
+    rank sum, filled one rank at a time."""
+    diffs = [x - y for x, y in zip(a, b) if x != y]
+    mags = sorted(abs(d) for d in diffs)
+    doubled = [mags.index(abs(d)) + len(mags) - mags[::-1].index(abs(d)) + 1 for d in diffs]
+    w = min(sum(r for r, d in zip(doubled, diffs) if d > 0),
+            sum(r for r, d in zip(doubled, diffs) if d < 0))
+    total = sum(doubled)
+    ways = [1] + [0] * total
+    for r in doubled:
+        for s in range(total, r - 1, -1):
+            ways[s] += ways[s - r]
+    return sum(c for s, c in enumerate(ways) if min(s, total - s) <= w) / 2.0 ** len(diffs)
+
+
+def test_wilcoxon_exact_p_equals_a_rank_sum_table_up_to_the_cap():
+    # ties, W+ = W- and sizes past what enumeration reaches, up to the cap
+    rng = random.Random(12)
+    cases = [([1.0, -1.0, 2.0, -2.0, 3.0, -3.0], [0.0] * 6)]
+    for n in (13, 20, 37, 49, EXACT_WILCOXON_MAX_N):
+        for levels in (4, 1000):
+            cases.append(([rng.randint(1, levels) * rng.choice((1, -1)) for _ in range(n)],
+                          [0.0] * n))
+    for a, b in cases:
+        res = wilcoxon_signed_rank(a, b)
+        assert res.exact and res.p_value == table_p(a, b)
+
+
 @pytest.mark.parametrize("n", [5, 6, 12, 13, 20, 30, 49, 50])
 def test_wilcoxon_exact_p_matches_scipy(n):
     scipy_stats = pytest.importorskip("scipy.stats")

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from looptab.score import ScoreColumns, StructureError, score_to_tokens, tokens_to_score
 from looptab.tokens import (
+    MAX_TICKS,
     ParseError,
     Token,
     TokenCategory,
@@ -60,6 +61,9 @@ def test_malformed_token_reports_index():
     ("bass:note:s4:f0", TokenCategory.NOTE),
     ("drums:note:38", TokenCategory.NOTE),
     ("wait:960", TokenCategory.WAIT),
+    # the bounds themselves
+    (f"wait:{MAX_TICKS}", TokenCategory.WAIT),
+    (f"time_signature:{MAX_TICKS // 960}", TokenCategory.HEADER),
     ("nfx:palm_mute", TokenCategory.EFFECT),
 ])
 def test_grammar_coverage(raw, category):
@@ -76,6 +80,9 @@ def test_grammar_coverage(raw, category):
     "distorted0:note:s4:f31", "distorted0:note:f7", "drums:note:200",
     "banana", "nfx:", ":", "distorted9:note:s1:f0",
     "nfx:palm_mute!", "leads:note:s1:f2x",
+    # a string the track does not have, and a wait or bar the decoder's columns cannot hold
+    "bass:note:s5:f0", "clean0:note:s7:f0", f"wait:{MAX_TICKS + 1}",
+    f"time_signature:{MAX_TICKS // 960 + 1}",
 ])
 def test_rejected_tokens(raw):
     with pytest.raises(ParseError):
