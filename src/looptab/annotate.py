@@ -19,7 +19,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, Sequence
 from urllib.parse import quote
 
 from .atomic import atomic_open, read_csv, token_files
@@ -266,21 +266,20 @@ def feature_thresholds_to_json(thresholds: FeatureThresholds) -> str:
 
 
 def _loop_lines(head: str, tempo: int, bars: dict[int, tuple[int, str]],
-                spans: Sequence[tuple[int, int]],
-                profiles: Sequence[TensionProfile]) -> Iterable[str]:
+                spans: Sequence[tuple[int, int]], controls: Iterator[str]) -> Iterable[str]:
     """The corpus line of each ``[start, end)`` bar range of a regularized
     song, joined from pieces: ``head`` (song controls and header), then per
-    bar any tempo change, ``new_measure``, the profile's three levels and
-    the bar's body; ``bars`` maps a bar to its tempo and rendered body."""
-    for (start, end), profile in zip(spans, profiles):
+    bar any tempo change, ``new_measure`` with the bar's next three level
+    controls from ``controls``, and the bar's body; ``bars`` maps a bar to
+    its tempo and rendered body."""
+    for start, end in spans:
         pieces, running = [head], tempo
-        for i, cd, cm, ts in zip(range(start, end), profile.cd_levels, profile.cm_levels,
-                                 profile.ts_levels):
+        for i, levels in zip(range(start, end), controls):
             bar_tempo, body = bars[i]
             if bar_tempo != running:  # all bars are 4/4, so no metre changes
                 running = bar_tempo
                 pieces.append(f"tempo:{bar_tempo}")
-            pieces.append(f"new_measure cloud_diameter:{cd} cloud_momentum:{cm} tensile_strain:{ts}")
+            pieces.append("new_measure " + levels)
             if body:
                 pieces.append(body)
         pieces.append("end")
@@ -348,7 +347,7 @@ def build_corpus(score_dir: str | Path,
     result = CorpusResult(feature_thresholds=thresholds)
 
     paths = token_files(score_dir)
-    songs, profiles = [], []
+    songs, tensions = [], []
     for first, decoded in decode_parts(paths):
         names = paths[first:first + len(decoded)]
         records = [None if head is None else by_key.get(_normalize_key(head[0] or "", path.stem))
@@ -358,7 +357,7 @@ def build_corpus(score_dir: str | Path,
             if not used:
                 continue
             spans = [span for _, _, song_spans in used for span in song_spans]
-            profiles += tension_mod.loop_tension_profiles(part.columns, spans, spiral_params)
+            tensions.append(tension_mod.bar_tension(part.columns, spans, spiral_params))
             looped = sorted({b for lo, hi in spans for b in range(lo, hi)})
             bars = {b: (tempo, " ".join(body)) for b, tempo, body in
                     zip(looped, part.columns.tempo[looped].tolist(),
@@ -367,12 +366,12 @@ def build_corpus(score_dir: str | Path,
 
     lines: list[str] = []
     if songs:
-        result.tension_thresholds = tension_mod.fit_tension_thresholds(profiles)
-        leveled = iter(tension_mod.discretize_profiles(profiles, result.tension_thresholds))
+        tension = tension_mod.BarTension.join(tensions)
+        result.tension_thresholds = tension_mod.fit_thresholds(tension, score_dir, "loop")
+        bar_controls = iter(tension_mod.bar_controls(tension, result.tension_thresholds))
         for rec, tempo, song_spans, bars in songs:
             controls = render_tokens(song_control_tokens(rec, thresholds))
             head = f"{controls} time_signature:4 tempo:{tempo} start"
-            lines.extend(_loop_lines(head, tempo, bars, song_spans,
-                                     [next(leveled) for _ in song_spans]))
+            lines.extend(_loop_lines(head, tempo, bars, song_spans, bar_controls))
     result.lines = len(lines)
     return lines, result

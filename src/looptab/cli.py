@@ -178,15 +178,11 @@ def cmd_tension(args) -> int:
 
     config = load_config(args.config)
     paths = token_files(args.scores)
-    profiles = []
-    for _, part in _song_parts(paths):
-        profiles += tension_mod.loop_tension_profiles(part.columns, part.spans,
-                                                      config.spiral_params)
-    thresholds = tension_mod.fit_tension_thresholds(profiles)
-    rows = [tension_mod.CSV_HEADER]
-    for path, profile in zip(paths, tension_mod.discretize_profiles(profiles, thresholds)):
-        rows.extend(tension_mod.profile_csv_rows(path.stem, profile))
-    atomic_write(args.out_csv, "\n".join(rows) + "\n")
+    bars = tension_mod.BarTension.join([
+        tension_mod.bar_tension(part.columns, part.spans, config.spiral_params)
+        for _, part in _song_parts(paths)])
+    thresholds = tension_mod.fit_thresholds(bars, args.scores, "song")
+    atomic_write(args.out_csv, tension_mod.tension_csv([p.stem for p in paths], bars, thresholds))
     if args.out_thresholds:
         atomic_write(args.out_thresholds, tension_mod.thresholds_to_json(thresholds))
     return 0
@@ -199,15 +195,13 @@ def cmd_loops(args) -> int:
     lines = []
     for paths, part in _song_parts(token_files(args.scores), regular=True):
         starts = part.starts.tolist()
+        songs = [json.dumps(path.stem) for path in paths]
         for span in loops_mod.extract_loops(part.columns, config.loop_params, part.starts):
             song = bisect.bisect_right(starts, span.start_bar) - 1
-            lines.append(json.dumps({
-                "song": paths[song].stem,
-                "start_bar": span.start_bar - starts[song],
-                "end_bar": span.end_bar - starts[song],
-                "rep_len": span.repetition_length_events,
-            }))
-    atomic_write(args.out, "".join(l + "\n" for l in lines))
+            lines.append(f'{{"song": {songs[song]}, "start_bar": {span.start_bar - starts[song]}, '
+                         f'"end_bar": {span.end_bar - starts[song]}, '
+                         f'"rep_len": {span.repetition_length_events}}}\n')
+    atomic_write(args.out, "".join(lines))
     log.info("found %d loops", len(lines))
     return 0
 

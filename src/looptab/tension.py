@@ -13,18 +13,25 @@ pitch-class table; its center of effect sums its notes in note order, as
 a Python loop would, and its diameter depends only on its 12-bit
 pitch-class mask and is memoized per :class:`SpiralParams`. Each song (or
 loop) sums its own key the same way, and the keys of all of them are
-chosen in one array pass.
+chosen in one array pass. The momenta and strains of all the songs or
+loops of a batch are one array pass each (:func:`bar_tension`, flat
+arrays in a :class:`BarTension`): every coordinate difference is squared
+by ``operator.pow(d, 2)``, the very ``float ** 2`` (libm ``pow``) of a
+per-bar Python distance, so the values are the same to the last bit.
 Raw values are discretized into four levels (q1..q4) using corpus-global
-first quartile / median / third quartile thresholds.
+first quartile / median / third quartile thresholds, binned in one
+``searchsorted`` per feature.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, product, repeat
+from os import PathLike
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -61,6 +68,47 @@ class TensionProfile:
 
     def feature(self, name: str) -> tuple[float, ...]:
         return getattr(self, name)
+
+
+@dataclass(frozen=True, eq=False)
+class BarTension:
+    """The tension of every bar of a sequence of bar ranges, range after
+    range: range ``i`` holds the entries ``ends[i - 1]:ends[i]`` (from 0 for
+    the first range) of the float64 arrays ``cd``, ``cm`` and ``ts``."""
+
+    cd: np.ndarray
+    cm: np.ndarray
+    ts: np.ndarray
+    ends: np.ndarray
+
+    @classmethod
+    def of_profiles(cls, profiles: Iterable[TensionProfile]) -> BarTension:
+        profiles = list(profiles)
+        return cls(*(np.fromiter(chain.from_iterable(p.feature(name) for p in profiles), float)
+                     for name in TENSION_FEATURES),
+                   np.fromiter(accumulate(map(len, profiles)), np.int64))
+
+    @classmethod
+    def join(cls, parts: Sequence[BarTension]) -> BarTension:
+        """The ranges of all ``parts``, part after part."""
+        shifts = accumulate((len(part.cd) for part in parts), initial=0)
+        return cls(*(np.concatenate([np.zeros(0)] + [getattr(part, name) for part in parts])
+                     for name in ("cd", "cm", "ts")),
+                   np.concatenate([np.zeros(0, np.int64)]
+                                  + [part.ends + shift for part, shift in zip(parts, shifts)]))
+
+    def profiles(self) -> list[TensionProfile]:
+        """One profile per range, without levels."""
+        cd, cm, ts = self.cd.tolist(), self.cm.tolist(), self.ts.tolist()
+        bounds = [0, *self.ends.tolist()]
+        return [TensionProfile(tuple(cd[a:b]), tuple(cm[a:b]), tuple(ts[a:b]))
+                for a, b in zip(bounds, bounds[1:])]
+
+    def codes(self, thresholds: TensionThresholds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The level of every bar's cd, cm and ts as codes 0..3 (q1..q4)."""
+        return (_level_codes(self.cd, thresholds.cloud_diameter),
+                _level_codes(self.cm, thresholds.cloud_momentum),
+                _level_codes(self.ts, thresholds.tensile_strain))
 
 
 @dataclass(frozen=True)
@@ -188,18 +236,51 @@ def tension_from_clouds(clouds: Sequence[Sequence[tuple[int, float]]],
     momentum is 0, as is momentum against an empty neighbour.
     """
     coes = [coe_of_indices(cloud, params) if cloud else None for cloud in clouds]
-    cds = [cloud_diameter_of_indices((k for k, _ in cloud), params) for cloud in clouds]
-    return TensionProfile(tuple(cds), tuple(_momenta(coes)), _strains(coes, key_center))
+    filled = np.array([coe is not None for coe in coes], bool)
+    centers = np.array([coe or (0.0, 0.0, 0.0) for coe in coes], float).reshape(-1, 3)
+    cds = np.array([cloud_diameter_of_indices((k for k, _ in cloud), params) for cloud in clouds],
+                   float)
+    keyed = key_center is not None
+    keys = np.array([key_center if keyed else (0.0, 0.0, 0.0)], float)
+    return _gather(centers, filled, cds, np.array([0]), np.array([len(clouds)]), keys,
+                   np.array([keyed])).profiles()[0]
 
 
-def _momenta(coes: Sequence[tuple[float, float, float] | None]) -> list[float]:
-    return [0.0 if i == 0 or coe is None or coes[i - 1] is None else _distance(coe, coes[i - 1])
-            for i, coe in enumerate(coes)]
+def _norms(offsets: np.ndarray) -> np.ndarray:
+    """The length of each row of the m x 3 ``offsets``, bit for bit as
+    :func:`_distance` gives it: each coordinate squared by Python's own
+    ``float ** 2`` (libm ``pow``, which ``x * x``, ``np.square`` and
+    ``np.power`` miss in the last bit of some values), then x + y, then + z,
+    and the correctly rounded ``np.sqrt``, as ``math.sqrt`` is."""
+    squares = np.fromiter(map(operator.pow, offsets.ravel().tolist(), repeat(2)), float,
+                          count=offsets.size).reshape(-1, 3)
+    return np.sqrt(squares[:, 0] + squares[:, 1] + squares[:, 2])
 
 
-def _strains(coes, key_center: Sequence[float] | None) -> tuple[float, ...]:
-    return tuple(0.0 if coe is None or key_center is None else _distance(coe, key_center)
-                 for coe in coes)
+def _gather(centers: np.ndarray, filled: np.ndarray, cds: np.ndarray, first: np.ndarray,
+            last: np.ndarray, keys: np.ndarray, keyed: np.ndarray) -> BarTension:
+    """The tension of each ``[first[i], last[i])`` range of the bars whose
+    centers of effect are the rows of ``centers`` (``filled`` marks the
+    bars that have one) and whose cloud diameters are ``cds``, against the
+    key center ``keys[i]`` if ``keyed[i]``. A bar's momentum is its
+    distance from the previous bar's center, found once per bar; it is 0
+    at a range's first bar and next to an empty bar. Strain is the
+    distance from the range's key center, 0 for an empty bar or a range
+    without key."""
+    lengths = last - first
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    owner = np.repeat(np.arange(len(lengths)), lengths)  # the range of each entry
+    bar = np.arange(len(owner)) + (first - starts)[owner]
+    moved = np.flatnonzero(filled[1:] & filled[:-1]) + 1  # the bars after a bar with notes
+    momenta = np.zeros(len(filled))
+    momenta[moved] = _norms(centers[moved] - centers[moved - 1])
+    cm = momenta[bar]
+    cm[starts[lengths > 0]] = 0.0
+    strained = filled[bar] & keyed[owner]
+    ts = np.zeros(len(bar))
+    ts[strained] = _norms(centers[bar[strained]] - keys[owner[strained]])
+    return BarTension(cds[bar], cm, ts, ends)
 
 
 @lru_cache(maxsize=8)
@@ -244,11 +325,10 @@ def _in_order_sums(terms: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> n
 def _bar_table(song: ScoreColumns, params: SpiralParams):
     """The (w*x, w*y, w*z, w) terms of the song's pitched notes in note
     order (w the duration, (x, y, z) the pitch position) and each bar's row
-    bounds among them; per bar, its center of effect, cloud diameter and
-    momentum, each equal to what :func:`tension_from_clouds` gives for the
-    bar's (fifth-index, duration) cloud. ``song`` may be a batch's columns:
-    no bar spans two songs, and the momentum of a song's first bar is never
-    read."""
+    bounds among them; per bar, its center of effect (0 for an empty bar),
+    whether it has one, and its cloud diameter, each equal to what
+    :func:`tension_from_clouds` gives for the bar's (fifth-index, duration)
+    cloud. ``song`` may be a batch's columns: no bar spans two songs."""
     positions, diameters = _pitch_class_table(params)
     pitched = song.pitched
     pc = song.midi[pitched] % 12
@@ -261,16 +341,14 @@ def _bar_table(song: ScoreColumns, params: SpiralParams):
     filled = bounds[:-1] < bounds[1:]
     centers = np.divide(sums[:, :3], sums[:, 3:], out=np.zeros((len(sums), 3)),
                         where=filled[:, None])
-    coes = centers.tolist()
-    for b in (~filled).nonzero()[0].tolist():
-        coes[b] = None
     masks = np.zeros(song.n_bars, np.int64)
     masks[filled] = np.bitwise_or.reduceat(1 << pc, bounds[:-1][filled])
     masks = masks.tolist()
     for mask in set(masks).difference(diameters):
         ks = [fifth_index_of_pitch(c) for c in range(12) if mask >> c & 1]
         diameters[mask] = cloud_diameter_of_indices(ks, params)
-    return terms, bounds, coes, list(map(diameters.__getitem__, masks)), _momenta(coes)
+    cds = np.fromiter(map(diameters.__getitem__, masks), float, count=len(masks))
+    return terms, bounds, centers, filled, cds
 
 
 def _nearest_keys(centers: np.ndarray, params: SpiralParams) -> list[KeyEstimate]:
@@ -298,12 +376,19 @@ def compute_tension_profile(song: ScoreColumns,
 
 def loop_tension_profiles(song: ScoreColumns, spans: Sequence[tuple[int, int]],
                           params: SpiralParams = DEFAULT_PARAMS) -> list[TensionProfile]:
+    """:func:`bar_tension` of the ranges, one profile per range."""
+    return bar_tension(song, spans, params).profiles()
+
+
+def bar_tension(song: ScoreColumns, spans: Sequence[tuple[int, int]],
+                params: SpiralParams = DEFAULT_PARAMS) -> BarTension:
     """The tension of each ``[start, end)`` bar range of ``song`` as
     :func:`compute_tension_profile` gives it for the range on its own: with
     its own key and a first-bar momentum of 0. ``song`` may be the columns
     of a batch and the ranges its songs or loops, none of them across two
     songs. The bar values are computed once and shared among the ranges,
-    and the keys are chosen for all the ranges at once; the bars outside
+    the keys are chosen for all the ranges at once, and the momenta and
+    strains of all of them are one array pass each; the bars outside
     every range are not computed."""
     first, last = np.array(spans, np.int64).reshape(-1, 2).T
     n = song.n_bars
@@ -317,71 +402,81 @@ def loop_tension_profiles(song: ScoreColumns, spans: Sequence[tuple[int, int]],
                        bar=before[song.bar[notes]], midi=song.midi[notes],
                        duration=song.duration[notes], track=song.track[notes])
         first, last = before[first], before[last]
-        spans = list(zip(first.tolist(), last.tolist()))
-    terms, bounds, coes, cds, cms = _bar_table(song, params)
+    terms, bounds, centers, filled, cds = _bar_table(song, params)
     lo, hi = bounds[first], bounds[last]
-    held = (hi > lo).nonzero()[0]  # the ranges with pitched notes have a key
-    sums = _in_order_sums(terms, lo[held], hi[held])  # summing the range's notes in order
-    keys: list = [None] * len(spans)
-    for i, key in zip(held.tolist(), _nearest_keys(sums[:, :3] / sums[:, 3:], params)):
-        keys[i] = key.center
-    return [TensionProfile(tuple(cds[s:e]), (0.0,)[:e - s] + tuple(cms[s + 1:e]),
-                           _strains(coes[s:e], key))
-            for (s, e), key in zip(spans, keys)]
+    keyed = hi > lo  # the ranges with pitched notes have a key
+    keys = np.zeros((len(keyed), 3))
+    if keyed.any():
+        sums = _in_order_sums(terms, lo[keyed], hi[keyed])  # summing the range's notes in order
+        keys[keyed] = [key.center for key in _nearest_keys(sums[:, :3] / sums[:, 3:], params)]
+    return _gather(centers, filled, cds, first, last, keys, keyed)
 
 
 def fit_tension_thresholds(profiles: Iterable[TensionProfile]) -> TensionThresholds:
-    """Pooled Q1/median/Q3 per feature over all bars of all profiles.
+    """:func:`fit_thresholds` over all bars of all profiles."""
+    return fit_thresholds(BarTension.of_profiles(profiles))
+
+
+def fit_thresholds(bars: BarTension, source: str | PathLike | None = None,
+                   unit: str = "range") -> TensionThresholds:
+    """Pooled Q1/median/Q3 of each feature over every bar of ``bars``.
 
     Quantiles use linear interpolation between order statistics; at least
-    4 pooled bar values are required.
+    4 bars are required. When ``source`` (a song directory) is given, the
+    error names it and counts the ranges pooled, each one ``unit`` ("song"
+    or "loop").
     """
-    pooled = {name: [] for name in TENSION_FEATURES}
-    for prof in profiles:
-        for name in TENSION_FEATURES:
-            pooled[name].extend(prof.feature(name))
-    n = len(pooled["cloud_diameter"])
+    n = len(bars.cd)
     if n < 4:
-        raise ValueError(f"need at least 4 bar values to fit quartiles, got {n}")
-    out = {}
-    for name in TENSION_FEATURES:
-        q1, med, q3 = np.quantile(np.asarray(pooled[name], dtype=float),
-                                  [0.25, 0.5, 0.75], method="linear")
-        out[name] = (float(q1), float(med), float(q3))
-    return TensionThresholds(**out)
+        k = len(bars.ends)
+        counted = (f" from the bars of {k} {unit}{'s' * (k != 1)} in {source}"
+                   if source is not None else "")
+        raise ValueError(f"need at least 4 bar values to fit quartiles, got {n}{counted}")
+    return TensionThresholds(*(tuple(np.quantile(values, [0.25, 0.5, 0.75],
+                                                 method="linear").tolist())
+                               for values in (bars.cd, bars.cm, bars.ts)))
 
 
 LEVELS = ("q1", "q2", "q3", "q4")
 
 
-def levels_of(values: Sequence[float], thresholds: tuple[float, float, float]) -> tuple[str, ...]:
-    """The level of every value, binned half-open in one ``searchsorted``:
-    v < t1 -> q1, t1 <= v < t2 -> q2, t2 <= v < t3 -> q3, v >= t3 -> q4.
-    NaN, which compares false with every threshold, is q1."""
+def _level_codes(values: np.ndarray, thresholds: tuple[float, float, float]) -> np.ndarray:
+    """The level of every value as a code 0..3 (q1..q4), binned half-open
+    in one ``searchsorted``: v < t1 -> q1, t1 <= v < t2 -> q2,
+    t2 <= v < t3 -> q3, v >= t3 -> q4. NaN, which compares false with every
+    threshold, is q1."""
     t1, t2, t3 = thresholds
     if not t1 <= t2 <= t3:
         raise ValueError("thresholds must be ordered")
-    values = np.asarray(values, dtype=float)
-    bins = np.searchsorted(np.asarray(thresholds, dtype=float), values, side="right")
-    bins[np.isnan(values)] = 0
-    return tuple(map(LEVELS.__getitem__, bins.tolist()))
+    codes = np.searchsorted(np.asarray(thresholds, dtype=float), values, side="right")
+    codes[np.isnan(values)] = 0
+    return codes
+
+
+def levels_of(values: Sequence[float], thresholds: tuple[float, float, float]) -> tuple[str, ...]:
+    """The level name of every value, as :func:`_level_codes` bins it."""
+    return tuple(map(LEVELS.__getitem__,
+                     _level_codes(np.asarray(values, dtype=float), thresholds).tolist()))
 
 
 def discretize_profile(profile: TensionProfile, thresholds: TensionThresholds) -> TensionProfile:
-    return discretize_profiles([profile], thresholds)[0]
+    return replace(profile,
+                   cd_levels=levels_of(profile.cloud_diameter, thresholds.cloud_diameter),
+                   cm_levels=levels_of(profile.cloud_momentum, thresholds.cloud_momentum),
+                   ts_levels=levels_of(profile.tensile_strain, thresholds.tensile_strain))
 
 
-def discretize_profiles(profiles: Sequence[TensionProfile],
-                        thresholds: TensionThresholds) -> list[TensionProfile]:
-    """Each profile with its levels; each feature of all the profiles is
-    binned in one :func:`levels_of`."""
-    cd, cm, ts = (levels_of(np.fromiter(chain.from_iterable(p.feature(name) for p in profiles),
-                                        float), getattr(thresholds, name))
-                  for name in TENSION_FEATURES)
-    ends = list(accumulate(map(len, profiles)))
-    return [TensionProfile(p.cloud_diameter, p.cloud_momentum, p.tensile_strain,
-                           cd[a:b], cm[a:b], ts[a:b])
-            for p, a, b in zip(profiles, [0, *ends], ends)]
+# The text of the three bar controls of every combination of levels, in
+# code order: cd * 16 + cm * 4 + ts.
+_BAR_CONTROLS = tuple(" ".join(f"{name}:{level}" for name, level in zip(TENSION_FEATURES, levels))
+                      for levels in product(LEVELS, repeat=3))
+
+
+def bar_controls(bars: BarTension, thresholds: TensionThresholds) -> list[str]:
+    """The text of each bar's three level control tokens,
+    ``cloud_diameter:qX cloud_momentum:qY tensile_strain:qZ``."""
+    cd, cm, ts = bars.codes(thresholds)
+    return list(map(_BAR_CONTROLS.__getitem__, (cd * 16 + cm * 4 + ts).tolist()))
 
 
 # Persistence: thresholds sidecar and per-bar CSV rows.
@@ -397,15 +492,27 @@ def thresholds_to_json(thresholds: TensionThresholds) -> str:
 
 
 CSV_HEADER = "song,bar,cd,cm,ts,cd_level,cm_level,ts_level"
+_CSV_ROW = "%s,%d,%.9g,%.9g,%.9g,q%d,q%d,q%d\n"
 
 
-def profile_csv_rows(song: str, profile: TensionProfile) -> list[str]:
-    rows = []
-    for i in range(len(profile)):
-        cdl = profile.cd_levels[i] if profile.cd_levels else ""
-        cml = profile.cm_levels[i] if profile.cm_levels else ""
-        tsl = profile.ts_levels[i] if profile.ts_levels else ""
-        rows.append(f"{song},{i},{profile.cloud_diameter[i]:.9g},"
-                    f"{profile.cloud_momentum[i]:.9g},{profile.tensile_strain[i]:.9g},"
-                    f"{cdl},{cml},{tsl}")
-    return rows
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes a field: in quotes, its quotes
+    doubled, when it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def tension_csv(songs: Sequence[str], bars: BarTension, thresholds: TensionThresholds) -> str:
+    """The CSV text of ``bars``, one range per name of ``songs``: the
+    header, then one row per bar with the song, the bar's index in it, its
+    three values to 9 significant digits and their levels. A song name
+    holding a comma, a quote or a line break is quoted as ``csv.writer``
+    quotes it."""
+    lengths = np.diff(bars.ends, prepend=0).tolist()
+    names = chain.from_iterable(map(repeat, map(_csv_field, songs), lengths))
+    numbers = chain.from_iterable(map(range, lengths))
+    cd, cm, ts = (codes + 1 for codes in bars.codes(thresholds))
+    rows = zip(names, numbers, bars.cd.tolist(), bars.cm.tolist(), bars.ts.tolist(),
+               cd.tolist(), cm.tolist(), ts.tolist())
+    return CSV_HEADER + "\n" + "".join(map(_CSV_ROW.__mod__, rows))

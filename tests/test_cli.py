@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import logging
 import os
@@ -22,6 +24,7 @@ from looptab.loops import LoopSpan, extract_loops, splice_loop
 from looptab.score import score_to_tokens, tokens_to_score
 from looptab.tension import (
     TensionProfile,
+    _csv_field,
     compute_tension_profile,
     fit_tension_thresholds,
 )
@@ -121,6 +124,79 @@ def test_loops_command(workspace, tmp_path):
     assert rows
     assert {"song", "start_bar", "end_bar", "rep_len"} <= set(rows[0])
     assert all(r["end_bar"] - r["start_bar"] == 4 for r in rows)
+
+
+SPECIAL_STEMS = ("x,y", 'say "hi"', "back\\slash", "café ♫", "plain")
+
+
+def test_tension_csv_quotes_song_names_as_the_csv_module_does(tmp_path):
+    scores = tmp_path / "scores"
+    scores.mkdir()
+    rng = random.Random(3)
+    blocks = {c: bar_block(rng, 3) for c in "AB"}
+    for name in SPECIAL_STEMS:
+        write_song(scores, name, "ABAB", blocks, 120)
+    out = tmp_path / "tension.csv"
+    assert run("tension", "--scores", str(scores), "--out-csv", str(out)) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert all(len(row) == 8 for row in rows)
+    assert [row[0] for row in rows[1:]] == [name for name in sorted(SPECIAL_STEMS) for _ in range(4)]
+    plain = [i for i, row in enumerate(rows) if row[0] == "plain"]
+    lines = out.read_text().split("\n")
+    assert [lines[i] for i in plain] == [",".join(rows[i]) for i in plain]  # unquoted
+
+
+@pytest.mark.parametrize("name", [*SPECIAL_STEMS, "line\nbreak", "carriage\rreturn", "'", " x"])
+def test_a_quoted_song_field_is_what_csv_writer_writes(name):
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow([name, 0])  # its line terminator "\r\n" makes it quote "\r"
+    assert buffer.getvalue() == f"{_csv_field(name)},0\r\n"
+
+
+def test_loops_manifest_lines_are_json_dumps_of_each_loop(tmp_path):
+    scores = tmp_path / "scores"
+    scores.mkdir()
+    rng = random.Random(5)
+    for name in SPECIAL_STEMS:
+        blocks = {c: bar_block(rng, 4) for c in "AB"}
+        write_song(scores, name, "ABABABABAB", blocks, 120)
+    out = tmp_path / "loops.jsonl"
+    assert run("loops", "--scores", str(scores), "--out", str(out)) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    docs = [json.loads(line) for line in lines]
+    assert {doc["song"] for doc in docs} == set(SPECIAL_STEMS)
+    assert lines == [json.dumps({"song": doc["song"], "start_bar": doc["start_bar"],
+                                 "end_bar": doc["end_bar"], "rep_len": doc["rep_len"]})
+                     for doc in docs]
+
+
+def test_too_few_song_bars_for_quartiles_names_the_directory(tmp_path, capsys):
+    scores = tmp_path / "scores"
+    scores.mkdir()
+    blocks = {"A": bar_block(random.Random(1), 4)}
+    write_song(scores, "short", "A", blocks, 120)
+    assert run("tension", "--scores", str(scores), "--out-csv", str(tmp_path / "t.csv")) == 1
+    assert capsys.readouterr().err == ("error: need at least 4 bar values to fit quartiles, "
+                                       f"got 1 from the bars of 1 song in {scores}\n")
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_too_few_loop_bars_for_quartiles_names_the_directory(tmp_path, capsys):
+    scores = tmp_path / "scores"
+    scores.mkdir()
+    rng = random.Random(1)
+    write_song(scores, "riff", "AAB", {c: bar_block(rng, 4) for c in "AB"}, 120)
+    ann = tmp_path / "annotations.csv"
+    ann.write_text("artist,title,valence,energy,mode\n,riff,0.5,0.5,major\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"format": "looptab-config",
+                                  "loop_params": {"min_loop_bars": 1, "max_loop_bars": 1}}))
+    assert run("--config", str(config), "corpus", "--scores", str(scores),
+               "--annotations", str(ann), "--out", str(tmp_path / "c.txt")) == 1
+    assert capsys.readouterr().err == ("error: need at least 4 bar values to fit quartiles, "
+                                       f"got 1 from the bars of 1 loop in {scores}\n")
+    assert not (tmp_path / "c.txt").exists()
 
 
 @pytest.fixture(scope="module")

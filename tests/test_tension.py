@@ -1,15 +1,18 @@
+import itertools
 import json
 import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from looptab.tension import (
     DEFAULT_PARAMS,
+    BarTension,
     SpiralParams,
+    TensionProfile,
     TensionThresholds,
     cloud_diameter_of_indices,
     coe_of_indices,
@@ -22,6 +25,7 @@ from looptab.tension import (
     _key_candidates,
     _nearest_key,
     _nearest_keys,
+    bar_tension,
     levels_of,
     loop_tension_profiles,
     pitch_position,
@@ -282,16 +286,30 @@ def test_invalid_spiral_params():
         SpiralParams(chord_weights=(0.5, 0.4, 0.2))
 
 
-# per-bar tables against the cloud functions -----------------------------------
+# per-bar tables against a per-bar oracle --------------------------------------
+
+def oracle_profile(clouds, key_center, params=DEFAULT_PARAMS):
+    """Tension of (fifth-index, weight) clouds computed bar by bar, each
+    momentum and strain one Python distance of ``** 2`` terms: the oracle
+    that the package's array passes must match bit for bit."""
+    coes = [coe_of_indices(cloud, params) if cloud else None for cloud in clouds]
+    return TensionProfile(
+        tuple(cloud_diameter_of_indices((k for k, _ in cloud), params) for cloud in clouds),
+        tuple(0.0 if i == 0 or coe is None or coes[i - 1] is None else dist(coe, coes[i - 1])
+              for i, coe in enumerate(coes)),
+        tuple(0.0 if coe is None or key_center is None else dist(coe, key_center)
+              for coe in coes))
+
 
 def reference_profile(bars, params):
-    """Tension of plain bars as computed from their clouds, note by note."""
+    """Tension of plain bars as the per-bar oracle computes it from their
+    clouds, against the key of all of them (none without pitched notes)."""
     clouds = bar_clouds(bars)
     try:
         key_center = estimate_key(clouds, params).center
     except ValueError:
         key_center = None
-    return tension_from_clouds(clouds, key_center, params)
+    return oracle_profile(clouds, key_center, params)
 
 
 @st.composite
@@ -320,15 +338,41 @@ def test_tension_profile_equals_the_cloud_reference_exactly(bars, params):
     assert compute_tension_profile(columns(bars), params) == reference_profile(bars, params)
 
 
-@settings(deadline=None, max_examples=300)
-@given(bars=plain_bars(), params=st.one_of(st.just(DEFAULT_PARAMS), spiral_params()),
-       data=st.data())
-def test_loop_profiles_equal_the_profile_of_each_range_alone(bars, params, data):
+DRUM_BAR = (4, 120, [("drums", 0, 960, 36, None, None)], ())
+EMPTY_BAR = (4, 120, [], ())
+
+
+@st.composite
+def bars_and_spans(draw):
+    """Plain bars, with empty and drum-only ones among them, and ranges of
+    them that may overlap and start at bar 0."""
+    bars = draw(plain_bars())
+    bars = [draw(st.sampled_from((bar, DRUM_BAR, EMPTY_BAR))) for bar in bars]
     n = len(bars)
-    spans = data.draw(st.lists(st.tuples(st.integers(0, n), st.integers(1, n)).filter(
-        lambda r: r[0] < r[1]), max_size=5)) if n else []
-    got = loop_tension_profiles(columns(bars), spans, params)
-    assert got == [reference_profile(bars[s:e], params) for s, e in spans]
+    spans = draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)).map(sorted).map(tuple),
+                          max_size=6)) if n else []
+    return bars, spans
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=bars_and_spans(), params=st.one_of(st.just(DEFAULT_PARAMS), spiral_params()))
+@example(case=([DRUM_BAR, EMPTY_BAR, DRUM_BAR], [(0, 3), (1, 2), (0, 1)]),
+         params=DEFAULT_PARAMS)  # no range has a key
+@example(case=(make_bars([[(60, 960)], [], [(64, 480), (67, 480)], [(62, 960)]]),
+               [(0, 4), (1, 3), (2, 4), (0, 2), (3, 3)]),
+         params=DEFAULT_PARAMS)  # overlapping ranges, an empty one and an empty bar
+def test_loop_profiles_equal_the_profile_of_each_range_alone(case, params):
+    bars, spans = case
+    got = bar_tension(columns(bars), spans, params)
+    want = [reference_profile(bars[s:e], params) for s, e in spans]
+    assert loop_tension_profiles(columns(bars), spans, params) == want
+    assert got.ends.tolist() == list(itertools.accumulate(e - s for s, e in spans))
+    for array, name in zip((got.cd, got.cm, got.ts), TENSION_FEATURES):
+        assert array.dtype == np.float64
+        assert array.tolist() == [v for profile in want for v in profile.feature(name)]
+    halves = BarTension.join([bar_tension(columns(bars), spans[:2], params),
+                              bar_tension(columns(bars), spans[2:], params)])
+    assert halves.profiles() == got.profiles() == want
 
 
 @pytest.mark.parametrize("thresholds", [(1.0, 2.0, 3.0), (1.0, 1.0, 3.0), (1.0, 3.0, 3.0),
@@ -359,3 +403,37 @@ def test_keys_chosen_at_once_are_the_keys_chosen_one_by_one(params):
                               (keys[pairs[:, 0]] + keys[pairs[:, 1]]) / 2])
     assert _nearest_keys(centers, params) == [_nearest_key(tuple(c), params)
                                               for c in centers.tolist()]
+
+
+@settings(deadline=None, max_examples=200)
+@given(clouds=st.lists(st.lists(st.tuples(st.integers(-20, 20), st.floats(0.01, 1e4)),
+                                max_size=5), max_size=6),
+       key=st.one_of(st.none(), st.tuples(*[st.floats(-10.0, 10.0)] * 3)),
+       params=st.one_of(st.just(DEFAULT_PARAMS), spiral_params()))
+def test_clouds_give_the_per_bar_oracle_exactly(clouds, key, params):
+    assert tension_from_clouds(clouds, key, params) == oracle_profile(clouds, key, params)
+
+
+@pytest.mark.parametrize("feature", ["cloud_momentum", "tensile_strain"])
+def test_array_path_squares_by_pow_where_a_product_would_differ(feature):
+    """A seeded search for a two-bar song whose bar-1 momentum (against bar
+    0) or strain (against the song's key) has coordinate differences d
+    with d * d != d ** 2 in the distance's last bit: the song path must
+    give the ``** 2`` distance, as the per-bar Python did."""
+    rng = random.Random(0)
+    for _ in range(50_000):
+        bars = make_bars([[(rng.randint(40, 80), rng.randint(1, 3840))
+                           for _ in range(rng.randint(1, 4))] for _ in range(2)])
+        clouds = bar_clouds(bars)
+        key = estimate_key(clouds).center
+        other = coe_of_indices(clouds[0]) if feature == "cloud_momentum" else key
+        d = [x - y for x, y in zip(coe_of_indices(clouds[1]), other)]
+        by_pow = math.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
+        by_product = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+        if by_pow != by_product:
+            break
+    else:
+        pytest.skip("this libm's pow squares as x * x does on every difference tried")
+    assert any(x * x != x ** 2 for x in d)
+    assert compute_tension_profile(columns(bars)).feature(feature)[1] == by_pow
+    assert tension_from_clouds(clouds, key).feature(feature)[1] == by_pow
