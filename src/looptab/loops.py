@@ -1,25 +1,28 @@
 """Bar-aligned loop extraction.
 
 The note columns of one song, or of every song of a batch at once, are
-flattened into their onset groups (all tracks merged), each numbered by
-its (notes, gap) fingerprint and tagged with its song. A loop is a repeat
-whose two occurrences both start on a bar boundary of one song,
-``min_loop_bars`` to ``max_loop_bars`` bars apart; the loop body is the
-bar range between the two starts. Only those bar pairs are tried, at one
-pass over the events of the whole batch per distinct tick lag between
-them, so no song is too long to search, and no match runs from one song
-into the next.
+flattened into their onset groups (all tracks merged), each tagged with
+its song and numbered by its (notes, gap) fingerprint: a group is a run
+of (gap, duration, pitch) rows, one per note, and the runs of the whole
+batch are numbered at once by array sorts (:func:`score._distinct_runs`),
+equal fingerprints getting equal ids. A loop is a repeat whose two
+occurrences both start on a bar boundary of one song, ``min_loop_bars``
+to ``max_loop_bars`` bars apart; the loop body is the bar range between
+the two starts. Only those bar pairs are tried, at one pass over the
+events of the whole batch per distinct tick lag between them, so no song
+is too long to search, and no match runs from one song into the next.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count, repeat
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import LoopParams
-from .score import TRACKS, ScoreColumns, bar_slice, key_order
+from .score import TRACKS, ScoreColumns, _distinct_runs, bar_slice, key_order
 from .tokens import TICKS_PER_QUARTER
 
 DEFAULT_PARAMS = LoopParams()
@@ -52,13 +55,32 @@ def bar_offsets(song: ScoreColumns) -> np.ndarray:
     return offsets
 
 
-def _onset_groups(song: ScoreColumns, starts: np.ndarray | None = None):
-    """Every distinct onset in time order, the notes sounding from it, its
-    gap to the next onset of its song (a song's last one's to the song's
-    end), its song, and the tick of each bar's start; ``starts`` are the
-    bar offsets of regularized songs, whose notes end inside them (None:
-    one song). A group's notes are the bytes of its sorted (track id * 128
-    + midi, duration) pairs, so equal bytes are equal note sets."""
+class _OnsetGroups(NamedTuple):
+    """Every distinct onset of a song, or of each song of a batch, in time
+    order: its tick, fingerprint id, gap to the next onset of its song (a
+    song's last one's to the song's end) and song, with the tick of each
+    bar's start. Equal (notes, gap) fingerprints, the fields
+    :class:`EventFingerprint` compares, have equal ids, numbered in order
+    of first occurrence. The notes sounding from onset ``i`` are
+    ``bounds[i]:bounds[i + 1]`` of ``pitch`` (track id * 128 + midi) and
+    ``duration``, sorted by pitch, then duration."""
+
+    onsets: np.ndarray
+    ids: np.ndarray
+    gaps: np.ndarray
+    songs: np.ndarray
+    bar_at: np.ndarray
+    bounds: np.ndarray
+    pitch: np.ndarray
+    duration: np.ndarray
+
+
+def _onset_groups(song: ScoreColumns, starts: np.ndarray | None = None) -> _OnsetGroups:
+    """The :class:`_OnsetGroups` of ``song``, all tracks merged; ``starts``
+    are the bar offsets of regularized songs, whose notes end inside them
+    (None: one song). A fingerprint is a run of (gap, duration, pitch)
+    rows, one per note, numbered with the other runs by
+    :func:`score._distinct_runs`."""
     if starts is None:
         starts = np.array([0, song.n_bars])
     offsets = bar_offsets(song)
@@ -71,27 +93,25 @@ def _onset_groups(song: ScoreColumns, starts: np.ndarray | None = None):
     head = np.empty(len(at), bool)
     head[:1] = True
     np.not_equal(at[1:], at[:-1], out=head[1:])
-    heads = head.nonzero()[0]
+    bounds = np.append(head.nonzero()[0], len(at))
+    heads = bounds[:-1]
     onsets, songs = at[heads], note_song[heads]
     gaps = np.empty_like(onsets)
     gaps[:-1] = onsets[1:] - onsets[:-1]
     last = np.ones(len(onsets), bool)
     np.not_equal(songs[1:], songs[:-1], out=last[:-1])
     gaps[last] = np.maximum(end[songs[last]] - onsets[last], 0)
-    notes = np.empty((len(at), 2), np.int64)
-    notes[:, 0] = pitch
-    notes[:, 1] = duration
-    blob = notes.tobytes()
-    bounds = (heads * notes.strides[0]).tolist()
-    groups = list(map(blob.__getitem__, map(slice, bounds, bounds[1:] + [len(blob)])))
-    return onsets, groups, gaps, songs, offsets[:song.n_bars]
+    _, ids = _distinct_runs((np.repeat(gaps, np.diff(bounds)), duration, pitch), bounds)
+    return _OnsetGroups(onsets, ids, gaps, songs, offsets[:song.n_bars], bounds, pitch, duration)
 
 
 def fingerprint_sequence(song: ScoreColumns) -> list[EventFingerprint]:
-    onsets, notes, gaps, _, _ = _onset_groups(song)
-    return [EventFingerprint(tuple((TRACKS[p // 128], p % 128, duration) for p, duration in
-                                   np.frombuffer(group, np.int64).reshape(-1, 2).tolist()), gap, at)
-            for at, group, gap in zip(onsets.tolist(), notes, gaps.tolist())]
+    groups = _onset_groups(song)
+    notes = list(zip(map(TRACKS.__getitem__, (groups.pitch // 128).tolist()),
+                     (groups.pitch % 128).tolist(), groups.duration.tolist()))
+    bounds = groups.bounds.tolist()
+    return [EventFingerprint(tuple(notes[a:b]), gap, at) for at, a, b, gap in
+            zip(groups.onsets.tolist(), bounds, bounds[1:], groups.gaps.tolist())]
 
 
 def _match_lengths(onsets: np.ndarray, ids: np.ndarray, songs: np.ndarray, lag: int) -> np.ndarray:
@@ -125,9 +145,7 @@ def extract_loops(song: ScoreColumns, params: LoopParams = DEFAULT_PARAMS,
     Bars of two songs never match, since no event matches one of another
     song. Repeats starting off the bar grid are discarded, not shifted.
     """
-    onsets, notes, gaps, songs, bar_at = _onset_groups(song, starts)
-    # equal (notes, gap), the fields EventFingerprint compares, get equal ids
-    ids = np.fromiter(map({}.setdefault, zip(notes, gaps.tolist()), count()), np.int64, len(notes))
+    onsets, ids, gaps, songs, bar_at, *_ = _onset_groups(song, starts)
     ticks = np.zeros(len(gaps) + 1, np.int64)
     gaps.cumsum(out=ticks[1:])
     at = onsets.searchsorted(bar_at)  # the onset at each bar's start, where one is

@@ -13,17 +13,19 @@ after song, with each song's bar offset, header and error.
 as it reads them, then decodes the codes of many songs at once with numpy
 operations: the cursor, the onset groups, the duration rule and the order
 inside each group are computed for the whole part, not token by token or
-song by song; only each song's header is read on its own. A part holds at
-most ``PART_TOKENS`` tokens, or one song, so that the arrays decoded at
-once do not grow with the directory; the song commands work one part at a
-time. :func:`decode` is the one-song case. Each call builds one
-:class:`TokenTable`, which keeps every distinct token string of its songs
-as :func:`tokens.token` classifies it; the grammar alone decides which
-strings are tokens, and the decoder checks only where they stand.
-:func:`regularize_many` (one song: :func:`regularize_meter`) cuts every
-bar into 4/4 bars, at most ``MAX_BARS`` of them per song, and
-:func:`regular_parts` does it in parts of consecutive songs holding at
-most ``MAX_BARS`` such bars together.
+song by song; only each song's header is read on its own. Each note's
+effects are a run of effect codes, and the distinct runs of the part are
+numbered in order of first occurrence by :func:`_distinct_runs`, one sort
+per distinct run length. A part holds at most ``PART_TOKENS`` tokens, or
+one song, so that the arrays decoded at once do not grow with the
+directory; the song commands work one part at a time. :func:`decode` is
+the one-song case. Each call builds one :class:`TokenTable`, which keeps
+every distinct token string of its songs as :func:`tokens.token`
+classifies it; the grammar alone decides which strings are tokens, and
+the decoder checks only where they stand. :func:`regularize_many` (one
+song: :func:`regularize_meter`) cuts every bar into 4/4 bars, at most
+``MAX_BARS`` of them per song, and :func:`regular_parts` does it in parts
+of consecutive songs holding at most ``MAX_BARS`` such bars together.
 
 Duration convention of the token format: a note group's duration is the
 accumulated ``wait`` ticks until the next onset in its measure (or, when
@@ -358,7 +360,7 @@ def decode_parts(sources: Iterable[Path | Sequence[str]]) -> Iterator[tuple[int,
     first = held = 0
     for source in sources:
         try:
-            raws = source.read_text(encoding="utf-8").split() if isinstance(source, Path) \
+            raws = source.read_bytes().decode("utf-8").split() if isinstance(source, Path) \
                 else source
             if not raws:
                 raise StructureError("no tokens")  # even an empty score has a header and end
@@ -475,16 +477,20 @@ def _decode_bars(codes: np.ndarray, song_begin: np.ndarray, defaults: np.ndarray
     track, string, fret, midi = table.note_fields.take(note_codes[order], axis=1)
 
     fx = np.zeros(len(notes), np.int64)
-    effects: dict[tuple[str, ...], int] = {(): 0}
+    effects = [()]
     effect_at = positions(_EFFECT)
     if len(effect_at) and len(notes):  # an effect belongs to the bar's last note before it, if any
         owner = notes.searchsorted(effect_at) - 1
         held = (owner >= 0) & (bar[owner] == marks.searchsorted(effect_at, "right") - 1)
-        names: dict[int, list[str]] = {}
-        for note, code in zip(owner[held].tolist(), codes[effect_at[held]].tolist()):
-            names.setdefault(note, []).append(table.tokens[code].fields["name"])
-        fx[list(names)] = [effects.setdefault(tuple(n), len(effects)) for n in names.values()]
+        owner, effect_codes = owner[held], codes[effect_at[held]]
+        # a note's effects are one run of codes, and the notes' runs are in note order
+        runs = np.flatnonzero(np.diff(owner, prepend=-1))
+        bounds = np.append(runs, len(owner))
+        firsts, ids = _distinct_runs((effect_codes,), bounds)
+        fx[owner[runs]] = ids + 1
         fx = fx[order]
+        effects += [tuple(table.tokens[c].fields["name"] for c in effect_codes[a:b].tolist())
+                    for a, b in zip(bounds[firsts].tolist(), bounds[firsts + 1].tolist())]
 
     controls_at = positions(_BAR_CONTROL)
     return ScoreColumns(
@@ -574,19 +580,58 @@ def key_order(keys: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _distinct(keys: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """An index of each distinct row of the integer columns ``keys`` and
-    each row's rank among the distinct rows, from one sort of their packed
-    words."""
-    words = _key_words(keys)
+    """The first index of each distinct row of the integer columns ``keys``
+    and each row's rank among the distinct rows, from one sort of their
+    packed words."""
+    return _distinct_words(np.array(_key_words(keys)))
+
+
+def _distinct_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_distinct` of the columns of the k x n int64 ``words``, each
+    row one word of a packed key: one sort, one comparison of the sorted
+    columns and one minimum per run of equal columns, whatever k is."""
     by_key = words[0].argsort() if len(words) == 1 else np.lexsort(words)
-    new = np.zeros(len(by_key), bool)
-    new[:1] = True
-    for word in words:
-        word = word[by_key]
-        new[1:] |= word[1:] != word[:-1]
+    words = words[:, by_key]
+    new = np.ones(len(by_key), bool)
+    new[1:] = (words[:, 1:] != words[:, :-1]).any(axis=0)
     rank = np.empty_like(by_key)
     rank[by_key] = np.cumsum(new) - 1
-    return by_key[new], rank
+    heads = np.flatnonzero(new)
+    return np.minimum.reduceat(by_key, heads) if len(heads) else heads, rank
+
+
+def _distinct_runs(keys: Sequence[np.ndarray], bounds: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The first of each distinct run ``bounds[i]:bounds[i + 1]`` of the
+    rows of the integer columns ``keys`` and each run's id: equal runs (the
+    same rows in the same order) get equal ids, numbered from 0 in order of
+    first occurrence, and the firsts are in id order.
+
+    Each row is ranked among the distinct rows (:func:`_distinct`). The
+    runs of each length are one matrix of their ranks, packed into int64
+    words as many to a word as fit (and no more than a run holds), whose
+    distinct rows one :func:`_distinct_words` finds: the sorts grow in
+    number with the distinct run lengths, not with the longest run."""
+    _, rank = _distinct(keys)
+    bits = max(int(rank.max(initial=0)).bit_length(), 1)
+    lengths = np.diff(bounds)
+    ids = np.empty(len(lengths), np.int64)
+    firsts = [np.zeros(0, np.int64)]  # of each id in sorted-word order, length after length
+    for length in np.flatnonzero(np.bincount(lengths)).tolist():
+        runs = np.flatnonzero(lengths == length)
+        per = max(min(63 // bits, length), 1)  # ranks to a word
+        width = max(-(-length // per), 1)
+        cells = np.zeros((len(runs), width * per), np.int64)
+        cells[:, :length] = rank[bounds[runs, None] + np.arange(length)]
+        words = (cells.reshape(len(runs), width, per) << np.arange(0, per * bits, bits)).sum(axis=2)
+        heads, run_ids = _distinct_words(words.T)
+        ids[runs] = run_ids + sum(map(len, firsts))
+        firsts.append(runs[heads])
+    first = np.concatenate(firsts)
+    by_first = first.argsort()
+    renumber = np.empty_like(by_first)
+    renumber[by_first] = np.arange(len(by_first))
+    return first[by_first], renumber[ids]
 
 
 def bar_bodies(song: ScoreColumns, bars: Sequence[int]) -> list[list[str]]:

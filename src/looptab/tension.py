@@ -11,10 +11,11 @@ A bar's values come from the note columns (:class:`ScoreColumns`) of one
 song or of a whole batch of songs at once, with positions from a 12-entry
 pitch-class table; its center of effect sums its notes in note order, as
 a Python loop would, and its diameter depends only on its 12-bit
-pitch-class mask and is memoized per :class:`SpiralParams`. Each song (or
-loop) sums its own key the same way, and the keys of all of them are
-chosen in one array pass. The momenta and strains of all the songs or
-loops of a batch are one array pass each (:func:`bar_tension`, flat
+pitch-class mask, read from a table of all 4,096 masks built from the 66
+pairwise pitch-class distances at first use per :class:`SpiralParams`.
+Each song (or loop) sums its own key the same way, and the keys of all of
+them are chosen in one array pass. The momenta and strains of all the
+songs or loops of a batch are one array pass each (:func:`bar_tension`, flat
 arrays in a :class:`BarTension`): every coordinate difference is squared
 by ``operator.pow(d, 2)``, the very ``float ** 2`` (libm ``pow``) of a
 per-bar Python distance, so the values are the same to the last bit.
@@ -30,7 +31,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import accumulate, chain, product, repeat
+from itertools import accumulate, chain, combinations, product, repeat
 from os import PathLike
 from typing import Iterable, Sequence
 
@@ -284,11 +285,22 @@ def _gather(centers: np.ndarray, filled: np.ndarray, cds: np.ndarray, first: np.
 
 
 @lru_cache(maxsize=8)
-def _pitch_class_table(params: SpiralParams) -> tuple[np.ndarray, dict[int, float]]:
+def _pitch_class_table(params: SpiralParams) -> tuple[np.ndarray, np.ndarray]:
     """Spiral position of each pitch class (midi % 12), a 12 x 3 array, and
-    the memo of cloud diameters by 12-bit pitch-class mask, filled as masks
-    occur."""
-    return np.array([pitch_position(fifth_index_of_pitch(pc), params) for pc in range(12)]), {}
+    the cloud diameter of each 12-bit pitch-class mask, 4,096 of them: at
+    each mask, the largest of the 66 pairwise distances (:func:`_distance`)
+    of the classes it holds, 0 for fewer than two."""
+    positions = [pitch_position(fifth_index_of_pitch(pc), params) for pc in range(12)]
+    masks = np.arange(1 << 12)
+    diameters = np.zeros(len(masks))
+    for a, b in combinations(range(12), 2):
+        pair = 1 << a | 1 << b
+        held = (masks & pair) == pair
+        diameters[held] = np.maximum(diameters[held], _distance(positions[a], positions[b]))
+    positions = np.array(positions)
+    for table in (positions, diameters):  # every caller shares them
+        table.setflags(write=False)
+    return positions, diameters
 
 
 # Below this many runs left, each run sums its remaining rows on its own: a
@@ -343,12 +355,7 @@ def _bar_table(song: ScoreColumns, params: SpiralParams):
                         where=filled[:, None])
     masks = np.zeros(song.n_bars, np.int64)
     masks[filled] = np.bitwise_or.reduceat(1 << pc, bounds[:-1][filled])
-    masks = masks.tolist()
-    for mask in set(masks).difference(diameters):
-        ks = [fifth_index_of_pitch(c) for c in range(12) if mask >> c & 1]
-        diameters[mask] = cloud_diameter_of_indices(ks, params)
-    cds = np.fromiter(map(diameters.__getitem__, masks), float, count=len(masks))
-    return terms, bounds, centers, filled, cds
+    return terms, bounds, centers, filled, diameters[masks]
 
 
 def _nearest_keys(centers: np.ndarray, params: SpiralParams) -> list[KeyEstimate]:

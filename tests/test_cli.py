@@ -171,6 +171,42 @@ def test_loops_manifest_lines_are_json_dumps_of_each_loop(tmp_path):
                      for doc in docs]
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_a_song_with_other_line_ends_gives_the_same_outputs(tmp_path, newline):
+    # song files are read as bytes and decoded as UTF-8, with no newline
+    # translation: a line end is whitespace between tokens either way
+    lf, other = tmp_path / "lf", tmp_path / "other"
+    lf.mkdir()
+    other.mkdir()
+    rng = random.Random(6)
+    write_song(lf, "song", "ABABABABAB", {c: bar_block(rng, 4) for c in "AB"}, 120)
+    text = (lf / "song.tokens").read_bytes().replace(b" new_measure", b"\nnew_measure")
+    assert text.count(b"\n") == 11
+    (lf / "song.tokens").write_bytes(text)
+    (other / "song.tokens").write_bytes(text.replace(b"\n", newline.encode()))
+    outputs = []
+    for scores in (lf, other):
+        out = tmp_path / f"{scores.name}_out"
+        out.mkdir()
+        assert run("tension", "--scores", str(scores), "--out-csv", str(out / "tension.csv")) == 0
+        assert run("loops", "--scores", str(scores), "--out", str(out / "loops.jsonl")) == 0
+        outputs.append([(out / name).read_bytes() for name in ("tension.csv", "loops.jsonl")])
+    assert outputs[0] == outputs[1] and outputs[0][1]
+
+
+def test_a_song_that_is_not_utf8_exits_1_naming_the_file_and_byte(tmp_path, capsys):
+    scores = tmp_path / "scores"
+    scores.mkdir()
+    body = b"tempo:90 start " + b"new_measure clean0:note:s1:f3 wait:960\r\n" * 400
+    (scores / "bad.tokens").write_bytes(body + b"\xff end\r\n")
+    capsys.readouterr()
+    assert run("loops", "--scores", str(scores), "--out", str(tmp_path / "loops.jsonl")) == 1
+    assert capsys.readouterr().err == (f"error: {scores / 'bad.tokens'}: 'utf-8' codec can't "
+                                       f"decode byte 0xff in position {len(body)}: invalid "
+                                       "start byte\n")
+    assert not (tmp_path / "loops.jsonl").exists()
+
+
 def test_too_few_song_bars_for_quartiles_names_the_directory(tmp_path, capsys):
     scores = tmp_path / "scores"
     scores.mkdir()

@@ -47,7 +47,8 @@ from looptab.tokens import DEFAULT_TUNINGS, FRET_MAX, NOTE_TRACKS, TICKS_PER_QUA
 from test_loops import oracle_loops, reference_fingerprints
 from test_score import quadratic_tokens
 from test_tension import reference_profile
-from util import bar_block, bars_of, block_bars, canonical, columns, random_score
+from util import bar_block, bars_of, block_bars, canonical, columns, group_notes, interned_ids, \
+    random_score
 
 
 def plain(song):
@@ -387,13 +388,20 @@ def check_regular_part(batch: SongBatch) -> None:
     own, with its bars and ticks offset."""
     good = [i for i in range(len(batch)) if i not in batch.errors]
     songs, starts = [batch.song(i) for i in good], [int(batch.starts[i]) for i in good]
-    onsets, notes, gaps, owner, _ = _onset_groups(batch.columns, batch.starts)
+    groups = _onset_groups(batch.columns, batch.starts)
+    owner = groups.songs
     assert (owner[1:] >= owner[:-1]).all()
+    notes = group_notes(groups, range(len(owner)))
+    # equal ids exactly for equal (notes, gap), also across songs
+    assert groups.ids.tolist() == interned_ids(zip(notes, groups.gaps.tolist()))
     for i, song in zip(good, songs):
-        alone, alone_notes, alone_gaps, _, _ = _onset_groups(song)
+        alone = _onset_groups(song)
         mine = (owner == i).nonzero()[0]
-        assert [notes[j] for j in mine] == alone_notes and gaps[mine].tolist() == alone_gaps.tolist()
-        assert len(set((onsets[mine] - alone).tolist())) <= 1
+        assert [notes[j] for j in mine] == group_notes(alone, range(len(alone.onsets)))
+        assert groups.gaps[mine].tolist() == alone.gaps.tolist()
+        # the song's ids map one-to-one onto its ids alone
+        assert interned_ids(groups.ids[mine].tolist()) == alone.ids.tolist()
+        assert len(set((groups.onsets[mine] - alone.onsets).tolist())) <= 1
     params = LoopParams(min_rep_notes=1, min_rep_beats=1, min_loop_bars=1, max_loop_bars=2)
     assert extract_loops(batch.columns, params, batch.starts) == [
         LoopSpan(s.start_bar + start, s.end_bar + start, s.repetition_length_events)

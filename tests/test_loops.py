@@ -17,7 +17,7 @@ from looptab.loops import (
 )
 from looptab.tokens import TICKS_PER_QUARTER, token
 
-from util import BAR, bar_block, bars_of, block_bars, columns
+from util import BAR, bar_block, bars_of, block_bars, columns, interned_ids
 
 QUARTER = TICKS_PER_QUARTER
 
@@ -72,11 +72,6 @@ def reference_fingerprints(bars) -> list[EventFingerprint]:
             for at, nxt in zip(ordered, ends)]
 
 
-def interned_ids(keys) -> list[int]:
-    ids: dict = {}
-    return [ids.setdefault(key, len(ids)) for key in keys]
-
-
 @st.composite
 def plain_bars(draw):
     """Bars of any metre whose notes may start past the bar's end, share
@@ -92,11 +87,12 @@ def plain_bars(draw):
 def test_onset_groups_intern_like_fingerprints(bars):
     reference = reference_fingerprints(bars)
     score = columns(bars)
-    onsets, notes, gaps, _, _ = _onset_groups(score)
-    assert onsets.tolist() == [f.onset for f in reference]
-    assert interned_ids(zip(notes, gaps.tolist())) == interned_ids(reference)
+    groups = _onset_groups(score)
+    assert groups.onsets.tolist() == [f.onset for f in reference]
+    # equal ids exactly for equal fingerprints, numbered by first occurrence
+    assert groups.ids.tolist() == interned_ids(reference)
     seq = fingerprint_sequence(score)
-    assert seq == reference and [f.onset for f in seq] == onsets.tolist()
+    assert seq == reference and [f.onset for f in seq] == groups.onsets.tolist()
 
 
 def test_bar_offsets():

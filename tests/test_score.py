@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from looptab import score as score_mod
@@ -21,7 +21,7 @@ from looptab.score import (
 )
 from looptab.tokens import TENSION_FEATURES, ParseError, parse_tokens, render_tokens, token
 
-from util import bars_of, canonical, columns, random_score
+from util import bars_of, canonical, columns, interned_ids, random_score
 
 
 def test_header_and_empty_measures():
@@ -331,6 +331,42 @@ def test_distinct_ranks_the_distinct_rows(keys):
     distinct = [rows[i] for i in heads.tolist()]
     assert len(set(distinct)) == len(distinct)
     assert [distinct[r] for r in rank.tolist()] == rows
+    assert heads.tolist() == [rows.index(row) for row in distinct]  # each row's first index
+
+
+@st.composite
+def keyed_runs(draw):
+    """One to three int64 key columns and run bounds over their rows. The
+    rows come from a pool of up to 40, near 0 or anywhere in int64; the
+    runs of 0 to 6 rows are copies of a few templates, so equal runs recur
+    at different places; and at times one run of thousands of rows occurs
+    once or twice, whose ranks fill many words."""
+    width = draw(st.integers(1, 3))
+    value = st.one_of(st.integers(-3, 3), st.integers(*INT64))
+    pool = draw(st.lists(st.tuples(*[value] * width), min_size=1, max_size=40))
+    row = st.integers(0, len(pool) - 1)
+    templates = draw(st.lists(st.lists(row, max_size=6), min_size=1, max_size=6))
+    runs = [templates[i] for i in draw(st.lists(st.integers(0, len(templates) - 1), max_size=20))]
+    size, step = draw(st.integers(1000, 5000)), draw(st.integers(1, 7))
+    for _ in range(draw(st.integers(0, 2))):
+        runs.insert(draw(st.integers(0, len(runs))), [i * step % len(pool) for i in range(size)])
+    rows = [pool[i] for run in runs for i in run]
+    keys = [np.array([r[c] for r in rows], np.int64) for c in range(width)]
+    return keys, np.cumsum([0] + [len(run) for run in runs])
+
+
+@settings(deadline=None)
+@given(keyed_runs())
+@example(([np.zeros(0, np.int64)], np.array([0])))
+@example(([np.array([5, 5, 7])], np.array([0, 1, 2, 3])))
+@example(([np.array([1, 2, 1, 2, 1])], np.array([0, 2, 2, 4, 5, 5])))
+def test_distinct_runs_number_equal_runs_by_first_occurrence(runs):
+    keys, bounds = runs
+    firsts, ids = score_mod._distinct_runs(keys, bounds)
+    rows = list(zip(*(key.tolist() for key in keys)))
+    expected = interned_ids(tuple(rows[a:b]) for a, b in zip(bounds.tolist(), bounds[1:].tolist()))
+    assert ids.tolist() == expected
+    assert firsts.tolist() == [expected.index(i) for i in range(len(set(expected)))]
 
 
 def lexsort_words(monkeypatch, keys):

@@ -25,6 +25,7 @@ from looptab.tension import (
     _key_candidates,
     _nearest_key,
     _nearest_keys,
+    _pitch_class_table,
     bar_tension,
     levels_of,
     loop_tension_profiles,
@@ -403,6 +404,15 @@ def test_keys_chosen_at_once_are_the_keys_chosen_one_by_one(params):
                               (keys[pairs[:, 0]] + keys[pairs[:, 1]]) / 2])
     assert _nearest_keys(centers, params) == [_nearest_key(tuple(c), params)
                                               for c in centers.tolist()]
+
+
+@pytest.mark.parametrize("params", [DEFAULT_PARAMS, SpiralParams(2.0, 0.5),
+                                    SpiralParams(0.7, 3.1, (0.6, 0.3, 0.1))])
+def test_the_diameter_table_is_the_cloud_diameter_of_every_mask(params):
+    _, diameters = _pitch_class_table(params)
+    assert diameters.tolist() == [
+        cloud_diameter_of_indices([fifth_index_of_pitch(pc) for pc in range(12) if mask >> pc & 1],
+                                  params) for mask in range(1 << 12)]
 
 
 @settings(deadline=None, max_examples=200)

@@ -133,6 +133,20 @@ def block_bars(blocks: dict[str, list[tuple]], sequence, tempo: int = DEFAULT_TE
     return [(4, tempo, blocks[b], ()) for b in sequence]
 
 
+def interned_ids(keys) -> list[int]:
+    """Each key's id among the distinct keys, numbered by first occurrence."""
+    ids: dict = {}
+    return [ids.setdefault(key, len(ids)) for key in keys]
+
+
+def group_notes(groups, rows) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The (pitches, durations) of each of the onset groups ``rows`` of
+    ``loops._onset_groups``'s result ``groups``."""
+    bounds, pitch, duration = (c.tolist() for c in (groups.bounds, groups.pitch, groups.duration))
+    return [(tuple(pitch[bounds[i]:bounds[i + 1]]), tuple(duration[bounds[i]:bounds[i + 1]]))
+            for i in rows]
+
+
 def dense(distribution, size: int) -> np.ndarray:
     """The vocabulary-length vector of a sparse ``(indices, probs, rest)``
     next-token distribution: ``rest`` wherever no probability is listed."""
