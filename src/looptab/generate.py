@@ -25,8 +25,13 @@ The model file (``looptab-ngram`` version 3) is one JSON document: the
 vocabulary as a list of strings, and each of the five columns as an
 object of its dtype (``<u2`` where every value is below 65,536, else
 ``<i4``, or ``<i8`` past 2**31) and its little-endian bytes, compressed
-with zlib and base64-encoded. Version-1 and version-2 files are rejected
-with a request to re-run ``train-gen``.
+with zlib and base64-encoded. A model holds each column in that same
+dtype, trained or loaded, and a loaded one as a view of the decompressed
+bytes; only the context keys are computed from int64 copies. Each row's
+bounds and unlisted probability, and each structural state's count of
+admitted ids per row, are ``array`` columns of 8-byte numbers, and the
+positions among the admitted ids are held narrow. Version-1 and
+version-2 files are rejected with a request to re-run ``train-gen``.
 
 A distribution is sparse: the ids of one row, their probabilities, and
 one probability shared by every token the row does not list. A step
@@ -44,6 +49,7 @@ import json
 import math
 import sys
 import zlib
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -149,11 +155,13 @@ class NGramModel:
     ``context_tokens``, and its continuations are
     ``tokens[row_ptr[r]:row_ptr[r + 1]]`` with their ``counts``. The
     empty context must be one, and so must the suffix one token shorter of
-    every other context. ``alpha`` must be finite and above 0. The arrays
-    are read-only. The constructor only checks them: the context dict and
-    every row's probabilities (:attr:`_index`) are built by the first
-    distribution or sample asked of the model, so training or saving one
-    builds neither.
+    every other context. ``alpha`` must be above 0, and finite times the
+    vocabulary size. The arrays are read-only, each held in the first of
+    :data:`DTYPES` that holds its values (an array already of that dtype
+    and read-only is held as it is). The constructor only checks them:
+    the context dict and every row's probabilities (:attr:`_index`) are
+    built by the first distribution or sample asked of the model, so
+    training or saving one builds neither.
     """
 
     def __init__(self, order: int, alpha: float, vocabulary: list[str],
@@ -162,12 +170,18 @@ class NGramModel:
             raise ValueError("order must be >= 2")
         if not (math.isfinite(alpha) and alpha > 0):
             raise ValueError(f"alpha must be a finite number > 0, got {alpha}")
+        # every probability's denominator holds alpha * len(vocabulary)
+        if not math.isfinite(alpha * len(vocabulary)):
+            raise ValueError(f"alpha {alpha} times the vocabulary size {len(vocabulary)} "
+                             "is not a finite number")
         self.order = order
         self.alpha = alpha
         self.vocabulary = list(vocabulary)
         self.index = {t: i for i, t in enumerate(self.vocabulary)}
         for name, column in zip(COLUMNS, (context_lengths, context_tokens, row_ptr, tokens, counts)):
-            column = np.array(column, dtype=np.int64)
+            column = np.asarray(column)
+            # a read-only array of the file's dtype is held as it is, without a copy
+            column = column.astype(_narrowest(column), copy=column.flags.writeable)
             column.setflags(write=False)
             setattr(self, name, column)
         self._check_columns()
@@ -182,7 +196,8 @@ class NGramModel:
         if len(self.tokens) != len(counts) or len(row_ptr) != len(lengths) + 1:
             raise ValueError("column lengths disagree: need len(tokens) == len(counts) "
                              "and one more row_ptr than context_lengths")
-        if row_ptr[0] != 0 or row_ptr[-1] != len(counts) or np.any(np.diff(row_ptr) <= 0):
+        # np.diff of an unsigned column would wrap where it decreases
+        if row_ptr[0] != 0 or row_ptr[-1] != len(counts) or np.any(row_ptr[1:] <= row_ptr[:-1]):
             raise ValueError("row_ptr must start at 0, strictly increase and end at len(tokens)")
         if np.any(counts < 1):
             raise ValueError("counts must be >= 1")
@@ -206,8 +221,10 @@ class NGramModel:
         Raises ``ValueError`` if the empty context or a suffix is not a
         context, or if a context appears twice: a second empty context, or
         two equal keys of one length, adjacent once sorted."""
-        lengths, flat, stride = self.context_lengths, self.context_tokens, self._stride
-        starts = np.cumsum(lengths) - lengths
+        lengths, stride = self.context_lengths, self._stride
+        # the keys are computed in int64: a narrow id times the stride would wrap
+        flat = self.context_tokens.astype(np.int64)
+        starts = np.cumsum(lengths, dtype=np.int64) - lengths
         (empty,) = np.nonzero(lengths == 0)
         if not len(empty):
             raise ValueError("the empty context is not a context")
@@ -248,7 +265,7 @@ class NGramModel:
             twice |= bool(np.any(keys[1:] == keys[:-1]))
         if twice:
             raise ValueError("a context appears twice")
-        return root, row_keys
+        return root, row_keys.astype(_narrowest(row_keys))
 
     @cached_property
     def _index(self) -> _Index:
@@ -272,7 +289,8 @@ class _Index:
     """The context dict of a model (``{key: row}``, keyed as
     :meth:`NGramModel._check_contexts` says), and each row's bounds in its
     columns and the probabilities of the tokens it lists and of every
-    other."""
+    other: ``bounds`` and ``unseen`` are ``array('q')`` and ``array('d')``
+    by row, ``seen`` a float64 array by entry."""
 
     __slots__ = ("root", "stride", "order", "children", "bounds", "seen", "unseen")
 
@@ -280,17 +298,17 @@ class _Index:
         self.root, self.stride, self.order = model._root, model._stride, model.order
         self.children = dict(zip(model._keys.tolist(), range(len(model._keys))))
         del self.children[-1]  # the empty context's
-        self.bounds = model.row_ptr.tolist()
+        alpha, counts, row_ptr = model.alpha, model.counts, model.row_ptr
+        self.bounds = _packed("q", row_ptr)
         # (alpha + n) / denominator and alpha / denominator are the very floats
         # that filling with alpha, adding the counts and dividing would give.
         # The row sums are exact integers.
-        alpha, counts, row_ptr = model.alpha, model.counts, model.row_ptr
-        cumulative = np.concatenate(([0], np.cumsum(counts)))
+        cumulative = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
         denominators = (cumulative[row_ptr[1:]] - cumulative[row_ptr[:-1]]
                         + alpha * len(model.vocabulary))
-        self.seen = (alpha + counts) / np.repeat(denominators, np.diff(row_ptr))
+        self.seen = np.add(counts, alpha, dtype=float) / np.repeat(denominators, np.diff(row_ptr))
         self.seen.setflags(write=False)
-        self.unseen = (alpha / denominators).tolist()
+        self.unseen = _packed("d", alpha / denominators)
 
     def row(self, ids: Sequence[int]) -> int:
         """The row of the longest seen context suffix of ``ids``."""
@@ -477,16 +495,18 @@ def _sampling_tables(vocab: Sequence[str], emotion: str) -> _Tables:
     mask_ids = tuple(np.flatnonzero(mask) for mask in masks)
     ranks = tuple(np.where(mask, np.cumsum(mask, dtype=np.int64) - 1, len(vocab))
                   for mask in masks)
-    for array in (admissible, *masks, *mask_ids, *ranks):
-        array.setflags(write=False)
+    ranks = tuple(rank.astype(_narrowest(rank)) for rank in ranks)
+    for table in (admissible, *masks, *mask_ids, *ranks):
+        table.setflags(write=False)
     return _Tables(tokens, admissible, int(np.count_nonzero(admissible)), masks, mask_ids, ranks)
 
 
 class _Columns(NamedTuple):
     """A model's rows under one structural state's mask, entry by entry."""
-    weights: np.ndarray    # each entry's probability, 0 where the state masks its id
-    positions: np.ndarray  # each entry's id's position among the admitted ids (see _Tables)
-    listed: list[int]      # for each row, how many admitted ids it lists
+    weights: np.ndarray    # float64: each entry's probability, 0 where the state masks its id
+    positions: np.ndarray  # each entry's id's position among the admitted ids (see _Tables),
+                           # in the narrowest of DTYPES
+    listed: array          # array('q'): for each row, how many admitted ids it lists
 
 
 def _masked_columns(model: NGramModel, emotion: str) -> tuple[_Tables, tuple[_Columns, ...]]:
@@ -503,8 +523,9 @@ def _masked_columns(model: NGramModel, emotion: str) -> tuple[_Tables, tuple[_Co
 
 def _state_columns(model: NGramModel, mask: np.ndarray, ranks: np.ndarray) -> _Columns:
     keep = mask[model.tokens]
-    listed = np.concatenate(([0], np.cumsum(keep != 0)))[model.row_ptr]
-    columns = _Columns(model._index.seen * keep, ranks[model.tokens], np.diff(listed).tolist())
+    # every row lists at least one entry, so each reduceat sum is one row's
+    listed = np.add.reduceat(keep != 0, model.row_ptr[:-1], dtype=np.int64)
+    columns = _Columns(model._index.seen * keep, ranks[model.tokens], _packed("q", listed))
     columns.weights.setflags(write=False)
     columns.positions.setflags(write=False)
     return columns
@@ -534,33 +555,39 @@ def _sharpen(masked: Masked, inverse_temperature: float) -> Masked:
     powers, rest_power = weights ** inverse_temperature, rest ** inverse_temperature
     if not powers.sum() + rest_power * unlisted >= sys.float_info.min:
         top = max(weights.max(initial=0.0), rest)
-        powers = (weights / top) ** inverse_temperature
-        rest_power = (rest / top) ** inverse_temperature
+        if top > 0.0:  # else nothing weighs anything: the structural dead end
+            powers = (weights / top) ** inverse_temperature
+            rest_power = (rest / top) ** inverse_temperature
     return indices, powers, rest_power, unlisted
 
 
-def _choose(masked: Masked, ids: np.ndarray, positions: np.ndarray, u: float) -> int:
+def _choose(masked: Masked, ids: np.ndarray, positions: np.ndarray, u: float) -> int | None:
     """The id that ``u``, uniform in [0, 1), picks: the listed ids come
     first, in row order, then the unlisted ones of ``ids`` in ascending
-    order (``positions`` as for :func:`_nth_unlisted`)."""
+    order (``positions`` as for :func:`_nth_unlisted`). None if nothing
+    weighs anything, which the sums show without a pass of its own."""
     indices, weights, rest, unlisted = masked
     # the sums np.add.accumulate gives, without its cost on a short row
     cumulative = list(accumulate(weights.tolist()))
     listed = cumulative[-1] if cumulative else 0.0
-    u *= listed + rest * unlisted
+    total = listed + rest * unlisted
+    if total <= 0.0:  # no weight is negative, so no weight is positive either
+        return None
+    u *= total
     if u < listed:
         return int(indices[bisect_right(cumulative, u)])
     # rounding may carry u to the very end of the unlisted mass
     return _nth_unlisted(ids, positions, min(int((u - listed) / rest), unlisted - 1))
 
 
-def _argmax(masked: Masked, ids: np.ndarray, positions: np.ndarray) -> int:
+def _argmax(masked: Masked, ids: np.ndarray, positions: np.ndarray) -> int | None:
     """The lowest id of the largest weight, as ``np.argmax`` picks from the
-    dense vector; the first unlisted id stands for all the unlisted ones."""
+    dense vector; the first unlisted id stands for all the unlisted ones.
+    None if nothing weighs anything."""
     indices, weights, rest, unlisted = masked
     top = weights.max(initial=0.0)
     choice = int(indices[weights == top].min()) if top > 0.0 else None
-    if unlisted and rest >= top:
+    if unlisted and rest > 0.0 and rest >= top:
         first = _nth_unlisted(ids, positions, 0)
         choice = first if choice is None or rest > top else min(choice, first)
     return choice
@@ -612,16 +639,15 @@ def sample_sequence(model: NGramModel, prompt: Sequence[Token],
         # carry all its mass on inadmissible tempi
         if rest <= 0.0 or stop - start >= admissible_count:
             mask_tempo((tokens[start:stop], probs[start:stop], rest), admissible, admissible_count)
-        weights = state.weights[start:stop]
-        if rest * unlisted <= 0.0 and not weights.any():
-            break  # the structural dead end
-        masked = (tokens[start:stop], weights, rest, unlisted)
+        masked = (tokens[start:stop], state.weights[start:stop], rest, unlisted)
         if temperature < 1e-6:
             choice = _argmax(masked, ids, state.positions[start:stop])
         else:
             if temperature != 1.0:
                 masked = _sharpen(masked, 1.0 / temperature)
             choice = _choose(masked, ids, state.positions[start:stop], next(uniforms))
+        if choice is None:
+            break  # the structural dead end
         raw = vocab[choice]
         history.append(choice)
         stream.append(tables.tokens[choice])
@@ -641,14 +667,30 @@ def sample_sequence(model: NGramModel, prompt: Sequence[Token],
 MODEL_FORMAT = "looptab-ngram"
 MODEL_VERSION = 3
 MODEL_KEYS = ("format", "version", "order", "alpha", "vocabulary") + COLUMNS
-DTYPES = ("<u2", "<i4", "<i8")  # the narrowest that holds every value is written
+DTYPES = ("<u2", "<i4", "<i8")  # the narrowest that holds every value is written and held
+
+
+def _narrowest(column: np.ndarray) -> str:
+    """The first of :data:`DTYPES` that holds every value of ``column``."""
+    low, high = int(column.min(initial=0)), int(column.max(initial=0))
+    if 0 <= low and high < 2 ** 16:
+        return DTYPES[0]
+    return DTYPES[1] if -2 ** 31 <= low and high < 2 ** 31 else DTYPES[2]
+
+
+def _packed(typecode: str, values: np.ndarray) -> array:
+    """``values`` as an ``array.array`` of ``typecode`` (``q`` or ``d``):
+    its items index as Python numbers, as a list's do, but are stored
+    unboxed."""
+    packed = array(typecode)
+    packed.frombytes(np.ascontiguousarray(values, typecode).view(np.uint8))
+    return packed
 
 
 def _encode(column: np.ndarray) -> dict[str, str]:
-    top = int(column.max(initial=0))
-    dtype = DTYPES[0] if top < 2 ** 16 else DTYPES[1] if top < 2 ** 31 else DTYPES[2]
+    dtype = _narrowest(column)
     # level 1: a third of the version-2 size, written twice as fast as at level 6
-    data = zlib.compress(column.astype(dtype).tobytes(), 1)
+    data = zlib.compress(column.astype(dtype, copy=False).tobytes(), 1)
     return {"dtype": dtype, "data": base64.b64encode(data).decode("ascii")}
 
 

@@ -546,6 +546,18 @@ def test_train_gen_alpha_that_is_not_a_finite_number_above_0_exits_1(tmp_path, c
     assert not out.exists()
 
 
+def test_train_gen_alpha_that_overflows_with_the_vocabulary_size_exits_1(tmp_path, capsys):
+    # tempo:160, start, new_measure, end and the 18 control tokens: 22 * 1e307
+    # is past the largest float, so every probability would be 0
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("valence:high tempo:160 start new_measure end\n")
+    out = tmp_path / "model.json"
+    assert run("train-gen", "--corpus", str(corpus), "--out", str(out), "--alpha", "1e307") == 1
+    assert capsys.readouterr().err == ("error: alpha 1e+307 times the vocabulary size 22 "
+                                       "is not a finite number\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("setting", [False, True])
 @pytest.mark.parametrize("given,missing", [("--happy", "--sad"), ("--sad", "--happy")])
 def test_eval_emotion_with_happy_or_sad_alone_exits_1_naming_the_other(workspace, tmp_path, capsys,

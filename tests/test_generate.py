@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 import zlib
@@ -127,6 +128,10 @@ def test_train_rejects_empty_corpus_and_bad_params():
     for alpha in (0.0, -1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="^alpha must be a finite number > 0, got "):
             train_generator(["a"], alpha=alpha)
+    # a, end and the 18 control tokens: 20 * 1e308 overflows every denominator
+    with pytest.raises(ValueError, match=r"^alpha 1e\+308 times the vocabulary size 20 "
+                                         "is not a finite number$"):
+        train_generator(["a"], alpha=1e308)
 
 
 def test_model_save_load_round_trip(tmp_path):
@@ -152,6 +157,58 @@ def test_save_writes_each_column_in_the_narrowest_dtype(tmp_path):
         assert load_model(path).counts.tolist() == [counts]
 
 
+def wide_corpus():
+    """100 lines of 250 random drum notes, waits and bars: an order-4 model
+    of 71k entries over 46k contexts and 279 ids, so that its row_ptr is
+    written as ``<i4`` and its context keys pass 2**16, while its other
+    columns are ``<u2``."""
+    rng = np.random.default_rng(12)
+    body = ([f"drums:note:{midi}" for midi in range(128)]
+            + [f"wait:{ticks}" for ticks in range(1, 129)] + ["new_measure"])
+    head = " ".join(HAPPY_PROMPT) + " tempo:160 start"
+    return [f"{head} {' '.join(rng.choice(body, 250))} end" for _ in range(100)]
+
+
+def test_a_model_past_2_16_entries_is_held_in_the_dtypes_of_its_file(tmp_path):
+    model = train_generator(wide_corpus())
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    dtypes = {name: doc[name]["dtype"] for name in COLUMNS}
+    assert dtypes == {"context_lengths": "<u2", "context_tokens": "<u2", "row_ptr": "<i4",
+                      "tokens": "<u2", "counts": "<u2"}
+    assert model._keys.max() >= 2 ** 16
+    loaded = load_model(path)
+    for held in (model, loaded):
+        assert {name: getattr(held, name).dtype for name in COLUMNS} == \
+            {name: np.dtype(dtype) for name, dtype in dtypes.items()}
+    save_model(loaded, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+    for seed in range(3):
+        raws = sample_raws(loaded, "happy", rng_seed=seed, max_tokens=400)
+        assert len(raws) > 100 and raws == sample_raws(model, "happy", rng_seed=seed,
+                                                      max_tokens=400)
+
+
+def test_load_and_one_sample_allocate_less_than_290_bytes_per_context(tmp_path):
+    # 241 bytes a context with every column held in its file dtype; 369 with
+    # every column widened to int64 and the rows' bounds, the probabilities of
+    # their unlisted ids and their admitted counts held as lists
+    path = tmp_path / "model.json"
+    model = train_generator(wide_corpus())
+    save_model(model, path)
+    sample_raws(model, "happy", max_tokens=20)  # the vocabulary's tokens are cached
+    del model
+    tracemalloc.start()
+    try:
+        model = load_model(path)
+        assert len(sample_raws(model, "happy", max_tokens=20)) == 20
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 290 * len(model.context_lengths)
+
+
 def test_load_model_rejects_foreign_json(tmp_path):
     path = tmp_path / "other.json"
     path.write_text(json.dumps({"format": "something-else"}))
@@ -171,10 +228,10 @@ def decoded(doc, name):
     return np.frombuffer(zlib.decompress(base64.b64decode(col["data"])), col["dtype"])
 
 
-def model_doc(**changes):
+def model_doc(dtype="<i4", **changes):
     """A version-3 model document. Its contexts are (), ("a",), ("b",) and
     its vocabulary ids a=0, b=1, end=2. A list given for a column is
-    encoded as ``<i4``, a ``(values, dtype)`` pair as that dtype; None
+    encoded as ``dtype``, a ``(values, dtype)`` pair as that dtype; None
     drops the key."""
     doc = {"format": "looptab-ngram", "version": 3, "order": 2, "alpha": 0.01,
            "vocabulary": ["a", "b", "end"],
@@ -183,7 +240,7 @@ def model_doc(**changes):
     doc.update(changes)
     for name in COLUMNS:
         if isinstance(doc.get(name), list):
-            doc[name] = column(doc[name])
+            doc[name] = column(doc[name], dtype)
         elif isinstance(doc.get(name), tuple):
             doc[name] = column(*doc[name])
     return {k: v for k, v in doc.items() if v is not None}
@@ -277,6 +334,17 @@ MALFORMED_MODELS = {  # name: (document, the reason the error line gives)
     "context_suffix_two_short": (model_doc(order=4, context_lengths=[0, 1, 3],
                                            context_tokens=[1, 0, 0, 1]),
                                  "the suffix of a context is not a context"),
+    # 3 * 1e308 overflows every denominator
+    "alpha_overflows": (model_doc(alpha=1e308), r"alpha 1e\+308 times the vocabulary size 3 "),
+    # rows above with every column <u2, as train-gen writes a small model:
+    # a difference or a key computed in the column's own dtype would wrap
+    "row_ptr_decreasing_u2": (model_doc("<u2", row_ptr=[0, 3, 2, 4]), "strictly increase"),
+    "continuation_empty_u2": (model_doc("<u2", row_ptr=[0, 2, 2, 4]), "strictly increase"),
+    "count_zero_u2": (model_doc("<u2", counts=[2, 0, 2, 1]), "counts must be >= 1"),
+    "context_duplicate_u2": (model_doc("<u2", context_tokens=[0, 0]), "appears twice"),
+    "context_suffix_missing_u2": (model_doc("<u2", order=3, context_lengths=[0, 1, 2],
+                                            context_tokens=[0, 1, 2]),
+                                  "the suffix of a context is not a context"),
 }
 
 
