@@ -1,6 +1,6 @@
 """Whole-file writes that never leave a partial file behind, whole-file
-JSON and CSV reads whose errors name the file, and the listing of a song
-directory.
+text, JSON and CSV reads whose errors name the file, and the listing of a
+song directory.
 
 The text goes to a new sibling of the target, which is renamed over the
 target only once every byte is written; on any failure the sibling is
@@ -10,6 +10,7 @@ removed and the previous target, if any, is left as it was.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 from contextlib import contextmanager
@@ -44,6 +45,26 @@ def atomic_open(path: str | Path, newline: str | None = None) -> Iterator[TextIO
         raise
 
 
+def decode_utf8(data: bytes, path: str | Path, offset: int = 0) -> str:
+    """``data``, the bytes of the file ``path`` from ``offset`` on, as UTF-8
+    text. Bytes that are not UTF-8 raise ``ValueError`` naming ``path`` and,
+    as decoding the whole file would, the offset in it of the first."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        start, last = offset + exc.start, offset + exc.end - 1
+        where = (f"byte 0x{data[exc.start]:02x} in position {start}" if start == last
+                 else f"bytes in position {start}-{last}")
+        raise ValueError(f"{path}: 'utf-8' codec can't decode {where}: {exc.reason}") from None
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of the file ``path``. A file that cannot be opened or
+    read raises ``OSError``; bytes that are not UTF-8 raise ``ValueError``
+    naming ``path`` and the offset of the first (:func:`decode_utf8`)."""
+    return decode_utf8(Path(path).read_bytes(), path)
+
+
 def read_json(path: str | Path):
     """The JSON document in ``path``. A file that cannot be opened or read
     raises ``OSError``; contents that are not UTF-8 JSON text raise
@@ -60,26 +81,26 @@ def read_csv(path: str | Path, required: Sequence[str], what: str, value: Callab
              error: type[ValueError] = ValueError) -> list[tuple[int, T]]:
     """``(line, value(row))`` for each row of the UTF-8 CSV file ``path``,
     with the line its row ends on. A file that cannot be opened or read
-    raises ``OSError``. A header without every ``required`` column, a row
+    raises ``OSError``, and one that is not UTF-8 ``ValueError``
+    (:func:`read_text`). A header without every ``required`` column, a row
     short of one, and a ``ValueError`` or ``csv.Error`` (``value``'s too)
     raise ``error`` naming ``path`` and, past the header, the line."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            header = reader.fieldnames
-        except csv.Error as exc:
-            raise error(f"{path}: line {reader.line_num}: {exc}") from None
-        if not set(required).issubset(header or ()):
-            raise error(f"{path}: {what} CSV must have header {sorted(required)}")
-        pairs = []
-        try:
-            for row in reader:
-                missing = [f for f in required if row[f] is None]  # DictReader pads short rows
-                if missing:
-                    raise ValueError(f"row has no {', '.join(missing)}")
-                pairs.append((reader.line_num, value(row)))
-        except (ValueError, csv.Error) as exc:
-            raise error(f"{path}: line {reader.line_num}: {exc}") from None
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    try:
+        header = reader.fieldnames
+    except csv.Error as exc:
+        raise error(f"{path}: line {reader.line_num}: {exc}") from None
+    if not set(required).issubset(header or ()):
+        raise error(f"{path}: {what} CSV must have header {sorted(required)}")
+    pairs = []
+    try:
+        for row in reader:
+            missing = [f for f in required if row[f] is None]  # DictReader pads short rows
+            if missing:
+                raise ValueError(f"row has no {', '.join(missing)}")
+            pairs.append((reader.line_num, value(row)))
+    except (ValueError, csv.Error) as exc:
+        raise error(f"{path}: line {reader.line_num}: {exc}") from None
     return pairs
 
 

@@ -17,6 +17,7 @@ import bisect
 import csv
 import dataclasses
 import functools
+import io
 import json
 import logging
 import math
@@ -25,7 +26,7 @@ from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from .atomic import atomic_open, read_csv, token_files
+from .atomic import atomic_open, decode_utf8, read_csv, read_text, token_files
 from .config import GeneratorConfig, load_config
 from .tokens import ParseError, TokenCategory, render_tokens, token, token_ids
 
@@ -91,13 +92,16 @@ def _check_tokens(distinct: Iterable[str], texts: Iterable[str],
 def _corpus_lines(path) -> Iterator[str]:
     """The lines of a corpus file, read one at a time and split as
     ``str.splitlines`` splits the whole text; a file of blank lines only
-    is an error naming it, raised once it is read. :func:`_check_corpus`
-    checks the tokens."""
+    is an error naming it, raised once it is read, as is text that is not
+    UTF-8. :func:`_check_corpus` checks the tokens."""
     filled = False
-    with open(path, encoding="utf-8") as fh:
-        for line in chain.from_iterable(map(str.splitlines, fh)):
-            filled = filled or bool(line.strip())
-            yield line
+    offset = 0
+    with open(path, "rb") as fh:
+        for raw in fh:  # no UTF-8 character holds a b"\n"
+            for line in decode_utf8(raw, path, offset).splitlines():
+                filled = filled or bool(line.strip())
+                yield line
+            offset += len(raw)
     if not filled:
         raise ValueError(f"{path}: empty corpus")
 
@@ -113,7 +117,7 @@ def _read_streams(directory: str | Path) -> list[list[str]]:
     """The tokens of each song file of ``directory``; a malformed token is
     an error naming the file and the token."""
     paths = token_files(directory)
-    texts = [path.read_text(encoding="utf-8") for path in paths]
+    texts = [read_text(path) for path in paths]
     streams = [text.split() for text in texts]
     _check_tokens(set(chain.from_iterable(streams)), texts, lambda number: str(paths[number]))
     return streams
@@ -387,12 +391,11 @@ def cmd_eval_loops(args) -> int:
 
 def _numeric_columns(path) -> list[list[float]]:
     """The columns of a CSV of finite numbers, after an optional header row."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            rows = [(reader.line_num, row) for row in reader if row]
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        rows = [(reader.line_num, row) for row in reader if row]
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     try:
         float(rows[0][1][0])
     except ValueError:

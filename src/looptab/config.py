@@ -105,6 +105,17 @@ class GeneratorConfig:
     max_tokens: int = 4096
     max_bars: int = 64
 
+    def __post_init__(self):
+        if self.order < 2:
+            raise ValueError(f"order must be >= 2, got {self.order}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be a finite number > 0, got {self.alpha}")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError(f"temperature must be a finite number >= 0, got {self.temperature}")
+        for name in ("max_tokens", "max_bars"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class PipelineConfig:

@@ -60,7 +60,8 @@ import numpy as np
 
 from .atomic import atomic_open, read_json
 from .config import HAPPY_TEMPO_MIN, SAD_TEMPO_MAX
-from .tokens import END, Token, TokenCategory, token, token_ids
+from .tokens import (END, TENSION_FEATURES, TENSION_LEVELS, Token, TokenCategory, token,
+                     token_ids)
 
 HAPPY_PROMPT = ("valence:high", "arousal:high", "mode:major", "time_signature:4")
 SAD_PROMPT = ("valence:low", "arousal:low", "mode:minor", "time_signature:4")
@@ -69,9 +70,7 @@ CONTROL_VOCAB = (
     "valence:high", "valence:low",
     "arousal:high", "arousal:low",
     "mode:major", "mode:minor",
-    "cloud_diameter:q1", "cloud_diameter:q2", "cloud_diameter:q3", "cloud_diameter:q4",
-    "cloud_momentum:q1", "cloud_momentum:q2", "cloud_momentum:q3", "cloud_momentum:q4",
-    "tensile_strain:q1", "tensile_strain:q2", "tensile_strain:q3", "tensile_strain:q4",
+    *(f"{feature}:{level}" for feature in TENSION_FEATURES for level in TENSION_LEVELS),
 )
 
 

@@ -1,8 +1,8 @@
 """Nonparametric tests: Wilcoxon signed-rank, Friedman, pairwise Bonferroni.
 
-The chi-square survival function is computed in-house via the regularized
-incomplete gamma function (series expansion below a+1, continued fraction
-above), accurate to better than 1e-10; the normal CDF uses ``math.erf``.
+The chi-square survival function for Friedman's integer degrees of freedom
+is the finite closed-form sum (Abramowitz & Stegun 26.4.4-5), with no
+tolerance and no iteration cap; the normal CDF uses ``math.erf``.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from typing import Sequence
 
 # Keeps each count of sign assignments below 2**50, inside one 64-bit digit.
 EXACT_WILCOXON_MAX_N = 50
-_GAMMA_EPS = 1e-14
-_GAMMA_MAX_ITER = 10_000
 
 
 class DegenerateDataError(ValueError):
@@ -29,7 +27,6 @@ class StatTestResult:
     statistic: float
     p_value: float
     n: int
-    method: str
     z_value: float | None = None
     exact: bool = False
 
@@ -39,62 +36,27 @@ def normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
-def _gamma_p_series(a: float, x: float) -> float:
-    # lower regularized incomplete gamma, series expansion (x < a + 1)
-    term = 1.0 / a
-    total = term
-    for k in range(1, _GAMMA_MAX_ITER):
-        term *= x / (a + k)
-        total += term
-        if abs(term) < abs(total) * _GAMMA_EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gamma_q_contfrac(a: float, x: float) -> float:
-    # upper regularized incomplete gamma, Lentz continued fraction (x >= a + 1)
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for k in range(1, _GAMMA_MAX_ITER):
-        an = -k * (k - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def gamma_q(a: float, x: float) -> float:
-    """Upper regularized incomplete gamma Q(a, x); |error| < 1e-10."""
-    if a <= 0:
-        raise ValueError("a must be > 0")
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_p_series(a, x)
-    return _gamma_q_contfrac(a, x)
-
-
 def chi2_sf(x: float, df: int) -> float:
-    """Chi-square survival function P(X >= x) with df degrees of freedom."""
+    """Chi-square survival function P(X >= x) for an integer df >= 1.
+
+    With h = x / 2 the tail is a finite sum (Abramowitz & Stegun 26.4.4-5):
+    the sum over i < df / 2 of e^-h h^i / i! for even df, and for odd df
+    erfc(sqrt(h)) plus the sum over i < (df - 1) / 2 of
+    e^-h h^(i + 1/2) / Gamma(i + 3/2). Each term is taken in log space, so
+    none underflows before the sum does.
+    """
     if df < 1:
         raise ValueError("df must be >= 1")
-    if x <= 0:
+    h = x / 2.0
+    if h <= 0:
         return 1.0
-    return gamma_q(df / 2.0, x / 2.0)
+    odd = df % 2
+    total = math.erfc(math.sqrt(h)) if odd else 0.0
+    log_h = math.log(h)
+    for i in range(df // 2):
+        a = i + 0.5 * odd
+        total += math.exp(a * log_h - h - math.lgamma(a + 1.0))
+    return min(total, 1.0)
 
 
 def _midranks(values: Sequence[float]) -> list[float]:
@@ -165,9 +127,9 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> StatTestResu
 
     if n <= EXACT_WILCOXON_MAX_N:
         count = _at_most(doubled, w_doubled, n)
-        return StatTestResult(w, count / 2.0 ** n, n, "wilcoxon", z_value=z, exact=True)
+        return StatTestResult(w, count / 2.0 ** n, n, z_value=z, exact=True)
     p = min(2.0 * normal_cdf(z), 1.0)
-    return StatTestResult(w, p, n, "wilcoxon", z_value=z, exact=False)
+    return StatTestResult(w, p, n, z_value=z, exact=False)
 
 
 def friedman(groups: Sequence[Sequence[float]]) -> StatTestResult:
@@ -198,10 +160,10 @@ def friedman(groups: Sequence[Sequence[float]]) -> StatTestResult:
     correction = 1.0 - tie_sum / (n * k * (k * k - 1))
     if correction <= 0:
         # every row fully tied: no information
-        return StatTestResult(0.0, 1.0, n, "friedman")
+        return StatTestResult(0.0, 1.0, n)
     chi2 /= correction
     chi2 = max(chi2, 0.0)
-    return StatTestResult(chi2, chi2_sf(chi2, k - 1), n, "friedman")
+    return StatTestResult(chi2, chi2_sf(chi2, k - 1), n)
 
 
 @dataclass(frozen=True)

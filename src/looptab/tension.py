@@ -39,7 +39,7 @@ import numpy as np
 
 from .config import SpiralParams
 from .score import ScoreColumns
-from .tokens import TENSION_FEATURES
+from .tokens import TENSION_FEATURES, TENSION_LEVELS
 
 # sin/cos of k*pi/2 for integer k, kept exact
 _SIN = (0.0, 1.0, 0.0, -1.0)
@@ -444,9 +444,6 @@ def fit_thresholds(bars: BarTension, source: str | PathLike | None = None,
                                for values in (bars.cd, bars.cm, bars.ts)))
 
 
-LEVELS = ("q1", "q2", "q3", "q4")
-
-
 def _level_codes(values: np.ndarray, thresholds: tuple[float, float, float]) -> np.ndarray:
     """The level of every value as a code 0..3 (q1..q4), binned half-open
     in one ``searchsorted``: v < t1 -> q1, t1 <= v < t2 -> q2,
@@ -462,7 +459,7 @@ def _level_codes(values: np.ndarray, thresholds: tuple[float, float, float]) -> 
 
 def levels_of(values: Sequence[float], thresholds: tuple[float, float, float]) -> tuple[str, ...]:
     """The level name of every value, as :func:`_level_codes` bins it."""
-    return tuple(map(LEVELS.__getitem__,
+    return tuple(map(TENSION_LEVELS.__getitem__,
                      _level_codes(np.asarray(values, dtype=float), thresholds).tolist()))
 
 
@@ -476,7 +473,7 @@ def discretize_profile(profile: TensionProfile, thresholds: TensionThresholds) -
 # The text of the three bar controls of every combination of levels, in
 # code order: cd * 16 + cm * 4 + ts.
 _BAR_CONTROLS = tuple(" ".join(f"{name}:{level}" for name, level in zip(TENSION_FEATURES, levels))
-                      for levels in product(LEVELS, repeat=3))
+                      for levels in product(TENSION_LEVELS, repeat=3))
 
 
 def bar_controls(bars: BarTension, thresholds: TensionThresholds) -> list[str]:

@@ -1360,3 +1360,59 @@ def test_malformed_input_exits_with_one_error_line(workspace, classifiers, tmp_p
     assert code in (1, 2)
     assert sum(l.startswith("error: ") for l in captured.err.splitlines()) == 1
     assert "Traceback" not in captured.err + captured.out
+
+
+# Each text input a command reads whole or streams, given a byte that is
+# not UTF-8 past the first 8 KB, where a text stream's error would count
+# from the start of its chunk.
+NOT_UTF8_INPUTS = {
+    "train-gen": ["train-gen", "--corpus", "{bad}", "--out", "{out}"],
+    "train-clf": ["train-clf", "--corpus", "{bad}", "--out-dir", "{out}"],
+    "eval-emotion": ["eval-emotion", "--happy", "{dir}", "--sad", "{dir}",
+                     "--valence-model", "{clf}/valence.json",
+                     "--arousal-model", "{clf}/arousal.json", "--out-json", "{out}"],
+    "annotate": ["annotate", "--annotations", "{bad}", "--out-thresholds", "{out}"],
+    "annotate-songs": ["annotate", "--songs", "{bad}", "--provider-csv", "{ann}",
+                       "--out-annotations", "{out}"],
+    "corpus": ["corpus", "--scores", "{scores}", "--annotations", "{bad}", "--out", "{out}"],
+    "survey": ["survey", "--responses", "{bad}", "--out", "{out}"],
+    "eval-stats": ["eval-stats", "--method", "friedman", "--input", "{bad}", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_UTF8_INPUTS))
+def test_a_text_input_that_is_not_utf8_exits_1_naming_the_file_and_its_offset(
+        workspace, corpus, classifiers, tmp_path, capsys, case):
+    argv = NOT_UTF8_INPUTS[case]
+    corpus_line = corpus.read_bytes().splitlines(keepends=True)[0].replace(b"\n", b"\r\n")
+    annotations = (ANNOTATIONS_HEADER.encode() + b"\n", b",bright_one,0.9,0.9,major\n")
+    head, row = {"train-gen": (b"", corpus_line), "train-clf": (b"", corpus_line),
+                 "eval-emotion": (b"", (workspace / "scores" / "bright_one.tokens").read_bytes()),
+                 "annotate": annotations, "corpus": annotations,
+                 "annotate-songs": (b"artist,title\n", b",bright_one\n"),
+                 "survey": (b"participant,group,question,answer\n", b"p1,gen,preference,5\n"),
+                 "eval-stats": (b"a,b,c\n", b"1,2,3\n")}[case]
+    body = head + row * (8192 // len(row) + 1)
+    (tmp_path / "dir").mkdir()
+    bad = tmp_path / "dir" / "bad.tokens" if case == "eval-emotion" else tmp_path / "bad"
+    bad.write_bytes(body + b"\xff" + row)
+    paths = {"bad": bad, "dir": tmp_path / "dir", "out": tmp_path / "out", "clf": classifiers,
+             "ann": workspace / "annotations.csv", "scores": workspace / "scores"}
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: ")]
+    assert errors == [f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position "
+                      f"{len(body)}: invalid start byte"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("tail", [b"\xff end\n", b"\xe2\x82 end\n", b"\xe2\x82x\n",
+                                  b"\xf0\x9f\x98\r\n", b"\xed\xa0\x80\n", b"\xc3"])
+def test_a_corpus_read_in_lines_names_the_bytes_that_decoding_it_whole_names(tmp_path, tail):
+    path = tmp_path / "corpus.txt"
+    path.write_bytes("valence:high tempo:120 é\r\n".encode() * 400 + b"start " + tail)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        path.read_bytes().decode("utf-8")
+    with pytest.raises(ValueError) as lines:
+        list(cli._corpus_lines(path))
+    assert str(lines.value) == f"{path}: {whole.value}"

@@ -95,6 +95,11 @@ def test_each_key_no_field_reads_is_logged_once_and_the_config_still_loads(tmp_p
     ("loop_params", "min_rep_beats", 0),
     ("spiral_params", "height", -1.0),
     ("spiral_params", "key_weights", [0.5, 0.3, 0.3]),
+    ("generator", "order", 1),
+    ("generator", "alpha", 0.0),
+    ("generator", "temperature", -1.0),
+    ("generator", "max_tokens", 0),
+    ("generator", "max_bars", 0),
 ])
 def test_a_value_out_of_its_range_is_an_error_naming_the_dotted_key(tmp_path, section, key,
                                                                       value):
@@ -108,3 +113,11 @@ def test_the_classifier_range_ends_that_are_allowed_load(tmp_path):
            "classifier": {"holdout_fraction": 0.0, "l2": 1e-300, "truncate": 1, "seed": 0}}
     assert load_config(write_config(tmp_path, doc)).classifier == ClassifierConfig(
         l2=1e-300, holdout_fraction=0.0, seed=0, truncate=1)
+
+
+def test_the_generator_range_ends_that_are_allowed_load(tmp_path):
+    doc = {"format": "looptab-config",
+           "generator": {"order": 2, "alpha": 1e-300, "temperature": 0.0, "max_tokens": 1,
+                         "max_bars": 1}}
+    assert load_config(write_config(tmp_path, doc)).generator == GeneratorConfig(
+        order=2, alpha=1e-300, temperature=0.0, max_tokens=1, max_bars=1)

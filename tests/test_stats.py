@@ -11,7 +11,6 @@ from looptab.stats import (
     DegenerateDataError,
     chi2_sf,
     friedman,
-    gamma_q,
     normal_cdf,
     pairwise_bonferroni,
     wilcoxon_signed_rank,
@@ -44,16 +43,42 @@ def test_chi2_sf_edge_cases():
     assert chi2_sf(1e6, 3) < 1e-12
     with pytest.raises(ValueError):
         chi2_sf(1.0, 0)
-    with pytest.raises(ValueError):
-        gamma_q(0.0, 1.0)
 
 
-def test_gamma_q_monotone_in_x():
+def test_chi2_sf_monotone_in_x():
     prev = 1.0
     for x in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
-        cur = gamma_q(2.5, x)
+        cur = chi2_sf(2 * x, 5)
         assert cur < prev
         prev = cur
+
+
+@pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 3.0, 6.0, 10.919999999999959, 20.0, 55.5])
+def test_chi2_sf_is_exactly_the_closed_form_at_df_1_and_2(x):
+    assert chi2_sf(x, 2) == math.exp(-x / 2)
+    assert chi2_sf(x, 1) == math.erfc(math.sqrt(x / 2))
+
+
+# 5% critical values, from scipy.stats.chi2.isf(0.05, df)
+CRITICAL_5 = {1: 3.8414588206941285, 2: 5.991464547107983, 3: 7.814727903251178,
+              4: 9.487729036781158, 5: 11.070497693516355, 7: 14.067140449340167,
+              10: 18.30703805327515, 30: 43.77297182574217, 100: 124.34211340400408}
+
+
+@pytest.mark.parametrize("df", sorted(CRITICAL_5))
+def test_chi2_sf_at_the_5_percent_critical_values(df):
+    assert abs(chi2_sf(CRITICAL_5[df], df) - 0.05) < 1e-12
+
+
+# tails from mpmath's regularized upper incomplete gamma at 50 digits
+@pytest.mark.parametrize("x, df, tail", [
+    (2229.849180817516, 1000, 1.736265436401895e-95),
+    (40.0, 29, 0.083936898491518246),
+    (0.5, 9, 0.99996956625883892),
+    (150.0, 3, 2.6349139284880436e-32),
+])
+def test_chi2_sf_matches_high_precision_tails(x, df, tail):
+    assert abs(chi2_sf(x, df) - tail) <= 1e-12 * tail
 
 
 # wilcoxon --------------------------------------------------------------------
